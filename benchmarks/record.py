@@ -411,6 +411,94 @@ def record_csr_kernels(rounds: int) -> dict:
     return sections
 
 
+def _filtering_round_trip(network, metric, selector_name: str, views: list):
+    """Cold batched selection: fresh shared CSR, views re-attached, caches dropped."""
+    from repro.localview import NetworkGraph
+
+    ng = NetworkGraph.from_network(network)
+    for view in views:
+        view.invalidate_caches()
+        view.attach_network_graph(ng)
+    return make_selector(selector_name).select_all(
+        network, metric, views={view.owner: view for view in views}
+    )
+
+
+def _time_topology_filtering(network, metric, scalar_rounds: int, batched_rounds: int) -> dict:
+    """Scalar per-view vs batched topology filtering (plus batched FNBP) on one network.
+
+    The scalar side has no cache to warm, so its first timed round doubles as the
+    equality reference instead of paying for a separate warm-up run.
+    """
+    selector = make_selector("topology-filtering")
+    scalar_views = list(LocalView.all_from_network(network).values())
+    batched_views = list(LocalView.all_from_network(network).values())
+    samples = []
+    expected = None
+    for _ in range(scalar_rounds):
+        start = time.perf_counter()
+        result = {view.owner: selector.select(view, metric) for view in scalar_views}
+        samples.append(time.perf_counter() - start)
+        if expected is None:
+            expected = result
+    scalar_timing = {
+        "rounds": scalar_rounds,
+        "min_s": min(samples),
+        "mean_s": sum(samples) / len(samples),
+    }
+
+    def batched():
+        return _filtering_round_trip(network, metric, "topology-filtering", batched_views)
+
+    def fnbp():
+        return _filtering_round_trip(network, metric, "fnbp", batched_views)
+
+    if batched() != expected:
+        raise AssertionError(f"batched topology filtering diverges from scalar ({metric.name})")
+    batched_timing = time_case(batched, batched_rounds)
+    fnbp_timing = time_case(fnbp, batched_rounds)
+    return {
+        "scalar_per_view": scalar_timing,
+        "batched_csr": batched_timing,
+        "fnbp_batched": fnbp_timing,
+        "batched_speedup": scalar_timing["min_s"] / batched_timing["min_s"],
+        "batched_vs_fnbp": batched_timing["min_s"] / fnbp_timing["min_s"],
+    }
+
+
+def record_topology_filtering(rounds: int) -> dict:
+    """Network-wide topology filtering: per-view scalar selection vs the batched path.
+
+    A scalar round runs ``TopologyFilteringSelector.select`` on every view of a network
+    built without a shared CSR (a networkx RNG reduction per view).  A batched round
+    builds a fresh :class:`NetworkGraph`, attaches the views and runs ``select_all``,
+    which primes every owner's table through :mod:`repro.localview.filtering` (the
+    witness table included).  FNBP's batched ``select_all`` is timed the same way as the
+    yardstick (``batched_vs_fnbp`` <= 1 means topology filtering is no slower).  Results
+    are asserted equal before timing.  Two networks: the dense benchmark network, and
+    the first fig8 trial at density 35 (about 1100 nodes of mean degree 35).  The scalar
+    side takes seconds per round, so it runs two rounds on the dense network and one
+    on the fig8 trial.
+    """
+    from repro.registry import PRESETS
+
+    dense = dense_network()
+    sections = {
+        metric.name: _time_topology_filtering(dense, metric, 2, rounds)
+        for metric in (DelayMetric(), BandwidthMetric())
+    }
+    sections["network"] = {"nodes": len(dense), "edges": dense.number_of_links()}
+    spec = PRESETS.create("fig8")
+    metric = BandwidthMetric()
+    trial = build_trial(spec.sweep_config(), metric, 35.0, 0)
+    sections["fig8_density35"] = dict(
+        _time_topology_filtering(trial.network, metric, 1, max(1, rounds // 2)),
+        nodes=len(trial.network),
+        edges=trial.network.number_of_links(),
+    )
+    return sections
+
+
 def record_engine_dispatch(rounds: int) -> dict:
     """Generic spec/registry engine vs the legacy direct-call harness on one small sweep.
 
@@ -599,6 +687,7 @@ def record(rounds: int) -> dict:
         "mobility": record_mobility(max(3, rounds // 8)),
         "incremental_selection": record_incremental_selection(max(3, rounds // 8)),
         "csr_kernels": record_csr_kernels(max(3, rounds // 8)),
+        "topology_filtering": record_topology_filtering(max(3, rounds // 8)),
         "protocol_sim": record_protocol_sim(max(3, rounds // 8)),
     }
 
@@ -666,6 +755,15 @@ def main(argv=None) -> int:
             f"csr kernels ({name}): scalar {kernels['scalar_per_view']['min_s'] * 1e3:.3f} ms  "
             f"batched {kernels['batched_csr']['min_s'] * 1e3:.3f} ms  "
             f"({kernels['batched_speedup']:.2f}x)"
+        )
+    for name in ("delay", "bandwidth", "fig8_density35"):
+        filtering = payload["topology_filtering"][name]
+        print(
+            f"topology filtering ({name}): scalar "
+            f"{filtering['scalar_per_view']['min_s'] * 1e3:.3f} ms  "
+            f"batched {filtering['batched_csr']['min_s'] * 1e3:.3f} ms  "
+            f"({filtering['batched_speedup']:.2f}x; "
+            f"{filtering['batched_vs_fnbp']:.2f}x FNBP's batched time)"
         )
     protocol = payload["protocol_sim"]
     print(

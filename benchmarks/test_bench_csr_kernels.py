@@ -1,18 +1,21 @@
 """CI floor for the batched CSR kernels: never slower than the per-view scalar path.
 
-``record.py`` tracks the full speedup trajectory (``csr_kernels`` section of
-``BENCH_selection.json``; ~3x on the dense benchmark network at the time of writing).
-This test enforces only the regression floor -- the batched kernels must not fall
-below parity with the scalar solvers they replace -- plus the result-equality bar,
+``record.py`` tracks the full speedup trajectory (``csr_kernels`` and
+``topology_filtering`` sections of ``BENCH_selection.json``; ~3x for the first-hop
+kernels and ~10x for topology filtering on the dense benchmark network at the time of
+writing).  These tests enforce only the regression floor -- the batched paths must not
+fall below parity with the scalar code they replace -- plus the result-equality bar,
 so a speedup that silently becomes a slowdown (or a divergence) fails the smoke run.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 from record import dense_network
 
+from repro.core.selection import make_selector
 from repro.localview import LocalView, NetworkGraph, all_first_hops, prime_first_hops
 from repro.metrics import BandwidthMetric, DelayMetric
 
@@ -68,3 +71,47 @@ def test_batched_bandwidth_kernel_at_least_matches_scalar():
         f"batched bandwidth kernel regressed below 1.0x of the scalar path: "
         f"scalar {scalar_s:.4f}s vs batched {batched_s:.4f}s"
     )
+
+
+def _filtering_rounds(metric):
+    """(scalar_s, batched_min_s) for network-wide topology filtering, results compared.
+
+    The scalar side (a networkx RNG reduction per view, seconds per round) runs once;
+    each batched round starts from a fresh shared CSR, so the witness table is rebuilt.
+    """
+    network = dense_network()
+    selector = make_selector("topology-filtering")
+    scalar_views = LocalView.all_from_network(network)
+    batched_views = LocalView.all_from_network(network)
+
+    def batched():
+        ng = NetworkGraph.from_network(network)
+        for view in batched_views.values():
+            view.attach_network_graph(ng)
+        return selector.select_all(network, metric, views=batched_views)
+
+    t0 = time.perf_counter()
+    scalar = {owner: selector.select(view, metric) for owner, view in scalar_views.items()}
+    scalar_s = time.perf_counter() - t0
+    batched_s = []
+    for _ in range(ROUNDS):
+        t0 = time.perf_counter()
+        result = batched()
+        batched_s.append(time.perf_counter() - t0)
+        assert result == scalar, "batched topology filtering diverges from the scalar selector"
+    return scalar_s, min(batched_s)
+
+
+def test_batched_topology_filtering_at_least_matches_scalar():
+    try:
+        for metric in (DelayMetric(), BandwidthMetric()):
+            scalar_s, batched_s = _filtering_rounds(metric)
+            assert batched_s <= scalar_s, (
+                f"batched topology filtering ({metric.name}) regressed below 1.0x of the "
+                f"scalar path: scalar {scalar_s:.4f}s vs batched {batched_s:.4f}s"
+            )
+    finally:
+        # The scalar oracle leaves every view graph in a reference cycle (networkx caches
+        # an EdgeView on the graph it iterates); collect the pile here so its teardown
+        # cannot land inside a later test's timed rounds.
+        gc.collect()

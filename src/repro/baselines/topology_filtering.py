@@ -10,6 +10,12 @@ routing set (the QoS Advertised Neighbor Set).  The QANS is obtained in two step
    starts a QoS-optimal path of at most two hops towards it.  (The two-hop cap is the
    limitation the paper highlights: unlike FNBP, longer detours are never considered, and
    because *all* optimal first hops are kept, the advertised set stays relatively large.)
+
+Both steps reduce to one per-target table (target, best value, sorted best first hops)
+per view.  ``select_all`` primes that table for every view attached to the trial's
+shared CSR through the batched kernel of :mod:`repro.localview.filtering`; ``select``
+builds its decisions from the primed table, or computes the table on the view's own
+graph (the scalar path above, which is also the kernel's test oracle).
 """
 
 from __future__ import annotations
@@ -20,9 +26,11 @@ from typing import Dict, List, Set, Tuple
 import networkx as nx
 
 from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
+from repro.localview.filtering import TableRow, prime_filtering_tables, table_key
 from repro.localview.rng import qos_rng_reduce
 from repro.localview.view import LocalView
 from repro.metrics.base import Metric
+from repro.obs import runtime as obs
 from repro.registry import SELECTORS
 from repro.utils.ids import NodeId
 
@@ -44,36 +52,40 @@ class TopologyFilteringSelector(AnsSelector):
 
     name = "topology-filtering"
 
+    def prime(self, views: List[LocalView], metric: Metric) -> None:
+        prime_filtering_tables(views, metric, self.apply_reduction)
+
     def select(self, view: LocalView, metric: Metric) -> SelectionResult:
-        graph = qos_rng_reduce(view.graph, metric) if self.apply_reduction else view.graph
+        # A table primed by select_all is handed over once: dropping it here keeps the
+        # batch's tables from outliving the selection loop.
+        table = view._first_hops.pop(table_key(metric, self.apply_reduction), None)
+        if table is None:
+            obs.add("filtering.scalar_views")
+            table = self._scalar_table(view, metric)
+        else:
+            obs.add("filtering.batched_views")
         ans: Set[NodeId] = set()
         decisions: List[SelectionDecision] = []
 
-        for target in sorted(view.one_hop | view.two_hop):
-            best_value, first_hops = self._best_two_hop_first_hops(view, graph, target, metric)
-            if not first_hops and self.apply_reduction:
-                # The RNG reduction preserves global QoS-optimal connectivity but not
-                # necessarily a <=2-hop path to every neighbor; fall back to the unreduced
-                # view so the baseline never leaves a known neighbor uncovered.
-                best_value, first_hops = self._best_two_hop_first_hops(view, view.graph, target, metric)
+        for target, best_value, first_hops in table:
             detail: Tuple[Tuple[str, object], ...] = (
-                ("first_hops", tuple(sorted(first_hops))),
+                ("first_hops", first_hops),
                 ("best_value", best_value),
             )
             if not first_hops:
                 decisions.append(SelectionDecision(target, None, "unreachable-in-reduced-view", detail))
                 continue
-            if first_hops == {target}:
+            if first_hops == (target,):
                 decisions.append(SelectionDecision(target, None, "direct-link-optimal", detail))
                 continue
-            newly = {hop for hop in first_hops if hop != target and hop not in ans}
+            newly = [hop for hop in first_hops if hop != target and hop not in ans]
             ans.update(newly)
             decisions.append(
                 SelectionDecision(
                     target,
-                    None if not newly else min(newly),
+                    newly[0] if newly else None,
                     "advertise-all-best-first-hops",
-                    detail + (("added", tuple(sorted(newly))),),
+                    detail + (("added", tuple(newly)),),
                 )
             )
 
@@ -86,6 +98,24 @@ class TopologyFilteringSelector(AnsSelector):
         )
 
     # ------------------------------------------------------------------ internals
+
+    def _scalar_table(self, view: LocalView, metric: Metric) -> List[TableRow]:
+        """The per-target table of one view, from its own networkx graph.
+
+        The oracle of the batched kernel (:mod:`repro.localview.filtering`) and the path
+        for every view it does not serve.
+        """
+        graph = qos_rng_reduce(view.graph, metric) if self.apply_reduction else view.graph
+        table: List[TableRow] = []
+        for target in sorted(view.one_hop | view.two_hop):
+            best_value, first_hops = self._best_two_hop_first_hops(view, graph, target, metric)
+            if not first_hops and self.apply_reduction:
+                # The RNG reduction preserves global QoS-optimal connectivity but not
+                # necessarily a <=2-hop path to every neighbor; fall back to the unreduced
+                # view so the baseline never leaves a known neighbor uncovered.
+                best_value, first_hops = self._best_two_hop_first_hops(view, view.graph, target, metric)
+            table.append((target, best_value, tuple(sorted(first_hops))))
+        return table
 
     def _best_two_hop_first_hops(
         self,

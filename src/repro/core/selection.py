@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.localview.paths import prime_first_hops
 from repro.localview.view import LocalView
@@ -85,14 +85,25 @@ class AnsSelector(ABC):
     name: str = "abstract"
 
     #: Selectors whose per-view work is dominated by ``all_first_hops`` set this True;
-    #: :meth:`select_all` then batch-primes the first-hop caches of every view that will
-    #: actually re-run through the shared-CSR kernels (:func:`prime_first_hops`) before
-    #: the per-view loop, so the scalar solvers only run where batching is impossible.
+    #: the default :meth:`prime` then batch-primes the first-hop caches of every view
+    #: that will actually re-run through the shared-CSR kernels (:func:`prime_first_hops`)
+    #: before the per-view loop, so the scalar solvers only run where batching is
+    #: impossible.
     batches_first_hops: bool = False
 
     @abstractmethod
     def select(self, view: LocalView, metric: Metric) -> SelectionResult:
         """Run the selection at ``view.owner`` for the given metric."""
+
+    def prime(self, views: List[LocalView], metric: Metric) -> None:
+        """Batch-precompute, for the ``views`` about to be selected, what ``select`` reads.
+
+        :meth:`select_all` calls this once per run with exactly the views it will pass
+        to :meth:`select`.  Primed results must be bit-identical to what ``select``
+        computes without them; views the batched path cannot serve are left alone.
+        """
+        if self.batches_first_hops:
+            prime_first_hops(views, metric)
 
     def select_all(
         self,
@@ -126,8 +137,7 @@ class AnsSelector(ABC):
             views = LocalView.all_from_network(network)
         if previous is None:
             with obs.span("selection"):
-                if self.batches_first_hops:
-                    prime_first_hops(views.values(), metric)
+                self.prime(list(views.values()), metric)
                 results = {node: self.select(view, metric) for node, view in views.items()}
             obs.add("selection.full_runs")
             obs.add("selection.owners_selected", len(results))
@@ -137,15 +147,14 @@ class AnsSelector(ABC):
         with obs.span("selection"):
             # Batch only the owners that will actually re-run: everyone else's result is
             # reused verbatim below, so priming them would be pure waste.
-            if self.batches_first_hops:
-                prime_first_hops(
-                    (
-                        view
-                        for node, view in views.items()
-                        if previous.get(node) is None or node in dirty
-                    ),
-                    metric,
-                )
+            self.prime(
+                [
+                    view
+                    for node, view in views.items()
+                    if previous.get(node) is None or node in dirty
+                ],
+                metric,
+            )
             results: Dict[NodeId, SelectionResult] = {}
             reused = 0
             for node, view in views.items():

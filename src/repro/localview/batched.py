@@ -65,7 +65,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.localview.compactgraph import specialized_kind
-from repro.localview.networkgraph import NetworkGraph, row_slots
+from repro.localview.networkgraph import NetworkGraph, row_slots, seg_arange
 from repro.localview.paths import FirstHopResult
 from repro.metrics.base import Metric, MetricKind
 from repro.obs import runtime as obs
@@ -186,12 +186,12 @@ def _stack_windows(ng: NetworkGraph, owners: Iterable[NodeId], w_slots) -> _Stac
     rows_all[rc_off] = g
     onemask = np.ones(rows_all.size, dtype=bool)
     onemask[rc_off] = False
-    one_slots = np.repeat(indptr[g], deg) + _seg_arange(deg)
+    one_slots = np.repeat(indptr[g], deg) + seg_arange(deg)
     rows_all[onemask] = indices[one_slots]
     owner_of_row = np.repeat(np.arange(N, dtype=np.int64), rc)
 
     rdeg = indptr[rows_all + 1] - indptr[rows_all]
-    slots = np.repeat(indptr[rows_all], rdeg) + _seg_arange(rdeg)
+    slots = np.repeat(indptr[rows_all], rdeg) + seg_arange(rdeg)
     srcs = np.repeat(rows_all, rdeg)
     dsts = indices[slots]
     edge_owner = np.repeat(owner_of_row, rdeg)
@@ -214,9 +214,9 @@ def _stack_windows(ng: NetworkGraph, owners: Iterable[NodeId], w_slots) -> _Stac
     rows_total = int(V.sum())
     local2d = np.zeros(N * n, dtype=np.int64)  # owner rows keep local index 0
     local2d[np.repeat(np.arange(N, dtype=np.int64), deg) * n + rows_all[onemask]] = (
-        _seg_arange(deg) + 1
+        seg_arange(deg) + 1
     )
-    local2d[two_keys] = _seg_arange(tc) + np.repeat(deg + 1, tc)
+    local2d[two_keys] = seg_arange(tc) + np.repeat(deg + 1, tc)
 
     ebase = off[edge_owner]
     src_lo = local2d[edge_owner * n + srcs] + ebase
@@ -228,8 +228,8 @@ def _stack_windows(ng: NetworkGraph, owners: Iterable[NodeId], w_slots) -> _Stac
     w_full = np.concatenate((w, w[rev]))
 
     members_all = np.empty(rows_total, dtype=np.int64)
-    members_all[np.repeat(off, rc) + _seg_arange(rc)] = rows_all
-    members_all[np.repeat(off + rc, tc) + _seg_arange(tc)] = two_gid
+    members_all[np.repeat(off, rc) + seg_arange(rc)] = rows_all
+    members_all[np.repeat(off + rc, tc) + seg_arange(tc)] = two_gid
     off_l = off.tolist()
     deg_l = deg.tolist()
     bounds = np.concatenate((off, [rows_total])).tolist()
@@ -245,15 +245,6 @@ def _stack_windows(ng: NetworkGraph, owners: Iterable[NodeId], w_slots) -> _Stac
         meta=meta,
         rows=rows_total,
     )
-
-
-def _seg_arange(counts: np.ndarray) -> np.ndarray:
-    """``[0..counts[0]-1, 0..counts[1]-1, ...]`` concatenated, as one int64 array."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offs = np.cumsum(counts) - counts
-    return np.arange(total, dtype=np.int64) - np.repeat(offs, counts)
 
 
 def _relax_to_fixpoint(stack: _Stack):

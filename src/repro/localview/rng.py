@@ -11,6 +11,12 @@ two-hop paths.  The reduction rule, transposed to QoS weights, is:
 For bandwidth this removes (a, b) when both replacement legs are wider; for delay when both
 are shorter.  Removing such a link never removes the last optimal two-hop detour, which is
 why the baseline preserves QoS-optimal two-hop paths while shrinking the advertised set.
+
+These functions reduce one graph at a time and are the reference for the batched path:
+:mod:`repro.localview.filtering` finds every link's witnesses once per network
+(:meth:`NetworkGraph.witnesses <repro.localview.networkgraph.NetworkGraph.witnesses>`)
+and applies the reduction to all views at once; ``tests/test_filtering_kernel.py`` pins
+the two together.
 """
 
 from __future__ import annotations

@@ -52,10 +52,11 @@ class LocalView:
         self.graph = graph
         self._compact: Dict[object, CompactGraph] = {}
         self._forest: Dict[object, tuple] = {}
-        # Shared network-level CSR backing (set by attach_network_graph) and the
-        # per-metric-token first-hop results the batched kernels primed on it.
+        # Shared network-level CSR backing (set by attach_network_graph) and what the
+        # batched kernels primed on it: first-hop results keyed by metric token, and
+        # topology-filtering tables keyed by repro.localview.filtering.table_key.
         self._network_graph = None
-        self._first_hops: Dict[object, dict] = {}
+        self._first_hops: Dict[object, object] = {}
         self._validate()
 
     # ------------------------------------------------------------------ construction

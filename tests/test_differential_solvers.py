@@ -395,6 +395,30 @@ def _degenerate_networks():
             (3, 5): {"bandwidth": 1.0, "delay": 7.0},
         }
     )
+
+    # Two relays to one target whose path values differ by less than rel_tol: distinct
+    # floats that Metric.values_equal calls equal, so the scalar best value depends on
+    # the candidate scan order and the batched paths must replay the scalar scan.
+    shapes["near-tie-weights"] = weighted(
+        {
+            (0, 1): {"bandwidth": 5.0, "delay": 2.0},
+            (0, 2): {"bandwidth": 5.0 + 1e-11, "delay": 2.0 + 1e-12},
+            (1, 3): {"bandwidth": 5.0, "delay": 2.0},
+            (2, 3): {"bandwidth": 5.0 + 1e-11, "delay": 2.0},
+            (3, 4): {"bandwidth": 1.0, "delay": 1.0},
+        }
+    )
+
+    # A triangle whose detour legs beat the direct link (0, 1) only within tolerance:
+    # the witness 2 must not dominate it, so the RNG reduction keeps every link.
+    shapes["tolerance-witness"] = weighted(
+        {
+            (0, 1): {"bandwidth": 4.0, "delay": 4.0},
+            (0, 2): {"bandwidth": 4.0 + 4e-12, "delay": 4.0 - 4e-12},
+            (1, 2): {"bandwidth": 4.0 + 4e-12, "delay": 4.0 - 4e-12},
+            (2, 3): {"bandwidth": 2.0, "delay": 3.0},
+        }
+    )
     return shapes
 
 

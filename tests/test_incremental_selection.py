@@ -21,11 +21,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from test_filtering_kernel import counters
 
 from repro.core.selection import SelectionCache, make_selector
 from repro.experiments.engine import run_experiment
 from repro.experiments.runner import Trial
 from repro.experiments.spec import ExperimentSpec
+from repro.localview.view import LocalView
 from repro.metrics import (
     BandwidthMetric,
     DelayMetric,
@@ -356,3 +358,77 @@ class TestSelectionCacheUnit:
         assert set(first) == set(second) == set(views)
         # Re-selecting the invalidated key with unchanged views is still bit-identical.
         assert cache.select_all("fnbp", metric, views, network=network) == first
+
+
+class TestTopologyFilteringInvalidation:
+    """Cached batched topology filtering equals from-scratch scalar selection across
+    every mutation path of the shared CSR: weight patches, structural rebuilds, and a
+    view detached by ``LocalView.update_link``.  The ``filtering.*`` counters prove the
+    batched kernel, not the scalar fallback, answered the re-selected owners."""
+
+    @staticmethod
+    def _cached_vs_scratch(trial, metric):
+        with counters() as counted:
+            cached = trial.step_selections("topology-filtering")
+        selector = make_selector("topology-filtering")
+        scratch_views = LocalView.all_from_network(trial.dynamic_topology().network)
+        assert all(view.network_graph() is None for view in scratch_views.values())
+        scratch = {node: selector.select(view, metric) for node, view in scratch_views.items()}
+        assert cached == scratch
+        return counted
+
+    @pytest.mark.parametrize("metric_name,metric", METRIC_FAMILIES[:2])
+    def test_reweight_only_steps(self, metric_name, metric):
+        generator = _generator(
+            LinkChurnGenerator, dict(reweight_probability=0.2, outage_probability=0.0), seed=6
+        )
+        trial = _fresh_dynamic_trial(generator, _spec(), metric)
+        dynamic = trial.dynamic_topology()
+        counted = self._cached_vs_scratch(trial, metric)
+        assert counted["filtering.batched_views"] == len(trial.network)
+        ng = dynamic.network_graph()
+        for _ in range(3):
+            generation = ng.generation
+            delta = dynamic.advance()
+            assert delta.reweighted and not (delta.added or delta.removed)
+            assert ng.generation == generation  # patched in place, not rebuilt
+            counted = self._cached_vs_scratch(trial, metric)
+            assert counted["filtering.batched_views"] == len(delta.dirty)
+            assert "filtering.scalar_views" not in counted
+
+    @pytest.mark.parametrize("metric_name,metric", METRIC_FAMILIES[:2])
+    def test_link_flip_steps(self, metric_name, metric):
+        generator = _generator(RandomWaypointGenerator, dict(mobile_fraction=0.3), seed=8)
+        trial = _fresh_dynamic_trial(generator, _spec(), metric)
+        dynamic = trial.dynamic_topology()
+        self._cached_vs_scratch(trial, metric)
+        ng = dynamic.network_graph()
+        flips = 0
+        for _ in range(4):
+            generation = ng.generation
+            delta = dynamic.advance()
+            if delta.added or delta.removed:
+                flips += 1
+                assert ng.generation == generation + 1
+            counted = self._cached_vs_scratch(trial, metric)
+            assert counted.get("filtering.batched_views", 0) == len(delta.dirty)
+        assert flips
+
+    def test_view_detached_by_update_link(self):
+        metric = BandwidthMetric()
+        generator = _generator(RandomWaypointGenerator, {}, seed=4)
+        trial = _fresh_dynamic_trial(generator, _spec(), metric)
+        views = trial.dynamic_topology().views()
+        owner = trial.network.nodes()[0]
+        neighbor = min(views[owner].one_hop)
+        views[owner].update_link(owner, neighbor, bandwidth=0.5)
+        assert views[owner].network_graph() is None
+        selector = make_selector("topology-filtering")
+        with counters() as counted:
+            batched = selector.select_all(trial.network, metric, views=views)
+        assert counted["filtering.scalar_views"] == 1
+        assert counted["filtering.batched_views"] == len(views) - 1
+        scratch_views = LocalView.all_from_network(trial.network)
+        scratch_views[owner].update_link(owner, neighbor, bandwidth=0.5)
+        scratch = {node: selector.select(view, metric) for node, view in scratch_views.items()}
+        assert batched == scratch
