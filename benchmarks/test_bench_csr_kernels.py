@@ -2,7 +2,7 @@
 
 ``record.py`` tracks the full speedup trajectory (``csr_kernels`` and
 ``topology_filtering`` sections of ``BENCH_selection.json``; ~3x for the first-hop
-kernels and ~10x for topology filtering on the dense benchmark network at the time of
+kernels and 16-21x for topology filtering on the dense benchmark network at the time of
 writing).  These tests enforce only the regression floor -- the batched paths must not
 fall below parity with the scalar code they replace -- plus the result-equality bar,
 so a speedup that silently becomes a slowdown (or a divergence) fails the smoke run.

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import FrozenSet, List, Optional, Set
 
+from repro.core import selection
 from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
 from repro.localview.paths import FirstHopResult, all_first_hops
 from repro.localview.view import LocalView
@@ -102,15 +103,17 @@ class FnbpSelector(AnsSelector):
     cover_one_hop: bool = True
 
     name = "fnbp"
-    # FNBP's per-view cost is one all_first_hops solve; select_all batches those over
-    # the shared network CSR when the views are attached to one.
-    batches_first_hops = True
 
     def __post_init__(self) -> None:
         if isinstance(self.loop_guard, str):
             self.loop_guard = LoopGuardPolicy(self.loop_guard)
 
     # ------------------------------------------------------------------ selection
+
+    def prime(self, views: List[LocalView], metric: Metric) -> None:
+        # FNBP's per-view cost is one all_first_hops solve; batch those over the shared
+        # network CSR for the views attached to one.
+        selection.prime_first_hops(views, metric)
 
     def select(self, view: LocalView, metric: Metric) -> SelectionResult:
         owner = view.owner

@@ -13,7 +13,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.localview.paths import prime_first_hops
+# FnbpSelector.prime calls prime_first_hops through this module, so patching the name
+# here (tests, perfbench's tracer) reaches every batched first-hop priming.
+from repro.localview.paths import prime_first_hops  # noqa: F401
 from repro.localview.view import LocalView
 from repro.metrics.base import Metric
 from repro.obs import runtime as obs
@@ -84,13 +86,6 @@ class AnsSelector(ABC):
     #: Registry / display name of the algorithm.
     name: str = "abstract"
 
-    #: Selectors whose per-view work is dominated by ``all_first_hops`` set this True;
-    #: the default :meth:`prime` then batch-primes the first-hop caches of every view
-    #: that will actually re-run through the shared-CSR kernels (:func:`prime_first_hops`)
-    #: before the per-view loop, so the scalar solvers only run where batching is
-    #: impossible.
-    batches_first_hops: bool = False
-
     @abstractmethod
     def select(self, view: LocalView, metric: Metric) -> SelectionResult:
         """Run the selection at ``view.owner`` for the given metric."""
@@ -99,11 +94,10 @@ class AnsSelector(ABC):
         """Batch-precompute, for the ``views`` about to be selected, what ``select`` reads.
 
         :meth:`select_all` calls this once per run with exactly the views it will pass
-        to :meth:`select`.  Primed results must be bit-identical to what ``select``
-        computes without them; views the batched path cannot serve are left alone.
+        to :meth:`select`, so the scalar solvers only run where batching is impossible.
+        Primed results must be bit-identical to what ``select`` computes without them;
+        views the batched path cannot serve are left alone.  The default primes nothing.
         """
-        if self.batches_first_hops:
-            prime_first_hops(views, metric)
 
     def select_all(
         self,

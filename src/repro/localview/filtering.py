@@ -7,12 +7,13 @@ two hops.  Run view by view, the reduction repeats the same witness tests in eve
 the heavily overlapping views.  This module computes the same per-target table for many
 owners at once, in two steps:
 
-**One witness table per CSR state and metric** (:func:`dominance_witnesses`, cached by
-:meth:`NetworkGraph.witnesses`).  For every undirected link ``(a, b)`` it lists the
-link's strict-dominance witnesses: the common neighbours ``c`` whose two legs ``(a, c)``
-and ``(c, b)`` are both ``Metric.is_better`` than the direct link.  Triangles are found
-by pairing the slots of each sorted CSR row and looking the closing link up in the
-(globally sorted) ``row * n + column`` slot keys.
+**One witness table per priming pass** (:func:`dominance_witnesses`).  For every
+undirected link ``(a, b)`` it lists the link's strict-dominance witnesses: the common
+neighbours ``c`` whose two legs ``(a, c)`` and ``(c, b)`` are both ``Metric.is_better``
+than the direct link.  Triangles are found by pairing the slots of each sorted CSR row
+and looking the closing link up in the (globally sorted) ``row * n + column`` slot keys.
+The table is not cached on the :class:`NetworkGraph`: a trial primes each CSR state once
+per selector and metric, so a cached table would never be read twice.
 
 **The per-view rule.**  ``G_u`` holds every link with an endpoint in ``N(u)``, so a
 witness ``c`` of a link ``(a, b)`` of ``G_u`` has both legs inside ``G_u`` exactly when at
@@ -105,18 +106,16 @@ def _is_better(a: np.ndarray, b: np.ndarray, kind: str, rel_tol: float) -> np.nd
 # ---------------------------------------------------------------------- witness table
 
 
-def dominance_witnesses(ng: NetworkGraph, metric: Metric) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Every link's strict-dominance witnesses as CSR arrays ``(ptr, nodes)``, or None.
+def dominance_witnesses(
+    ng: NetworkGraph, metric: Metric, kind: str, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every link's strict-dominance witnesses as CSR arrays ``(ptr, nodes)``.
 
     Witnesses of edge ``e`` are the global rows ``nodes[ptr[e]:ptr[e + 1]]`` (sorted): the
     common neighbours ``c`` of its endpoints with both legs ``is_better`` than ``e``.
-    None when the metric is not filterable, an edge lacks its attribute, or a link value
-    is NaN.  Prefer :meth:`NetworkGraph.witnesses`, which caches the table.
+    ``kind`` is :func:`filterable_kind` of ``metric`` and ``values`` its NaN-free
+    ``ng.edge_values(metric)``; :func:`batched_filtering_tables` checks both.
     """
-    kind = filterable_kind(metric)
-    values = ng.edge_values(metric) if kind is not None else None
-    if values is None or np.isnan(values).any():
-        return None
     slot_values = ng.slot_values(metric)
     indptr, indices, slot_edge = ng.indptr, ng.indices, ng.slot_edge
     n = len(ng.nodes)
@@ -200,7 +199,7 @@ def batched_filtering_tables(
     if values is None or np.isnan(values).any():
         return None
     w_slots = ng.slot_values(metric)
-    witnesses = ng.witnesses(metric) if apply_reduction else None
+    witnesses = dominance_witnesses(ng, metric, kind, values) if apply_reduction else None
     index = ng.index
     rows = np.asarray([index[owner] for owner in owners], dtype=np.int64)
     tables: Dict[NodeId, List[TableRow]] = {}

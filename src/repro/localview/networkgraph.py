@@ -31,9 +31,6 @@ Layout
   for metrics the specialized scalar solvers accept (``specialized_kind(metric)`` not
   None); composite metrics with non-float values are never materialized, so batched
   callers fall back to the scalar path for them.
-* per-token derived tables -- the best-first edge order ``sorted_edges(metric)`` of the
-  concave kernel and the RNG witness table ``witnesses(metric)`` of the
-  topology-filtering kernel, built lazily and dropped by both mutation paths.
 
 Ownership and validity contract
 -------------------------------
@@ -134,7 +131,6 @@ class NetworkGraph:
         self._edge_values: Dict[object, np.ndarray] = {}
         self._slot_values: Dict[object, np.ndarray] = {}
         self._sorted_edges: Dict[object, np.ndarray] = {}
-        self._witnesses: Dict[object, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
         self._metrics: Dict[object, Metric] = {}
 
     # ------------------------------------------------------------------ queries
@@ -201,22 +197,6 @@ class NetworkGraph:
             self._sorted_edges[token] = order
         return order
 
-    def witnesses(self, metric: Metric) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Every edge's RNG strict-dominance witnesses as CSR ``(ptr, nodes)`` (cached).
-
-        Built once per metric token by
-        :func:`repro.localview.filtering.dominance_witnesses` (see there for the layout);
-        None when the topology-filtering kernel cannot replay the metric.  Dropped by
-        both mutation paths: a weight patch changes which legs dominate, a rebuild the
-        triangles themselves.
-        """
-        token = metric.cache_token()
-        if token not in self._witnesses:
-            from repro.localview.filtering import dominance_witnesses
-
-            self._witnesses[token] = dominance_witnesses(self, metric)
-        return self._witnesses[token]
-
     def window(self, owner: NodeId) -> "GraphWindow":
         """Cut the two-hop window of ``owner`` out of the shared arrays.
 
@@ -251,8 +231,7 @@ class NetworkGraph:
         already applied; each edge's attribute snapshot is refreshed and every
         already-materialized weight array is patched in place (no reallocation, so
         windows and array references held by the batched kernels stay valid).  Cached
-        Kruskal orders and witness tables are dropped (relative order and dominance
-        may have changed).
+        Kruskal orders are dropped (relative order may have changed).
         """
         graph_edges = network.graph.edges
         index = self.index
@@ -271,7 +250,6 @@ class NetworkGraph:
             # Refresh the slot scatter in place so outstanding references see the patch.
             self._slot_values[token][:] = values[self.slot_edge]
         self._sorted_edges.clear()
-        self._witnesses.clear()
         self.version += 1
 
     def rebuild(self, network) -> None:

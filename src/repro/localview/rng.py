@@ -14,9 +14,8 @@ why the baseline preserves QoS-optimal two-hop paths while shrinking the adverti
 
 These functions reduce one graph at a time and are the reference for the batched path:
 :mod:`repro.localview.filtering` finds every link's witnesses once per network
-(:meth:`NetworkGraph.witnesses <repro.localview.networkgraph.NetworkGraph.witnesses>`)
-and applies the reduction to all views at once; ``tests/test_filtering_kernel.py`` pins
-the two together.
+(:func:`~repro.localview.filtering.dominance_witnesses`) and applies the reduction to
+all views at once; ``tests/test_filtering_kernel.py`` pins the two together.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from repro.localview import LocalView, NetworkGraph, dominated_links, qos_rng_re
 from repro.localview.filtering import (
     batched_filtering_tables,
     dominance_witnesses,
+    filterable_kind,
     prime_filtering_tables,
 )
 from repro.obs import runtime as obs
@@ -93,6 +94,11 @@ def batched_selection(network, metric, selector):
     """select_all over views attached to a fresh shared CSR."""
     views = LocalView.all_from_network(network, network_graph=NetworkGraph.from_network(network))
     return selector.select_all(network, metric, views=views)
+
+
+def witness_table(ng, metric):
+    """The kernel's witness table of ``ng`` for a metric it can replay."""
+    return dominance_witnesses(ng, metric, filterable_kind(metric), ng.edge_values(metric))
 
 
 def reference_witnesses(network, metric):
@@ -193,7 +199,7 @@ class TestWitnessTable:
     def test_witnesses_match_the_reference_on_generated_topologies(self, network):
         ng = NetworkGraph.from_network(network)
         for metric in PLAIN_METRICS:
-            ptr, nodes = ng.witnesses(metric)
+            ptr, nodes = witness_table(ng, metric)
             table = {
                 (ng.nodes[u], ng.nodes[v]): [ng.nodes[c] for c in nodes[ptr[e] : ptr[e + 1]]]
                 for e, (u, v) in enumerate(zip(ng.edge_u.tolist(), ng.edge_v.tolist()))
@@ -230,35 +236,12 @@ class TestWitnessTable:
         network = _degenerate_networks()["tolerance-witness"]
         ng = NetworkGraph.from_network(network)
         for metric in PLAIN_METRICS:
-            ptr, nodes = ng.witnesses(metric)
+            ptr, nodes = witness_table(ng, metric)
             assert nodes.size == 0
             assert dominated_links(network.graph, metric) == set()
 
     def test_unreplayable_metrics_have_no_table(self):
         ng = NetworkGraph.from_network(unit_disk_network(1))
         for metric in COMPOSITES:
-            assert ng.witnesses(metric) is None
-            assert dominance_witnesses(ng, metric) is None
+            assert filterable_kind(metric) is None
             assert batched_filtering_tables(ng, list(ng.nodes), metric) is None
-
-    def test_mutations_drop_the_cached_table(self):
-        """Both mutation paths drop the cached table; the next one equals a fresh build."""
-        network = unit_disk_network(2)
-        ng = NetworkGraph.from_network(network)
-        u, v = network.links()[0]
-
-        def assert_rebuilt(stale):
-            current = ng.witnesses(BANDWIDTH)
-            assert current is not stale
-            fresh = NetworkGraph.from_network(network).witnesses(BANDWIDTH)
-            assert all(np.array_equal(a, b) for a, b in zip(current, fresh))
-            return current
-
-        cached = ng.witnesses(BANDWIDTH)
-        assert ng.witnesses(BANDWIDTH) is cached  # cached per metric token
-        network.set_link_weight(u, v, "bandwidth", 100.0)
-        ng.patch_weights(network, [(u, v)])
-        cached = assert_rebuilt(cached)
-        network.graph.remove_edge(u, v)
-        ng.rebuild(network)
-        assert_rebuilt(cached)
