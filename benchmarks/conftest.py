@@ -30,42 +30,26 @@ import os
 
 import pytest
 
-from repro.experiments import SweepConfig, config_for_profile
-from repro.topology import FieldSpec
+from repro.experiments import ExperimentSpec, figure_spec
 
-#: Densities used by the default (quick) benchmark profile, chosen to keep the paper's
-#: x-axis shape (low / medium / high density) while staying laptop-friendly.
-QUICK_BANDWIDTH_DENSITIES = (10.0, 15.0, 20.0)
-QUICK_DELAY_DENSITIES = (5.0, 10.0, 15.0)
+#: Overrides of the default (quick) benchmark profile on top of the figure's quick-profile
+#: spec: one run per density and more pairs, keeping the paper's x-axis shape (low /
+#: medium / high density) while staying laptop-friendly.
+QUICK_BENCH_OVERRIDES = {"runs": 1, "pairs_per_run": 4}
 
 
 def bench_profile() -> str:
     return os.environ.get("REPRO_BENCH_PROFILE", "quick")
 
 
-def bench_config(metric_name: str) -> SweepConfig:
-    """The sweep configuration the figure benchmarks run under the active profile."""
+def bench_spec(figure: int) -> ExperimentSpec:
+    """The spec of one figure benchmark under the active profile."""
     profile = bench_profile()
-    if profile == "paper":
-        return config_for_profile("paper", metric_name)
-    if profile == "smoke":
-        return config_for_profile("smoke", metric_name)
-    densities = QUICK_BANDWIDTH_DENSITIES if metric_name == "bandwidth" else QUICK_DELAY_DENSITIES
-    return SweepConfig(
-        densities=densities,
-        runs=1,
-        pairs_per_run=4,
-        node_sample=60,
-        field=FieldSpec(width=1000.0, height=1000.0, radius=100.0),
-        seed=42,
-    )
+    if profile in ("paper", "smoke"):
+        return figure_spec(figure, profile)
+    return figure_spec(figure, "quick").with_overrides(**QUICK_BENCH_OVERRIDES)
 
 
 @pytest.fixture
-def bandwidth_sweep_config() -> SweepConfig:
-    return bench_config("bandwidth")
-
-
-@pytest.fixture
-def delay_sweep_config() -> SweepConfig:
-    return bench_config("delay")
+def figure_bench_spec():
+    return bench_spec

@@ -27,7 +27,6 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.selection import SelectionCache, make_selector  # noqa: E402
-from repro.experiments.config import SweepConfig  # noqa: E402
 from repro.experiments.engine import run_experiment  # noqa: E402
 from repro.experiments.measures import _ans_size_trial  # noqa: E402
 from repro.experiments.results import ExperimentResult, SeriesPoint  # noqa: E402
@@ -325,10 +324,10 @@ def record_incremental_selection(rounds: int) -> dict:
     }
 
 
-def _legacy_ans_size_sweep(config: SweepConfig, metric) -> ExperimentResult:
+def _legacy_ans_size_sweep(spec: ExperimentSpec, metric) -> ExperimentResult:
     """The pre-redesign direct-call harness, kept inline as the benchmark reference.
 
-    This replicates what ``run_ans_size_experiment`` did before the spec/registry/sink
+    This replicates the advertised-set sweep as it ran before the spec/registry/sink
     redesign -- a hand-written loop with no spec validation, no registry resolution beyond
     the selector lookups the old code also performed, and no sink events -- playing the
     same role as the retained ``_*_nx`` solver implementations: a baseline that makes any
@@ -341,19 +340,19 @@ def _legacy_ans_size_sweep(config: SweepConfig, metric) -> ExperimentResult:
         x_label="density",
         y_label="advertised neighbors per node",
     )
-    per_selector = {name: {density: [] for density in config.densities} for name in config.selectors}
-    for density in config.densities:
-        for run_index in range(config.runs):
-            payload = _ans_size_trial(build_trial(config, metric, density, run_index))
+    per_selector = {name: {density: [] for density in spec.densities} for name in spec.selectors}
+    for density in spec.densities:
+        for run_index in range(spec.runs):
+            payload = _ans_size_trial(build_trial(spec, metric, density, run_index))
             for selector_name, sizes in payload["sizes"].items():
                 per_selector[selector_name][density].extend(sizes)
-    for selector_name in config.selectors:
-        for density in config.densities:
+    for selector_name in spec.selectors:
+        for density in spec.densities:
             summary = summarize(per_selector[selector_name][density])
             result.add_point(selector_name, SeriesPoint(density=density, summary=summary))
-    if config.node_sample is not None:
-        result.add_note(f"averaged over a sample of up to {config.node_sample} nodes per topology")
-    result.add_note(f"{config.runs} run(s) per density; seed={config.seed}")
+    if spec.node_sample is not None:
+        result.add_note(f"averaged over a sample of up to {spec.node_sample} nodes per topology")
+    result.add_note(f"{spec.runs} run(s) per density; seed={spec.seed}")
     return result
 
 
@@ -490,13 +489,29 @@ def record_topology_filtering(rounds: int) -> dict:
     sections["network"] = {"nodes": len(dense), "edges": dense.number_of_links()}
     spec = PRESETS.create("fig8")
     metric = BandwidthMetric()
-    trial = build_trial(spec.sweep_config(), metric, 35.0, 0)
+    trial = build_trial(spec, metric, 35.0, 0)
     sections["fig8_density35"] = dict(
         _time_topology_filtering(trial.network, metric, 1, max(1, rounds // 2)),
         nodes=len(trial.network),
         edges=trial.network.number_of_links(),
     )
     return sections
+
+
+def dispatch_bench_spec() -> ExperimentSpec:
+    """The single-density advertised-set sweep the dispatch and telemetry sections time."""
+    return ExperimentSpec(
+        experiment_id="bench",
+        title="Size of the advertised set",
+        measure="ans-size",
+        metric="bandwidth",
+        densities=(8.0,),
+        runs=1,
+        pairs_per_run=2,
+        node_sample=20,
+        field=FieldSpec(width=400.0, height=400.0, radius=100.0),
+        seed=42,
+    )
 
 
 def record_engine_dispatch(rounds: int) -> dict:
@@ -507,31 +522,17 @@ def record_engine_dispatch(rounds: int) -> dict:
     resolution, measure indirection and sink event dispatch the redesign added).  The
     results of both paths are asserted identical before timing.
     """
-    config = SweepConfig(
-        densities=(8.0,),
-        runs=1,
-        pairs_per_run=2,
-        node_sample=20,
-        field=FieldSpec(width=400.0, height=400.0, radius=100.0),
-        seed=42,
-    )
+    spec = dispatch_bench_spec()
     metric = BandwidthMetric()
-    spec = ExperimentSpec.from_config(
-        config,
-        experiment_id="bench",
-        title="Size of the advertised set",
-        measure="ans-size",
-        metric="bandwidth",
-    )
     engine_result = run_experiment(spec)
-    legacy_result = _legacy_ans_size_sweep(config, metric)
+    legacy_result = _legacy_ans_size_sweep(spec, metric)
     if engine_result.to_dict() != legacy_result.to_dict():
         raise AssertionError("generic engine and legacy direct harness disagree")
 
     engine_timing = time_case(lambda: run_experiment(spec), rounds)
-    direct_timing = time_case(lambda: _legacy_ans_size_sweep(config, metric), rounds)
+    direct_timing = time_case(lambda: _legacy_ans_size_sweep(spec, metric), rounds)
     return {
-        "config": {"densities": list(config.densities), "runs": config.runs, "node_sample": config.node_sample},
+        "config": {"densities": list(spec.densities), "runs": spec.runs, "node_sample": spec.node_sample},
         "spec_engine": engine_timing,
         "direct": direct_timing,
         "dispatch_overhead_ratio": engine_timing["min_s"] / direct_timing["min_s"],
@@ -550,33 +551,19 @@ def record_telemetry(rounds: int) -> dict:
     ``test_bench_metrics_overhead.py``: metrics off must retain >=0.98x of the direct
     path's speed, metrics on >=0.90x.
     """
-    config = SweepConfig(
-        densities=(8.0,),
-        runs=1,
-        pairs_per_run=2,
-        node_sample=20,
-        field=FieldSpec(width=400.0, height=400.0, radius=100.0),
-        seed=42,
-    )
+    spec = dispatch_bench_spec()
     metric = BandwidthMetric()
-    spec = ExperimentSpec.from_config(
-        config,
-        experiment_id="bench",
-        title="Size of the advertised set",
-        measure="ans-size",
-        metric="bandwidth",
-    )
-    direct_result = _legacy_ans_size_sweep(config, metric)
+    direct_result = _legacy_ans_size_sweep(spec, metric)
     off_result = run_experiment(spec, metrics=False)
     on_result = run_experiment(spec, metrics=True)
     if not (direct_result.to_dict() == off_result.to_dict() == on_result.to_dict()):
         raise AssertionError("telemetry perturbed the sweep results")
 
-    direct_timing = time_case(lambda: _legacy_ans_size_sweep(config, metric), rounds)
+    direct_timing = time_case(lambda: _legacy_ans_size_sweep(spec, metric), rounds)
     off_timing = time_case(lambda: run_experiment(spec, metrics=False), rounds)
     on_timing = time_case(lambda: run_experiment(spec, metrics=True), rounds)
     return {
-        "config": {"densities": list(config.densities), "runs": config.runs, "node_sample": config.node_sample},
+        "config": {"densities": list(spec.densities), "runs": spec.runs, "node_sample": spec.node_sample},
         "direct": direct_timing,
         "metrics_off": off_timing,
         "metrics_on": on_timing,

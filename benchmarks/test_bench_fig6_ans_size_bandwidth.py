@@ -7,12 +7,12 @@ growing.
 
 from __future__ import annotations
 
-from repro.experiments import figure6
+from repro.experiments import run_experiment
 
 
-def test_fig6_ans_size_bandwidth(benchmark, bandwidth_sweep_config):
+def test_fig6_ans_size_bandwidth(benchmark, figure_bench_spec):
     result = benchmark.pedantic(
-        lambda: figure6(bandwidth_sweep_config), rounds=1, iterations=1
+        lambda: run_experiment(figure_bench_spec(6)), rounds=1, iterations=1
     )
     print()
     print(result.to_table())

@@ -8,11 +8,11 @@ rarely share their first hop.  The assertions below encode what actually reprodu
 
 from __future__ import annotations
 
-from repro.experiments import figure7
+from repro.experiments import run_experiment
 
 
-def test_fig7_ans_size_delay(benchmark, delay_sweep_config):
-    result = benchmark.pedantic(lambda: figure7(delay_sweep_config), rounds=1, iterations=1)
+def test_fig7_ans_size_delay(benchmark, figure_bench_spec):
+    result = benchmark.pedantic(lambda: run_experiment(figure_bench_spec(7)), rounds=1, iterations=1)
     print()
     print(result.to_table())
 

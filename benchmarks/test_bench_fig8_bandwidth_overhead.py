@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 
-from repro.experiments import figure8
+from repro.experiments import run_experiment
 
 
-def test_fig8_bandwidth_overhead(benchmark, bandwidth_sweep_config):
-    result = benchmark.pedantic(lambda: figure8(bandwidth_sweep_config), rounds=1, iterations=1)
+def test_fig8_bandwidth_overhead(benchmark, figure_bench_spec):
+    result = benchmark.pedantic(lambda: run_experiment(figure_bench_spec(8)), rounds=1, iterations=1)
     print()
     print(result.to_table())
 

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import math
 
-from repro.experiments import figure9
+from repro.experiments import run_experiment
 
 
-def test_fig9_delay_overhead(benchmark, delay_sweep_config):
-    result = benchmark.pedantic(lambda: figure9(delay_sweep_config), rounds=1, iterations=1)
+def test_fig9_delay_overhead(benchmark, figure_bench_spec):
+    result = benchmark.pedantic(lambda: run_experiment(figure_bench_spec(9)), rounds=1, iterations=1)
     print()
     print(result.to_table())
 

@@ -17,13 +17,10 @@ from __future__ import annotations
 
 import time
 
-from record import _legacy_ans_size_sweep
+from record import _legacy_ans_size_sweep, dispatch_bench_spec
 
-from repro.experiments.config import SweepConfig
 from repro.experiments.engine import run_experiment
-from repro.experiments.spec import ExperimentSpec
 from repro.metrics import BandwidthMetric
-from repro.topology import FieldSpec
 
 ROUNDS = 5
 OFF_FLOOR = 0.98
@@ -32,23 +29,9 @@ ON_FLOOR = 0.90
 
 def _timings():
     """(direct_min_s, off_min_s, on_min_s) for the engine-dispatch benchmark sweep."""
-    config = SweepConfig(
-        densities=(8.0,),
-        runs=1,
-        pairs_per_run=2,
-        node_sample=20,
-        field=FieldSpec(width=400.0, height=400.0, radius=100.0),
-        seed=42,
-    )
+    spec = dispatch_bench_spec()
     metric = BandwidthMetric()
-    spec = ExperimentSpec.from_config(
-        config,
-        experiment_id="bench",
-        title="Size of the advertised set",
-        measure="ans-size",
-        metric="bandwidth",
-    )
-    direct_result = _legacy_ans_size_sweep(config, metric)
+    direct_result = _legacy_ans_size_sweep(spec, metric)
     off_result = run_experiment(spec, metrics=False)
     on_result = run_experiment(spec, metrics=True)
     assert direct_result.to_dict() == off_result.to_dict() == on_result.to_dict(), (
@@ -58,7 +41,7 @@ def _timings():
     direct_s, off_s, on_s = [], [], []
     for _ in range(ROUNDS):
         t0 = time.perf_counter()
-        _legacy_ans_size_sweep(config, metric)
+        _legacy_ans_size_sweep(spec, metric)
         direct_s.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         run_experiment(spec, metrics=False)

@@ -58,7 +58,7 @@ SEMANTICS = {
         "`grid`. Dynamic sweeps need a model exposing `dynamic(run_index, step_interval)` "
         "(`rwp`, `gauss-markov`, `churn`)."
     ),
-    "densities": "The swept x axis, in sweep order. Must be non-empty to run.",
+    "densities": "The swept x axis, in sweep order. Non-empty, every entry `> 0`.",
     "runs": "Independent topologies per density (the paper uses 100).",
     "pairs_per_run": (
         "Random source/destination pairs per topology in routing measures (`overhead`, "
@@ -191,10 +191,11 @@ result = run_experiment(spec)
 or, from the shell, `repro-sweep --spec my_sweep.json` (any spec field can also be
 overridden per flag — `repro-sweep --preset fig8 --densities 12,18 --runs 10`).
 
-Numeric constraints are validated at construction; registry names are validated by
-`validate_names()` (called by `from_dict` / `from_json` and the engine), so a typo fails
-fast with an error naming the registry and its known entries. Unknown JSON keys are
-rejected by name.
+Field types and numeric constraints are validated at construction, each error naming
+its field (integer fields accept only integers, never booleans; numbers must be finite);
+registry names are validated by `validate_names()` (called by `from_dict` / `from_json`
+and the engine), so a typo fails fast with an error naming the field, the registry and
+its known entries. Unknown JSON keys are rejected by name.
 
 ## Fields
 

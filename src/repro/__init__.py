@@ -2,8 +2,8 @@
 
 The library implements FNBP (First Node on Best Path QANS selection), the QOLSR and
 topology-filtering baselines it is compared against, the OLSR substrate they all run on, a
-discrete-event simulator with an ideal MAC layer, and the evaluation harness that regenerates
-the paper's Figures 6-9.
+discrete-event protocol simulator whose lossless channel is the paper's ideal MAC layer, and
+the evaluation harness that regenerates the paper's Figures 6-9.
 
 Quick start
 -----------

@@ -132,12 +132,12 @@ class TopologyFilteringSelector(AnsSelector):
         owner = view.owner
         candidates: Dict[NodeId, float] = {}
         if graph.has_edge(owner, target):
-            candidates[target] = metric.link_value_from_attributes(graph.edges[owner, target])
+            candidates[target] = metric.link_value_from_attributes(graph.adj[owner][target])
         for relay in view.one_hop:
             if relay == target or not graph.has_edge(owner, relay) or not graph.has_edge(relay, target):
                 continue
-            first_leg = metric.link_value_from_attributes(graph.edges[owner, relay])
-            second_leg = metric.link_value_from_attributes(graph.edges[relay, target])
+            first_leg = metric.link_value_from_attributes(graph.adj[owner][relay])
+            second_leg = metric.link_value_from_attributes(graph.adj[relay][target])
             candidates[relay] = metric.combine(metric.combine(metric.identity, first_leg), second_leg)
 
         if not candidates:

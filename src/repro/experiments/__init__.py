@@ -10,7 +10,6 @@ JSONL checkpoints, progress lines) besides materializing an
 :class:`~repro.experiments.results.ExperimentResult`.
 """
 
-from repro.experiments.ans_size import run_ans_size_experiment
 from repro.experiments.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -18,29 +17,15 @@ from repro.experiments.checkpoint import (
     load_checkpoint,
     spec_hash,
 )
-from repro.experiments.config import (
+from repro.experiments.engine import run_experiment
+from repro.experiments.measures import AnsSizeMeasure, Measure, OverheadMeasure, qos_overhead
+from repro.experiments.presets import (
     BANDWIDTH_DENSITIES,
     DELAY_DENSITIES,
-    PAPER_SELECTORS,
-    SweepConfig,
-    config_for_profile,
-    paper_config,
-    quick_config,
-    smoke_config,
+    FIGURE_PRESETS,
+    PROFILES,
+    figure_spec,
 )
-from repro.experiments.figures import (
-    FIGURES,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    run_all_figures,
-    run_figure,
-)
-from repro.experiments.engine import run_experiment
-from repro.experiments.measures import AnsSizeMeasure, Measure, OverheadMeasure
-from repro.experiments.overhead import qos_overhead, run_overhead_experiment
-from repro.experiments.presets import FIGURE_PRESETS, figure_spec
 from repro.experiments.reporting import render_report, write_json, write_report
 from repro.experiments.results import ExperimentResult, Series, SeriesPoint
 from repro.experiments.runner import (
@@ -59,7 +44,7 @@ from repro.experiments.sinks import (
     ResultSink,
     TextReportSink,
 )
-from repro.experiments.spec import ExperimentSpec
+from repro.experiments.spec import PAPER_SELECTORS, ExperimentSpec
 from repro.experiments.stats import Summary, summarize
 
 __all__ = [
@@ -76,24 +61,11 @@ __all__ = [
     "JsonlSink",
     "FIGURE_PRESETS",
     "figure_spec",
-    "SweepConfig",
-    "paper_config",
-    "quick_config",
-    "smoke_config",
-    "config_for_profile",
+    "PROFILES",
     "BANDWIDTH_DENSITIES",
     "DELAY_DENSITIES",
     "PAPER_SELECTORS",
-    "run_ans_size_experiment",
-    "run_overhead_experiment",
     "qos_overhead",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "run_figure",
-    "run_all_figures",
-    "FIGURES",
     "ExperimentResult",
     "Series",
     "SeriesPoint",

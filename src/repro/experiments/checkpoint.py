@@ -15,7 +15,7 @@ what the spec-hash guard compares) and zero or more complete ``density`` events;
 / ``trial_error`` lines between density events are replayed with their densities, trailing
 lines of an unfinished density are discarded (that density re-runs from scratch), and a
 final line truncated by the kill mid-write is tolerated.  Because trials are pure
-functions of ``(config, metric, density, run_index)``, the re-run densities reproduce the
+functions of ``(spec, metric, density, run_index)``, the re-run densities reproduce the
 exact payloads the dead run would have produced, which is what makes *resumed output
 byte-identical to an uninterrupted run* (locked by ``tests/test_fault_tolerance.py``).
 

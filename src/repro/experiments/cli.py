@@ -6,12 +6,12 @@ Installed as ``repro-figures`` (see ``pyproject.toml``).  Examples::
     repro-figures --all --profile paper --runs 100 --output results.txt --json results.json
     repro-figures --figure 7 --profile smoke --densities 5,8 --node-sample 30
 
-This is a thin preset wrapper over the generic spec-driven engine: each figure is a
-registered :class:`~repro.experiments.spec.ExperimentSpec` preset (so the metric of a
-figure comes from its preset, not from a figure-number dispatch), narrowed to the chosen
-profile and overrides, and the file outputs flow through the streaming sink API
-(:mod:`repro.experiments.sinks`).  Arbitrary non-figure sweeps belong to ``repro-sweep``
-(:mod:`repro.experiments.sweep_cli`).
+This is the four-figure preset front-end of the generic spec-driven engine: each figure
+is a registered :class:`~repro.experiments.spec.ExperimentSpec` preset narrowed to the
+chosen profile (:data:`~repro.experiments.presets.PROFILES`, per-metric spec overrides)
+and then to the per-field flags, and the file outputs flow through the streaming sink
+API (:mod:`repro.experiments.sinks`).  Arbitrary non-figure sweeps belong to
+``repro-sweep`` (:mod:`repro.experiments.sweep_cli`).
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
-from repro.experiments.config import config_for_profile
-from repro.experiments.figures import FIGURES, run_figure
-from repro.experiments.presets import figure_spec
+from repro.experiments.engine import run_experiment
+from repro.experiments.presets import FIGURE_PRESETS, PROFILES, figure_spec
 from repro.experiments.reporting import render_report
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sinks import JsonSink, ResultSink, TextReportSink
+from repro.experiments.sinks import JsonSink, ProgressSink, ResultSink, TextReportSink
+from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep_cli import parse_densities, parse_node_sample, NODE_SAMPLE_UNSET
 
 
@@ -35,11 +35,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the evaluation figures of the QOLSR/FNBP paper.",
     )
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--figure", type=int, choices=sorted(FIGURES), help="figure number to run")
+    group.add_argument("--figure", type=int, choices=sorted(FIGURE_PRESETS), help="figure number to run")
     group.add_argument("--all", action="store_true", help="run every figure")
     parser.add_argument(
         "--profile",
-        choices=("paper", "quick", "smoke"),
+        choices=tuple(PROFILES),
         default="quick",
         help="parameter profile (paper = 100 runs at the paper's densities)",
     )
@@ -71,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_for(args: argparse.Namespace, metric_name: str):
-    config = config_for_profile(args.profile, metric_name)
+def _spec_for(args: argparse.Namespace, number: int) -> ExperimentSpec:
     overrides = {}
     if args.runs is not None:
         overrides["runs"] = args.runs
@@ -84,12 +83,14 @@ def _config_for(args: argparse.Namespace, metric_name: str):
         overrides["densities"] = args.densities
     if args.node_sample is not NODE_SAMPLE_UNSET:
         overrides["node_sample"] = args.node_sample
-    return config.with_overrides(**overrides) if overrides else config
+    return figure_spec(number, args.profile).with_overrides(**overrides)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    progress = None if args.quiet else lambda message: print(message, file=sys.stderr)
+    progress: List[ResultSink] = []
+    if not args.quiet:
+        progress.append(ProgressSink(lambda message: print(message, file=sys.stderr)))
 
     header = f"profile={args.profile}"
     sinks: List[ResultSink] = []
@@ -98,13 +99,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.json_output:
         sinks.append(JsonSink(args.json_output))
 
-    figure_numbers = sorted(FIGURES) if args.all else [args.figure]
+    figure_numbers = sorted(FIGURE_PRESETS) if args.all else [args.figure]
     results: Dict[int, ExperimentResult] = {}
     try:
         for number in figure_numbers:
-            # The figure's metric comes from its registered spec preset.
-            config = _config_for(args, figure_spec(number).metric)
-            results[number] = run_figure(number, config, progress=progress, workers=args.workers)
+            spec = _spec_for(args, number)
+            results[number] = run_experiment(spec, sinks=progress, workers=args.workers)
             for sink in sinks:
                 sink.on_result(results[number])
     except KeyboardInterrupt:

@@ -5,10 +5,9 @@ resolves the spec's registry names (measure kind, metric, topology model, select
 :mod:`repro.registry`), fans each density's trials over the runner (serially or across
 ``REPRO_WORKERS`` processes, bit-identically either way), folds the trial payloads through
 the measure's streaming aggregation, and emits the event stream to any number of
-:class:`~repro.experiments.sinks.ResultSink` instances.  It subsumes what used to be two
-near-identical hand-written harnesses (``run_ans_size_experiment`` and
-``run_overhead_experiment``, now thin wrappers): every figure preset, every
-``repro-sweep`` invocation and every future measure kind runs through this one function.
+:class:`~repro.experiments.sinks.ResultSink` instances.  Every figure preset, every
+``repro-figures`` and ``repro-sweep`` invocation and every future measure kind runs through
+this one function; the trials of a density carry the spec itself to the workers.
 
 Crash resilience is layered on top of the same determinism that makes parallelism
 bit-identical:
@@ -37,9 +36,8 @@ from typing import Dict, Iterable, List, Optional, Union
 from repro.experiments.checkpoint import Checkpoint, load_checkpoint, spec_hash
 from repro.experiments.results import ExperimentResult, SeriesPoint
 from repro.experiments.runner import TrialFailure, map_trials
-from repro.experiments.sinks import ProgressSink, ResultSink
+from repro.experiments.sinks import ResultSink
 from repro.experiments.spec import ExperimentSpec
-from repro.metrics.base import Metric
 from repro.obs import runtime as obs
 from repro.obs.registry import MetricsRegistry, merge_trial, unwrap_payload
 from repro.registry import MEASURES, METRICS
@@ -95,8 +93,6 @@ def run_experiment(
     spec: ExperimentSpec,
     sinks: Iterable[ResultSink] = (),
     workers: Optional[int] = None,
-    metric: Optional[Metric] = None,
-    progress: Optional[callable] = None,
     resume_from: Union[Checkpoint, str, Path, None] = None,
     on_error: str = "fail",
     metrics: Optional[bool] = None,
@@ -107,10 +103,7 @@ def run_experiment(
     :mod:`repro.experiments.sinks`); the engine does not close them.  ``workers`` (default:
     the ``REPRO_WORKERS`` environment variable) fans the trials of each density out over
     worker processes; aggregation happens in run order either way, so the output is
-    identical to a serial run.  ``metric`` overrides the spec's metric name with a
-    ready-made instance (the legacy wrappers use this; normally the metric is resolved
-    from the registry).  ``progress`` is a legacy convenience: a callable receiving one
-    human-readable line per trial, wrapped in a :class:`ProgressSink`.
+    identical to a serial run.
 
     ``resume_from`` (a :class:`Checkpoint` or the path of a ``jsonl`` stream) skips the
     densities the checkpoint already finished, re-emitting their events so the sink
@@ -130,20 +123,15 @@ def run_experiment(
     With telemetry off the engine, its events and every output are byte-identical to the
     un-instrumented engine; see ``docs/observability.md`` for the taxonomy and contract.
     """
-    spec.validate_names(require_metric=metric is None)
+    spec.validate_names()
     measure = MEASURES.create(spec.measure)
     measure.validate_spec(spec)
-    if metric is None:
-        metric = METRICS.create(spec.metric)
+    metric = METRICS.create(spec.metric)
     checkpoint = _resolve_checkpoint(resume_from, spec)
     metrics = obs.resolve_metrics(metrics)
     registry = MetricsRegistry() if metrics else None
-    sinks = list(sinks)
-    if progress is not None:
-        sinks.append(ProgressSink(progress))
     crew = _SinkCrew(sinks, spec)
 
-    config = spec.sweep_config()
     result = ExperimentResult(
         experiment_id=spec.experiment_id,
         title=spec.title,
@@ -198,7 +186,7 @@ def run_experiment(
                 crew.emit("on_trial", spec, density, run_index, payload, message)
 
             payloads = map_trials(
-                config,
+                spec,
                 metric,
                 density,
                 per_trial,

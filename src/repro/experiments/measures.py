@@ -120,9 +120,9 @@ def _ans_size_trial(trial: Trial) -> dict:
     parallel path, so it must return plain picklable data)."""
     if len(trial.network) == 0:
         return {"node_count": 0, "sizes": {}}
-    sampled = set(trial.sample_nodes(trial.config.node_sample, "ans-size-sample"))
+    sampled = set(trial.sample_nodes(trial.spec.node_sample, "ans-size-sample"))
     sizes: Dict[str, List[float]] = {}
-    for selector_name in trial.config.selectors:
+    for selector_name in trial.spec.selectors:
         selections = _selections_for_sample(trial, selector_name, sampled)
         sizes[selector_name] = [float(len(selection.selected)) for selection in selections]
     return {"node_count": len(trial.network), "sizes": sizes}
@@ -183,7 +183,7 @@ def _overhead_trial(trial: Trial) -> dict:
     metric = trial.metric
     if len(trial.network) < 2:
         return {"node_count": len(trial.network), "per_selector": {}}
-    pairs = trial.sample_pairs(trial.config.pairs_per_run)
+    pairs = trial.sample_pairs(trial.spec.pairs_per_run)
     routed_pairs = []
     for source, destination in pairs:
         optimal = optimal_route(trial.network, source, destination, metric)
@@ -192,7 +192,7 @@ def _overhead_trial(trial: Trial) -> dict:
         routed_pairs.append((source, destination, optimal.value))
 
     per_selector: Dict[str, Tuple[List[float], List[float]]] = {}
-    for selector_name in trial.config.selectors:
+    for selector_name in trial.spec.selectors:
         advertised = trial.advertised_topology(selector_name)
         # The sources' HELLO-learned edges depend only on the physical topology, so the
         # per-source walk is done once per trial (Trial.link_state_edges) and shared by

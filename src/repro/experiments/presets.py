@@ -2,10 +2,10 @@
 
 Each preset is a zero-argument factory returning the *paper-profile*
 :class:`~repro.experiments.spec.ExperimentSpec` of one evaluation figure (100 runs at the
-paper's densities).  The figure wrappers and the CLIs narrow a preset to a profile with
-:meth:`ExperimentSpec.with_sweep_config`; everything else about the figure -- its id,
-title, measure kind and metric -- lives here, so nothing dispatches on figure numbers or
-hard-codes ``"bandwidth" if number in (6, 8)`` any more.
+paper's densities, Section IV.A).  :func:`figure_spec` narrows a figure preset to a
+profile by applying that profile's per-metric overrides (:data:`PROFILES`); everything
+else about the figure -- its id, title, measure kind and metric -- lives here, so nothing
+dispatches on figure numbers or hard-codes ``"bandwidth" if number in (6, 8)``.
 
 ======  =========  ==========  ===============================================
 Preset  Measure    Metric      What it shows
@@ -19,12 +19,17 @@ fig9    overhead   delay       delay overhead vs the centralized optimum
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
-from repro.experiments.config import BANDWIDTH_DENSITIES, DELAY_DENSITIES
 from repro.experiments.spec import ExperimentSpec
 from repro.registry import PRESETS
 from repro.topology.generators import FieldSpec
+
+#: Densities of the bandwidth-metric figures (Figures 6 and 8).
+BANDWIDTH_DENSITIES: Tuple[float, ...] = (10, 15, 20, 25, 30, 35)
+
+#: Densities of the delay-metric figures (Figures 7 and 9).
+DELAY_DENSITIES: Tuple[float, ...] = (5, 10, 15, 20, 25, 30)
 
 
 @PRESETS.register("fig6", description="Figure 6: advertised-set size vs density, bandwidth")
@@ -147,13 +152,40 @@ def protocol_convergence_spec() -> ExperimentSpec:
 #: The figure numbers of the paper's evaluation section, keyed to their preset names.
 FIGURE_PRESETS: Dict[int, str] = {6: "fig6", 7: "fig7", 8: "fig8", 9: "fig9"}
 
+_QUICK = {"runs": 3, "pairs_per_run": 3, "node_sample": 60}
+_SMOKE = {
+    "runs": 1,
+    "pairs_per_run": 2,
+    "node_sample": 20,
+    "field": FieldSpec(width=400.0, height=400.0, radius=100.0),
+}
 
-def figure_spec(number: int) -> ExperimentSpec:
-    """The paper-profile spec preset of one figure by number (6, 7, 8 or 9)."""
+#: Spec overrides of each parameter profile, per metric family of a figure preset.
+#: ``paper`` is the preset itself (100 runs at the paper's densities, every node);
+#: ``quick`` keeps the figure shapes but trims runs, densities and sampled nodes so the
+#: benchmark suite finishes in minutes; ``smoke`` is a seconds-long sanity pass.
+PROFILES: Dict[str, Dict[str, dict]] = {
+    "paper": {"bandwidth": {}, "delay": {}},
+    "quick": {
+        "bandwidth": {**_QUICK, "densities": (10.0, 15.0, 20.0)},
+        "delay": {**_QUICK, "densities": (5.0, 10.0, 15.0)},
+    },
+    "smoke": {
+        "bandwidth": {**_SMOKE, "densities": (8.0,)},
+        "delay": {**_SMOKE, "densities": (6.0,)},
+    },
+}
+
+
+def figure_spec(number: int, profile: str = "paper") -> ExperimentSpec:
+    """The spec of one figure by number (6, 7, 8 or 9), narrowed to ``profile``."""
     try:
         preset_name = FIGURE_PRESETS[number]
     except KeyError as exc:
         raise KeyError(
             f"the paper has no result figure {number}; choose one of {sorted(FIGURE_PRESETS)}"
         ) from exc
-    return PRESETS.create(preset_name)
+    if profile not in PROFILES:
+        raise KeyError(f"unknown profile {profile!r}; known: {sorted(PROFILES)}")
+    preset = PRESETS.create(preset_name)
+    return preset.with_overrides(**PROFILES[profile][preset.metric])

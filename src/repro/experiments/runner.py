@@ -6,7 +6,7 @@ uniform weights), constructs every node's local view once, and runs each selecto
 shared views, so that the algorithms are compared on strictly identical inputs (the paper:
 "Each approach is run on the same topology with the same source and destination").
 
-Because every trial is derived deterministically from ``(config, metric, density,
+Because every trial is derived deterministically from ``(spec, metric, density,
 run_index)``, trials are embarrassingly parallel: :func:`map_trials` optionally fans them
 out over a multiprocessing pool (``workers=`` argument or the ``REPRO_WORKERS`` environment
 variable) and re-assembles the per-trial results in run order, so a parallel sweep
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.selection import AnsSelector, SelectionCache, SelectionResult, make_selector
-from repro.experiments.config import SweepConfig
+from repro.experiments.spec import ExperimentSpec
 from repro.localview.networkgraph import NetworkGraph
 from repro.obs import runtime as obs
 from repro.obs.registry import MetricsRegistry, TrialTelemetry
@@ -58,7 +58,7 @@ from repro.utils.seeding import spawn_rng
 class Trial:
     """One generated topology, with lazily built local views and per-selector selections."""
 
-    config: SweepConfig
+    spec: ExperimentSpec
     metric: Metric
     density: float
     run_index: int
@@ -170,12 +170,12 @@ class Trial:
             factory = getattr(self.generator, "dynamic", None)
             if factory is None:
                 raise ValueError(
-                    f"topology model {self.config.topology!r} is static; dynamic sweeps "
+                    f"topology model {self.spec.topology!r} is static; dynamic sweeps "
                     f"need a mobility model such as 'rwp', 'gauss-markov' or 'churn'"
                 )
             self._dynamic = factory(
                 self.run_index,
-                step_interval=self.config.step_interval,
+                step_interval=self.spec.step_interval,
                 network=self.network,
             )
         return self._dynamic
@@ -218,7 +218,7 @@ class Trial:
         nodes = self.network.nodes()
         if count is None or count >= len(nodes):
             return nodes
-        rng = spawn_rng(self.config.seed, purpose, self.density, self.run_index)
+        rng = spawn_rng(self.spec.seed, purpose, self.density, self.run_index)
         return sorted(rng.sample(nodes, count))
 
     def sample_pairs(self, count: int) -> List[Tuple[NodeId, NodeId]]:
@@ -226,7 +226,7 @@ class Trial:
         nodes = self.network.nodes()
         if len(nodes) < 2:
             return []
-        rng = spawn_rng(self.config.seed, "pairs", self.density, self.run_index)
+        rng = spawn_rng(self.spec.seed, "pairs", self.density, self.run_index)
         pairs: List[Tuple[NodeId, NodeId]] = []
         for _ in range(count):
             source, destination = rng.sample(nodes, 2)
@@ -234,31 +234,31 @@ class Trial:
         return pairs
 
 
-def build_trial(config: SweepConfig, metric: Metric, density: float, run_index: int) -> Trial:
+def build_trial(spec: ExperimentSpec, metric: Metric, density: float, run_index: int) -> Trial:
     """Generate the topology of one trial, following the paper's simulation settings.
 
-    The topology model is resolved by registry name from ``config.topology`` (the paper's
+    The topology model is resolved by registry name from ``spec.topology`` (the paper's
     Poisson deployment by default, which restricts to the largest connected component so
     that every sampled source/destination pair has at least one path -- the paper routes
     between randomly chosen nodes and reports QoS overheads, which presumes reachability).
     """
     assigner = UniformWeightAssigner(
         metric=metric,
-        low=config.weight_low,
-        high=config.weight_high,
-        seed=config.seed,
+        low=spec.weight_low,
+        high=spec.weight_high,
+        seed=spec.seed,
     )
     generator = TOPOLOGY_MODELS.create(
-        config.topology,
-        field=config.field,
+        spec.topology,
+        field=spec.field,
         density=density,
-        seed=config.seed,
+        seed=spec.seed,
         weight_assigners=(assigner,),
     )
     with obs.span("topology_build"):
         network = generator.generate(run_index)
     return Trial(
-        config=config,
+        spec=spec,
         metric=metric,
         density=density,
         run_index=run_index,
@@ -267,10 +267,10 @@ def build_trial(config: SweepConfig, metric: Metric, density: float, run_index: 
     )
 
 
-def iter_trials(config: SweepConfig, metric: Metric, density: float) -> Iterable[Trial]:
+def iter_trials(spec: ExperimentSpec, metric: Metric, density: float) -> Iterable[Trial]:
     """All trials of one density, in run order."""
-    for run_index in range(config.runs):
-        yield build_trial(config, metric, density, run_index)
+    for run_index in range(spec.runs):
+        yield build_trial(spec, metric, density, run_index)
 
 
 # ---------------------------------------------------------------------- parallel execution
@@ -387,7 +387,7 @@ def _backoff_delay(attempt: int) -> float:
 
 
 def _execute_trial(
-    config: SweepConfig,
+    spec: ExperimentSpec,
     metric: Metric,
     density: float,
     run_index: int,
@@ -417,12 +417,12 @@ def _execute_trial(
 
         apply_trial_faults(density, run_index, attempt)
     if not metrics:
-        return per_trial(build_trial(config, metric, density, run_index))
+        return per_trial(build_trial(spec, metric, density, run_index))
     registry = MetricsRegistry()
     previous = obs.install(registry)
     try:
         with registry.span("trial"):
-            trial = build_trial(config, metric, density, run_index)
+            trial = build_trial(spec, metric, density, run_index)
             with registry.span("measure"):
                 payload = per_trial(trial)
     finally:
@@ -431,10 +431,10 @@ def _execute_trial(
     return TrialTelemetry(payload, registry.snapshot())
 
 
-def _trial_job(job: Tuple[SweepConfig, Metric, float, int, int, Callable, bool]) -> object:
+def _trial_job(job: Tuple[ExperimentSpec, Metric, float, int, int, Callable, bool]) -> object:
     """Unpack one trial job inside the worker process and execute it."""
-    config, metric, density, run_index, attempt, per_trial, metrics = job
-    return _execute_trial(config, metric, density, run_index, attempt, per_trial, metrics)
+    spec, metric, density, run_index, attempt, per_trial, metrics = job
+    return _execute_trial(spec, metric, density, run_index, attempt, per_trial, metrics)
 
 
 def _give_up(
@@ -455,7 +455,7 @@ def _give_up(
 
 
 def _map_trials_serial(
-    config: SweepConfig,
+    spec: ExperimentSpec,
     metric: Metric,
     density: float,
     per_trial: Callable,
@@ -470,12 +470,12 @@ def _map_trials_serial(
     raises is retried, but one that hangs, hangs.)
     """
     results: List[object] = []
-    for run_index in range(config.runs):
+    for run_index in range(spec.runs):
         attempt = 0
         while True:
             try:
                 result = _execute_trial(
-                    config, metric, density, run_index, attempt, per_trial, metrics
+                    spec, metric, density, run_index, attempt, per_trial, metrics
                 )
                 break
             except Exception as exc:  # noqa: BLE001 - KeyboardInterrupt et al. propagate
@@ -492,7 +492,7 @@ def _map_trials_serial(
 
 
 def map_trials(
-    config: SweepConfig,
+    spec: ExperimentSpec,
     metric: Metric,
     density: float,
     per_trial: Callable[[Trial], object],
@@ -508,7 +508,7 @@ def map_trials(
     ``per_trial`` must be a picklable module-level callable returning picklable data.  With
     ``workers > 1`` the trials are *built and processed* inside worker processes (each trial
     is derived deterministically from its run index, so nothing needs to be shipped besides
-    the configuration); results still arrive in run order, which is what guarantees that
+    the spec); results still arrive in run order, which is what guarantees that
     parallel sweeps aggregate bit-identically to serial ones.  ``on_result`` is invoked in
     the parent process, in run order, as each result becomes available (the engine uses it
     to emit per-trial sink events).
@@ -531,22 +531,22 @@ def map_trials(
         raise ValueError(f"on_error must be 'fail' or 'skip', got {on_error!r}")
     workers = resolve_workers(workers)
     max_retries = resolve_max_retries(max_retries)
-    if workers == 1 or config.runs <= 1:
+    if workers == 1 or spec.runs <= 1:
         return _map_trials_serial(
-            config, metric, density, per_trial, on_result, max_retries, on_error, metrics
+            spec, metric, density, per_trial, on_result, max_retries, on_error, metrics
         )
 
     trial_timeout = resolve_trial_timeout(trial_timeout)
-    pool_size = min(workers, config.runs)
+    pool_size = min(workers, spec.runs)
     results: List[object] = []
     with multiprocessing.Pool(processes=pool_size) as pool:
 
         def submit(run_index: int, attempt: int):
-            job = (config, metric, density, run_index, attempt, per_trial, metrics)
+            job = (spec, metric, density, run_index, attempt, per_trial, metrics)
             return pool.apply_async(_trial_job, (job,))
 
-        pending = {run_index: submit(run_index, 0) for run_index in range(config.runs)}
-        for run_index in range(config.runs):
+        pending = {run_index: submit(run_index, 0) for run_index in range(spec.runs)}
+        for run_index in range(spec.runs):
             attempt = 0
             handle = pending.pop(run_index)
             while True:
@@ -556,7 +556,7 @@ def map_trials(
                 # deadline is stretched by the depth of the queue in front of it.
                 deadline = trial_timeout
                 if deadline is not None and attempt > 0:
-                    queued_ahead = config.runs - run_index - 1
+                    queued_ahead = spec.runs - run_index - 1
                     deadline = trial_timeout * (1.0 + queued_ahead / pool_size + attempt)
                 outcome, result_or_exc = _await_handle(pool, handle, deadline)
                 if outcome == "ok":

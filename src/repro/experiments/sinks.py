@@ -14,8 +14,8 @@ For each experiment the engine calls, in order:
 2. ``on_trial(spec, density, run_index, payload, message)`` -- once per trial, in run
    order (also under ``REPRO_WORKERS`` parallelism; the engine re-serializes events).
    ``payload`` is the measure's plain-data trial measurement; ``message`` is the measure's
-   human-readable progress line or ``None``.  Progress reporting *is* this event: the
-   legacy ``progress=callable`` keyword is a :class:`ProgressSink` wrapping the callable.
+   human-readable progress line or ``None``.  Progress reporting *is* this event: a
+   :class:`ProgressSink` forwards it to any writer callable.
    Under ``on_error="skip"`` a trial that exhausted its retries emits
    ``on_trial_error(spec, density, run_index, failure)`` in its slot instead (``failure``
    is a :class:`~repro.experiments.runner.TrialFailure`).
@@ -111,8 +111,8 @@ def _format_duration(seconds: float) -> str:
 class ProgressSink(ResultSink):
     """Adapter from the trial event stream to a ``write(message)`` callable.
 
-    This is how the legacy ``progress=`` callbacks ride on the sink API: the engine wraps
-    them in a ``ProgressSink``, and the CLIs build one writing to stderr unless ``--quiet``.
+    This is how progress reporting rides on the sink API: the CLIs build one writing to
+    stderr unless ``--quiet``.
 
     With ``throughput=True`` (on for the CLIs' stderr sink) each finished density also
     reports the sweep's trials/sec and an ETA extrapolated from the completed densities'

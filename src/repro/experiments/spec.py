@@ -58,19 +58,53 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from repro.experiments.config import PAPER_SELECTORS, SweepConfig
 from repro.registry import MEASURES, METRICS, SELECTORS, TOPOLOGY_MODELS
 from repro.topology.generators import PAPER_FIELD, FieldSpec
+from repro.utils.validation import require_non_negative, require_positive
+
+#: The selectors every figure compares, in the paper's legend order.
+PAPER_SELECTORS: Tuple[str, ...] = ("qolsr-mpr2", "topology-filtering", "fnbp")
+
+
+def _require_str(value, name: str) -> None:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+
+
+def _require_int(value, name: str, minimum: Optional[int] = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _sequence(value, name: str) -> tuple:
+    """A JSON list (or tuple) as a tuple; a bare string or object is a type error."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _field_spec(value) -> FieldSpec:
+    """``field`` as a :class:`FieldSpec`, from one or from its JSON object form."""
+    if isinstance(value, FieldSpec):
+        return value
+    if not isinstance(value, dict):
+        raise TypeError(f"field must be a {{width, height, radius}} object, got {value!r}")
+    try:
+        return FieldSpec(**value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"field: {exc}") from None
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One density sweep, fully described as plain data.
 
-    Numeric constraints are validated at construction (by round-tripping through
-    :class:`SweepConfig`); registry names are validated by :meth:`validate_names`, which
-    :meth:`from_dict` / :meth:`from_json` / the engine call so that a typo fails fast with
-    an error naming the registry and its known entries.
+    Field types and numeric constraints are validated at construction, each error naming
+    its field; registry names are validated by :meth:`validate_names`, which
+    :meth:`from_dict` / :meth:`from_json` / the engine call so that a typo fails fast
+    with an error naming the field, the registry and its known entries.
     """
 
     experiment_id: str
@@ -94,110 +128,63 @@ class ExperimentSpec:
     tc_interval: float = 5.0
 
     def __post_init__(self) -> None:
+        for name in ("experiment_id", "title", "measure", "metric", "topology"):
+            _require_str(getattr(self, name), name)
         if not self.experiment_id:
             raise ValueError("experiment_id must be non-empty")
-        object.__setattr__(self, "selectors", tuple(self.selectors))
-        object.__setattr__(self, "densities", tuple(self.densities))
-        if isinstance(self.field, dict):
-            object.__setattr__(self, "field", FieldSpec(**self.field))
-        self.sweep_config()  # numeric validation lives in SweepConfig.__post_init__
+        if not self.topology:
+            raise ValueError("topology must be a registry name, got ''")
+        selectors = _sequence(self.selectors, "selectors")
+        for selector in selectors:
+            _require_str(selector, "selectors")
+        object.__setattr__(self, "selectors", selectors)
+        densities = _sequence(self.densities, "densities")
+        if not densities:
+            raise ValueError("densities must list at least one density")
+        for density in densities:
+            require_positive(density, "densities")
+        object.__setattr__(self, "densities", densities)
+        object.__setattr__(self, "field", _field_spec(self.field))
+        _require_int(self.runs, "runs", minimum=1)
+        _require_int(self.pairs_per_run, "pairs_per_run", minimum=1)
+        if self.node_sample is not None:
+            _require_int(self.node_sample, "node_sample", minimum=1)
+        _require_int(self.seed, "seed")
+        _require_int(self.timesteps, "timesteps", minimum=0)
+        require_positive(self.weight_low, "weight_low")
+        require_positive(self.weight_high, "weight_high")
+        if self.weight_low > self.weight_high:
+            raise ValueError(
+                f"weights must satisfy 0 < weight_low <= weight_high, got weight_low="
+                f"{self.weight_low!r} > weight_high={self.weight_high!r}"
+            )
+        require_positive(self.step_interval, "step_interval")
+        require_non_negative(self.loss_rate, "loss_rate")
+        if self.loss_rate >= 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate!r}")
+        require_positive(self.hello_interval, "hello_interval")
+        require_positive(self.tc_interval, "tc_interval")
 
     # ------------------------------------------------------------------ validation
 
-    def validate_names(self, require_metric: bool = True) -> "ExperimentSpec":
+    def validate_names(self) -> "ExperimentSpec":
         """Check every registry name and return ``self``.
 
-        Raises ``KeyError`` naming the offending registry and its known entries.  The
-        engine skips the metric check when a caller supplies a ready-made metric instance
-        (``require_metric=False``).
+        Raises ``KeyError`` naming the offending field, its registry and the registry's
+        known entries.
         """
-        MEASURES.get(self.measure)
-        if require_metric:
-            METRICS.get(self.metric)
-        TOPOLOGY_MODELS.get(self.topology)
-        for selector in self.selectors:
-            SELECTORS.get(selector)
+        for name, registry, entries in (
+            ("measure", MEASURES, (self.measure,)),
+            ("metric", METRICS, (self.metric,)),
+            ("topology", TOPOLOGY_MODELS, (self.topology,)),
+            ("selectors", SELECTORS, self.selectors),
+        ):
+            for entry in entries:
+                try:
+                    registry.get(entry)
+                except KeyError as exc:
+                    raise KeyError(f"{name}: {exc.args[0]}") from None
         return self
-
-    # ------------------------------------------------------------------ conversions
-
-    def sweep_config(self) -> SweepConfig:
-        """The :class:`SweepConfig` driving the runner plumbing for this spec."""
-        return SweepConfig(
-            densities=self.densities,
-            runs=self.runs,
-            pairs_per_run=self.pairs_per_run,
-            node_sample=self.node_sample,
-            field=self.field,
-            weight_low=self.weight_low,
-            weight_high=self.weight_high,
-            seed=self.seed,
-            selectors=self.selectors,
-            topology=self.topology,
-            timesteps=self.timesteps,
-            step_interval=self.step_interval,
-            loss_rate=self.loss_rate,
-            hello_interval=self.hello_interval,
-            tc_interval=self.tc_interval,
-        )
-
-    @classmethod
-    def from_config(
-        cls,
-        config: SweepConfig,
-        *,
-        experiment_id: str,
-        title: str,
-        measure: str,
-        metric: str,
-    ) -> "ExperimentSpec":
-        """Wrap a legacy :class:`SweepConfig` plus the fields it never carried."""
-        return cls(
-            experiment_id=experiment_id,
-            title=title,
-            measure=measure,
-            metric=metric,
-            selectors=config.selectors,
-            topology=config.topology,
-            densities=config.densities,
-            runs=config.runs,
-            pairs_per_run=config.pairs_per_run,
-            node_sample=config.node_sample,
-            field=config.field,
-            weight_low=config.weight_low,
-            weight_high=config.weight_high,
-            seed=config.seed,
-            timesteps=config.timesteps,
-            step_interval=config.step_interval,
-            loss_rate=config.loss_rate,
-            hello_interval=config.hello_interval,
-            tc_interval=config.tc_interval,
-        )
-
-    def with_sweep_config(self, config: SweepConfig) -> "ExperimentSpec":
-        """This spec with every sweep-shaped field replaced from ``config``.
-
-        The preset wrappers use this: the preset fixes identity (id, title, measure,
-        metric), the profile configuration fixes the sweep shape.
-        """
-        return replace(
-            self,
-            selectors=config.selectors,
-            topology=config.topology,
-            densities=config.densities,
-            runs=config.runs,
-            pairs_per_run=config.pairs_per_run,
-            node_sample=config.node_sample,
-            field=config.field,
-            weight_low=config.weight_low,
-            weight_high=config.weight_high,
-            seed=config.seed,
-            timesteps=config.timesteps,
-            step_interval=config.step_interval,
-            loss_rate=config.loss_rate,
-            hello_interval=config.hello_interval,
-            tc_interval=config.tc_interval,
-        )
 
     def with_overrides(self, **overrides) -> "ExperimentSpec":
         """A copy of the spec with the given fields replaced (validates like a fresh spec)."""

@@ -571,7 +571,7 @@ def _best_values_from_nx(
         for neighbor in graph.neighbors(node):
             if neighbor in best or neighbor in excluded_set:
                 continue
-            link_value = metric.link_value_from_attributes(graph.edges[node, neighbor])
+            link_value = metric.link_value_from_attributes(graph.adj[node][neighbor])
             candidate = metric.combine(value, link_value)
             counter += 1
             heapq.heappush(heap, (metric.sort_key(candidate), counter, neighbor, candidate))

@@ -20,7 +20,7 @@ all views at once; ``tests/test_filtering_kernel.py`` pins the two together.
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Iterator, Set, Tuple
 
 import networkx as nx
 
@@ -34,7 +34,7 @@ def qos_rng_reduce(graph: nx.Graph, metric: Metric) -> nx.Graph:
     The input graph is not modified.  Edge attributes are preserved on the surviving links.
     """
     reduced = graph.copy()
-    for a, b in list(graph.edges):
+    for a, b in list(_links(graph)):
         if _is_dominated(graph, a, b, metric):
             reduced.remove_edge(a, b)
     return reduced
@@ -43,17 +43,32 @@ def qos_rng_reduce(graph: nx.Graph, metric: Metric) -> nx.Graph:
 def dominated_links(graph: nx.Graph, metric: Metric) -> Set[Tuple[NodeId, NodeId]]:
     """The set of links the reduction removes (canonically oriented), useful for display."""
     removed: Set[Tuple[NodeId, NodeId]] = set()
-    for a, b in graph.edges:
+    for a, b in _links(graph):
         if _is_dominated(graph, a, b, metric):
             removed.add((a, b) if a <= b else (b, a))
     return removed
 
 
+def _links(graph: nx.Graph) -> Iterator[Tuple[NodeId, NodeId]]:
+    """Every link once, in ``graph.edges`` order, from the adjacency.
+
+    Reading ``graph.edges`` would cache an ``EdgeView`` on the graph that points back at
+    it, leaving a dropped graph to the cyclic garbage collector.
+    """
+    seen = set()
+    for a, neighbors in graph.adjacency():
+        for b in neighbors:
+            if b not in seen:
+                yield a, b
+        seen.add(a)
+
+
 def _is_dominated(graph: nx.Graph, a: NodeId, b: NodeId, metric: Metric) -> bool:
-    direct = metric.link_value_from_attributes(graph.edges[a, b])
-    for witness in set(graph.neighbors(a)) & set(graph.neighbors(b)):
-        leg_a = metric.link_value_from_attributes(graph.edges[a, witness])
-        leg_b = metric.link_value_from_attributes(graph.edges[witness, b])
+    adj = graph.adj
+    direct = metric.link_value_from_attributes(adj[a][b])
+    for witness in set(adj[a]) & set(adj[b]):
+        leg_a = metric.link_value_from_attributes(adj[a][witness])
+        leg_b = metric.link_value_from_attributes(adj[witness][b])
         if metric.is_better(leg_a, direct) and metric.is_better(leg_b, direct):
             return True
     return False

@@ -288,7 +288,7 @@ class LocalView:
         """The weight of the known link ``(u, v)`` under ``metric``."""
         if not self.graph.has_edge(u, v):
             raise KeyError(f"node {self.owner} does not know of a link between {u} and {v}")
-        return metric.link_value_from_attributes(self.graph.edges[u, v])
+        return metric.link_value_from_attributes(self.graph.adj[u][v])
 
     def direct_link_value(self, neighbor: NodeId, metric: Metric) -> float:
         """The weight of the direct link from the owner to one of its neighbors."""

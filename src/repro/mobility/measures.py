@@ -65,7 +65,7 @@ def _selection_churn_trial(trial) -> dict:
     per-node advertised sets between consecutive steps.
     """
     dynamic = trial.dynamic_topology()
-    selectors = trial.config.selectors
+    selectors = trial.spec.selectors
     node_count = len(dynamic.network)
     if node_count == 0:
         return {"node_count": 0, "link_churn": [], "churn": {}, "tc": {}}
@@ -78,7 +78,7 @@ def _selection_churn_trial(trial) -> dict:
     churn: Dict[str, List[float]] = {name: [] for name in selectors}
     tc: Dict[str, List[float]] = {name: [] for name in selectors}
     link_churn: List[float] = []
-    for _ in range(trial.config.timesteps):
+    for _ in range(trial.spec.timesteps):
         delta = dynamic.advance()
         link_churn.append(float(delta.link_churn))
         for name in selectors:
@@ -104,10 +104,10 @@ def _route_stability_trial(trial) -> dict:
     no route before a step carry no survival sample for it.
     """
     dynamic = trial.dynamic_topology()
-    selectors = trial.config.selectors
+    selectors = trial.spec.selectors
     metric = trial.metric
     node_count = len(dynamic.network)
-    pairs = trial.sample_pairs(trial.config.pairs_per_run)
+    pairs = trial.sample_pairs(trial.spec.pairs_per_run)
     if node_count < 2 or not pairs:
         return {"node_count": node_count, "stability": {}, "delivered": {}}
 
@@ -126,7 +126,7 @@ def _route_stability_trial(trial) -> dict:
     previous = {name: first_hops(name) for name in selectors}
     stability: Dict[str, List[Optional[float]]] = {name: [] for name in selectors}
     delivered: Dict[str, List[float]] = {name: [] for name in selectors}
-    for _ in range(trial.config.timesteps):
+    for _ in range(trial.spec.timesteps):
         delta = dynamic.advance()
         for name in selectors:
             # The step may have re-measured links that stay advertised; the builder's edge

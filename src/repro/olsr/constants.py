@@ -1,13 +1,9 @@
 """Protocol timing constants.
 
-Values follow RFC 3626's defaults (seconds).  The discrete-event simulation uses them to
-schedule periodic HELLO and TC emission and to expire stale table entries; experiments that
-only need the converged state use :data:`DEFAULT_CONVERGENCE_TIME` as a safe settling period
-(a few HELLO and TC periods).
+Values follow RFC 3626's defaults (seconds).  They size the default entry lifetimes of an
+:class:`~repro.olsr.node.OlsrNode`; the protocol simulator derives its own lifetimes from
+its configured HELLO and TC intervals.
 """
-
-HELLO_INTERVAL = 2.0
-"""Period of HELLO emission (neighborhood sensing)."""
 
 TC_INTERVAL = 5.0
 """Period of TC emission (topology dissemination)."""
@@ -26,9 +22,3 @@ DUPLICATE_HOLD_TIME = 30.0
 
 MAX_TTL = 255
 """Initial TTL of flooded control messages."""
-
-DEFAULT_CONVERGENCE_TIME = 30.0
-"""Simulation time after which a static network's tables have settled (several TC periods)."""
-
-MAX_JITTER = 0.5
-"""Maximum random jitter applied to periodic emissions, as recommended by RFC 3626."""

@@ -2,7 +2,7 @@
 
 An :class:`OlsrNode` owns the protocol tables of one device and implements the protocol
 logic independently of how messages are transported, so the same class is driven either by
-the discrete-event simulator (:mod:`repro.sim`) or directly by tests:
+the protocol simulator (:mod:`repro.protocol`) or directly by tests:
 
 * it *emits* HELLO and TC messages when asked (the simulator schedules the asks);
 * it *consumes* packets handed to it and returns the packets it wants to transmit in
@@ -220,14 +220,6 @@ class OlsrNode:
         return [packet.forwarded_by(self.node_id)]
 
     # ------------------------------------------------------------------ periodic maintenance
-
-    def tick(self, now: float) -> None:
-        """Expire stale state and refresh selection and routes (called periodically)."""
-        self.neighbor_table.expire(now)
-        self.topology_table.expire(now)
-        self.duplicates.expire(now)
-        self.refresh_selection()
-        self.recompute_routes()
 
     def recompute_routes(self) -> None:
         self.routing_table.recompute(self.neighbor_table, self.topology_table)

@@ -86,7 +86,7 @@ class RoutingTable:
         owner = self.owner
         one_hop = neighbors.neighbors()
         if destination in one_hop and knowledge.has_edge(owner, destination):
-            direct_value = metric.link_value_from_attributes(knowledge.edges[owner, destination])
+            direct_value = metric.link_value_from_attributes(knowledge.adj[owner][destination])
         else:
             direct_value = None
 
@@ -96,7 +96,7 @@ class RoutingTable:
         for neighbor in one_hop:
             if not knowledge.has_edge(owner, neighbor):
                 continue
-            link_value = metric.link_value_from_attributes(knowledge.edges[owner, neighbor])
+            link_value = metric.link_value_from_attributes(knowledge.adj[owner][neighbor])
             start = metric.combine(metric.identity, link_value)
             if neighbor == destination:
                 candidates[neighbor] = (start, 1.0)
@@ -125,7 +125,7 @@ class RoutingTable:
         chosen = preferred_neighbor(
             shortlist,
             metric,
-            lambda neighbor: metric.link_value_from_attributes(knowledge.edges[owner, neighbor]),
+            lambda neighbor: metric.link_value_from_attributes(knowledge.adj[owner][neighbor]),
         )
         return RouteEntry(destination=destination, next_hop=chosen, expected_value=best_value)
 

@@ -12,7 +12,9 @@ from a :class:`~repro.protocol.loss.LossModel` that is a pure function of
 :class:`~repro.mobility.dynamic.DynamicTopology` as a step listener, the simulator opens
 the time axis the analytic pipeline cannot reach: convergence time after churn, staleness
 of advertised link state, route flaps under lossy control traffic (the measures of
-:mod:`repro.protocol.measures`).
+:mod:`repro.protocol.measures`).  :meth:`~repro.protocol.simulator.ProtocolSimulator.send_data`
+forwards data packets hop by hop over the same channel; with ``loss_rate=0`` that channel
+is the paper's ideal MAC layer.
 
 Contracts live in ``docs/protocol.md``; with ``loss_rate=0`` and aligned intervals the
 simulated advertised sets converge to exactly what the analytic pipeline reports
@@ -22,7 +24,7 @@ simulated advertised sets converge to exactly what the analytic pipeline reports
 from repro.protocol.trace import EventTrace, TraceEvent
 from repro.protocol.loss import LossModel
 from repro.protocol.radio import LossyRadio, LossyRadioStatistics
-from repro.protocol.simulator import ProtocolSimulator
+from repro.protocol.simulator import DeliveryReport, ProtocolSimulator
 
 __all__ = [
     "EventTrace",
@@ -31,4 +33,5 @@ __all__ = [
     "LossyRadio",
     "LossyRadioStatistics",
     "ProtocolSimulator",
+    "DeliveryReport",
 ]

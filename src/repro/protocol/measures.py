@@ -86,13 +86,13 @@ def _protocol_trial(trial) -> dict:
     the then-current topology (``trial.step_selections``, the same incremental pipeline
     the mobility measures use).
     """
-    config = trial.config
+    spec = trial.spec
     dynamic = trial.dynamic_topology()
-    selectors = config.selectors
+    selectors = spec.selectors
     node_count = len(dynamic.network)
     if node_count == 0:
         return {"node_count": 0, "link_churn": [], "convergence": {}, "staleness": {}, "flaps": {}}
-    pairs = trial.sample_pairs(config.pairs_per_run)
+    pairs = trial.sample_pairs(spec.pairs_per_run)
 
     sims: Dict[str, ProtocolSimulator] = {}
     for name in selectors:
@@ -100,20 +100,20 @@ def _protocol_trial(trial) -> dict:
             network=dynamic.network,
             metric=trial.metric,
             selector_name=name,
-            seed=derive_seed(config.seed, "protocol", trial.density, trial.run_index, name),
-            hello_interval=config.hello_interval,
-            tc_interval=config.tc_interval,
+            seed=derive_seed(spec.seed, "protocol", trial.density, trial.run_index, name),
+            hello_interval=spec.hello_interval,
+            tc_interval=spec.tc_interval,
             loss_model=LossModel(
                 seed=derive_seed(
-                    config.seed, "protocol-loss", trial.density, trial.run_index, name
+                    spec.seed, "protocol-loss", trial.density, trial.run_index, name
                 ),
-                loss_rate=config.loss_rate,
+                loss_rate=spec.loss_rate,
             ),
         )
         sim.attach(dynamic)
         sims[name] = sim
 
-    warmup = warmup_time(config.hello_interval, config.tc_interval)
+    warmup = warmup_time(spec.hello_interval, spec.tc_interval)
     with obs.span("protocol_sim"):
         for sim in sims.values():
             sim.run_until(warmup)
@@ -123,10 +123,10 @@ def _protocol_trial(trial) -> dict:
     staleness: Dict[str, List[float]] = {name: [] for name in selectors}
     flaps: Dict[str, List[Optional[float]]] = {name: [] for name in selectors}
     link_churn: List[float] = []
-    for step in range(1, config.timesteps + 1):
+    for step in range(1, spec.timesteps + 1):
         delta = dynamic.advance()
         link_churn.append(float(delta.link_churn))
-        horizon = warmup + step * config.step_interval
+        horizon = warmup + step * spec.step_interval
         for name in selectors:
             sim = sims[name]
             with obs.span("protocol_sim"):

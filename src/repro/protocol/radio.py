@@ -1,10 +1,12 @@
-"""The lossy broadcast channel of the event-driven protocol simulator.
+"""The broadcast channel of the event-driven protocol simulator.
 
-Like :class:`repro.sim.radio.IdealRadio`, transmissions reach the sender's current
-neighbors via delivery callbacks scheduled on the shared event queue -- but the network
-here may be *live* (a :class:`~repro.mobility.dynamic.DynamicTopology` mutates it in
-place between windows, and the neighbor set is read at send time), and every individual
-transmission is subjected to the :class:`~repro.protocol.loss.LossModel`.
+Transmissions reach the sender's current neighbors via delivery callbacks scheduled on
+the shared event queue.  The network may be *live* (a
+:class:`~repro.mobility.dynamic.DynamicTopology` mutates it in place between windows, and
+the neighbor set is read at send time), and every individual transmission -- broadcast
+control traffic and unicast data hops alike -- is subjected to the
+:class:`~repro.protocol.loss.LossModel`.  With ``loss_rate=0`` (the default) nothing is
+ever lost and the delay is fixed: the paper's ideal MAC layer.
 
 The radio owns the per-directed-link transmission counters that identify draws: the
 ``seq`` handed to the loss model is "how many transmissions this radio has attempted on

@@ -21,6 +21,11 @@ Per-node behaviour (RFC 3626 shapes, intervals configurable per spec):
   started or stopped announcing it as MPR), a one-shot TC is scheduled after a short
   jitter, RFC 3626's triggered-update rule.  At most one trigger is pending per node.
 
+Data packets (:meth:`send_data`) travel hop by hop as unicasts over the same channel,
+so they can be lost like control traffic; each node on the way recomputes its routing
+table from its current tables before choosing the next hop.  With the default
+``LossModel(loss_rate=0)`` the channel is the paper's ideal MAC layer.
+
 Attached to a :class:`~repro.mobility.dynamic.DynamicTopology` via :meth:`attach`, the
 simulator observes every ``advance()`` through the driver's step-listener stream: link
 flips take effect immediately (the radio reads neighbors at send time), the step's churn
@@ -36,12 +41,13 @@ top, see :mod:`repro.protocol.measures`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.selection import make_selector
 from repro.metrics.base import Metric
 from repro.obs import runtime as obs
-from repro.olsr.messages import HelloMessage, Packet, TcMessage
+from repro.olsr.messages import DataPacket, HelloMessage, Packet, TcMessage
 from repro.olsr.node import OlsrNode
 from repro.protocol.loss import LossModel
 from repro.protocol.radio import LossyRadio
@@ -59,6 +65,18 @@ JITTER_FRACTION = 0.1
 
 #: Hold times as multiples of the emission interval (RFC 3626: validity = 3 periods).
 HOLD_PERIODS = 3.0
+
+
+@dataclass(frozen=True)
+class DeliveryReport:
+    """Outcome of injecting one data packet into the simulated network."""
+
+    source: NodeId
+    destination: NodeId
+    delivered: bool
+    path: Tuple[NodeId, ...]
+    value: float
+    hop_count: int
 
 
 class ProtocolSimulator:
@@ -204,6 +222,12 @@ class ProtocolSimulator:
             if node.neighbor_table.mpr_selectors() != before:
                 self._trigger_tc(receiver)
             return
+        if isinstance(message, DataPacket):
+            self.trace.record(now, "data-received", receiver, packet_id=message.identifier)
+            node.recompute_routes()
+            for response in node.handle_packet(packet, now=now):
+                self._forward_data(receiver, response)
+            return
         for response in node.handle_packet(packet, now=now):
             if isinstance(response.message, TcMessage):
                 self.trace.record(now, "tc-forwarded", receiver)
@@ -276,6 +300,49 @@ class ProtocolSimulator:
         for source in sorted({source for source, _ in pairs}):
             self.nodes[source].recompute_routes()
         return [self.nodes[source].routing_table.next_hop(destination) for source, destination in pairs]
+
+    def send_data(
+        self, source: NodeId, destination: NodeId, settle_delay: float = 1.0
+    ) -> DeliveryReport:
+        """Inject one data packet at ``source`` and report whether and how it arrived.
+
+        The packet is unicast hop by hop over the channel, each node choosing its next hop
+        from a routing table recomputed on the spot (as in :meth:`next_hops`); the
+        simulation then runs ``settle_delay`` time units, periodic traffic included.  A
+        packet lost or dropped on the way reports ``delivered=False`` with the path it
+        covered.
+        """
+        if source not in self.nodes or destination not in self.nodes:
+            raise KeyError(f"source {source!r} and destination {destination!r} must be simulated nodes")
+        origin = self.nodes[source]
+        origin.recompute_routes()
+        packet = origin.originate_data(destination)
+        if packet is None:
+            return DeliveryReport(source, destination, False, (source,), self.metric.worst, 0)
+        packet_id = packet.message.identifier
+        self.trace.record(self.simulator.now, "data-originated", source, packet_id=packet_id)
+        self._forward_data(source, packet)
+        self.run_until(self.simulator.now + settle_delay)
+
+        path = tuple(self.trace.data_packet_path(packet_id))
+        delivered = path[-1] == destination
+        value = self.metric.worst
+        if delivered:
+            value = self.metric.path_value(
+                self.network.link_value(u, v, self.metric) for u, v in zip(path, path[1:])
+            )
+        return DeliveryReport(source, destination, delivered, path, value, len(path) - 1)
+
+    def _forward_data(self, sender: NodeId, packet: Packet) -> None:
+        message = packet.message
+        next_hop = self.nodes[sender].routing_table.next_hop(message.destination)
+        if next_hop is None:
+            self.trace.record(self.simulator.now, "data-dropped", sender, packet_id=message.identifier)
+            return
+        self.trace.record(
+            self.simulator.now, "data-forwarded", sender, packet_id=message.identifier, next_hop=next_hop
+        )
+        self.radio.unicast(sender, next_hop, packet)
 
     def control_message_counts(self) -> Dict[str, int]:
         """Aggregate control-traffic counters across all nodes and the channel."""

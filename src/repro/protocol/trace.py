@@ -3,10 +3,8 @@
 The trace records what happened and when (message emissions, triggered TCs, topology
 steps, data-packet hops) so that tests and examples can inspect protocol behaviour --
 e.g. reconstruct the path a data packet actually took, count the control overhead
-generated per protocol variant, or check that a churn step triggered a TC.  Both the
-static end-to-end scenario (:class:`repro.sim.scenario.OlsrSimulation`) and the
-event-driven :class:`~repro.protocol.simulator.ProtocolSimulator` record into the same
-structure.
+generated per protocol variant, or check that a churn step triggered a TC.  The
+event-driven :class:`~repro.protocol.simulator.ProtocolSimulator` records into it.
 """
 
 from __future__ import annotations

@@ -1,20 +1,5 @@
-"""Discrete-event simulation of the full protocol stack over an ideal MAC layer."""
+"""The discrete-event queue (:mod:`repro.sim.engine`) the protocol simulator runs on.
 
-from repro.sim.engine import EventHandle, Simulator
-from repro.sim.radio import IdealRadio, RadioStatistics
-from repro.sim.scenario import DeliveryReport, OlsrSimulation
-
-# Event tracing moved to the protocol subsystem (one tracing path for both the static
-# scenario and the event-driven simulator); re-exported here for compatibility.
-from repro.protocol.trace import EventTrace, TraceEvent
-
-__all__ = [
-    "Simulator",
-    "EventHandle",
-    "IdealRadio",
-    "RadioStatistics",
-    "OlsrSimulation",
-    "DeliveryReport",
-    "EventTrace",
-    "TraceEvent",
-]
+The protocol stack itself -- one OLSR agent per node over a seeded, optionally lossy
+channel, including data-packet forwarding -- is :mod:`repro.protocol`.
+"""

@@ -176,10 +176,10 @@ def _poisson_sample(rng, mean: float) -> int:
 # ---------------------------------------------------------------------- registered models
 #
 # The scenario API refers to topology models by registry name (the ``topology`` field of an
-# ``ExperimentSpec`` / ``SweepConfig``).  A model factory receives the sweep's field, the
-# density value being swept, the root seed and the per-metric weight assigners, and returns
-# a generator object whose ``generate(run_index)`` yields one topology per run.  How the
-# density axis is interpreted is up to the model (mean degree, node count, grid side, ...).
+# ``ExperimentSpec``).  A model factory receives the sweep's field, the density value being
+# swept, the root seed and the per-metric weight assigners, and returns a generator object
+# whose ``generate(run_index)`` yields one topology per run.  How the density axis is
+# interpreted is up to the model (mean degree, node count, grid side, ...).
 
 
 @TOPOLOGY_MODELS.register(

@@ -12,9 +12,8 @@ import random
 
 import pytest
 
-from repro.experiments.ans_size import run_ans_size_experiment
-from repro.experiments.config import smoke_config
-from repro.experiments.overhead import run_overhead_experiment
+from repro.experiments.engine import run_experiment
+from repro.experiments.presets import figure_spec
 from repro.experiments.runner import resolve_workers
 from repro.localview import CompactGraph, LocalView, all_first_hops, best_values_from
 from repro.localview.paths import (
@@ -31,7 +30,7 @@ from repro.metrics import (
     LexicographicMetric,
     MetricKind,
 )
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 from repro.topology import Network
 
 METRICS = (BandwidthMetric(), DelayMetric())
@@ -197,38 +196,32 @@ class TestEnumerationPruning:
 
 class TestParallelRunnerEquivalence:
     def test_ans_size_parallel_matches_serial_exactly(self):
-        config = smoke_config("bandwidth").with_overrides(runs=2)
-        serial = run_ans_size_experiment(config, BandwidthMetric(), workers=1)
-        parallel = run_ans_size_experiment(config, BandwidthMetric(), workers=2)
+        spec = figure_spec(6, "smoke").with_overrides(runs=2)
+        serial = run_experiment(spec, workers=1)
+        parallel = run_experiment(spec, workers=2)
         assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
             parallel.to_dict(), sort_keys=True
         )
 
     def test_overhead_parallel_matches_serial_exactly(self):
-        config = smoke_config("delay").with_overrides(runs=2)
-        serial = run_overhead_experiment(config, DelayMetric(), workers=1)
-        parallel = run_overhead_experiment(config, DelayMetric(), workers=2)
+        spec = figure_spec(9, "smoke").with_overrides(runs=2)
+        serial = run_experiment(spec, workers=1)
+        parallel = run_experiment(spec, workers=2)
         assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
             parallel.to_dict(), sort_keys=True
         )
 
-    @pytest.mark.parametrize(
-        ("experiment_id", "metric"),
-        [("fig8", BandwidthMetric()), ("fig9", DelayMetric())],
-        ids=["fig8-bandwidth", "fig9-delay"],
-    )
-    def test_overhead_sweep_with_env_workers_is_byte_identical_to_serial(
-        self, monkeypatch, experiment_id, metric
-    ):
+    @pytest.mark.parametrize("figure", [8, 9], ids=["fig8-bandwidth", "fig9-delay"])
+    def test_overhead_sweep_with_env_workers_is_byte_identical_to_serial(self, monkeypatch, figure):
         """The fig-8/fig-9 sweeps through the REPRO_WORKERS=2 path must reproduce the
         serial bytes exactly now that the workers carry warm per-trial caches (compact
         graphs, bottleneck forests, incremental advertised topologies): every cache is
         per-worker and per-trial, so nothing warm leaks across run indices."""
-        config = smoke_config(metric.name).with_overrides(runs=2)
+        spec = figure_spec(figure, "smoke").with_overrides(runs=2)
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        serial = run_overhead_experiment(config, metric, experiment_id=experiment_id)
+        serial = run_experiment(spec)
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        parallel = run_overhead_experiment(config, metric, experiment_id=experiment_id)
+        parallel = run_experiment(spec)
         assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
             parallel.to_dict(), sort_keys=True
         )

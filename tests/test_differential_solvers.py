@@ -20,8 +20,8 @@ import random
 import pytest
 
 from repro.core.selection import make_selector
-from repro.experiments.config import smoke_config
-from repro.experiments.overhead import run_overhead_experiment
+from repro.experiments.engine import run_experiment
+from repro.experiments.presets import figure_spec
 from repro.localview import LocalView, all_first_hops, best_values_from
 from repro.localview.paths import (
     _all_first_hops_bottleneck_forest_nx,
@@ -239,13 +239,13 @@ class TestSharedLinkStateEdgesMatchPerRouterWalks:
         from repro.routing.hop_by_hop import HopByHopRouter
 
         network = unit_disk_network(seed)
-        config = smoke_config("bandwidth")
+        spec = figure_spec(8, "smoke")
         nodes = network.nodes()
         pairs = [(nodes[i], nodes[-1 - i]) for i in range(min(4, len(nodes) // 2))]
         for metric in (BANDWIDTH, DELAY, COMPOSITE):
             views = LocalView.all_from_network(network)
             trial = Trial(
-                config=config,
+                spec=spec,
                 metric=metric,
                 density=8.0,
                 run_index=0,
@@ -271,14 +271,16 @@ class TestSweepsUnchangedByCaching:
         rebuilds every advertised topology and routes without any shared state."""
         from repro.experiments.results import ExperimentResult, SeriesPoint
         from repro.experiments.runner import build_trial
-        from repro.experiments.overhead import qos_overhead
+        from repro.experiments.measures import qos_overhead
         from repro.experiments.stats import summarize
         from repro.routing.hop_by_hop import HopByHopRouter
         from repro.routing.optimal import optimal_route
 
-        config = smoke_config("bandwidth").with_overrides(runs=2)
+        spec = figure_spec(8, "smoke").with_overrides(
+            runs=2, experiment_id="fig8-diff", title="QoS overhead vs the centralized optimum"
+        )
         metric = BANDWIDTH
-        fast = run_overhead_experiment(config, metric, experiment_id="fig8-diff")
+        fast = run_experiment(spec)
 
         reference = ExperimentResult(
             experiment_id="fig8-diff",
@@ -287,19 +289,19 @@ class TestSweepsUnchangedByCaching:
             x_label="density",
             y_label=f"{metric.name} overhead",
         )
-        overheads = {name: [] for name in config.selectors}
-        deliveries = {name: [] for name in config.selectors}
-        density = config.densities[0]
-        for run_index in range(config.runs):
-            trial = build_trial(config, metric, density, run_index)
+        overheads = {name: [] for name in spec.selectors}
+        deliveries = {name: [] for name in spec.selectors}
+        density = spec.densities[0]
+        for run_index in range(spec.runs):
+            trial = build_trial(spec, metric, density, run_index)
             if len(trial.network) < 2:
                 continue
             routed = []
-            for source, destination in trial.sample_pairs(config.pairs_per_run):
+            for source, destination in trial.sample_pairs(spec.pairs_per_run):
                 optimal = optimal_route(trial.network, source, destination, metric)
                 if optimal.reachable and metric.is_usable(optimal.value):
                     routed.append((source, destination, optimal.value))
-            for name in config.selectors:
+            for name in spec.selectors:
                 advertised = build_advertised_topology(
                     trial.network, make_selector(name).select_all(trial.network, metric)
                 )
@@ -309,7 +311,7 @@ class TestSweepsUnchangedByCaching:
                     deliveries[name].append(1.0 if outcome.delivered else 0.0)
                     if outcome.delivered:
                         overheads[name].append(qos_overhead(metric, outcome.value, optimal_value))
-        for name in config.selectors:
+        for name in spec.selectors:
             delivery = summarize(deliveries[name])
             reference.add_point(
                 name,

@@ -1,4 +1,4 @@
-"""Tests for the evaluation harness: configs, statistics, result containers and sweeps."""
+"""Tests for the evaluation harness: profiles, statistics, result containers and sweeps."""
 
 from __future__ import annotations
 
@@ -11,18 +11,15 @@ from repro.experiments import (
     BANDWIDTH_DENSITIES,
     DELAY_DENSITIES,
     ExperimentResult,
+    ExperimentSpec,
+    ProgressSink,
     SeriesPoint,
     Summary,
-    SweepConfig,
     build_trial,
-    config_for_profile,
-    paper_config,
+    figure_spec,
     qos_overhead,
-    quick_config,
     render_report,
-    run_ans_size_experiment,
-    run_overhead_experiment,
-    smoke_config,
+    run_experiment,
     summarize,
     write_json,
     write_report,
@@ -32,33 +29,40 @@ from repro.metrics import BandwidthMetric, DelayMetric
 
 class TestConfig:
     def test_paper_config_matches_the_evaluation_section(self):
-        config = paper_config("bandwidth")
-        assert config.densities == BANDWIDTH_DENSITIES
-        assert config.runs == 100
-        assert config.pairs_per_run == 1
-        assert config.field.width == 1000.0 and config.field.radius == 100.0
-        assert paper_config("delay").densities == DELAY_DENSITIES
+        spec = figure_spec(6)
+        assert spec.densities == BANDWIDTH_DENSITIES
+        assert spec.runs == 100
+        assert spec.pairs_per_run == 1
+        assert spec.node_sample is None
+        assert spec.field.width == 1000.0 and spec.field.radius == 100.0
+        assert figure_spec(7, "paper").densities == DELAY_DENSITIES
 
     def test_profiles_resolve(self):
-        assert config_for_profile("quick", "delay").runs < paper_config("delay").runs
-        assert config_for_profile("smoke").runs == 1
-        with pytest.raises(KeyError):
-            config_for_profile("enormous")
+        assert figure_spec(7, "quick").runs < figure_spec(7, "paper").runs
+        assert figure_spec(6, "smoke").runs == 1
+        assert figure_spec(9, "smoke").metric == "delay"
+        with pytest.raises(KeyError, match="enormous"):
+            figure_spec(6, "enormous")
 
     def test_validation_rejects_bad_parameters(self):
+        def spec(**overrides):
+            return ExperimentSpec(
+                experiment_id="x", title="t", measure="ans-size", metric="bandwidth", **overrides
+            )
+
         with pytest.raises(ValueError):
-            SweepConfig(densities=())
+            spec(densities=())
         with pytest.raises(ValueError):
-            SweepConfig(densities=(10,), runs=0)
+            spec(densities=(10,), runs=0)
         with pytest.raises(ValueError):
-            SweepConfig(densities=(10,), weight_low=5.0, weight_high=2.0)
+            spec(densities=(10,), weight_low=5.0, weight_high=2.0)
         with pytest.raises(ValueError):
-            SweepConfig(densities=(-3,))
+            spec(densities=(-3,))
 
     def test_with_overrides(self):
-        config = quick_config().with_overrides(runs=7, seed=9)
-        assert config.runs == 7 and config.seed == 9
-        assert quick_config().runs != 7
+        spec = figure_spec(6, "quick").with_overrides(runs=7, seed=9)
+        assert spec.runs == 7 and spec.seed == 9
+        assert figure_spec(6, "quick").runs != 7
 
 
 class TestStats:
@@ -142,25 +146,25 @@ class TestResultContainers:
 
 class TestTrialsAndSweeps:
     def test_build_trial_is_deterministic_and_connected(self):
-        config = smoke_config("bandwidth")
+        spec = figure_spec(6, "smoke")
         metric = BandwidthMetric()
-        first = build_trial(config, metric, config.densities[0], 0)
-        second = build_trial(config, metric, config.densities[0], 0)
+        first = build_trial(spec, metric, spec.densities[0], 0)
+        second = build_trial(spec, metric, spec.densities[0], 0)
         assert first.network.nodes() == second.network.nodes()
         assert first.network.links() == second.network.links()
         assert first.network.is_connected()
         first.network.validate_metric_coverage(metric)
 
     def test_trial_caches_views_and_selections(self):
-        config = smoke_config("bandwidth")
-        trial = build_trial(config, BandwidthMetric(), config.densities[0], 0)
+        spec = figure_spec(6, "smoke")
+        trial = build_trial(spec, BandwidthMetric(), spec.densities[0], 0)
         assert trial.views() is trial.views()
         assert trial.selections("fnbp") is trial.selections("fnbp")
         assert trial.advertised_topology("fnbp") is trial.advertised_topology("fnbp")
 
     def test_sampling_helpers(self):
-        config = smoke_config("bandwidth")
-        trial = build_trial(config, BandwidthMetric(), config.densities[0], 0)
+        spec = figure_spec(6, "smoke")
+        trial = build_trial(spec, BandwidthMetric(), spec.densities[0], 0)
         nodes = trial.sample_nodes(5, "test")
         assert len(nodes) == min(5, len(trial.network))
         assert set(nodes) <= set(trial.network.nodes())
@@ -169,19 +173,20 @@ class TestTrialsAndSweeps:
         assert all(s != d for s, d in pairs)
 
     def test_ans_size_experiment_produces_a_full_grid(self):
-        config = smoke_config("bandwidth")
-        result = run_ans_size_experiment(config, BandwidthMetric(), experiment_id="fig6-test")
-        assert set(result.series) == set(config.selectors)
+        spec = figure_spec(6, "smoke").with_overrides(experiment_id="fig6-test")
+        result = run_experiment(spec)
+        assert set(result.series) == set(spec.selectors)
         for series in result.series.values():
-            assert [point.density for point in series.points] == list(config.densities)
+            assert [point.density for point in series.points] == list(spec.densities)
             for point in series.points:
                 assert point.summary.count > 0
                 assert point.summary.mean >= 0.0
 
     def test_overhead_experiment_produces_bounded_overheads(self):
-        config = smoke_config("delay")
-        result = run_overhead_experiment(config, DelayMetric(), experiment_id="fig9-test")
-        assert set(result.series) == set(config.selectors)
+        spec = figure_spec(9, "smoke").with_overrides(experiment_id="fig9-test")
+        result = run_experiment(spec)
+        assert result.metric_name == "delay"
+        assert set(result.series) == set(spec.selectors)
         for series in result.series.values():
             for point in series.points:
                 if point.summary.count:
@@ -190,6 +195,5 @@ class TestTrialsAndSweeps:
 
     def test_progress_callback_is_invoked(self):
         messages = []
-        config = smoke_config("bandwidth")
-        run_ans_size_experiment(config, BandwidthMetric(), progress=messages.append)
+        run_experiment(figure_spec(6, "smoke"), sinks=[ProgressSink(messages.append)])
         assert messages and all("density" in message for message in messages)

@@ -355,7 +355,7 @@ class TestWorkerSupervision:
 
         spec = ExperimentSpec.load(EXAMPLE_SPEC)
         with pytest.raises(ValueError, match="on_error"):
-            map_trials(spec.sweep_config(), None, 6.0, lambda t: t, on_error="explode")
+            map_trials(spec, None, 6.0, lambda t: t, on_error="explode")
 
 
 # ---------------------------------------------------------------------- env validation
@@ -536,7 +536,7 @@ class TestKeyboardInterruptExits:
         output = tmp_path / "report.txt"
         output.write_text("previous good report")
         monkeypatch.setattr(
-            figures_cli, "run_figure", lambda *a, **k: (_ for _ in ()).throw(KeyboardInterrupt())
+            figures_cli, "run_experiment", lambda *a, **k: (_ for _ in ()).throw(KeyboardInterrupt())
         )
         exit_code = figures_cli.main(
             ["--figure", "6", "--profile", "smoke", "--quiet", "--output", str(output)]

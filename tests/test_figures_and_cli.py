@@ -6,40 +6,27 @@ import json
 
 import pytest
 
-from repro.experiments import FIGURES, run_all_figures, run_figure, smoke_config
+from repro.experiments import FIGURE_PRESETS, figure_spec, run_experiment
 from repro.experiments.cli import build_parser, main
-from repro.experiments.figures import figure6, figure7, figure8, figure9
 
 
 class TestFigureEntryPoints:
     def test_figure_registry_covers_the_evaluation_section(self):
-        assert set(FIGURES) == {6, 7, 8, 9}
+        assert set(FIGURE_PRESETS) == {6, 7, 8, 9}
 
     def test_figure6_uses_bandwidth_and_figure7_uses_delay(self):
-        result6 = figure6(smoke_config("bandwidth"))
-        result7 = figure7(smoke_config("delay"))
+        result6 = run_experiment(figure_spec(6, "smoke"))
+        result7 = run_experiment(figure_spec(7, "smoke"))
         assert result6.metric_name == "bandwidth"
         assert result7.metric_name == "delay"
         assert result6.experiment_id == "fig6"
         assert result7.experiment_id == "fig7"
 
     def test_figure8_and_figure9_report_overheads(self):
-        result8 = figure8(smoke_config("bandwidth"))
-        result9 = figure9(smoke_config("delay"))
+        result8 = run_experiment(figure_spec(8, "smoke"))
+        result9 = run_experiment(figure_spec(9, "smoke"))
         assert "overhead" in result8.y_label
         assert result9.metric_name == "delay"
-
-    def test_run_figure_by_number_and_unknown_number(self):
-        result = run_figure(6, smoke_config("bandwidth"))
-        assert result.experiment_id == "fig6"
-        with pytest.raises(KeyError):
-            run_figure(3)
-
-    def test_run_all_figures_smoke(self):
-        results = run_all_figures("smoke")
-        assert set(results) == {6, 7, 8, 9}
-        for number, result in results.items():
-            assert result.series, f"figure {number} produced no series"
 
 
 class TestCli:

@@ -127,7 +127,7 @@ class TestStepDeltaDirtySet:
 
 def _fresh_dynamic_trial(generator, spec, metric, run_index: int = 0) -> Trial:
     return Trial(
-        config=spec.sweep_config(),
+        spec=spec,
         metric=metric,
         density=float(len(generator.generate(run_index))),
         run_index=run_index,

@@ -14,14 +14,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import SweepConfig, build_trial, qos_overhead
+from repro.experiments import ExperimentSpec, build_trial, qos_overhead
 from repro.metrics import BandwidthMetric, DelayMetric
 from repro.routing import HopByHopRouter, optimal_route
 from repro.topology import FieldSpec
 
 
-def _config(metric_name: str) -> SweepConfig:
-    return SweepConfig(
+def _config(metric_name: str) -> ExperimentSpec:
+    return ExperimentSpec(
+        experiment_id="paper-claims",
+        title="Paper claims",
+        measure="overhead",
+        metric=metric_name,
         densities=(12.0,),
         runs=2,
         pairs_per_run=6,

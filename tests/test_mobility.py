@@ -337,7 +337,6 @@ class TestDynamicSweepsThroughTheEngine:
         from repro.mobility.measures import _route_stability_trial, _selection_churn_trial
 
         spec = self._spec(pairs_per_run=3)
-        config = spec.sweep_config()
         generator = LinkChurnGenerator(
             field=spec.field,
             node_count=22,
@@ -349,7 +348,7 @@ class TestDynamicSweepsThroughTheEngine:
 
         def fresh_trial() -> Trial:
             return Trial(
-                config=config,
+                spec=spec,
                 metric=BandwidthMetric(),
                 density=22.0,
                 run_index=0,
@@ -370,7 +369,7 @@ class TestDynamicSweepsThroughTheEngine:
         from repro.experiments.runner import build_trial
 
         spec = self._spec()
-        trial = build_trial(spec.sweep_config(), BandwidthMetric(), 22.0, 0)
+        trial = build_trial(spec, BandwidthMetric(), 22.0, 0)
         assert trial.dynamic_topology().network is trial.network
         assert trial.dynamic_topology() is trial.dynamic_topology()
 
@@ -447,8 +446,6 @@ class TestDynamicSweepsThroughTheEngine:
         restored = ExperimentSpec.from_json(spec.to_json())
         assert restored == spec
         assert restored.timesteps == 7 and restored.step_interval == 0.5
-        config = restored.sweep_config()
-        assert config.timesteps == 7 and config.step_interval == 0.5
 
     def test_invalid_time_axis_is_rejected(self):
         with pytest.raises(ValueError):

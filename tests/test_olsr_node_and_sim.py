@@ -1,5 +1,6 @@
-"""Tests for the OLSR node state machine, the event engine, the ideal radio and the full
-protocol simulation (integration: simulated tables must converge to the graph-level truth)."""
+"""Tests for the OLSR node state machine, the event engine, the radio over a lossless
+channel and data delivery through the protocol simulator (integration: simulated tables
+must converge to the graph-level truth)."""
 
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ from repro.core import FnbpSelector
 from repro.baselines import OlsrMprSelector
 from repro.localview import LocalView
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner
-from repro.olsr import DataPacket, OlsrNode, Packet, constants
+from repro.olsr import DataPacket, OlsrNode, Packet
 from repro.olsr.messages import HelloMessage, TcMessage
-from repro.sim import IdealRadio, OlsrSimulation, Simulator
+from repro.protocol import LossModel, LossyRadio, ProtocolSimulator
+from repro.sim.engine import Simulator
 from repro.topology import GridNetworkGenerator, Network
 
 
@@ -64,15 +66,17 @@ class TestSimulatorEngine:
             simulator.run_all(max_events=50)
 
 
-class TestIdealRadio:
+class TestLosslessRadio:
+    """``LossModel(loss_rate=0)`` is the paper's ideal MAC layer."""
+
     def _setup(self, line_network):
         simulator = Simulator()
         received = []
-        radio = IdealRadio(
+        radio = LossyRadio(
             network=line_network,
             simulator=simulator,
             deliver=lambda node, packet: received.append((node, packet)),
-            propagation_delay=0.01,
+            loss_model=LossModel(seed=0, propagation_delay=0.01),
         )
         return simulator, radio, received
 
@@ -80,10 +84,13 @@ class TestIdealRadio:
         simulator, radio, received = self._setup(line_network)
         packet = Packet(message="m", sender=1)
         radio.broadcast(1, packet)
+        simulator.run_until(0.009)
+        assert received == []  # still in flight: the propagation delay holds
         simulator.run_until(1.0)
         assert sorted(node for node, _ in received) == [0, 2]
         assert radio.statistics.broadcasts == 1
         assert radio.statistics.deliveries == 2
+        assert radio.statistics.losses == 0
 
     def test_unicast_requires_a_link(self, line_network):
         simulator, radio, received = self._setup(line_network)
@@ -93,9 +100,9 @@ class TestIdealRadio:
         assert [node for node, _ in received] == [1]
         assert radio.statistics.undeliverable_unicasts == 1
 
-    def test_negative_propagation_delay_rejected(self, line_network):
+    def test_negative_propagation_delay_rejected(self):
         with pytest.raises(ValueError):
-            IdealRadio(line_network, Simulator(), lambda *a: None, propagation_delay=-1.0)
+            LossModel(seed=0, propagation_delay=-1.0)
 
 
 class TestOlsrNode:
@@ -190,47 +197,104 @@ def simulated_grid(delay):
     return network
 
 
-class TestOlsrSimulation:
+def _average_ans_size(simulation) -> float:
+    sets = simulation.ans_sets()
+    return sum(len(selected) for selected in sets.values()) / len(sets)
+
+
+class TestProtocolSimulatorDataDelivery:
+    """Warm-up, converged tables and hop-by-hop data delivery on the 3x3 grid."""
+
     def test_converged_ans_matches_graph_level_selection(self, simulated_grid, delay):
-        simulation = OlsrSimulation(simulated_grid, delay, selector_factory=FnbpSelector, seed=5)
-        simulation.run_until_converged(25.0)
+        simulation = ProtocolSimulator(simulated_grid, delay, selector_name="fnbp", seed=5)
+        simulation.run_until(25.0)
         expected = {
             node: FnbpSelector().select(LocalView.from_network(simulated_grid, node), delay).selected
             for node in simulated_grid.nodes()
         }
         assert simulation.ans_sets() == expected
+        assert simulation.ans_snapshot() == expected
 
     def test_converged_mpr_matches_graph_level_mpr(self, simulated_grid, delay):
         from repro.olsr.mpr import rfc3626_mpr
 
-        simulation = OlsrSimulation(simulated_grid, delay, selector_factory=OlsrMprSelector, seed=5)
-        simulation.run_until_converged(25.0)
+        simulation = ProtocolSimulator(simulated_grid, delay, selector_name="olsr-mpr", seed=5)
+        simulation.run_until(25.0)
         expected = {
             node: rfc3626_mpr(LocalView.from_network(simulated_grid, node))
             for node in simulated_grid.nodes()
         }
         assert simulation.mpr_sets() == expected
+        assert simulation.ans_sets() == {
+            node: OlsrMprSelector().select(LocalView.from_network(simulated_grid, node), delay).selected
+            for node in simulated_grid.nodes()
+        }
 
     def test_data_delivery_follows_reasonable_paths(self, simulated_grid, delay):
-        simulation = OlsrSimulation(simulated_grid, delay, selector_factory=FnbpSelector, seed=5)
-        simulation.run_until_converged(25.0)
+        simulation = ProtocolSimulator(simulated_grid, delay, selector_name="fnbp", seed=5)
+        simulation.run_until(25.0)
         report = simulation.send_data(0, 8)
         assert report.delivered
         assert report.path[0] == 0 and report.path[-1] == 8
-        assert report.hop_count >= 2  # opposite grid corners cannot be adjacent
+        assert report.hop_count == len(report.path) - 1 >= 2  # opposite corners are not adjacent
+        for u, v in zip(report.path, report.path[1:]):
+            assert simulated_grid.has_link(u, v)
+        assert report.value == pytest.approx(
+            delay.path_value(
+                simulated_grid.link_value(u, v, delay) for u, v in zip(report.path, report.path[1:])
+            )
+        )
         assert math.isfinite(report.value)
+        counts = simulation.trace.counts()
+        assert counts["data-originated"] == 1
+        assert counts["data-received"] == report.hop_count
+        assert counts["data-forwarded"] == report.hop_count
 
     def test_control_traffic_is_generated_and_flooded(self, simulated_grid, delay):
-        simulation = OlsrSimulation(simulated_grid, delay, selector_factory=FnbpSelector, seed=5)
-        simulation.run_until_converged(20.0)
+        simulation = ProtocolSimulator(simulated_grid, delay, selector_name="fnbp", seed=5)
+        simulation.run_until(20.0)
         counts = simulation.control_message_counts()
         assert counts["hellos_sent"] > 0
         assert counts["tcs_sent"] > 0
         trace_counts = simulation.trace.counts()
         assert trace_counts.get("hello-sent", 0) == counts["hellos_sent"]
-        assert simulation.average_ans_size() > 0
+        assert _average_ans_size(simulation) > 0
 
     def test_send_data_between_unknown_nodes_raises(self, simulated_grid, delay):
-        simulation = OlsrSimulation(simulated_grid, delay, seed=5)
+        simulation = ProtocolSimulator(simulated_grid, delay, seed=5)
         with pytest.raises(KeyError):
             simulation.send_data(0, 999)
+
+    def test_send_data_to_self_is_delivered_in_place(self, simulated_grid, delay):
+        simulation = ProtocolSimulator(simulated_grid, delay, seed=5)
+        simulation.run_until(10.0)
+        report = simulation.send_data(4, 4)
+        assert report.delivered and report.path == (4,) and report.hop_count == 0
+        assert report.value == delay.identity
+
+
+def _lossy_reports(network, metric, packets: int = 12):
+    simulation = ProtocolSimulator(
+        network, metric, seed=5, loss_model=LossModel(seed=11, loss_rate=0.5)
+    )
+    simulation.run_until(25.0)
+    return [simulation.send_data(0, 8) for _ in range(packets)]
+
+
+class TestLossyDataDelivery:
+    """Data hops are unicasts over the same seeded lossy channel as control traffic."""
+
+    def test_a_packet_lost_on_a_hop_reports_its_partial_path(self, simulated_grid, delay):
+        reports = _lossy_reports(simulated_grid, delay)
+        lost = [report for report in reports if not report.delivered]
+        assert any(report.delivered for report in reports)
+        assert any(len(report.path) >= 2 for report in lost), "no packet was lost mid-path"
+        for report in lost:
+            assert report.path[0] == 0 and report.path[-1] != 8
+            assert report.hop_count == len(report.path) - 1
+            assert report.value == delay.worst
+            for u, v in zip(report.path, report.path[1:]):
+                assert simulated_grid.has_link(u, v)
+
+    def test_equal_seeds_give_equal_reports(self, simulated_grid, delay):
+        assert _lossy_reports(simulated_grid, delay) == _lossy_reports(simulated_grid, delay)

@@ -31,7 +31,6 @@ import networkx as nx
 import pytest
 
 from repro.experiments import sweep_cli
-from repro.experiments.config import SweepConfig
 from repro.experiments.engine import run_experiment
 from repro.experiments.runner import build_trial
 from repro.experiments.sinks import JsonlSink
@@ -49,7 +48,11 @@ FIELD = FieldSpec(width=400.0, height=400.0, radius=100.0)
 
 
 def _anchor_trial(metric):
-    config = SweepConfig(
+    spec = ExperimentSpec(
+        experiment_id="anchor",
+        title="zero-loss anchor",
+        measure="convergence-time",
+        metric=metric.name,
         densities=(20.0,),
         runs=1,
         topology="churn",
@@ -58,7 +61,7 @@ def _anchor_trial(metric):
         hello_interval=1.0,
         tc_interval=1.0,
     )
-    return build_trial(config, metric, 20.0, 0)
+    return build_trial(spec, metric, 20.0, 0)
 
 
 def _components(network):
@@ -286,7 +289,6 @@ class TestMeasuresThroughTheEngine:
         from repro.protocol.measures import _protocol_trial
 
         spec = _tiny_protocol_spec(selectors=("fnbp",), runs=1, loss_rate=0.0)
-        config = spec.sweep_config()
         generator = LinkChurnGenerator(
             field=spec.field,
             node_count=20,
@@ -296,7 +298,7 @@ class TestMeasuresThroughTheEngine:
             outage_probability=0.0,
         )
         trial = Trial(
-            config=config,
+            spec=spec,
             metric=BandwidthMetric(),
             density=20.0,
             run_index=0,

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.experiments.config import smoke_config
+from repro.experiments.presets import PROFILES, figure_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.registry import (
     ALL_REGISTRIES,
@@ -186,7 +188,7 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="densitise"):
             ExperimentSpec.from_dict(payload)
 
-    def test_numeric_validation_matches_sweep_config(self):
+    def test_numeric_validation_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):
             _spec(densities=())
         with pytest.raises(ValueError):
@@ -194,24 +196,86 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             _spec(weight_low=5.0, weight_high=2.0)
 
-    def test_sweep_config_round_trip(self):
-        config = smoke_config("delay").with_overrides(topology="fixed-count")
-        spec = ExperimentSpec.from_config(
-            config, experiment_id="x", title="t", measure="overhead", metric="delay"
-        )
-        assert spec.sweep_config() == config
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            ("runs", 1.5),
+            ("runs", True),
+            ("seed", "abc"),
+            ("field", [300, 300, 100]),
+            ("field", {"width": 300.0, "depth": 300.0}),
+            ("weight_low", float("nan")),
+            ("weight_high", float("inf")),
+            ("timesteps", 1.5),
+            ("title", None),
+            ("selectors", "fnbp"),
+            ("densities", [10.0, float("nan")]),
+            ("node_sample", 0),
+            ("loss_rate", float("nan")),
+        ],
+    )
+    def test_malformed_values_fail_at_construction_naming_the_field(self, field_name, value):
+        payload = _spec().to_dict()
+        payload[field_name] = value
+        with pytest.raises((ValueError, TypeError)) as excinfo:
+            ExperimentSpec.from_dict(payload)
+        assert field_name in str(excinfo.value)
 
-    def test_with_sweep_config_keeps_identity_fields(self):
-        spec = _spec()
-        narrowed = spec.with_sweep_config(smoke_config("delay"))
-        assert narrowed.experiment_id == spec.experiment_id
-        assert narrowed.measure == spec.measure and narrowed.metric == spec.metric
-        assert narrowed.densities == smoke_config("delay").densities
-        assert narrowed.node_sample == smoke_config("delay").node_sample
+    def test_profile_overrides_keep_identity_fields(self):
+        preset = PRESETS.create("fig9")
+        narrowed = figure_spec(9, "smoke")
+        assert narrowed.experiment_id == preset.experiment_id
+        assert narrowed.measure == preset.measure and narrowed.metric == preset.metric
+        assert narrowed.densities == PROFILES["smoke"]["delay"]["densities"]
+        assert narrowed.node_sample == PROFILES["smoke"]["delay"]["node_sample"]
+        assert figure_spec(9, "paper") == preset
 
     def test_field_accepts_nested_dict(self):
         spec = _spec(field={"width": 250.0, "height": 300.0, "radius": 90.0})
         assert spec.field == FieldSpec(width=250.0, height=300.0, radius=90.0)
+
+
+#: Arbitrary JSON values: scalars of every type (NaN and infinities included), empty and
+#: nested lists and objects.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**6), max_value=10**6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+SPEC_FIELDS = sorted(_spec().to_dict())
+
+
+class TestSpecContract:
+    """``from_dict`` on a valid spec with one field replaced by arbitrary JSON either
+    returns a spec that round-trips or raises an error naming that field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(field_name=st.sampled_from(SPEC_FIELDS), value=JSON_VALUES)
+    @example(field_name="runs", value=1.5)
+    @example(field_name="seed", value="abc")
+    @example(field_name="field", value=[300, 300, 100])
+    @example(field_name="weight_low", value=math.nan)
+    @example(field_name="timesteps", value=1.5)
+    @example(field_name="title", value=None)
+    @example(field_name="selectors", value="fnbp")
+    @example(field_name="runs", value=True)
+    @example(field_name="densities", value=[])
+    @example(field_name="field", value={"width": math.inf})
+    def test_from_dict_validates_or_names_the_field(self, field_name, value):
+        payload = _spec().to_dict()
+        payload[field_name] = value
+        try:
+            spec = ExperimentSpec.from_dict(payload)
+        except (ValueError, TypeError, KeyError) as exc:
+            assert field_name in str(exc), f"{type(exc).__name__}: {exc}"
+        else:
+            assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestPresets:

@@ -272,9 +272,6 @@ class TestSinks:
         messages = []
         run_experiment(spec, sinks=(ProgressSink(messages.append),))
         assert messages and all("density=" in message for message in messages)
-        legacy_messages = []
-        run_experiment(spec, progress=legacy_messages.append)
-        assert legacy_messages == messages
 
     def test_stderr_progress_sink_and_context_manager(self, capsys):
         from repro.experiments.sinks import stderr_progress_sink
