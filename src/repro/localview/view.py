@@ -162,25 +162,35 @@ class LocalView:
 
         ``neighbor_links[v]`` holds the weights of the direct link ``(owner, v)``;
         ``two_hop_links[v][w]`` holds the weights of the link ``(v, w)`` reported by neighbor
-        ``v`` about its own neighbor ``w``.
+        ``v`` about its own neighbor ``w``.  Reports from non-neighbors and reports of
+        links to the owner are ignored; a link reported more than once (by both of its
+        endpoints, say) gets each report's weights in turn, so the last report wins.
         """
+        one_hop, links = _merge_tables(owner, neighbor_links, two_hop_links)
         graph = nx.Graph()
         graph.add_node(owner)
-        one_hop = set(neighbor_links)
-        for neighbor, weights in neighbor_links.items():
-            graph.add_edge(owner, neighbor, **dict(weights))
-        two_hop: Set[NodeId] = set()
-        for neighbor, reported in two_hop_links.items():
-            if neighbor not in one_hop:
-                # Stale report about a node that is no longer a neighbor; ignore it.
-                continue
-            for other, weights in reported.items():
-                if other == owner:
-                    continue
-                graph.add_edge(neighbor, other, **dict(weights))
-                if other not in one_hop:
-                    two_hop.add(other)
+        for (u, v), weights in links.items():
+            graph.add_edge(u, v, **weights)
+        two_hop = set(graph) - one_hop
+        two_hop.discard(owner)
         return cls(owner=owner, one_hop=one_hop, two_hop=two_hop, graph=graph)
+
+    @staticmethod
+    def table_key(
+        owner: NodeId,
+        neighbor_links: Dict[NodeId, Dict[str, float]],
+        two_hop_links: Dict[NodeId, Dict[NodeId, Dict[str, float]]],
+    ) -> tuple:
+        """The view :meth:`from_tables` would build, without building it.
+
+        The owner, the one-hop set and every link with its weights after the merge
+        ``from_tables`` applies.  Two keys compare equal exactly when the two views have
+        the same nodes, links and weights, whatever order the tables listed them in, so a
+        selection computed on one view holds for any table state with an equal key.  The
+        key is a value to compare, not to hash.
+        """
+        one_hop, links = _merge_tables(owner, neighbor_links, two_hop_links)
+        return (owner, one_hop, links)
 
     # ------------------------------------------------------------------ queries
 
@@ -329,3 +339,36 @@ class LocalView:
             f"LocalView(owner={self.owner}, one_hop={len(self.one_hop)}, "
             f"two_hop={len(self.two_hop)}, links={self.graph.number_of_edges()})"
         )
+
+
+def _merge_tables(
+    owner: NodeId,
+    neighbor_links: Dict[NodeId, Dict[str, float]],
+    two_hop_links: Dict[NodeId, Dict[NodeId, Dict[str, float]]],
+) -> Tuple[FrozenSet[NodeId], Dict[Tuple[NodeId, NodeId], Dict[str, float]]]:
+    """The one-hop set and the links of the view built from protocol tables.
+
+    Links are keyed ``(min, max)`` in the order they are first reported; a repeated
+    report updates the first one's weights (networkx's ``add_edge`` rule).  Adding them
+    in this order builds the same graph, node and adjacency order included, as adding
+    every report as it comes: each report has one endpoint already in the graph (the
+    owner or a one-hop neighbor), so the orientation never decides which node comes first.
+    """
+    one_hop = frozenset(neighbor_links)
+    links: Dict[Tuple[NodeId, NodeId], Dict[str, float]] = {}
+    for neighbor, weights in neighbor_links.items():
+        links[(owner, neighbor) if owner <= neighbor else (neighbor, owner)] = dict(weights)
+    for neighbor, reported in two_hop_links.items():
+        if neighbor not in one_hop:
+            # Stale report about a node that is no longer a neighbor; ignore it.
+            continue
+        for other, weights in reported.items():
+            if other == owner:
+                continue
+            key = (neighbor, other) if neighbor <= other else (other, neighbor)
+            merged = links.get(key)
+            if merged is None:
+                links[key] = dict(weights)
+            else:
+                merged.update(weights)
+    return one_hop, links

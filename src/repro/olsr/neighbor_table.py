@@ -2,7 +2,9 @@
 
 Each entry carries an expiry time so that the discrete-event simulation behaves correctly
 when nodes disappear (entries simply age out); the static graph-level experiments never
-expire anything because they query the converged state.
+expire anything because they query the converged state.  An earliest-expiry bound lets
+:meth:`NeighborTable.expire` return at once while no entry can have expired, and the
+MPR-selector set is cached until the table changes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ class NeighborTable:
         self.owner = owner
         self._neighbors: Dict[NodeId, NeighborEntry] = {}
         self._two_hop: Dict[tuple[NodeId, NodeId], TwoHopEntry] = {}
+        # No entry expires before this time (a lower bound, exact after each purge).
+        self._earliest_expiry = math.inf
+        self._mpr_selectors: Optional[FrozenSet[NodeId]] = None
 
     # ------------------------------------------------------------------ updates
 
@@ -63,6 +68,9 @@ class NeighborTable:
             entry.expires_at = max(entry.expires_at, expires_at) if math.isfinite(entry.expires_at) else expires_at
         if is_mpr_selector is not None:
             entry.is_mpr_selector = is_mpr_selector
+        if entry.expires_at < self._earliest_expiry:
+            self._earliest_expiry = entry.expires_at
+        self._mpr_selectors = None
 
     def update_from_hello(
         self,
@@ -100,9 +108,17 @@ class NeighborTable:
                 weights=dict(report.weights),
                 expires_at=expires,
             )
+        if expires < self._earliest_expiry:
+            self._earliest_expiry = expires
 
     def expire(self, now: float) -> None:
-        """Drop every entry whose validity time has passed."""
+        """Drop every entry whose validity time has passed.
+
+        Two-hop entries go with their neighbor's entry.  They are only ever recorded
+        together with it, so while no entry has expired there is nothing to drop.
+        """
+        if self._earliest_expiry > now:
+            return
         self._neighbors = {
             node: entry for node, entry in self._neighbors.items() if entry.expires_at > now
         }
@@ -111,6 +127,11 @@ class NeighborTable:
             for key, entry in self._two_hop.items()
             if entry.expires_at > now and key[0] in self._neighbors
         }
+        self._earliest_expiry = min(
+            min((entry.expires_at for entry in self._neighbors.values()), default=math.inf),
+            min((entry.expires_at for entry in self._two_hop.values()), default=math.inf),
+        )
+        self._mpr_selectors = None
 
     # ------------------------------------------------------------------ queries
 
@@ -122,9 +143,11 @@ class NeighborTable:
 
     def mpr_selectors(self) -> FrozenSet[NodeId]:
         """Neighbors whose last HELLO declared this node as an MPR."""
-        return frozenset(
-            node for node, entry in self._neighbors.items() if entry.is_mpr_selector
-        )
+        if self._mpr_selectors is None:
+            self._mpr_selectors = frozenset(
+                node for node, entry in self._neighbors.items() if entry.is_mpr_selector
+            )
+        return self._mpr_selectors
 
     def two_hop_neighbors(self) -> FrozenSet[NodeId]:
         """Strict two-hop neighbors (excluding the owner and its one-hop neighbors)."""

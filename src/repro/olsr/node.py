@@ -13,13 +13,19 @@ the protocol simulator (:mod:`repro.protocol`) or directly by tests:
 
 Per Moraru & Simplot-Ryl (and the paper), flooding always uses the RFC 3626 MPR set; the
 selector only controls what is *advertised* (and therefore what everyone routes on).
+
+Selection is memoized on the view the tables imply (RFC 3626 recomputes relay sets only
+when the neighborhood changes): :meth:`OlsrNode.current_selection` re-runs the MPR
+heuristic and the selector only when :meth:`LocalView.table_key` differs from the key of
+the last run.  The selectors' results depend only on the view's nodes, links and weights,
+not on the order the tables listed them in, so a memoized pair equals a fresh selection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core.fnbp import FnbpSelector
 from repro.core.selection import AnsSelector
@@ -81,6 +87,8 @@ class OlsrNode:
         self.mpr_set: frozenset[NodeId] = frozenset()
         self.ans_set: frozenset[NodeId] = frozenset()
         self._ansn = 0
+        # (table key, MPR set, advertised set) of the last selection run.
+        self._selection_memo: Optional[tuple] = None
         self._link_weights: Dict[NodeId, Dict[str, float]] = {
             node: dict(weights) for node, weights in (link_weights or {}).items()
         }
@@ -108,11 +116,28 @@ class OlsrNode:
             two_hop_links=self.neighbor_table.two_hop_link_table(),
         )
 
+    def current_selection(self) -> Tuple[FrozenSet[NodeId], FrozenSet[NodeId]]:
+        """The (MPR set, advertised set) the node's current tables imply.
+
+        Memoized on the table key of the view: while the tables describe the same view,
+        the last pair is returned without building the view.  Touches no protocol state.
+        """
+        neighbor_links = self.neighbor_table.neighbor_link_table()
+        two_hop_links = self.neighbor_table.two_hop_link_table()
+        key = LocalView.table_key(self.node_id, neighbor_links, two_hop_links)
+        memo = self._selection_memo
+        if memo is None or memo[0] != key:
+            view = LocalView.from_tables(self.node_id, neighbor_links, two_hop_links)
+            memo = (key, rfc3626_mpr(view), frozenset(self.selector.select(view, self.metric).selected))
+            self._selection_memo = memo
+        return memo[1], memo[2]
+
     def refresh_selection(self) -> None:
-        """Recompute the MPR set (RFC 3626) and the advertised set (pluggable selector)."""
-        view = self.local_view()
-        self.mpr_set = rfc3626_mpr(view)
-        self.ans_set = frozenset(self.selector.select(view, self.metric).selected)
+        """Recompute the MPR set (RFC 3626) and the advertised set (pluggable selector).
+
+        The ANSN advances on every refresh, whether or not the sets changed.
+        """
+        self.mpr_set, self.ans_set = self.current_selection()
         self._ansn += 1
 
     # ------------------------------------------------------------------ message generation

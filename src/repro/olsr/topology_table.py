@@ -4,13 +4,18 @@ Each TC from an originator ``o`` advertises links ``(o, s)`` towards the nodes `
 selected ``o`` (its advertised/MPR selectors), together with their QoS in the QOLSR
 extension.  The union of the freshest such announcements is the partial topology every node
 routes on.
+
+Entries are kept in one insertion-ordered dict (routing reads them in that order).  An
+originator -> selectors index lets a newer announcement delete just that originator's
+entries, and an earliest-expiry bound lets :meth:`TopologyTable.expire` return at once
+while no entry can have expired.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 import networkx as nx
 
@@ -36,34 +41,56 @@ class TopologyTable:
         self.owner = owner
         self._entries: Dict[Tuple[NodeId, NodeId], TopologyEntry] = {}
         self._latest_ansn: Dict[NodeId, int] = {}
+        # originator -> the selectors it has entries for (the keys of its entries).
+        self._selectors: Dict[NodeId, Set[NodeId]] = {}
+        # No entry expires before this time (a lower bound, exact after each purge).
+        self._earliest_expiry = math.inf
 
     # ------------------------------------------------------------------ updates
 
     def update_from_tc(self, tc: TcMessage, now: float = 0.0, hold_time: float = math.inf) -> bool:
         """Process a TC message.  Returns False when it was stale and ignored."""
-        latest = self._latest_ansn.get(tc.originator)
+        originator = tc.originator
+        latest = self._latest_ansn.get(originator)
         if latest is not None and tc.ansn < latest:
             return False
+        entries = self._entries
+        selectors = self._selectors.setdefault(originator, set())
         if latest is None or tc.ansn > latest:
-            # Newer announcement: forget everything previously advertised by this originator.
-            self._entries = {
-                key: entry for key, entry in self._entries.items() if key[0] != tc.originator
-            }
-            self._latest_ansn[tc.originator] = tc.ansn
+            # Newer announcement: forget everything previously advertised by this
+            # originator.  Other entries keep their places; the new ones go last.
+            for selector in selectors:
+                del entries[(originator, selector)]
+            selectors.clear()
+            self._latest_ansn[originator] = tc.ansn
         expires = now + hold_time if math.isfinite(hold_time) else math.inf
         for link in tc.advertised:
-            self._entries[(tc.originator, link.selector)] = TopologyEntry(
-                originator=tc.originator,
+            entries[(originator, link.selector)] = TopologyEntry(
+                originator=originator,
                 selector=link.selector,
                 weights=dict(link.weights),
                 ansn=tc.ansn,
                 expires_at=expires,
             )
+            selectors.add(link.selector)
+        if expires < self._earliest_expiry:
+            self._earliest_expiry = expires
         return True
 
     def expire(self, now: float) -> None:
         """Drop entries whose validity time has passed."""
-        self._entries = {key: entry for key, entry in self._entries.items() if entry.expires_at > now}
+        if self._earliest_expiry > now:
+            return
+        kept: Dict[Tuple[NodeId, NodeId], TopologyEntry] = {}
+        earliest = math.inf
+        for key, entry in self._entries.items():
+            if entry.expires_at > now:
+                kept[key] = entry
+                earliest = min(earliest, entry.expires_at)
+            else:
+                self._selectors[key[0]].discard(key[1])
+        self._entries = kept
+        self._earliest_expiry = earliest
 
     # ------------------------------------------------------------------ queries
 

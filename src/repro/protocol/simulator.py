@@ -33,10 +33,12 @@ is recorded for the convergence measures, and the agents discover the change the
 protocol way -- missed HELLOs, expiring entries, re-flooded TCs.
 
 Determinism: every draw (jitter, loss, delay) derives from the constructor ``seed``
-through pure :func:`~repro.utils.seeding.spawn_rng` labels, event ties break by
-insertion order, and neighbor iteration is sorted -- equal seeds give bit-identical
-runs in any process (the serial-vs-``REPRO_WORKERS`` contract of the measures built on
-top, see :mod:`repro.protocol.measures`).
+through pure :func:`~repro.utils.seeding.spawn_rng` labels (computed by
+:class:`~repro.utils.seeding.DerivedDraws`, which gives the same numbers without
+building a generator per draw), event ties break by insertion order, and neighbor
+iteration is sorted -- equal seeds give bit-identical runs in any process (the
+serial-vs-``REPRO_WORKERS`` contract of the measures built on top, see
+:mod:`repro.protocol.measures`).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from repro.protocol.trace import EventTrace
 from repro.sim.engine import Simulator
 from repro.topology.network import Network
 from repro.utils.ids import NodeId
-from repro.utils.seeding import derive_seed, spawn_rng
+from repro.utils.seeding import DerivedDraws, derive_seed
 from repro.utils.validation import require_positive
 
 #: Fraction of the period used as the maximum emission jitter (RFC 3626 recommends
@@ -103,6 +105,7 @@ class ProtocolSimulator:
         self.loss_model = (
             loss_model if loss_model is not None else LossModel(seed=derive_seed(seed, "loss-model"))
         )
+        self._draws = DerivedDraws(seed)
         self.simulator = Simulator()
         self.trace = EventTrace()
         self.neighbor_hold_time = HOLD_PERIODS * hello_interval
@@ -137,7 +140,8 @@ class ProtocolSimulator:
     # ------------------------------------------------------------------ timers
 
     def _jitter(self, label: str, node_id: NodeId, index: int, interval: float) -> float:
-        return spawn_rng(self.seed, label, node_id, index).uniform(0.0, JITTER_FRACTION * interval)
+        # spawn_rng(seed, label, node_id, index).uniform(0, JITTER_FRACTION * interval)
+        return self._draws.uniform((label, node_id), index, 0.0, JITTER_FRACTION * interval)
 
     def _schedule_hello(self, node_id: NodeId, index: int) -> None:
         at = index * self.hello_interval + self._jitter("hello-jitter", node_id, index, self.hello_interval)
@@ -188,9 +192,7 @@ class ProtocolSimulator:
         self._triggered_pending.add(node_id)
         count = self._trigger_counts.get(node_id, 0)
         self._trigger_counts[node_id] = count + 1
-        delay = spawn_rng(self.seed, "trigger-jitter", node_id, count).uniform(
-            0.0, JITTER_FRACTION * self.hello_interval
-        )
+        delay = self._jitter("trigger-jitter", node_id, count, self.hello_interval)
 
         def emit() -> None:
             self._triggered_pending.discard(node_id)
@@ -265,15 +267,13 @@ class ProtocolSimulator:
         """The advertised set each node's *current tables* imply (non-mutating probe).
 
         Unlike :meth:`ans_sets` this does not depend on where each node is in its HELLO
-        period: it runs the selector on every node's table-derived local view without
-        touching protocol state, so observations at window boundaries see the tables as
-        they are, not as they were at the last periodic refresh.
+        period: it selects on every node's table-derived local view without touching
+        protocol state, so observations at window boundaries see the tables as they are,
+        not as they were at the last periodic refresh.  The selection is the node's
+        memoized :meth:`~repro.olsr.node.OlsrNode.current_selection`, so the selector
+        only runs where the tables changed since the node last selected.
         """
-        snapshot: Dict[NodeId, FrozenSet[NodeId]] = {}
-        for node_id, node in self.nodes.items():
-            view = node.local_view()
-            snapshot[node_id] = frozenset(node.selector.select(view, node.metric).selected)
-        return snapshot
+        return {node_id: node.current_selection()[1] for node_id, node in self.nodes.items()}
 
     def ans_sets(self) -> Dict[NodeId, FrozenSet[NodeId]]:
         """Every node's advertised set as of its last selection refresh."""
@@ -310,7 +310,8 @@ class ProtocolSimulator:
         from a routing table recomputed on the spot (as in :meth:`next_hops`); the
         simulation then runs ``settle_delay`` time units, periodic traffic included.  A
         packet lost or dropped on the way reports ``delivered=False`` with the path it
-        covered.
+        covered.  A packet addressed to its own source is received there at once, and
+        nothing is transmitted.
         """
         if source not in self.nodes or destination not in self.nodes:
             raise KeyError(f"source {source!r} and destination {destination!r} must be simulated nodes")
@@ -321,7 +322,10 @@ class ProtocolSimulator:
             return DeliveryReport(source, destination, False, (source,), self.metric.worst, 0)
         packet_id = packet.message.identifier
         self.trace.record(self.simulator.now, "data-originated", source, packet_id=packet_id)
-        self._forward_data(source, packet)
+        if destination == source:
+            self._deliver(source, packet)
+        else:
+            self._forward_data(source, packet)
         self.run_until(self.simulator.now + settle_delay)
 
         path = tuple(self.trace.data_packet_path(packet_id))

@@ -5,6 +5,9 @@ is its Python counterpart: a time-ordered event queue and nothing else.  Events 
 callables scheduled at absolute times; ties are broken by insertion order so runs are fully
 deterministic.
 
+The queue is a heap of ``(time, order, handle)`` tuples.  ``order`` is unique, so the heap
+compares tuples of two numbers in C and never reaches the handle or its callback.
+
 Cancellation is lazy: a cancelled event stays in the heap (marked dead) until it bubbles to
 the front or until cancelled events outnumber live ones, at which point the queue is
 compacted in one pass.  A live-event counter keeps :meth:`Simulator.pending_events` O(1)
@@ -16,17 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
-
-
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    order: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    executed: bool = field(default=False, compare=False)
+from typing import Callable, List, Tuple
 
 
 class EventCancelled(Exception):
@@ -34,33 +27,37 @@ class EventCancelled(Exception):
 
 
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`, usable to cancel the event."""
+    """Handle returned by :meth:`Simulator.schedule_at`, usable to cancel the event."""
 
-    def __init__(self, event: _ScheduledEvent, simulator: "Simulator"):
-        self._event = event
+    __slots__ = ("_time", "_callback", "_simulator", "_cancelled", "_executed")
+
+    def __init__(self, time: float, callback: Callable[[], None], simulator: "Simulator"):
+        self._time = time
+        self._callback = callback
         self._simulator = simulator
+        self._cancelled = False
+        self._executed = False
 
     def cancel(self) -> None:
-        event = self._event
-        if event.cancelled or event.executed:
+        if self._cancelled or self._executed:
             return
-        event.cancelled = True
+        self._cancelled = True
         self._simulator._on_cancel()
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._cancelled
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self._time
 
 
 class Simulator:
     """Time-ordered execution of scheduled callbacks."""
 
     def __init__(self) -> None:
-        self._queue: List[_ScheduledEvent] = []
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._order = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -82,10 +79,10 @@ class Simulator:
         """Schedule ``callback`` at absolute time ``time`` (not before the current time)."""
         if math.isnan(time) or time < self._now:
             raise ValueError(f"cannot schedule in the past (now={self._now}, requested={time})")
-        event = _ScheduledEvent(time=time, order=next(self._order), callback=callback)
-        heapq.heappush(self._queue, event)
+        handle = EventHandle(time, callback, self)
+        heapq.heappush(self._queue, (time, next(self._order), handle))
         self._live += 1
-        return EventHandle(event, self)
+        return handle
 
     def schedule_in(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` after ``delay`` time units."""
@@ -97,28 +94,30 @@ class Simulator:
 
     def run_until(self, end_time: float) -> None:
         """Execute every event scheduled strictly up to and including ``end_time``."""
-        while self._queue and self._queue[0].time <= end_time:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue  # compaction rewrites it in place, so this stays the queue
+        while queue and queue[0][0] <= end_time:
+            time, _, event = heapq.heappop(queue)
+            if event._cancelled:
                 continue
             self._live -= 1
-            event.executed = True
-            self._now = event.time
-            event.callback()
+            event._executed = True
+            self._now = time
+            event._callback()
             self._processed += 1
         self._now = max(self._now, end_time)
 
     def run_all(self, max_events: int = 1_000_000) -> None:
         """Execute events until the queue drains (bounded by ``max_events`` as a safety net)."""
         executed = 0
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            time, _, event = heapq.heappop(queue)
+            if event._cancelled:
                 continue
             self._live -= 1
-            event.executed = True
-            self._now = event.time
-            event.callback()
+            event._executed = True
+            self._now = time
+            event._callback()
             self._processed += 1
             executed += 1
             if executed >= max_events:
@@ -135,6 +134,7 @@ class Simulator:
         # Compact once dead events outnumber live ones, so a long run that schedules and
         # cancels heavily (e.g. protocol timers being refreshed) cannot keep every dead
         # event resident until its timestamp is reached.
-        if len(self._queue) > 8 and len(self._queue) - self._live > self._live:
-            self._queue = [event for event in self._queue if not event.cancelled]
-            heapq.heapify(self._queue)
+        queue = self._queue
+        if len(queue) > 8 and len(queue) - self._live > self._live:
+            queue[:] = [entry for entry in queue if not entry[2]._cancelled]
+            heapq.heapify(queue)

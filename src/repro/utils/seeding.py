@@ -4,15 +4,36 @@ Every stochastic element of the reproduction (node deployment, link weight draws
 source/destination sampling, per-run repetitions) derives its generator from a single
 experiment seed through :func:`derive_seed`, so whole density sweeps are reproducible
 bit-for-bit while individual runs remain statistically independent.
+
+Hot loops that need one number per derived generator (the protocol simulator's loss,
+delay and jitter draws) use :class:`DerivedDraws`, which returns exactly what
+:func:`spawn_rng` would without building a generator per draw.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 _MASK_63 = (1 << 63) - 1
+
+
+def _hasher(base_seed: int, components: Iterable[object]):
+    """The SHA-256 state :func:`derive_seed` digests, after ``base_seed`` and ``components``."""
+    hasher = hashlib.sha256()
+    hasher.update(str(int(base_seed)).encode("utf-8"))
+    _extend(hasher, components)
+    return hasher
+
+
+def _extend(hasher, components: Iterable[object]) -> None:
+    for component in components:
+        hasher.update(b"\x1f" + repr(component).encode("utf-8"))
+
+
+def _seed_of(hasher) -> int:
+    return int.from_bytes(hasher.digest()[:8], "big") & _MASK_63
 
 
 def derive_seed(base_seed: int, *components: object) -> int:
@@ -22,12 +43,7 @@ def derive_seed(base_seed: int, *components: object) -> int:
     that nearby base seeds or labels do not produce correlated child seeds (as they would
     with simple arithmetic mixing).
     """
-    hasher = hashlib.sha256()
-    hasher.update(str(int(base_seed)).encode("utf-8"))
-    for component in components:
-        hasher.update(b"\x1f")
-        hasher.update(repr(component).encode("utf-8"))
-    return int.from_bytes(hasher.digest()[:8], "big") & _MASK_63
+    return _seed_of(_hasher(base_seed, components))
 
 
 def make_rng(seed: Optional[int]) -> random.Random:
@@ -38,3 +54,42 @@ def make_rng(seed: Optional[int]) -> random.Random:
 def spawn_rng(base_seed: int, *components: object) -> random.Random:
     """Return an independent generator derived from ``base_seed`` and ``components``."""
     return random.Random(derive_seed(base_seed, *components))
+
+
+class DerivedDraws:
+    """One number from each derived generator, without building the generator.
+
+    ``draws.random(prefix, last)`` equals ``spawn_rng(base_seed, *prefix, last).random()``
+    bit for bit, and :meth:`uniform` likewise equals ``.uniform(low, high)``.  The hash
+    state after ``base_seed`` and each distinct ``prefix`` is kept, so a draw hashes only
+    ``last`` on a copy of it, and one generator owned by the instance is reseeded with the
+    derived seed instead of constructing a new one.  Reseeding (Mersenne Twister
+    initialisation) is most of what a draw still costs.
+    """
+
+    __slots__ = ("_root", "_prefixes", "_rng")
+
+    def __init__(self, base_seed: int) -> None:
+        self._root = _hasher(base_seed, ())
+        self._prefixes: Dict[Tuple[object, ...], object] = {}
+        self._rng = random.Random()
+
+    def _seeded(self, prefix: Tuple[object, ...], last: object) -> random.Random:
+        state = self._prefixes.get(prefix)
+        if state is None:
+            state = self._root.copy()
+            _extend(state, prefix)
+            self._prefixes[prefix] = state
+        hasher = state.copy()
+        _extend(hasher, (last,))
+        rng = self._rng
+        rng.seed(_seed_of(hasher))
+        return rng
+
+    def random(self, prefix: Tuple[object, ...], last: object) -> float:
+        """``spawn_rng(base_seed, *prefix, last).random()``."""
+        return self._seeded(prefix, last).random()
+
+    def uniform(self, prefix: Tuple[object, ...], last: object, low: float, high: float) -> float:
+        """``spawn_rng(base_seed, *prefix, last).uniform(low, high)``."""
+        return self._seeded(prefix, last).uniform(low, high)

@@ -272,6 +272,16 @@ class TestProtocolSimulatorDataDelivery:
         assert report.delivered and report.path == (4,) and report.hop_count == 0
         assert report.value == delay.identity
 
+    def test_send_data_to_self_is_traced_and_counted_as_a_delivery(self, simulated_grid, delay):
+        simulation = ProtocolSimulator(simulated_grid, delay, seed=5)
+        simulation.run_until(10.0)
+        assert simulation.send_data(4, 4).delivered
+        data_events = [(event.kind, event.node) for event in simulation.trace if event.kind.startswith("data-")]
+        assert data_events == [("data-originated", 4), ("data-received", 4)]
+        statistics = simulation.nodes[4].statistics
+        assert (statistics.data_delivered, statistics.data_dropped) == (1, 0)
+        assert sum(node.statistics.data_delivered for node in simulation.nodes.values()) == 1
+
 
 def _lossy_reports(network, metric, packets: int = 12):
     simulation = ProtocolSimulator(

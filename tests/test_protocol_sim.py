@@ -268,6 +268,25 @@ class TestProtocolBehaviour:
         with pytest.raises(ValueError):
             LossModel(seed=1, propagation_delay=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("propagation_delay", float("nan"), ValueError),
+            ("delay_jitter", float("nan"), ValueError),
+            ("propagation_delay", float("inf"), ValueError),
+            ("delay_jitter", float("inf"), ValueError),
+            ("seed", "x", TypeError),
+            ("seed", 2.7, TypeError),
+            ("seed", True, TypeError),
+        ],
+    )
+    def test_loss_model_rejects_non_finite_delays_and_non_int_seeds(self, field, value, error):
+        # Each of these used to construct: NaN delays failed later as a scheduling error,
+        # an infinite delay never delivered, and non-int seeds drew like int(seed) or
+        # failed at the first draw.
+        with pytest.raises(error, match=field):
+            LossModel(**{"seed": 1, field: value})
+
 
 class TestMeasuresThroughTheEngine:
     @pytest.mark.parametrize("measure", ["convergence-time", "advertised-staleness", "route-flaps"])
