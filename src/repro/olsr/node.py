@@ -122,12 +122,11 @@ class OlsrNode:
         Memoized on the table key of the view: while the tables describe the same view,
         the last pair is returned without building the view.  Touches no protocol state.
         """
-        neighbor_links = self.neighbor_table.neighbor_link_table()
-        two_hop_links = self.neighbor_table.two_hop_link_table()
-        key = LocalView.table_key(self.node_id, neighbor_links, two_hop_links)
+        table = self.neighbor_table
+        key = LocalView.table_key(self.node_id, table.neighbor_link_table(), table.two_hop_link_table())
         memo = self._selection_memo
         if memo is None or memo[0] != key:
-            view = LocalView.from_tables(self.node_id, neighbor_links, two_hop_links)
+            view = self.local_view()
             memo = (key, rfc3626_mpr(view), frozenset(self.selector.select(view, self.metric).selected))
             self._selection_memo = memo
         return memo[1], memo[2]

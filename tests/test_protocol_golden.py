@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 from typing import List
 
@@ -163,8 +164,6 @@ def test_tiny_protocol_sweep_streams_the_golden_bytes(golden, tmp_path, measure)
 
 
 def _write_golden() -> None:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as scratch:
         data = {
             "direct": {
