@@ -82,15 +82,13 @@ class TopologyTable:
         if self._earliest_expiry > now:
             return
         kept: Dict[Tuple[NodeId, NodeId], TopologyEntry] = {}
-        earliest = math.inf
         for key, entry in self._entries.items():
             if entry.expires_at > now:
                 kept[key] = entry
-                earliest = min(earliest, entry.expires_at)
             else:
                 self._selectors[key[0]].discard(key[1])
         self._entries = kept
-        self._earliest_expiry = earliest
+        self._earliest_expiry = min((entry.expires_at for entry in kept.values()), default=math.inf)
 
     # ------------------------------------------------------------------ queries
 
