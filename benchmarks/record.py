@@ -182,10 +182,10 @@ def record_mobility(rounds: int) -> dict:
 
     * ``clustered`` (the headline ``incremental_speedup``): 10% of nodes mobile (a static
       mesh serving mobile clients) -- changes localize, most views keep their caches, the
-      batched affected-view rebuild carries the win;
-    * ``full``: every node mobile -- a step touches most neighborhoods, the driver falls
-      back to one wholesale batched view rebuild, and the (smaller) win is skipping the
-      network regeneration and per-link weight redraws.
+      affected-view rebuild carries the win;
+    * ``full``: every node mobile -- a step touches most neighborhoods, so most views are
+      rebuilt (cheap CSR-native views), and the (smaller) win is skipping the network
+      regeneration and per-link weight redraws.
     """
     metric = BandwidthMetric()
     steps = 5
@@ -360,14 +360,12 @@ def record_csr_kernels(rounds: int) -> dict:
     """Network-wide first-hop solves: per-view scalar solvers vs the batched CSR kernels.
 
     One timed round produces every owner's all-targets first-hop sets on the dense
-    benchmark network, starting from cold solver caches each time (the views
-    themselves are pre-built once -- the adjacency bookkeeping is shared by both
-    paths).  The scalar round rebuilds every view's compact graph and runs the
-    per-view solvers (that per-link re-extraction cost is exactly what the shared
-    CSR eliminates); the batched round builds one :class:`NetworkGraph` from
-    scratch, attaches the views and primes them through the stacked numpy kernels
-    (:func:`prime_first_hops`).  Both sides' results are asserted equal before
-    timing.
+    benchmark network, starting from cold solver caches each time.  The scalar round
+    runs on detached views built once up front: it rebuilds every view's compact graph
+    and runs the per-view solvers (that per-link re-extraction cost is exactly what the
+    shared CSR eliminates).  The batched round builds a fresh :class:`NetworkGraph` and
+    views attached to it and primes them through the stacked numpy kernels
+    (:func:`prime_first_hops`).  Both sides' results are asserted equal before timing.
     """
     from repro.localview import NetworkGraph, prime_first_hops
 
@@ -385,13 +383,10 @@ def record_csr_kernels(rounds: int) -> dict:
             return {view.owner: all_first_hops(view, metric) for view in views}
 
         def batched():
-            for view in views:
-                view._first_hops = {}
             ng = NetworkGraph.from_network(network)
-            for view in views:
-                view.attach_network_graph(ng)
-            prime_first_hops(views, metric)
-            return {view.owner: view._first_hops[token] for view in views}
+            attached = LocalView.all_from_network(network, network_graph=ng)
+            prime_first_hops(attached.values(), metric)
+            return {owner: view._first_hops[token] for owner, view in attached.items()}
 
         if scalar() != batched():
             raise AssertionError(f"batched CSR kernels diverge from scalar ({metric.name})")
@@ -410,16 +405,13 @@ def record_csr_kernels(rounds: int) -> dict:
     return sections
 
 
-def _filtering_round_trip(network, metric, selector_name: str, views: list):
-    """Cold batched selection: fresh shared CSR, views re-attached, caches dropped."""
+def _filtering_round_trip(network, metric, selector_name: str):
+    """Cold batched selection: a fresh shared CSR and fresh views attached to it."""
     from repro.localview import NetworkGraph
 
     ng = NetworkGraph.from_network(network)
-    for view in views:
-        view.invalidate_caches()
-        view.attach_network_graph(ng)
     return make_selector(selector_name).select_all(
-        network, metric, views={view.owner: view for view in views}
+        network, metric, views=LocalView.all_from_network(network, network_graph=ng)
     )
 
 
@@ -431,7 +423,6 @@ def _time_topology_filtering(network, metric, scalar_rounds: int, batched_rounds
     """
     selector = make_selector("topology-filtering")
     scalar_views = list(LocalView.all_from_network(network).values())
-    batched_views = list(LocalView.all_from_network(network).values())
     samples = []
     expected = None
     for _ in range(scalar_rounds):
@@ -447,10 +438,10 @@ def _time_topology_filtering(network, metric, scalar_rounds: int, batched_rounds
     }
 
     def batched():
-        return _filtering_round_trip(network, metric, "topology-filtering", batched_views)
+        return _filtering_round_trip(network, metric, "topology-filtering")
 
     def fnbp():
-        return _filtering_round_trip(network, metric, "fnbp", batched_views)
+        return _filtering_round_trip(network, metric, "fnbp")
 
     if batched() != expected:
         raise AssertionError(f"batched topology filtering diverges from scalar ({metric.name})")
@@ -470,7 +461,7 @@ def record_topology_filtering(rounds: int) -> dict:
 
     A scalar round runs ``TopologyFilteringSelector.select`` on every view of a network
     built without a shared CSR (a networkx RNG reduction per view).  A batched round
-    builds a fresh :class:`NetworkGraph`, attaches the views and runs ``select_all``,
+    builds a fresh :class:`NetworkGraph` and views attached to it and runs ``select_all``,
     which primes every owner's table through :mod:`repro.localview.filtering` (the
     witness table included).  FNBP's batched ``select_all`` is timed the same way as the
     yardstick (``batched_vs_fnbp`` <= 1 means topology filtering is no slower).  Results

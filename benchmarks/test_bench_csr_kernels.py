@@ -36,13 +36,9 @@ def _solve_rounds(metric):
         return {view.owner: all_first_hops(view, metric) for view in views}
 
     def batched():
-        for view in views:
-            view._first_hops = {}
-        ng = NetworkGraph.from_network(network)
-        for view in views:
-            view.attach_network_graph(ng)
-        prime_first_hops(views, metric)
-        return {view.owner: view._first_hops[token] for view in views}
+        attached = LocalView.all_from_network(network, network_graph=NetworkGraph.from_network(network))
+        prime_first_hops(attached.values(), metric)
+        return {owner: view._first_hops[token] for owner, view in attached.items()}
 
     assert scalar() == batched(), "batched CSR kernels diverge from the scalar solvers"
     scalar_s = []
@@ -82,13 +78,11 @@ def _filtering_rounds(metric):
     network = dense_network()
     selector = make_selector("topology-filtering")
     scalar_views = LocalView.all_from_network(network)
-    batched_views = LocalView.all_from_network(network)
 
     def batched():
         ng = NetworkGraph.from_network(network)
-        for view in batched_views.values():
-            view.attach_network_graph(ng)
-        return selector.select_all(network, metric, views=batched_views)
+        views = LocalView.all_from_network(network, network_graph=ng)
+        return selector.select_all(network, metric, views=views)
 
     t0 = time.perf_counter()
     scalar = {owner: selector.select(view, metric) for owner, view in scalar_views.items()}

@@ -9,12 +9,17 @@ merges, ``on_metrics`` emission -- must retain at least 0.90x (<=10%).  Result e
 across all three paths is asserted before timing, so a telemetry change that perturbs
 sweep output fails here too.
 
-Samples are interleaved (direct/off/on per round, min over rounds) so slow-machine
-drift hits every path alike.
+The statistic is the median over rounds of the *paired* per-round ratios (direct time
+over off time, direct over on).  Every round runs all three paths back to back, and the
+order of the three rotates through all six permutations, so slow-machine drift and
+run-order effects hit every path alike and each ratio compares runs taken moments apart;
+the median then discards the rounds a noisy neighbour disturbed.
 """
 
 from __future__ import annotations
 
+import itertools
+import statistics
 import time
 
 from record import _legacy_ans_size_sweep, dispatch_bench_spec
@@ -22,45 +27,46 @@ from record import _legacy_ans_size_sweep, dispatch_bench_spec
 from repro.experiments.engine import run_experiment
 from repro.metrics import BandwidthMetric
 
-ROUNDS = 5
+#: Six rounds per run order (one sweep takes tens of milliseconds).
+ORDERS = tuple(itertools.permutations(("direct", "off", "on")))
+ROUNDS = 6 * len(ORDERS)
 OFF_FLOOR = 0.98
 ON_FLOOR = 0.90
 
 
-def _timings():
-    """(direct_min_s, off_min_s, on_min_s) for the engine-dispatch benchmark sweep."""
+def _median_paired_ratios():
+    """(off, on) throughput vs the direct path: medians of the per-round paired ratios."""
     spec = dispatch_bench_spec()
     metric = BandwidthMetric()
-    direct_result = _legacy_ans_size_sweep(spec, metric)
-    off_result = run_experiment(spec, metrics=False)
-    on_result = run_experiment(spec, metrics=True)
-    assert direct_result.to_dict() == off_result.to_dict() == on_result.to_dict(), (
+    runs = {
+        "direct": lambda: _legacy_ans_size_sweep(spec, metric),
+        "off": lambda: run_experiment(spec, metrics=False),
+        "on": lambda: run_experiment(spec, metrics=True),
+    }
+    results = {name: run() for name, run in runs.items()}  # doubles as the warm-up
+    assert results["direct"].to_dict() == results["off"].to_dict() == results["on"].to_dict(), (
         "telemetry perturbed the sweep results"
     )
 
-    direct_s, off_s, on_s = [], [], []
-    for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        _legacy_ans_size_sweep(spec, metric)
-        direct_s.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_experiment(spec, metrics=False)
-        off_s.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_experiment(spec, metrics=True)
-        on_s.append(time.perf_counter() - t0)
-    return min(direct_s), min(off_s), min(on_s)
+    off_ratios, on_ratios = [], []
+    for round_index in range(ROUNDS):
+        elapsed = {}
+        for name in ORDERS[round_index % len(ORDERS)]:
+            t0 = time.perf_counter()
+            runs[name]()
+            elapsed[name] = time.perf_counter() - t0
+        off_ratios.append(elapsed["direct"] / elapsed["off"])
+        on_ratios.append(elapsed["direct"] / elapsed["on"])
+    return statistics.median(off_ratios), statistics.median(on_ratios)
 
 
 def test_telemetry_overhead_stays_inside_its_floors():
-    direct, off, on = _timings()
-    off_throughput = direct / off
-    on_throughput = direct / on
+    off_throughput, on_throughput = _median_paired_ratios()
     assert off_throughput >= OFF_FLOOR, (
         f"metrics-off engine fell below {OFF_FLOOR:.2f}x of the direct path: "
-        f"direct {direct:.4f}s vs off {off:.4f}s ({off_throughput:.3f}x)"
+        f"median paired ratio {off_throughput:.3f}x over {ROUNDS} rounds"
     )
     assert on_throughput >= ON_FLOOR, (
         f"metrics-on engine fell below {ON_FLOOR:.2f}x of the direct path: "
-        f"direct {direct:.4f}s vs on {on:.4f}s ({on_throughput:.3f}x)"
+        f"median paired ratio {on_throughput:.3f}x over {ROUNDS} rounds"
     )

@@ -21,7 +21,7 @@ Figure 1 example, reproduced in :mod:`repro.papergraphs.figure1`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
 from repro.localview.view import LocalView
@@ -55,6 +55,7 @@ class _QolsrBase(AnsSelector):
             uncovered -= cover[neighbor]
 
         # Phase 2: QoS-aware greedy, variant-specific ranking.
+        direct = view.direct_link_values(metric) if uncovered else None
         while uncovered:
             candidates = [
                 neighbor
@@ -65,7 +66,9 @@ class _QolsrBase(AnsSelector):
                 break
             best = min(
                 candidates,
-                key=lambda neighbor: self._phase_two_key(view, metric, cover, uncovered, neighbor),
+                key=lambda neighbor: self._phase_two_key(
+                    metric.sort_key(direct[neighbor]), len(cover[neighbor] & uncovered), neighbor
+                ),
             )
             mpr.add(best)
             covered_now = cover[best] & uncovered
@@ -89,14 +92,9 @@ class _QolsrBase(AnsSelector):
 
     # ------------------------------------------------------------------ variant hooks
 
-    def _phase_two_key(
-        self,
-        view: LocalView,
-        metric: Metric,
-        cover: Dict[NodeId, Set[NodeId]],
-        uncovered: Set[NodeId],
-        neighbor: NodeId,
-    ) -> Tuple:
+    def _phase_two_key(self, link_quality, coverage: int, neighbor: NodeId) -> Tuple:
+        """Rank of a candidate (smaller is better) from its direct link's sort key and
+        how many still-uncovered two-hop neighbors it covers."""
         raise NotImplementedError
 
     def _phase_two_reason(self) -> str:
@@ -110,9 +108,7 @@ class QolsrMpr1Selector(_QolsrBase):
 
     name = "qolsr-mpr1"
 
-    def _phase_two_key(self, view, metric, cover, uncovered, neighbor):
-        coverage = len(cover[neighbor] & uncovered)
-        link_quality = metric.sort_key(view.direct_link_value(neighbor, metric))
+    def _phase_two_key(self, link_quality, coverage, neighbor):
         return (-coverage, link_quality, neighbor)
 
     def _phase_two_reason(self) -> str:
@@ -126,9 +122,7 @@ class QolsrMpr2Selector(_QolsrBase):
 
     name = "qolsr-mpr2"
 
-    def _phase_two_key(self, view, metric, cover, uncovered, neighbor):
-        coverage = len(cover[neighbor] & uncovered)
-        link_quality = metric.sort_key(view.direct_link_value(neighbor, metric))
+    def _phase_two_key(self, link_quality, coverage, neighbor):
         return (link_quality, -coverage, neighbor)
 
     def _phase_two_reason(self) -> str:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core import selection
 from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
@@ -116,26 +116,31 @@ class FnbpSelector(AnsSelector):
         selection.prime_first_hops(views, metric)
 
     def select(self, view: LocalView, metric: Metric) -> SelectionResult:
-        owner = view.owner
         ans: Set[NodeId] = set()
         decisions: List[SelectionDecision] = []
         first_hop_sets = all_first_hops(view, metric)
+        direct_value = view.direct_link_values(metric).__getitem__
+        # First-hop sets repeat across targets: sort each distinct one once.
+        sorted_hops: Dict[FrozenSet[NodeId], Tuple[NodeId, ...]] = {}
 
-        def direct_value(neighbor: NodeId) -> float:
-            return view.direct_link_value(neighbor, metric)
+        def decide(step, target: NodeId) -> SelectionDecision:
+            result = first_hop_sets[target]
+            hops = sorted_hops.get(result.first_hops)
+            if hops is None:
+                hops = sorted_hops[result.first_hops] = tuple(sorted(result.first_hops))
+            detail = (("first_hops", hops), ("best_value", result.best_value))
+            return step(view, metric, ans, target, result, detail, direct_value)
 
         # ---- Step 1: one-hop neighbors -------------------------------------------------
         if self.cover_one_hop:
             for target in sorted(view.one_hop):
-                result = first_hop_sets[target]
-                decisions.append(self._step_one_decision(view, metric, ans, target, result, direct_value))
+                decisions.append(decide(self._step_one_decision, target))
         # ---- Step 2: two-hop neighbors -------------------------------------------------
         for target in sorted(view.two_hop):
-            result = first_hop_sets[target]
-            decisions.append(self._step_two_decision(view, metric, ans, target, result, direct_value))
+            decisions.append(decide(self._step_two_decision, target))
 
         return SelectionResult(
-            owner=owner,
+            owner=view.owner,
             selector_name=self.name,
             metric_name=metric.name,
             selected=frozenset(ans),
@@ -151,16 +156,15 @@ class FnbpSelector(AnsSelector):
         ans: Set[NodeId],
         target: NodeId,
         result: FirstHopResult,
+        detail: tuple,
         direct_value,
     ) -> SelectionDecision:
-        detail = (("first_hops", tuple(sorted(result.first_hops))), ("best_value", result.best_value))
         if not result.reachable:
             # Cannot happen for a genuine one-hop neighbor (the direct link always exists),
             # but guard against inconsistent protocol tables.
             return SelectionDecision(target, None, "unreachable-in-view", detail)
         if result.direct_link_is_optimal():
-            detail = detail + (("relay", target),)
-            return SelectionDecision(target, None, "direct-link-optimal", detail)
+            return SelectionDecision(target, None, "direct-link-optimal", detail + (("relay", target),))
         already = result.first_hops & ans
         if already:
             relay = preferred_neighbor(already, metric, direct_value)
@@ -180,9 +184,9 @@ class FnbpSelector(AnsSelector):
         ans: Set[NodeId],
         target: NodeId,
         result: FirstHopResult,
+        detail: tuple,
         direct_value,
     ) -> SelectionDecision:
-        detail = (("first_hops", tuple(sorted(result.first_hops))), ("best_value", result.best_value))
         if not result.reachable:
             return SelectionDecision(target, None, "unreachable-in-view", detail)
         already = result.first_hops & ans

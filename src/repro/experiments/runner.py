@@ -77,7 +77,7 @@ class Trial:
     # ------------------------------------------------------------------ views
 
     def network_graph(self) -> NetworkGraph:
-        """The trial's shared network-level CSR (built once, windowed by every view).
+        """The trial's shared network-level CSR (built once; every view answers from it).
 
         One flat ``indptr``/``indices`` adjacency plus one numpy weight array per metric
         token for the whole network; the views returned by :meth:`views` attach to it so

@@ -1,7 +1,7 @@
 """Local-view machinery: ``G_u``, best-path solving and first-hop-on-best-path sets."""
 
 from repro.localview.compactgraph import CompactGraph
-from repro.localview.networkgraph import GraphWindow, NetworkGraph
+from repro.localview.networkgraph import NetworkGraph
 from repro.localview.paths import (
     FirstHopResult,
     all_first_hops,
@@ -19,7 +19,6 @@ __all__ = [
     "LocalView",
     "CompactGraph",
     "NetworkGraph",
-    "GraphWindow",
     "FirstHopResult",
     "first_hops_to",
     "all_first_hops",

@@ -1,17 +1,9 @@
-"""One shared network-level CSR per trial, windowed by every :class:`LocalView`.
+"""One shared network-level CSR per trial, which every attached :class:`LocalView` answers from.
 
-The compact-graph core (:mod:`repro.localview.compactgraph`) flattens each node's
-two-hop view independently: building all views of a dense trial therefore re-extracts
-every physical link's metric value once *per view that sees it* -- for the paper's dense
-settings that is the same link touched well over a hundred times.  :class:`NetworkGraph`
-hoists the flattening to the network level: the adjacency is laid out **once** as flat
-``indptr``/``indices`` arrays (a classical CSR), and each metric's link values are
-extracted **once per physical link** into one shared numpy array keyed by
-:meth:`Metric.cache_token`.  A :class:`LocalView` attached to the shared graph
-(:meth:`LocalView.attach_network_graph`) no longer owns the numbers its solvers run on --
-its window is a set of *row and slot indices into the parent arrays* (see
-:class:`GraphWindow`), and the batched solver kernels of :mod:`repro.localview.batched`
-stack all owners' windows and expand every frontier together over the shared arrays.
+A per-view graph repeats each link's work once per view that sees it -- well over a
+hundred times in the paper's dense settings.  :class:`NetworkGraph` lays the network out
+**once**: CSR arrays for the batched kernels (:mod:`repro.localview.batched`,
+:mod:`repro.localview.filtering`), a neighbour set per node and one attribute snapshot.
 
 Layout
 ------
@@ -26,41 +18,41 @@ Layout
 * ``slot_edge``  -- int64, slot -> undirected edge id.  Edge ids are assigned in
   lexicographic ``(u, v)`` order (``u < v``), deterministically.
 * ``edge_u``/``edge_v`` -- int64 per-edge endpoint rows (``edge_u < edge_v``).
+* ``rows``       -- node -> frozenset of its neighbours, built as
+  ``frozenset(network.graph.adj[node])`` so a view's ``one_hop`` iterates as a view built
+  from the network would (``Metric.optimum``'s first-wins scans depend on it).
+* ``adjacency``  -- node -> ``{neighbour: attributes}`` in the network's adjacency order,
+  one attribute dict per link shared by both directions: what views build graphs from.
 * per-token weight arrays -- ``edge_values(metric)`` (one float64 per edge) and
   ``slot_values(metric)`` (the same values scattered to slots), built lazily and only
   for metrics the specialized scalar solvers accept (``specialized_kind(metric)`` not
-  None); composite metrics with non-float values are never materialized, so batched
-  callers fall back to the scalar path for them.
+  None), so batched callers fall back to the scalar path for composites.
+  ``value_rows(metric)`` regroups the slot values into one ``{neighbour: value}`` dict
+  per node, lazily: the views' direct-link values.
 
 Ownership and validity contract
 -------------------------------
 
 The graph snapshots the network's link attributes at build time (each attribute dict is
-*copied*), so later mutations of the source network do not leak into already-extracted
-weight arrays: a ``NetworkGraph`` and the views built against the same network state
-stay mutually consistent even if the network moves on (the dynamic driver exploits
-this -- see below).  Two mutation paths keep a shared graph current:
+*copied*), so later mutations of the source network do not leak into it.  Two mutation
+paths keep a shared graph current:
 
-* :meth:`patch_weights` -- weight-only changes on surviving links.  The affected edges'
-  values are re-extracted **in place** into every already-materialized weight array; the
-  CSR index arrays are untouched, so existing :class:`GraphWindow` objects stay current
-  (``version`` is bumped, ``generation`` is not -- previously *solved* results are stale,
-  windows are not).
-* :meth:`rebuild` -- structural changes (links appeared/disappeared).  All arrays are
-  rebuilt from the network; ``generation`` (and ``version``) is bumped, invalidating
-  every outstanding window.
+* :meth:`patch_weights` -- weight-only changes on surviving links.  The links' snapshots
+  are replaced and their values re-extracted **in place** into every materialized weight
+  array; the value rows are dropped, index arrays and neighbour rows are untouched.
+  Views that see a patched link must call :meth:`LocalView.invalidate_caches`, which
+  also drops a graph they built.
+* :meth:`rebuild` -- structural changes.  Everything is rebuilt into *new* containers and
+  ``generation`` is bumped.  A view keeps the rows and snapshot it was built from, so it
+  goes on describing its own state; it stops batching (its ``network_graph()`` is None).
 
 :class:`~repro.mobility.dynamic.DynamicTopology` owns one ``NetworkGraph`` per dynamic
-trial and routes each step's diff through exactly these two paths, mirroring what it
-already does for the per-view caches.  Views never mutate the shared arrays; the
-sanctioned per-view mutation path :meth:`LocalView.update_link` *detaches* the view
-from the shared graph instead (its private measurement diverged from the network), so
-exactly the touched view loses its window and every sibling keeps batching.
+trial and routes each step's diff through exactly these two paths.  Views never mutate
+the shared containers; :meth:`LocalView.update_link` *detaches* the view instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -76,11 +68,8 @@ class NetworkGraph:
     """Flat CSR adjacency of a whole network plus shared per-metric weight arrays."""
 
     def __init__(self, network) -> None:
-        #: Bumped by every mutation (weight patches and rebuilds): results computed
-        #: from the arrays before the bump are stale.
-        self.version = 0
-        #: Bumped by structural rebuilds only: windows cut before the bump no longer
-        #: describe valid rows/slots.
+        #: Bumped by structural rebuilds only: views built before the bump keep the
+        #: previous rows and no longer batch on this graph.
         self.generation = 0
         self._build(network)
 
@@ -92,9 +81,18 @@ class NetworkGraph:
     # ------------------------------------------------------------------ construction
 
     def _build(self, network) -> None:
-        adjacency = network.graph.adj
+        live = network.graph.adj
         nodes: Tuple[NodeId, ...] = tuple(network.nodes())  # sorted by the Network contract
         index = {node: i for i, node in enumerate(nodes)}
+        # One attribute copy per physical link: the views built from it must keep
+        # describing this state while the source network moves on.
+        adjacency: Dict[NodeId, Dict[NodeId, dict]] = {}
+        for node in nodes:
+            row = {}
+            for other, data in live[node].items():
+                seen = adjacency.get(other)
+                row[other] = seen[node] if seen is not None else dict(data)
+            adjacency[node] = row
         indptr: List[int] = [0]
         indices: List[int] = []
         slot_edge: List[int] = []
@@ -103,18 +101,15 @@ class NetworkGraph:
         edge_attrs: List[dict] = []
         edge_id: Dict[Tuple[int, int], int] = {}
         for i, node in enumerate(nodes):
-            row = sorted((index[other], other) for other in adjacency[node])
-            for j, other in row:
+            row = adjacency[node]
+            for j, other in sorted((index[other], other) for other in row):
                 indices.append(j)
                 key = (i, j) if i < j else (j, i)
                 e = edge_id.get(key)
                 if e is None:
                     e = len(edge_attrs)
                     edge_id[key] = e
-                    # Snapshot the attributes: the shared arrays must keep describing
-                    # the network state the attached views were built from, even if the
-                    # source network mutates afterwards.
-                    edge_attrs.append(dict(adjacency[node][other]))
+                    edge_attrs.append(row[other])
                     edge_u.append(key[0])
                     edge_v.append(key[1])
                 slot_edge.append(e)
@@ -126,11 +121,16 @@ class NetworkGraph:
         self.slot_edge = np.asarray(slot_edge, dtype=np.int64)
         self.edge_u = np.asarray(edge_u, dtype=np.int64)
         self.edge_v = np.asarray(edge_v, dtype=np.int64)
+        self.adjacency = adjacency
+        # From the live rows, exactly as a view built from the network takes its one-hop
+        # set: a frozenset's iteration order depends on how it was filled.
+        self.rows: Dict[NodeId, frozenset] = {node: frozenset(live[node]) for node in nodes}
         self._edge_attrs = edge_attrs
         self._edge_id = edge_id
         self._edge_values: Dict[object, np.ndarray] = {}
         self._slot_values: Dict[object, np.ndarray] = {}
         self._sorted_edges: Dict[object, np.ndarray] = {}
+        self._value_rows: Dict[object, Dict[NodeId, Dict[NodeId, float]]] = {}
         self._metrics: Dict[object, Metric] = {}
 
     # ------------------------------------------------------------------ queries
@@ -175,6 +175,26 @@ class NetworkGraph:
             return None
         return self._slot_values[metric.cache_token()]
 
+    def value_rows(self, metric: Metric) -> Optional[Dict[NodeId, Dict[NodeId, float]]]:
+        """``{node: {neighbour: link value}}`` from ``slot_values`` (lazily, per token;
+        None when that is).  Shared by the attached views as their direct values: read-only."""
+        token = metric.cache_token()
+        rows = self._value_rows.get(token)
+        if rows is None:
+            slot_values = self.slot_values(metric)
+            if slot_values is None:
+                return None
+            values = slot_values.tolist()
+            nodes = self.nodes
+            neighbours = [nodes[j] for j in self.indices.tolist()]
+            bounds = self.indptr.tolist()
+            rows = {
+                node: dict(zip(neighbours[bounds[i] : bounds[i + 1]], values[bounds[i] : bounds[i + 1]]))
+                for i, node in enumerate(nodes)
+            }
+            self._value_rows[token] = rows
+        return rows
+
     def sorted_edges(self, metric: Metric) -> Optional[np.ndarray]:
         """Edge ids argsorted best-first by ``metric.sort_key`` (cached per token).
 
@@ -197,50 +217,26 @@ class NetworkGraph:
             self._sorted_edges[token] = order
         return order
 
-    def window(self, owner: NodeId) -> "GraphWindow":
-        """Cut the two-hop window of ``owner`` out of the shared arrays.
-
-        The window holds **indices only** -- member rows and the slots of the rows fully
-        visible to the owner -- and reads weights through the parent at query time, so
-        in-place weight patches are visible without rebuilding the window.
-        """
-        g = self.index[owner]
-        one = self.indices[self.indptr[g] : self.indptr[g + 1]]
-        slots, _ = row_slots(self.indptr, np.concatenate((np.asarray([g], dtype=np.int64), one)))
-        dsts = self.indices[slots]
-        member = np.zeros(len(self.nodes), dtype=bool)
-        member[one] = True
-        member[g] = True
-        two = np.unique(dsts[~member[dsts]])
-        members = np.concatenate((np.asarray([g], dtype=np.int64), one, two))
-        return GraphWindow(
-            parent=self,
-            owner=owner,
-            members=members,
-            one_hop_count=int(one.size),
-            slots=slots,
-            generation=self.generation,
-        )
-
     # ------------------------------------------------------------------ mutation
 
     def patch_weights(self, network, edges: Iterable[Edge]) -> None:
         """Re-extract the values of surviving, reweighted ``edges`` in place.
 
         ``network`` must be the graph's source network with the new attribute values
-        already applied; each edge's attribute snapshot is refreshed and every
-        already-materialized weight array is patched in place (no reallocation, so
-        windows and array references held by the batched kernels stay valid).  Cached
-        Kruskal orders are dropped (relative order may have changed).
+        already applied.  Each edge's snapshot is replaced, every materialized weight
+        array is patched in place (references held by the batched kernels stay valid) and
+        the value rows and cached Kruskal orders are dropped.
         """
-        graph_edges = network.graph.edges
+        live = network.graph.adj
         index = self.index
+        adjacency = self.adjacency
         touched: List[int] = []
         for u, v in edges:
             i, j = index[u], index[v]
-            key = (i, j) if i < j else (j, i)
-            e = self._edge_id[key]
-            self._edge_attrs[e] = dict(graph_edges[u, v])
+            e = self._edge_id[(i, j) if i < j else (j, i)]
+            attrs = dict(live[u][v])
+            self._edge_attrs[e] = attrs
+            adjacency[u][v] = adjacency[v][u] = attrs
             touched.append(e)
         for token, metric in self._metrics.items():
             extract = metric.link_value_from_attributes
@@ -249,18 +245,13 @@ class NetworkGraph:
                 values[e] = extract(self._edge_attrs[e])
             # Refresh the slot scatter in place so outstanding references see the patch.
             self._slot_values[token][:] = values[self.slot_edge]
+        self._value_rows.clear()
         self._sorted_edges.clear()
-        self.version += 1
 
     def rebuild(self, network) -> None:
-        """Rebuild every array from ``network`` after a structural change.
-
-        The object identity is preserved (views and the dynamic driver hold references);
-        ``generation`` is bumped so every window cut before the rebuild reports
-        ``is_current() == False``.
-        """
+        """Rebuild everything from ``network`` after a structural change (same object,
+        new containers: views built before keep describing the old state)."""
         self._build(network)
-        self.version += 1
         self.generation += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -268,44 +259,6 @@ class NetworkGraph:
             f"NetworkGraph(nodes={len(self.nodes)}, edges={self.edge_count()}, "
             f"tokens={len(self._edge_values)}, generation={self.generation})"
         )
-
-
-@dataclass(frozen=True)
-class GraphWindow:
-    """A :class:`LocalView`'s slice of the shared CSR: indices into the parent arrays.
-
-    ``members`` lists global rows as ``[owner] + sorted one-hop + sorted two-hop`` and
-    ``slots`` the CSR slots of the owner's and the one-hop rows (the rows the owner sees
-    *completely*; a two-hop row is only partially visible, its in-window slots already
-    appear among the one-hop rows' slots in the other direction).  The window owns no
-    weights: :meth:`weights` gathers from the parent at call time, which is what makes
-    in-place weight patches (``patch_weights``) visible to existing windows.  A window
-    is invalidated -- :meth:`is_current` turns False -- only by a structural
-    :meth:`NetworkGraph.rebuild`.
-    """
-
-    parent: NetworkGraph
-    owner: NodeId
-    members: np.ndarray
-    one_hop_count: int
-    slots: np.ndarray
-    generation: int
-
-    def is_current(self) -> bool:
-        """True while the parent has not been structurally rebuilt since the cut."""
-        return self.generation == self.parent.generation
-
-    def member_nodes(self) -> List[NodeId]:
-        """The window's node identifiers, owner first."""
-        nodes = self.parent.nodes
-        return [nodes[g] for g in self.members.tolist()]
-
-    def weights(self, metric: Metric) -> Optional[np.ndarray]:
-        """The current per-slot link values of the window (gathered from the parent)."""
-        slot_values = self.parent.slot_values(metric)
-        if slot_values is None:
-            return None
-        return slot_values[self.slots]
 
 
 def row_slots(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -164,7 +164,7 @@ def first_hops_to(view: LocalView, target: NodeId, metric: Metric) -> FirstHopRe
     owner = view.owner
     if target == owner:
         raise ValueError("the owner trivially reaches itself; first hops are undefined")
-    if target not in view.graph:
+    if target not in view:
         return FirstHopResult(target=target, best_value=metric.worst, first_hops=frozenset())
 
     cg = view.compact_graph(metric)
@@ -519,7 +519,7 @@ def prime_first_hops(views: Iterable[LocalView], metric: Metric) -> int:
     token = metric.cache_token()
     groups: Dict[int, Tuple[object, list]] = {}
     for view in views:
-        ng = view._network_graph
+        ng = view.network_graph()
         if ng is None or token in view._first_hops:
             continue
         entry = groups.get(id(ng))

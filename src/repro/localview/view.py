@@ -11,18 +11,24 @@ the paper's Figure 2 illustrates with the invisible link ``(v8, v9)``).
 baselines) takes a :class:`LocalView` as input, which keeps them honest: they can only use
 information a real OLSR node would have.
 
-Views are immutable by default: the selection machinery caches one
-:class:`~repro.localview.compactgraph.CompactGraph` *and* one owner-free
-maximum-bottleneck spanning forest per metric on the view (:meth:`LocalView.compact_graph`
-/ :meth:`LocalView.bottleneck_forest`), and the batch constructor
-(:meth:`LocalView.all_from_network`) shares link-attribute dictionaries between sibling
-views, so callers must treat ``view.graph`` and its edge data as read-only.  The one
-sanctioned mutation path is :meth:`LocalView.update_link` (a node re-measuring one of the
-links it knows about): it un-shares the edge-attribute dictionary before writing, so
-sibling views built in the same batch are unaffected, and drops every derived cache via
-:meth:`LocalView.invalidate_caches`.  Code that mutates ``view.graph`` behind the view's
-back must call :meth:`LocalView.invalidate_caches` itself or the cached solvers will keep
-answering from the pre-mutation snapshot.
+A view *attached* to a shared :class:`~repro.localview.networkgraph.NetworkGraph`
+(:meth:`LocalView.all_from_network` with ``network_graph``) holds its owner, its one- and
+two-hop sets and the graph's neighbour rows and attribute snapshot; every query answers
+from those (a two-hop node's known neighbours are its row intersected with ``one_hop``),
+the batched kernels prime its first hops, and ``view.graph`` is built on first read from
+the snapshot -- never from the live network, which ``DynamicTopology`` mutates in place.
+A *detached* view (:meth:`from_network`, :meth:`from_tables`, the constructor) owns its
+networkx graph.
+
+Views are immutable by default: the selection machinery caches compact graphs, bottleneck
+forests and direct-link values per metric on the view, and sibling views share link
+attribute dictionaries, so callers must treat ``view.graph`` and its edge data as
+read-only.  The one sanctioned mutation path is :meth:`LocalView.update_link` (a node
+re-measuring one of the links it knows about): it un-shares the edge-attribute dictionary
+before writing, drops every derived cache via :meth:`LocalView.invalidate_caches` and
+detaches the view.  Code that mutates ``view.graph`` behind the view's back must call
+:meth:`LocalView.invalidate_caches` itself or the cached solvers will keep answering
+from the pre-mutation snapshot.
 """
 
 from __future__ import annotations
@@ -46,18 +52,25 @@ class LocalView:
         two_hop: Iterable[NodeId],
         graph: nx.Graph,
     ) -> None:
+        self._setup(owner, one_hop, two_hop, graph, None)
+        self._validate()
+
+    def _setup(self, owner, one_hop, two_hop, graph, network_graph) -> None:
         self.owner = owner
         self.one_hop: FrozenSet[NodeId] = frozenset(one_hop)
         self.two_hop: FrozenSet[NodeId] = frozenset(two_hop)
-        self.graph = graph
+        self._graph: Optional[nx.Graph] = graph
+        # An attached view's CSR with its rows and snapshot as of the build (a rebuild
+        # replaces the CSR's, so the view keeps describing its own state); None detached.
+        self._network_graph = network_graph
+        self._rows = None if network_graph is None else network_graph.rows
+        self._adjacency = None if network_graph is None else network_graph.adjacency
+        # Per-metric caches keyed by Metric.cache_token, plus what the batched kernels
+        # primed (first hops, and filtering tables keyed by filtering.table_key).
         self._compact: Dict[object, CompactGraph] = {}
         self._forest: Dict[object, tuple] = {}
-        # Shared network-level CSR backing (set by attach_network_graph) and what the
-        # batched kernels primed on it: first-hop results keyed by metric token, and
-        # topology-filtering tables keyed by repro.localview.filtering.table_key.
-        self._network_graph = None
+        self._direct: Dict[object, Dict[NodeId, float]] = {}
         self._first_hops: Dict[object, object] = {}
-        self._validate()
 
     # ------------------------------------------------------------------ construction
 
@@ -74,82 +87,44 @@ class LocalView:
 
     @classmethod
     def all_from_network(cls, network, network_graph=None) -> Dict[NodeId, "LocalView"]:
-        """Build every node's local view in one pass over the network's adjacency.
+        """Every node's local view, as ``LocalView.from_network`` would build it, cheaply.
 
-        Equivalent to ``{node: LocalView.from_network(network, node) for node in network}``
-        but substantially cheaper: the network adjacency is walked once, and each physical
-        link's attribute dictionary is copied once and *shared* between all the views that
-        see the link (every view of a link's endpoint neighborhood would otherwise take its
-        own copy).  The shared dictionaries are never mutated by the library; treat them as
-        read-only.
-
-        ``network_graph`` (a :class:`~repro.localview.networkgraph.NetworkGraph` built from
-        the same network state) attaches every view to the shared CSR so the batched solver
-        kernels can window it; omitted, the views run the scalar per-view path unchanged.
+        With ``network_graph`` (a :class:`NetworkGraph` of the same network state) every
+        view is attached to it: a few set operations per view and no per-view graph.
+        Without, each physical link's attribute dictionary is copied once and *shared*
+        between the detached views that see it.
         """
+        if network_graph is not None:
+            return {owner: cls._attached(network_graph, owner) for owner in network.nodes()}
         adjacency = network.graph.adj
         shared: Dict[int, dict] = {}
-        views = {
-            owner: cls._from_adjacency(adjacency, owner, shared) for owner in network.nodes()
-        }
-        if network_graph is not None:
-            for view in views.values():
-                view._network_graph = network_graph
-        return views
+        return {owner: cls._from_adjacency(adjacency, owner, shared) for owner in network.nodes()}
 
     @classmethod
-    def from_adjacency(
-        cls,
-        adjacency,
-        owner: NodeId,
-        shared: Optional[Dict[int, dict]] = None,
-        network_graph=None,
-    ) -> "LocalView":
-        """Build one view from a networkx adjacency mapping, sharing attribute copies.
-
-        The batch-rebuild hook of the dynamic-topology driver: pass the same ``shared``
-        dictionary across several calls and each physical link's attribute dictionary is
-        copied once and shared between the views built in the batch, exactly as
-        :meth:`all_from_network` does for a full-network build.  ``network_graph``
-        attaches the view to the shared CSR, as in :meth:`all_from_network`.
-        """
-        view = cls._from_adjacency(adjacency, owner, {} if shared is None else shared)
+    def from_adjacency(cls, adjacency, owner: NodeId, network_graph=None) -> "LocalView":
+        """One view of the state ``adjacency`` describes, as :meth:`all_from_network`
+        builds it: attached to ``network_graph`` if given, else detached."""
         if network_graph is not None:
-            view._network_graph = network_graph
-        return view
+            return cls._attached(network_graph, owner)
+        return cls._from_adjacency(adjacency, owner, {})
 
     @classmethod
     def _from_adjacency(cls, adjacency, owner: NodeId, shared: Dict[int, dict]) -> "LocalView":
-        """Build one view directly from a networkx adjacency mapping.
-
-        ``shared`` caches attribute-dict copies by the identity of the source dict so a
-        batch of views copies each physical link's attributes only once.
-        """
-        owner_row = adjacency[owner]
-        one_hop = frozenset(owner_row)
-        two_hop: Set[NodeId] = set()
-        for neighbor in one_hop:
-            two_hop.update(adjacency[neighbor])
-        two_hop.discard(owner)
-        two_hop -= one_hop
-
-        graph = nx.Graph()
-        graph.add_node(owner)
-        graph.add_nodes_from(one_hop)
-        graph.add_nodes_from(two_hop)
-        graph_adjacency = graph._adj
-        for neighbor in one_hop:
-            row = graph_adjacency[neighbor]
-            for other, data in adjacency[neighbor].items():
-                # Every neighbor of a one-hop node is the owner, one-hop or two-hop, so the
-                # whole row is visible; copy the link attributes once per physical link.
-                copied = shared.get(id(data))
-                if copied is None:
-                    copied = dict(data)
-                    shared[id(data)] = copied
-                row[other] = copied
-                graph_adjacency[other][neighbor] = copied
+        """One detached view; ``shared`` maps source attribute dicts' ids to copies."""
+        one_hop = frozenset(adjacency[owner])
+        two_hop = _two_hop(adjacency, owner, one_hop)
+        graph = _view_graph(adjacency, owner, one_hop, two_hop, shared)
         return cls(owner=owner, one_hop=one_hop, two_hop=two_hop, graph=graph)
+
+    @classmethod
+    def _attached(cls, network_graph, owner: NodeId) -> "LocalView":
+        """The CSR-native view of ``owner``: its sets from the shared rows, no graph yet."""
+        one_hop = network_graph.rows[owner]
+        view = cls.__new__(cls)
+        view._setup(
+            owner, one_hop, _two_hop(network_graph.adjacency, owner, one_hop), None, network_graph
+        )
+        return view
 
     @classmethod
     def from_tables(
@@ -195,9 +170,27 @@ class LocalView:
     # ------------------------------------------------------------------ queries
 
     @property
+    def graph(self) -> nx.Graph:
+        """The view as a networkx graph (an attached view builds it on first read)."""
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = _view_graph(
+                self._adjacency, self.owner, self.one_hop, self.two_hop, None
+            )
+        return graph
+
+    @property
     def nodes(self) -> Set[NodeId]:
         """All nodes the owner knows about (``V_u``)."""
-        return set(self.graph.nodes)
+        if self._rows is None:
+            return set(self.graph.nodes)
+        return {self.owner} | self.one_hop | self.two_hop
+
+    def __contains__(self, node: NodeId) -> bool:
+        """True when the owner knows about ``node`` (it is in ``V_u``)."""
+        if self._rows is None:
+            return node in self.graph
+        return node == self.owner or node in self.one_hop or node in self.two_hop
 
     def known_targets(self) -> list[NodeId]:
         """The owner's one- and two-hop neighbors, sorted (the targets ANS selection covers)."""
@@ -236,91 +229,120 @@ class LocalView:
         return forest
 
     def network_graph(self):
-        """The shared :class:`NetworkGraph` this view windows, or None (scalar-only view)."""
-        return self._network_graph
-
-    def window(self):
-        """This view's :class:`GraphWindow` into the shared CSR (None when detached)."""
-        if self._network_graph is None:
+        """The shared :class:`NetworkGraph` this view answers from, or None when detached
+        or built before the graph's last ``rebuild`` (its arrays no longer describe it)."""
+        network_graph = self._network_graph
+        if network_graph is None or network_graph.rows is not self._rows:
             return None
-        return self._network_graph.window(self.owner)
-
-    def attach_network_graph(self, network_graph) -> None:
-        """(Re-)attach the view to a shared CSR describing the same network state.
-
-        The caller vouches for consistency: the view's links and weights must equal the
-        graph's rows for the owner's two-hop window (true by construction for views the
-        batch constructors attached, and for the dynamic driver's re-attachment after it
-        routed the same change through both the view and the shared arrays).
-        """
-        self._network_graph = network_graph
+        return network_graph
 
     # ------------------------------------------------------------------ mutation
 
     def invalidate_caches(self) -> None:
         """Drop every cached per-metric structure (compact graphs, forests, first hops).
 
-        Must be called after *any* mutation of ``self.graph`` or its edge attributes; the
-        sanctioned mutation path :meth:`update_link` does so automatically.
+        Must be called after *any* mutation of ``self.graph`` or its edge attributes, and
+        on an attached view after a ``patch_weights`` of a link it sees (its graph goes
+        too, rebuilt from the patched snapshot); :meth:`update_link` calls it itself.
         """
         self._compact.clear()
         self._forest.clear()
+        self._direct.clear()
         self._first_hops.clear()
+        if self._rows is not None:
+            self._graph = None
+
+    def _follow(self, network_graph) -> None:
+        """Move onto rebuilt rows that left the owner's neighbourhood (and caches) intact."""
+        self._rows = network_graph.rows
+        self._adjacency = network_graph.adjacency
 
     def update_link(self, u: NodeId, v: NodeId, **weights: float) -> None:
-        """Update the attributes of a known link and drop the derived caches.
+        """Update the attributes of a known link, drop the derived caches and detach.
 
         Models a node re-measuring the QoS of a link it already knows about.  The link's
-        attribute dictionary may be shared with sibling views built by
-        :meth:`all_from_network`; it is replaced by a fresh copy before writing so the
-        update stays local to this view (other nodes only learn of new measurements through
-        the protocol, not through shared memory).
+        attribute dictionary may be shared with sibling views; it is replaced by a fresh
+        copy before writing so the update stays local to this view (other nodes only learn
+        of new measurements through the protocol, not through shared memory).  The view's
+        graph becomes its own state: it no longer matches the shared CSR.
         """
-        if not self.graph.has_edge(u, v):
+        graph = self.graph
+        if not graph.has_edge(u, v):
             raise KeyError(f"node {self.owner} does not know of a link between {u} and {v}")
-        adjacency = self.graph._adj
+        adjacency = graph._adj
         updated = dict(adjacency[u][v])
         updated.update(weights)
         adjacency[u][v] = updated
         adjacency[v][u] = updated
+        self._network_graph = self._rows = self._adjacency = None
         self.invalidate_caches()
-        # The private measurement diverged from the network the shared CSR snapshots, so
-        # exactly this view detaches from it (siblings keep batching); the dynamic
-        # driver re-attaches via attach_network_graph after patching the shared arrays
-        # with the same change.
-        self._network_graph = None
 
     def has_link(self, u: NodeId, v: NodeId) -> bool:
         """True when the owner knows about a link between ``u`` and ``v``."""
-        return self.graph.has_edge(u, v)
+        rows = self._rows
+        if rows is None:
+            return self.graph.has_edge(u, v)
+        return (u in self.one_hop or v in self.one_hop) and v in rows.get(u, ())
 
     def link_value(self, u: NodeId, v: NodeId, metric: Metric) -> float:
         """The weight of the known link ``(u, v)`` under ``metric``."""
-        if not self.graph.has_edge(u, v):
+        if not self.has_link(u, v):
             raise KeyError(f"node {self.owner} does not know of a link between {u} and {v}")
-        return metric.link_value_from_attributes(self.graph.adj[u][v])
+        return metric.link_value_from_attributes(self._links()[u][v])
+
+    def direct_link_values(self, metric: Metric) -> Dict[NodeId, float]:
+        """``{one-hop neighbor: direct-link weight}`` under ``metric`` (cached, read-only):
+        the owner's row of the shared ``value_rows`` when attached, else the attributes."""
+        token = metric.cache_token()
+        values = self._direct.get(token)
+        if values is None:
+            network_graph = self.network_graph()
+            rows = None if network_graph is None else network_graph.value_rows(metric)
+            if rows is not None:
+                values = rows[self.owner]
+            else:
+                extract = metric.link_value_from_attributes
+                owner_row = self._links()[self.owner]
+                values = {neighbor: extract(owner_row[neighbor]) for neighbor in self.one_hop}
+            self._direct[token] = values
+        return values
 
     def direct_link_value(self, neighbor: NodeId, metric: Metric) -> float:
         """The weight of the direct link from the owner to one of its neighbors."""
         if neighbor not in self.one_hop:
             raise KeyError(f"{neighbor} is not a one-hop neighbor of {self.owner}")
-        return self.link_value(self.owner, neighbor, metric)
+        return self.direct_link_values(metric)[neighbor]
 
     def neighbors_of(self, node: NodeId) -> Set[NodeId]:
         """The neighbors of ``node`` *as known by the owner* (a subset of the true set)."""
-        if node not in self.graph:
-            return set()
-        return set(self.graph.neighbors(node))
+        rows = self._rows
+        if rows is None:
+            graph = self.graph
+            return set(graph.neighbors(node)) if node in graph else set()
+        if node == self.owner or node in self.one_hop:
+            return set(rows[node])
+        if node in self.two_hop:
+            return set(rows[node] & self.one_hop)
+        return set()
 
     def common_relays(self, target: NodeId) -> Set[NodeId]:
         """One-hop neighbors ``w`` of the owner such that the path ``owner-w-target`` exists."""
-        return {w for w in self.one_hop if self.graph.has_edge(w, target)}
+        rows = self._rows
+        if rows is None:
+            graph = self.graph
+            return {w for w in self.one_hop if graph.has_edge(w, target)}
+        row = rows.get(target, ())
+        return {w for w in self.one_hop if w in row}
 
     def graph_without_owner(self) -> nx.Graph:
         """The view with the owner removed (used when computing paths that must not revisit it)."""
         return self.graph.subgraph([n for n in self.graph.nodes if n != self.owner])
 
     # ------------------------------------------------------------------ internals
+
+    def _links(self):
+        """Node -> ``{neighbor: link attributes}``: the snapshot, or the view's own graph."""
+        return self.graph.adj if self._rows is None else self._adjacency
 
     def _validate(self) -> None:
         if self.owner in self.one_hop or self.owner in self.two_hop:
@@ -337,8 +359,46 @@ class LocalView:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LocalView(owner={self.owner}, one_hop={len(self.one_hop)}, "
-            f"two_hop={len(self.two_hop)}, links={self.graph.number_of_edges()})"
+            f"two_hop={len(self.two_hop)}, attached={self._rows is not None})"
         )
+
+
+def _two_hop(adjacency, owner: NodeId, one_hop: FrozenSet[NodeId]) -> FrozenSet[NodeId]:
+    """Every neighbor of a one-hop node that is neither the owner nor one hop away.
+
+    Attached and detached views must iterate it, and so build their graphs, in one order;
+    ``set.update`` sizes its table differently for a dict than for the network's adjacency
+    views, so it is fed plain iterators.
+    """
+    two_hop: Set[NodeId] = set()
+    for neighbor in one_hop:
+        two_hop.update(iter(adjacency[neighbor]))
+    two_hop.discard(owner)
+    two_hop -= one_hop
+    return frozenset(two_hop)
+
+
+def _view_graph(adjacency, owner, one_hop, two_hop, shared: Optional[Dict[int, dict]]) -> nx.Graph:
+    """The view's links -- every link of a one-hop row of ``adjacency`` -- as a graph,
+    with attribute dicts copied once per ``shared`` batch, or referenced if it is None."""
+    graph = nx.Graph()
+    graph.add_node(owner)
+    graph.add_nodes_from(one_hop)
+    graph.add_nodes_from(two_hop)
+    graph_adjacency = graph._adj
+    for neighbor in one_hop:
+        row = graph_adjacency[neighbor]
+        # Every neighbor of a one-hop node is the owner, one-hop or two-hop, so the whole
+        # row is visible.
+        for other, data in adjacency[neighbor].items():
+            if shared is not None:
+                copied = shared.get(id(data))
+                if copied is None:
+                    copied = shared[id(data)] = dict(data)
+                data = copied
+            row[other] = data
+            graph_adjacency[other][neighbor] = data
+    return graph
 
 
 def _merge_tables(

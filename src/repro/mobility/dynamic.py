@@ -11,16 +11,17 @@ current one and
 * removes/adds only the changed links on the shared networkx graph (new links get their
   weights from the same pure per-edge assigner draws a full regeneration would use, so the
   incremental network is bit-identical to a from-scratch rebuild);
-* rebuilds only the views whose two-hop neighborhood a structural change touched (the
-  owners ``{u, v} ∪ N(u) ∪ N(v)`` of each flipped link, unioned over the pre- and
-  post-change adjacency);
-* routes pure weight changes through the sanctioned
-  :meth:`LocalView.update_link <repro.localview.view.LocalView.update_link>` mutation path
-  of every view that knows the link, which drops exactly the affected views' caches via
-  ``invalidate_caches``.
+* keeps one shared :class:`~repro.localview.networkgraph.NetworkGraph` in step: a
+  structural change rebuilds it, a pure weight change patches it in place;
+* gives a fresh CSR-native view (a few set operations, no graph) only to the owners whose
+  two-hop neighborhood a structural change touched (the owners ``{u, v} ∪ N(u) ∪ N(v)``
+  of each flipped link, unioned over the pre- and post-change adjacency);
+* drops the caches (``invalidate_caches``) of every other view that sees a reweighted
+  link: the patched CSR already carries the new weights.
 
-Every untouched view keeps its cached compact graphs and bottleneck forests warm across the
-step -- that is the measured speedup of the ``mobility`` section of ``BENCH_selection.json``.
+Every untouched view keeps its cached first hops, compact graphs and bottleneck forests
+warm across the step -- that is the measured speedup of the ``mobility`` section of
+``BENCH_selection.json``.
 
 ``incremental=False`` switches the driver to the naïve baseline -- rebuild the network and
 drop all views every step -- used by the differential tests (both modes must produce
@@ -204,10 +205,8 @@ class DynamicTopology:
         _absorb_link_neighborhoods(graph.adj, reweighted, dirty)
 
         # Bring the shared CSR back in sync with the mutated network before any view
-        # touches it: structural changes invalidate the flat adjacency (rebuild, which
-        # bumps the generation and thereby every outstanding window), while weight-only
-        # steps patch the per-metric weight arrays in place (windows stay current --
-        # they read weights through the parent at solve time).
+        # touches it: structural changes rebuild it (new rows; views built earlier keep
+        # the old ones), weight-only steps patch its snapshot and weight arrays in place.
         ng = self._network_graph
         if ng is not None:
             if added or removed:
@@ -218,31 +217,18 @@ class DynamicTopology:
                     ng.patch_weights(self.network, reweighted)
 
         if self._views is not None:
+            # Updated in place (views() hands out a live dict); views() built ``ng`` first.
             views = self._views
-            if len(affected) * 2 >= len(views):
-                # The step touched most of the network: one batched rebuild (shared
-                # attribute dictionaries, single adjacency pass) beats per-owner rebuilds.
-                # The dict object stays the same -- views() hands out a live mapping and
-                # callers hold on to it across steps.
-                obs.add("mobility.view_wholesale_rebuilds")
-                views.clear()
-                views.update(LocalView.all_from_network(self.network, network_graph=ng))
-            else:
-                obs.add("mobility.views_rebuilt", len(affected))
-                shared: Dict[int, dict] = {}
-                adjacency = graph.adj
-                for owner in affected:
-                    views[owner] = LocalView.from_adjacency(
-                        adjacency, owner, shared, network_graph=ng
-                    )
-                for u, v in reweighted:
-                    overrides = world.weight_overrides[(u, v)]
-                    for owner in ({u, v} | set(graph.adj[u]) | set(graph.adj[v])) - affected:
-                        views[owner].update_link(u, v, **overrides)
-                        # update_link detaches the view from the shared CSR (its caches
-                        # went stale); the CSR was patched above, so re-attach.
-                        if ng is not None:
-                            views[owner].attach_network_graph(ng)
+            obs.add("mobility.views_rebuilt", len(affected))
+            for owner in affected:
+                views[owner] = LocalView.from_adjacency(graph.adj, owner, network_graph=ng)
+            for owner, view in views.items():
+                if owner in affected:
+                    continue
+                if added or removed:
+                    view._follow(ng)  # its neighbourhood is unchanged on the new rows
+                if owner in dirty:  # sees a reweighted link, which the CSR now carries
+                    view.invalidate_caches()
 
         self._edges = target
         return StepDelta(

@@ -18,6 +18,7 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.selection import make_selector
 from repro.experiments.engine import run_experiment
@@ -424,26 +425,73 @@ def _degenerate_networks():
     return shapes
 
 
+@st.composite
+def tie_heavy_networks(draw):
+    """A drawn unit-disk deployment of 1-40 nodes whose weights tie all the time.
+
+    Weights are small integers, so equal path values (and multi-element first-hop sets)
+    are the rule; now and then one is nudged by less than ``rel_tol``, a near-tie that
+    ``Metric.values_equal`` calls equal while the floats differ.
+    """
+    from repro.topology.network import Network
+    from repro.topology.unit_disk import unit_disk_links
+
+    count = draw(st.integers(min_value=1, max_value=40))
+    coordinate = st.integers(min_value=0, max_value=100)
+    positions = {
+        node: (float(draw(coordinate)), float(draw(coordinate))) for node in range(count)
+    }
+    radius = float(draw(st.integers(min_value=12, max_value=25)))
+    weight = st.integers(min_value=1, max_value=4)
+    nudge = st.sampled_from((0.0, 0.0, 0.0, 0.0, 1e-12, 3e-12))
+    network = Network()
+    for node, position in positions.items():
+        network.add_node(node, position)
+    for u, v in sorted(unit_disk_links(positions, radius)):
+        network.add_link(
+            u,
+            v,
+            bandwidth=float(draw(weight)) * (1.0 + draw(nudge)),
+            delay=float(draw(weight)) * (1.0 + draw(nudge)),
+        )
+    return network
+
+
+def _assert_both_paths_agree(network, label):
+    """Scalar per-view selection == batched shared-CSR selection on ``network``, for
+    every registered selector under bandwidth, delay and both composites."""
+    from repro.core.selection import available_selectors
+    from repro.localview.networkgraph import NetworkGraph
+
+    for metric in (BANDWIDTH, DELAY, COMPOSITE, ADDITIVE_COMPOSITE):
+        scalar_views = LocalView.all_from_network(network)
+        ng = NetworkGraph.from_network(network)
+        batched_views = LocalView.all_from_network(network, network_graph=ng)
+        for name in available_selectors():
+            selector = make_selector(name)
+            scalar = {node: selector.select(view, metric) for node, view in scalar_views.items()}
+            batched = selector.select_all(network, metric, views=batched_views)
+            assert scalar == batched, (label, metric.name, name)
+            for node, result in batched.items():
+                assert result.decisions == scalar[node].decisions, (label, metric.name, name, node)
+
+
 class TestDegenerateTopologiesScalarVsBatched:
     @pytest.mark.parametrize("shape", sorted(_degenerate_networks()))
     def test_every_selector_and_metric_agrees_on_both_paths(self, shape):
         """Scalar per-view selection == batched shared-CSR selection on each degenerate
         network, for every registered selector and every metric family."""
-        from repro.core.selection import available_selectors
-        from repro.localview.networkgraph import NetworkGraph
+        _assert_both_paths_agree(_degenerate_networks()[shape], shape)
 
-        network = _degenerate_networks()[shape]
-        for metric in (BANDWIDTH, DELAY, COMPOSITE, ADDITIVE_COMPOSITE):
-            scalar_views = LocalView.all_from_network(network)
-            ng = NetworkGraph.from_network(network)
-            batched_views = LocalView.all_from_network(network, network_graph=ng)
-            for name in available_selectors():
-                selector = make_selector(name)
-                scalar = {
-                    node: selector.select(view, metric) for node, view in scalar_views.items()
-                }
-                batched = selector.select_all(network, metric, views=batched_views)
-                assert scalar == batched, (shape, metric.name, name)
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(network=tie_heavy_networks())
+    def test_every_selector_and_metric_agrees_on_generated_networks(self, network):
+        """The same agreement on drawn networks: sizes 1-40, ties and near-ties."""
+        _assert_both_paths_agree(network, repr(network))
 
     @pytest.mark.parametrize("shape", sorted(_degenerate_networks()))
     def test_first_hop_kernels_agree_on_degenerate_windows(self, shape):

@@ -3,8 +3,8 @@
 networkx caches an ``EdgeView`` on a graph the first time ``graph.edges`` is read, and the
 view points back at the graph.  A dropped graph in that cycle waits for the cyclic garbage
 collector, so the short-lived graphs of the selection and routing hot paths (detached and
-``from_tables`` views, RNG-reduced copies, routing knowledge graphs) would pile up between
-collections.  Each check runs with the collector disabled and requires that no new
+``from_tables`` views, the graphs attached views build on demand, RNG-reduced copies,
+routing knowledge graphs) would pile up between collections.  Each check runs with the collector disabled and requires that no new
 ``EdgeView`` outlives the call.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from networkx.classes.reportviews import EdgeView
 
 from repro.core.selection import make_selector
-from repro.localview import LocalView
+from repro.localview import LocalView, NetworkGraph
 from repro.localview.rng import qos_rng_reduce
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner
 from repro.protocol import ProtocolSimulator
@@ -54,6 +54,21 @@ def test_select_on_a_detached_view(selector_name, metric):
 
     def select() -> None:
         selector.select(LocalView.from_network(network, OWNER), metric)
+
+    assert _edge_views_left_by(select) == 0
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda metric: metric.name)
+@pytest.mark.parametrize("selector_name", SELECTORS.names())
+def test_select_on_an_attached_view(selector_name, metric):
+    network = _grid(metric)
+    selector = make_selector(selector_name)
+
+    def select() -> None:
+        ng = NetworkGraph.from_network(network)
+        view = LocalView.all_from_network(network, network_graph=ng)[OWNER]
+        selector.select(view, metric)  # unprimed: the scalar paths build view.graph
+        view.graph  # built on demand at the latest here, whatever the selector read
 
     assert _edge_views_left_by(select) == 0
 

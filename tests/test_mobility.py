@@ -4,7 +4,7 @@ The load-bearing guarantees, in the style of the differential suites that lock d
 other fast paths:
 
 * **Incremental == regeneration.**  A :class:`DynamicTopology` advanced incrementally
-  (diffed links, rebuilt-only-affected views, sanctioned ``update_link`` weight updates)
+  (diffed links, rebuilt-only-affected views, reweighted links patched into the shared CSR)
   is bit-identical -- networks, positions, link attributes, every view's structure and
   edge data -- to the naive baseline that regenerates the network and drops all views
   every step, for all three models.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments.engine import run_experiment
 from repro.experiments.spec import ExperimentSpec
@@ -30,6 +31,7 @@ from repro.mobility import (
     LinkChurnGenerator,
     RandomWaypointGenerator,
 )
+from repro.localview import LocalView, NetworkGraph
 from repro.registry import PRESETS
 from repro.topology.generators import FieldSpec, FixedCountNetworkGenerator
 
@@ -219,9 +221,9 @@ class TestIncrementalStepEqualsPerStepRegeneration:
         for u, v in delta.reweighted:
             assert not dynamic.views()[u]._compact, "affected view kept a stale cache"
 
-    def test_views_mapping_stays_live_across_the_wholesale_rebuild(self):
-        """views() hands out one live mapping: even when a step crosses the wholesale
-        rebuild threshold, a caller-held dict reflects the post-step topology."""
+    def test_views_mapping_stays_live_across_high_churn_steps(self):
+        """views() hands out one live mapping: even when a step touches most of the
+        network, a caller-held dict reflects the post-step topology."""
         generator = RandomWaypointGenerator(
             field=FIELD, node_count=30, seed=3, weight_assigners=_assigners(),
             speed_low=30.0, speed_high=60.0, pause_high=0.0,
@@ -270,7 +272,7 @@ class TestIncrementalStepEqualsPerStepRegeneration:
                     maintained.slot_values(metric) == fresh.slot_values(metric)
                 ).all(), metric.name
             # The views handed out after the step are attached to the maintained CSR
-            # (update_link detaches reweight-only viewers; the driver re-attaches them).
+            # (untouched views move onto the rebuilt rows; reweight viewers stay attached).
             for owner, view in dynamic.views().items():
                 assert view.network_graph() is maintained, owner
 
@@ -294,6 +296,114 @@ class TestIncrementalStepEqualsPerStepRegeneration:
             assert {node: dynamic.network.position(node) for node in dynamic.network.nodes()} == initial_positions
             assert set(dynamic.network.links()) <= base_links  # outages only suppress links
         assert saw_reweight and saw_outage
+
+
+METRICS = (BandwidthMetric(), DelayMetric())
+#: Small and dense (mean degree ~0.5 per node), so a few nodes already give two-hop views.
+CHURN_FIELD = FieldSpec(width=250.0, height=250.0, radius=100.0)
+
+
+@st.composite
+def churning_topologies(draw):
+    """A link-churn or fast random-waypoint generator with drawn seed, size and rates."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    common = dict(
+        field=CHURN_FIELD,
+        node_count=draw(st.integers(min_value=6, max_value=22)),
+        seed=seed,
+        weight_assigners=_assigners(seed),
+    )
+    if draw(st.booleans()):
+        # No outages makes weight-only steps (the patch path) common.
+        return LinkChurnGenerator(
+            reweight_probability=draw(st.sampled_from((0.3, 0.6, 0.9))),
+            outage_probability=draw(st.sampled_from((0.0, 0.0, 0.2, 0.5))),
+            **common,
+        )
+    return RandomWaypointGenerator(
+        speed_low=20.0, speed_high=draw(st.sampled_from((40.0, 80.0))), pause_high=0.0, **common
+    )
+
+
+def _answers(view):
+    """Everything a selector can ask a view, as comparable values."""
+    known = sorted(view.nodes)
+    return (
+        view.one_hop,
+        view.two_hop,
+        {node: view.neighbors_of(node) for node in known},
+        {node: view.common_relays(node) for node in known},
+        {metric.name: dict(view.direct_link_values(metric)) for metric in METRICS},
+    )
+
+
+def _graph_key(graph):
+    return {frozenset(edge): dict(graph.adj[edge[0]][edge[1]]) for edge in graph.edges}
+
+
+def _assert_same_csr(maintained, fresh):
+    assert maintained.nodes == fresh.nodes
+    for name in ("indptr", "indices", "slot_edge", "edge_u", "edge_v"):
+        assert (getattr(maintained, name) == getattr(fresh, name)).all(), name
+    # The neighbour rows and the attribute snapshot, iteration order included.
+    assert [list(row) for row in maintained.rows.values()] == [
+        list(row) for row in fresh.rows.values()
+    ]
+    assert [list(row.items()) for row in maintained.adjacency.values()] == [
+        list(row.items()) for row in fresh.adjacency.values()
+    ]
+    for metric in METRICS:
+        assert (maintained.edge_values(metric) == fresh.edge_values(metric)).all(), metric.name
+        assert (maintained.slot_values(metric) == fresh.slot_values(metric)).all(), metric.name
+        assert maintained.value_rows(metric) == fresh.value_rows(metric), metric.name
+
+
+class TestMaintainedViewsMatchFreshBuilds:
+    """The stateful contract of the views ``DynamicTopology`` maintains.
+
+    After every random add/remove/reweight step, the maintained shared CSR equals a fresh
+    build array for array, and every maintained view answers exactly like a view built
+    from the current network.  Before each step every view caches its direct values and
+    every odd owner builds its graph, so a cache or graph that outlives a change shows
+    up; even owners stay lazy, so a view the step replaced builds its graph afterwards
+    and must build it from the state it describes, not from the live network.
+    """
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(generator=churning_topologies(), steps=st.integers(min_value=2, max_value=5))
+    def test_every_step_matches_a_fresh_build(self, generator, steps):
+        dynamic = generator.dynamic()
+        views = dynamic.views()
+        maintained = dynamic.network_graph()
+        for metric in METRICS:
+            maintained.value_rows(metric)  # materialized, so patches have rows to hit
+        for _ in range(steps):
+            for owner, view in views.items():
+                for metric in METRICS:
+                    view.direct_link_values(metric)
+                if owner % 2:
+                    view.graph
+            held = dict(views)
+            before = {owner: LocalView.from_network(dynamic.network, owner) for owner in views}
+            delta = dynamic.advance()
+            network = dynamic.network
+            _assert_same_csr(maintained, NetworkGraph.from_network(network))
+            for owner, view in views.items():
+                fresh = LocalView.from_network(network, owner)
+                assert view.network_graph() is maintained, owner
+                assert _answers(view) == _answers(fresh), owner
+                if owner % 2:
+                    assert _graph_key(view.graph) == _graph_key(fresh.graph), owner
+            for owner, view in held.items():
+                if views[owner] is view:
+                    continue  # kept: its neighbourhood did not change
+                assert delta.link_churn, "only a structural step replaces views"
+                assert view.network_graph() is None, owner
+                assert _answers(view) == _answers(before[owner]), owner
+                assert _graph_key(view.graph) == _graph_key(before[owner].graph), owner
+        for owner, view in views.items():
+            fresh = LocalView.from_network(dynamic.network, owner)
+            assert _graph_key(view.graph) == _graph_key(fresh.graph), owner
 
 
 class TestDynamicSweepsThroughTheEngine:

@@ -1,14 +1,16 @@
-"""The shared network-level CSR: windowing invariants and batched-kernel bit-identity.
+"""The shared network-level CSR: CSR-native views and batched-kernel bit-identity.
 
-Two families of pins.  First, :class:`NetworkGraph` windowing: a :class:`LocalView`
-attached to a shared graph slices it by *index* (rows and slots into the parent arrays),
-so in-place weight patches must be visible through existing windows, structural rebuilds
-must invalidate them, and the sanctioned per-view mutation (``update_link``) must detach
-exactly the touched view.  Second, the canonical-summation-order guarantee of the batched
-additive kernel: its distance labels are compared against the scalar Dijkstra's with
-exact ``==`` -- not ``approx`` -- on genuinely non-representable float weights, because
-both accumulate every path cost as the same left-to-right fold of single additions (the
-batched side never substitutes a reduction with a different association order).
+Two families of pins.  First, :class:`LocalView` attached to a :class:`NetworkGraph`: it
+holds its sets and references to the shared rows (no per-view graph until a scalar
+consumer reads ``view.graph``), answers every query exactly as a view built from the
+network itself, sees in-place weight patches once its caches are dropped, keeps
+describing its own state across a structural rebuild (and stops batching), and the
+sanctioned per-view mutation (``update_link``) detaches exactly the touched view.
+Second, the canonical-summation-order guarantee of the batched additive kernel: its
+distance labels are compared against the scalar Dijkstra's with exact ``==`` -- not
+``approx`` -- on genuinely non-representable float weights, because both accumulate
+every path cost as the same left-to-right fold of single additions (the batched side
+never substitutes a reduction with a different association order).
 """
 
 from __future__ import annotations
@@ -48,50 +50,140 @@ def float_weighted_network(seed: int, node_count: int = 24):
     return network
 
 
-class TestWindowing:
-    def test_window_members_match_the_view_and_hold_indices_only(self):
+class TestAttachedViews:
+    def test_views_hold_the_shared_rows_and_no_graph(self):
         network = float_weighted_network(0)
         ng = NetworkGraph.from_network(network)
         views = LocalView.all_from_network(network, network_graph=ng)
         for owner, view in views.items():
-            window = view.window()
-            assert window is not None and window.is_current()
-            members = window.member_nodes()
-            assert members[0] == owner
-            assert members[1 : 1 + window.one_hop_count] == sorted(view.one_hop)
-            assert members[1 + window.one_hop_count :] == sorted(view.two_hop)
-            # Indices only: the arrays index into the parent, they carry no weights.
-            assert window.members.dtype == np.int64 and window.slots.dtype == np.int64
-            assert window.slots.size == 0 or window.slots.max() < ng.indices.size
+            assert view.network_graph() is ng
+            # References into the shared CSR, not copies: the one-hop set is the owner's
+            # row, and no networkx graph exists until someone reads view.graph.
+            assert view.one_hop is ng.rows[owner]
+            assert view._graph is None
+            g = ng.index[owner]
+            row = [ng.nodes[j] for j in ng.indices[ng.indptr[g] : ng.indptr[g + 1]].tolist()]
+            assert row == sorted(view.one_hop)
+            two_hop = set().union(*(ng.rows[n] for n in view.one_hop)) - view.one_hop - {owner}
+            assert view.two_hop == two_hop
 
-    def test_weight_patches_are_visible_through_existing_windows(self):
-        """patch_weights rewrites the shared arrays in place: windows cut before the
-        patch read the new values without being re-cut, and stay current."""
+    def test_rows_iterate_like_the_network_adjacency(self):
+        """``one_hop`` decides Metric.optimum's first-wins scans, so an attached view must
+        iterate it exactly as a view built from the network does."""
+        network = float_weighted_network(9)
+        ng = NetworkGraph.from_network(network)
+        for node in network.nodes():
+            assert list(ng.rows[node]) == list(frozenset(network.graph.adj[node]))
+            assert list(ng.adjacency[node]) == list(network.graph.adj[node])
+        views = LocalView.all_from_network(network, network_graph=ng)
+        for owner, view in views.items():
+            fresh = LocalView.from_network(network, owner)
+            assert list(view.one_hop) == list(fresh.one_hop)
+            assert list(view.two_hop) == list(fresh.two_hop)
+
+    def test_attached_views_answer_like_views_built_from_the_network(self):
+        network = float_weighted_network(10)
+        ng = NetworkGraph.from_network(network)
+        views = LocalView.all_from_network(network, network_graph=ng)
+        outsider = max(network.nodes()) + 1
+        for owner, view in views.items():
+            fresh = LocalView.from_network(network, owner)
+            assert view.nodes == fresh.nodes
+            for node in sorted(fresh.nodes) + [outsider]:
+                assert (node in view) == (node in fresh.graph)
+                assert view.neighbors_of(node) == fresh.neighbors_of(node), (owner, node)
+                assert view.common_relays(node) == fresh.common_relays(node), (owner, node)
+            for u in sorted(fresh.nodes):
+                for v in sorted(fresh.nodes):
+                    assert view.has_link(u, v) == fresh.has_link(u, v), (owner, u, v)
+                    if fresh.has_link(u, v):
+                        assert view.link_value(u, v, DELAY) == fresh.link_value(u, v, DELAY)
+            for metric in (BANDWIDTH, DELAY, COMPOSITE):
+                assert view.direct_link_values(metric) == fresh.direct_link_values(metric)
+                for neighbor in view.one_hop:
+                    assert view.direct_link_value(neighbor, metric) == fresh.direct_link_value(
+                        neighbor, metric
+                    )
+            assert view._graph is None  # none of the above needed a graph
+
+    def test_direct_values_come_from_the_shared_value_rows(self):
+        network = float_weighted_network(11)
+        ng = NetworkGraph.from_network(network)
+        views = LocalView.all_from_network(network, network_graph=ng)
+        rows = ng.value_rows(DELAY)
+        for owner, view in views.items():
+            assert view.direct_link_values(DELAY) is rows[owner]
+            assert view.direct_link_values(DELAY) is view.direct_link_values(DELAY)
+        assert ng.value_rows(COMPOSITE) is None  # composites read the attributes instead
+
+    def test_the_graph_is_materialized_once_from_the_snapshot(self):
+        """view.graph equals the graph of a view built from the network -- node order,
+        adjacency order and attributes -- and is built from the CSR's snapshot, never
+        from the live network (which may have moved on)."""
+        network = float_weighted_network(12)
+        ng = NetworkGraph.from_network(network)
+        views = LocalView.all_from_network(network, network_graph=ng)
+        owner = network.nodes()[3]
+        fresh = LocalView.from_network(network, owner)
+        u, v = sorted(fresh.graph.edges)[0]
+        network.set_link_weight(u, v, DELAY.name, 777.0)  # the live network moves on
+        graph = views[owner].graph
+        assert graph is views[owner].graph  # built once
+        assert list(graph.nodes) == list(fresh.graph.nodes)
+        assert [(n, list(row.items())) for n, row in graph.adj.items()] == [
+            (n, list(row.items())) for n, row in fresh.graph.adj.items()
+        ]
+        assert graph.adj[u][v] is ng.adjacency[u][v]  # the shared snapshot, not a copy
+
+    def test_weight_patches_reach_views_once_their_caches_drop(self):
+        """patch_weights rewrites the shared arrays in place: a view that sees the link
+        answers with the new value after invalidate_caches, without being rebuilt, and
+        stays attached."""
         network = float_weighted_network(1)
         ng = NetworkGraph.from_network(network)
+        views = LocalView.all_from_network(network, network_graph=ng)
         u, v = sorted(network.links())[0]
-        owner = u
-        window = ng.window(owner)
+        view = views[u]
         slot_array_before = ng.slot_values(DELAY)
-        before = window.weights(DELAY).copy()
+        before = view.direct_link_value(v, DELAY)
+        graph_before = view.graph
         network.set_link_weight(u, v, DELAY.name, 123.456)
         ng.patch_weights(network, [(u, v)])
-        assert window.is_current()  # weight patches do not invalidate windows
         # Same array object, patched in place -- references held by kernels stay valid.
         assert ng.slot_values(DELAY) is slot_array_before
-        after = window.weights(DELAY)
-        assert 123.456 in after.tolist()
-        assert not np.array_equal(before, after)
+        assert 123.456 in ng.slot_values(DELAY).tolist()
+        view.invalidate_caches()
+        assert view.network_graph() is ng  # a weight patch does not detach
+        assert view.direct_link_value(v, DELAY) == 123.456 != before
+        assert view.link_value(u, v, DELAY) == 123.456
+        assert view.graph is not graph_before  # the stale graph was dropped
+        assert view.graph.adj[u][v][DELAY.name] == 123.456
 
-    def test_rebuild_invalidates_every_outstanding_window(self):
+    def test_views_outlive_a_rebuild_describing_their_own_state(self):
+        """A structural rebuild replaces the rows: views built before it keep answering
+        for the state they were built from, and stop batching on the rebuilt arrays."""
         network = float_weighted_network(2)
         ng = NetworkGraph.from_network(network)
-        windows = [ng.window(node) for node in network.nodes()[:5]]
+        views = LocalView.all_from_network(network, network_graph=ng)
+        u, v = sorted(network.links())[0]
+        held = views[u]
+        before = LocalView.from_network(network, u)
+        network.graph.remove_edge(u, v)
         generation = ng.generation
         ng.rebuild(network)
         assert ng.generation == generation + 1
-        assert all(not w.is_current() for w in windows)
-        assert ng.window(network.nodes()[0]).is_current()
+        assert all(view.network_graph() is None for view in views.values())
+        assert held.one_hop == before.one_hop and v in held.one_hop
+        assert held.neighbors_of(v) == before.neighbors_of(v)
+        assert held.has_link(u, v)
+        assert held.direct_link_values(DELAY) == before.direct_link_values(DELAY)
+        assert {frozenset(e): held.graph.edges[e] for e in held.graph.edges} == {
+            frozenset(e): before.graph.edges[e] for e in before.graph.edges
+        }
+        assert prime_first_hops([held], DELAY) == 0  # never primed from the new arrays
+        assert all_first_hops(held, DELAY) == all_first_hops(before, DELAY)
+        rebuilt = LocalView.all_from_network(network, network_graph=ng)[u]
+        assert rebuilt.network_graph() is ng and v not in rebuilt.one_hop
 
     def test_snapshot_isolation_from_later_network_mutations(self):
         """The build snapshots attribute dicts: mutating the source network afterwards
@@ -111,7 +203,10 @@ class TestWindowing:
         views = LocalView.all_from_network(network, network_graph=ng)
         u, v = sorted(network.links())[0]
         views[u].update_link(u, v, delay=3.25)
-        assert views[u].network_graph() is None and views[u].window() is None
+        assert views[u].network_graph() is None
+        assert views[u].link_value(u, v, DELAY) == 3.25
+        assert views[v].link_value(u, v, DELAY) != 3.25  # the update stays local
+        assert ng.adjacency[u][v][DELAY.name] != 3.25
         for owner, view in views.items():
             if owner != u:
                 assert view.network_graph() is ng, owner
