@@ -40,17 +40,33 @@ matching the scalar semantics).  First-hop sets propagate as per-owner bitmask l
 unique, so Jacobi iteration reaches exactly the scalar worklist's result.
 
 **Concave kernel** (:func:`_batched_bottleneck_forest`).  Bottleneck values carry no
-arithmetic at all -- every value is the exact ``min``/``max`` of actual link weights --
-and all maximum-bottleneck spanning forests of a graph give identical pairwise
-bottleneck values.  So the kernel may build its per-owner Kruskal forest by filtering
-**one shared argsorted edge order** (:meth:`NetworkGraph.sorted_edges`) instead of
-re-sorting per view, and relax a ``(max, min)``-semiring fixpoint over the forest with
-numpy; the resulting per-(neighbor, target) candidate values equal the scalar solver's
-floats bit for bit.  One subtlety survives: ``Metric.optimum`` is a *first-wins* scan
-under tolerant comparison, so when several candidate floats are distinct yet within
-``rel_tol`` of the maximum, the scalar best value depends on the scan order.  The
-kernel detects exactly those (rare) targets vectorially and replays the scalar scan for
-them alone; everywhere else the float maximum provably equals the scalar scan's result.
+arithmetic -- every value is an actual link weight -- and all maximum-bottleneck
+spanning forests of a graph give identical pairwise bottleneck values.  The kernel
+solves the owners in chunks, one pass each.  It cuts every owner's owner-free visible
+edges at once and sorts them by owner, then by rank in the shared best-first order
+(:meth:`NetworkGraph.sorted_edges`).  One sequential union-find over them (small into
+large) keeps each component as its leaves in a row, with the weight of the merge that
+joined two neighbouring leaves between them (a *gap*; ``-inf`` between components).
+Edges arrive best-first, so every gap between two leaves was created inside the
+smallest component holding both, and the worst of those gaps is the merge that joined
+them: ``bottleneck(a, b)`` is exactly the minimum of the gaps between their positions.
+One sparse table of range minima answers every ``(target, one-hop neighbour)`` pair
+with two lookups; the best value, the tie masks and the near-tie flags are segmented
+reductions over the flat pair array.  Chunks are cut by an upper bound on each owner's
+pair count read off the CSR -- its degree times one plus the summed degrees of its
+one-hop rows -- at ``PAIR_BUDGET`` pairs (an owner above it gets a chunk of its own), so
+the transient arrays scale with the budget, not with the owners a call solves.  One
+subtlety survives: ``Metric.optimum`` is a *first-wins* scan under tolerant comparison,
+so when several candidate floats are distinct yet within ``rel_tol`` of the maximum,
+the scalar best value depends on the scan order.  The kernel detects exactly those
+(rare) targets vectorially and replays the scalar scan for them alone; everywhere else
+the float maximum provably equals the scalar scan's result.
+
+Neither kernel runs on NaN link values (they never compare as the scalar scans expect),
+the additive kernel on no negative ones (a negative undirected link is a negative
+cycle, which the relaxation would chase forever) and the concave kernel on no ``-inf``
+(its unreachable sentinel); :func:`batched_all_first_hops` then returns None and the
+scalar path answers.
 
 Both kernels return plain Python floats (via ``.tolist()``, an exact bit-preserving
 conversion) inside ordinary :class:`FirstHopResult` objects, so downstream consumers
@@ -59,8 +75,9 @@ conversion) inside ordinary :class:`FirstHopResult` objects, so downstream consu
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -72,6 +89,9 @@ from repro.obs import runtime as obs
 from repro.utils.ids import NodeId
 
 _NEG_INF = -math.inf
+#: Upper bound on the (target, one-hop neighbour) pairs one concave-kernel pass holds;
+#: bounds its transient arrays (and so peak memory).
+PAIR_BUDGET = 1 << 16
 
 
 def batched_all_first_hops(
@@ -82,7 +102,8 @@ def batched_all_first_hops(
     ``views`` must all be attached to ``ng`` (their declared one-/two-hop sets are then
     windows of its rows by construction).  Returns ``{owner: {target: FirstHopResult}}``
     with exactly the payload the scalar auto dispatch produces, or None when the metric
-    is not specialized / lacks an attribute, in which case callers fall back to the
+    is not specialized, lacks an attribute or has values the kernels do not replay (NaN,
+    negative additive values, ``-inf`` bottleneck values); callers then fall back to the
     scalar path (which is trivially bit-identical to itself).
 
     Telemetry (when enabled): each batched solve counts one
@@ -92,18 +113,16 @@ def batched_all_first_hops(
     """
     kind = specialized_kind(metric)
     if kind == "additive" and metric.kind is MetricKind.ADDITIVE and metric.prefix_optimal:
-        w_slots = ng.slot_values(metric)
-        if w_slots is not None:
-            result = _batched_owner_dijkstra(ng, views, metric, w_slots)
-            obs.add("kernel.batched_dispatches")
-            obs.add("kernel.batched_views", len(views))
-            return result
+        solve = _batched_owner_dijkstra
     elif kind == "concave" and metric.kind is MetricKind.CONCAVE:
-        if ng.edge_values(metric) is not None:
-            result = _batched_bottleneck_forest(ng, views, metric)
-            obs.add("kernel.batched_dispatches")
-            obs.add("kernel.batched_views", len(views))
-            return result
+        solve = _batched_bottleneck_forest
+    else:
+        solve = None
+    if solve is not None and _replayable(ng, metric, kind):
+        result = solve(ng, views, metric)
+        obs.add("kernel.batched_dispatches")
+        obs.add("kernel.batched_views", len(views))
+        return result
     obs.add("kernel.unbatchable_groups")
     return None
 
@@ -119,12 +138,9 @@ def batched_additive_labels(
     is not batchable.
     """
     kind = specialized_kind(metric)
-    if kind != "additive":
+    if kind != "additive" or not _replayable(ng, metric, kind):
         return None
-    w_slots = ng.slot_values(metric)
-    if w_slots is None:
-        return None
-    stack = _stack_windows(ng, owners, w_slots)
+    stack = _stack_windows(ng, owners, ng.slot_values(metric))
     dist, reached = _relax_to_fixpoint(stack)
     nodes = ng.nodes
     out: Dict[NodeId, Dict[NodeId, float]] = {}
@@ -139,21 +155,96 @@ def batched_additive_labels(
     return out
 
 
+def _replayable(ng: NetworkGraph, metric: Metric, kind: str) -> bool:
+    """Whether ``metric``'s link values exist and the ``kind`` kernel replays them (not NaN)."""
+    values = ng.edge_values(metric)
+    if values is None:
+        return False
+    return bool((values >= 0).all() if kind == "additive" else (values > _NEG_INF).all())
+
+
 # ---------------------------------------------------------------------- window stacking
 
 
-class _Stack:
+class _Windows(NamedTuple):
+    """Every owner's two-hop window, cut for a batch of owner rows at once.
+
+    Window-local numbering: the owner is 0, its sorted one-hop rows ``1..deg``, its
+    sorted two-hop members ``deg+1..deg+tc``.  The slot arrays cover every CSR slot of
+    the owner's and the one-hop rows (those rows are fully visible in the window).
+    """
+
+    deg: np.ndarray  # int64 one-hop count per owner
+    tc: np.ndarray  # int64 two-hop count per owner
+    one: np.ndarray  # int64 one-hop rows, owner by owner, each block sorted
+    two: np.ndarray  # int64 two-hop rows, owner by owner, each block sorted
+    slots: np.ndarray  # int64 CSR slot
+    slot_owner: np.ndarray  # int64 owner position (in the batch) of each slot
+    src_local: np.ndarray  # int64 window-local index of the slot's row
+    dst_local: np.ndarray  # int64 window-local index of the slot's destination
+    dst_in_rows: np.ndarray  # bool: the destination is the owner or a one-hop row
+
+
+def _windows(ng: NetworkGraph, g: np.ndarray) -> _Windows:
+    """Cut the windows of the owner rows ``g``, vectorized over all of them.
+
+    Per-owner node sets live in an (owner, node) key space of size ``N*n``: membership
+    flags and local numbers are arrays indexed by ``owner_pos * n + global_node``, so no
+    state needs resetting between owners and every lookup is one fancy index.
+    """
+    indptr, indices = ng.indptr, ng.indices
+    n = len(ng.nodes)
+    N = g.size
+    owner_slots, deg = row_slots(indptr, g)
+    rc = deg + 1  # fully-visible rows per owner: the owner plus its one-hop set
+    one = indices[owner_slots]
+    owner_of_row = np.repeat(np.arange(N, dtype=np.int64), rc)
+    local_of_row = seg_arange(rc)
+    rows = np.repeat(g, rc)  # each owner's row, then its one-hop rows over local 1..deg
+    rows[local_of_row > 0] = one
+
+    slots, rdeg = row_slots(indptr, rows)
+    slot_owner = np.repeat(owner_of_row, rdeg)
+    row_keys = owner_of_row * n + rows
+    member2d = np.zeros(N * n, dtype=bool)
+    member2d[row_keys] = True
+    dst_keys = slot_owner * n + indices[slots]
+    dst_in_rows = member2d[dst_keys]
+    two2d = np.zeros(N * n, dtype=bool)
+    two2d[dst_keys[~dst_in_rows]] = True
+    # Keys sort by owner first, node second: the scan yields each owner's two-hop
+    # set contiguously and already sorted (global index order == identifier order).
+    two_keys = np.flatnonzero(two2d)
+    two_owner = two_keys // n
+    tc = np.bincount(two_owner, minlength=N).astype(np.int64)
+
+    local2d = np.zeros(N * n, dtype=np.int64)
+    local2d[row_keys] = local_of_row
+    local2d[two_keys] = seg_arange(tc) + np.repeat(rc, tc)
+    return _Windows(
+        deg=deg,
+        tc=tc,
+        one=one,
+        two=two_keys - two_owner * n,
+        slots=slots,
+        slot_owner=slot_owner,
+        src_local=np.repeat(local_of_row, rdeg),
+        dst_local=local2d[dst_keys],
+        dst_in_rows=dst_in_rows,
+    )
+
+
+class _Stack(NamedTuple):
     """All owners' windows concatenated into one flat row space."""
 
-    __slots__ = ("src", "dst", "w", "owner_rows", "meta", "rows")
-
-    def __init__(self, src, dst, w, owner_rows, meta, rows):
-        self.src = src  # int64 directed-edge source rows
-        self.dst = dst  # int64 directed-edge destination rows
-        self.w = w  # float64 directed-edge weights
-        self.owner_rows = owner_rows  # int64, one stacked row per owner
-        self.meta = meta  # [(owner, offset, members_global, one_hop_count)]
-        self.rows = rows  # total stacked row count
+    src: np.ndarray  # int64 directed-edge source rows
+    dst: np.ndarray  # int64 directed-edge destination rows
+    w: np.ndarray  # float64 directed-edge weights
+    owner_rows: np.ndarray  # int64, one stacked row per owner
+    meta: list  # [(owner, offset, members_global, one_hop_count)]
+    rows: int  # total stacked row count
+    g: np.ndarray  # int64 CSR row of each owner
+    deg: np.ndarray  # int64 one-hop count of each owner
 
 
 def _stack_windows(ng: NetworkGraph, owners: Iterable[NodeId], w_slots) -> _Stack:
@@ -165,86 +256,41 @@ def _stack_windows(ng: NetworkGraph, owners: Iterable[NodeId], w_slots) -> _Stac
     two-hop row itself is only partially visible, so its in-window directions must be
     mirrored rather than gathered from its own row).
     """
-    indptr, indices = ng.indptr, ng.indices
     index = ng.index
-    n = len(ng.nodes)
     owners = list(owners)
     N = len(owners)
     empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0, dtype=np.float64)
     if N == 0:
-        return _Stack(empty_i, empty_i, empty_f, empty_i, [], 0)
-    # The whole stacking runs vectorized over every owner at once.  Per-owner node
-    # sets live in an (owner, node) key space of size N*n: membership flags and local
-    # row numbers are arrays indexed by ``owner_idx * n + global_node``, so no state
-    # needs resetting between owners and every lookup is one fancy index.
+        return _Stack(empty_i, empty_i, np.empty(0), empty_i, [], 0, empty_i, empty_i)
     g = np.asarray([index[o] for o in owners], dtype=np.int64)
-    deg = indptr[g + 1] - indptr[g]
-    rc = deg + 1  # fully-visible rows per owner: the owner plus its one-hop set
-    rows_all = np.empty(int(rc.sum()), dtype=np.int64)
-    rc_off = np.cumsum(rc) - rc
-    rows_all[rc_off] = g
-    onemask = np.ones(rows_all.size, dtype=bool)
-    onemask[rc_off] = False
-    one_slots = np.repeat(indptr[g], deg) + seg_arange(deg)
-    rows_all[onemask] = indices[one_slots]
-    owner_of_row = np.repeat(np.arange(N, dtype=np.int64), rc)
-
-    rdeg = indptr[rows_all + 1] - indptr[rows_all]
-    slots = np.repeat(indptr[rows_all], rdeg) + seg_arange(rdeg)
-    srcs = np.repeat(rows_all, rdeg)
-    dsts = indices[slots]
-    edge_owner = np.repeat(owner_of_row, rdeg)
-
-    member2d = np.zeros(N * n, dtype=bool)
-    member2d[owner_of_row * n + rows_all] = True
-    dst_keys = edge_owner * n + dsts
-    in_rows = member2d[dst_keys]
-    two2d = np.zeros(N * n, dtype=bool)
-    two2d[dst_keys[~in_rows]] = True
-    # Keys sort by owner first, node second: the scan yields each owner's two-hop
-    # set contiguously and already sorted (global index order == identifier order).
-    two_keys = np.flatnonzero(two2d)
-    two_owner = two_keys // n
-    two_gid = two_keys - two_owner * n
-    tc = np.bincount(two_owner, minlength=N).astype(np.int64)
-
+    win = _windows(ng, g)
+    rc = win.deg + 1
+    tc = win.tc
     V = rc + tc
     off = np.cumsum(V) - V  # per-owner row offsets
     rows_total = int(V.sum())
-    local2d = np.zeros(N * n, dtype=np.int64)  # owner rows keep local index 0
-    local2d[np.repeat(np.arange(N, dtype=np.int64), deg) * n + rows_all[onemask]] = (
-        seg_arange(deg) + 1
-    )
-    local2d[two_keys] = seg_arange(tc) + np.repeat(deg + 1, tc)
 
-    ebase = off[edge_owner]
-    src_lo = local2d[edge_owner * n + srcs] + ebase
-    dst_lo = local2d[dst_keys] + ebase
-    w = w_slots[slots]
-    rev = ~in_rows  # destination is a two-hop member: mirror the direction
+    ebase = off[win.slot_owner]
+    src_lo = win.src_local + ebase
+    dst_lo = win.dst_local + ebase
+    w = w_slots[win.slots]
+    rev = ~win.dst_in_rows  # destination is a two-hop member: mirror the direction
     src_full = np.concatenate((src_lo, dst_lo[rev]))
     dst_full = np.concatenate((dst_lo, src_lo[rev]))
     w_full = np.concatenate((w, w[rev]))
 
     members_all = np.empty(rows_total, dtype=np.int64)
-    members_all[np.repeat(off, rc) + seg_arange(rc)] = rows_all
-    members_all[np.repeat(off + rc, tc) + seg_arange(tc)] = two_gid
+    members_all[off] = g
+    members_all[np.repeat(off + 1, win.deg) + seg_arange(win.deg)] = win.one
+    members_all[np.repeat(off + rc, tc) + seg_arange(tc)] = win.two
     off_l = off.tolist()
-    deg_l = deg.tolist()
+    deg_l = win.deg.tolist()
     bounds = np.concatenate((off, [rows_total])).tolist()
     meta = [
         (owners[i], off_l[i], members_all[bounds[i] : bounds[i + 1]], deg_l[i])
         for i in range(N)
     ]
-    return _Stack(
-        src=src_full,
-        dst=dst_full,
-        w=w_full,
-        owner_rows=off,
-        meta=meta,
-        rows=rows_total,
-    )
+    return _Stack(src_full, dst_full, w_full, off, meta, rows_total, g, win.deg)
 
 
 def _relax_to_fixpoint(stack: _Stack):
@@ -301,13 +347,12 @@ def _relax_to_fixpoint(stack: _Stack):
 
 
 def _batched_owner_dijkstra(
-    ng: NetworkGraph, views: List, metric: Metric, w_slots
+    ng: NetworkGraph, views: List, metric: Metric
 ) -> Dict[NodeId, Dict[NodeId, FirstHopResult]]:
-    indptr = ng.indptr
     rel_tol = metric.rel_tol
     worst = metric.worst
     nodes = ng.nodes
-    index = ng.index
+    w_slots = ng.slot_values(metric)
     stack = _stack_windows(ng, [view.owner for view in views], w_slots)
     dist, reached = _relax_to_fixpoint(stack)
 
@@ -315,34 +360,19 @@ def _batched_owner_dijkstra(
     # seed test.  Bit i = the i-th *sorted* one-hop neighbor (CSR rows are sorted); the
     # scalar code numbers bits in frozenset-iteration order instead, but decoded
     # first-hop *sets* are bit-order independent.
-    lanes = 1
-    for _owner, _off, _members, deg in stack.meta:
-        lanes = max(lanes, (deg + 63) // 64)
+    lanes = max(1, (int(stack.deg.max(initial=0)) + 63) // 64)
     masks = np.zeros((stack.rows, lanes), dtype=np.uint64)
-    s_rows_parts: List[np.ndarray] = []
-    s_bits_parts: List[np.ndarray] = []
-    s_links_parts: List[np.ndarray] = []
-    for owner, off, _members, deg in stack.meta:
-        if deg == 0:
-            continue
-        g = index[owner]
-        s_rows_parts.append(np.arange(off + 1, off + 1 + deg, dtype=np.int64))
-        s_bits_parts.append(np.arange(deg, dtype=np.int64))
-        s_links_parts.append(w_slots[indptr[g] : indptr[g] + deg])
-    if s_rows_parts:
-        s_rows = np.concatenate(s_rows_parts)
-        s_bits = np.concatenate(s_bits_parts)
-        s_links = np.concatenate(s_links_parts)
-        d = dist[s_rows]
-        with np.errstate(invalid="ignore"):
-            diff = np.abs(s_links - d)
-            larger = np.maximum(s_links, d)
-            tight = reached[s_rows] & ((diff <= rel_tol * larger) | (diff <= rel_tol))
-        r = s_rows[tight]
-        b = s_bits[tight]
-        np.bitwise_or.at(
-            masks, (r, b >> 6), np.uint64(1) << (b & 63).astype(np.uint64)
-        )
+    s_bits = seg_arange(stack.deg)
+    s_rows = np.repeat(stack.owner_rows + 1, stack.deg) + s_bits
+    s_links = w_slots[np.repeat(ng.indptr[stack.g], stack.deg) + s_bits]
+    d = dist[s_rows]
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(s_links - d)
+        larger = np.maximum(s_links, d)
+        tight = reached[s_rows] & ((diff <= rel_tol * larger) | (diff <= rel_tol))
+    r = s_rows[tight]
+    b = s_bits[tight]
+    np.bitwise_or.at(masks, (r, b >> 6), np.uint64(1) << (b & 63).astype(np.uint64))
 
     # Tight propagation edges: both endpoints reached, neither the owner row, and the
     # scalar one-sided slack test does not reject (NaN comparisons are False, matching
@@ -411,21 +441,10 @@ def _batched_owner_dijkstra(
             if m and reach_l[li]:
                 fh = decoded.get(m)
                 if fh is None:
-                    sel = []
-                    mm = m
-                    while mm:
-                        low = mm & -mm
-                        sel.append(bit_owner[low.bit_length() - 1])
-                        mm ^= low
-                    fh = frozenset(sel)
-                    decoded[m] = fh
-                res[target] = FirstHopResult(
-                    target=target, best_value=dist_l[li], first_hops=fh
-                )
+                    fh = decoded[m] = _decode_mask(m, bit_owner)
+                res[target] = FirstHopResult(target, dist_l[li], fh)
             else:
-                res[target] = FirstHopResult(
-                    target=target, best_value=worst, first_hops=frozenset()
-                )
+                res[target] = FirstHopResult(target, worst, frozenset())
         block += count
         results[view.owner] = res
     return results
@@ -440,215 +459,233 @@ def _combine_lanes(rows: np.ndarray, lanes: int) -> List[int]:
     return combined
 
 
+def _decode_mask(mask: int, bit_owner: List[NodeId]) -> frozenset:
+    """The set of ``bit_owner[i]`` for every set bit ``i`` of ``mask``."""
+    selected = []
+    while mask:
+        low = mask & -mask
+        selected.append(bit_owner[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(selected)
+
+
 # ---------------------------------------------------------------------- concave kernel
 
 
 def _batched_bottleneck_forest(
     ng: NetworkGraph, views: List, metric: Metric
 ) -> Dict[NodeId, Dict[NodeId, FirstHopResult]]:
-    indptr, indices, slot_edge = ng.indptr, ng.indices, ng.slot_edge
+    indptr, indices = ng.indptr, ng.indices
     index = ng.index
-    nodes = ng.nodes
-    w_edges = ng.edge_values(metric)
-    w_slots = ng.slot_values(metric)
+    g = np.asarray([index[view.owner] for view in views], dtype=np.int64)
+    # Pair bound per owner: its one-hop count times one plus the summed degrees of its
+    # one-hop rows, which bounds the window (every two-hop member is some slot of them).
+    slots, deg = row_slots(indptr, g)
+    hop_degree = np.diff(indptr)[indices[slots]]
+    summed = np.bincount(np.repeat(np.arange(g.size), deg), weights=hop_degree, minlength=g.size)
+    bounds = (deg * (1 + summed)).tolist()
     order = ng.sorted_edges(metric)
-    edge_u, edge_v = ng.edge_u, ng.edge_v
-    n = len(nodes)
-    m = int(w_edges.size)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    w_slots = ng.slot_values(metric)
+    results: Dict[NodeId, Dict[NodeId, FirstHopResult]] = {}
+    start = 0
+    total = 0.0
+    for i, bound in enumerate(bounds):
+        if total + bound > PAIR_BUDGET and i > start:
+            _bottleneck_chunk(ng, views[start:i], g[start:i], metric, w_slots, rank, results)
+            start, total = i, 0.0
+        total += bound
+    if start < len(views):
+        _bottleneck_chunk(ng, views[start:], g[start:], metric, w_slots, rank, results)
+    return results
+
+
+def _bottleneck_chunk(ng, views, g, metric, w_slots, rank, results) -> None:
+    """Solve the owner rows ``g`` (of ``views``) in one pass into ``results``."""
+    nodes = ng.nodes
     rel_tol = metric.rel_tol
     worst = metric.worst
-    isclose = math.isclose
-    visible = np.zeros(m, dtype=bool)
-    member = np.zeros(n, dtype=bool)
-    local = np.zeros(n, dtype=np.int64)
-    results: Dict[NodeId, Dict[NodeId, FirstHopResult]] = {}
-    for view in views:
-        g = index[view.owner]
-        one = indices[indptr[g] : indptr[g + 1]]
-        deg = int(one.size)
-        res: Dict[NodeId, FirstHopResult] = {}
-        if deg == 0:
+    win = _windows(ng, g)
+    deg, tc = win.deg, win.tc
+    # Chunk rows: each owner's targets, one-hop then two-hop (window-local index - 1).
+    V = deg + tc
+    off = np.cumsum(V) - V
+    R = int(V.sum())
+    # Pair space: row-major (target row, one-hop column) over every owner's rows.
+    row_deg = np.repeat(deg, V)
+    row_starts = np.cumsum(row_deg) - row_deg
+    pcol = seg_arange(row_deg)
+    M = _candidate_values(ng, g, win, V, off, row_deg, pcol, w_slots, rank)
+
+    best = np.maximum.reduceat(M, row_starts)
+    best_p = np.repeat(best, row_deg)
+    with np.errstate(invalid="ignore"):
+        close = np.abs(M - best_p) <= np.maximum(
+            rel_tol * np.maximum(np.abs(M), np.abs(best_p)), rel_tol
+        )
+    eq = (M == best_p) | (close & np.isfinite(M) & np.isfinite(best_p))
+    # A candidate that is a *different float* from the maximum yet within tolerance
+    # makes Metric.optimum's first-wins scan order-dependent: replay the scalar scan
+    # for exactly those targets.
+    rare = np.logical_or.reduceat(eq & (M != best_p), row_starts)
+    lanes = max(1, (int(deg.max(initial=0)) + 63) // 64)
+    masks = np.empty((R, lanes), dtype=np.uint64)
+    bits = np.where(eq, np.uint64(1) << (pcol & 63).astype(np.uint64), np.uint64(0))
+    for k in range(lanes):
+        masks[:, k] = np.bitwise_or.reduceat(
+            bits if lanes == 1 else np.where(pcol >> 6 == k, bits, np.uint64(0)), row_starts
+        )
+
+    # Decode in known_targets() order: each owner's one- and two-hop blocks are sorted,
+    # so one argsort of owner-major keys merges them for every owner at once.
+    members = np.empty(R, dtype=np.int64)
+    members[np.repeat(off, deg) + seg_arange(deg)] = win.one
+    members[np.repeat(off + deg, tc) + seg_arange(tc)] = win.two
+    row_owner = np.repeat(np.arange(g.size, dtype=np.int64), V)
+    perm = np.argsort(row_owner * len(nodes) + members)
+    targets = [nodes[x] for x in members[perm].tolist()]
+    unreachable = best == _NEG_INF
+    best[unreachable] = worst
+    masks[unreachable] = 0  # decodes to the empty first-hop set
+    best_s = best[perm].tolist()
+    mask_s = _combine_lanes(masks[perm], lanes)
+    hops = [nodes[x] for x in win.one.tolist()]
+    hop_off = (np.cumsum(deg) - deg).tolist()
+    make = functools.partial(tuple.__new__, FirstHopResult)  # _make without the length check
+    for view, lo, count, h, d in zip(views, off.tolist(), V.tolist(), hop_off, deg.tolist()):
+        if d == 0:
             # An isolated owner: every known target (normally none) is unreachable.
-            for target in view.known_targets():
-                res[target] = FirstHopResult(
-                    target=target, best_value=worst, first_hops=frozenset()
-                )
-            results[view.owner] = res
+            results[view.owner] = {
+                target: make((target, worst, frozenset())) for target in view.known_targets()
+            }
             continue
-        slots, _ = row_slots(indptr, one)
-        dsts = indices[slots]
-        keep = dsts != g  # owner-free: drop the back-links to the owner
-        dsts_k = dsts[keep]
-        # Sorted unique two-hop members via a flag scan (global index order ==
-        # identifier order): mark every owner-free destination, unmark the one-hop
-        # rows, and what is left is exactly the two-hop set, already sorted.
-        member[dsts_k] = True
-        member[one] = False
-        two = np.flatnonzero(member)
-        member[two] = False
-        local[one] = np.arange(deg, dtype=np.int64)
-        local[two] = np.arange(deg, deg + two.size, dtype=np.int64)
-        V = deg + int(two.size)
+        hi = lo + count
+        bit_hops = hops[h : h + d]
+        tie_sets: Dict[int, frozenset] = {}  # tie mask -> first-hop set, per view
+        fhs = [
+            tie_sets.get(m) or tie_sets.setdefault(m, _decode_mask(m, bit_hops))
+            for m in mask_s[lo:hi]
+        ]
+        results[view.owner] = dict(
+            zip(targets[lo:hi], map(make, zip(targets[lo:hi], best_s[lo:hi], fhs)))
+        )
+    # Near-tie targets were decoded like the rest above; replay the scalar scan instead.
+    for p in np.flatnonzero(rare[perm]).tolist():
+        o = int(row_owner[p])
+        h, d, start = hop_off[o], int(deg[o]), int(row_starts[perm[p]])
+        results[views[o].owner][targets[p]] = _replay_scan(
+            views[o], metric, targets[p], hops[h : h + d], M[start : start + d].tolist()
+        )
 
-        # Kruskal over the shared best-first order, filtered to this view's visible
-        # owner-free edges (every such edge has >= 1 endpoint among the one-hop rows).
-        eids = slot_edge[slots[keep]]
-        visible[eids] = True
-        vis_sorted = order[visible[order]]
-        lu = local[edge_u[vis_sorted]].tolist()
-        lv = local[edge_v[vis_sorted]].tolist()
-        lw = w_edges[vis_sorted].tolist()
-        visible[eids] = False
-        # Kruskal with a merge ("reconstruction") tree: leaves are the V window-local
-        # nodes; each accepted edge appends an internal node carrying the edge's weight.
-        # Edges arrive best-first, so the accepted edge is the *worst* link on the
-        # (unique) forest path between the two merged components -- the bottleneck
-        # between any two leaves is therefore exactly the weight of their lowest common
-        # ancestor in this tree (an exact link weight, no arithmetic, so the values
-        # equal the scalar forest-DFS floats bit for bit).  Leaves carry the metric
-        # identity (+inf): the neighbor-is-target diagonal falls out automatically.
-        # Union-find with direct root pointers and small-to-large relabeling: the
-        # accept/reject test per edge is two list lookups, and relabel work totals
-        # O(V log V) per view.  Connectivity (and hence the accepted edge sequence
-        # and the merge tree) is identical to any other union-find schedule.
-        parent = list(range(V))  # node -> its component's current root, always direct
-        comp_members: List[Optional[List[int]]] = [[i] for i in range(V)]
-        comp_tree = list(range(V))  # component root -> its current merge-tree node
-        tparent: List[int] = list(range(V))
-        tweight: List[float] = [math.inf] * V
-        accepted = 0
-        limit = V - 1
-        for a, b, value in zip(lu, lv, lw):
-            ra = parent[a]
-            rb = parent[b]
-            if ra == rb:
-                continue
-            ma = comp_members[ra]
-            mb = comp_members[rb]
-            if len(ma) > len(mb):
-                ra, rb = rb, ra
-                ma, mb = mb, ma
-            for x in ma:
-                parent[x] = rb
-            mb.extend(ma)
-            comp_members[ra] = None
-            t = len(tparent)
-            tparent.append(t)
-            tweight.append(value)
-            tparent[comp_tree[ra]] = t
-            tparent[comp_tree[rb]] = t
-            comp_tree[rb] = t
-            accepted += 1
-            if accepted == limit:
-                break
 
-        # B[t, i] = bottleneck of the forest path from one-hop neighbor i to node t
-        # (-inf = unreachable, +inf on the diagonal), as the LCA weight in the merge
-        # tree, computed for all (target, neighbor) pairs at once by binary lifting.
-        T = len(tparent)
-        up0 = np.asarray(tparent, dtype=np.int64)
-        tw = np.asarray(tweight, dtype=np.float64)
-        # Internal nodes are appended after their children, so every non-root parent id
-        # exceeds the child's: one descending pass settles depths.
-        depth_l = [0] * T
-        maxd = 0
-        for x in range(T - 1, -1, -1):
-            p = tparent[x]
-            if p != x:
-                d = depth_l[p] + 1
-                depth_l[x] = d
-                if d > maxd:
-                    maxd = d
-        depth = np.asarray(depth_l, dtype=np.int64)
-        # Lifts of up to 2^ceil(log2(maxd)) reach any ancestor: both the depth
-        # equalization (jumps <= maxd) and the descent start at most maxd below root.
-        levels = max(1, maxd.bit_length())
-        ups = [up0]
-        for _ in range(1, levels):
-            ups.append(ups[-1][ups[-1]])
-        # Both endpoints ride one (2, V, deg) array so every lifting step is a single
-        # fancy-index + where instead of two.
-        t = np.empty((2, V, deg), dtype=np.int64)
-        t[0] = np.arange(V, dtype=np.int64)[:, None]
-        t[1] = np.arange(deg, dtype=np.int64)[None, :]
-        diff = depth[t[0]] - depth[t[1]]
-        amt = np.empty((2, V, deg), dtype=np.int64)
-        np.maximum(diff, 0, out=amt[0])  # lift the deeper endpoint by |depth gap|
-        np.maximum(-diff, 0, out=amt[1])
-        for k in range(levels):
-            t = np.where((amt & (1 << k)) != 0, ups[k][t], t)
-        for k in range(levels - 1, -1, -1):
-            u = ups[k][t]
-            t = np.where(u[0] != u[1], u, t)
-        ta, tb = t[0], t[1]
-        same = ta == tb
-        lca = np.where(same, ta, up0[ta])
-        connected = same | (up0[ta] == up0[tb])
-        B = np.where(connected, tw[lca], _NEG_INF)
-        diag = np.arange(deg)
+def _candidate_values(ng, g, win, V, off, row_deg, pcol, w_slots, rank) -> np.ndarray:
+    """Every pair's candidate ``min(direct(owner, hop), bottleneck(hop, target))``.
 
-        direct = w_slots[indptr[g] : indptr[g] + deg]  # owner row, sorted-neighbor order
-        M = np.minimum(B, direct[None, :])
-        M[diag, diag] = direct  # neighbor == target: the direct link, no bottleneck leg
-        best = M.max(axis=1)
-        best_col = best[:, None]
-        with np.errstate(invalid="ignore"):
-            finite = np.isfinite(M) & np.isfinite(best_col)
-            close = np.abs(M - best_col) <= np.maximum(
-                rel_tol * np.maximum(np.abs(M), np.abs(best_col)), rel_tol
-            )
-        eqmask = (M == best_col) | (finite & close)
-        # A candidate that is a *different float* from the maximum yet within tolerance
-        # makes Metric.optimum's first-wins scan order-dependent: replay the scalar scan
-        # for exactly those targets.
-        rare = (eqmask & (M != best_col)).any(axis=1)
+    Where the one-hop neighbour is the target itself, the candidate is the direct link.
+    """
+    pos, gaps = _leaf_order(ng, win, off, int(V.sum()), w_slots, rank)
+    pa = np.repeat(pos, row_deg)  # the target's position
+    pb = pos[np.repeat(np.repeat(off, V), row_deg) + pcol]  # the one-hop neighbour's
+    bottleneck = _range_minima(gaps, pa, pb, int(V.max(initial=1)))
+    direct = w_slots[np.repeat(np.repeat(ng.indptr[g], V), row_deg) + pcol]
+    return np.where(pa == pb, direct, np.minimum(bottleneck, direct))
 
-        members = np.concatenate((one, two))
-        members_l = members.tolist()
-        order_t = np.argsort(members, kind="stable").tolist() if V else []
-        best_l = best.tolist()
-        rare_l = rare.tolist()
-        one_nodes = [nodes[i] for i in members_l[:deg]]
-        # One nonzero pass over the whole (V, deg) tie mask; per-target column runs
-        # are then plain list slices (eq_rows comes out row-major, i.e. sorted).
-        eq_rows, eq_cols = np.nonzero(eqmask)
-        row_bounds = np.searchsorted(eq_rows, np.arange(V + 1)).tolist()
-        eq_cols_l = eq_cols.tolist()
-        decoded: Dict[tuple, frozenset] = {}  # tie columns -> first-hop set, per view
-        col_of = None
-        for p in order_t:
-            target = nodes[members_l[p]]
-            b_val = best_l[p]
-            if b_val == _NEG_INF:
-                res[target] = FirstHopResult(
-                    target=target, best_value=worst, first_hops=frozenset()
-                )
-            elif rare_l[p]:
-                if col_of is None:
-                    col_of = {node: c for c, node in enumerate(one_nodes)}
-                row = M[p].tolist()
-                hops: List[NodeId] = []
-                values: List[float] = []
-                for neighbor in view.one_hop:  # the scalar scan order
-                    value = row[col_of[neighbor]]
-                    if value == _NEG_INF:
-                        continue
-                    hops.append(neighbor)
-                    values.append(value)
-                b_val = metric.optimum(values)
-                fh = frozenset(
-                    neighbor
-                    for neighbor, value in zip(hops, values)
-                    if value == b_val
-                    or isclose(value, b_val, rel_tol=rel_tol, abs_tol=rel_tol)
-                )
-                res[target] = FirstHopResult(target=target, best_value=b_val, first_hops=fh)
-            else:
-                key = tuple(eq_cols_l[row_bounds[p] : row_bounds[p + 1]])
-                fh = decoded.get(key)
-                if fh is None:
-                    fh = frozenset(one_nodes[c] for c in key)
-                    decoded[key] = fh
-                res[target] = FirstHopResult(target=target, best_value=b_val, first_hops=fh)
-        results[view.owner] = res
-    return results
+
+def _leaf_order(ng, win, off, R, w_slots, rank):
+    """Each chunk row's position in the leaf sequence of its Kruskal forest, and the gaps.
+
+    ``gaps[k]`` separates positions ``k`` and ``k + 1``: the weight of the merge that
+    joined them, or ``-inf`` between two components (see the module docstring).
+    """
+    # The owner-free visible edges, each once: slots of the one-hop rows minus the
+    # back-links to the owner; a link between two one-hop rows keeps its src < dst end.
+    src_local, dst_local = win.src_local, win.dst_local
+    keep = (src_local > 0) & (dst_local > 0) & (~win.dst_in_rows | (src_local < dst_local))
+    slots = win.slots[keep]
+    base = off[win.slot_owner[keep]] - 1
+    by_rank = np.argsort(win.slot_owner[keep] * rank.size + rank[ng.slot_edge[slots]])
+    a = (src_local[keep] + base)[by_rank].tolist()
+    b = (dst_local[keep] + base)[by_rank].tolist()
+    w = w_slots[slots][by_rank].tolist()
+
+    # Each component is a linked list of its rows in leaf order, headed by its root:
+    # ``nxt`` links a row to the next one and ``gap`` holds the weight between them,
+    # ``parent`` points every row at its root (relabelled small into large), and
+    # ``tail``/``size`` describe each root's list.
+    parent = list(range(R))
+    size = [1] * R
+    tail = list(range(R))
+    nxt = [-1] * R
+    gap = [_NEG_INF] * R
+    for x, y, value in zip(a, b, w):
+        rx = parent[x]
+        ry = parent[y]
+        if rx == ry:
+            continue
+        if size[rx] > size[ry]:
+            rx, ry = ry, rx
+        row = rx
+        while row >= 0:
+            parent[row] = ry
+            row = nxt[row]
+        end = tail[ry]
+        nxt[end] = rx  # the smaller list goes after the larger one
+        gap[end] = value
+        tail[ry] = tail[rx]
+        size[ry] += size[rx]
+    # Concatenate the lists root by root: each list's last gap stays -inf.
+    order: List[int] = []
+    for root in range(R):
+        if parent[root] == root:
+            row = root
+            while row >= 0:
+                order.append(row)
+                row = nxt[row]
+    leaves = np.array(order, dtype=np.int64)
+    pos = np.empty(R, dtype=np.int64)
+    pos[leaves] = np.arange(R, dtype=np.int64)
+    return pos, np.array(gap, dtype=np.float64)[leaves]
+
+
+def _range_minima(gaps: np.ndarray, pa: np.ndarray, pb: np.ndarray, span: int) -> np.ndarray:
+    """``min(gaps[lo:hi])`` for each position pair ``lo, hi = sorted((pa, pb))``.
+
+    One sparse table answers every pair with two lookups: level ``j`` holds the minimum
+    of ``2**j`` consecutive gaps.  A component's root is one of its rows, so each owner's
+    leaves fill one block of its positions and no range is longer than ``span - 1``
+    (``span`` = the largest window).  A pair with ``pa == pb`` reads one arbitrary gap.
+    """
+    R = gaps.size
+    table = np.empty((max(1, (span - 1).bit_length()), R), dtype=np.float64)
+    table[0] = gaps
+    for j in range(1, table.shape[0]):
+        h = 1 << (j - 1)
+        table[j] = table[j - 1]
+        np.minimum(table[j - 1, :-h], table[j - 1, h:], out=table[j, :-h])
+    lo = np.minimum(pa, pb)
+    hi = np.maximum(np.maximum(pa, pb), lo + 1)
+    j = np.frexp(hi - lo)[1] - 1  # floor(log2(range length))
+    flat = table.ravel()
+    jR = j * R
+    return np.minimum(flat[jR + lo], flat[jR + hi - (1 << j)])
+
+
+def _replay_scan(view, metric: Metric, target, one_nodes, row) -> FirstHopResult:
+    """The scalar first-wins scan over ``view.one_hop`` for one near-tie target.
+
+    ``row`` holds the target's candidate values in sorted one-hop order (``one_nodes``).
+    """
+    value_of = dict(zip(one_nodes, row))
+    scanned = [(hop, value_of[hop]) for hop in view.one_hop if value_of[hop] != _NEG_INF]
+    best = metric.optimum(value for _hop, value in scanned)
+    rel_tol = metric.rel_tol
+    return FirstHopResult(
+        target,
+        best,
+        frozenset(
+            hop
+            for hop, value in scanned
+            if value == best or math.isclose(value, best, rel_tol=rel_tol, abs_tol=rel_tol)
+        ),
+    )

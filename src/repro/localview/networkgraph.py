@@ -198,12 +198,13 @@ class NetworkGraph:
     def sorted_edges(self, metric: Metric) -> Optional[np.ndarray]:
         """Edge ids argsorted best-first by ``metric.sort_key`` (cached per token).
 
-        This is the **one shared Kruskal order** every owner's batched bottleneck pass
-        filters instead of re-sorting its visible edges: the sort is stable, so equal
-        keys keep edge-id (lexicographic ``(u, v)``) order, which makes the per-owner
-        forests deterministic.  (Any maximum-bottleneck forest yields the same pairwise
-        bottleneck values, so the forests need not match the scalar solver's edge-by-edge
-        -- only the *values* must, and they do exactly.)
+        This is the **one shared Kruskal order** of the batched bottleneck kernel: each
+        kernel pass sorts all its owners' visible edges at once by ``(owner, rank in
+        this order)`` instead of sorting every view's edges.  The sort is stable, so
+        equal keys keep edge-id (lexicographic ``(u, v)``) order, which makes the
+        per-owner forests deterministic.  (Any maximum-bottleneck forest yields the same
+        pairwise bottleneck values, so the forests need not match the scalar solver's
+        edge-by-edge -- only the *values* must, and they do exactly.)
         """
         values = self.edge_values(metric)
         if values is None:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -57,8 +57,6 @@ from repro.localview.view import LocalView
 from repro.metrics.base import Metric, MetricKind
 from repro.obs import runtime as obs
 from repro.utils.ids import NodeId
-
-from dataclasses import dataclass
 
 
 def best_values_from(
@@ -109,9 +107,11 @@ def best_value_between(
     return best_values_from(graph, source, metric, excluded).get(target, metric.worst)
 
 
-@dataclass(frozen=True)
-class FirstHopResult:
+class FirstHopResult(NamedTuple):
     """The outcome of a first-hop-on-best-path computation for one target.
+
+    A named tuple: the solvers build one per target per view, and it is over twice as
+    cheap to build as a frozen dataclass.
 
     Attributes
     ----------

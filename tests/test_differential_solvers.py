@@ -422,7 +422,62 @@ def _degenerate_networks():
             (2, 3): {"bandwidth": 2.0, "delay": 3.0},
         }
     )
+
+    # A negative link value: for the additive solvers an undirected negative link is a
+    # negative cycle, so the batched delay kernel declines and the scalar path answers;
+    # the bottleneck kernel has no arithmetic and keeps batching.
+    shapes["negative-delay"] = weighted(
+        {
+            (0, 1): {"bandwidth": 5.0, "delay": 1.0},
+            (1, 2): {"bandwidth": -1.0, "delay": -1.0},
+            (0, 2): {"bandwidth": 3.0, "delay": 4.0},
+            (2, 3): {"bandwidth": 2.0, "delay": 1.0},
+            (1, 3): {"bandwidth": 4.0, "delay": 2.0},
+        }
+    )
     return shapes
+
+
+#: (shape, metric name) pairs the batched kernels decline, leaving them to the scalar path.
+_SCALAR_ONLY = {("negative-delay", "delay")}
+
+
+def _wide_networks():
+    """Name → Network for shapes wide enough to cross the batched kernels' inner limits.
+
+    ``hub-of-70`` is a hub with 70 spokes, each spoke linked to the four next ones on a
+    ring and to one outer-ring node, plus a five-node island of near-tie weights under
+    the highest identifiers.  The hub's first-hop bits 64-69 need a second ``uint64``
+    mask lane in both kernels.  The hub's pair bound alone exceeds the concave kernel's
+    chunk budget, so the owners span several chunks with different largest degrees, and
+    the island's near-tie target is decided in the last chunk.  Small integer weights
+    make wide tie sets, across both lanes, the rule.
+    """
+    from repro.topology.network import Network
+
+    rng = random.Random(70)
+
+    def weights():
+        return {"bandwidth": float(rng.randint(1, 3)), "delay": float(rng.randint(1, 3))}
+
+    links = {}
+    for spoke in range(1, 71):
+        links[(0, spoke)] = weights()
+        for step in (1, 2, 3, 4):
+            other = (spoke - 1 + step) % 70 + 1
+            links[(min(spoke, other), max(spoke, other))] = weights()
+        links[(spoke, 100 + spoke)] = weights()
+        links[(100 + spoke, 100 + spoke % 70 + 1)] = weights()
+    links.update(
+        {
+            (300, 301): {"bandwidth": 5.0, "delay": 2.0},
+            (300, 302): {"bandwidth": 5.0 + 1e-11, "delay": 2.0 + 1e-12},
+            (301, 303): {"bandwidth": 5.0, "delay": 2.0},
+            (302, 303): {"bandwidth": 5.0 + 1e-11, "delay": 2.0},
+            (303, 304): {"bandwidth": 1.0, "delay": 1.0},
+        }
+    )
+    return {"hub-of-70": Network.from_links(links)}
 
 
 @st.composite
@@ -493,19 +548,89 @@ class TestDegenerateTopologiesScalarVsBatched:
         """The same agreement on drawn networks: sizes 1-40, ties and near-ties."""
         _assert_both_paths_agree(network, repr(network))
 
-    @pytest.mark.parametrize("shape", sorted(_degenerate_networks()))
+    @pytest.mark.parametrize("shape", sorted(_degenerate_networks()) + sorted(_wide_networks()))
     def test_first_hop_kernels_agree_on_degenerate_windows(self, shape):
         """The batched kernels themselves (not just selection built on them) reproduce
-        the scalar first-hop sets on every degenerate window, including empty ones."""
+        the scalar first-hop sets on every degenerate window, including empty ones, and
+        on windows wide enough for several chunks and mask lanes."""
         from repro.localview.batched import batched_all_first_hops
         from repro.localview.networkgraph import NetworkGraph
 
-        network = _degenerate_networks()[shape]
+        network = {**_degenerate_networks(), **_wide_networks()}[shape]
         ng = NetworkGraph.from_network(network)
         views = LocalView.all_from_network(network, network_graph=ng)
         for metric in (BANDWIDTH, DELAY):
             batch = batched_all_first_hops(ng, list(views.values()), metric)
+            if (shape, metric.name) in _SCALAR_ONLY:
+                assert batch is None, (shape, metric.name)
+                continue
             assert batch is not None
             for owner, view in views.items():
                 fresh = LocalView.from_network(network, owner)
                 assert batch[owner] == all_first_hops(fresh, metric), (shape, metric.name, owner)
+
+    def test_wide_network_crosses_chunks_and_lanes(self, monkeypatch):
+        """``hub-of-70`` really exercises what it is meant to: at least three concave
+        chunks with different largest degrees, the near-tie owner outside the first
+        chunk, and one-hop sets wider than a single mask lane."""
+        from repro.localview import batched
+        from repro.localview.networkgraph import NetworkGraph
+
+        network = _wide_networks()["hub-of-70"]
+        ng = NetworkGraph.from_network(network)
+        views = list(LocalView.all_from_network(network, network_graph=ng).values())
+        chunks = []
+        solve_chunk = batched._bottleneck_chunk
+
+        def spy(ng, views, g, *rest):
+            largest = max(len(view.one_hop) for view in views)
+            chunks.append(([view.owner for view in views], largest))
+            return solve_chunk(ng, views, g, *rest)
+
+        monkeypatch.setattr(batched, "_bottleneck_chunk", spy)
+        assert batched.batched_all_first_hops(ng, views, BANDWIDTH) is not None
+        assert len(chunks) >= 3
+        assert len({largest for _owners, largest in chunks}) >= 2
+        assert 300 not in chunks[0][0]
+        assert max(len(view.one_hop) for view in views) > 64
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_nan_and_minus_inf_links_leave_every_view_to_the_scalar_path(self, value):
+        """NaN compares unlike anything the scalar scans expect, and ``-inf`` is the
+        bottleneck kernel's unreachable sentinel (and negative for delay), so neither
+        kernel batches them; first-hop sets and selections then match the scalar path.
+        NaN best values never compare equal, so sets are compared, not whole results."""
+        from repro.core.selection import available_selectors
+        from repro.localview.batched import batched_all_first_hops
+        from repro.localview.networkgraph import NetworkGraph
+        from repro.topology.network import Network
+
+        network = Network.from_links(
+            {
+                (0, 1): {"bandwidth": 5.0, "delay": 1.0},
+                (1, 2): {"bandwidth": value, "delay": value},
+                (0, 2): {"bandwidth": 3.0, "delay": 4.0},
+                (2, 3): {"bandwidth": 2.0, "delay": 1.0},
+                (1, 3): {"bandwidth": 4.0, "delay": 2.0},
+            }
+        )
+        for metric in (BANDWIDTH, DELAY):
+            ng = NetworkGraph.from_network(network)
+            views = LocalView.all_from_network(network, network_graph=ng)
+            assert batched_all_first_hops(ng, list(views.values()), metric) is None
+            scalar_views = LocalView.all_from_network(network)
+            for owner, view in views.items():
+                batched = all_first_hops(view, metric)
+                scalar = all_first_hops(scalar_views[owner], metric)
+                assert {t: r.first_hops for t, r in batched.items()} == {
+                    t: r.first_hops for t, r in scalar.items()
+                }, (metric.name, owner)
+            for name in available_selectors():
+                selector = make_selector(name)
+                batched = selector.select_all(network, metric, views=views)
+                for owner, view in scalar_views.items():
+                    assert batched[owner].selected == selector.select(view, metric).selected, (
+                        metric.name,
+                        name,
+                        owner,
+                    )
