@@ -42,11 +42,7 @@ from repro.localview.paths import (  # noqa: E402
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner  # noqa: E402
 from repro.mobility.models import LinkChurnGenerator, RandomWaypointGenerator  # noqa: E402
 from repro.protocol import LossModel, ProtocolSimulator  # noqa: E402
-from repro.routing.advertised import (  # noqa: E402
-    AdvertisedTopologyBuilder,
-    build_advertised_topology,
-    run_selection,
-)
+from repro.routing.advertised import AdvertisedTopologyBuilder, build_advertised_topology  # noqa: E402
 from repro.topology import FieldSpec, FixedCountNetworkGenerator  # noqa: E402
 
 #: Selector cycle timed by the advertised-topology benchmark (the paper's legend order).
@@ -144,7 +140,7 @@ def record_advertised_topology(rounds: int) -> dict:
     metric = BandwidthMetric()
     views = LocalView.all_from_network(network)
     selections = {
-        name: run_selection(network, make_selector(name), metric, views=views)
+        name: make_selector(name).select_all(network, metric, views=views)
         for name in ADVERTISED_SELECTORS
     }
 

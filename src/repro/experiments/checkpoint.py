@@ -103,10 +103,12 @@ def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
 
     Tolerates exactly the damage a kill can cause -- a truncated final line, and trailing
     ``trial`` events of a density that never finished (both are discarded; the density
-    re-runs).  Anything else malformed raises :class:`CheckpointError` naming the line.
+    re-runs).  Anything else malformed raises :class:`CheckpointError` naming the line: a
+    line that is not UTF-8, JSON or an object, an event missing a field the resume reads,
+    a ``series`` or point that is not an object, or a non-numeric ``density``.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_bytes().splitlines()
     spec = None
     densities: Dict[float, DensityCheckpoint] = {}
     pending: list = []
@@ -115,44 +117,48 @@ def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # a bad byte or bad JSON
             if number == len(lines):
                 break  # final line truncated by the kill mid-write; the data before it stands
             raise CheckpointError(f"{path}:{number}: unparseable JSONL line ({exc})") from exc
+        if not isinstance(record, dict):
+            raise CheckpointError(f"{path}:{number}: not a JSON object")
         event = record.get("event")
-        if event == "sweep_start":
-            try:
+        try:
+            if event == "sweep_start":
                 spec = ExperimentSpec.from_dict(record["spec"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(f"{path}:{number}: invalid spec in sweep_start ({exc})") from exc
-        elif event == "trial":
-            pending.append((record["run"], record["payload"]))
-        elif event == "trial_error":
-            pending.append(
-                (
-                    record["run"],
-                    TrialFailure(
-                        density=record["density"],
-                        run_index=record["run"],
-                        error=record["error"],
-                        error_type=record["error_type"],
-                        attempts=record["attempts"],
-                    ),
+            elif event == "trial":
+                pending.append((record["run"], record["payload"]))
+            elif event == "trial_error":
+                pending.append(
+                    (
+                        record["run"],
+                        TrialFailure(
+                            density=record["density"],
+                            run_index=record["run"],
+                            error=record["error"],
+                            error_type=record["error_type"],
+                            attempts=record["attempts"],
+                        ),
+                    )
                 )
-            )
-        elif event == "density":
-            density = float(record["density"])
-            points = {
-                name: point_from_dict(point) for name, point in record["series"].items()
-            }
-            densities[density] = DensityCheckpoint(
-                density=density, trials=tuple(pending), points=points
-            )
-            pending = []
-        elif event == "result":
-            complete = True
-        # "warning" lines (and unknown future events) carry no resumable state.
+            elif event == "density":
+                density = float(record["density"])
+                points = {
+                    name: point_from_dict(point) for name, point in record["series"].items()
+                }
+                densities[density] = DensityCheckpoint(
+                    density=density, trials=tuple(pending), points=points
+                )
+                pending = []
+            elif event == "result":
+                complete = True
+            # "warning" lines (and unknown future events) carry no resumable state.
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            # AttributeError: a series or point that is not an object has no ``items``;
+            # OverflowError: an integer density too large for a float.
+            raise CheckpointError(f"{path}:{number}: malformed {event} event ({exc!r})") from exc
     if spec is None:
         raise CheckpointError(
             f"{path} contains no sweep_start event -- not a resumable JSONL stream "

@@ -3,8 +3,13 @@
 An OLSR node computes next hops from what it knows: its own links (neighbor table) plus the
 TC-learned advertised topology.  The original protocol uses hop count; the QoS variants use
 the QoS metric, which is what this implementation does -- it is the in-protocol counterpart
-of :class:`repro.routing.hop_by_hop.HopByHopRouter` and the simulator's nodes use it to
+of :class:`repro.routing.hop_by_hop.HopByHopRouter`, deciding by the same rule
+(:func:`~repro.routing.hop_by_hop.best_next_hop`), and the simulator's nodes use it to
 forward data packets.
+
+:meth:`RoutingTable.recompute` only takes a snapshot of the tables; each query solves the
+one destination it asks for over that snapshot.  An answer is therefore a pure function of
+the tables as they stood at the last ``recompute``, whenever it is read.
 """
 
 from __future__ import annotations
@@ -15,11 +20,10 @@ from typing import Dict, Optional
 import networkx as nx
 
 from repro.localview.compactgraph import CompactGraph
-from repro.localview.paths import best_values_from
 from repro.metrics.base import Metric
-from repro.metrics.ordering import preferred_neighbor
 from repro.olsr.neighbor_table import NeighborTable
 from repro.olsr.topology_table import TopologyTable
+from repro.routing.hop_by_hop import best_next_hop
 from repro.utils.ids import NodeId
 
 
@@ -33,35 +37,33 @@ class RouteEntry:
 
 
 class RoutingTable:
-    """Next-hop table computed from the node's own knowledge."""
+    """Next hops computed on demand from a snapshot of the node's own knowledge."""
 
     def __init__(self, owner: NodeId, metric: Metric):
         self.owner = owner
         self.metric = metric
-        self._routes: Dict[NodeId, RouteEntry] = {}
+        self._knowledge = nx.Graph()
+        self._solver_graph: nx.Graph | CompactGraph = self._knowledge
+        self._direct: Dict[NodeId, float] = {}
 
     # ------------------------------------------------------------------ computation
 
     def recompute(self, neighbors: NeighborTable, topology: TopologyTable) -> None:
-        """Rebuild the table from the current neighbor and topology tables."""
+        """Snapshot the current neighbor and topology tables; queries answer from it."""
         metric = self.metric
-        owner = self.owner
         knowledge = self._knowledge_graph(neighbors, topology)
-        self._routes = {}
-
-        destinations = [node for node in knowledge.nodes if node != owner]
-        if not destinations:
-            return
-
         # One flat snapshot serves every per-destination solve (excluded nodes are handled
         # at solver level); heterogeneous tables whose merged links miss the metric's
         # attribute fall back to the lazy networkx traversal.
         compact = CompactGraph.try_from_networkx(knowledge, metric)
-        solver_graph = compact if compact is not None else knowledge
-        for destination in destinations:
-            entry = self._best_next_hop(knowledge, solver_graph, neighbors, destination)
-            if entry is not None:
-                self._routes[destination] = entry
+        owner_row = knowledge.adj[self.owner]
+        self._knowledge = knowledge
+        self._solver_graph = compact if compact is not None else knowledge
+        self._direct = {
+            neighbor: metric.link_value_from_attributes(owner_row[neighbor])
+            for neighbor in neighbors.neighbors()
+            if neighbor in owner_row
+        }
 
     def _knowledge_graph(self, neighbors: NeighborTable, topology: TopologyTable) -> nx.Graph:
         graph = topology.as_graph()
@@ -75,86 +77,24 @@ class RoutingTable:
                     graph.add_edge(neighbor, other, **weights)
         return graph
 
-    def _best_next_hop(
-        self,
-        knowledge: nx.Graph,
-        solver_graph,
-        neighbors: NeighborTable,
-        destination: NodeId,
-    ) -> Optional[RouteEntry]:
-        metric = self.metric
-        owner = self.owner
-        one_hop = neighbors.neighbors()
-        if destination in one_hop and knowledge.has_edge(owner, destination):
-            direct_value = metric.link_value_from_attributes(knowledge.adj[owner][destination])
-        else:
-            direct_value = None
-
-        from_destination = best_values_from(solver_graph, destination, metric, excluded=(owner,))
-        hops_from_destination = self._hop_distances(knowledge, destination)
-        candidates: Dict[NodeId, tuple[float, float]] = {}
-        for neighbor in one_hop:
-            if not knowledge.has_edge(owner, neighbor):
-                continue
-            link_value = metric.link_value_from_attributes(knowledge.adj[owner][neighbor])
-            start = metric.combine(metric.identity, link_value)
-            if neighbor == destination:
-                candidates[neighbor] = (start, 1.0)
-                continue
-            remainder = from_destination.get(neighbor)
-            if remainder is None:
-                continue
-            hop_estimate = 1.0 + hops_from_destination.get(neighbor, float("inf"))
-            candidates[neighbor] = (metric.combine(start, remainder), hop_estimate)
-
-        if not candidates:
-            return None
-        best_value = metric.optimum(value for value, _ in candidates.values())
-        if not metric.is_usable(best_value):
-            return None
-        # Among the QoS-optimal next hops keep the hop-shortest ones (bottleneck metrics tie
-        # often; preferring hop progress keeps independent per-node decisions consistent),
-        # then apply the paper's preference order.
-        best_neighbors = {
-            neighbor: hops
-            for neighbor, (value, hops) in candidates.items()
-            if metric.values_equal(value, best_value)
-        }
-        fewest_hops = min(best_neighbors.values())
-        shortlist = [neighbor for neighbor, hops in best_neighbors.items() if hops == fewest_hops]
-        chosen = preferred_neighbor(
-            shortlist,
-            metric,
-            lambda neighbor: metric.link_value_from_attributes(knowledge.adj[owner][neighbor]),
-        )
-        return RouteEntry(destination=destination, next_hop=chosen, expected_value=best_value)
-
-    def _hop_distances(self, knowledge: nx.Graph, destination: NodeId) -> Dict[NodeId, float]:
-        """BFS hop distances from the destination over the knowledge graph minus the owner."""
-        distances: Dict[NodeId, float] = {destination: 0.0}
-        frontier = [destination]
-        while frontier:
-            next_frontier = []
-            for node in frontier:
-                for neighbor in knowledge.neighbors(node):
-                    if neighbor == self.owner or neighbor in distances:
-                        continue
-                    distances[neighbor] = distances[node] + 1.0
-                    next_frontier.append(neighbor)
-            frontier = next_frontier
-        return distances
-
     # ------------------------------------------------------------------ queries
 
+    def entry(self, destination: NodeId) -> Optional[RouteEntry]:
+        """The route to ``destination`` as of the last :meth:`recompute` (None if none)."""
+        if destination == self.owner or destination not in self._knowledge:
+            return None
+        chosen = best_next_hop(
+            self._knowledge, self._solver_graph, self.owner, destination, self._direct, self.metric
+        )
+        return RouteEntry(destination, *chosen) if chosen is not None else None
+
     def next_hop(self, destination: NodeId) -> Optional[NodeId]:
-        entry = self._routes.get(destination)
+        entry = self.entry(destination)
         return entry.next_hop if entry else None
 
-    def entry(self, destination: NodeId) -> Optional[RouteEntry]:
-        return self._routes.get(destination)
-
     def destinations(self) -> list[NodeId]:
-        return sorted(self._routes)
+        """Every reachable destination, sorted (solves each node of the snapshot)."""
+        return sorted(node for node in self._knowledge if self.entry(node) is not None)
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return len(self.destinations())

@@ -22,8 +22,8 @@ Per-node behaviour (RFC 3626 shapes, intervals configurable per spec):
   jitter, RFC 3626's triggered-update rule.  At most one trigger is pending per node.
 
 Data packets (:meth:`send_data`) travel hop by hop as unicasts over the same channel,
-so they can be lost like control traffic; each node on the way recomputes its routing
-table from its current tables before choosing the next hop.  With the default
+so they can be lost like control traffic; each node on the way takes a snapshot of its
+current tables and solves the destination it forwards to.  With the default
 ``LossModel(loss_rate=0)`` the channel is the paper's ideal MAC layer.
 
 Attached to a :class:`~repro.mobility.dynamic.DynamicTopology` via :meth:`attach`, the
@@ -293,9 +293,9 @@ class ProtocolSimulator:
     def next_hops(self, pairs: Sequence[Tuple[NodeId, NodeId]]) -> List[Optional[NodeId]]:
         """Current next hop of every (source, destination) pair, from the source's tables.
 
-        Routing tables are recomputed for each distinct source first (route computation
-        is demand-driven here; the periodic loops only maintain the tables routes are
-        computed *from*).
+        Each distinct source snapshots its tables first, then solves only the destinations
+        asked of it (route computation is demand-driven here; the periodic loops only
+        maintain the tables routes are computed *from*).
         """
         for source in sorted({source for source, _ in pairs}):
             self.nodes[source].recompute_routes()
@@ -307,7 +307,7 @@ class ProtocolSimulator:
         """Inject one data packet at ``source`` and report whether and how it arrived.
 
         The packet is unicast hop by hop over the channel, each node choosing its next hop
-        from a routing table recomputed on the spot (as in :meth:`next_hops`); the
+        from a snapshot of its tables taken on the spot (as in :meth:`next_hops`); the
         simulation then runs ``settle_delay`` time units, periodic traffic included.  A
         packet lost or dropped on the way reports ``delivered=False`` with the path it
         covered.  A packet addressed to its own source is received there at once, and

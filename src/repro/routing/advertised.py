@@ -30,12 +30,11 @@ over one selector's topology before asking for the next).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional
+from typing import Dict, FrozenSet, Mapping
 
 import networkx as nx
 
 from repro.core.selection import AnsSelector, SelectionResult
-from repro.localview.view import LocalView
 from repro.metrics.base import Metric
 from repro.topology.network import Network
 from repro.utils.ids import NodeId
@@ -85,28 +84,6 @@ class AdvertisedTopology:
         if not self.ans_sets:
             return 0.0
         return sum(len(selected) for selected in self.ans_sets.values()) / len(self.ans_sets)
-
-
-def run_selection(
-    network: Network,
-    selector: AnsSelector,
-    metric: Metric,
-    views: Optional[Dict[NodeId, LocalView]] = None,
-    previous: Optional[Dict[NodeId, SelectionResult]] = None,
-    dirty: Optional[Iterable[NodeId]] = None,
-) -> Dict[NodeId, SelectionResult]:
-    """Run ``selector`` at every node of ``network`` (each node sees only its local view).
-
-    All views are built in one batched pass over the network adjacency (see
-    :meth:`LocalView.all_from_network`) before the per-node selections run.  Pass ``views``
-    to reuse an already-built batch across several selector/metric runs: the views' cached
-    compact graphs and bottleneck forests then serve every run, instead of being rebuilt
-    per selector.  Pass ``previous`` and ``dirty`` together to make the run incremental --
-    owners outside ``dirty`` reuse their previous :class:`SelectionResult` instead of
-    re-running the selector (see :meth:`AnsSelector.select_all` for the exact contract;
-    dynamic trials drive this through :class:`~repro.core.selection.SelectionCache`).
-    """
-    return selector.select_all(network, metric, views=views, previous=previous, dirty=dirty)
 
 
 def _ans_sets(
@@ -220,13 +197,17 @@ class AdvertisedTopologyBuilder:
         a link that stays advertised.  Callers advancing a
         :class:`~repro.mobility.dynamic.DynamicTopology` pass each step's reweighted edges
         here (see ``_route_stability_trial``); links not currently materialized are
-        ignored (they get fresh attributes whenever a build adds them).
+        ignored (they get fresh attributes whenever a build adds them).  Rewriting a
+        materialized link re-targets the builder like :meth:`build` does: topologies built
+        before raise from :meth:`AdvertisedTopology.assert_live`, since routers built on
+        them answer from caches of the old weights.  Build again after refreshing.
         """
         graph = self._graph
         network = self._network
         for u, v in edges:
             if frozenset((u, v)) in self._edges:
                 graph.edges[u, v].update(network.link_attributes(u, v))
+                self._generation += 1
 
 
 def advertise(
@@ -235,4 +216,4 @@ def advertise(
     metric: Metric,
 ) -> AdvertisedTopology:
     """Convenience: run the selection everywhere and build the advertised topology."""
-    return build_advertised_topology(network, run_selection(network, selector, metric))
+    return build_advertised_topology(network, selector.select_all(network, metric))

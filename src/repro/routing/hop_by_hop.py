@@ -8,6 +8,10 @@ when the advertised sets are chosen badly this is exactly how the paper's Figure
 unreachable destinations arise, so the router below detects loops and dead ends and reports
 them rather than hiding them.
 
+:func:`best_next_hop` is the one next-hop rule: the analytic router below and the protocol
+simulator's per-node :class:`~repro.olsr.routing_table.RoutingTable` both call it, each over
+its own knowledge graph.
+
 The QoS value "consumed" by a delivered packet (the paper's ``b`` and ``d``) is the value of
 the traversed path computed on the *true* link weights of the network.
 """
@@ -15,7 +19,7 @@ the traversed path computed on the *true* link weights of the network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -42,6 +46,67 @@ def hello_learned_edges(network: Network, source: NodeId):
     for neighbor in adjacency[source]:
         for other, attributes in adjacency[neighbor].items():
             yield (neighbor, other, attributes)
+
+
+def best_next_hop(
+    graph: nx.Graph,
+    solver_graph: nx.Graph | CompactGraph,
+    owner: NodeId,
+    destination: NodeId,
+    direct: Mapping[NodeId, float],
+    metric: Metric,
+) -> Optional[Tuple[NodeId, float]]:
+    """The neighbor ``owner`` forwards to for ``destination``, with the path value it expects.
+
+    ``graph`` is the topology the owner knows, which must contain ``destination``, and
+    ``solver_graph`` is either ``graph`` or its :class:`CompactGraph` snapshot.  ``direct``
+    maps each one-hop neighbor to the value of the owner's link to it; candidates are
+    scanned in its order.  A neighbor's value is its link combined with the best path from
+    it to ``destination`` over ``graph`` minus the owner (the rest of the path cannot
+    revisit it).  Among the neighbors achieving the optimal value, the fewest hops over
+    ``graph`` minus the owner win, then the better direct link, then the smaller
+    identifier.  The hop tie-break matters in practice: bottleneck metrics produce many
+    equally wide next hops, and preferring hop progress is what keeps independent per-node
+    decisions from bouncing a packet back and forth (QOLSR's own route computation also
+    keeps hop-shortest among the QoS-optimal routes).  None when the optimum is unusable or
+    no neighbor leads anywhere.
+    """
+    from_destination = best_values_from(solver_graph, destination, metric, excluded=(owner,))
+    distance: Dict[NodeId, float] = {destination: 0.0}
+    frontier = [destination]
+    while frontier:  # breadth-first hop distances from the destination, owner excluded
+        next_frontier = []
+        for node in frontier:
+            for neighbor in graph.neighbors(node):
+                if neighbor != owner and neighbor not in distance:
+                    distance[neighbor] = distance[node] + 1.0
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+
+    candidates: Dict[NodeId, Tuple[float, float]] = {}
+    for neighbor, link_value in direct.items():
+        start = metric.combine(metric.identity, link_value)
+        if neighbor == destination:
+            candidates[neighbor] = (start, 1.0)
+            continue
+        remainder = from_destination.get(neighbor)
+        if remainder is not None:
+            hop_estimate = 1.0 + distance.get(neighbor, float("inf"))
+            candidates[neighbor] = (metric.combine(start, remainder), hop_estimate)
+
+    if not candidates:
+        return None
+    best_value = metric.optimum(value for value, _ in candidates.values())
+    if not metric.is_usable(best_value):
+        return None
+    best_candidates = {
+        neighbor: hops
+        for neighbor, (value, hops) in candidates.items()
+        if metric.values_equal(value, best_value)
+    }
+    fewest_hops = min(best_candidates.values())
+    shortlist = [neighbor for neighbor, hops in best_candidates.items() if hops == fewest_hops]
+    return preferred_neighbor(shortlist, metric, direct.__getitem__), best_value
 
 
 @dataclass(frozen=True)
@@ -127,86 +192,27 @@ class HopByHopRouter:
     def next_hop(self, current: NodeId, destination: NodeId) -> Optional[NodeId]:
         """The neighbor ``current`` forwards to for ``destination`` (None when it has no route).
 
-        The decision uses ``current``'s knowledge: the advertised topology (minus ``current``
-        itself, since the remainder of the path will not revisit it) plus ``current``'s own
-        one-hop links.  Among the first hops achieving the optimal QoS value, the shorter
-        path (in hops over the advertised topology) is preferred, then the better direct
-        link, then the smaller identifier.  The hop tie-break matters in practice: bottleneck
-        metrics produce many equally wide next hops, and preferring hop progress is what
-        keeps independent per-node decisions from bouncing a packet back and forth (QOLSR's
-        own route computation also keeps hop-shortest among the QoS-optimal routes).
+        The decision is :func:`best_next_hop` over ``current``'s knowledge: the advertised
+        topology plus ``current``'s own one-hop links.  A destination missing from the
+        advertised topology is reached over the direct link when it is a neighbor.
         """
         metric = self.metric
         if destination == current:
             return None
         self.advertised.assert_live()
         own_neighbors = self.network.neighbors(current)
-        if destination in own_neighbors and not self.advertised.graph.has_node(destination):
-            return destination
-
-        # Best value and hop distance from the destination to every node over the advertised
-        # links, never passing through ``current`` (the rest of the path cannot revisit it).
-        if self.advertised.graph.has_node(destination):
-            compact = self._advertised_compact_graph()
-            from_destination = best_values_from(
-                compact if compact is not None else self.advertised.graph,
-                destination,
-                metric,
-                excluded=(current,),
-            )
-            hops_from_destination = self._hop_distances(destination, excluded=current)
-        else:
-            from_destination = {}
-            hops_from_destination = {}
-
-        candidates: Dict[NodeId, Tuple[float, float]] = {}
-        for neighbor in own_neighbors:
-            link_value = self.network.link_value(current, neighbor, metric)
-            start = metric.combine(metric.identity, link_value)
-            if neighbor == destination:
-                candidates[neighbor] = (start, 1.0)
-                continue
-            remainder = from_destination.get(neighbor)
-            if remainder is None:
-                continue
-            hop_estimate = 1.0 + hops_from_destination.get(neighbor, float("inf"))
-            candidates[neighbor] = (metric.combine(start, remainder), hop_estimate)
-
-        if not candidates:
-            return None
-        best_value = metric.optimum(value for value, _ in candidates.values())
-        if not metric.is_usable(best_value):
-            return None
-        best_candidates = {
-            neighbor: hops
-            for neighbor, (value, hops) in candidates.items()
-            if metric.values_equal(value, best_value)
-        }
-        fewest_hops = min(best_candidates.values())
-        shortlist = [
-            neighbor for neighbor, hops in best_candidates.items() if hops == fewest_hops
-        ]
-        return preferred_neighbor(
-            shortlist,
-            metric,
-            lambda neighbor: self.network.link_value(current, neighbor, metric),
-        )
-
-    def _hop_distances(self, destination: NodeId, excluded: NodeId) -> Dict[NodeId, float]:
-        """BFS hop distances from ``destination`` over the advertised topology minus a node."""
         graph = self.advertised.graph
-        distances: Dict[NodeId, float] = {destination: 0.0}
-        frontier = [destination]
-        while frontier:
-            next_frontier = []
-            for node in frontier:
-                for neighbor in graph.neighbors(node):
-                    if neighbor == excluded or neighbor in distances:
-                        continue
-                    distances[neighbor] = distances[node] + 1.0
-                    next_frontier.append(neighbor)
-            frontier = next_frontier
-        return distances
+        if not graph.has_node(destination):
+            return destination if destination in own_neighbors else None
+        compact = self._advertised_compact_graph()
+        direct = {
+            neighbor: self.network.link_value(current, neighbor, metric)
+            for neighbor in own_neighbors
+        }
+        chosen = best_next_hop(
+            graph, compact if compact is not None else graph, current, destination, direct, metric
+        )
+        return chosen[0] if chosen is not None else None
 
     # ------------------------------------------------------------------ link-state routing
 

@@ -92,10 +92,3 @@ def best_path(
 def optimal_route(network: Network, source: NodeId, destination: NodeId, metric: Metric) -> OptimalRoute:
     """Centralized optimal route on a :class:`~repro.topology.network.Network`."""
     return best_path(network.graph, source, destination, metric)
-
-
-def optimal_values_from(network: Network, source: NodeId, metric: Metric) -> Dict[NodeId, float]:
-    """Optimal path value from ``source`` to every reachable node (for bulk evaluations)."""
-    from repro.localview.paths import best_values_from
-
-    return best_values_from(network.graph, source, metric)

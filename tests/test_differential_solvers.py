@@ -31,11 +31,7 @@ from repro.localview.paths import (
     _first_hops_to_nx,
 )
 from repro.metrics import BandwidthMetric, DelayMetric, LexicographicMetric
-from repro.routing.advertised import (
-    AdvertisedTopologyBuilder,
-    build_advertised_topology,
-    run_selection,
-)
+from repro.routing.advertised import AdvertisedTopologyBuilder, build_advertised_topology
 from repro.topology import FieldSpec, FixedCountNetworkGenerator
 
 TOPOLOGY_COUNT = 50
@@ -178,7 +174,7 @@ class TestIncrementalAdvertisedTopologyMatchesFullRebuild:
         builder = AdvertisedTopologyBuilder(network)
         per_selector = {}
         for name in ("qolsr-mpr2", "topology-filtering", "fnbp"):
-            per_selector[name] = run_selection(network, make_selector(name), metric, views=views)
+            per_selector[name] = make_selector(name).select_all(network, metric, views=views)
         # Forward pass, then revisit the first selector so the diff also runs "backwards".
         for name in ("qolsr-mpr2", "topology-filtering", "fnbp", "qolsr-mpr2"):
             incremental = builder.build(per_selector[name])
@@ -204,20 +200,48 @@ class TestIncrementalAdvertisedTopologyMatchesFullRebuild:
         metric = BANDWIDTH
         views = LocalView.all_from_network(network)
         builder = AdvertisedTopologyBuilder(network)
-        first = builder.build(run_selection(network, make_selector("fnbp"), metric, views=views))
+        first = builder.build(make_selector("fnbp").select_all(network, metric, views=views))
         router = HopByHopRouter(network, first, metric)
         nodes = network.nodes()
         assert router.link_state_route(nodes[0], nodes[-1]).delivered  # live: routes fine
-        builder.build(run_selection(network, make_selector("qolsr-mpr2"), metric, views=views))
+        builder.build(make_selector("qolsr-mpr2").select_all(network, metric, views=views))
         with pytest.raises(RuntimeError):
             router.link_state_route(nodes[0], nodes[-1])
         with pytest.raises(RuntimeError):
             router.next_hop(nodes[0], nodes[-1])
         # Independently built topologies are never invalidated.
         independent = build_advertised_topology(
-            network, run_selection(network, make_selector("fnbp"), metric, views=views)
+            network, make_selector("fnbp").select_all(network, metric, views=views)
         )
         independent.assert_live()
+
+    def test_refreshing_an_advertised_link_retargets_the_builder(self):
+        """Re-measuring a link that stays advertised makes held topologies stale: a router
+        built before the refresh would still route over its cached old weights."""
+        from repro.routing.hop_by_hop import HopByHopRouter
+        from repro.topology import Network
+
+        network = Network.from_links(
+            {
+                (0, 1): {"bandwidth": 5.0},
+                (1, 3): {"bandwidth": 5.0},
+                (0, 2): {"bandwidth": 4.0},
+                (2, 3): {"bandwidth": 4.0},
+            }
+        )
+        both_relays = {1: frozenset({0, 3}), 2: frozenset({0, 3})}
+        builder = AdvertisedTopologyBuilder(network)
+        held = HopByHopRouter(network, builder.build(both_relays), BANDWIDTH)
+        assert held.route(0, 3).path == (0, 1, 3)
+        network.set_link_weight(1, 3, "bandwidth", 1.0)
+        builder.refresh_attributes([(1, 3)])
+        with pytest.raises(RuntimeError):
+            held.route(0, 3)
+        current = builder.build(both_relays)
+        fresh = HopByHopRouter(network, current, BANDWIDTH).route(0, 3)
+        assert fresh.path == (0, 2, 3) and fresh.value == 4.0
+        builder.refresh_attributes([(0, 3)])  # not materialized: nothing rewritten
+        current.assert_live()
 
     def test_builder_validates_unknown_links_like_the_full_build(self):
         network = unit_disk_network(0)
@@ -253,7 +277,7 @@ class TestSharedLinkStateEdgesMatchPerRouterWalks:
                 network=network,
             )
             for name in ("qolsr-mpr2", "topology-filtering", "fnbp"):
-                selections = run_selection(network, make_selector(name), metric, views=views)
+                selections = make_selector(name).select_all(network, metric, views=views)
                 advertised = build_advertised_topology(network, selections)
                 shared = HopByHopRouter(
                     network, advertised, metric, local_edges=trial.link_state_edges

@@ -13,12 +13,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments import sweep_cli
 from repro.experiments import cli as figures_cli
@@ -582,3 +584,155 @@ class TestCheckpointModule:
         records = dict(checkpoint.densities[6.0].trials)
         assert isinstance(records[1], TrialFailure)
         assert records[1].error_type == "InjectedFault" and records[1].attempts == 3
+
+
+# ---------------------------------------------------------------------- checkpoint contract
+
+
+@pytest.fixture(scope="module")
+def smoke_stream(tmp_path_factory) -> bytes:
+    """The finished two-density stream of the committed example spec."""
+    return run_sweep(tmp_path_factory.mktemp("smoke"), "clean")["jsonl"].encode("utf-8")
+
+
+def _edited(line: bytes, change) -> bytes:
+    record = json.loads(line)
+    change(record)
+    return json.dumps(record, sort_keys=True).encode("utf-8")
+
+
+#: name -> (damaged line number, how the stream's lines are damaged).  Lines 1-6 of the
+#: smoke stream: sweep_start, trial, density, trial, density, result.
+MALFORMED = {
+    "array-line": (3, lambda lines: lines[:2] + [b"[1, 2]"] + lines[2:]),
+    "trial-without-payload": (
+        2,
+        lambda lines: lines[:1] + [_edited(lines[1], lambda r: r.pop("payload"))] + lines[2:],
+    ),
+    "density-without-series": (
+        3,
+        lambda lines: lines[:2] + [_edited(lines[2], lambda r: r.pop("series"))] + lines[3:],
+    ),
+    "non-numeric-density": (
+        3,
+        lambda lines: lines[:2] + [_edited(lines[2], lambda r: r.update(density="x"))] + lines[3:],
+    ),
+    "point-without-count": (
+        3,
+        lambda lines: lines[:2]
+        + [_edited(lines[2], lambda r: r["series"]["fnbp"].pop("count"))]
+        + lines[3:],
+    ),
+    "non-utf8-byte": (3, lambda lines: lines[:2] + [b'{"event": "warning", "message": "\xff"}'] + lines[2:]),
+}
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=8), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+EVENT_FIELDS = {
+    "sweep_start": ("spec",),
+    "trial": ("density", "run", "payload"),
+    "trial_error": ("density", "run", "error", "error_type", "attempts"),
+    "density": ("density", "series"),
+    "result": ("result",),
+}
+
+
+@st.composite
+def junk_events(draw):
+    """An event object with some of its fields, each holding arbitrary JSON."""
+    event = draw(st.sampled_from(sorted(EVENT_FIELDS)))
+    present = draw(st.lists(st.sampled_from(EVENT_FIELDS[event]), unique=True))
+    record = {"event": event, **{name: draw(JSON_VALUES) for name in present}}
+    return json.dumps(record).encode("utf-8")
+
+
+@st.composite
+def damaged_events(draw, lines):
+    """A line of the stream with one field (of the event, or of one of its points)
+    dropped or replaced by arbitrary JSON."""
+    record = json.loads(draw(st.sampled_from(lines)))
+    target = record
+    if record["event"] == "density" and draw(st.booleans()):
+        target = record["series"][draw(st.sampled_from(sorted(record["series"])))]
+    key = draw(st.sampled_from(sorted(target)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(JSON_VALUES)
+    return json.dumps(record).encode("utf-8")
+
+
+def _points(checkpoint, density) -> str:
+    return json.dumps(
+        {name: point.to_dict() for name, point in checkpoint.densities[density].points.items()},
+        sort_keys=True,
+    )
+
+
+class TestCheckpointContract:
+    """``load_checkpoint`` either loads or raises :class:`CheckpointError`, whatever the
+    damage; ``repro-sweep --resume`` turns the error into exit status 2 naming the line."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_line_names_its_line(self, smoke_stream, tmp_path, capsys, case):
+        number, damage = MALFORMED[case]
+        stream = tmp_path / "damaged.jsonl"
+        stream.write_bytes(b"\n".join(damage(smoke_stream.splitlines())) + b"\n")
+        where = f"{stream}:{number}:"
+        with pytest.raises(CheckpointError, match=re.escape(where)):
+            load_checkpoint(stream)
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_cli.main(["--resume", str(stream), "--quiet"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err and where in err and "Traceback" not in err
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_truncation_loads_a_prefix_or_raises(self, smoke_stream, tmp_path, data):
+        full_path = tmp_path / "full.jsonl"
+        full_path.write_bytes(smoke_stream)
+        full = load_checkpoint(full_path)
+        cut = data.draw(st.integers(0, len(smoke_stream)), label="cut")
+        stream = tmp_path / "cut.jsonl"
+        stream.write_bytes(smoke_stream[:cut])
+        try:
+            checkpoint = load_checkpoint(stream)
+        except CheckpointError:
+            return
+        densities = list(checkpoint.densities)
+        assert densities == list(full.densities)[: len(densities)]
+        for density in densities:
+            assert _points(checkpoint, density) == _points(full, density)
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_a_junk_line_loads_or_raises(self, smoke_stream, tmp_path, data):
+        lines = smoke_stream.splitlines()
+        junk = data.draw(
+            st.one_of(
+                st.text(max_size=40).map(lambda text: text.encode("utf-8")),
+                st.binary(max_size=40),
+                JSON_VALUES.map(lambda value: json.dumps(value).encode("utf-8")),
+                junk_events(),
+                damaged_events(lines),
+            ),
+            label="junk",
+        )
+        position = data.draw(st.integers(1, len(lines) - 1), label="position")
+        replaces = data.draw(st.booleans(), label="replaces")
+        stream = tmp_path / "junk.jsonl"
+        stream.write_bytes(b"\n".join(lines[:position] + [junk] + lines[position + replaces :]) + b"\n")
+        try:
+            load_checkpoint(stream)
+        except CheckpointError:
+            pass

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.metrics import BandwidthMetric, DelayMetric
+from repro.olsr import routing_table as routing_table_module
 from repro.olsr import (
     AdvertisedLink,
     DuplicateSet,
@@ -194,3 +195,49 @@ class TestRoutingTable:
         table = RoutingTable(owner=0, metric=DelayMetric())
         table.recompute(NeighborTable(owner=0), TopologyTable(owner=0))
         assert len(table) == 0
+
+    def test_each_read_solves_only_its_destination(self, monkeypatch):
+        """``recompute`` solves nothing; reading k destinations runs the rule k times."""
+        solved = []
+        rule = routing_table_module.best_next_hop
+
+        def counting_rule(graph, solver_graph, owner, destination, direct, metric):
+            solved.append(destination)
+            return rule(graph, solver_graph, owner, destination, direct, metric)
+
+        monkeypatch.setattr(routing_table_module, "best_next_hop", counting_rule)
+        table = RoutingTable(owner=0, metric=DelayMetric())
+        table.recompute(*self._tables_for_line())
+        assert solved == []
+        assert table.next_hop(3) == 1
+        assert table.entry(2).next_hop == 1
+        assert solved == [3, 2]
+
+    def test_answers_come_from_the_tables_as_of_the_last_recompute(self):
+        """Square 0-1-3 / 0-2-3: a newer TC makes the link 1-3 slow and neighbor 1 expires.
+        Reads keep the snapshot's answers until the next ``recompute``."""
+        fast, slow = {"delay": 1.0}, {"delay": 2.0}
+        neighbors = NeighborTable(owner=0)
+        neighbors.update_from_hello(make_hello(1, {0: fast, 3: fast}), fast, hold_time=5.0)
+        neighbors.update_from_hello(make_hello(2, {0: slow, 3: slow}), slow)
+        topology = TopologyTable(owner=0)
+        advertised = (AdvertisedLink(1, fast), AdvertisedLink(2, slow))
+        topology.update_from_tc(TcMessage(3, sequence_number=0, ansn=1, advertised=advertised))
+        table = RoutingTable(owner=0, metric=DelayMetric())
+        table.recompute(neighbors, topology)
+        before = {destination: table.entry(destination) for destination in (1, 2, 3)}
+        assert [before[d].next_hop for d in (1, 2, 3)] == [1, 2, 1]
+        assert before[3].expected_value == 2.0
+
+        slower = (AdvertisedLink(1, {"delay": 10.0}), AdvertisedLink(2, slow))
+        assert topology.update_from_tc(TcMessage(3, sequence_number=1, ansn=2, advertised=slower))
+        neighbors.expire(now=6.0)
+        assert neighbors.neighbors() == frozenset({2})
+        assert {destination: table.entry(destination) for destination in (1, 2, 3)} == before
+        assert [table.next_hop(d) for d in (1, 2, 3)] == [1, 2, 1]
+
+        table.recompute(neighbors, topology)
+        assert [table.next_hop(d) for d in (1, 2, 3)] == [2, 2, 2]
+        assert table.entry(3).expected_value == 4.0
+        assert table.entry(1).expected_value == 14.0
+        assert table.destinations() == [1, 2, 3]

@@ -17,6 +17,9 @@ Each fast path must give exactly what the code it replaced gave, on generated in
   expiry bounds and the MPR-selector cache of :class:`NeighborTable` and
   :class:`DuplicateSet` change nothing either.  The references below are those
   rebuilds.
+* **Routes on demand.**  On random neighbor and topology tables, every destination's
+  :meth:`RoutingTable.entry` equals what the eager per-destination loop it replaced
+  computed in ``recompute``; that loop is kept below as the oracle.
 """
 
 from __future__ import annotations
@@ -30,13 +33,17 @@ import networkx as nx
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.selection import make_selector
+from repro.localview.compactgraph import CompactGraph
+from repro.localview.paths import best_values_from
 from repro.localview.view import LocalView
 from repro.metrics import BandwidthMetric, DelayMetric
+from repro.metrics.ordering import preferred_neighbor
 from repro.olsr.duplicate_set import DuplicateSet
 from repro.olsr.messages import AdvertisedLink, HelloMessage, LinkReport, Packet, TcMessage
 from repro.olsr.mpr import rfc3626_mpr
 from repro.olsr.neighbor_table import NeighborTable
 from repro.olsr.node import OlsrNode
+from repro.olsr.routing_table import RouteEntry, RoutingTable
 from repro.olsr.topology_table import TopologyTable
 from repro.protocol import LossModel
 from repro.registry import SELECTORS
@@ -457,3 +464,95 @@ def test_from_tables_builds_the_graph_report_by_report(tables):
         dict(reversed(list(neighbor_links.items()))),
         {reporter: dict(reversed(list(row.items()))) for reporter, row in two_hop_links.items()},
     )
+
+
+# ---------------------------------------------------------------------- routes on demand
+
+
+def _eager_routes(owner, metric, neighbors: NeighborTable, topology: TopologyTable) -> dict:
+    """Every destination's route, solved one by one inside ``recompute`` (the oracle)."""
+    knowledge = RoutingTable(owner, metric)._knowledge_graph(neighbors, topology)
+    compact = CompactGraph.try_from_networkx(knowledge, metric)
+    solver_graph = compact if compact is not None else knowledge
+    routes = {}
+    for destination in [node for node in knowledge.nodes if node != owner]:
+        from_destination = best_values_from(solver_graph, destination, metric, excluded=(owner,))
+        hops_from_destination = {destination: 0.0}
+        frontier = [destination]
+        while frontier:
+            next_frontier = []
+            for node in frontier:
+                for neighbor in knowledge.neighbors(node):
+                    if neighbor == owner or neighbor in hops_from_destination:
+                        continue
+                    hops_from_destination[neighbor] = hops_from_destination[node] + 1.0
+                    next_frontier.append(neighbor)
+            frontier = next_frontier
+        candidates = {}
+        for neighbor in neighbors.neighbors():
+            if not knowledge.has_edge(owner, neighbor):
+                continue
+            link_value = metric.link_value_from_attributes(knowledge.adj[owner][neighbor])
+            start = metric.combine(metric.identity, link_value)
+            if neighbor == destination:
+                candidates[neighbor] = (start, 1.0)
+                continue
+            remainder = from_destination.get(neighbor)
+            if remainder is None:
+                continue
+            hop_estimate = 1.0 + hops_from_destination.get(neighbor, float("inf"))
+            candidates[neighbor] = (metric.combine(start, remainder), hop_estimate)
+        if not candidates:
+            continue
+        best_value = metric.optimum(value for value, _ in candidates.values())
+        if not metric.is_usable(best_value):
+            continue
+        best_neighbors = {
+            neighbor: hops
+            for neighbor, (value, hops) in candidates.items()
+            if metric.values_equal(value, best_value)
+        }
+        fewest_hops = min(best_neighbors.values())
+        shortlist = [neighbor for neighbor, hops in best_neighbors.items() if hops == fewest_hops]
+        chosen = preferred_neighbor(
+            shortlist,
+            metric,
+            lambda neighbor: metric.link_value_from_attributes(knowledge.adj[owner][neighbor]),
+        )
+        routes[destination] = RouteEntry(destination, chosen, best_value)
+    return routes
+
+
+@st.composite
+def routing_tables(draw):
+    """Node 0's tables from drawn HELLOs and TCs.  TCs may advertise links of the owner
+    and of non-neighbors, and may repeat a link a HELLO reported with other weights."""
+    neighbors = NeighborTable(owner=0)
+    for neighbor in draw(st.lists(st.integers(1, 8), unique=True, max_size=5)):
+        others = [node for node in range(9) if node != neighbor]
+        reports = draw(st.dictionaries(st.sampled_from(others), WEIGHTS, max_size=4))
+        neighbors.update_from_hello(_hello(neighbor, reports), draw(WEIGHTS))
+    topology = TopologyTable(owner=0)
+    for originator in draw(st.lists(st.integers(1, 8), max_size=6)):
+        others = [node for node in range(9) if node != originator]
+        links = draw(st.dictionaries(st.sampled_from(others), WEIGHTS, max_size=4))
+        advertised = tuple(AdvertisedLink(node, weights) for node, weights in links.items())
+        topology.update_from_tc(TcMessage(originator, sequence_number=0, ansn=0, advertised=advertised))
+    return neighbors, topology
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables=routing_tables(), metric_name=st.sampled_from(sorted(METRICS)))
+def test_on_demand_routes_equal_the_eager_loop(tables, metric_name):
+    neighbors, topology = tables
+    metric = METRICS[metric_name]
+    expected = _eager_routes(0, metric, neighbors, topology)
+    table = RoutingTable(owner=0, metric=metric)
+    table.recompute(neighbors, topology)
+    for destination in range(10):  # every node the tables can name, the owner and one more
+        assert table.entry(destination) == expected.get(destination)
+        assert table.next_hop(destination) == (
+            expected[destination].next_hop if destination in expected else None
+        )
+    assert table.destinations() == sorted(expected)
+    assert len(table) == len(expected)

@@ -17,7 +17,6 @@ from repro.routing import (
     best_path,
     build_advertised_topology,
     optimal_route,
-    run_selection,
 )
 from repro.topology import Network
 
@@ -84,9 +83,9 @@ class TestAdvertisedTopology:
         with pytest.raises(ValueError):
             build_advertised_topology(diamond_network, {1: frozenset({2})})
 
-    def test_run_selection_and_advertise_agree(self, grid_network, bandwidth):
+    def test_select_all_and_advertise_agree(self, grid_network, bandwidth):
         selector = FnbpSelector()
-        by_parts = build_advertised_topology(grid_network, run_selection(grid_network, selector, bandwidth))
+        by_parts = build_advertised_topology(grid_network, selector.select_all(grid_network, bandwidth))
         direct = advertise(grid_network, selector, bandwidth)
         assert set(by_parts.graph.edges) == set(direct.graph.edges)
         assert by_parts.ans_sets == direct.ans_sets
