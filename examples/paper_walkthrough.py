@@ -64,7 +64,7 @@ def figure2() -> None:
     global_v9 = optimal_route(network, FIGURE2_OWNER, 9, BANDWIDTH)
     print(f"Reaching v9: u's best localized value {fp_v9.best_value:g} "
           f"(u cannot see the link v8-v9), global optimum {global_v9.value:g}")
-    selection = FnbpSelector().select(view, BANDWIDTH)
+    selection = FnbpSelector().explain(view, BANDWIDTH)
     print(f"Final ANS(u) = {{{', '.join(f'v{n}' for n in sorted(selection.selected))}}}")
     print(selection.explain())
 
@@ -75,8 +75,8 @@ def figure4() -> None:
     names = {A: "A", B: "B", D: "D", E: "E"}
     for policy in (LoopGuardPolicy.OFF, LoopGuardPolicy.ADJACENT_TO_TARGET):
         selector = FnbpSelector(loop_guard=policy)
-        relays_a = covering_relays(selector.select(LocalView.from_network(network, A), BANDWIDTH))
-        relays_b = covering_relays(selector.select(LocalView.from_network(network, B), BANDWIDTH))
+        relays_a = covering_relays(selector.explain(LocalView.from_network(network, A), BANDWIDTH))
+        relays_b = covering_relays(selector.explain(LocalView.from_network(network, B), BANDWIDTH))
         print(f"loop_guard={policy.value}: "
               f"A covers E through {names.get(relays_a[E], relays_a[E])}, "
               f"B covers E through {names.get(relays_b[E], relays_b[E])}")

@@ -50,7 +50,7 @@ def main() -> None:
           f"{len(view.one_hop)} one-hop and {len(view.two_hop)} two-hop neighbors")
 
     for metric in (BandwidthMetric(), DelayMetric()):
-        selection = FnbpSelector().select(view, metric)
+        selection = FnbpSelector().explain(view, metric)
         mpr = OlsrMprSelector().select(view, metric)
         print(f"\n--- {metric.name} ---")
         print(f"RFC 3626 MPR set  ({len(mpr.selected)} nodes): {sorted(mpr.selected)}")

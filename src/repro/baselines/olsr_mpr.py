@@ -9,6 +9,7 @@ evaluation harness can compare it with the QoS-aware selections on equal footing
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
 from repro.localview.view import LocalView
@@ -20,22 +21,37 @@ from repro.registry import SELECTORS
 @SELECTORS.register("olsr-mpr", description="plain RFC 3626 MPR selection (QoS-unaware)")
 @dataclass
 class OlsrMprSelector(AnsSelector):
-    """Plain RFC 3626 MPR selection used as the advertised set (QoS-unaware)."""
+    """Plain RFC 3626 MPR selection used as the advertised set (QoS-unaware).
+
+    :meth:`explain` records a single decision listing the whole set.
+    """
 
     name = "olsr-mpr"
 
     def select(self, view: LocalView, metric: Metric) -> SelectionResult:
+        return self._select(view, metric, None)
+
+    def explain(self, view: LocalView, metric: Metric) -> SelectionResult:
+        return self._select(view, metric, [])
+
+    def _select(
+        self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
+    ) -> SelectionResult:
+        """The one selection routine; ``trace`` is ``None`` under :meth:`select`."""
         mpr = rfc3626_mpr(view)
-        decision = SelectionDecision(
-            target=None,
-            chosen=None,
-            reason="rfc3626-greedy-coverage",
-            detail=(("selected", tuple(sorted(mpr))),),
-        )
+        if trace is not None:
+            trace.append(
+                SelectionDecision(
+                    target=None,
+                    chosen=None,
+                    reason="rfc3626-greedy-coverage",
+                    detail=(("selected", tuple(sorted(mpr))),),
+                )
+            )
         return SelectionResult(
             owner=view.owner,
             selector_name=self.name,
             metric_name=metric.name,
             selected=mpr,
-            decisions=(decision,),
+            decisions=None if trace is None else tuple(trace),
         )

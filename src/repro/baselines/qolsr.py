@@ -21,7 +21,7 @@ Figure 1 example, reproduced in :mod:`repro.papergraphs.figure1`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
 from repro.localview.view import LocalView
@@ -33,24 +33,35 @@ from repro.utils.ids import NodeId
 
 @dataclass
 class _QolsrBase(AnsSelector):
-    """Shared two-phase skeleton of the QOLSR heuristics."""
+    """Shared two-phase skeleton of the QOLSR heuristics.
+
+    :meth:`select` returns the MPR set alone; :meth:`explain` adds a ``sole-cover``
+    decision per phase-1 pick and one decision per phase-2 round.
+    """
 
     name = "qolsr-base"
 
     def select(self, view: LocalView, metric: Metric) -> SelectionResult:
+        return self._select(view, metric, None)
+
+    def explain(self, view: LocalView, metric: Metric) -> SelectionResult:
+        return self._select(view, metric, [])
+
+    def _select(
+        self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
+    ) -> SelectionResult:
+        """The one selection routine; ``trace`` is ``None`` under :meth:`select`."""
         cover = coverage_map(view)
         uncovered: Set[NodeId] = set().union(*cover.values()) if cover else set()
         mpr: Set[NodeId] = set()
-        decisions: List[SelectionDecision] = []
 
         # Phase 1 (identical to RFC 3626): sole providers of some two-hop neighbor.
         for two_hop in sorted(uncovered):
             providers = [neighbor for neighbor, covered in cover.items() if two_hop in covered]
             if len(providers) == 1 and providers[0] not in mpr:
                 mpr.add(providers[0])
-                decisions.append(
-                    SelectionDecision(two_hop, providers[0], "sole-cover", ())
-                )
+                if trace is not None:
+                    trace.append(SelectionDecision(two_hop, providers[0], "sole-cover", ()))
         for neighbor in mpr:
             uncovered -= cover[neighbor]
 
@@ -73,21 +84,22 @@ class _QolsrBase(AnsSelector):
             mpr.add(best)
             covered_now = cover[best] & uncovered
             uncovered -= covered_now
-            decisions.append(
-                SelectionDecision(
-                    None,
-                    best,
-                    self._phase_two_reason(),
-                    (("newly_covered", tuple(sorted(covered_now))),),
+            if trace is not None:
+                trace.append(
+                    SelectionDecision(
+                        None,
+                        best,
+                        self._phase_two_reason(),
+                        (("newly_covered", tuple(sorted(covered_now))),),
+                    )
                 )
-            )
 
         return SelectionResult(
             owner=view.owner,
             selector_name=self.name,
             metric_name=metric.name,
             selected=frozenset(mpr),
-            decisions=tuple(decisions),
+            decisions=None if trace is None else tuple(trace),
         )
 
     # ------------------------------------------------------------------ variant hooks

@@ -14,14 +14,15 @@ routing set (the QoS Advertised Neighbor Set).  The QANS is obtained in two step
 Both steps reduce to one per-target table (target, best value, sorted best first hops)
 per view.  ``select_all`` primes that table for every view attached to the trial's
 shared CSR through the batched kernel of :mod:`repro.localview.filtering`; ``select``
-builds its decisions from the primed table, or computes the table on the view's own
-graph (the scalar path above, which is also the kernel's test oracle).
+reads the advertised set off the primed table, or computes the table on the view's own
+graph (the scalar path above, which is also the kernel's test oracle).  ``explain``
+does the same and also records one decision per table row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -46,6 +47,9 @@ class TopologyFilteringSelector(AnsSelector):
         When False, skip the RNG reduction and run the first-hop collection on the raw view.
         This ablation isolates how much of the set-size reduction comes from the filtering
         itself versus from restricting to best paths.
+
+    :meth:`explain` records one decision per table row: its reason, the sorted best first
+    hops, the best value and, when it advertises, the hops it added.
     """
 
     apply_reduction: bool = True
@@ -56,6 +60,15 @@ class TopologyFilteringSelector(AnsSelector):
         prime_filtering_tables(views, metric, self.apply_reduction)
 
     def select(self, view: LocalView, metric: Metric) -> SelectionResult:
+        return self._select(view, metric, None)
+
+    def explain(self, view: LocalView, metric: Metric) -> SelectionResult:
+        return self._select(view, metric, [])
+
+    def _select(
+        self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
+    ) -> SelectionResult:
+        """The one selection routine; ``trace`` is ``None`` under :meth:`select`."""
         # A table primed by select_all is handed over once: dropping it here keeps the
         # batch's tables from outliving the selection loop.
         table = view._first_hops.pop(table_key(metric, self.apply_reduction), None)
@@ -65,36 +78,32 @@ class TopologyFilteringSelector(AnsSelector):
         else:
             obs.add("filtering.batched_views")
         ans: Set[NodeId] = set()
-        decisions: List[SelectionDecision] = []
 
         for target, best_value, first_hops in table:
-            detail: Tuple[Tuple[str, object], ...] = (
-                ("first_hops", first_hops),
-                ("best_value", best_value),
-            )
+            added = None
             if not first_hops:
-                decisions.append(SelectionDecision(target, None, "unreachable-in-reduced-view", detail))
-                continue
-            if first_hops == (target,):
-                decisions.append(SelectionDecision(target, None, "direct-link-optimal", detail))
-                continue
-            newly = [hop for hop in first_hops if hop != target and hop not in ans]
-            ans.update(newly)
-            decisions.append(
-                SelectionDecision(
-                    target,
-                    newly[0] if newly else None,
-                    "advertise-all-best-first-hops",
-                    detail + (("added", tuple(newly)),),
+                reason = "unreachable-in-reduced-view"
+            elif first_hops == (target,):
+                reason = "direct-link-optimal"
+            else:
+                reason = "advertise-all-best-first-hops"
+                added = [hop for hop in first_hops if hop != target and hop not in ans]
+                ans.update(added)
+            if trace is not None:
+                detail: Tuple[Tuple[str, object], ...] = (
+                    ("first_hops", first_hops),
+                    ("best_value", best_value),
                 )
-            )
+                if added is not None:
+                    detail += (("added", tuple(added)),)
+                trace.append(SelectionDecision(target, added[0] if added else None, reason, detail))
 
         return SelectionResult(
             owner=view.owner,
             selector_name=self.name,
             metric_name=metric.name,
             selected=frozenset(ans),
-            decisions=tuple(decisions),
+            decisions=None if trace is None else tuple(trace),
         )
 
     # ------------------------------------------------------------------ internals

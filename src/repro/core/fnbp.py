@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Collection, List, Optional, Set, Tuple
 
 from repro.core import selection
 from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
@@ -40,18 +40,26 @@ from repro.metrics.ordering import preferred_neighbor
 from repro.registry import SELECTORS
 from repro.utils.ids import NodeId
 
+#: What an FNBP step returns: the neighbor it adds to the ANS (or ``None``), the reason
+#: tag, and the candidates whose preferred member the trace names as the relay (``None``
+#: when the decision names no relay).
+_Step = Tuple[Optional[NodeId], str, Optional[Collection[NodeId]]]
+
 
 def covering_relays(result) -> dict:
-    """Extract, from an FNBP :class:`SelectionResult`, the relay used to cover each target.
+    """Extract, from a traced FNBP :class:`SelectionResult`, the relay used to cover each target.
 
     For every one- or two-hop neighbor ``v`` of the owner, the returned mapping gives the
     neighbor the owner relies on to reach ``v``: the target itself when the direct link is
     optimal, the selected ANS member otherwise.  This is the "local forwarding" relation the
     paper's Figure 4 discussion refers to -- when two nodes' relays for the same destination
     point at each other, packets loop (see :mod:`repro.papergraphs.figure4`).
+
+    The relays are read off the decision trace, so ``result`` must come from
+    :meth:`AnsSelector.explain`; an untraced ``select`` result raises ``ValueError``.
     """
     relays = {}
-    for decision in result.decisions:
+    for decision in result._recorded_decisions("covering_relays"):
         if decision.target is None:
             continue
         relay = decision.detail_dict().get("relay")
@@ -97,6 +105,10 @@ class FnbpSelector(AnsSelector):
         When False, step 1 is skipped entirely (ANS members are only selected for two-hop
         neighbors).  This is an ablation switch quantifying how much of FNBP's benefit comes
         from re-routing around weak direct links; the paper's algorithm always runs step 1.
+
+    :meth:`select` returns the ANS alone.  :meth:`explain` adds one decision per target,
+    whose detail holds the sorted first hops, the best value and (unless unreachable) the
+    relay that covers the target, which :func:`covering_relays` reads.
     """
 
     loop_guard: LoopGuardPolicy = LoopGuardPolicy.ADJACENT_TO_TARGET
@@ -116,123 +128,116 @@ class FnbpSelector(AnsSelector):
         selection.prime_first_hops(views, metric)
 
     def select(self, view: LocalView, metric: Metric) -> SelectionResult:
+        return self._select(view, metric, None)
+
+    def explain(self, view: LocalView, metric: Metric) -> SelectionResult:
+        return self._select(view, metric, [])
+
+    def _select(
+        self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
+    ) -> SelectionResult:
+        """The one selection routine; ``trace`` is ``None`` under :meth:`select`.
+
+        Each step returns ``(chosen, reason, relay_pool)``.  Only a trace reads the last
+        two: it records the relay as the preferred member of ``relay_pool``, taken at the
+        same step, so the untraced run skips those ``preferred_neighbor`` calls.
+        """
         ans: Set[NodeId] = set()
-        decisions: List[SelectionDecision] = []
         first_hop_sets = all_first_hops(view, metric)
         direct_value = view.direct_link_values(metric).__getitem__
-        # First-hop sets repeat across targets: sort each distinct one once.
-        sorted_hops: Dict[FrozenSet[NodeId], Tuple[NodeId, ...]] = {}
-
-        def decide(step, target: NodeId) -> SelectionDecision:
-            result = first_hop_sets[target]
-            hops = sorted_hops.get(result.first_hops)
-            if hops is None:
-                hops = sorted_hops[result.first_hops] = tuple(sorted(result.first_hops))
-            detail = (("first_hops", hops), ("best_value", result.best_value))
-            return step(view, metric, ans, target, result, detail, direct_value)
-
-        # ---- Step 1: one-hop neighbors -------------------------------------------------
+        steps = []
         if self.cover_one_hop:
-            for target in sorted(view.one_hop):
-                decisions.append(decide(self._step_one_decision, target))
-        # ---- Step 2: two-hop neighbors -------------------------------------------------
-        for target in sorted(view.two_hop):
-            decisions.append(decide(self._step_two_decision, target))
+            steps.append((self._step_one, sorted(view.one_hop)))
+        steps.append((self._step_two, sorted(view.two_hop)))
+        for step, targets in steps:
+            for target in targets:
+                result = first_hop_sets[target]
+                chosen, reason, relay_pool = step(view, metric, ans, result, direct_value)
+                if chosen is not None:
+                    ans.add(chosen)
+                if trace is not None:
+                    detail = (
+                        ("first_hops", tuple(sorted(result.first_hops))),
+                        ("best_value", result.best_value),
+                    )
+                    if relay_pool is not None:
+                        relay = preferred_neighbor(relay_pool, metric, direct_value)
+                        detail += (("relay", relay),)
+                    trace.append(SelectionDecision(target, chosen, reason, detail))
 
         return SelectionResult(
             owner=view.owner,
             selector_name=self.name,
             metric_name=metric.name,
             selected=frozenset(ans),
-            decisions=tuple(decisions),
+            decisions=None if trace is None else tuple(trace),
         )
 
     # ------------------------------------------------------------------ step 1
 
-    def _step_one_decision(
+    def _step_one(
         self,
         view: LocalView,
         metric: Metric,
         ans: Set[NodeId],
-        target: NodeId,
         result: FirstHopResult,
-        detail: tuple,
         direct_value,
-    ) -> SelectionDecision:
+    ) -> _Step:
         if not result.reachable:
             # Cannot happen for a genuine one-hop neighbor (the direct link always exists),
             # but guard against inconsistent protocol tables.
-            return SelectionDecision(target, None, "unreachable-in-view", detail)
+            return None, "unreachable-in-view", None
         if result.direct_link_is_optimal():
-            return SelectionDecision(target, None, "direct-link-optimal", detail + (("relay", target),))
+            return None, "direct-link-optimal", (result.target,)
         already = result.first_hops & ans
         if already:
-            relay = preferred_neighbor(already, metric, direct_value)
-            return SelectionDecision(target, None, "covered-by-existing-ans", detail + (("relay", relay),))
+            return None, "covered-by-existing-ans", already
         chosen = preferred_neighbor(result.first_hops, metric, direct_value)
-        ans.add(chosen)
-        return SelectionDecision(
-            target, chosen, "selected-first-node-on-best-path", detail + (("relay", chosen),)
-        )
+        return chosen, "selected-first-node-on-best-path", (chosen,)
 
     # ------------------------------------------------------------------ step 2
 
-    def _step_two_decision(
+    def _step_two(
         self,
         view: LocalView,
         metric: Metric,
         ans: Set[NodeId],
-        target: NodeId,
         result: FirstHopResult,
-        detail: tuple,
         direct_value,
-    ) -> SelectionDecision:
+    ) -> _Step:
         if not result.reachable:
-            return SelectionDecision(target, None, "unreachable-in-view", detail)
+            return None, "unreachable-in-view", None
         already = result.first_hops & ans
         if not already:
             chosen = preferred_neighbor(result.first_hops, metric, direct_value)
-            ans.add(chosen)
-            return SelectionDecision(
-                target, chosen, "selected-first-node-on-best-path", detail + (("relay", chosen),)
-            )
-
-        covered_relay = preferred_neighbor(already, metric, direct_value)
-        covered_detail = detail + (("relay", covered_relay),)
+            return chosen, "selected-first-node-on-best-path", (chosen,)
 
         # Already covered: apply the loop guard (lines 12-14 / the Figure 4 fix).
         if self.loop_guard is LoopGuardPolicy.OFF:
-            return SelectionDecision(target, None, "covered-by-existing-ans", covered_detail)
+            return None, "covered-by-existing-ans", already
 
         owner_has_smallest_id = view.owner < min(result.first_hops)
         if not owner_has_smallest_id:
-            return SelectionDecision(target, None, "covered-by-existing-ans", covered_detail)
+            return None, "covered-by-existing-ans", already
 
         if self.loop_guard is LoopGuardPolicy.LITERAL:
             # The printed text: select from fP(u, v) ∩ N(u), which is fP(u, v) itself.
             chosen = preferred_neighbor(result.first_hops, metric, direct_value)
             if chosen in ans:
-                return SelectionDecision(
-                    target, None, "loop-guard-already-selected", detail + (("relay", chosen),)
-                )
-            ans.add(chosen)
-            return SelectionDecision(target, chosen, "loop-guard-literal", detail + (("relay", chosen),))
+                return None, "loop-guard-already-selected", (chosen,)
+            return chosen, "loop-guard-literal", (chosen,)
 
         # ADJACENT_TO_TARGET: the owner must guarantee a two-hop path u-w-v, preferring
         # relays that also start an optimal path.
-        relays = view.common_relays(target)
+        relays = view.common_relays(result.target)
         if not relays:
-            return SelectionDecision(target, None, "loop-guard-no-two-hop-relay", covered_detail)
+            return None, "loop-guard-no-two-hop-relay", already
         preferred_pool = relays & result.first_hops or relays
         already_adjacent = preferred_pool & ans
         if already_adjacent:
-            relay = preferred_neighbor(already_adjacent, metric, direct_value)
-            return SelectionDecision(
-                target, None, "loop-guard-relay-already-selected", detail + (("relay", relay),)
-            )
+            return None, "loop-guard-relay-already-selected", already_adjacent
         chosen = preferred_neighbor(preferred_pool, metric, direct_value)
-        ans.add(chosen)
-        return SelectionDecision(target, chosen, "loop-guard-selected-relay", detail + (("relay", chosen),))
+        return chosen, "loop-guard-selected-relay", (chosen,)
 
 
 #: The ablation variants ship under their own registry names so that specs and the

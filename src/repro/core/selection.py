@@ -3,8 +3,10 @@
 A *selector* consumes a node's :class:`~repro.localview.view.LocalView` and a
 :class:`~repro.metrics.base.Metric` and produces the set of neighbors the node will advertise
 in its TC messages (the paper's ANS / QANS, or the plain MPR set when the protocol does not
-distinguish the two).  Selectors also emit a decision trace so that examples, tests and the
-worked-figure walk-throughs can explain *why* each node was (not) selected.
+distinguish the two).  :meth:`AnsSelector.select` returns just that set, which is all the
+sweeps read; :meth:`AnsSelector.explain` returns the same set with a decision trace, so that
+examples, tests and the worked-figure walk-throughs can explain *why* each node was (not)
+selected.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from repro.utils.ids import NodeId
 
 
 class SelectionDecision(NamedTuple):
-    """One step of a selector's reasoning, kept for explainability.
+    """One step of a selector's reasoning, recorded by :meth:`AnsSelector.explain`.
 
-    A named tuple: selectors build one per target per ``select``, and it is about twice
-    as cheap to build as a frozen dataclass.
+    A named tuple: a traced selection builds one per target, and it is about twice as
+    cheap to build as a frozen dataclass.
 
     Attributes
     ----------
@@ -55,13 +57,19 @@ class SelectionDecision(NamedTuple):
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """The advertised neighbor set chosen by a selector for one node."""
+    """The advertised neighbor set chosen by a selector for one node.
+
+    ``decisions`` is the decision trace, or ``None`` when it was not recorded.  The
+    built-in selectors record it under :meth:`AnsSelector.explain` only: their
+    :meth:`AnsSelector.select`, which every sweep calls, returns ``decisions=None``.  The
+    default ``()`` keeps selectors that fill the field themselves working unchanged.
+    """
 
     owner: NodeId
     selector_name: str
     metric_name: str
     selected: FrozenSet[NodeId]
-    decisions: Tuple[SelectionDecision, ...] = ()
+    decisions: Optional[Tuple[SelectionDecision, ...]] = ()
 
     def __len__(self) -> int:
         return len(self.selected)
@@ -69,13 +77,28 @@ class SelectionResult:
     def __contains__(self, node: NodeId) -> bool:
         return node in self.selected
 
+    def _recorded_decisions(self, reader: str) -> Tuple[SelectionDecision, ...]:
+        """The trace, or a ``ValueError`` naming ``reader`` when none was recorded."""
+        if self.decisions is None:
+            raise ValueError(
+                f"{reader} needs a decision trace, but the {self.selector_name} selection at "
+                f"node {self.owner} has none: select() does not record one, "
+                f"AnsSelector.explain does"
+            )
+        return self.decisions
+
     def explain(self) -> str:
-        """A multi-line human-readable account of the selection (used by examples)."""
+        """A multi-line human-readable account of the selection (used by examples).
+
+        Needs the trace: raises ``ValueError`` on a result of :meth:`AnsSelector.select`
+        that recorded none (use :meth:`AnsSelector.explain`).
+        """
+        decisions = self._recorded_decisions("SelectionResult.explain()")
         lines = [
             f"{self.selector_name} selection at node {self.owner} "
             f"({self.metric_name}): {sorted(self.selected)}"
         ]
-        for decision in self.decisions:
+        for decision in decisions:
             target = "-" if decision.target is None else str(decision.target)
             chosen = "-" if decision.chosen is None else str(decision.chosen)
             lines.append(f"  target {target:>4}: {decision.reason:<28} chosen={chosen}")
@@ -83,14 +106,33 @@ class SelectionResult:
 
 
 class AnsSelector(ABC):
-    """Interface of every advertised-neighbor-set selection algorithm."""
+    """Interface of every advertised-neighbor-set selection algorithm.
+
+    :meth:`select` returns the advertised set; :meth:`explain` returns the same result
+    with its decision trace.  Every sweep path (:meth:`select_all`,
+    :class:`SelectionCache`, the OLSR node) calls :meth:`select`.  Each built-in selector
+    runs one selection routine for both, with a trace sink that is ``None`` under
+    :meth:`select`: it then builds no :class:`SelectionDecision` at all.
+    """
 
     #: Registry / display name of the algorithm.
     name: str = "abstract"
 
     @abstractmethod
     def select(self, view: LocalView, metric: Metric) -> SelectionResult:
-        """Run the selection at ``view.owner`` for the given metric."""
+        """Run the selection at ``view.owner`` for the given metric.
+
+        The result's ``decisions`` may be ``None`` (not recorded); :meth:`explain` records
+        them.
+        """
+
+    def explain(self, view: LocalView, metric: Metric) -> SelectionResult:
+        """:meth:`select`'s result with its decision trace recorded in ``decisions``.
+
+        The default is ``self.select(view, metric)``, which serves a selector whose
+        ``select`` records its trace already.
+        """
+        return self.select(view, metric)
 
     def prime(self, views: List[LocalView], metric: Metric) -> None:
         """Batch-precompute, for the ``views`` about to be selected, what ``select`` reads.

@@ -34,6 +34,7 @@ by ``tests/test_compactgraph_and_parallel.py``).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -338,7 +339,8 @@ def resolve_trial_timeout(trial_timeout: Optional[float] = None) -> Optional[flo
     The timeout is how the parallel supervisor detects a *lost* trial -- one whose worker
     process was killed, so its result will never arrive -- as well as a genuinely hung one.
     Serial execution cannot preempt a running trial, so the timeout only applies under
-    ``workers > 1``.
+    ``workers > 1``.  NaN and infinity are rejected: either would silently switch the
+    deadline off, which only ``0`` may do.
     """
     if trial_timeout is None:
         raw = os.environ.get("REPRO_TRIAL_TIMEOUT", "").strip()
@@ -348,6 +350,11 @@ def resolve_trial_timeout(trial_timeout: Optional[float] = None) -> Optional[flo
             trial_timeout = float(raw)
         except ValueError as exc:
             raise ValueError(f"REPRO_TRIAL_TIMEOUT must be a number of seconds, got {raw!r}") from exc
+    if not math.isfinite(trial_timeout):
+        raise ValueError(
+            f"REPRO_TRIAL_TIMEOUT must be a finite number of seconds (0 disables the "
+            f"deadline), got {trial_timeout}"
+        )
     if trial_timeout < 0:
         raise ValueError(f"REPRO_TRIAL_TIMEOUT must be non-negative, got {trial_timeout}")
     return None if trial_timeout == 0 else trial_timeout

@@ -75,9 +75,13 @@ def figure5_network() -> Network:
 
 
 def figure5_selections() -> Dict[str, SelectionResult]:
-    """The three subset selections of Figure 5 at the central node, keyed by selector name."""
+    """The three subset selections of Figure 5 at the central node, keyed by selector name.
+
+    Traced (:meth:`~repro.core.selection.AnsSelector.explain`), so the FNBP result also
+    answers :func:`~repro.core.fnbp.covering_relays`.
+    """
     network = figure5_network()
     metric = BandwidthMetric()
     view = LocalView.from_network(network, FIGURE5_OWNER)
     selectors = (OlsrMprSelector(), TopologyFilteringSelector(), FnbpSelector())
-    return {selector.name: selector.select(view, metric) for selector in selectors}
+    return {selector.name: selector.explain(view, metric) for selector in selectors}

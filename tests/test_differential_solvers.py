@@ -538,7 +538,14 @@ def tie_heavy_networks(draw):
 
 def _assert_both_paths_agree(network, label):
     """Scalar per-view selection == batched shared-CSR selection on ``network``, for
-    every registered selector under bandwidth, delay and both composites."""
+    every registered selector under bandwidth, delay and both composites.
+
+    The reference is ``explain`` on the scalar views.  ``select_all``'s untraced results
+    on the batched views must equal it apart from the trace, and ``explain`` on freshly
+    primed views must equal it trace included.
+    """
+    from dataclasses import replace
+
     from repro.core.selection import available_selectors
     from repro.localview.networkgraph import NetworkGraph
 
@@ -548,11 +555,15 @@ def _assert_both_paths_agree(network, label):
         batched_views = LocalView.all_from_network(network, network_graph=ng)
         for name in available_selectors():
             selector = make_selector(name)
-            scalar = {node: selector.select(view, metric) for node, view in scalar_views.items()}
+            scalar = {node: selector.explain(view, metric) for node, view in scalar_views.items()}
             batched = selector.select_all(network, metric, views=batched_views)
-            assert scalar == batched, (label, metric.name, name)
-            for node, result in batched.items():
-                assert result.decisions == scalar[node].decisions, (label, metric.name, name, node)
+            primed_views = LocalView.all_from_network(network, network_graph=ng)
+            selector.prime(list(primed_views.values()), metric)
+            assert batched.keys() == scalar.keys() == primed_views.keys(), (label, metric.name, name)
+            for node, view in primed_views.items():
+                where = (label, metric.name, name, node)
+                assert replace(batched[node], decisions=scalar[node].decisions) == scalar[node], where
+                assert selector.explain(view, metric) == scalar[node], where
 
 
 class TestDegenerateTopologiesScalarVsBatched:

@@ -414,6 +414,17 @@ class TestSupervisionEnvValidation:
         monkeypatch.setenv("REPRO_TRIAL_TIMEOUT", "soon")
         with pytest.raises(ValueError, match="REPRO_TRIAL_TIMEOUT"):
             resolve_trial_timeout()
+        # NaN and infinity would never trip the supervisor's deadline; only 0 disables it.
+        for raw in ("nan", "inf", "-inf", "Infinity"):
+            monkeypatch.setenv("REPRO_TRIAL_TIMEOUT", raw)
+            with pytest.raises(ValueError, match="REPRO_TRIAL_TIMEOUT"):
+                resolve_trial_timeout()
+        monkeypatch.delenv("REPRO_TRIAL_TIMEOUT")
+        assert resolve_trial_timeout(12.0) == 12.0
+        assert resolve_trial_timeout(0) is None
+        for value in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="REPRO_TRIAL_TIMEOUT"):
+                resolve_trial_timeout(value)
 
 
 # ---------------------------------------------------------------------- sink error paths

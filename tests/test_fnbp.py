@@ -16,12 +16,17 @@ def select(network, owner, metric, **kwargs):
     return FnbpSelector(**kwargs).select(view, metric)
 
 
+def explain(network, owner, metric, **kwargs):
+    view = LocalView.from_network(network, owner)
+    return FnbpSelector(**kwargs).explain(view, metric)
+
+
 class TestStepOne:
     def test_no_selection_when_every_direct_link_is_optimal(self, bandwidth):
         network = Network.from_links(
             {(0, 1): {"bandwidth": 5.0}, (0, 2): {"bandwidth": 5.0}, (1, 2): {"bandwidth": 1.0}}
         )
-        result = select(network, 0, bandwidth)
+        result = explain(network, 0, bandwidth)
         assert result.selected == frozenset()
         reasons = {decision.reason for decision in result.decisions}
         assert reasons == {"direct-link-optimal"}
@@ -53,7 +58,7 @@ class TestStepOne:
         assert result.selected == frozenset({1})
 
     def test_step_one_disabled_by_cover_one_hop_flag(self, diamond_network, bandwidth):
-        result = select(diamond_network, 0, bandwidth, cover_one_hop=False)
+        result = explain(diamond_network, 0, bandwidth, cover_one_hop=False)
         assert result.selected == frozenset()
         assert all(decision.target not in (1, 2, 3) or decision.target in (1, 2, 3) for decision in result.decisions)
         assert {decision.target for decision in result.decisions} == set()  # no two-hop neighbors here
@@ -113,14 +118,14 @@ class TestPaperExample:
     def test_figure2_v11_is_covered_by_v6_not_v2(self, bandwidth):
         """The paper: u picks v6 rather than v2 around v11 because link (u, v6) is better."""
         network = figure2_network()
-        result = select(network, FIGURE2_OWNER, bandwidth)
+        result = explain(network, FIGURE2_OWNER, bandwidth)
         relays = covering_relays(result)
         assert relays[11] == 6
         assert 2 not in result.selected
 
     def test_figure2_covering_relays_are_consistent(self, bandwidth):
         network = figure2_network()
-        result = select(network, FIGURE2_OWNER, bandwidth)
+        result = explain(network, FIGURE2_OWNER, bandwidth)
         relays = covering_relays(result)
         view = LocalView.from_network(network, FIGURE2_OWNER)
         assert set(relays) == set(view.known_targets())
@@ -129,7 +134,7 @@ class TestPaperExample:
 
     def test_figure2_explain_mentions_selector_and_decisions(self, bandwidth):
         network = figure2_network()
-        result = select(network, FIGURE2_OWNER, bandwidth)
+        result = explain(network, FIGURE2_OWNER, bandwidth)
         text = result.explain()
         assert "fnbp" in text
         assert "direct-link-optimal" in text

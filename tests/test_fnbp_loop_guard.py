@@ -18,11 +18,16 @@ def _select(network, owner, guard):
     return FnbpSelector(loop_guard=guard).select(view, BandwidthMetric())
 
 
+def _explain(network, owner, guard):
+    view = LocalView.from_network(network, owner)
+    return FnbpSelector(loop_guard=guard).explain(view, BandwidthMetric())
+
+
 class TestFigure4:
     def test_without_guard_a_and_b_defer_to_each_other(self):
         network = figure4_network()
-        result_a = _select(network, A, LoopGuardPolicy.OFF)
-        result_b = _select(network, B, LoopGuardPolicy.OFF)
+        result_a = _explain(network, A, LoopGuardPolicy.OFF)
+        result_b = _explain(network, B, LoopGuardPolicy.OFF)
         # Mutual deferral: A relies on B for E, B relies on A for E, and D is selected by
         # neither, which is exactly the loop the paper describes.
         assert covering_relays(result_a)[E] == B
@@ -32,8 +37,8 @@ class TestFigure4:
 
     def test_with_guard_the_smallest_id_node_selects_the_adjacent_relay(self):
         network = figure4_network()
-        result_a = _select(network, A, LoopGuardPolicy.ADJACENT_TO_TARGET)
-        result_b = _select(network, B, LoopGuardPolicy.ADJACENT_TO_TARGET)
+        result_a = _explain(network, A, LoopGuardPolicy.ADJACENT_TO_TARGET)
+        result_b = _explain(network, B, LoopGuardPolicy.ADJACENT_TO_TARGET)
         # A (smallest id among {A, B, D}) must take responsibility and select D.
         assert D in result_a.selected
         assert covering_relays(result_a)[E] == D
@@ -42,7 +47,7 @@ class TestFigure4:
 
     def test_guard_only_fires_for_the_smallest_id(self):
         network = figure4_network()
-        result_b = _select(network, B, LoopGuardPolicy.ADJACENT_TO_TARGET)
+        result_b = _explain(network, B, LoopGuardPolicy.ADJACENT_TO_TARGET)
         reasons = {decision.reason for decision in result_b.decisions if decision.target == E}
         assert reasons == {"covered-by-existing-ans"}
 

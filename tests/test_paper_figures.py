@@ -84,11 +84,11 @@ class TestFigure2:
         assert result.selected == frozenset({1, 6, 7})
 
     def test_v11_is_covered_through_v6_rather_than_v2(self, view, bandwidth):
-        result = FnbpSelector().select(view, bandwidth)
+        result = FnbpSelector().explain(view, bandwidth)
         assert covering_relays(result)[11] == 6
 
     def test_v10_and_v5_need_no_extra_selection_once_v1_is_chosen(self, view, bandwidth):
-        result = FnbpSelector().select(view, bandwidth)
+        result = FnbpSelector().explain(view, bandwidth)
         relays = covering_relays(result)
         assert relays[5] == 1
         assert relays[10] == 1
@@ -98,8 +98,8 @@ class TestFigure4:
     def test_mutual_deferral_without_the_guard(self, bandwidth):
         network = figure4_network()
         selector = FnbpSelector(loop_guard="off")
-        relays_a = covering_relays(selector.select(LocalView.from_network(network, A), bandwidth))
-        relays_b = covering_relays(selector.select(LocalView.from_network(network, B), bandwidth))
+        relays_a = covering_relays(selector.explain(LocalView.from_network(network, A), bandwidth))
+        relays_b = covering_relays(selector.explain(LocalView.from_network(network, B), bandwidth))
         assert relays_a[E] == B and relays_b[E] == A
 
     def test_d_selected_by_nobody_without_the_guard(self, bandwidth):
@@ -113,7 +113,7 @@ class TestFigure4:
 
     def test_guard_makes_a_select_d(self, bandwidth):
         network = figure4_network()
-        result = FnbpSelector().select(LocalView.from_network(network, A), bandwidth)
+        result = FnbpSelector().explain(LocalView.from_network(network, A), bandwidth)
         assert D in result.selected
         assert covering_relays(result)[E] == D
 
@@ -122,7 +122,7 @@ class TestFigure4:
         network = figure4_network()
         network.set_link_weight(D, E, "bandwidth", 9.0)
         selector = FnbpSelector(loop_guard="off")
-        result_a = selector.select(LocalView.from_network(network, A), bandwidth)
+        result_a = selector.explain(LocalView.from_network(network, A), bandwidth)
         assert covering_relays(result_a)[E] == D
 
 
