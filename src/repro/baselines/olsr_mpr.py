@@ -9,18 +9,19 @@ evaluation harness can compare it with the QoS-aware selections on equal footing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import FrozenSet, List, Optional
 
-from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
+from repro.core.selection import SelectionDecision, _TracedSelector
 from repro.localview.view import LocalView
 from repro.metrics.base import Metric
 from repro.olsr.mpr import rfc3626_mpr
 from repro.registry import SELECTORS
+from repro.utils.ids import NodeId
 
 
 @SELECTORS.register("olsr-mpr", description="plain RFC 3626 MPR selection (QoS-unaware)")
 @dataclass
-class OlsrMprSelector(AnsSelector):
+class OlsrMprSelector(_TracedSelector):
     """Plain RFC 3626 MPR selection used as the advertised set (QoS-unaware).
 
     :meth:`explain` records a single decision listing the whole set.
@@ -28,16 +29,9 @@ class OlsrMprSelector(AnsSelector):
 
     name = "olsr-mpr"
 
-    def select(self, view: LocalView, metric: Metric) -> SelectionResult:
-        return self._select(view, metric, None)
-
-    def explain(self, view: LocalView, metric: Metric) -> SelectionResult:
-        return self._select(view, metric, [])
-
     def _select(
         self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
-    ) -> SelectionResult:
-        """The one selection routine; ``trace`` is ``None`` under :meth:`select`."""
+    ) -> FrozenSet[NodeId]:
         mpr = rfc3626_mpr(view)
         if trace is not None:
             trace.append(
@@ -48,10 +42,4 @@ class OlsrMprSelector(AnsSelector):
                     detail=(("selected", tuple(sorted(mpr))),),
                 )
             )
-        return SelectionResult(
-            owner=view.owner,
-            selector_name=self.name,
-            metric_name=metric.name,
-            selected=mpr,
-            decisions=None if trace is None else tuple(trace),
-        )
+        return mpr

@@ -21,9 +21,9 @@ Figure 1 example, reproduced in :mod:`repro.papergraphs.figure1`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
+from repro.core.selection import SelectionDecision, _TracedSelector
 from repro.localview.view import LocalView
 from repro.metrics.base import Metric
 from repro.olsr.mpr import coverage_map
@@ -32,7 +32,7 @@ from repro.utils.ids import NodeId
 
 
 @dataclass
-class _QolsrBase(AnsSelector):
+class _QolsrBase(_TracedSelector):
     """Shared two-phase skeleton of the QOLSR heuristics.
 
     :meth:`select` returns the MPR set alone; :meth:`explain` adds a ``sole-cover``
@@ -41,16 +41,9 @@ class _QolsrBase(AnsSelector):
 
     name = "qolsr-base"
 
-    def select(self, view: LocalView, metric: Metric) -> SelectionResult:
-        return self._select(view, metric, None)
-
-    def explain(self, view: LocalView, metric: Metric) -> SelectionResult:
-        return self._select(view, metric, [])
-
     def _select(
         self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
-    ) -> SelectionResult:
-        """The one selection routine; ``trace`` is ``None`` under :meth:`select`."""
+    ) -> FrozenSet[NodeId]:
         cover = coverage_map(view)
         uncovered: Set[NodeId] = set().union(*cover.values()) if cover else set()
         mpr: Set[NodeId] = set()
@@ -94,13 +87,7 @@ class _QolsrBase(AnsSelector):
                     )
                 )
 
-        return SelectionResult(
-            owner=view.owner,
-            selector_name=self.name,
-            metric_name=metric.name,
-            selected=frozenset(mpr),
-            decisions=None if trace is None else tuple(trace),
-        )
+        return frozenset(mpr)
 
     # ------------------------------------------------------------------ variant hooks
 

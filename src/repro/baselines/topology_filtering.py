@@ -22,11 +22,11 @@ does the same and also records one decision per table row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
+from repro.core.selection import SelectionDecision, _TracedSelector
 from repro.localview.filtering import TableRow, prime_filtering_tables, table_key
 from repro.localview.rng import qos_rng_reduce
 from repro.localview.view import LocalView
@@ -38,7 +38,7 @@ from repro.utils.ids import NodeId
 
 @SELECTORS.register("topology-filtering", description="QANS selection by RNG-based topology filtering")
 @dataclass
-class TopologyFilteringSelector(AnsSelector):
+class TopologyFilteringSelector(_TracedSelector):
     """QANS selection by RNG-based topology filtering.
 
     Parameters
@@ -59,16 +59,9 @@ class TopologyFilteringSelector(AnsSelector):
     def prime(self, views: List[LocalView], metric: Metric) -> None:
         prime_filtering_tables(views, metric, self.apply_reduction)
 
-    def select(self, view: LocalView, metric: Metric) -> SelectionResult:
-        return self._select(view, metric, None)
-
-    def explain(self, view: LocalView, metric: Metric) -> SelectionResult:
-        return self._select(view, metric, [])
-
     def _select(
         self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
-    ) -> SelectionResult:
-        """The one selection routine; ``trace`` is ``None`` under :meth:`select`."""
+    ) -> FrozenSet[NodeId]:
         # A table primed by select_all is handed over once: dropping it here keeps the
         # batch's tables from outliving the selection loop.
         table = view._first_hops.pop(table_key(metric, self.apply_reduction), None)
@@ -98,13 +91,7 @@ class TopologyFilteringSelector(AnsSelector):
                     detail += (("added", tuple(added)),)
                 trace.append(SelectionDecision(target, added[0] if added else None, reason, detail))
 
-        return SelectionResult(
-            owner=view.owner,
-            selector_name=self.name,
-            metric_name=metric.name,
-            selected=frozenset(ans),
-            decisions=None if trace is None else tuple(trace),
-        )
+        return frozenset(ans)
 
     # ------------------------------------------------------------------ internals
 

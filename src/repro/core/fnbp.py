@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, List, Optional, Set, Tuple
+from typing import Collection, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core import selection
-from repro.core.selection import AnsSelector, SelectionDecision, SelectionResult
+from repro.core.selection import SelectionDecision, _TracedSelector
 from repro.localview.paths import FirstHopResult, all_first_hops
 from repro.localview.view import LocalView
 from repro.metrics.base import Metric
@@ -94,7 +94,7 @@ class LoopGuardPolicy(Enum):
 
 @SELECTORS.register("fnbp", description="the paper's FNBP QANS selection")
 @dataclass
-class FnbpSelector(AnsSelector):
+class FnbpSelector(_TracedSelector):
     """The paper's FNBP QANS selection.
 
     Parameters
@@ -127,16 +127,10 @@ class FnbpSelector(AnsSelector):
         # network CSR for the views attached to one.
         selection.prime_first_hops(views, metric)
 
-    def select(self, view: LocalView, metric: Metric) -> SelectionResult:
-        return self._select(view, metric, None)
-
-    def explain(self, view: LocalView, metric: Metric) -> SelectionResult:
-        return self._select(view, metric, [])
-
     def _select(
         self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
-    ) -> SelectionResult:
-        """The one selection routine; ``trace`` is ``None`` under :meth:`select`.
+    ) -> FrozenSet[NodeId]:
+        """Step 1 over the one-hop targets, then step 2 over the two-hop targets.
 
         Each step returns ``(chosen, reason, relay_pool)``.  Only a trace reads the last
         two: it records the relay as the preferred member of ``relay_pool``, taken at the
@@ -165,13 +159,7 @@ class FnbpSelector(AnsSelector):
                         detail += (("relay", relay),)
                     trace.append(SelectionDecision(target, chosen, reason, detail))
 
-        return SelectionResult(
-            owner=view.owner,
-            selector_name=self.name,
-            metric_name=metric.name,
-            selected=frozenset(ans),
-            decisions=None if trace is None else tuple(trace),
-        )
+        return frozenset(ans)
 
     # ------------------------------------------------------------------ step 1
 

@@ -111,8 +111,9 @@ class AnsSelector(ABC):
     :meth:`select` returns the advertised set; :meth:`explain` returns the same result
     with its decision trace.  Every sweep path (:meth:`select_all`,
     :class:`SelectionCache`, the OLSR node) calls :meth:`select`.  Each built-in selector
-    runs one selection routine for both, with a trace sink that is ``None`` under
-    :meth:`select`: it then builds no :class:`SelectionDecision` at all.
+    runs one selection routine for both (``_select``, see :class:`_TracedSelector`), with
+    a trace sink that is ``None`` under :meth:`select`: it then builds no
+    :class:`SelectionDecision` at all.
     """
 
     #: Registry / display name of the algorithm.
@@ -209,6 +210,40 @@ class AnsSelector(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+class _TracedSelector(AnsSelector):
+    """Base of the built-in selectors: one routine, :meth:`_select`, serves both
+    :meth:`select` (no trace) and :meth:`explain` (trace recorded)."""
+
+    def select(self, view: LocalView, metric: Metric) -> SelectionResult:
+        return self._result(view, metric, None)
+
+    def explain(self, view: LocalView, metric: Metric) -> SelectionResult:
+        return self._result(view, metric, [])
+
+    @abstractmethod
+    def _select(
+        self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
+    ) -> FrozenSet[NodeId]:
+        """The advertised set at ``view.owner``.
+
+        ``trace`` is ``None`` under :meth:`select`, and the routine then builds no
+        :class:`SelectionDecision`; under :meth:`explain` it is a list the routine appends
+        its decisions to.
+        """
+
+    def _result(
+        self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
+    ) -> SelectionResult:
+        selected = self._select(view, metric, trace)
+        return SelectionResult(
+            owner=view.owner,
+            selector_name=self.name,
+            metric_name=metric.name,
+            selected=selected,
+            decisions=None if trace is None else tuple(trace),
+        )
 
 
 class SelectionCache:

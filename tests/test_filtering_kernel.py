@@ -1,8 +1,9 @@
 """Differential tests: batched topology filtering against the scalar selector.
 
-The batched kernel of :mod:`repro.localview.filtering` must reproduce
-``TopologyFilteringSelector.select`` -- full ``SelectionResult`` equality, decision
-traces included -- on every input.  The oracles are the scalar selector itself (views
+The batched kernel of :mod:`repro.localview.filtering` must reproduce the scalar
+``TopologyFilteringSelector`` on every input: ``explain`` on views primed over a shared
+CSR returns the scalar ``explain`` result, decision traces included, and ``select_all``
+returns the same results with no trace.  The oracles are the scalar selector itself (views
 built without a shared CSR) and :func:`repro.localview.rng.dominated_links` /
 :func:`~repro.localview.rng.qos_rng_reduce` for the witness table and the per-view rule.
 Topologies are drawn by hypothesis as unit-disk deployments, with weights that are
@@ -13,6 +14,7 @@ small integers (exact ties), real numbers, or real numbers nudged by less than
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,15 +87,35 @@ def unit_disk_networks(draw, max_nodes: int = 26):
 
 
 def scalar_selection(network, metric, selector):
-    """The oracle: every owner selected on a view with no shared CSR."""
+    """The oracle: ``explain`` at every owner of views with no shared CSR."""
     views = LocalView.all_from_network(network)
-    return {owner: selector.select(view, metric) for owner, view in views.items()}
+    return {owner: selector.explain(view, metric) for owner, view in views.items()}
 
 
 def batched_selection(network, metric, selector):
     """select_all over views attached to a fresh shared CSR."""
     views = LocalView.all_from_network(network, network_graph=NetworkGraph.from_network(network))
     return selector.select_all(network, metric, views=views)
+
+
+def assert_batched_equals_scalar(network, metric, selector):
+    """Both batched paths reproduce the scalar oracle; returns the counters of the
+    ``select_all`` run.
+
+    ``select_all`` (untraced) must equal the oracle with its trace dropped, and
+    ``explain`` on views primed as ``select_all`` primes them must equal it trace
+    included.
+    """
+    expected = scalar_selection(network, metric, selector)
+    with counters() as counted:
+        batched = batched_selection(network, metric, selector)
+    untraced = {owner: replace(result, decisions=None) for owner, result in expected.items()}
+    assert batched == untraced, metric.name
+    views = LocalView.all_from_network(network, network_graph=NetworkGraph.from_network(network))
+    selector.prime(list(views.values()), metric)
+    explained = {owner: selector.explain(view, metric) for owner, view in views.items()}
+    assert explained == expected, metric.name
+    return counted
 
 
 def witness_table(ng, metric):
@@ -122,9 +144,7 @@ class TestBatchedEqualsScalar:
     def test_generated_topologies(self, network, apply_reduction):
         selector = TopologyFilteringSelector(apply_reduction=apply_reduction)
         for metric in PLAIN_METRICS + COMPOSITES:
-            expected = scalar_selection(network, metric, selector)
-            with counters() as counted:
-                assert batched_selection(network, metric, selector) == expected, metric.name
+            counted = assert_batched_equals_scalar(network, metric, selector)
             batched = counted.get("filtering.batched_views", 0)
             scalar = counted.get("filtering.scalar_views", 0)
             assert batched + scalar == len(network)
@@ -138,9 +158,7 @@ class TestBatchedEqualsScalar:
         network = unit_disk_network(seed)
         selector = TopologyFilteringSelector(apply_reduction=apply_reduction)
         for metric in PLAIN_METRICS:
-            expected = scalar_selection(network, metric, selector)
-            with counters() as counted:
-                assert batched_selection(network, metric, selector) == expected
+            counted = assert_batched_equals_scalar(network, metric, selector)
             assert counted.get("filtering.batched_views") == len(network)
             assert "filtering.scalar_views" not in counted
 
@@ -153,10 +171,7 @@ class TestBatchedEqualsScalar:
             tables = batched_filtering_tables(ng, list(ng.nodes), metric)
             assert 0 not in tables  # owner 0 sees target 3 through both near-tied relays
             assert set(tables) < set(ng.nodes)
-            selector = TopologyFilteringSelector()
-            expected = scalar_selection(network, metric, selector)
-            with counters() as counted:
-                assert batched_selection(network, metric, selector) == expected
+            counted = assert_batched_equals_scalar(network, metric, TopologyFilteringSelector())
             assert counted["filtering.scalar_views"] >= 1
             assert counted["filtering.batched_views"] >= 1
 

@@ -4,8 +4,10 @@ The load-bearing guarantees, in the style of the suites locking down every other
 
 * **Cached == from-scratch.**  Selections served by the :class:`SelectionCache` of a
   dynamic trial (re-running the selector only at each step's ``StepDelta.dirty`` owners)
-  are bit-identical -- selected sets *and* decision traces -- to running every registered
-  selector from scratch on every node after every step, across seeded topologies of all
+  are bit-identical -- full ``SelectionResult`` equality -- to running every registered
+  selector's ``select`` from scratch on every node after every step (the built-ins record
+  no decision trace under ``select``, so theirs is ``None`` on both sides; the traces are
+  pinned by ``tests/test_selection_traces.py``), across seeded topologies of all
   three mobility models and all metric families (additive, concave, lexicographic
   composite), serial and under ``REPRO_WORKERS=2``.
 * **The dirty set is exact.**  ``StepDelta.dirty`` equals the view neighborhood
@@ -159,9 +161,9 @@ class TestCachedSelectionEqualsFromScratch:
     def test_all_selectors_bit_identical_across_steps(
         self, model_name, cls, kwargs, metric_name, metric
     ):
-        """The differential anchor: cache-served results equal from-scratch selection --
-        full SelectionResult equality, decision traces included -- for every registered
-        selector, after every step of a seeded dynamic trial."""
+        """The differential anchor: cache-served results equal from-scratch ``select``
+        results -- full SelectionResult equality -- for every registered selector, after
+        every step of a seeded dynamic trial."""
         selector_names = SELECTORS.names()
         generator = _generator(cls, kwargs, seed=11)
         spec = _spec(metric="bandwidth")
