@@ -1,9 +1,8 @@
 """Record the selection micro-benchmark trajectory as machine-readable JSON.
 
 Times the all-targets first-hop computation (the inner loop of every density sweep) on the
-same dense local view as ``test_bench_micro_selection.py``, for every solver method and for
-the legacy networkx implementations the compact-graph core replaced; additionally times the
-concave bottleneck-forest solve cold vs warm (cold drops the per-view forest cache first,
+same dense local view as ``test_bench_micro_selection.py``, for every solver method;
+additionally times the concave bottleneck-forest solve cold vs warm (cold drops the per-view forest cache first,
 so every run pays for Kruskal; warm answers from the cache) and the advertised-topology
 construction as a full per-selector rebuild vs the incremental edge-set diff the sweeps
 use.  Everything is written to ``BENCH_selection.json`` at the repository root.  Successive
@@ -34,11 +33,6 @@ from repro.experiments.runner import build_trial  # noqa: E402
 from repro.experiments.spec import ExperimentSpec  # noqa: E402
 from repro.experiments.stats import summarize  # noqa: E402
 from repro.localview import LocalView, all_first_hops  # noqa: E402
-from repro.localview.paths import (  # noqa: E402
-    _all_first_hops_bottleneck_forest_nx,
-    _all_first_hops_owner_dijkstra_nx,
-    _first_hops_to_nx,
-)
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner  # noqa: E402
 from repro.mobility.models import LinkChurnGenerator, RandomWaypointGenerator  # noqa: E402
 from repro.protocol import LossModel, ProtocolSimulator  # noqa: E402
@@ -79,14 +73,6 @@ def _cases(view: LocalView):
         "bottleneck-forest": lambda: all_first_hops(view, bandwidth, method="bottleneck-forest"),
         "per-target-delay": lambda: all_first_hops(view, delay, method="per-target"),
         "per-target-bandwidth": lambda: all_first_hops(view, bandwidth, method="per-target"),
-        "owner-dijkstra-networkx": lambda: _all_first_hops_owner_dijkstra_nx(view, delay),
-        "bottleneck-forest-networkx": lambda: _all_first_hops_bottleneck_forest_nx(view, bandwidth),
-        "per-target-delay-networkx": lambda: {
-            target: _first_hops_to_nx(view, target, delay) for target in view.known_targets()
-        },
-        "per-target-bandwidth-networkx": lambda: {
-            target: _first_hops_to_nx(view, target, bandwidth) for target in view.known_targets()
-        },
     }
 
 
@@ -325,9 +311,8 @@ def _legacy_ans_size_sweep(spec: ExperimentSpec, metric) -> ExperimentResult:
 
     This replicates the advertised-set sweep as it ran before the spec/registry/sink
     redesign -- a hand-written loop with no spec validation, no registry resolution beyond
-    the selector lookups the old code also performed, and no sink events -- playing the
-    same role as the retained ``_*_nx`` solver implementations: a baseline that makes any
-    dispatch overhead of the generic engine machine-visible.
+    the selector lookups the old code also performed, and no sink events -- a baseline
+    that makes any dispatch overhead of the generic engine machine-visible.
     """
     result = ExperimentResult(
         experiment_id="bench",
@@ -456,7 +441,7 @@ def record_topology_filtering(rounds: int) -> dict:
     """Network-wide topology filtering: per-view scalar selection vs the batched path.
 
     A scalar round runs ``TopologyFilteringSelector.select`` on every view of a network
-    built without a shared CSR (a networkx RNG reduction per view).  A batched round
+    built without a shared CSR (an RNG reduction of each view's link map).  A batched round
     builds a fresh :class:`NetworkGraph` and views attached to it and runs ``select_all``,
     which primes every owner's table through :mod:`repro.localview.filtering` (the
     witness table included).  FNBP's batched ``select_all`` is timed the same way as the
@@ -638,22 +623,16 @@ def record(rounds: int) -> dict:
         timing["targets_per_s"] = targets / timing["min_s"]
         results[name] = timing
 
-    speedups = {
-        name: results[f"{name}-networkx"]["min_s"] / results[name]["min_s"]
-        for name in ("owner-dijkstra", "bottleneck-forest", "per-target-delay", "per-target-bandwidth")
-        if f"{name}-networkx" in results
-    }
     return {
         "benchmark": "micro_selection.all_first_hops",
         "view": {
             "nodes": len(view.nodes),
             "one_hop": len(view.one_hop),
             "targets": targets,
-            "edges": view.graph.number_of_edges(),
+            "edges": sum(len(row) for row in view.links.values()) // 2,
         },
         "python": platform.python_version(),
         "results": results,
-        "speedup_vs_networkx": speedups,
         "forest_cache": record_forest_cache(view, rounds),
         "advertised_topology": record_advertised_topology(max(5, rounds // 4)),
         "engine_dispatch": record_engine_dispatch(max(5, rounds // 4)),
@@ -681,8 +660,6 @@ def main(argv=None) -> int:
     for name in sorted(payload["results"]):
         timing = payload["results"][name]
         print(f"{name:32s} min {timing['min_s'] * 1e3:8.3f} ms   {timing['targets_per_s']:10.0f} targets/s")
-    for name, speedup in sorted(payload["speedup_vs_networkx"].items()):
-        print(f"speedup vs networkx: {name:24s} {speedup:5.2f}x")
     forest = payload["forest_cache"]
     print(
         f"forest cache: cold {forest['cold']['min_s'] * 1e3:.3f} ms  "

@@ -14,8 +14,8 @@ routing set (the QoS Advertised Neighbor Set).  The QANS is obtained in two step
 Both steps reduce to one per-target table (target, best value, sorted best first hops)
 per view.  ``select_all`` primes that table for every view attached to the trial's
 shared CSR through the batched kernel of :mod:`repro.localview.filtering`; ``select``
-reads the advertised set off the primed table, or computes the table on the view's own
-graph (the scalar path above, which is also the kernel's test oracle).  ``explain``
+reads the advertised set off the primed table, or computes the table on the view's link
+map (the scalar path above, which is also the kernel's test oracle).  ``explain``
 does the same and also records one decision per table row.
 """
 
@@ -24,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.core.selection import SelectionDecision, _TracedSelector
 from repro.localview.filtering import TableRow, prime_filtering_tables, table_key
 from repro.localview.rng import qos_rng_reduce
-from repro.localview.view import LocalView
+from repro.localview.view import Links, LocalView
 from repro.metrics.base import Metric
 from repro.obs import runtime as obs
 from repro.registry import SELECTORS
@@ -96,27 +94,28 @@ class TopologyFilteringSelector(_TracedSelector):
     # ------------------------------------------------------------------ internals
 
     def _scalar_table(self, view: LocalView, metric: Metric) -> List[TableRow]:
-        """The per-target table of one view, from its own networkx graph.
+        """The per-target table of one view, from its link map.
 
         The oracle of the batched kernel (:mod:`repro.localview.filtering`) and the path
         for every view it does not serve.
         """
-        graph = qos_rng_reduce(view.graph, metric) if self.apply_reduction else view.graph
+        links = view.links
+        reduced = qos_rng_reduce(links, metric) if self.apply_reduction else links
         table: List[TableRow] = []
         for target in sorted(view.one_hop | view.two_hop):
-            best_value, first_hops = self._best_two_hop_first_hops(view, graph, target, metric)
+            best_value, first_hops = self._best_two_hop_first_hops(view, reduced, target, metric)
             if not first_hops and self.apply_reduction:
                 # The RNG reduction preserves global QoS-optimal connectivity but not
                 # necessarily a <=2-hop path to every neighbor; fall back to the unreduced
                 # view so the baseline never leaves a known neighbor uncovered.
-                best_value, first_hops = self._best_two_hop_first_hops(view, view.graph, target, metric)
+                best_value, first_hops = self._best_two_hop_first_hops(view, links, target, metric)
             table.append((target, best_value, tuple(sorted(first_hops))))
         return table
 
     def _best_two_hop_first_hops(
         self,
         view: LocalView,
-        graph: nx.Graph,
+        links: Links,
         target: NodeId,
         metric: Metric,
     ) -> Tuple[float, Set[NodeId]]:
@@ -125,15 +124,19 @@ class TopologyFilteringSelector(_TracedSelector):
         Candidate paths are the direct (possibly reduced-away) link ``owner-target`` and the
         two-hop detours ``owner-w-target`` for every surviving relay ``w``.
         """
-        owner = view.owner
+        extract = metric.link_value_from_attributes
+        owner_row = links[view.owner]
         candidates: Dict[NodeId, float] = {}
-        if graph.has_edge(owner, target):
-            candidates[target] = metric.link_value_from_attributes(graph.adj[owner][target])
+        if target in owner_row:
+            candidates[target] = extract(owner_row[target])
         for relay in view.one_hop:
-            if relay == target or not graph.has_edge(owner, relay) or not graph.has_edge(relay, target):
+            if relay == target or relay not in owner_row:
                 continue
-            first_leg = metric.link_value_from_attributes(graph.adj[owner][relay])
-            second_leg = metric.link_value_from_attributes(graph.adj[relay][target])
+            relay_row = links[relay]
+            if target not in relay_row:
+                continue
+            first_leg = extract(owner_row[relay])
+            second_leg = extract(relay_row[target])
             candidates[relay] = metric.combine(metric.combine(metric.identity, first_leg), second_leg)
 
         if not candidates:

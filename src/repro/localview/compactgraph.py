@@ -2,11 +2,11 @@
 
 Every selection algorithm funnels through the same inner loop: a label-setting
 single-source solver (Dijkstra / widest path) over a node's two-hop local view, run once
-per view or once per target.  On a :class:`networkx.Graph` each relaxation pays for a
-dict-of-dict edge lookup plus a ``metric.link_value_from_attributes`` call; over a full
-density sweep (100 topologies per density, every node, every selector) those constant
-factors dominate the wall clock.  :class:`CompactGraph` removes them by flattening the
-graph once per (view, metric) pair:
+per view or once per target.  On the view's link map (node -> ``{neighbor: attributes}``)
+each relaxation pays for a dict-of-dict edge lookup plus a
+``metric.link_value_from_attributes`` call; over a full density sweep (100 topologies per
+density, every node, every selector) those constant factors dominate the wall clock.
+:class:`CompactGraph` removes them by flattening the map once per (view, metric) pair:
 
 Layout (the moral equivalent of a CSR matrix, kept as per-row tuples because CPython
 iterates tuples of tuples faster than it slices flat arrays):
@@ -60,34 +60,23 @@ class CompactGraph:
     # ------------------------------------------------------------------ construction
 
     @classmethod
-    def from_networkx(cls, graph, metric: Metric) -> "CompactGraph":
-        """Flatten a :class:`networkx.Graph`, extracting ``metric``'s link values once.
+    def from_links(cls, links, metric: Metric) -> "CompactGraph":
+        """Flatten a link map (node -> ``{neighbor: attributes}``, such as
+        :attr:`LocalView.links` or a networkx graph's ``adj``), extracting ``metric``'s
+        link values once.
 
-        Node indices follow the graph's (deterministic) node insertion order.  Raises the
-        same :class:`KeyError` as ``metric.link_value_from_attributes`` when an edge lacks
-        the metric's attribute.
+        Node indices and rows follow the map's (deterministic) order.  Raises the same
+        :class:`KeyError` as ``metric.link_value_from_attributes`` when a link lacks the
+        metric's attribute.
         """
-        nodes = tuple(graph.nodes)
+        nodes = tuple(links)
         index = {node: i for i, node in enumerate(nodes)}
         extract = metric.link_value_from_attributes
         rows = []
         for node in nodes:
-            row = tuple((index[other], extract(data)) for other, data in graph.adj[node].items())
+            row = tuple((index[other], extract(data)) for other, data in links[node].items())
             rows.append(row)
         return cls(nodes=nodes, index=index, adj=tuple(rows), metric_name=metric.name)
-
-    @classmethod
-    def try_from_networkx(cls, graph, metric: Metric) -> Optional["CompactGraph"]:
-        """Like :meth:`from_networkx`, or None when some edge lacks the metric's attribute.
-
-        Flattening extracts every edge's value eagerly; a traversal-based solver only
-        touches the edges it reaches.  Callers that must preserve that lazy behaviour for
-        partially-attributed graphs use this and fall back to a networkx traversal on None.
-        """
-        try:
-            return cls.from_networkx(graph, metric)
-        except KeyError:
-            return None
 
     # ------------------------------------------------------------------ queries
 

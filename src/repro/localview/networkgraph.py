@@ -22,7 +22,8 @@ Layout
   ``frozenset(network.graph.adj[node])`` so a view's ``one_hop`` iterates as a view built
   from the network would (``Metric.optimum``'s first-wins scans depend on it).
 * ``adjacency``  -- node -> ``{neighbour: attributes}`` in the network's adjacency order,
-  one attribute dict per link shared by both directions: what views build graphs from.
+  one attribute dict per link shared by both directions: the link map attached views
+  answer from and derive ``view.links`` from.
 * per-token weight arrays -- ``edge_values(metric)`` (one float64 per edge) and
   ``slot_values(metric)`` (the same values scattered to slots), built lazily and only
   for metrics the specialized scalar solvers accept (``specialized_kind(metric)`` not
@@ -41,7 +42,7 @@ paths keep a shared graph current:
   are replaced and their values re-extracted **in place** into every materialized weight
   array; the value rows are dropped, index arrays and neighbour rows are untouched.
   Views that see a patched link must call :meth:`LocalView.invalidate_caches`, which
-  also drops a graph they built.
+  also drops the map (``view.links``) they derived from the snapshot.
 * :meth:`rebuild` -- structural changes.  Everything is rebuilt into *new* containers and
   ``generation`` is bumped.  A view keeps the rows and snapshot it was built from, so it
   goes on describing its own state; it stops batching (its ``network_graph()`` is None).
@@ -147,8 +148,7 @@ class NetworkGraph:
 
         Returns None when ``metric`` is not specialized (its values may not be plain
         floats -- e.g. lexicographic composites) or when some edge lacks the metric's
-        attribute; callers fall back to the scalar per-view path in either case,
-        mirroring :meth:`CompactGraph.try_from_networkx`.
+        attribute; callers fall back to the scalar per-view path in either case.
         """
         if specialized_kind(metric) is None:
             return None

@@ -18,13 +18,11 @@ is what enforces simplicity at the first hop; for both metric families the best 
 value equals the best walk value (weights are non-negative / composition is monotone), so the
 inner computation can use the label-setting solver.
 
-Hot paths run on :class:`~repro.localview.compactgraph.CompactGraph` -- a flat-adjacency
-snapshot with the metric's link values extracted once and cached per metric on the view --
-instead of traversing networkx's dict-of-dicts on every relaxation.  The public functions
-keep their networkx-accepting signatures and adapt internally; the original networkx
-implementations survive as ``_*_nx`` module privates so the benchmark recorder
-(``benchmarks/record.py``) and the cross-validation tests can measure and check the compact
-core against them.
+Every solve runs on a :class:`~repro.localview.compactgraph.CompactGraph` -- a
+flat-adjacency snapshot with the metric's link values extracted once and cached per metric
+on the view -- instead of traversing a dict-of-dicts on every relaxation.  The original
+networkx implementations live on in ``tests/nx_oracles.py`` as independent references
+for the cross-validation tests.
 
 Caching contract: both per-view caches this module consumes --
 :meth:`LocalView.compact_graph` (link values extracted once per metric) and
@@ -40,7 +38,6 @@ views and thus their own caches.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -69,19 +66,11 @@ def best_values_from(
 
     ``excluded`` nodes are treated as absent (neither traversed nor reported).  The source
     itself is reported with the metric's identity value.  Unreachable nodes are simply not in
-    the returned mapping.  ``graph`` may be a :class:`networkx.Graph` (flattened on the fly;
-    graphs with edges missing the metric's attribute fall back to the lazy networkx
-    traversal, which only raises for edges the search actually reaches) or an already-built
-    :class:`CompactGraph` for the same metric.
+    the returned mapping.  ``graph`` may be an already-built :class:`CompactGraph` for the
+    same metric, or a :class:`networkx.Graph`, flattened first: a link without the metric's
+    attribute raises :class:`KeyError`, whether or not the search would reach it.
     """
-    if isinstance(graph, CompactGraph):
-        cg = graph
-    else:
-        if source not in graph:
-            return {}
-        cg = CompactGraph.try_from_networkx(graph, metric)
-        if cg is None:
-            return _best_values_from_nx(graph, source, metric, excluded)
+    cg = graph if isinstance(graph, CompactGraph) else CompactGraph.from_links(graph.adj, metric)
     index = cg.index
     source_idx = index.get(source)
     if source_idx is None:
@@ -146,9 +135,8 @@ class FirstHopResult(NamedTuple):
 def _one_hop_rows(view: LocalView, cg: CompactGraph) -> List[Tuple[NodeId, int, float]]:
     """``(neighbor, neighbor_index, direct_link_value)`` for every one-hop neighbor.
 
-    Iterates ``view.one_hop`` (not the owner's adjacency row) so that views whose declared
-    one-hop set is a strict subset of the owner's graph neighbors keep their historical
-    behaviour.
+    Iterates ``view.one_hop``, not the owner's row (a view built from protocol tables
+    lists that row in report order): ``Metric.optimum``'s first-wins scans follow it.
     """
     owner_row = dict(cg.adj[cg.index[view.owner]])
     index = cg.index
@@ -540,202 +528,6 @@ def prime_first_hops(views: Iterable[LocalView], metric: Metric) -> int:
             view._first_hops[token] = batch[view.owner]
             primed += 1
     return primed
-
-
-# ---------------------------------------------------------------------- legacy networkx core
-#
-# The pre-compact-graph implementations, kept verbatim so ``benchmarks/record.py`` can
-# measure the speedup of the flat-adjacency core against them and so the property tests can
-# cross-validate the compact solvers against an independent traversal of the same graphs.
-
-
-def _best_values_from_nx(
-    graph: nx.Graph,
-    source: NodeId,
-    metric: Metric,
-    excluded: Iterable[NodeId] = (),
-) -> Dict[NodeId, float]:
-    excluded_set = set(excluded)
-    if source in excluded_set or source not in graph:
-        return {}
-    best: Dict[NodeId, float] = {}
-    counter = 0  # tie-breaker so heap entries never compare nodes of different types
-    heap: List[Tuple[object, int, NodeId, float]] = [
-        (metric.sort_key(metric.identity), counter, source, metric.identity)
-    ]
-    while heap:
-        _, __, node, value = heapq.heappop(heap)
-        if node in best:
-            continue
-        best[node] = value
-        for neighbor in graph.neighbors(node):
-            if neighbor in best or neighbor in excluded_set:
-                continue
-            link_value = metric.link_value_from_attributes(graph.adj[node][neighbor])
-            candidate = metric.combine(value, link_value)
-            counter += 1
-            heapq.heappush(heap, (metric.sort_key(candidate), counter, neighbor, candidate))
-    return best
-
-
-def _first_hops_to_nx(view: LocalView, target: NodeId, metric: Metric) -> FirstHopResult:
-    owner = view.owner
-    if target == owner:
-        raise ValueError("the owner trivially reaches itself; first hops are undefined")
-    if target not in view.graph:
-        return FirstHopResult(target=target, best_value=metric.worst, first_hops=frozenset())
-
-    from_target = _best_values_from_nx(view.graph, target, metric, excluded=(owner,))
-
-    candidate_values: Dict[NodeId, float] = {}
-    for neighbor in view.one_hop:
-        link_value = view.direct_link_value(neighbor, metric)
-        if neighbor == target:
-            remainder = metric.identity
-        elif neighbor in from_target:
-            remainder = from_target[neighbor]
-        else:
-            continue
-        path_start = metric.combine(metric.identity, link_value)
-        candidate_values[neighbor] = metric.combine(path_start, remainder)
-
-    if not candidate_values:
-        return FirstHopResult(target=target, best_value=metric.worst, first_hops=frozenset())
-
-    best_value = metric.optimum(candidate_values.values())
-    first_hops = frozenset(
-        neighbor
-        for neighbor, value in candidate_values.items()
-        if metric.values_equal(value, best_value)
-    )
-    return FirstHopResult(target=target, best_value=best_value, first_hops=first_hops)
-
-
-def _all_first_hops_owner_dijkstra_nx(view: LocalView, metric: Metric) -> Dict[NodeId, FirstHopResult]:
-    owner = view.owner
-    graph = view.graph
-    distances = _best_values_from_nx(graph, owner, metric)
-
-    first_hops: Dict[NodeId, set] = {node: set() for node in distances}
-    worklist = deque()
-
-    for neighbor in view.one_hop:
-        if neighbor not in distances:
-            continue
-        link_value = view.direct_link_value(neighbor, metric)
-        direct = metric.combine(metric.identity, link_value)
-        if metric.values_equal(direct, distances[neighbor]):
-            first_hops[neighbor].add(neighbor)
-            worklist.append(neighbor)
-
-    while worklist:
-        node = worklist.popleft()
-        node_value = distances[node]
-        node_hops = first_hops[node]
-        for successor in graph.neighbors(node):
-            if successor == owner or successor not in distances:
-                continue
-            link_value = metric.link_value_from_attributes(graph.edges[node, successor])
-            if not metric.values_equal(metric.combine(node_value, link_value), distances[successor]):
-                continue
-            successor_hops = first_hops[successor]
-            if not node_hops <= successor_hops:
-                successor_hops |= node_hops
-                worklist.append(successor)
-
-    results: Dict[NodeId, FirstHopResult] = {}
-    for target in view.known_targets():
-        if target in distances and first_hops[target]:
-            results[target] = FirstHopResult(
-                target=target,
-                best_value=distances[target],
-                first_hops=frozenset(first_hops[target]),
-            )
-        else:
-            results[target] = FirstHopResult(
-                target=target, best_value=metric.worst, first_hops=frozenset()
-            )
-    return results
-
-
-def _all_first_hops_bottleneck_forest_nx(view: LocalView, metric: Metric) -> Dict[NodeId, FirstHopResult]:
-    owner = view.owner
-    graph = view.graph
-    nodes = [node for node in graph.nodes if node != owner]
-    if not nodes:
-        return {
-            target: FirstHopResult(target=target, best_value=metric.worst, first_hops=frozenset())
-            for target in view.known_targets()
-        }
-
-    parent: Dict[NodeId, NodeId] = {node: node for node in nodes}
-
-    def find(node: NodeId) -> NodeId:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    edges = []
-    for a, b in graph.edges:
-        if a == owner or b == owner:
-            continue
-        value = metric.link_value_from_attributes(graph.edges[a, b])
-        edges.append((metric.sort_key(value), a, b, value))
-    edges.sort()
-
-    forest: Dict[NodeId, List[Tuple[NodeId, float]]] = {node: [] for node in nodes}
-    for _, a, b, value in edges:
-        root_a, root_b = find(a), find(b)
-        if root_a == root_b:
-            continue
-        parent[root_a] = root_b
-        forest[a].append((b, value))
-        forest[b].append((a, value))
-
-    one_hop_links = {
-        neighbor: view.direct_link_value(neighbor, metric) for neighbor in view.one_hop
-    }
-
-    results: Dict[NodeId, FirstHopResult] = {}
-    for target in view.known_targets():
-        bottleneck: Dict[NodeId, float] = {target: metric.identity}
-        stack = [target]
-        while stack:
-            node = stack.pop()
-            node_value = bottleneck[node]
-            for neighbor, link_value in forest[node]:
-                if neighbor in bottleneck:
-                    continue
-                bottleneck[neighbor] = metric.combine(node_value, link_value)
-                stack.append(neighbor)
-
-        candidates: Dict[NodeId, float] = {}
-        for neighbor, direct in one_hop_links.items():
-            start = metric.combine(metric.identity, direct)
-            if neighbor == target:
-                candidates[neighbor] = start
-                continue
-            remainder = bottleneck.get(neighbor)
-            if remainder is None:
-                continue
-            candidates[neighbor] = metric.combine(start, remainder)
-
-        if not candidates:
-            results[target] = FirstHopResult(
-                target=target, best_value=metric.worst, first_hops=frozenset()
-            )
-            continue
-        best_value = metric.optimum(candidates.values())
-        first_hops = frozenset(
-            neighbor
-            for neighbor, value in candidates.items()
-            if metric.values_equal(value, best_value)
-        )
-        results[target] = FirstHopResult(target=target, best_value=best_value, first_hops=first_hops)
-    return results
 
 
 # ---------------------------------------------------------------------- enumeration

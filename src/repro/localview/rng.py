@@ -12,63 +12,49 @@ For bandwidth this removes (a, b) when both replacement legs are wider; for dela
 are shorter.  Removing such a link never removes the last optimal two-hop detour, which is
 why the baseline preserves QoS-optimal two-hop paths while shrinking the advertised set.
 
-These functions reduce one graph at a time and are the reference for the batched path:
-:mod:`repro.localview.filtering` finds every link's witnesses once per network
-(:func:`~repro.localview.filtering.dominance_witnesses`) and applies the reduction to
-all views at once; ``tests/test_filtering_kernel.py`` pins the two together.
+These functions reduce one link map (node -> ``{neighbor: attributes}``, such as
+:attr:`LocalView.links` or a networkx graph's ``adj``) at a time and are the reference for
+the batched path: :mod:`repro.localview.filtering` finds every link's witnesses once per
+network (:func:`~repro.localview.filtering.dominance_witnesses`) and applies the reduction
+to all views at once; ``tests/test_filtering_kernel.py`` pins the two together.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Set, Tuple
+from typing import Set, Tuple
 
-import networkx as nx
-
+from repro.localview.view import Links
 from repro.metrics.base import Metric
 from repro.utils.ids import NodeId
 
 
-def qos_rng_reduce(graph: nx.Graph, metric: Metric) -> nx.Graph:
-    """Return a copy of ``graph`` with every RNG-dominated link removed.
+def qos_rng_reduce(links: Links, metric: Metric) -> Links:
+    """A copy of the link map ``links`` without its RNG-dominated links.
 
-    The input graph is not modified.  Edge attributes are preserved on the surviving links.
+    ``links`` is not modified.  Nodes and surviving links keep their order and their
+    attribute dictionaries.
     """
-    reduced = graph.copy()
-    for a, b in list(_links(graph)):
-        if _is_dominated(graph, a, b, metric):
-            reduced.remove_edge(a, b)
-    return reduced
+    removed = dominated_links(links, metric)
+    return {
+        a: {b: data for b, data in row.items() if ((a, b) if a <= b else (b, a)) not in removed}
+        for a, row in links.items()
+    }
 
 
-def dominated_links(graph: nx.Graph, metric: Metric) -> Set[Tuple[NodeId, NodeId]]:
-    """The set of links the reduction removes (canonically oriented), useful for display."""
+def dominated_links(links: Links, metric: Metric) -> Set[Tuple[NodeId, NodeId]]:
+    """The links the reduction removes, each as ``(min, max)``."""
+    extract = metric.link_value_from_attributes
+    values = {a: {b: extract(data) for b, data in row.items()} for a, row in links.items()}
+    is_better = metric.is_better
     removed: Set[Tuple[NodeId, NodeId]] = set()
-    for a, b in _links(graph):
-        if _is_dominated(graph, a, b, metric):
-            removed.add((a, b) if a <= b else (b, a))
+    for a, row in values.items():
+        for b, direct in row.items():
+            if a > b:
+                continue
+            legs = values[b]
+            if any(
+                witness in legs and is_better(leg, direct) and is_better(legs[witness], direct)
+                for witness, leg in row.items()
+            ):
+                removed.add((a, b))
     return removed
-
-
-def _links(graph: nx.Graph) -> Iterator[Tuple[NodeId, NodeId]]:
-    """Every link once, in ``graph.edges`` order, from the adjacency.
-
-    Reading ``graph.edges`` would cache an ``EdgeView`` on the graph that points back at
-    it, leaving a dropped graph to the cyclic garbage collector.
-    """
-    seen = set()
-    for a, neighbors in graph.adjacency():
-        for b in neighbors:
-            if b not in seen:
-                yield a, b
-        seen.add(a)
-
-
-def _is_dominated(graph: nx.Graph, a: NodeId, b: NodeId, metric: Metric) -> bool:
-    adj = graph.adj
-    direct = metric.link_value_from_attributes(adj[a][b])
-    for witness in set(adj[a]) & set(adj[b]):
-        leg_a = metric.link_value_from_attributes(adj[a][witness])
-        leg_b = metric.link_value_from_attributes(adj[witness][b])
-        if metric.is_better(leg_a, direct) and metric.is_better(leg_b, direct):
-            return True
-    return False

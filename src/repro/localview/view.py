@@ -11,24 +11,31 @@ the paper's Figure 2 illustrates with the invisible link ``(v8, v9)``).
 baselines) takes a :class:`LocalView` as input, which keeps them honest: they can only use
 information a real OLSR node would have.
 
-A view *attached* to a shared :class:`~repro.localview.networkgraph.NetworkGraph`
-(:meth:`LocalView.all_from_network` with ``network_graph``) holds its owner, its one- and
-two-hop sets and the graph's neighbour rows and attribute snapshot; every query answers
-from those (a two-hop node's known neighbours are its row intersected with ``one_hop``),
-the batched kernels prime its first hops, and ``view.graph`` is built on first read from
-the snapshot -- never from the live network, which ``DynamicTopology`` mutates in place.
-A *detached* view (:meth:`from_network`, :meth:`from_tables`, the constructor) owns its
-networkx graph.
+A view is its owner, its one- and two-hop sets and a *link map*: node ->
+``{neighbour: link attributes}``.  Every query answers from those, the same way for every
+view, and sees only ``G_u`` (a two-hop node's known neighbours are its row intersected with
+``one_hop``).  The map is either
+
+* the attribute snapshot of a shared :class:`~repro.localview.networkgraph.NetworkGraph`
+  the view is *attached* to (:meth:`LocalView.all_from_network` with ``network_graph``):
+  it holds the whole network, building the view copies nothing, and the batched kernels
+  prime its first hops; or
+* the view's own map of ``G_u`` (:meth:`from_network`, :meth:`from_tables`, the
+  constructor, and any view after :meth:`update_link`).
+
+:attr:`LocalView.links` is ``G_u`` alone as a link map: the view's own map, or derived on
+first read from the snapshot -- never from the live network, which ``DynamicTopology``
+mutates in place.  The compact graphs and the scalar topology-filtering table read it, and
+so does ``view.graph``, a networkx adapter built on first read for callers outside the
+selection path.
 
 Views are immutable by default: the selection machinery caches compact graphs, bottleneck
 forests and direct-link values per metric on the view, and sibling views share link
-attribute dictionaries, so callers must treat ``view.graph`` and its edge data as
-read-only.  The one sanctioned mutation path is :meth:`LocalView.update_link` (a node
-re-measuring one of the links it knows about): it un-shares the edge-attribute dictionary
-before writing, drops every derived cache via :meth:`LocalView.invalidate_caches` and
-detaches the view.  Code that mutates ``view.graph`` behind the view's back must call
-:meth:`LocalView.invalidate_caches` itself or the cached solvers will keep answering
-from the pre-mutation snapshot.
+attribute dictionaries, so callers must treat ``view.links``, ``view.graph`` and their
+edge data as read-only.  The one sanctioned mutation path is :meth:`LocalView.update_link`
+(a node re-measuring one of the links it knows about): it gives the view its own copy of
+the map with a fresh attribute dictionary for the link, drops every derived cache via
+:meth:`LocalView.invalidate_caches` and so detaches the view.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ from repro.localview.compactgraph import CompactGraph, max_bottleneck_forest
 from repro.metrics.base import Metric
 from repro.utils.ids import NodeId
 
+#: node -> ``{neighbour: link attributes}``, each link in both endpoints' rows.
+Links = Dict[NodeId, Dict[NodeId, dict]]
+
 
 class LocalView:
     """The two-hop local view ``G_u`` of a node ``u``."""
@@ -52,19 +62,27 @@ class LocalView:
         two_hop: Iterable[NodeId],
         graph: nx.Graph,
     ) -> None:
-        self._setup(owner, one_hop, two_hop, graph, None)
-        self._validate()
+        """The view of ``owner`` in ``graph``: the declared nodes and every link of a one-hop
+        neighbor (``graph`` itself is neither kept nor modified)."""
+        one_hop, two_hop = frozenset(one_hop), frozenset(two_hop)
+        adjacency = graph.adj
+        _validate(owner, one_hop, two_hop, adjacency.get(owner, {}))
+        stray = _two_hop(adjacency, owner, one_hop) - two_hop
+        if stray:
+            raise ValueError(f"neighbors of one-hop neighbors missing from two_hop: {sorted(stray)}")
+        links = _restrict(adjacency, owner, one_hop, two_hop, None)
+        self._setup(owner, one_hop, two_hop, links, links, None)
 
-    def _setup(self, owner, one_hop, two_hop, graph, network_graph) -> None:
+    def _setup(self, owner, one_hop, two_hop, adjacency, links, network_graph) -> None:
         self.owner = owner
         self.one_hop: FrozenSet[NodeId] = frozenset(one_hop)
         self.two_hop: FrozenSet[NodeId] = frozenset(two_hop)
-        self._graph: Optional[nx.Graph] = graph
-        # An attached view's CSR with its rows and snapshot as of the build (a rebuild
-        # replaces the CSR's, so the view keeps describing its own state); None detached.
+        # What queries read: the shared snapshot, or the view's own map of G_u.
+        self._adjacency: Links = adjacency
+        # G_u alone, in view order (derived on first read when None), and its networkx form.
+        self._links: Optional[Links] = links
+        self._graph: Optional[nx.Graph] = None
         self._network_graph = network_graph
-        self._rows = None if network_graph is None else network_graph.rows
-        self._adjacency = None if network_graph is None else network_graph.adjacency
         # Per-metric caches keyed by Metric.cache_token, plus what the batched kernels
         # primed (first hops, and filtering tables keyed by filtering.table_key).
         self._compact: Dict[object, CompactGraph] = {}
@@ -90,9 +108,9 @@ class LocalView:
         """Every node's local view, as ``LocalView.from_network`` would build it, cheaply.
 
         With ``network_graph`` (a :class:`NetworkGraph` of the same network state) every
-        view is attached to it: a few set operations per view and no per-view graph.
+        view is attached to it: a few set operations per view and no per-view map.
         Without, each physical link's attribute dictionary is copied once and *shared*
-        between the detached views that see it.
+        between the views that see it.
         """
         if network_graph is not None:
             return {owner: cls._attached(network_graph, owner) for owner in network.nodes()}
@@ -103,27 +121,33 @@ class LocalView:
     @classmethod
     def from_adjacency(cls, adjacency, owner: NodeId, network_graph=None) -> "LocalView":
         """One view of the state ``adjacency`` describes, as :meth:`all_from_network`
-        builds it: attached to ``network_graph`` if given, else detached."""
+        builds it: attached to ``network_graph`` if given, else with its own map."""
         if network_graph is not None:
             return cls._attached(network_graph, owner)
         return cls._from_adjacency(adjacency, owner, {})
 
     @classmethod
     def _from_adjacency(cls, adjacency, owner: NodeId, shared: Dict[int, dict]) -> "LocalView":
-        """One detached view; ``shared`` maps source attribute dicts' ids to copies."""
+        """One view with its own map; ``shared`` maps source attribute dicts' ids to copies."""
         one_hop = frozenset(adjacency[owner])
         two_hop = _two_hop(adjacency, owner, one_hop)
-        graph = _view_graph(adjacency, owner, one_hop, two_hop, shared)
-        return cls(owner=owner, one_hop=one_hop, two_hop=two_hop, graph=graph)
+        return cls._own(owner, one_hop, two_hop, _restrict(adjacency, owner, one_hop, two_hop, shared))
 
     @classmethod
     def _attached(cls, network_graph, owner: NodeId) -> "LocalView":
-        """The CSR-native view of ``owner``: its sets from the shared rows, no graph yet."""
+        """The CSR-native view of ``owner``: its sets from the shared rows, no map of its own."""
+        adjacency = network_graph.adjacency
         one_hop = network_graph.rows[owner]
         view = cls.__new__(cls)
-        view._setup(
-            owner, one_hop, _two_hop(network_graph.adjacency, owner, one_hop), None, network_graph
-        )
+        view._setup(owner, one_hop, _two_hop(adjacency, owner, one_hop), adjacency, None, network_graph)
+        return view
+
+    @classmethod
+    def _own(cls, owner: NodeId, one_hop, two_hop, links: Links) -> "LocalView":
+        """A view holding ``links``, its own map of ``G_u``."""
+        _validate(owner, one_hop, two_hop, links[owner])
+        view = cls.__new__(cls)
+        view._setup(owner, one_hop, two_hop, links, links, None)
         return view
 
     @classmethod
@@ -140,15 +164,16 @@ class LocalView:
         ``v`` about its own neighbor ``w``.  Reports from non-neighbors and reports of
         links to the owner are ignored; a link reported more than once (by both of its
         endpoints, say) gets each report's weights in turn, so the last report wins.
+        The map lists nodes and links in report order.
         """
-        one_hop, links = _merge_tables(owner, neighbor_links, two_hop_links)
-        graph = nx.Graph()
-        graph.add_node(owner)
-        for (u, v), weights in links.items():
-            graph.add_edge(u, v, **weights)
-        two_hop = set(graph) - one_hop
+        one_hop, merged = _merge_tables(owner, neighbor_links, two_hop_links)
+        links: Links = {owner: {}}
+        for (u, v), weights in merged.items():
+            links.setdefault(u, {})[v] = weights
+            links.setdefault(v, {})[u] = weights
+        two_hop = set(iter(links)) - one_hop
         two_hop.discard(owner)
-        return cls(owner=owner, one_hop=one_hop, two_hop=two_hop, graph=graph)
+        return cls._own(owner, one_hop, two_hop, links)
 
     @staticmethod
     def table_key(
@@ -170,26 +195,36 @@ class LocalView:
     # ------------------------------------------------------------------ queries
 
     @property
-    def graph(self) -> nx.Graph:
-        """The view as a networkx graph (an attached view builds it on first read)."""
-        graph = self._graph
-        if graph is None:
-            graph = self._graph = _view_graph(
+    def links(self) -> Links:
+        """``G_u`` alone as a link map, owner first (derived once for an attached view)."""
+        links = self._links
+        if links is None:
+            links = self._links = _restrict(
                 self._adjacency, self.owner, self.one_hop, self.two_hop, None
             )
+        return links
+
+    @property
+    def graph(self) -> nx.Graph:
+        """:attr:`links` as a networkx graph, built on first read; it shares the attribute
+        dicts, so treat it as read-only."""
+        graph = self._graph
+        if graph is None:
+            links = self.links
+            graph = self._graph = nx.Graph()
+            graph.add_nodes_from(links)
+            adjacency = graph._adj
+            for node, row in links.items():
+                adjacency[node].update(row)
         return graph
 
     @property
     def nodes(self) -> Set[NodeId]:
         """All nodes the owner knows about (``V_u``)."""
-        if self._rows is None:
-            return set(self.graph.nodes)
         return {self.owner} | self.one_hop | self.two_hop
 
     def __contains__(self, node: NodeId) -> bool:
         """True when the owner knows about ``node`` (it is in ``V_u``)."""
-        if self._rows is None:
-            return node in self.graph
         return node == self.owner or node in self.one_hop or node in self.two_hop
 
     def known_targets(self) -> list[NodeId]:
@@ -206,7 +241,7 @@ class LocalView:
         token = metric.cache_token()
         compact = self._compact.get(token)
         if compact is None:
-            compact = CompactGraph.from_networkx(self.graph, metric)
+            compact = CompactGraph.from_links(self.links, metric)
             self._compact[token] = compact
         return compact
 
@@ -229,66 +264,61 @@ class LocalView:
         return forest
 
     def network_graph(self):
-        """The shared :class:`NetworkGraph` this view answers from, or None when detached
-        or built before the graph's last ``rebuild`` (its arrays no longer describe it)."""
+        """The shared :class:`NetworkGraph` this view answers from, or None when the view
+        holds its own map or was built before the graph's last ``rebuild`` (the graph's
+        arrays no longer describe it)."""
         network_graph = self._network_graph
-        if network_graph is None or network_graph.rows is not self._rows:
+        if network_graph is None or network_graph.adjacency is not self._adjacency:
             return None
         return network_graph
 
     # ------------------------------------------------------------------ mutation
 
     def invalidate_caches(self) -> None:
-        """Drop every cached per-metric structure (compact graphs, forests, first hops).
+        """Drop everything derived from the link attributes: the per-metric caches (compact
+        graphs, forests, direct values, first hops), :attr:`links` and ``view.graph``.
 
-        Must be called after *any* mutation of ``self.graph`` or its edge attributes, and
-        on an attached view after a ``patch_weights`` of a link it sees (its graph goes
-        too, rebuilt from the patched snapshot); :meth:`update_link` calls it itself.
+        Must be called on an attached view after a ``patch_weights`` of a link it sees
+        (the map is derived again from the patched snapshot); :meth:`update_link` calls it
+        itself.
         """
         self._compact.clear()
         self._forest.clear()
         self._direct.clear()
         self._first_hops.clear()
-        if self._rows is not None:
-            self._graph = None
+        self._links = self._graph = None
 
     def _follow(self, network_graph) -> None:
-        """Move onto rebuilt rows that left the owner's neighbourhood (and caches) intact."""
-        self._rows = network_graph.rows
+        """Move onto a rebuilt snapshot that left the owner's neighbourhood (and caches) intact."""
         self._adjacency = network_graph.adjacency
 
     def update_link(self, u: NodeId, v: NodeId, **weights: float) -> None:
         """Update the attributes of a known link, drop the derived caches and detach.
 
-        Models a node re-measuring the QoS of a link it already knows about.  The link's
-        attribute dictionary may be shared with sibling views; it is replaced by a fresh
-        copy before writing so the update stays local to this view (other nodes only learn
-        of new measurements through the protocol, not through shared memory).  The view's
-        graph becomes its own state: it no longer matches the shared CSR.
+        Models a node re-measuring the QoS of a link it already knows about.  The view gets
+        its own copy of :attr:`links` in which the link has a fresh attribute dictionary,
+        so the update stays local to this view (other nodes only learn of new measurements
+        through the protocol, not through shared memory) and the view no longer matches a
+        shared CSR.
         """
-        graph = self.graph
-        if not graph.has_edge(u, v):
+        if not self.has_link(u, v):
             raise KeyError(f"node {self.owner} does not know of a link between {u} and {v}")
-        adjacency = graph._adj
-        updated = dict(adjacency[u][v])
+        links = {node: dict(row) for node, row in self.links.items()}
+        updated = dict(links[u][v])
         updated.update(weights)
-        adjacency[u][v] = updated
-        adjacency[v][u] = updated
-        self._network_graph = self._rows = self._adjacency = None
+        links[u][v] = links[v][u] = updated
         self.invalidate_caches()
+        self._adjacency = self._links = links
 
     def has_link(self, u: NodeId, v: NodeId) -> bool:
         """True when the owner knows about a link between ``u`` and ``v``."""
-        rows = self._rows
-        if rows is None:
-            return self.graph.has_edge(u, v)
-        return (u in self.one_hop or v in self.one_hop) and v in rows.get(u, ())
+        return (u in self.one_hop or v in self.one_hop) and v in self._adjacency.get(u, ())
 
     def link_value(self, u: NodeId, v: NodeId, metric: Metric) -> float:
         """The weight of the known link ``(u, v)`` under ``metric``."""
         if not self.has_link(u, v):
             raise KeyError(f"node {self.owner} does not know of a link between {u} and {v}")
-        return metric.link_value_from_attributes(self._links()[u][v])
+        return metric.link_value_from_attributes(self._adjacency[u][v])
 
     def direct_link_values(self, metric: Metric) -> Dict[NodeId, float]:
         """``{one-hop neighbor: direct-link weight}`` under ``metric`` (cached, read-only):
@@ -302,7 +332,7 @@ class LocalView:
                 values = rows[self.owner]
             else:
                 extract = metric.link_value_from_attributes
-                owner_row = self._links()[self.owner]
+                owner_row = self._adjacency[self.owner]
                 values = {neighbor: extract(owner_row[neighbor]) for neighbor in self.one_hop}
             self._direct[token] = values
         return values
@@ -315,60 +345,41 @@ class LocalView:
 
     def neighbors_of(self, node: NodeId) -> Set[NodeId]:
         """The neighbors of ``node`` *as known by the owner* (a subset of the true set)."""
-        rows = self._rows
-        if rows is None:
-            graph = self.graph
-            return set(graph.neighbors(node)) if node in graph else set()
-        if node == self.owner or node in self.one_hop:
-            return set(rows[node])
         if node in self.two_hop:
-            return set(rows[node] & self.one_hop)
+            return {other for other in self._adjacency[node] if other in self.one_hop}
+        if node == self.owner or node in self.one_hop:
+            return set(self._adjacency[node])
         return set()
 
     def common_relays(self, target: NodeId) -> Set[NodeId]:
         """One-hop neighbors ``w`` of the owner such that the path ``owner-w-target`` exists."""
-        rows = self._rows
-        if rows is None:
-            graph = self.graph
-            return {w for w in self.one_hop if graph.has_edge(w, target)}
-        row = rows.get(target, ())
+        row = self._adjacency.get(target, ())
         return {w for w in self.one_hop if w in row}
-
-    def graph_without_owner(self) -> nx.Graph:
-        """The view with the owner removed (used when computing paths that must not revisit it)."""
-        return self.graph.subgraph([n for n in self.graph.nodes if n != self.owner])
-
-    # ------------------------------------------------------------------ internals
-
-    def _links(self):
-        """Node -> ``{neighbor: link attributes}``: the snapshot, or the view's own graph."""
-        return self.graph.adj if self._rows is None else self._adjacency
-
-    def _validate(self) -> None:
-        if self.owner in self.one_hop or self.owner in self.two_hop:
-            raise ValueError("the owner cannot be its own neighbor")
-        overlap = self.one_hop & self.two_hop
-        if overlap:
-            raise ValueError(f"nodes cannot be both one- and two-hop neighbors: {sorted(overlap)}")
-        if self.owner not in self.graph:
-            self.graph.add_node(self.owner)
-        for neighbor in self.one_hop:
-            if not self.graph.has_edge(self.owner, neighbor):
-                raise ValueError(f"missing direct link between owner {self.owner} and neighbor {neighbor}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LocalView(owner={self.owner}, one_hop={len(self.one_hop)}, "
-            f"two_hop={len(self.two_hop)}, attached={self._rows is not None})"
+            f"two_hop={len(self.two_hop)}, attached={self.network_graph() is not None})"
         )
+
+
+def _validate(owner: NodeId, one_hop: FrozenSet[NodeId], two_hop: FrozenSet[NodeId], owner_row) -> None:
+    if owner in one_hop or owner in two_hop:
+        raise ValueError("the owner cannot be its own neighbor")
+    overlap = one_hop & two_hop
+    if overlap:
+        raise ValueError(f"nodes cannot be both one- and two-hop neighbors: {sorted(overlap)}")
+    for neighbor in one_hop:
+        if neighbor not in owner_row:
+            raise ValueError(f"missing direct link between owner {owner} and neighbor {neighbor}")
 
 
 def _two_hop(adjacency, owner: NodeId, one_hop: FrozenSet[NodeId]) -> FrozenSet[NodeId]:
     """Every neighbor of a one-hop node that is neither the owner nor one hop away.
 
-    Attached and detached views must iterate it, and so build their graphs, in one order;
-    ``set.update`` sizes its table differently for a dict than for the network's adjacency
-    views, so it is fed plain iterators.
+    Views built from the network and attached views must iterate it, and so order their
+    maps, alike; ``set.update`` sizes its table differently for a dict than for the
+    network's adjacency views, so it is fed plain iterators.
     """
     two_hop: Set[NodeId] = set()
     for neighbor in one_hop:
@@ -378,16 +389,13 @@ def _two_hop(adjacency, owner: NodeId, one_hop: FrozenSet[NodeId]) -> FrozenSet[
     return frozenset(two_hop)
 
 
-def _view_graph(adjacency, owner, one_hop, two_hop, shared: Optional[Dict[int, dict]]) -> nx.Graph:
-    """The view's links -- every link of a one-hop row of ``adjacency`` -- as a graph,
-    with attribute dicts copied once per ``shared`` batch, or referenced if it is None."""
-    graph = nx.Graph()
-    graph.add_node(owner)
-    graph.add_nodes_from(one_hop)
-    graph.add_nodes_from(two_hop)
-    graph_adjacency = graph._adj
+def _restrict(adjacency, owner, one_hop, two_hop, shared: Optional[Dict[int, dict]]) -> Links:
+    """The view's links -- every link of a one-hop row of ``adjacency`` -- as a link map
+    listing the owner, the one-hop and then the two-hop nodes, with attribute dicts copied
+    once per ``shared`` batch, or referenced if it is None."""
+    links: Links = {node: {} for node in (owner, *one_hop, *two_hop)}
     for neighbor in one_hop:
-        row = graph_adjacency[neighbor]
+        row = links[neighbor]
         # Every neighbor of a one-hop node is the owner, one-hop or two-hop, so the whole
         # row is visible.
         for other, data in adjacency[neighbor].items():
@@ -397,8 +405,8 @@ def _view_graph(adjacency, owner, one_hop, two_hop, shared: Optional[Dict[int, d
                     copied = shared[id(data)] = dict(data)
                 data = copied
             row[other] = data
-            graph_adjacency[other][neighbor] = data
-    return graph
+            links[other][neighbor] = data
+    return links
 
 
 def _merge_tables(

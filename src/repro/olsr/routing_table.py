@@ -43,7 +43,7 @@ class RoutingTable:
         self.owner = owner
         self.metric = metric
         self._knowledge = nx.Graph()
-        self._solver_graph: nx.Graph | CompactGraph = self._knowledge
+        self._solver_graph: Optional[CompactGraph] = None  # set by recompute
         self._direct: Dict[NodeId, float] = {}
 
     # ------------------------------------------------------------------ computation
@@ -52,13 +52,11 @@ class RoutingTable:
         """Snapshot the current neighbor and topology tables; queries answer from it."""
         metric = self.metric
         knowledge = self._knowledge_graph(neighbors, topology)
-        # One flat snapshot serves every per-destination solve (excluded nodes are handled
-        # at solver level); heterogeneous tables whose merged links miss the metric's
-        # attribute fall back to the lazy networkx traversal.
-        compact = CompactGraph.try_from_networkx(knowledge, metric)
         owner_row = knowledge.adj[self.owner]
         self._knowledge = knowledge
-        self._solver_graph = compact if compact is not None else knowledge
+        # One flat snapshot serves every per-destination solve (excluded nodes are handled
+        # at solver level).
+        self._solver_graph = CompactGraph.from_links(knowledge.adj, metric)
         self._direct = {
             neighbor: metric.link_value_from_attributes(owner_row[neighbor])
             for neighbor in neighbors.neighbors()

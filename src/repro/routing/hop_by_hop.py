@@ -50,7 +50,7 @@ def hello_learned_edges(network: Network, source: NodeId):
 
 def best_next_hop(
     graph: nx.Graph,
-    solver_graph: nx.Graph | CompactGraph,
+    solver_graph: CompactGraph,
     owner: NodeId,
     destination: NodeId,
     direct: Mapping[NodeId, float],
@@ -59,7 +59,7 @@ def best_next_hop(
     """The neighbor ``owner`` forwards to for ``destination``, with the path value it expects.
 
     ``graph`` is the topology the owner knows, which must contain ``destination``, and
-    ``solver_graph`` is either ``graph`` or its :class:`CompactGraph` snapshot.  ``direct``
+    ``solver_graph`` is its :class:`CompactGraph` snapshot under ``metric``.  ``direct``
     maps each one-hop neighbor to the value of the owner's link to it; candidates are
     scanned in its order.  A neighbor's value is its link combined with the best path from
     it to ``destination`` over ``graph`` minus the owner (the rest of the path cannot
@@ -164,7 +164,6 @@ class HopByHopRouter:
         self.metric = metric
         self.local_edges = local_edges if local_edges is not None else self._default_local_edges
         self._advertised_compact: Optional[CompactGraph] = None
-        self._advertised_compact_failed = False
         self._knowledge_source: Optional[NodeId] = None
         self._knowledge_graph: Optional[nx.Graph] = None
 
@@ -172,19 +171,15 @@ class HopByHopRouter:
         """The source's HELLO-learned link triples, walked from the network adjacency."""
         return hello_learned_edges(self.network, source)
 
-    def _advertised_compact_graph(self) -> Optional[CompactGraph]:
+    def _advertised_compact_graph(self) -> CompactGraph:
         """One flat snapshot of the advertised topology, shared by every next-hop solve.
 
         The advertised graph is fixed for the router's lifetime, so the per-hop
         ``best_values_from`` calls can all reuse it (excluded nodes are handled at solver
-        level).  None when some advertised edge lacks the metric's attribute; the callers
-        then pass the networkx graph and keep the lazy traversal semantics.
+        level).
         """
-        if self._advertised_compact is None and not self._advertised_compact_failed:
-            self._advertised_compact = CompactGraph.try_from_networkx(
-                self.advertised.graph, self.metric
-            )
-            self._advertised_compact_failed = self._advertised_compact is None
+        if self._advertised_compact is None:
+            self._advertised_compact = CompactGraph.from_links(self.advertised.graph.adj, self.metric)
         return self._advertised_compact
 
     # ------------------------------------------------------------------ next-hop decision
@@ -204,13 +199,12 @@ class HopByHopRouter:
         graph = self.advertised.graph
         if not graph.has_node(destination):
             return destination if destination in own_neighbors else None
-        compact = self._advertised_compact_graph()
         direct = {
             neighbor: self.network.link_value(current, neighbor, metric)
             for neighbor in own_neighbors
         }
         chosen = best_next_hop(
-            graph, compact if compact is not None else graph, current, destination, direct, metric
+            graph, self._advertised_compact_graph(), current, destination, direct, metric
         )
         return chosen[0] if chosen is not None else None
 

@@ -1,7 +1,7 @@
 """Tests of the flat-adjacency graph core and the parallel sweep runner.
 
 The compact-graph solvers must agree with the original networkx implementations (kept in
-:mod:`repro.localview.paths` as ``_*_nx`` privates) on random weighted topologies for both
+``tests/nx_oracles.py``) on random weighted topologies for both
 metric families, and the multiprocessing sweep path must reproduce serial results exactly.
 """
 
@@ -16,14 +16,7 @@ from repro.experiments.engine import run_experiment
 from repro.experiments.presets import figure_spec
 from repro.experiments.runner import resolve_workers
 from repro.localview import CompactGraph, LocalView, all_first_hops, best_values_from
-from repro.localview.paths import (
-    _all_first_hops_bottleneck_forest_nx,
-    _all_first_hops_owner_dijkstra_nx,
-    _best_values_from_nx,
-    _first_hops_to_nx,
-    enumerate_best_paths,
-    path_value,
-)
+from repro.localview.paths import enumerate_best_paths, path_value
 from repro.metrics import (
     BandwidthMetric,
     DelayMetric,
@@ -32,6 +25,12 @@ from repro.metrics import (
 )
 from repro.sim.engine import Simulator
 from repro.topology import Network
+from tests.nx_oracles import (
+    all_first_hops_bottleneck_forest_nx,
+    all_first_hops_owner_dijkstra_nx,
+    best_values_from_nx,
+    first_hops_to_nx,
+)
 
 METRICS = (BandwidthMetric(), DelayMetric())
 
@@ -60,7 +59,7 @@ class TestCompactGraphStructure:
             {(0, 1): {"bandwidth": 5.0, "delay": 2.0}, (1, 2): {"bandwidth": 3.0, "delay": 4.0}}
         )
         metric = BandwidthMetric()
-        cg = CompactGraph.from_networkx(network.graph, metric)
+        cg = CompactGraph.from_links(network.graph.adj, metric)
         assert set(cg.nodes) == {0, 1, 2}
         assert all(cg.nodes[cg.index[node]] == node for node in cg.nodes)
         assert cg.edge_count() == 2
@@ -77,7 +76,7 @@ class TestCompactGraphStructure:
     def test_missing_metric_attribute_raises_key_error(self):
         network = Network.from_links({(0, 1): {"bandwidth": 5.0}})
         with pytest.raises(KeyError):
-            CompactGraph.from_networkx(network.graph, DelayMetric())
+            CompactGraph.from_links(network.graph.adj, DelayMetric())
 
     def test_same_name_metrics_with_different_extraction_do_not_share_cache(self):
         network = random_weighted_network(random.Random(13))
@@ -89,18 +88,17 @@ class TestCompactGraphStructure:
         swapped = view.compact_graph(second).adj[0]
         assert [w for _, w in row] == [(b, a) for _, (a, b) in swapped]
 
-    def test_partially_attributed_graph_keeps_lazy_traversal_semantics(self):
-        """Edges the search never reaches may lack the metric attribute (legacy behaviour)."""
+    def test_unweighted_link_raises_key_error_reached_or_not(self):
+        """The graph is flattened before the search, so a link without the metric's
+        attribute raises whether or not the search would reach it."""
         network = Network.from_links({(0, 1): {"delay": 1.0}})
         network.add_node(2)
         network.add_node(3)
         network.graph.add_edge(2, 3)  # disconnected component, no weights at all
         delay = DelayMetric()
-        assert best_values_from(network.graph, 0, delay) == (
-            _best_values_from_nx(network.graph, 0, delay)
-        )
-        with pytest.raises(KeyError):  # reachable bad edges must still raise
-            best_values_from(network.graph, 2, delay)
+        for source in (0, 2):
+            with pytest.raises(KeyError):
+                best_values_from(network.graph, source, delay)
 
 
 class TestCompactSolversAgreeWithNetworkxReference:
@@ -113,7 +111,7 @@ class TestCompactSolversAgreeWithNetworkxReference:
             for metric in METRICS:
                 fast = all_first_hops(view, metric, method="auto")
                 reference = {
-                    target: _first_hops_to_nx(view, target, metric)
+                    target: first_hops_to_nx(view, target, metric)
                     for target in view.known_targets()
                 }
                 assert fast == reference, (round_index, owner, metric.name)
@@ -124,10 +122,10 @@ class TestCompactSolversAgreeWithNetworkxReference:
             network = random_weighted_network(rng)
             owner = rng.randrange(len(network))
             view = LocalView.from_network(network, owner)
-            assert _all_first_hops_owner_dijkstra_nx(view, DelayMetric()) == all_first_hops(
+            assert all_first_hops_owner_dijkstra_nx(view, DelayMetric()) == all_first_hops(
                 view, DelayMetric(), method="owner-dijkstra"
             )
-            assert _all_first_hops_bottleneck_forest_nx(view, BandwidthMetric()) == all_first_hops(
+            assert all_first_hops_bottleneck_forest_nx(view, BandwidthMetric()) == all_first_hops(
                 view, BandwidthMetric(), method="bottleneck-forest"
             )
 
@@ -139,7 +137,7 @@ class TestCompactSolversAgreeWithNetworkxReference:
             excluded = (rng.randrange(len(network)),)
             for metric in METRICS:
                 assert best_values_from(network.graph, source, metric, excluded) == (
-                    _best_values_from_nx(network.graph, source, metric, excluded)
+                    best_values_from_nx(network.graph, source, metric, excluded)
                 )
 
     def test_degenerate_unvalidated_weights_keep_legacy_reachability(self):
@@ -152,7 +150,7 @@ class TestCompactSolversAgreeWithNetworkxReference:
         inf_delay = Network.from_links({(1, 2): {"delay": float("inf")}, (2, 3): {"delay": 1.0}})
         for network, metric in ((zero_bw, BandwidthMetric()), (inf_delay, DelayMetric())):
             assert best_values_from(network.graph, 1, metric) == (
-                _best_values_from_nx(network.graph, 1, metric)
+                best_values_from_nx(network.graph, 1, metric)
             )
 
     def test_generic_solver_handles_composite_metrics(self):
@@ -161,7 +159,7 @@ class TestCompactSolversAgreeWithNetworkxReference:
         metric = LexicographicMetric([DelayMetric(), BandwidthMetric()])
         assert metric.kind is MetricKind.ADDITIVE
         fast = best_values_from(network.graph, 0, metric)
-        assert fast == _best_values_from_nx(network.graph, 0, metric)
+        assert fast == best_values_from_nx(network.graph, 0, metric)
 
     def test_batched_views_equal_per_node_views(self):
         network = random_weighted_network(random.Random(3))

@@ -2,8 +2,8 @@
 
 The compact-graph solvers, the cached bottleneck forests and the incremental advertised
 topologies are pure-performance rewrites of straightforward networkx code, so the seed
-implementations are retained (the ``_*_nx`` module privates of
-:mod:`repro.localview.paths`, :func:`build_advertised_topology`) and this suite pins the
+implementations are retained (the ``*_nx`` solvers of ``tests/nx_oracles.py``,
+:func:`build_advertised_topology`) and this suite pins the
 fast paths to them on a corpus of seeded random unit-disk topologies -- the same
 deployment model the paper's evaluation uses -- across all metric families (bandwidth,
 delay, and a lexicographic composite that forces the generic solver).  In the style of
@@ -24,15 +24,15 @@ from repro.core.selection import make_selector
 from repro.experiments.engine import run_experiment
 from repro.experiments.presets import figure_spec
 from repro.localview import LocalView, all_first_hops, best_values_from
-from repro.localview.paths import (
-    _all_first_hops_bottleneck_forest_nx,
-    _all_first_hops_owner_dijkstra_nx,
-    _best_values_from_nx,
-    _first_hops_to_nx,
-)
 from repro.metrics import BandwidthMetric, DelayMetric, LexicographicMetric
 from repro.routing.advertised import AdvertisedTopologyBuilder, build_advertised_topology
 from repro.topology import FieldSpec, FixedCountNetworkGenerator
+from tests.nx_oracles import (
+    all_first_hops_bottleneck_forest_nx,
+    all_first_hops_owner_dijkstra_nx,
+    best_values_from_nx,
+    first_hops_to_nx,
+)
 
 TOPOLOGY_COUNT = 50
 
@@ -99,12 +99,12 @@ def _owners(network):
 
 
 def _reference_first_hops(view, metric):
-    return {target: _first_hops_to_nx(view, target, metric) for target in view.known_targets()}
+    return {target: first_hops_to_nx(view, target, metric) for target in view.known_targets()}
 
 
 _NX_TWINS = {
-    "owner-dijkstra": _all_first_hops_owner_dijkstra_nx,
-    "bottleneck-forest": _all_first_hops_bottleneck_forest_nx,
+    "owner-dijkstra": all_first_hops_owner_dijkstra_nx,
+    "bottleneck-forest": all_first_hops_bottleneck_forest_nx,
 }
 
 
@@ -145,7 +145,7 @@ class TestFastSolversMatchNetworkxReferences:
         source, excluded = nodes[0], (nodes[len(nodes) // 3],)
         for metric in (BANDWIDTH, DELAY, COMPOSITE, ADDITIVE_COMPOSITE):
             assert best_values_from(network.graph, source, metric, excluded) == (
-                _best_values_from_nx(network.graph, source, metric, excluded)
+                best_values_from_nx(network.graph, source, metric, excluded)
             )
 
     @pytest.mark.parametrize("seed", range(0, TOPOLOGY_COUNT, 5))

@@ -57,11 +57,13 @@ class TestStepOne:
         result = select(network, 0, bandwidth)
         assert result.selected == frozenset({1})
 
-    def test_step_one_disabled_by_cover_one_hop_flag(self, diamond_network, bandwidth):
-        result = explain(diamond_network, 0, bandwidth, cover_one_hop=False)
-        assert result.selected == frozenset()
-        assert all(decision.target not in (1, 2, 3) or decision.target in (1, 2, 3) for decision in result.decisions)
-        assert {decision.target for decision in result.decisions} == set()  # no two-hop neighbors here
+    def test_step_one_disabled_by_cover_one_hop_flag(self, line_network, bandwidth):
+        # Owner 1 of the line 0-1-2-3 has one-hop neighbors {0, 2} and two-hop neighbor 3.
+        assert LocalView.from_network(line_network, 1).two_hop == {3}
+        without_step_one = explain(line_network, 1, bandwidth, cover_one_hop=False)
+        assert {decision.target for decision in without_step_one.decisions} == {3}
+        with_step_one = explain(line_network, 1, bandwidth)
+        assert {decision.target for decision in with_step_one.decisions} == {0, 2, 3}
 
 
 class TestStepTwo:

@@ -52,12 +52,6 @@ class TestFromNetwork:
         view = LocalView.from_network(line_network, 0)
         assert view.neighbors_of(42) == set()
 
-    def test_graph_without_owner(self, diamond_network):
-        view = LocalView.from_network(diamond_network, 0)
-        stripped = view.graph_without_owner()
-        assert 0 not in stripped
-        assert stripped.has_edge(1, 3)
-
 
 class TestFromTables:
     def test_round_trip_equivalence_with_network_view(self, diamond_network):
@@ -106,6 +100,27 @@ class TestFromTables:
         graph.add_node(1)
         with pytest.raises(ValueError):
             LocalView(owner=0, one_hop={1}, two_hop=set(), graph=graph)
+
+    def test_validation_requires_the_neighbors_of_one_hop_nodes(self):
+        graph = nx.Graph()
+        graph.add_edge(0, 1, bandwidth=1.0)
+        graph.add_edge(1, 2, bandwidth=1.0)
+        with pytest.raises(ValueError, match="two_hop"):
+            LocalView(owner=0, one_hop={1}, two_hop=set(), graph=graph)
+
+    def test_constructor_keeps_only_g_u_and_leaves_the_graph_alone(self):
+        graph = nx.Graph()
+        graph.add_edge(0, 1, bandwidth=1.0)
+        graph.add_edge(1, 2, bandwidth=2.0)
+        graph.add_edge(1, 3, bandwidth=3.0)
+        graph.add_edge(2, 3, bandwidth=4.0)  # between two two-hop nodes: not in G_0
+        view = LocalView(owner=0, one_hop={1}, two_hop={2, 3}, graph=graph)
+        assert not view.has_link(2, 3)
+        adj = graph.adj
+        assert view.links == {0: {1: adj[0][1]}, 1: dict(adj[1]), 2: {1: adj[1][2]}, 3: {1: adj[1][3]}}
+        empty = nx.Graph()
+        assert LocalView(owner=0, one_hop=(), two_hop=(), graph=empty).nodes == {0}
+        assert 0 not in empty  # the owner is not written into the caller's graph
 
 
 class TestCacheInvalidation:

@@ -472,8 +472,7 @@ def test_from_tables_builds_the_graph_report_by_report(tables):
 def _eager_routes(owner, metric, neighbors: NeighborTable, topology: TopologyTable) -> dict:
     """Every destination's route, solved one by one inside ``recompute`` (the oracle)."""
     knowledge = RoutingTable(owner, metric)._knowledge_graph(neighbors, topology)
-    compact = CompactGraph.try_from_networkx(knowledge, metric)
-    solver_graph = compact if compact is not None else knowledge
+    solver_graph = CompactGraph.from_links(knowledge.adj, metric)
     routes = {}
     for destination in [node for node in knowledge.nodes if node != owner]:
         from_destination = best_values_from(solver_graph, destination, metric, excluded=(owner,))
