@@ -345,8 +345,10 @@ def record_csr_kernels(rounds: int) -> dict:
     runs on detached views built once up front: it rebuilds every view's compact graph
     and runs the per-view solvers (that per-link re-extraction cost is exactly what the
     shared CSR eliminates).  The batched round builds a fresh :class:`NetworkGraph` and
-    views attached to it and primes them through the stacked numpy kernels
-    (:func:`prime_first_hops`).  Both sides' results are asserted equal before timing.
+    views attached to it, primes them through the stacked numpy kernels
+    (:func:`prime_first_hops`) and reads every owner's result back through
+    :func:`all_first_hops`, which decodes the primed rows.  Both sides' results are
+    asserted equal before timing.
     """
     from repro.localview import NetworkGraph, prime_first_hops
 
@@ -354,7 +356,6 @@ def record_csr_kernels(rounds: int) -> dict:
     views = list(LocalView.all_from_network(network).values())
     sections = {}
     for metric in (DelayMetric(), BandwidthMetric()):
-        token = metric.cache_token()
 
         def scalar():
             for view in views:
@@ -367,7 +368,7 @@ def record_csr_kernels(rounds: int) -> dict:
             ng = NetworkGraph.from_network(network)
             attached = LocalView.all_from_network(network, network_graph=ng)
             prime_first_hops(attached.values(), metric)
-            return {owner: view._first_hops[token] for owner, view in attached.items()}
+            return {owner: all_first_hops(view, metric) for owner, view in attached.items()}
 
         if scalar() != batched():
             raise AssertionError(f"batched CSR kernels diverge from scalar ({metric.name})")

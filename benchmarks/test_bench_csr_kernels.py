@@ -26,7 +26,6 @@ def _solve_rounds(metric):
     """(scalar_min_s, batched_min_s) for cold-cache full-network first-hop solves."""
     network = dense_network()
     views = list(LocalView.all_from_network(network).values())
-    token = metric.cache_token()
 
     def scalar():
         for view in views:
@@ -38,7 +37,7 @@ def _solve_rounds(metric):
     def batched():
         attached = LocalView.all_from_network(network, network_graph=NetworkGraph.from_network(network))
         prime_first_hops(attached.values(), metric)
-        return {owner: view._first_hops[token] for owner, view in attached.items()}
+        return {owner: all_first_hops(view, metric) for owner, view in attached.items()}
 
     assert scalar() == batched(), "batched CSR kernels diverge from the scalar solvers"
     scalar_s = []
@@ -72,8 +71,9 @@ def test_batched_bandwidth_kernel_at_least_matches_scalar():
 def _filtering_rounds(metric):
     """(scalar_s, batched_min_s) for network-wide topology filtering, results compared.
 
-    The scalar side (a networkx RNG reduction per view, seconds per round) runs once;
-    each batched round starts from a fresh shared CSR, so the witness table is rebuilt.
+    The scalar side (an RNG reduction of each view's link map, seconds per round) runs
+    once; each batched round starts from a fresh shared CSR, so the witness table is
+    rebuilt.
     """
     network = dense_network()
     selector = make_selector("topology-filtering")
@@ -105,7 +105,6 @@ def test_batched_topology_filtering_at_least_matches_scalar():
                 f"scalar path: scalar {scalar_s:.4f}s vs batched {batched_s:.4f}s"
             )
     finally:
-        # The scalar oracle leaves every view graph in a reference cycle (networkx caches
-        # an EdgeView on the graph it iterates); collect the pile here so its teardown
-        # cannot land inside a later test's timed rounds.
+        # Collect the views and results of the rounds here, so that no collection of
+        # what they leave behind lands inside a later test's timed rounds.
         gc.collect()

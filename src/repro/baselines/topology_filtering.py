@@ -11,12 +11,14 @@ routing set (the QoS Advertised Neighbor Set).  The QANS is obtained in two step
    limitation the paper highlights: unlike FNBP, longer detours are never considered, and
    because *all* optimal first hops are kept, the advertised set stays relatively large.)
 
-Both steps reduce to one per-target table (target, best value, sorted best first hops)
-per view.  ``select_all`` primes that table for every view attached to the trial's
-shared CSR through the batched kernel of :mod:`repro.localview.filtering`; ``select``
-reads the advertised set off the primed table, or computes the table on the view's link
-map (the scalar path above, which is also the kernel's test oracle).  ``explain``
-does the same and also records one decision per table row.
+Both steps reduce to one table per view: a :class:`~repro.localview.paths.TargetRows`
+holding, for every target by identifier, its best value and the tie mask of its best
+first hops over the owner's sorted one-hop neighbours.  ``select_all`` primes that
+table for every view attached to the trial's shared CSR through the batched kernel of
+:mod:`repro.localview.filtering`; otherwise ``select`` computes it on the view's link
+map (the scalar path above, which is also the kernel's test oracle).  The advertised set
+is then the union of every row's mask without the target's own bit.  ``explain`` runs
+the same routine and also records one decision per row.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.selection import SelectionDecision, _TracedSelector
-from repro.localview.filtering import TableRow, prime_filtering_tables, table_key
+from repro.localview.filtering import prime_filtering_tables, table_key
+from repro.localview.paths import TargetRows
 from repro.localview.rng import qos_rng_reduce
 from repro.localview.view import Links, LocalView
 from repro.metrics.base import Metric
@@ -62,46 +65,55 @@ class TopologyFilteringSelector(_TracedSelector):
     ) -> FrozenSet[NodeId]:
         # A table primed by select_all is handed over once: dropping it here keeps the
         # batch's tables from outliving the selection loop.
-        table = view._first_hops.pop(table_key(metric, self.apply_reduction), None)
-        if table is None:
+        rows = view._first_hops.pop(table_key(metric, self.apply_reduction), None)
+        if rows is None:
             obs.add("filtering.scalar_views")
-            table = self._scalar_table(view, metric)
+            rows = self._scalar_table(view, metric)
         else:
             obs.add("filtering.batched_views")
-        ans: Set[NodeId] = set()
-
-        for target, best_value, first_hops in table:
-            added = None
-            if not first_hops:
-                reason = "unreachable-in-reduced-view"
-            elif first_hops == (target,):
-                reason = "direct-link-optimal"
-            else:
-                reason = "advertise-all-best-first-hops"
-                added = [hop for hop in first_hops if hop != target and hop not in ans]
-                ans.update(added)
+        hops = rows.hops
+        ans = 0
+        # Targets and hops are both sorted, so the one-hop targets come up in bit order.
+        hop, next_hop = 0, hops[0] if hops else None
+        for k, (target, mask) in enumerate(zip(rows.targets, rows.masks)):
+            target_bit = 0
+            if target == next_hop:
+                target_bit = 1 << hop
+                hop += 1
+                next_hop = hops[hop] if hop < len(hops) else None
+            advertised = mask & ~target_bit
             if trace is not None:
+                target, best_value, first_hops = rows.decode(k)
                 detail: Tuple[Tuple[str, object], ...] = (
                     ("first_hops", first_hops),
                     ("best_value", best_value),
                 )
-                if added is not None:
-                    detail += (("added", tuple(added)),)
-                trace.append(SelectionDecision(target, added[0] if added else None, reason, detail))
+                chosen = None
+                if not mask:
+                    reason = "unreachable-in-reduced-view"
+                elif mask == target_bit:
+                    reason = "direct-link-optimal"
+                else:
+                    reason = "advertise-all-best-first-hops"
+                    added = rows.members(advertised & ~ans)
+                    detail += (("added", added),)
+                    chosen = added[0] if added else None
+                trace.append(SelectionDecision(target, chosen, reason, detail))
+            ans |= advertised
 
-        return frozenset(ans)
+        return frozenset(rows.members(ans))
 
     # ------------------------------------------------------------------ internals
 
-    def _scalar_table(self, view: LocalView, metric: Metric) -> List[TableRow]:
-        """The per-target table of one view, from its link map.
+    def _scalar_table(self, view: LocalView, metric: Metric) -> TargetRows:
+        """The table of one view, from its link map.
 
         The oracle of the batched kernel (:mod:`repro.localview.filtering`) and the path
         for every view it does not serve.
         """
         links = view.links
         reduced = qos_rng_reduce(links, metric) if self.apply_reduction else links
-        table: List[TableRow] = []
+        entries = []
         for target in sorted(view.one_hop | view.two_hop):
             best_value, first_hops = self._best_two_hop_first_hops(view, reduced, target, metric)
             if not first_hops and self.apply_reduction:
@@ -109,8 +121,8 @@ class TopologyFilteringSelector(_TracedSelector):
                 # necessarily a <=2-hop path to every neighbor; fall back to the unreduced
                 # view so the baseline never leaves a known neighbor uncovered.
                 best_value, first_hops = self._best_two_hop_first_hops(view, links, target, metric)
-            table.append((target, best_value, tuple(sorted(first_hops))))
-        return table
+            entries.append((target, best_value, first_hops))
+        return TargetRows.encode(sorted(view.one_hop), entries)
 
     def _best_two_hop_first_hops(
         self,

@@ -27,23 +27,24 @@ Step 2 -- two-hop neighbors (lines 8-17).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core import selection
 from repro.core.selection import SelectionDecision, _TracedSelector
-from repro.localview.paths import FirstHopResult, all_first_hops
+from repro.localview.paths import TargetRows, all_first_hops, primed_first_hops
 from repro.localview.view import LocalView
 from repro.metrics.base import Metric
 from repro.metrics.ordering import preferred_neighbor
 from repro.registry import SELECTORS
 from repro.utils.ids import NodeId
 
-#: What an FNBP step returns: the neighbor it adds to the ANS (or ``None``), the reason
-#: tag, and the candidates whose preferred member the trace names as the relay (``None``
-#: when the decision names no relay).
-_Step = Tuple[Optional[NodeId], str, Optional[Collection[NodeId]]]
+#: One FNBP decision, as masks over the owner's sorted one-hop neighbours: the bit it
+#: adds to the ANS (0 for none), the reason tag, and the candidates whose preferred
+#: member the trace names as the relay (``None`` when it names no relay).
+_Step = Tuple[int, str, Optional[int]]
 
 
 def covering_relays(result) -> dict:
@@ -132,100 +133,102 @@ class FnbpSelector(_TracedSelector):
     ) -> FrozenSet[NodeId]:
         """Step 1 over the one-hop targets, then step 2 over the two-hop targets.
 
-        Each step returns ``(chosen, reason, relay_pool)``.  Only a trace reads the last
-        two: it records the relay as the preferred member of ``relay_pool``, taken at the
-        same step, so the untraced run skips those ``preferred_neighbor`` calls.
+        Runs on the view's :class:`TargetRows` -- primed by :meth:`prime`, else the
+        scalar ``all_first_hops`` result encoded -- with every set a mask over the
+        owner's sorted one-hop neighbours: ``fP(u, v)`` is the target's tie mask, and the
+        ANS is a mask too.  Each decision is ``(chosen, reason, relay_pool)`` in masks;
+        only a trace reads the last two, naming the preferred member of ``relay_pool``
+        as the relay, and only a trace decodes a row.
         """
-        ans: Set[NodeId] = set()
-        first_hop_sets = all_first_hops(view, metric)
-        direct_value = view.direct_link_values(metric).__getitem__
-        steps = []
-        if self.cover_one_hop:
-            steps.append((self._step_one, sorted(view.one_hop)))
-        steps.append((self._step_two, sorted(view.two_hop)))
-        for step, targets in steps:
-            for target in targets:
-                result = first_hop_sets[target]
-                chosen, reason, relay_pool = step(view, metric, ans, result, direct_value)
-                if chosen is not None:
-                    ans.add(chosen)
-                if trace is not None:
-                    detail = (
-                        ("first_hops", tuple(sorted(result.first_hops))),
-                        ("best_value", result.best_value),
-                    )
-                    if relay_pool is not None:
-                        relay = preferred_neighbor(relay_pool, metric, direct_value)
-                        detail += (("relay", relay),)
-                    trace.append(SelectionDecision(target, chosen, reason, detail))
+        rows = primed_first_hops(view, metric)
+        if rows is None:
+            first_hops = all_first_hops(view, metric)
+            rows = TargetRows.encode(
+                sorted(view.one_hop),
+                [first_hops[target] for target in (*sorted(view.one_hop), *sorted(view.two_hop))],
+            )
+        hops, masks = rows.hops, rows.masks
+        degree = len(hops)  # rows [0, degree) are the one-hop targets, in bit order
+        prefer = _preference(rows, metric, view.direct_link_values(metric))
+        guard_off = self.loop_guard is LoopGuardPolicy.OFF
+        ans = 0
+        for k in range(0 if self.cover_one_hop else degree, len(masks)):
+            mask = masks[k]
+            already = mask & ans
+            if not mask:
+                # Cannot happen for a genuine neighbor, but guard against inconsistent
+                # protocol tables.
+                chosen, reason, relay_pool = 0, "unreachable-in-view", None
+            elif k < degree and mask >> k & 1:
+                # Step 1: the direct link is optimal, nothing to advertise.
+                chosen, reason, relay_pool = 0, "direct-link-optimal", 1 << k
+            elif not already:
+                chosen = 1 << prefer(mask)
+                reason, relay_pool = "selected-first-node-on-best-path", chosen
+            elif k < degree or guard_off:
+                chosen, reason, relay_pool = 0, "covered-by-existing-ans", already
+            elif not view.owner < hops[(mask & -mask).bit_length() - 1]:
+                # Covered, and the lowest bit, the smallest identifier in fP(u, v), is
+                # below the owner's: the loop guard is not the owner's to apply.
+                chosen, reason, relay_pool = 0, "covered-by-existing-ans", already
+            else:
+                chosen, reason, relay_pool = self._loop_guard(view, rows, k, ans, prefer)
+            ans |= chosen
+            if trace is not None:
+                target, best_value, first_hops = rows.decode(k)
+                detail = (("first_hops", first_hops), ("best_value", best_value))
+                if relay_pool is not None:
+                    detail += (("relay", hops[prefer(relay_pool)]),)
+                chosen_node = hops[chosen.bit_length() - 1] if chosen else None
+                trace.append(SelectionDecision(target, chosen_node, reason, detail))
 
-        return frozenset(ans)
+        return frozenset(rows.members(ans))
 
-    # ------------------------------------------------------------------ step 1
+    # ------------------------------------------------------------------ step 2 guard
 
-    def _step_one(
-        self,
-        view: LocalView,
-        metric: Metric,
-        ans: Set[NodeId],
-        result: FirstHopResult,
-        direct_value,
-    ) -> _Step:
-        if not result.reachable:
-            # Cannot happen for a genuine one-hop neighbor (the direct link always exists),
-            # but guard against inconsistent protocol tables.
-            return None, "unreachable-in-view", None
-        if result.direct_link_is_optimal():
-            return None, "direct-link-optimal", (result.target,)
-        already = result.first_hops & ans
-        if already:
-            return None, "covered-by-existing-ans", already
-        chosen = preferred_neighbor(result.first_hops, metric, direct_value)
-        return chosen, "selected-first-node-on-best-path", (chosen,)
-
-    # ------------------------------------------------------------------ step 2
-
-    def _step_two(
-        self,
-        view: LocalView,
-        metric: Metric,
-        ans: Set[NodeId],
-        result: FirstHopResult,
-        direct_value,
-    ) -> _Step:
-        if not result.reachable:
-            return None, "unreachable-in-view", None
-        already = result.first_hops & ans
-        if not already:
-            chosen = preferred_neighbor(result.first_hops, metric, direct_value)
-            return chosen, "selected-first-node-on-best-path", (chosen,)
-
-        # Already covered: apply the loop guard (lines 12-14 / the Figure 4 fix).
-        if self.loop_guard is LoopGuardPolicy.OFF:
-            return None, "covered-by-existing-ans", already
-
-        owner_has_smallest_id = view.owner < min(result.first_hops)
-        if not owner_has_smallest_id:
-            return None, "covered-by-existing-ans", already
-
+    def _loop_guard(self, view: LocalView, rows: TargetRows, k: int, ans: int, prefer) -> _Step:
+        """Lines 12-14 / the Figure 4 fix for the covered two-hop target of row ``k``."""
+        mask = rows.masks[k]
         if self.loop_guard is LoopGuardPolicy.LITERAL:
             # The printed text: select from fP(u, v) ∩ N(u), which is fP(u, v) itself.
-            chosen = preferred_neighbor(result.first_hops, metric, direct_value)
-            if chosen in ans:
-                return None, "loop-guard-already-selected", (chosen,)
-            return chosen, "loop-guard-literal", (chosen,)
+            chosen = 1 << prefer(mask)
+            if chosen & ans:
+                return 0, "loop-guard-already-selected", chosen
+            return chosen, "loop-guard-literal", chosen
 
         # ADJACENT_TO_TARGET: the owner must guarantee a two-hop path u-w-v, preferring
         # relays that also start an optimal path.
-        relays = view.common_relays(result.target)
+        hops = rows.hops
+        relays = 0
+        for relay in view.common_relays(rows.targets[k]):
+            relays |= 1 << bisect_left(hops, relay)
         if not relays:
-            return None, "loop-guard-no-two-hop-relay", already
-        preferred_pool = relays & result.first_hops or relays
+            return 0, "loop-guard-no-two-hop-relay", mask & ans
+        preferred_pool = relays & mask or relays
         already_adjacent = preferred_pool & ans
         if already_adjacent:
-            return None, "loop-guard-relay-already-selected", already_adjacent
-        chosen = preferred_neighbor(preferred_pool, metric, direct_value)
-        return chosen, "loop-guard-selected-relay", (chosen,)
+            return 0, "loop-guard-relay-already-selected", already_adjacent
+        chosen = 1 << prefer(preferred_pool)
+        return chosen, "loop-guard-selected-relay", chosen
+
+
+def _preference(rows: TargetRows, metric: Metric, direct_values) -> Callable[[int], int]:
+    """``prefer(mask)``: the bit of the preferred neighbour among the set bits of ``mask``.
+
+    The paper's ``max_{≺BW}`` / ``min_{≺D}`` (:func:`preferred_neighbor`) over the
+    candidates in bit order, that is by identifier, memoized per mask.
+    """
+    hops = rows.hops
+    picks: Dict[int, int] = {}
+
+    def prefer(mask: int) -> int:
+        bit = picks.get(mask)
+        if bit is None:
+            chosen = preferred_neighbor(rows.members(mask), metric, direct_values.__getitem__)
+            bit = picks[mask] = bisect_left(hops, chosen)
+        return bit
+
+    return prefer
 
 
 #: The ablation variants ship under their own registry names so that specs and the

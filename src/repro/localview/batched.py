@@ -68,22 +68,31 @@ cycle, which the relaxation would chase forever) and the concave kernel on no ``
 (its unreachable sentinel); :func:`batched_all_first_hops` then returns None and the
 scalar path answers.
 
-Both kernels return plain Python floats (via ``.tolist()``, an exact bit-preserving
-conversion) inside ordinary :class:`FirstHopResult` objects, so downstream consumers
-(selection, JSON sinks) never see numpy scalars.
+Both kernels return one :class:`~repro.localview.paths.TargetRows` per owner: each
+target's best value and its tie mask over the owner's sorted one-hop neighbours, the
+one-hop block then the two-hop block, each sorted -- the window order the kernels solve
+in.  The rows are slices of each pass's ``.tolist()`` output (an exact bit-preserving
+conversion), so downstream consumers never see numpy scalars, and no per-target object
+is built: FNBP selects on the masks, and :func:`~repro.localview.paths.all_first_hops`
+decodes them on request.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.localview.compactgraph import specialized_kind
-from repro.localview.networkgraph import NetworkGraph, row_slots, seg_arange
-from repro.localview.paths import FirstHopResult
+from repro.localview.networkgraph import (
+    NetworkGraph,
+    combine_lanes,
+    row_slots,
+    seg_arange,
+    segment_masks,
+)
+from repro.localview.paths import TargetRows
 from repro.metrics.base import Metric, MetricKind
 from repro.obs import runtime as obs
 from repro.utils.ids import NodeId
@@ -96,12 +105,12 @@ PAIR_BUDGET = 1 << 16
 
 def batched_all_first_hops(
     ng: NetworkGraph, views: List, metric: Metric
-) -> Optional[Dict[NodeId, Dict[NodeId, FirstHopResult]]]:
+) -> Optional[Dict[NodeId, TargetRows]]:
     """Auto-method ``all_first_hops`` for every view at once, or None when not batchable.
 
     ``views`` must all be attached to ``ng`` (their declared one-/two-hop sets are then
-    windows of its rows by construction).  Returns ``{owner: {target: FirstHopResult}}``
-    with exactly the payload the scalar auto dispatch produces, or None when the metric
+    windows of its rows by construction).  Returns ``{owner: TargetRows}`` encoding
+    exactly the payload the scalar auto dispatch produces, or None when the metric
     is not specialized, lacks an attribute or has values the kernels do not replay (NaN,
     negative additive values, ``-inf`` bottleneck values); callers then fall back to the
     scalar path (which is trivially bit-identical to itself).
@@ -241,6 +250,7 @@ class _Stack(NamedTuple):
     dst: np.ndarray  # int64 directed-edge destination rows
     w: np.ndarray  # float64 directed-edge weights
     owner_rows: np.ndarray  # int64, one stacked row per owner
+    members: np.ndarray  # int64 CSR row of each stacked row
     meta: list  # [(owner, offset, members_global, one_hop_count)]
     rows: int  # total stacked row count
     g: np.ndarray  # int64 CSR row of each owner
@@ -261,7 +271,7 @@ def _stack_windows(ng: NetworkGraph, owners: Iterable[NodeId], w_slots) -> _Stac
     N = len(owners)
     empty_i = np.empty(0, dtype=np.int64)
     if N == 0:
-        return _Stack(empty_i, empty_i, np.empty(0), empty_i, [], 0, empty_i, empty_i)
+        return _Stack(empty_i, empty_i, np.empty(0), empty_i, empty_i, [], 0, empty_i, empty_i)
     g = np.asarray([index[o] for o in owners], dtype=np.int64)
     win = _windows(ng, g)
     rc = win.deg + 1
@@ -290,7 +300,7 @@ def _stack_windows(ng: NetworkGraph, owners: Iterable[NodeId], w_slots) -> _Stac
         (owners[i], off_l[i], members_all[bounds[i] : bounds[i + 1]], deg_l[i])
         for i in range(N)
     ]
-    return _Stack(src_full, dst_full, w_full, off, meta, rows_total, g, win.deg)
+    return _Stack(src_full, dst_full, w_full, off, members_all, meta, rows_total, g, win.deg)
 
 
 def _relax_to_fixpoint(stack: _Stack):
@@ -348,10 +358,8 @@ def _relax_to_fixpoint(stack: _Stack):
 
 def _batched_owner_dijkstra(
     ng: NetworkGraph, views: List, metric: Metric
-) -> Dict[NodeId, Dict[NodeId, FirstHopResult]]:
+) -> Dict[NodeId, TargetRows]:
     rel_tol = metric.rel_tol
-    worst = metric.worst
-    nodes = ng.nodes
     w_slots = ng.slot_values(metric)
     stack = _stack_windows(ng, [view.owner for view in views], w_slots)
     dist, reached = _relax_to_fixpoint(stack)
@@ -407,66 +415,34 @@ def _batched_owner_dijkstra(
                     break
                 masks[t_group] = new
 
-    # Decode per owner, in known_targets() (sorted-identifier) order.  Global index
-    # order == identifier order, so merge-sorting each view's (individually sorted)
-    # one- and two-hop blocks reproduces known_targets() exactly; one argsort over
-    # view-segregated keys replaces a per-view argsort call.
-    n = len(nodes)
-    counts = [members.size - 1 for (_o, _off, members, _d) in stack.meta]
-    if stack.meta:
-        keys = np.concatenate(
-            [
-                members[1:] + i * n
-                for i, (_o, _off, members, _d) in enumerate(stack.meta)
-            ]
+    # A target is reachable when it is reached with a first hop; otherwise its best
+    # value is the metric's worst and its mask 0.  Each owner's rows past its own are
+    # its targets in window order: the one-hop block, then the two-hop block.
+    ok = reached & masks.any(axis=1)
+    masks[~ok] = 0
+    return _rows_by_owner(
+        ng,
+        stack.members,
+        np.where(ok, dist, metric.worst).tolist(),
+        combine_lanes(masks),
+        [(owner, off + 1, members.size - 1, deg) for owner, off, members, deg in stack.meta],
+    )
+
+
+def _rows_by_owner(ng, members, best_l, mask_l, blocks) -> Dict[NodeId, TargetRows]:
+    """``{owner: TargetRows}`` from a pass's flat rows; ``blocks`` lists each owner's
+    ``(owner, first row, row count, one-hop count)``."""
+    nodes = ng.nodes
+    targets = [nodes[x] for x in members.tolist()]
+    return {
+        owner: TargetRows(
+            targets[lo : lo + deg],
+            targets[lo : lo + count],
+            best_l[lo : lo + count],
+            mask_l[lo : lo + count],
         )
-        order_all = np.argsort(keys, kind="stable").tolist()
-    else:
-        order_all = []
-    results: Dict[NodeId, Dict[NodeId, FirstHopResult]] = {}
-    block = 0
-    for view, (owner, off, members, deg), count in zip(views, stack.meta, counts):
-        V = members.size
-        dist_l = dist[off : off + V].tolist()
-        reach_l = reached[off : off + V].tolist()
-        mask_l = _combine_lanes(masks[off : off + V], lanes)
-        members_l = members.tolist()
-        bit_owner = [nodes[g] for g in members_l[1 : deg + 1]]
-        decoded: Dict[int, frozenset] = {}
-        res: Dict[NodeId, FirstHopResult] = {}
-        for p in order_all[block : block + count]:
-            li = p - block + 1
-            target = nodes[members_l[li]]
-            m = mask_l[li]
-            if m and reach_l[li]:
-                fh = decoded.get(m)
-                if fh is None:
-                    fh = decoded[m] = _decode_mask(m, bit_owner)
-                res[target] = FirstHopResult(target, dist_l[li], fh)
-            else:
-                res[target] = FirstHopResult(target, worst, frozenset())
-        block += count
-        results[view.owner] = res
-    return results
-
-
-def _combine_lanes(rows: np.ndarray, lanes: int) -> List[int]:
-    """uint64 lane matrix -> per-row Python int bitmasks."""
-    combined = rows[:, 0].tolist()
-    for lane in range(1, lanes):
-        shift = 64 * lane
-        combined = [m | (c << shift) for m, c in zip(combined, rows[:, lane].tolist())]
-    return combined
-
-
-def _decode_mask(mask: int, bit_owner: List[NodeId]) -> frozenset:
-    """The set of ``bit_owner[i]`` for every set bit ``i`` of ``mask``."""
-    selected = []
-    while mask:
-        low = mask & -mask
-        selected.append(bit_owner[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(selected)
+        for owner, lo, count, deg in blocks
+    }
 
 
 # ---------------------------------------------------------------------- concave kernel
@@ -474,7 +450,7 @@ def _decode_mask(mask: int, bit_owner: List[NodeId]) -> frozenset:
 
 def _batched_bottleneck_forest(
     ng: NetworkGraph, views: List, metric: Metric
-) -> Dict[NodeId, Dict[NodeId, FirstHopResult]]:
+) -> Dict[NodeId, TargetRows]:
     indptr, indices = ng.indptr, ng.indices
     index = ng.index
     g = np.asarray([index[view.owner] for view in views], dtype=np.int64)
@@ -488,7 +464,7 @@ def _batched_bottleneck_forest(
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size, dtype=np.int64)
     w_slots = ng.slot_values(metric)
-    results: Dict[NodeId, Dict[NodeId, FirstHopResult]] = {}
+    results: Dict[NodeId, TargetRows] = {}
     start = 0
     total = 0.0
     for i, bound in enumerate(bounds):
@@ -503,9 +479,7 @@ def _batched_bottleneck_forest(
 
 def _bottleneck_chunk(ng, views, g, metric, w_slots, rank, results) -> None:
     """Solve the owner rows ``g`` (of ``views``) in one pass into ``results``."""
-    nodes = ng.nodes
     rel_tol = metric.rel_tol
-    worst = metric.worst
     win = _windows(ng, g)
     deg, tc = win.deg, win.tc
     # Chunk rows: each owner's targets, one-hop then two-hop (window-local index - 1).
@@ -529,54 +503,29 @@ def _bottleneck_chunk(ng, views, g, metric, w_slots, rank, results) -> None:
     # makes Metric.optimum's first-wins scan order-dependent: replay the scalar scan
     # for exactly those targets.
     rare = np.logical_or.reduceat(eq & (M != best_p), row_starts)
-    lanes = max(1, (int(deg.max(initial=0)) + 63) // 64)
-    masks = np.empty((R, lanes), dtype=np.uint64)
-    bits = np.where(eq, np.uint64(1) << (pcol & 63).astype(np.uint64), np.uint64(0))
-    for k in range(lanes):
-        masks[:, k] = np.bitwise_or.reduceat(
-            bits if lanes == 1 else np.where(pcol >> 6 == k, bits, np.uint64(0)), row_starts
-        )
+    masks = segment_masks(pcol, eq, row_starts)
 
-    # Decode in known_targets() order: each owner's one- and two-hop blocks are sorted,
-    # so one argsort of owner-major keys merges them for every owner at once.
     members = np.empty(R, dtype=np.int64)
     members[np.repeat(off, deg) + seg_arange(deg)] = win.one
     members[np.repeat(off + deg, tc) + seg_arange(tc)] = win.two
-    row_owner = np.repeat(np.arange(g.size, dtype=np.int64), V)
-    perm = np.argsort(row_owner * len(nodes) + members)
-    targets = [nodes[x] for x in members[perm].tolist()]
     unreachable = best == _NEG_INF
-    best[unreachable] = worst
-    masks[unreachable] = 0  # decodes to the empty first-hop set
-    best_s = best[perm].tolist()
-    mask_s = _combine_lanes(masks[perm], lanes)
-    hops = [nodes[x] for x in win.one.tolist()]
-    hop_off = (np.cumsum(deg) - deg).tolist()
-    make = functools.partial(tuple.__new__, FirstHopResult)  # _make without the length check
-    for view, lo, count, h, d in zip(views, off.tolist(), V.tolist(), hop_off, deg.tolist()):
-        if d == 0:
-            # An isolated owner: every known target (normally none) is unreachable.
-            results[view.owner] = {
-                target: make((target, worst, frozenset())) for target in view.known_targets()
-            }
-            continue
-        hi = lo + count
-        bit_hops = hops[h : h + d]
-        tie_sets: Dict[int, frozenset] = {}  # tie mask -> first-hop set, per view
-        fhs = [
-            tie_sets.get(m) or tie_sets.setdefault(m, _decode_mask(m, bit_hops))
-            for m in mask_s[lo:hi]
-        ]
-        results[view.owner] = dict(
-            zip(targets[lo:hi], map(make, zip(targets[lo:hi], best_s[lo:hi], fhs)))
-        )
-    # Near-tie targets were decoded like the rest above; replay the scalar scan instead.
-    for p in np.flatnonzero(rare[perm]).tolist():
-        o = int(row_owner[p])
-        h, d, start = hop_off[o], int(deg[o]), int(row_starts[perm[p]])
-        results[views[o].owner][targets[p]] = _replay_scan(
-            views[o], metric, targets[p], hops[h : h + d], M[start : start + d].tolist()
-        )
+    best[unreachable] = metric.worst
+    masks[unreachable] = 0
+    best_l = best.tolist()
+    mask_l = combine_lanes(masks)
+    off_l, deg_l = off.tolist(), deg.tolist()
+    blocks = [(view.owner, lo, count, d) for view, lo, count, d in zip(views, off_l, V.tolist(), deg_l)]
+    # Near-tie targets: the scalar scan decides their rows instead.
+    rare_rows = np.flatnonzero(rare).tolist()
+    if rare_rows:
+        nodes = ng.nodes
+        row_owner = np.repeat(np.arange(g.size, dtype=np.int64), V)
+        for r in rare_rows:
+            o = int(row_owner[r])
+            lo, d, start = off_l[o], deg_l[o], int(row_starts[r])
+            hops = [nodes[x] for x in members[lo : lo + d].tolist()]
+            best_l[r], mask_l[r] = _replay_scan(views[o], metric, hops, M[start : start + d].tolist())
+    results.update(_rows_by_owner(ng, members, best_l, mask_l, blocks))
 
 
 def _candidate_values(ng, g, win, V, off, row_deg, pcol, w_slots, rank) -> np.ndarray:
@@ -671,21 +620,19 @@ def _range_minima(gaps: np.ndarray, pa: np.ndarray, pb: np.ndarray, span: int) -
     return np.minimum(flat[jR + lo], flat[jR + hi - (1 << j)])
 
 
-def _replay_scan(view, metric: Metric, target, one_nodes, row) -> FirstHopResult:
+def _replay_scan(view, metric: Metric, one_nodes, row) -> Tuple[float, int]:
     """The scalar first-wins scan over ``view.one_hop`` for one near-tie target.
 
-    ``row`` holds the target's candidate values in sorted one-hop order (``one_nodes``).
+    ``row`` holds the target's candidate values in sorted one-hop order (``one_nodes``);
+    returns the best value and the tie mask over that order.
     """
-    value_of = dict(zip(one_nodes, row))
-    scanned = [(hop, value_of[hop]) for hop in view.one_hop if value_of[hop] != _NEG_INF]
-    best = metric.optimum(value for _hop, value in scanned)
+    bit_of = {hop: i for i, hop in enumerate(one_nodes)}
+    scanned = [(bit_of[hop], row[bit_of[hop]]) for hop in view.one_hop]
+    scanned = [(bit, value) for bit, value in scanned if value != _NEG_INF]
+    best = metric.optimum(value for _bit, value in scanned)
     rel_tol = metric.rel_tol
-    return FirstHopResult(
-        target,
-        best,
-        frozenset(
-            hop
-            for hop, value in scanned
-            if value == best or math.isclose(value, best, rel_tol=rel_tol, abs_tol=rel_tol)
-        ),
-    )
+    mask = 0
+    for bit, value in scanned:
+        if value == best or math.isclose(value, best, rel_tol=rel_tol, abs_tol=rel_tol):
+            mask |= 1 << bit
+    return best, mask

@@ -29,8 +29,10 @@ materializes a reduced graph.  It then forms every owner's candidates -- the dir
 link per one-hop target and ``owner - w - target`` per relay -- with the scalar code's
 exact float expressions (``combine(combine(identity, first), second)``), keeps the
 surviving ones (or all of them for a target the reduction left without a candidate, the
-scalar fallback to the unreduced view), and takes each target's best value and tied
-first hops with segmented reductions.
+scalar fallback to the unreduced view), and takes each target's best value and the tie
+mask of its best first hops with segmented reductions.  Each owner gets one
+:class:`~repro.localview.paths.TargetRows`, every target by identifier, whose masks the
+selector reads directly.
 
 Bit-identity with the scalar selector is pinned by ``tests/test_filtering_kernel.py``.
 The tolerance tests replay :meth:`Metric.values_equal` and ``is_better`` elementwise.
@@ -48,7 +50,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.localview.compactgraph import specialized_kind
-from repro.localview.networkgraph import NetworkGraph, row_slots, seg_arange
+from repro.localview.networkgraph import (
+    NetworkGraph,
+    combine_lanes,
+    row_slots,
+    seg_arange,
+    segment_masks,
+)
+from repro.localview.paths import TargetRows
 from repro.metrics.base import AdditiveMetric, ConcaveMetric, Metric
 from repro.utils.ids import NodeId
 
@@ -56,10 +65,6 @@ from repro.utils.ids import NodeId
 OWNER_CHUNK = 64
 #: Neighbour pairs examined per witness-table pass, for the same reason.
 PAIR_CHUNK = 1 << 16
-
-#: One row of a per-view filtering table: (target, best value, sorted best first hops).
-TableRow = Tuple[NodeId, float, Tuple[NodeId, ...]]
-
 
 def table_key(metric: Metric, apply_reduction: bool) -> tuple:
     """The ``LocalView._first_hops`` key a primed filtering table is stored under."""
@@ -161,8 +166,8 @@ def prime_filtering_tables(
 ) -> int:
     """Compute and store the filtering table of every batchable view; returns the count.
 
-    Views attached to a shared :class:`NetworkGraph` get their per-target table
-    (:data:`TableRow` tuples in ``known_targets()`` order) stored in
+    Views attached to a shared :class:`NetworkGraph` get their table (one
+    :class:`TargetRows`, every target by identifier) stored in
     ``view._first_hops`` under :func:`table_key`, where
     :meth:`TopologyFilteringSelector.select` picks it up.  Detached views, metrics the
     kernel cannot replay and owners with a near-tie are left for the scalar path.
@@ -189,7 +194,7 @@ def prime_filtering_tables(
 
 def batched_filtering_tables(
     ng: NetworkGraph, owners: List[NodeId], metric: Metric, apply_reduction: bool = True
-) -> Optional[Dict[NodeId, List[TableRow]]]:
+) -> Optional[Dict[NodeId, TargetRows]]:
     """``{owner: table}`` for the owners the kernel can answer; None if not batchable.
 
     An owner missing from the result had a near-tie and must take the scalar path.
@@ -202,7 +207,7 @@ def batched_filtering_tables(
     witnesses = dominance_witnesses(ng, metric, kind, values) if apply_reduction else None
     index = ng.index
     rows = np.asarray([index[owner] for owner in owners], dtype=np.int64)
-    tables: Dict[NodeId, List[TableRow]] = {}
+    tables: Dict[NodeId, TargetRows] = {}
     for start in range(0, rows.size, OWNER_CHUNK):
         _filter_chunk(ng, rows[start : start + OWNER_CHUNK], metric, kind, w_slots, witnesses, tables)
     return tables
@@ -219,6 +224,7 @@ def _filter_chunk(ng, g, metric, kind, w_slots, witnesses, tables) -> None:
     o_slot, deg = row_slots(indptr, g)
     o_owner = np.repeat(np.arange(N, dtype=np.int64), deg)
     relay = indices[o_slot]
+    o_bit = seg_arange(deg)  # the relay's bit: its place in the owner's sorted row
     is_one = np.zeros(N * n, dtype=bool)  # (owner, node) -> node in N(owner)
     is_one[o_owner * n + relay] = True
     w_first = w_slots[o_slot]
@@ -257,16 +263,16 @@ def _filter_chunk(ng, g, metric, kind, w_slots, witnesses, tables) -> None:
     # Candidates: the direct link to each one-hop target, then every relay path.
     c_owner = np.concatenate((o_owner, r_owner))
     c_target = np.concatenate((relay, r_target))
-    c_hop = np.concatenate((relay, relay[r_pair]))
+    c_bit = np.concatenate((o_bit, o_bit[r_pair]))
     c_value = np.concatenate((w_first, r_value))
-    if c_owner.size == 0:  # only isolated owners (reduceat rejects empty input)
+    if c_owner.size == 0:  # only isolated owners
         for row in g.tolist():
-            tables[nodes[row]] = []
+            tables[nodes[row]] = TargetRows([], [], [], [])
         return
     group_key = c_owner * n + c_target
-    order = np.argsort(group_key * n + c_hop)  # unique keys: (owner, target, hop) order
+    order = np.argsort(group_key * n + c_bit)  # unique keys: (owner, target, hop) order
     group_key = group_key[order]
-    c_hop = c_hop[order]
+    c_bit = c_bit[order]
     c_value = c_value[order]
     new_group = np.r_[True, group_key[1:] != group_key[:-1]]
     starts = np.flatnonzero(new_group)
@@ -277,7 +283,7 @@ def _filter_chunk(ng, g, metric, kind, w_slots, witnesses, tables) -> None:
         has_alive = np.logical_or.reduceat(alive, starts)
         active = alive | ~has_alive[group_of]
         group_of = group_of[active]
-        c_hop = c_hop[active]
+        c_bit = c_bit[active]
         c_value = c_value[active]
         a_starts = np.flatnonzero(np.r_[True, group_of[1:] != group_of[:-1]])
     else:
@@ -291,24 +297,18 @@ def _filter_chunk(ng, g, metric, kind, w_slots, witnesses, tables) -> None:
     skip = np.zeros(N, dtype=bool)
     skip[group_owner[group_of[near]]] = True
 
-    # Decode: per group, the tied hops are consecutive and already sorted.
-    tie_group = group_of[tied]
-    hop_bounds = np.searchsorted(tie_group, np.arange(starts.size + 1)).tolist()
-    hops_l = c_hop[tied].tolist()
-    target_l = (group_key[starts] - group_owner * n).tolist()
+    # Rows: each owner's targets by identifier, with the bits of their tied hops.
+    mask_l = combine_lanes(segment_masks(c_bit, tied, a_starts))
+    target_l = [nodes[t] for t in (group_key[starts] - group_owner * n).tolist()]
+    hop_l = [nodes[h] for h in relay.tolist()]
     best_l = best.tolist()
     owner_bounds = np.searchsorted(group_owner, np.arange(N + 1)).tolist()
+    hop_bounds = np.cumsum(np.r_[0, deg]).tolist()
     skip_l = skip.tolist()
     for i, row in enumerate(g.tolist()):
         if skip_l[i]:
             continue
-        table: List[TableRow] = []
-        shared: Dict[tuple, Tuple[NodeId, ...]] = {}
-        for k in range(owner_bounds[i], owner_bounds[i + 1]):
-            run = tuple(hops_l[hop_bounds[k] : hop_bounds[k + 1]])
-            hops = shared.get(run)
-            if hops is None:
-                hops = tuple(nodes[h] for h in run)
-                shared[run] = hops
-            table.append((nodes[target_l[k]], best_l[k], hops))
-        tables[nodes[row]] = table
+        lo, hi = owner_bounds[i], owner_bounds[i + 1]
+        tables[nodes[row]] = TargetRows(
+            hop_l[hop_bounds[i] : hop_bounds[i + 1]], target_l[lo:hi], best_l[lo:hi], mask_l[lo:hi]
+        )

@@ -285,3 +285,24 @@ def seg_arange(counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     offs = np.cumsum(counts) - counts
     return np.arange(total, dtype=np.int64) - np.repeat(offs, counts)
+
+
+def segment_masks(cols: np.ndarray, flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per segment (``starts`` as for ``reduceat``), the bitmask of the columns ``cols``
+    whose ``flags`` are set, as a (segment, lane) matrix of uint64 lanes of 64 bits."""
+    lanes = max(1, (int(cols.max(initial=0)) + 64) // 64)
+    bits = np.where(flags, np.uint64(1) << (cols & 63).astype(np.uint64), np.uint64(0))
+    masks = np.empty((starts.size, lanes), dtype=np.uint64)
+    for k in range(lanes):
+        lane = bits if lanes == 1 else np.where(cols >> 6 == k, bits, np.uint64(0))
+        masks[:, k] = np.bitwise_or.reduceat(lane, starts)
+    return masks
+
+
+def combine_lanes(masks: np.ndarray) -> List[int]:
+    """A (row, lane) uint64 matrix as one Python int bitmask per row."""
+    combined = masks[:, 0].tolist()
+    for lane in range(1, masks.shape[1]):
+        shift = 64 * lane
+        combined = [m | (c << shift) for m, c in zip(combined, masks[:, lane].tolist())]
+    return combined

@@ -132,6 +132,84 @@ class FirstHopResult(NamedTuple):
         return self.target in self.first_hops
 
 
+class TargetRows:
+    """Per-target rows of one view: each target's best value and tie mask.
+
+    ``hops`` are the owner's one-hop neighbours, sorted: bit ``i`` of a mask stands for
+    ``hops[i]``.  ``targets``, ``best`` and ``masks`` are parallel lists, one entry per
+    one- or two-hop target, in the order the selector reading them scans: FNBP's rows
+    (:func:`prime_first_hops`) hold the one-hop block sorted, then the two-hop block
+    sorted; topology filtering's (:mod:`repro.localview.filtering`) hold every target by
+    identifier.  A target's mask sets the bits of its best first hops, and a mask of 0
+    means the target is unreachable, with the metric's worst as its best value.
+
+    The selectors run on the masks alone; :meth:`decode` turns a row back into its
+    target, best value and sorted first hops, for a decision trace or for
+    :func:`all_first_hops`.
+    """
+
+    __slots__ = ("hops", "targets", "best", "masks")
+
+    def __init__(
+        self, hops: List[NodeId], targets: List[NodeId], best: List[float], masks: List[int]
+    ) -> None:
+        self.hops = hops
+        self.targets = targets
+        self.best = best
+        self.masks = masks
+
+    @classmethod
+    def encode(
+        cls, hops: List[NodeId], entries: Iterable[Tuple[NodeId, float, Iterable[NodeId]]]
+    ) -> "TargetRows":
+        """Rows from ``(target, best value, first hops)`` entries, in their order."""
+        bit_of = {hop: 1 << i for i, hop in enumerate(hops)}
+        targets: List[NodeId] = []
+        best: List[float] = []
+        masks: List[int] = []
+        for target, value, first_hops in entries:
+            mask = 0
+            for hop in first_hops:
+                mask |= bit_of[hop]
+            targets.append(target)
+            best.append(value)
+            masks.append(mask)
+        return cls(hops, targets, best, masks)
+
+    def members(self, mask: int) -> Tuple[NodeId, ...]:
+        """The one-hop neighbours whose bits ``mask`` sets, sorted."""
+        hops = self.hops
+        selected = []
+        while mask:
+            low = mask & -mask
+            selected.append(hops[low.bit_length() - 1])
+            mask ^= low
+        return tuple(selected)
+
+    def decode(self, k: int) -> Tuple[NodeId, float, Tuple[NodeId, ...]]:
+        """Row ``k`` as its target, best value and sorted first hops."""
+        return self.targets[k], self.best[k], self.members(self.masks[k])
+
+    def first_hop_results(self) -> Dict[NodeId, FirstHopResult]:
+        """``{target: FirstHopResult}`` in identifier order, as :func:`all_first_hops` returns."""
+        results = {}
+        for k in sorted(range(len(self.targets)), key=self.targets.__getitem__):
+            target, value, first_hops = self.decode(k)
+            results[target] = FirstHopResult(target, value, frozenset(first_hops))
+        return results
+
+
+def primed_first_hops(view: LocalView, metric: Metric) -> Optional[TargetRows]:
+    """The rows :func:`prime_first_hops` stored on ``view`` for ``metric``, or None.
+
+    A hit counts one ``kernel.primed_hits``.
+    """
+    rows = view._first_hops.get(metric.cache_token())
+    if rows is not None:
+        obs.add("kernel.primed_hits")
+    return rows
+
+
 def _one_hop_rows(view: LocalView, cg: CompactGraph) -> List[Tuple[NodeId, int, float]]:
     """``(neighbor, neighbor_index, direct_link_value)`` for every one-hop neighbor.
 
@@ -220,15 +298,15 @@ def all_first_hops(
     if method == "per-target":
         return {target: first_hops_to(view, target, metric) for target in view.known_targets()}
     if method == "auto":
-        primed = view._first_hops.get(metric.cache_token())
+        primed = primed_first_hops(view, metric)
         if primed is not None:
             # Batch-primed by prime_first_hops (bit-identical to the scalar dispatch
-            # below by the differential suite's lock).  Only the auto dispatch consults
-            # this cache, and only the batched kernels populate it: explicit-method
-            # calls and scalar runs stay un-cached so the method-comparison tests and
-            # the benchmark recorder keep measuring real solver work.
-            obs.add("kernel.primed_hits")
-            return primed
+            # below by the differential suite's lock), decoded on request.  Only the
+            # auto dispatch consults this cache, and only the batched kernels populate
+            # it: explicit-method calls and scalar runs stay un-cached so the
+            # method-comparison tests and the benchmark recorder keep measuring real
+            # solver work.
+            return primed.first_hop_results()
         obs.add("kernel.scalar_dispatches")
         if metric.kind is MetricKind.ADDITIVE and metric.prefix_optimal:
             method = "owner-dijkstra"
@@ -495,7 +573,9 @@ def prime_first_hops(views: Iterable[LocalView], metric: Metric) -> int:
     The integration point of the batched CSR kernels (:mod:`repro.localview.batched`):
     views attached to a shared :class:`~repro.localview.networkgraph.NetworkGraph` get
     their ``all_first_hops(view, metric)`` result computed for all owners at once and
-    cached on the view; the next auto-dispatch call returns it directly.  Views without
+    cached on the view as :class:`TargetRows` (one-hop block, then two-hop block, each
+    sorted).  FNBP's ``select`` reads the rows as they are (:func:`primed_first_hops`);
+    the next auto-dispatch call decodes them.  Views without
     a shared graph (or with one the metric cannot be batched on -- composite metrics,
     missing attributes) are silently left for the scalar path, which the differential
     suite pins bit-identical to the batched one, so callers never need to care which

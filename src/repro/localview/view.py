@@ -166,7 +166,16 @@ class LocalView:
         endpoints, say) gets each report's weights in turn, so the last report wins.
         The map lists nodes and links in report order.
         """
-        one_hop, merged = _merge_tables(owner, neighbor_links, two_hop_links)
+        return cls.from_table_key(cls.table_key(owner, neighbor_links, two_hop_links))
+
+    @classmethod
+    def from_table_key(cls, key: tuple) -> "LocalView":
+        """The view :meth:`from_tables` builds, from the merge its :meth:`table_key` holds.
+
+        The view's link map references the key's weight dicts, which both treat as
+        read-only.
+        """
+        owner, one_hop, merged = key
         links: Links = {owner: {}}
         for (u, v), weights in merged.items():
             links.setdefault(u, {})[v] = weights

@@ -120,13 +120,14 @@ class OlsrNode:
         """The (MPR set, advertised set) the node's current tables imply.
 
         Memoized on the table key of the view: while the tables describe the same view,
-        the last pair is returned without building the view.  Touches no protocol state.
+        the last pair is returned without building the view, and a miss builds it from
+        the merge the key holds.  Touches no protocol state.
         """
         table = self.neighbor_table
         key = LocalView.table_key(self.node_id, table.neighbor_link_table(), table.two_hop_link_table())
         memo = self._selection_memo
         if memo is None or memo[0] != key:
-            view = self.local_view()
+            view = LocalView.from_table_key(key)
             memo = (key, rfc3626_mpr(view), frozenset(self.selector.select(view, self.metric).selected))
             self._selection_memo = memo
         return memo[1], memo[2]

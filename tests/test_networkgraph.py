@@ -24,6 +24,8 @@ from repro.localview import LocalView, NetworkGraph, all_first_hops, prime_first
 from repro.localview.batched import batched_additive_labels, batched_all_first_hops
 from repro.localview.compactgraph import best_values
 from repro.metrics import BandwidthMetric, DelayMetric, LexicographicMetric
+from repro.obs import runtime as obs
+from repro.obs.registry import MetricsRegistry
 from repro.topology import FieldSpec, FixedCountNetworkGenerator
 
 BANDWIDTH = BandwidthMetric()
@@ -228,11 +230,19 @@ class TestPriming:
         views = LocalView.all_from_network(network, network_graph=ng)
         primed = prime_first_hops(views.values(), DELAY)
         assert primed == len(views)
-        view = views[network.nodes()[0]]
-        cached = view._first_hops[DELAY.cache_token()]
-        assert all_first_hops(view, DELAY) is cached  # auto dispatch serves the batch
-        # Explicit-method calls bypass the cache (method comparisons stay honest).
-        assert all_first_hops(view, DELAY, method="owner-dijkstra") is not cached
+        owner = network.nodes()[0]
+        scalar = all_first_hops(LocalView.from_network(network, owner), DELAY)
+        registry = MetricsRegistry()
+        previous = obs.install(registry)
+        try:
+            assert all_first_hops(views[owner], DELAY) == scalar
+            # Explicit-method calls bypass the cache (method comparisons stay honest).
+            assert all_first_hops(views[owner], DELAY, method="owner-dijkstra") == scalar
+        finally:
+            obs.install(previous)
+        # The auto dispatch was served from the primed rows, and the explicit call
+        # neither read them nor counted as a scalar dispatch.
+        assert registry.counters == {"kernel.primed_hits": 1}
 
     def test_priming_is_idempotent_and_skips_detached_views(self):
         network = float_weighted_network(7)
@@ -281,4 +291,5 @@ class TestCanonicalSummationOrder:
             batch = batched_all_first_hops(ng, list(views.values()), metric)
             for owner in views:
                 fresh = LocalView.from_network(network, owner)
-                assert batch[owner] == all_first_hops(fresh, metric), (owner, metric.name)
+                decoded = batch[owner].first_hop_results()
+                assert decoded == all_first_hops(fresh, metric), (owner, metric.name)

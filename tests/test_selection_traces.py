@@ -29,8 +29,11 @@ import pytest
 
 from repro.core import SelectionDecision, covering_relays, make_selector
 from repro.localview.networkgraph import NetworkGraph
+from repro.localview.paths import FirstHopResult, TargetRows
 from repro.localview.view import LocalView
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner
+from repro.obs import runtime as obs
+from repro.obs.registry import MetricsRegistry
 from repro.topology.generators import FieldSpec, FixedCountNetworkGenerator
 from repro.topology.network import Network
 
@@ -148,6 +151,80 @@ def test_sweep_selections_build_no_decision():
         if isinstance(obj, SelectionDecision) and id(obj) not in before
     ]
     assert alive == []
+
+
+def test_fnbp_sweep_builds_no_first_hop_result():
+    """FNBP's ``select_all`` over a smoke fig8 trial's attached views selects on the
+    primed rows, so no :class:`FirstHopResult` is left alive, on the views or elsewhere."""
+    from repro.experiments.presets import figure_spec
+    from repro.experiments.runner import build_trial
+
+    spec = figure_spec(8, "smoke")
+    trial = build_trial(spec, METRICS["bandwidth"], spec.densities[0], 0)
+    gc.collect()
+    before = {id(obj) for obj in gc.get_objects() if isinstance(obj, FirstHopResult)}
+    assert trial.selections("fnbp")
+    assert all(view.network_graph() is not None for view in trial.views().values())
+    alive = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, FirstHopResult) and id(obj) not in before
+    ]
+    assert alive == []
+
+
+@pytest.mark.parametrize("selector_name", ["fnbp", "topology-filtering"])
+def test_only_a_trace_decodes_the_primed_rows(monkeypatch, selector_name):
+    """``select_all`` never decodes a row; ``explain`` on primed views decodes every
+    row it records, read from the kernels' rows (the counters show no scalar solve)."""
+    decoded = []
+    decode = TargetRows.decode
+
+    def spy(rows, k):
+        decoded.append(k)
+        return decode(rows, k)
+
+    monkeypatch.setattr(TargetRows, "decode", spy)
+    network = golden_networks()["integer"]
+    metric = METRICS["bandwidth"]
+    selector = make_selector(selector_name)
+    ng = NetworkGraph.from_network(network)
+    selector.select_all(network, metric, views=LocalView.all_from_network(network, network_graph=ng))
+    assert decoded == []
+
+    views = LocalView.all_from_network(network, network_graph=ng)
+    selector.prime(list(views.values()), metric)
+    registry = MetricsRegistry()
+    previous = obs.install(registry)
+    try:
+        decisions = sum(len(selector.explain(view, metric).decisions) for view in views.values())
+    finally:
+        obs.install(previous)
+    assert len(decoded) == decisions > 0
+    if selector_name == "fnbp":
+        assert registry.counters == {"kernel.primed_hits": len(views)}
+    else:
+        assert registry.counters == {"filtering.batched_views": len(views)}
+
+
+@pytest.mark.parametrize("figure", [8, 9], ids=["fig8-bandwidth", "fig9-delay"])
+def test_every_fnbp_select_of_a_sweep_reads_primed_rows(figure):
+    """Both first-hop kernels (concave for bandwidth, additive for delay) answer every
+    FNBP ``select`` of a smoke trial: one primed hit per owner, no scalar dispatch."""
+    from repro.experiments.presets import figure_spec
+    from repro.experiments.runner import build_trial
+
+    spec = figure_spec(figure, "smoke")
+    trial = build_trial(spec, METRICS[spec.metric], spec.densities[0], 0)
+    registry = MetricsRegistry()
+    previous = obs.install(registry)
+    try:
+        results = trial.selections("fnbp")
+    finally:
+        obs.install(previous)
+    assert len(results) == len(trial.network) > 0
+    assert registry.counters["kernel.primed_hits"] == len(results)
+    assert "kernel.scalar_dispatches" not in registry.counters
 
 
 def test_reading_a_trace_off_an_untraced_result_raises():
