@@ -6,6 +6,8 @@ kernels and 16-21x for topology filtering on the dense benchmark network at the 
 writing).  These tests enforce only the regression floor -- the batched paths must not
 fall below parity with the scalar code they replace -- plus the result-equality bar,
 so a speedup that silently becomes a slowdown (or a divergence) fails the smoke run.
+The same floor holds QOLSR MPR-2 on the views' coverage masks to the set-based routine
+it replaced (``tests/mpr_oracles.py``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from record import dense_network
 from repro.core.selection import make_selector
 from repro.localview import LocalView, NetworkGraph, all_first_hops, prime_first_hops
 from repro.metrics import BandwidthMetric, DelayMetric
+from tests.mpr_oracles import qolsr_sets
 
 ROUNDS = 3
 
@@ -108,3 +111,36 @@ def test_batched_topology_filtering_at_least_matches_scalar():
         # Collect the views and results of the rounds here, so that no collection of
         # what they leave behind lands inside a later test's timed rounds.
         gc.collect()
+
+
+def test_qolsr_on_coverage_masks_at_least_matches_the_set_routine():
+    """QOLSR MPR-2's ``select_all`` on fresh attached views, coverage records built inside
+    the timed region, against the set-based oracle on fresh views; results compared."""
+    network = dense_network()
+    metric = BandwidthMetric()
+    selector = make_selector("qolsr-mpr2")
+    ng = NetworkGraph.from_network(network)
+
+    def masks():
+        views = LocalView.all_from_network(network, network_graph=ng)
+        results = selector.select_all(network, metric, views=views)
+        return {owner: result.selected for owner, result in results.items()}
+
+    def sets():
+        views = LocalView.all_from_network(network, network_graph=ng)
+        return {owner: qolsr_sets(view, metric, "qolsr-mpr2") for owner, view in views.items()}
+
+    assert masks() == sets(), "QOLSR on coverage masks diverges from the set-based routine"
+    masks_s = []
+    sets_s = []
+    for _ in range(ROUNDS):
+        t0 = time.perf_counter()
+        masks()
+        masks_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        sets()
+        sets_s.append(time.perf_counter() - t0)
+    assert min(masks_s) <= min(sets_s), (
+        f"QOLSR MPR-2 on coverage masks regressed below 1.0x of the set-based routine: "
+        f"sets {min(sets_s):.4f}s vs masks {min(masks_s):.4f}s"
+    )

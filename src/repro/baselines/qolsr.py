@@ -16,17 +16,25 @@ are always selected.  As the paper notes (citing [3]), this first phase already 
 about 75 % of the set, which is why the QOLSR sets end up close to the original OLSR sets in
 size and why restricting paths to at most two hops leaves QoS gains on the table (the
 Figure 1 example, reproduced in :mod:`repro.papergraphs.figure1`).
+
+Both phases run on the view's coverage record (``view.coverage()``), built once per view
+and shared with :func:`repro.olsr.mpr.rfc3626_mpr` and FNBP's loop guard: phase 1 is
+:mod:`repro.olsr.mpr`'s sole-provider helper, and phase 2 keeps the MPR set as a mask over
+the sorted one-hop neighbours and the uncovered two-hop neighbours as a mask over the
+sorted two-hop neighbours, a candidate's coverage being the popcount of its cover mask and
+the uncovered mask.  Candidates are scanned in ``view.one_hop`` order: with a NaN direct
+link the phase-two keys are not totally ordered, and the scan order picks the winner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.core.selection import SelectionDecision, _TracedSelector
-from repro.localview.view import LocalView
+from repro.localview.view import LocalView, mask_members
 from repro.metrics.base import Metric
-from repro.olsr.mpr import coverage_map
+from repro.olsr.mpr import _popcount, _scan_order, _sole_providers
 from repro.registry import SELECTORS
 from repro.utils.ids import NodeId
 
@@ -44,50 +52,50 @@ class _QolsrBase(_TracedSelector):
     def _select(
         self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
     ) -> FrozenSet[NodeId]:
-        cover = coverage_map(view)
-        uncovered: Set[NodeId] = set().union(*cover.values()) if cover else set()
-        mpr: Set[NodeId] = set()
+        coverage = view.coverage()
+        hops, two_hops, covers = coverage.hops, coverage.two_hops, coverage.covers
 
         # Phase 1 (identical to RFC 3626): sole providers of some two-hop neighbor.
-        for two_hop in sorted(uncovered):
-            providers = [neighbor for neighbor, covered in cover.items() if two_hop in covered]
-            if len(providers) == 1 and providers[0] not in mpr:
-                mpr.add(providers[0])
-                if trace is not None:
-                    trace.append(SelectionDecision(two_hop, providers[0], "sole-cover", ()))
-        for neighbor in mpr:
-            uncovered -= cover[neighbor]
+        picks: Optional[List[int]] = [] if trace is not None else None
+        mpr, uncovered = _sole_providers(coverage, picks)
+        if trace is not None:
+            relays = coverage.relays
+            for j in picks:
+                provider = hops[relays[j].bit_length() - 1]
+                trace.append(SelectionDecision(two_hops[j], provider, "sole-cover", ()))
 
         # Phase 2: QoS-aware greedy, variant-specific ranking.
-        direct = view.direct_link_values(metric) if uncovered else None
+        if uncovered:
+            direct = view.direct_link_values(metric)
+            scan = _scan_order(view, coverage)
         while uncovered:
             candidates = [
-                neighbor
-                for neighbor in view.one_hop
-                if neighbor not in mpr and cover[neighbor] & uncovered
+                (neighbor, i) for neighbor, i in scan if not mpr >> i & 1 and covers[i] & uncovered
             ]
             if not candidates:
                 break
-            best = min(
+            _, best = min(
                 candidates,
-                key=lambda neighbor: self._phase_two_key(
-                    metric.sort_key(direct[neighbor]), len(cover[neighbor] & uncovered), neighbor
+                key=lambda candidate: self._phase_two_key(
+                    metric.sort_key(direct[candidate[0]]),
+                    _popcount(covers[candidate[1]] & uncovered),
+                    candidate[0],
                 ),
             )
-            mpr.add(best)
-            covered_now = cover[best] & uncovered
-            uncovered -= covered_now
+            mpr |= 1 << best
+            covered_now = covers[best] & uncovered
+            uncovered ^= covered_now
             if trace is not None:
                 trace.append(
                     SelectionDecision(
                         None,
-                        best,
+                        hops[best],
                         self._phase_two_reason(),
-                        (("newly_covered", tuple(sorted(covered_now))),),
+                        (("newly_covered", mask_members(two_hops, covered_now)),),
                     )
                 )
 
-        return frozenset(mpr)
+        return frozenset(mask_members(hops, mpr))
 
     # ------------------------------------------------------------------ variant hooks
 

@@ -187,7 +187,12 @@ class FnbpSelector(_TracedSelector):
     # ------------------------------------------------------------------ step 2 guard
 
     def _loop_guard(self, view: LocalView, rows: TargetRows, k: int, ans: int, prefer) -> _Step:
-        """Lines 12-14 / the Figure 4 fix for the covered two-hop target of row ``k``."""
+        """Lines 12-14 / the Figure 4 fix for the covered two-hop target of row ``k``.
+
+        ``ADJACENT_TO_TARGET`` reads the target's relays -- the one-hop neighbours ``w``
+        with a path ``u-w-v`` -- as a mask from ``view.coverage()``, whose two-hop order is
+        the rows' two-hop block.
+        """
         mask = rows.masks[k]
         if self.loop_guard is LoopGuardPolicy.LITERAL:
             # The printed text: select from fP(u, v) ∩ N(u), which is fP(u, v) itself.
@@ -198,10 +203,7 @@ class FnbpSelector(_TracedSelector):
 
         # ADJACENT_TO_TARGET: the owner must guarantee a two-hop path u-w-v, preferring
         # relays that also start an optimal path.
-        hops = rows.hops
-        relays = 0
-        for relay in view.common_relays(rows.targets[k]):
-            relays |= 1 << bisect_left(hops, relay)
+        relays = view.coverage().relays[k - len(rows.hops)]
         if not relays:
             return 0, "loop-guard-no-two-hop-relay", mask & ans
         preferred_pool = relays & mask or relays

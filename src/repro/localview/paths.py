@@ -50,7 +50,7 @@ from repro.localview.compactgraph import (
     combine_and_equality,
     specialized_kind,
 )
-from repro.localview.view import LocalView
+from repro.localview.view import LocalView, mask_members
 from repro.metrics.base import Metric, MetricKind
 from repro.obs import runtime as obs
 from repro.utils.ids import NodeId
@@ -178,13 +178,7 @@ class TargetRows:
 
     def members(self, mask: int) -> Tuple[NodeId, ...]:
         """The one-hop neighbours whose bits ``mask`` sets, sorted."""
-        hops = self.hops
-        selected = []
-        while mask:
-            low = mask & -mask
-            selected.append(hops[low.bit_length() - 1])
-            mask ^= low
-        return tuple(selected)
+        return mask_members(self.hops, mask)
 
     def decode(self, k: int) -> Tuple[NodeId, float, Tuple[NodeId, ...]]:
         """Row ``k`` as its target, best value and sorted first hops."""

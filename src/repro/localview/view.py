@@ -30,17 +30,18 @@ so does ``view.graph``, a networkx adapter built on first read for callers outsi
 selection path.
 
 Views are immutable by default: the selection machinery caches compact graphs, bottleneck
-forests and direct-link values per metric on the view, and sibling views share link
-attribute dictionaries, so callers must treat ``view.links``, ``view.graph`` and their
-edge data as read-only.  The one sanctioned mutation path is :meth:`LocalView.update_link`
-(a node re-measuring one of the links it knows about): it gives the view its own copy of
-the map with a fresh attribute dictionary for the link, drops every derived cache via
-:meth:`LocalView.invalidate_caches` and so detaches the view.
+forests and direct-link values per metric on the view, plus one metric-free
+:class:`Coverage` record of which one-hop neighbours cover which two-hop neighbours, and
+sibling views share link attribute dictionaries, so callers must treat ``view.links``,
+``view.graph`` and their edge data as read-only.  The one sanctioned mutation path is
+:meth:`LocalView.update_link` (a node re-measuring one of the links it knows about): it
+gives the view its own copy of the map with a fresh attribute dictionary for the link,
+drops every derived cache via :meth:`LocalView.invalidate_caches` and so detaches the view.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -89,6 +90,7 @@ class LocalView:
         self._forest: Dict[object, tuple] = {}
         self._direct: Dict[object, Dict[NodeId, float]] = {}
         self._first_hops: Dict[object, object] = {}
+        self._coverage: Optional[Coverage] = None
 
     # ------------------------------------------------------------------ construction
 
@@ -272,6 +274,17 @@ class LocalView:
             self._forest[token] = forest
         return forest
 
+    def coverage(self) -> "Coverage":
+        """The view's two-hop coverage as bitmasks (built once from the link map, cached).
+
+        Metric-free: it depends on which links exist, not on their weights.
+        :meth:`invalidate_caches` drops it; a view moved onto rebuilt rows keeps it.
+        """
+        coverage = self._coverage
+        if coverage is None:
+            coverage = self._coverage = Coverage.of(self._adjacency, self.one_hop, self.two_hop)
+        return coverage
+
     def network_graph(self):
         """The shared :class:`NetworkGraph` this view answers from, or None when the view
         holds its own map or was built before the graph's last ``rebuild`` (the graph's
@@ -285,7 +298,8 @@ class LocalView:
 
     def invalidate_caches(self) -> None:
         """Drop everything derived from the link attributes: the per-metric caches (compact
-        graphs, forests, direct values, first hops), :attr:`links` and ``view.graph``.
+        graphs, forests, direct values, first hops), the coverage record, :attr:`links` and
+        ``view.graph``.
 
         Must be called on an attached view after a ``patch_weights`` of a link it sees
         (the map is derived again from the patched snapshot); :meth:`update_link` calls it
@@ -295,10 +309,11 @@ class LocalView:
         self._forest.clear()
         self._direct.clear()
         self._first_hops.clear()
-        self._links = self._graph = None
+        self._links = self._graph = self._coverage = None
 
     def _follow(self, network_graph) -> None:
-        """Move onto a rebuilt snapshot that left the owner's neighbourhood (and caches) intact."""
+        """Move onto a rebuilt snapshot that left the owner's neighbourhood (and caches,
+        the coverage record included) intact."""
         self._adjacency = network_graph.adjacency
 
     def update_link(self, u: NodeId, v: NodeId, **weights: float) -> None:
@@ -370,6 +385,60 @@ class LocalView:
             f"LocalView(owner={self.owner}, one_hop={len(self.one_hop)}, "
             f"two_hop={len(self.two_hop)}, attached={self.network_graph() is not None})"
         )
+
+
+class Coverage:
+    """Which one-hop neighbours of a view cover which two-hop neighbours, as bitmasks.
+
+    ``hops`` are the owner's one-hop neighbours and ``two_hops`` its two-hop neighbours,
+    each sorted.  Bit ``i`` of a one-hop mask stands for ``hops[i]``, as in
+    :class:`~repro.localview.paths.TargetRows`, and bit ``j`` of a two-hop mask for
+    ``two_hops[j]``, the order of FNBP's two-hop row block.  ``covers[i]`` is the two-hop
+    mask of the neighbours ``hops[i]`` is linked to; ``relays[j]`` is the one-hop mask of
+    the neighbours linked to ``two_hops[j]`` (0 for a declared two-hop neighbour no link
+    reaches).  MPR selection (:mod:`repro.olsr.mpr`, the QOLSR baselines) and FNBP's loop
+    guard read it through :meth:`LocalView.coverage`.
+    """
+
+    __slots__ = ("hops", "two_hops", "covers", "relays")
+
+    def __init__(
+        self, hops: List[NodeId], two_hops: List[NodeId], covers: List[int], relays: List[int]
+    ) -> None:
+        self.hops = hops
+        self.two_hops = two_hops
+        self.covers = covers
+        self.relays = relays
+
+    @classmethod
+    def of(cls, adjacency, one_hop: FrozenSet[NodeId], two_hop: FrozenSet[NodeId]) -> "Coverage":
+        """The record of the view whose link map is ``adjacency``, in one pass over the
+        one-hop rows (a two-hop node's row in a shared snapshot reaches beyond the view)."""
+        hops = sorted(one_hop)
+        two_hops = sorted(two_hop)
+        index = dict(zip(two_hops, range(len(two_hops))))
+        relays = [0] * len(two_hops)
+        covers = []
+        for i, hop in enumerate(hops):
+            bit = 1 << i
+            mask = 0
+            for other in adjacency[hop]:
+                if other in index:
+                    j = index[other]
+                    mask |= 1 << j
+                    relays[j] |= bit
+            covers.append(mask)
+        return cls(hops, two_hops, covers, relays)
+
+
+def mask_members(nodes: List[NodeId], mask: int) -> Tuple[NodeId, ...]:
+    """The ``nodes[i]`` whose bits ``i`` ``mask`` sets, in bit order."""
+    selected = []
+    while mask:
+        low = mask & -mask
+        selected.append(nodes[low.bit_length() - 1])
+        mask ^= low
+    return tuple(selected)
 
 
 def _validate(owner: NodeId, one_hop: FrozenSet[NodeId], two_hop: FrozenSet[NodeId], owner_row) -> None:

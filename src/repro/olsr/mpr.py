@@ -14,57 +14,102 @@ two-hop neighborhood with as few one-hop neighbors as possible.
 Both FNBP and the topology-filtering baseline keep this set for TC flooding and add their
 QoS-aware ANS on top of it, following Moraru & Simplot-Ryl's split between flooding and
 routing sets.
+
+Selection runs on the view's :class:`~repro.localview.view.Coverage` record
+(``view.coverage()``, built once per view from its link map): the MPR set is a mask over the
+sorted one-hop neighbours and the uncovered set a mask over the sorted two-hop neighbours.
+Step 2 is :func:`_sole_providers`, which the QOLSR heuristics (:mod:`repro.baselines.qolsr`)
+share: a two-hop neighbor has a sole provider when its relay mask has exactly one bit.
+:func:`coverage_map` decodes the record's cover masks into sets.
+
+The degree tie-break of step 3 counts ``len(view.neighbors_of(n))``, every neighbour of
+``n`` including the owner and the owner's one-hop neighbours.  RFC 3626 section 8.3.1
+defines the degree D(y) without those (y's neighbours outside N(x) and x), so this set can
+differ from the RFC's on ties; changing it moves the protocol golden, the ``olsr-mpr``
+decision traces and the ``protocol-convergence`` benchmark digests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.localview.view import LocalView
+from repro.localview.view import Coverage, LocalView, mask_members
 from repro.utils.ids import NodeId
 
 
 def coverage_map(view: LocalView) -> Dict[NodeId, Set[NodeId]]:
     """For each one-hop neighbor, the set of strict two-hop neighbors it covers."""
+    coverage = view.coverage()
+    covers, two_hops = coverage.covers, coverage.two_hops
     return {
-        neighbor: view.neighbors_of(neighbor) & view.two_hop
-        for neighbor in view.one_hop
+        neighbor: set(mask_members(two_hops, covers[i]))
+        for neighbor, i in _scan_order(view, coverage)
     }
+
+
+def _sole_providers(coverage: Coverage, picks: Optional[List[int]] = None) -> Tuple[int, int]:
+    """Phase 1: every one-hop neighbor that is the sole provider of some two-hop neighbor.
+
+    Returns ``(mpr, uncovered)``: the one-hop mask of the sole providers and the two-hop
+    mask of the neighbours that have a provider but none in ``mpr``.  The rows are walked
+    in sorted two-hop order; ``picks``, if given, receives the two-hop index of each row
+    that added a provider not yet selected.
+    """
+    mpr = 0
+    for j, providers in enumerate(coverage.relays):
+        if providers and not providers & (providers - 1) and not providers & mpr:
+            mpr |= providers
+            if picks is not None:
+                picks.append(j)
+    covers = coverage.covers
+    reachable = covered = 0
+    for i, cover in enumerate(covers):
+        reachable |= cover
+        if mpr >> i & 1:
+            covered |= cover
+    return mpr, reachable & ~covered
+
+
+def _scan_order(view: LocalView, coverage: Coverage) -> List[Tuple[NodeId, int]]:
+    """``(neighbor, bit)`` for every one-hop neighbor, in ``view.one_hop`` order: the order
+    the greedy phases scan candidates in, which decides between incomparable keys."""
+    hops = coverage.hops
+    bit_of = dict(zip(hops, range(len(hops))))
+    return [(neighbor, bit_of[neighbor]) for neighbor in view.one_hop]
+
+
+def _popcount(mask: int) -> int:
+    """The number of set bits of ``mask`` (``int.bit_count`` needs Python 3.10)."""
+    return bin(mask).count("1")
 
 
 def rfc3626_mpr(view: LocalView) -> FrozenSet[NodeId]:
     """Compute the RFC 3626 greedy MPR set for the owner of ``view``."""
-    cover = coverage_map(view)
-    uncovered: Set[NodeId] = set().union(*cover.values()) if cover else set()
-    mpr: Set[NodeId] = set()
-
-    # Phase 1: neighbors that are the sole cover of some two-hop neighbor.
-    for two_hop in sorted(uncovered):
-        providers = [neighbor for neighbor, covered in cover.items() if two_hop in covered]
-        if len(providers) == 1:
-            mpr.add(providers[0])
-    for neighbor in mpr:
-        uncovered -= cover[neighbor]
+    coverage = view.coverage()
+    mpr, uncovered = _sole_providers(coverage)
 
     # Phase 2: greedy coverage of the remainder.
-    while uncovered:
-        best = max(
-            (neighbor for neighbor in view.one_hop if neighbor not in mpr),
-            key=lambda neighbor: (
-                len(cover[neighbor] & uncovered),
-                len(view.neighbors_of(neighbor)),
-                -neighbor,
-            ),
-        )
-        gained = cover[best] & uncovered
-        if not gained:
-            # Remaining two-hop neighbors are not coverable (inconsistent tables); stop
-            # rather than loop forever.
-            break
-        mpr.add(best)
-        uncovered -= gained
+    if uncovered:
+        covers = coverage.covers
+        scan = _scan_order(view, coverage)
+        while uncovered:
+            _, best = max(
+                ((neighbor, i) for neighbor, i in scan if not mpr >> i & 1),
+                key=lambda candidate: (
+                    _popcount(covers[candidate[1]] & uncovered),
+                    len(view.neighbors_of(candidate[0])),
+                    -candidate[0],
+                ),
+            )
+            gained = covers[best] & uncovered
+            if not gained:
+                # Remaining two-hop neighbors are not coverable (inconsistent tables); stop
+                # rather than loop forever.
+                break
+            mpr |= 1 << best
+            uncovered ^= gained
 
-    return frozenset(mpr)
+    return frozenset(mask_members(coverage.hops, mpr))
 
 
 def mpr_selectors(mpr_sets: Dict[NodeId, FrozenSet[NodeId]]) -> Dict[NodeId, FrozenSet[NodeId]]:

@@ -328,12 +328,14 @@ def churning_topologies(draw):
 def _answers(view):
     """Everything a selector can ask a view, as comparable values."""
     known = sorted(view.nodes)
+    coverage = view.coverage()
     return (
         view.one_hop,
         view.two_hop,
         {node: view.neighbors_of(node) for node in known},
         {node: view.common_relays(node) for node in known},
         {metric.name: dict(view.direct_link_values(metric)) for metric in METRICS},
+        (coverage.hops, coverage.two_hops, coverage.covers, coverage.relays),
     )
 
 
@@ -363,10 +365,12 @@ class TestMaintainedViewsMatchFreshBuilds:
 
     After every random add/remove/reweight step, the maintained shared CSR equals a fresh
     build array for array, and every maintained view answers exactly like a view built
-    from the current network.  Before each step every view caches its direct values and
-    every odd owner builds its graph, so a cache or graph that outlives a change shows
-    up; even owners stay lazy, so a view the step replaced builds its graph afterwards
-    and must build it from the state it describes, not from the live network.
+    from the current network, its coverage record included.  Before each step every view
+    caches its direct values and its coverage record and every odd owner builds its
+    graph, so a cache or graph that outlives a change shows up; even owners stay lazy, so
+    a view the step replaced builds its graph afterwards and must build it from the state
+    it describes, not from the live network.  A view the step neither replaced nor
+    dirtied keeps its record (moved onto rebuilt rows, its neighbourhood is unchanged).
     """
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -383,6 +387,7 @@ class TestMaintainedViewsMatchFreshBuilds:
                     view.direct_link_values(metric)
                 if owner % 2:
                     view.graph
+            records = {owner: view.coverage() for owner, view in views.items()}
             held = dict(views)
             before = {owner: LocalView.from_network(dynamic.network, owner) for owner in views}
             delta = dynamic.advance()
@@ -391,6 +396,8 @@ class TestMaintainedViewsMatchFreshBuilds:
             for owner, view in views.items():
                 fresh = LocalView.from_network(network, owner)
                 assert view.network_graph() is maintained, owner
+                if view is held[owner] and owner not in delta.dirty:
+                    assert view.coverage() is records[owner], owner
                 assert _answers(view) == _answers(fresh), owner
                 if owner % 2:
                     assert _graph_key(view.graph) == _graph_key(fresh.graph), owner

@@ -173,6 +173,29 @@ def test_fnbp_sweep_builds_no_first_hop_result():
     assert alive == []
 
 
+def test_fnbp_loop_guard_reads_relays_from_the_coverage_record(monkeypatch):
+    """FNBP's adjacent-to-target guard reads each target's relays as a mask from the
+    view's coverage record, so a sweep's ``select_all`` (on a smoke fig8 trial's attached
+    views) never asks the view for ``common_relays``."""
+    from repro.experiments.presets import figure_spec
+    from repro.experiments.runner import build_trial
+
+    asked = []
+    common_relays = LocalView.common_relays
+
+    def spy(view, target):
+        asked.append(target)
+        return common_relays(view, target)
+
+    monkeypatch.setattr(LocalView, "common_relays", spy)
+    spec = figure_spec(8, "smoke")
+    trial = build_trial(spec, METRICS["bandwidth"], spec.densities[0], 0)
+    assert trial.selections("fnbp")
+    assert asked == []
+    # The guard ran, and built the record where it did.
+    assert any(view._coverage is not None for view in trial.views().values())
+
+
 @pytest.mark.parametrize("selector_name", ["fnbp", "topology-filtering"])
 def test_only_a_trace_decodes_the_primed_rows(monkeypatch, selector_name):
     """``select_all`` never decodes a row; ``explain`` on primed views decodes every
