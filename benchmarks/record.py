@@ -3,9 +3,8 @@
 Times the all-targets first-hop computation (the inner loop of every density sweep) on the
 same dense local view as ``test_bench_micro_selection.py``, for every solver method;
 additionally times the concave bottleneck-forest solve cold vs warm (cold drops the per-view forest cache first,
-so every run pays for Kruskal; warm answers from the cache) and the advertised-topology
-construction as a full per-selector rebuild vs the incremental edge-set diff the sweeps
-use.  Everything is written to ``BENCH_selection.json`` at the repository root.  Successive
+so every run pays for Kruskal; warm answers from the cache).  Everything is written to
+``BENCH_selection.json`` at the repository root.  Successive
 PRs re-run this to keep the perf trajectory comparable across versions::
 
     PYTHONPATH=src python benchmarks/record.py            # writes BENCH_selection.json
@@ -36,11 +35,10 @@ from repro.localview import LocalView, all_first_hops  # noqa: E402
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner  # noqa: E402
 from repro.mobility.models import LinkChurnGenerator, RandomWaypointGenerator  # noqa: E402
 from repro.protocol import LossModel, ProtocolSimulator  # noqa: E402
-from repro.routing.advertised import AdvertisedTopologyBuilder, build_advertised_topology  # noqa: E402
 from repro.topology import FieldSpec, FixedCountNetworkGenerator  # noqa: E402
 
-#: Selector cycle timed by the advertised-topology benchmark (the paper's legend order).
-ADVERTISED_SELECTORS = ("qolsr-mpr2", "topology-filtering", "fnbp")
+#: The paper's three selectors, in its legend order.
+PAPER_SELECTORS = ("qolsr-mpr2", "topology-filtering", "fnbp")
 
 
 def dense_network():
@@ -111,43 +109,6 @@ def record_forest_cache(view: LocalView, rounds: int) -> dict:
         "cold": cold_timing,
         "warm": warm_timing,
         "warm_speedup": cold_timing["min_s"] / warm_timing["min_s"],
-    }
-
-
-def record_advertised_topology(rounds: int) -> dict:
-    """Full-rebuild vs incremental-diff timings of the advertised topology construction.
-
-    One timed round builds the topologies of all paper selectors on the dense benchmark
-    network (the selections themselves are precomputed outside the timed region): the
-    rebuild path assembles every graph from zero, the incremental path diffs one working
-    graph from selector to selector exactly as the overhead sweep does.
-    """
-    network = dense_network()
-    metric = BandwidthMetric()
-    views = LocalView.all_from_network(network)
-    selections = {
-        name: make_selector(name).select_all(network, metric, views=views)
-        for name in ADVERTISED_SELECTORS
-    }
-
-    def rebuild():
-        for name in ADVERTISED_SELECTORS:
-            build_advertised_topology(network, selections[name])
-
-    builder = AdvertisedTopologyBuilder(network)
-
-    def incremental():
-        for name in ADVERTISED_SELECTORS:
-            builder.build(selections[name])
-
-    rebuild_timing = time_case(rebuild, rounds)
-    incremental_timing = time_case(incremental, rounds)
-    return {
-        "network": {"nodes": len(network), "links": network.number_of_links()},
-        "selectors": list(ADVERTISED_SELECTORS),
-        "rebuild": rebuild_timing,
-        "incremental": incremental_timing,
-        "incremental_speedup": rebuild_timing["min_s"] / incremental_timing["min_s"],
     }
 
 
@@ -266,14 +227,14 @@ def record_incremental_selection(rounds: int) -> dict:
 
                 def select_everywhere() -> None:
                     views = dynamic.views()
-                    for name in ADVERTISED_SELECTORS:
+                    for name in PAPER_SELECTORS:
                         cache.select_all(name, metric, views, network=dynamic.network)
 
             else:
 
                 def select_everywhere() -> None:
                     views = dynamic.views()
-                    for name in ADVERTISED_SELECTORS:
+                    for name in PAPER_SELECTORS:
                         selector = make_selector(name)
                         for view in views.values():
                             selector.select(view, metric)
@@ -289,7 +250,7 @@ def record_incremental_selection(rounds: int) -> dict:
         return {
             "network": {"nodes": len(probe.network), "links": probe.network.number_of_links()},
             "mobile_fraction": mobile_fraction,
-            "selectors": list(ADVERTISED_SELECTORS),
+            "selectors": list(PAPER_SELECTORS),
             "cached": cached_timing,
             "from_scratch": scratch_timing,
             "incremental_speedup": scratch_timing["min_s"] / cached_timing["min_s"],
@@ -635,7 +596,6 @@ def record(rounds: int) -> dict:
         "python": platform.python_version(),
         "results": results,
         "forest_cache": record_forest_cache(view, rounds),
-        "advertised_topology": record_advertised_topology(max(5, rounds // 4)),
         "engine_dispatch": record_engine_dispatch(max(5, rounds // 4)),
         "telemetry": record_telemetry(max(5, rounds // 4)),
         "mobility": record_mobility(max(3, rounds // 8)),
@@ -665,12 +625,6 @@ def main(argv=None) -> int:
     print(
         f"forest cache: cold {forest['cold']['min_s'] * 1e3:.3f} ms  "
         f"warm {forest['warm']['min_s'] * 1e3:.3f} ms  ({forest['warm_speedup']:.2f}x)"
-    )
-    advertised = payload["advertised_topology"]
-    print(
-        f"advertised topology: rebuild {advertised['rebuild']['min_s'] * 1e3:.3f} ms  "
-        f"incremental {advertised['incremental']['min_s'] * 1e3:.3f} ms  "
-        f"({advertised['incremental_speedup']:.2f}x)"
     )
     dispatch = payload["engine_dispatch"]
     print(

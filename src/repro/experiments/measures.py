@@ -175,10 +175,8 @@ def _overhead_trial(trial: Trial) -> dict:
 
     The centralized optimum of each pair is computed once and shared by all selectors (it
     depends only on the topology), exactly as comparing "on the same topology with the same
-    source and destination" requires.  The per-selector advertised topologies are diffed
-    incrementally off one working graph (see :meth:`Trial.advertised_topology`); each
-    selector's routing completes before the next topology is requested, which is exactly
-    the access pattern that liveness contract requires.
+    source and destination" requires.  Each selector's pairs are routed link-state style
+    over its advertised topology (:meth:`Trial.advertised_topology`).
     """
     metric = trial.metric
     if len(trial.network) < 2:
@@ -193,13 +191,7 @@ def _overhead_trial(trial: Trial) -> dict:
 
     per_selector: Dict[str, Tuple[List[float], List[float]]] = {}
     for selector_name in trial.spec.selectors:
-        advertised = trial.advertised_topology(selector_name)
-        # The sources' HELLO-learned edges depend only on the physical topology, so the
-        # per-source walk is done once per trial (Trial.link_state_edges) and shared by
-        # every selector's router instead of being repeated per router.
-        router = HopByHopRouter(
-            trial.network, advertised, metric, local_edges=trial.link_state_edges
-        )
+        router = HopByHopRouter(trial.network, trial.advertised_topology(selector_name), metric)
         overheads: List[float] = []
         deliveries: List[float] = []
         for source, destination, optimal_value in routed_pairs:

@@ -23,13 +23,13 @@ structured :class:`TrialFailure` in the result list (``on_error="skip"``), which
 turns into an ``on_trial_error`` sink event.
 
 Every cache in the harness hangs off the :class:`Trial` (the per-view compact graphs and
-bottleneck forests live on the trial's views; the advertised topology is maintained
-incrementally by the trial's :class:`AdvertisedTopologyBuilder`), and under the parallel
-path each worker process builds its own trials.  Caches are therefore per-worker by
-construction -- nothing warm crosses a process boundary -- and a worker's computation for a
-given run index is the same deterministic function a serial run evaluates, which is what
-keeps parallel sweeps bit-identical to serial ones even with all caches enabled (asserted
-by ``tests/test_compactgraph_and_parallel.py``).
+bottleneck forests live on the trial's views; each selector's selections and advertised
+topology are memoized on the trial), and under the parallel path each worker process builds
+its own trials.  Caches are therefore per-worker by construction -- nothing warm crosses a
+process boundary -- and a worker's computation for a given run index is the same
+deterministic function a serial run evaluates, which is what keeps parallel sweeps
+bit-identical to serial ones even with all caches enabled (asserted by
+``tests/test_compactgraph_and_parallel.py``).
 """
 
 from __future__ import annotations
@@ -68,10 +68,7 @@ class Trial:
     _views: Optional[Dict[NodeId, LocalView]] = None
     _network_graph: Optional[NetworkGraph] = None
     _selections: Dict[str, Dict[NodeId, SelectionResult]] = field(default_factory=dict)
-    _advertised: Optional[AdvertisedTopology] = None
-    _advertised_builder: Optional[AdvertisedTopologyBuilder] = None
-    _advertised_current: Optional[str] = None
-    _link_state_edges: Dict[NodeId, list] = field(default_factory=dict)
+    _advertised: Dict[str, AdvertisedTopology] = field(default_factory=dict)
     _dynamic: Optional[object] = None
     _selection_cache: Optional[SelectionCache] = None
 
@@ -116,44 +113,16 @@ class Trial:
         return self._selections[selector_name]
 
     def advertised_topology(self, selector_name: str) -> AdvertisedTopology:
-        """The network-wide advertised topology induced by one selector.
+        """The network-wide advertised topology induced by one selector (cached).
 
-        Maintained incrementally: one working graph per trial is diffed from the previously
-        requested selector's advertised edge-set to this one instead of being rebuilt from
-        zero (see :class:`AdvertisedTopologyBuilder`).  Consequently the returned topology
-        is *live* -- it is valid until the next ``advertised_topology`` call with a
-        different selector, which re-targets the shared graph.  Every sweep in the harness
-        finishes routing over one selector's topology before requesting the next, so the
-        contract never bites there; callers needing several topologies alive at once should
-        use :func:`repro.routing.advertised.build_advertised_topology` directly.
+        Built once per selector from :meth:`selections`; each is an independent value, so
+        topologies of several selectors can be held and routed over in any order.
         """
-        if self._advertised_current == selector_name and self._advertised is not None:
-            return self._advertised
-        if self._advertised_builder is None:
-            self._advertised_builder = AdvertisedTopologyBuilder(self.network)
-        self._advertised = self._advertised_builder.build(self.selections(selector_name))
-        self._advertised_current = selector_name
-        return self._advertised
-
-    # ------------------------------------------------------------------ link-state edges
-
-    def link_state_edges(self, source: NodeId) -> list:
-        """The HELLO-learned local edges of ``source``, cached once per trial.
-
-        These are the ``(neighbor, other, attributes)`` triples a source node adds on top
-        of the advertised topology when computing its routing table (RFC 3626: the one- and
-        two-hop links known from HELLO piggybacking).  They depend only on the physical
-        network -- not on any selector -- so one walk per source serves the routers of
-        *every* selector in the trial (previously each selector's router re-walked the
-        adjacency; see :class:`~repro.routing.hop_by_hop.HopByHopRouter`).
-        """
-        edges = self._link_state_edges.get(source)
-        if edges is None:
-            from repro.routing.hop_by_hop import hello_learned_edges
-
-            edges = list(hello_learned_edges(self.network, source))
-            self._link_state_edges[source] = edges
-        return edges
+        if selector_name not in self._advertised:
+            self._advertised[selector_name] = AdvertisedTopologyBuilder(self.network).build(
+                self.selections(selector_name)
+            )
+        return self._advertised[selector_name]
 
     # ------------------------------------------------------------------ dynamics
 

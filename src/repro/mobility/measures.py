@@ -98,10 +98,10 @@ def _route_stability_trial(trial) -> dict:
     """Per-trial measurement of ``route-stability`` (worker-safe).
 
     For every selector and every sampled pair, route hop-by-hop link-state style over the
-    advertised topology of each step (one incremental
-    :class:`AdvertisedTopologyBuilder` per selector diffs it step to step) and record
-    whether the first hop survived the step: still delivered, same first hop.  Pairs with
-    no route before a step carry no survival sample for it.
+    advertised topology of each step, built from that step's selections, and record
+    whether the first hop survived the step: still delivered, same first hop.  Link-state
+    routes read the network's current weights, so a step's re-measured links need no
+    refresh.  Pairs with no route before a step carry no survival sample for it.
     """
     dynamic = trial.dynamic_topology()
     selectors = trial.spec.selectors
@@ -111,12 +111,11 @@ def _route_stability_trial(trial) -> dict:
     if node_count < 2 or not pairs:
         return {"node_count": node_count, "stability": {}, "delivered": {}}
 
-    builders = {name: AdvertisedTopologyBuilder(dynamic.network) for name in selectors}
+    builder = AdvertisedTopologyBuilder(dynamic.network)
 
     def first_hops(name: str) -> List[Optional[object]]:
         selector_sets, _ = _selector_state(trial, name)
-        advertised = builders[name].build(selector_sets)
-        router = HopByHopRouter(dynamic.network, advertised, metric)
+        router = HopByHopRouter(dynamic.network, builder.build(selector_sets), metric)
         hops: List[Optional[object]] = []
         for source, destination in pairs:
             outcome = router.link_state_route(source, destination)
@@ -127,11 +126,8 @@ def _route_stability_trial(trial) -> dict:
     stability: Dict[str, List[Optional[float]]] = {name: [] for name in selectors}
     delivered: Dict[str, List[float]] = {name: [] for name in selectors}
     for _ in range(trial.spec.timesteps):
-        delta = dynamic.advance()
+        dynamic.advance()
         for name in selectors:
-            # The step may have re-measured links that stay advertised; the builder's edge
-            # diff would otherwise keep their stale attribute copies.
-            builders[name].refresh_attributes(delta.reweighted)
             hops = first_hops(name)
             survived = [
                 1.0 if hop == previous_hop else 0.0

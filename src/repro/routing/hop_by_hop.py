@@ -8,6 +8,11 @@ when the advertised sets are chosen badly this is exactly how the paper's Figure
 unreachable destinations arise, so the router below detects loops and dead ends and reports
 them rather than hiding them.
 
+Link-state routes (:meth:`HopByHopRouter.link_state_route`, what the paper's Figures 8 and 9
+measure) search the network's own adjacency, restricted to the links the source knows, and
+read the network's current weights; per-hop forwarding reads the advertised topology's
+networkx snapshot (:attr:`~repro.routing.advertised.AdvertisedTopology.graph`).
+
 :func:`best_next_hop` is the one next-hop rule: the analytic router below and the protocol
 simulator's per-node :class:`~repro.olsr.routing_table.RoutingTable` both call it, each over
 its own knowledge graph.
@@ -19,7 +24,7 @@ the traversed path computed on the *true* link weights of the network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
@@ -28,24 +33,9 @@ from repro.localview.paths import best_values_from
 from repro.metrics.base import Metric
 from repro.metrics.ordering import preferred_neighbor
 from repro.routing.advertised import AdvertisedTopology
+from repro.routing.optimal import _label_setting
 from repro.topology.network import Network
 from repro.utils.ids import NodeId
-
-
-def hello_learned_edges(network: Network, source: NodeId):
-    """The ``(neighbor, other, attributes)`` link triples ``source`` knows from HELLOs.
-
-    RFC 3626's route calculation seeds the routing table with the one- and two-hop links
-    learned from HELLO piggybacking -- every link incident to a one-hop neighbor of the
-    source.  This single walk (in adjacency order) is the definition both consumers share:
-    the router's default per-source walk and the per-trial cache
-    (:meth:`repro.experiments.runner.Trial.link_state_edges`) that shares one walk across
-    the routers of every selector.
-    """
-    adjacency = network.graph.adj
-    for neighbor in adjacency[source]:
-        for other, attributes in adjacency[neighbor].items():
-            yield (neighbor, other, attributes)
 
 
 def best_next_hop(
@@ -133,43 +123,16 @@ class RouteOutcome:
 class HopByHopRouter:
     """Forwards packets using per-node next-hop decisions over an advertised topology.
 
-    The router assumes the advertised topology is fixed for its lifetime and caches derived
-    structures accordingly (a compact flat snapshot for the per-hop solves, the most recent
-    source's augmented link-state graph for :meth:`link_state_route`).  When the topology
-    comes from an incremental source -- :meth:`repro.experiments.runner.Trial.advertised_topology`
-    returns *live* graphs that are re-targeted when a different selector is requested --
-    finish routing with one router before building the next selector's topology; routing
-    over a re-targeted topology raises (see :meth:`AdvertisedTopology.assert_live`) rather
-    than silently mixing selections.
+    Per-hop forwarding caches one compact snapshot of the advertised topology's graph for
+    its solves, so it routes on the weights of that snapshot; link-state routes cache
+    nothing.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        advertised: AdvertisedTopology,
-        metric: Metric,
-        local_edges: Optional[Callable[[NodeId], Sequence[Tuple]]] = None,
-    ):
-        """``local_edges`` optionally supplies a source's HELLO-learned link triples
-        ``(neighbor, other, attributes)``; they depend only on the physical network, so a
-        caller comparing several advertised topologies on one network (the overhead sweep)
-        shares one per-source walk across all of its routers via
-        :meth:`repro.experiments.runner.Trial.link_state_edges` instead of the router
-        re-walking the adjacency per source (:meth:`_default_local_edges`, which is the
-        same code path the cache precomputes).  Injected triples must match the default
-        walk's enumeration (every link incident to a one-hop neighbor of the source, in
-        adjacency order), keeping results bit-identical either way."""
+    def __init__(self, network: Network, advertised: AdvertisedTopology, metric: Metric):
         self.network = network
         self.advertised = advertised
         self.metric = metric
-        self.local_edges = local_edges if local_edges is not None else self._default_local_edges
         self._advertised_compact: Optional[CompactGraph] = None
-        self._knowledge_source: Optional[NodeId] = None
-        self._knowledge_graph: Optional[nx.Graph] = None
-
-    def _default_local_edges(self, source: NodeId):
-        """The source's HELLO-learned link triples, walked from the network adjacency."""
-        return hello_learned_edges(self.network, source)
 
     def _advertised_compact_graph(self) -> CompactGraph:
         """One flat snapshot of the advertised topology, shared by every next-hop solve.
@@ -188,17 +151,13 @@ class HopByHopRouter:
         """The neighbor ``current`` forwards to for ``destination`` (None when it has no route).
 
         The decision is :func:`best_next_hop` over ``current``'s knowledge: the advertised
-        topology plus ``current``'s own one-hop links.  A destination missing from the
-        advertised topology is reached over the direct link when it is a neighbor.
+        topology plus ``current``'s own one-hop links.
         """
         metric = self.metric
         if destination == current:
             return None
-        self.advertised.assert_live()
         own_neighbors = self.network.neighbors(current)
         graph = self.advertised.graph
-        if not graph.has_node(destination):
-            return destination if destination in own_neighbors else None
         direct = {
             neighbor: self.network.link_value(current, neighbor, metric)
             for neighbor in own_neighbors
@@ -217,14 +176,19 @@ class HopByHopRouter:
         HELLO-learned neighborhood: RFC 3626's route calculation first adds routes to the
         one- and two-hop neighbors from the neighbor tables, then extends them over the
         advertised topology.  This method models exactly that: one QoS-weighted
-        shortest/widest-path computation over the advertised topology augmented with the
-        source's local view ``G_source`` (every link incident to one of its one-hop
-        neighbors, known from HELLO piggybacking).  It is what the overhead experiments
-        (the paper's Figures 8 and 9) use, and unlike per-hop recomputation it cannot loop:
+        shortest/widest-path search over the links the source knows.  A link ``(a, b)`` is
+        known to ``source`` when it is advertised (``b ∈ ANS(a)`` or ``a ∈ ANS(b)``) or
+        when ``a`` or ``b`` is a one-hop neighbor of ``source`` (HELLO piggybacking); the
+        source's own links are among the latter.  It is what the overhead experiments (the
+        paper's Figures 8 and 9) use, and unlike per-hop recomputation it cannot loop:
         bottleneck metrics tie so often that independently recomputed per-hop decisions
         (see :meth:`route`) may bounce a packet between equally wide detours, something a
         real implementation avoids precisely because all nodes share the same link-state
         database.
+
+        The search scans the network's adjacency rows, restricted to the known links, in
+        the network's adjacency order, and reads the network's current weights, so a
+        route depends only on the advertised sets and the network as it is now.
 
         Including the HELLO-learned two-hop links (not only the source's own links) is what
         guarantees that every destination within two hops stays reachable even when its
@@ -233,35 +197,31 @@ class HopByHopRouter:
         other; the regression test for that situation lives in
         ``tests/test_fnbp_loop_guard.py``.
         """
-        from repro.routing.optimal import best_path
-
-        if source not in self.network or destination not in self.network:
+        network = self.network
+        metric = self.metric
+        if source not in network or destination not in network:
             raise KeyError("source and destination must belong to the network")
         if source == destination:
-            return RouteOutcome(source, destination, (source,), True, self.metric.identity)
-        self.advertised.assert_live()
+            return RouteOutcome(source, destination, (source,), True, metric.identity)
 
-        # The source's link-state database (advertised topology + its local view) is fixed
-        # for the router's lifetime, so routing several destinations from one source in a
-        # row reuses the same augmented graph instead of re-copying the advertised
-        # topology per pair.  Only the most recent source's graph is kept: sweeps draw
-        # sources randomly (little reuse, so retaining more would be pure memory cost)
-        # while table-style consumers route all destinations of one source consecutively.
-        if self._knowledge_source == source and self._knowledge_graph is not None:
-            knowledge = self._knowledge_graph
-        else:
-            knowledge = self.advertised.graph.copy()
-            knowledge.add_node(source)
-            for neighbor, other, attributes in self.local_edges(source):
-                knowledge.add_edge(neighbor, other, **attributes)
-            self._knowledge_source = source
-            self._knowledge_graph = knowledge
+        adjacency = network.graph.adj
+        one_hop = adjacency[source]
+        advertised = self.advertised.neighbors
 
-        route = best_path(knowledge, source, destination, self.metric)
-        if not route.reachable or not self.metric.is_usable(route.value):
-            return RouteOutcome(
-                source, destination, (source,), False, self.metric.worst, "no-route"
+        def known_rows(node: NodeId):
+            row = adjacency[node].items()
+            if node in one_hop:  # every link of a one-hop neighbor is HELLO-learned
+                return row
+            theirs = advertised.get(node, ())
+            return (
+                (other, attributes)
+                for other, attributes in row
+                if other in one_hop or other in theirs
             )
+
+        route = _label_setting(known_rows, source, destination, metric)
+        if not route.reachable or not metric.is_usable(route.value):
+            return RouteOutcome(source, destination, (source,), False, metric.worst, "no-route")
         return RouteOutcome(
             source,
             destination,

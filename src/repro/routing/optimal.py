@@ -4,20 +4,25 @@ The paper measures every protocol's bandwidth/delay overhead against "the optima
 QoS-weighted shortest path (Dijkstra algorithm)" computed on the *full* network graph.  For
 the additive metrics this is the textbook Dijkstra; for the concave metrics it is the
 widest-path variant; both are instances of the same label-setting loop, parameterized by the
-:class:`~repro.metrics.base.Metric`.
+:class:`~repro.metrics.base.Metric`.  The hop-by-hop router's link-state routes
+(:meth:`~repro.routing.hop_by_hop.HopByHopRouter.link_state_route`) run the same loop over
+the network's adjacency rows, filtered to the links their source knows.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
 from repro.metrics.base import Metric
 from repro.topology.network import Network
 from repro.utils.ids import NodeId
+
+#: A node's links as ``(neighbor, attributes)`` pairs, in the order the search relaxes them.
+Rows = Callable[[NodeId], Iterable[Tuple[NodeId, Mapping[str, float]]]]
 
 
 @dataclass(frozen=True)
@@ -38,22 +43,13 @@ class OptimalRoute:
         return max(0, len(self.path) - 1)
 
 
-def best_path(
-    graph: nx.Graph,
-    source: NodeId,
-    destination: NodeId,
-    metric: Metric,
-) -> OptimalRoute:
-    """The QoS-optimal path between two nodes of ``graph`` (empty path when unreachable).
+def _label_setting(rows: Rows, source: NodeId, destination: NodeId, metric: Metric) -> OptimalRoute:
+    """The QoS-optimal path from ``source`` to ``destination`` over ``rows`` (empty when
+    unreachable).
 
-    Among equally good paths the one found first by the label-setting order is returned; the
-    value, which is what the evaluation compares, is unique.
+    Neighbors are relaxed in the order ``rows`` yields them, and among equally good paths
+    the one found first wins; the labels themselves do not depend on that order.
     """
-    if source not in graph or destination not in graph:
-        return OptimalRoute(source, destination, (), metric.worst)
-    if source == destination:
-        return OptimalRoute(source, destination, (source,), metric.identity)
-
     best_value: Dict[NodeId, float] = {}
     predecessor: Dict[NodeId, Optional[NodeId]] = {}
     counter = 0
@@ -71,11 +67,10 @@ def best_path(
         predecessor[node] = parent
         if node == destination:
             break
-        for neighbor in graph.neighbors(node):
+        for neighbor, attributes in rows(node):
             if neighbor in best_value:
                 continue
-            link_value = metric.link_value_from_attributes(graph.edges[node, neighbor])
-            candidate = metric.combine(value, link_value)
+            candidate = metric.combine(value, metric.link_value_from_attributes(attributes))
             counter += 1
             heapq.heappush(heap, (metric.sort_key(candidate), counter, neighbor, candidate, node))
 
@@ -87,6 +82,24 @@ def best_path(
         path.append(predecessor[path[-1]])
     path.reverse()
     return OptimalRoute(source, destination, tuple(path), best_value[destination])
+
+
+def best_path(
+    graph: nx.Graph,
+    source: NodeId,
+    destination: NodeId,
+    metric: Metric,
+) -> OptimalRoute:
+    """The QoS-optimal path between two nodes of ``graph`` (empty path when unreachable).
+
+    Neighbors are scanned in ``graph``'s adjacency order, and among equally good paths the
+    one found first that way is returned; the value, which is what the evaluation compares,
+    is unique.
+    """
+    if source not in graph or destination not in graph:
+        return OptimalRoute(source, destination, (), metric.worst)
+    adjacency = graph.adj
+    return _label_setting(lambda node: adjacency[node].items(), source, destination, metric)
 
 
 def optimal_route(network: Network, source: NodeId, destination: NodeId, metric: Metric) -> OptimalRoute:

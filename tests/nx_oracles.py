@@ -4,19 +4,21 @@ These are the library's original implementations of :mod:`repro.localview.paths`
 traversed a networkx graph and extracted link values on every relaxation.  They share no
 code with the flat-adjacency solvers, so agreement between the two is evidence for both;
 ``tests/test_compactgraph_and_parallel.py`` and ``tests/test_differential_solvers.py``
-use them as oracles.
+use them as oracles.  :func:`best_path_nx` is the original label-setting route search over
+a networkx graph, the oracle of the hop-by-hop router's link-state routes.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
 from repro.localview import FirstHopResult, LocalView
 from repro.metrics.base import Metric
+from repro.routing.optimal import OptimalRoute
 from repro.utils.ids import NodeId
 
 
@@ -207,3 +209,46 @@ def all_first_hops_bottleneck_forest_nx(view: LocalView, metric: Metric) -> Dict
         )
         results[target] = FirstHopResult(target=target, best_value=best_value, first_hops=first_hops)
     return results
+
+
+def best_path_nx(graph: nx.Graph, source: NodeId, destination: NodeId, metric: Metric) -> OptimalRoute:
+    """The QoS-optimal path between two nodes of ``graph`` (empty path when unreachable).
+
+    Neighbors are relaxed in ``graph.neighbors`` order, and among equally good paths the
+    one found first wins.
+    """
+    if source not in graph or destination not in graph:
+        return OptimalRoute(source, destination, (), metric.worst)
+    if source == destination:
+        return OptimalRoute(source, destination, (source,), metric.identity)
+
+    best_value: Dict[NodeId, float] = {}
+    predecessor: Dict[NodeId, Optional[NodeId]] = {}
+    counter = 0
+    heap: List[Tuple[object, int, NodeId, float, Optional[NodeId]]] = [
+        (metric.sort_key(metric.identity), counter, source, metric.identity, None)
+    ]
+    while heap:
+        _, __, node, value, parent = heapq.heappop(heap)
+        if node in best_value:
+            continue
+        best_value[node] = value
+        predecessor[node] = parent
+        if node == destination:
+            break
+        for neighbor in graph.neighbors(node):
+            if neighbor in best_value:
+                continue
+            link_value = metric.link_value_from_attributes(graph.edges[node, neighbor])
+            candidate = metric.combine(value, link_value)
+            counter += 1
+            heapq.heappush(heap, (metric.sort_key(candidate), counter, neighbor, candidate, node))
+
+    if destination not in best_value:
+        return OptimalRoute(source, destination, (), metric.worst)
+
+    path: List[NodeId] = [destination]
+    while predecessor[path[-1]] is not None:
+        path.append(predecessor[path[-1]])
+    path.reverse()
+    return OptimalRoute(source, destination, tuple(path), best_value[destination])

@@ -213,7 +213,7 @@ class TestParallelRunnerEquivalence:
     def test_overhead_sweep_with_env_workers_is_byte_identical_to_serial(self, monkeypatch, figure):
         """The fig-8/fig-9 sweeps through the REPRO_WORKERS=2 path must reproduce the
         serial bytes exactly now that the workers carry warm per-trial caches (compact
-        graphs, bottleneck forests, incremental advertised topologies): every cache is
+        graphs, bottleneck forests, per-selector advertised topologies): every cache is
         per-worker and per-trial, so nothing warm leaks across run indices."""
         spec = figure_spec(figure, "smoke").with_overrides(runs=2)
         monkeypatch.delenv("REPRO_WORKERS", raising=False)

@@ -1,21 +1,21 @@
 """Differential tests: every fast solver path against its retained networkx reference.
 
-The compact-graph solvers, the cached bottleneck forests and the incremental advertised
-topologies are pure-performance rewrites of straightforward networkx code, so the seed
-implementations are retained (the ``*_nx`` solvers of ``tests/nx_oracles.py``,
-:func:`build_advertised_topology`) and this suite pins the
-fast paths to them on a corpus of seeded random unit-disk topologies -- the same
-deployment model the paper's evaluation uses -- across all metric families (bandwidth,
-delay, and a lexicographic composite that forces the generic solver).  In the style of
-Monte-Carlo simulation-validation suites, the comparison is exact equality of the full
-result objects, not statistical closeness: the caches and diffs are only allowed to make
-the computation faster, never different.
+The compact-graph solvers, the cached bottleneck forests and the link-state route search
+are pure-performance rewrites of straightforward networkx code, so the seed
+implementations are retained (the ``*_nx`` solvers of ``tests/nx_oracles.py``) and this
+suite pins the fast paths to them on a corpus of seeded random unit-disk topologies -- the
+same deployment model the paper's evaluation uses -- across all metric families
+(bandwidth, delay, and a lexicographic composite that forces the generic solver).  In the
+style of Monte-Carlo simulation-validation suites, the comparison is exact equality of the
+full result objects, not statistical closeness: the caches are only allowed to make the
+computation faster, never different.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,11 +25,13 @@ from repro.experiments.engine import run_experiment
 from repro.experiments.presets import figure_spec
 from repro.localview import LocalView, all_first_hops, best_values_from
 from repro.metrics import BandwidthMetric, DelayMetric, LexicographicMetric
-from repro.routing.advertised import AdvertisedTopologyBuilder, build_advertised_topology
+from repro.routing.advertised import AdvertisedTopologyBuilder
+from repro.routing.hop_by_hop import HopByHopRouter, RouteOutcome
 from repro.topology import FieldSpec, FixedCountNetworkGenerator
 from tests.nx_oracles import (
     all_first_hops_bottleneck_forest_nx,
     all_first_hops_owner_dijkstra_nx,
+    best_path_nx,
     best_values_from_nx,
     first_hops_to_nx,
 )
@@ -54,6 +56,8 @@ COMPOSITE = LexicographicMetric([DelayMetric(), BandwidthMetric()])
 #: An all-additive composite: tuple-valued like COMPOSITE but prefix-optimal, so it is the
 #: one composite the owner-dijkstra propagation (its generic tuple branch) must handle.
 ADDITIVE_COMPOSITE = LexicographicMetric([DelayMetric(), CongestionMetric()], name="lex-additive")
+#: The selectors the paper's overhead figures compare.
+PAPER_SELECTORS = ("qolsr-mpr2", "topology-filtering", "fnbp")
 
 #: Metrics paired with the all-targets fast methods that are valid for them.  The mixed
 #: composite gets no single-pass method: it is not prefix-optimal (its concave component
@@ -163,86 +167,7 @@ class TestFastSolversMatchNetworkxReferences:
         assert warm_view._forest  # the warm path really did come from the cache
 
 
-class TestIncrementalAdvertisedTopologyMatchesFullRebuild:
-    @pytest.mark.parametrize("seed", range(0, TOPOLOGY_COUNT, 5))
-    def test_diffed_graph_equals_rebuilt_graph_across_selectors(self, seed):
-        """Cycling one builder through every selector (and back) always yields exactly the
-        graph a from-zero rebuild produces: same nodes, same edges, same attributes."""
-        network = unit_disk_network(seed)
-        metric = BANDWIDTH
-        views = LocalView.all_from_network(network)
-        builder = AdvertisedTopologyBuilder(network)
-        per_selector = {}
-        for name in ("qolsr-mpr2", "topology-filtering", "fnbp"):
-            per_selector[name] = make_selector(name).select_all(network, metric, views=views)
-        # Forward pass, then revisit the first selector so the diff also runs "backwards".
-        for name in ("qolsr-mpr2", "topology-filtering", "fnbp", "qolsr-mpr2"):
-            incremental = builder.build(per_selector[name])
-            rebuilt = build_advertised_topology(network, per_selector[name])
-            assert incremental.ans_sets == rebuilt.ans_sets
-            assert set(incremental.graph.nodes) == set(rebuilt.graph.nodes)
-            incremental_edges = {
-                frozenset(edge): dict(incremental.graph.edges[edge])
-                for edge in incremental.graph.edges
-            }
-            rebuilt_edges = {
-                frozenset(edge): dict(rebuilt.graph.edges[edge]) for edge in rebuilt.graph.edges
-            }
-            assert incremental_edges == rebuilt_edges
-
-    def test_routing_over_a_stale_builder_topology_raises(self):
-        """The liveness contract is enforced, not just documented: once the builder is
-        re-targeted, a router still holding the earlier topology raises instead of silently
-        routing one selector's packets over another selector's edges."""
-        from repro.routing.hop_by_hop import HopByHopRouter
-
-        network = unit_disk_network(0)
-        metric = BANDWIDTH
-        views = LocalView.all_from_network(network)
-        builder = AdvertisedTopologyBuilder(network)
-        first = builder.build(make_selector("fnbp").select_all(network, metric, views=views))
-        router = HopByHopRouter(network, first, metric)
-        nodes = network.nodes()
-        assert router.link_state_route(nodes[0], nodes[-1]).delivered  # live: routes fine
-        builder.build(make_selector("qolsr-mpr2").select_all(network, metric, views=views))
-        with pytest.raises(RuntimeError):
-            router.link_state_route(nodes[0], nodes[-1])
-        with pytest.raises(RuntimeError):
-            router.next_hop(nodes[0], nodes[-1])
-        # Independently built topologies are never invalidated.
-        independent = build_advertised_topology(
-            network, make_selector("fnbp").select_all(network, metric, views=views)
-        )
-        independent.assert_live()
-
-    def test_refreshing_an_advertised_link_retargets_the_builder(self):
-        """Re-measuring a link that stays advertised makes held topologies stale: a router
-        built before the refresh would still route over its cached old weights."""
-        from repro.routing.hop_by_hop import HopByHopRouter
-        from repro.topology import Network
-
-        network = Network.from_links(
-            {
-                (0, 1): {"bandwidth": 5.0},
-                (1, 3): {"bandwidth": 5.0},
-                (0, 2): {"bandwidth": 4.0},
-                (2, 3): {"bandwidth": 4.0},
-            }
-        )
-        both_relays = {1: frozenset({0, 3}), 2: frozenset({0, 3})}
-        builder = AdvertisedTopologyBuilder(network)
-        held = HopByHopRouter(network, builder.build(both_relays), BANDWIDTH)
-        assert held.route(0, 3).path == (0, 1, 3)
-        network.set_link_weight(1, 3, "bandwidth", 1.0)
-        builder.refresh_attributes([(1, 3)])
-        with pytest.raises(RuntimeError):
-            held.route(0, 3)
-        current = builder.build(both_relays)
-        fresh = HopByHopRouter(network, current, BANDWIDTH).route(0, 3)
-        assert fresh.path == (0, 2, 3) and fresh.value == 4.0
-        builder.refresh_attributes([(0, 3)])  # not materialized: nothing rewritten
-        current.assert_live()
-
+class TestAdvertisedTopologyBuilder:
     def test_builder_validates_unknown_links_like_the_full_build(self):
         network = unit_disk_network(0)
         nodes = network.nodes()
@@ -253,52 +178,44 @@ class TestIncrementalAdvertisedTopologyMatchesFullRebuild:
         with pytest.raises(ValueError):
             builder.build({nodes[0]: frozenset({non_neighbor})})
 
-
-class TestSharedLinkStateEdgesMatchPerRouterWalks:
-    @pytest.mark.parametrize("seed", range(0, TOPOLOGY_COUNT, 5))
-    def test_routers_with_trial_shared_edges_route_bit_identically(self, seed):
-        """One per-source HELLO-edge walk shared across every selector's router (the
-        Trial.link_state_edges cache) yields exactly the outcomes of the per-router
-        adjacency walk it replaced, for every selector, pair and metric family."""
-        from repro.experiments.runner import Trial
-        from repro.routing.hop_by_hop import HopByHopRouter
-
+    def test_link_state_paths_do_not_depend_on_build_history(self):
+        """A selector's link-state routes, paths included, are the same whether its
+        topology was built on a builder that first built the other selectors' topologies
+        or on a fresh builder (a builder that diffed one shared graph failed this on seed
+        0: tied paths followed the graph's edge insertion order)."""
+        seed = 0
         network = unit_disk_network(seed)
-        spec = figure_spec(8, "smoke")
-        nodes = network.nodes()
-        pairs = [(nodes[i], nodes[-1 - i]) for i in range(min(4, len(nodes) // 2))]
-        for metric in (BANDWIDTH, DELAY, COMPOSITE):
-            views = LocalView.all_from_network(network)
-            trial = Trial(
-                spec=spec,
-                metric=metric,
-                density=8.0,
-                run_index=0,
-                network=network,
-            )
-            for name in ("qolsr-mpr2", "topology-filtering", "fnbp"):
-                selections = make_selector(name).select_all(network, metric, views=views)
-                advertised = build_advertised_topology(network, selections)
-                shared = HopByHopRouter(
-                    network, advertised, metric, local_edges=trial.link_state_edges
+        views = LocalView.all_from_network(network)
+        pairs = list(permutations(network.nodes(), 2))
+        for metric in (BANDWIDTH, DELAY):
+            selections = {
+                name: make_selector(name).select_all(network, metric, views=views)
+                for name in PAPER_SELECTORS
+            }
+            for name in PAPER_SELECTORS:
+                builder = AdvertisedTopologyBuilder(network)
+                for other in PAPER_SELECTORS:
+                    if other != name:
+                        builder.build(selections[other])
+                after_others = HopByHopRouter(network, builder.build(selections[name]), metric)
+                fresh = HopByHopRouter(
+                    network, AdvertisedTopologyBuilder(network).build(selections[name]), metric
                 )
-                plain = HopByHopRouter(network, advertised, metric)
                 for source, destination in pairs:
-                    assert shared.link_state_route(source, destination) == (
-                        plain.link_state_route(source, destination)
+                    assert after_others.link_state_route(source, destination) == (
+                        fresh.link_state_route(source, destination)
                     ), (seed, metric.name, name, source, destination)
 
 
 class TestSweepsUnchangedByCaching:
     def test_overhead_sweep_equals_cache_free_reference(self):
-        """The full fig-8 pipeline (selection -> incremental advertised topology -> cached
+        """The full fig-8 pipeline (cached selections and advertised topologies ->
         link-state routing) returns byte-identical results to a from-zero reference that
-        rebuilds every advertised topology and routes without any shared state."""
+        builds every selection and advertised topology afresh and shares no state."""
         from repro.experiments.results import ExperimentResult, SeriesPoint
         from repro.experiments.runner import build_trial
         from repro.experiments.measures import qos_overhead
         from repro.experiments.stats import summarize
-        from repro.routing.hop_by_hop import HopByHopRouter
         from repro.routing.optimal import optimal_route
 
         spec = figure_spec(8, "smoke").with_overrides(
@@ -327,8 +244,8 @@ class TestSweepsUnchangedByCaching:
                 if optimal.reachable and metric.is_usable(optimal.value):
                     routed.append((source, destination, optimal.value))
             for name in spec.selectors:
-                advertised = build_advertised_topology(
-                    trial.network, make_selector(name).select_all(trial.network, metric)
+                advertised = AdvertisedTopologyBuilder(trial.network).build(
+                    make_selector(name).select_all(trial.network, metric)
                 )
                 router = HopByHopRouter(trial.network, advertised, metric)
                 for source, destination, optimal_value in routed:
@@ -681,3 +598,66 @@ class TestDegenerateTopologiesScalarVsBatched:
                         name,
                         owner,
                     )
+
+
+# --------------------------------------------------------------------------- link-state
+# Link-state routes against the networkx label-setting loop, run on the network's own
+# graph restricted to the links the source knows.  That edge-subgraph view scans each
+# node's neighbors in the network's adjacency order, as the router does, so the two must
+# return identical routes, paths included.
+
+
+def _oracle_link_state_route(network, selections, source, destination, metric):
+    """The link-state route of ``source`` to ``destination``, from the known-link rule:
+    a link is known when either endpoint advertised the other, or when an endpoint is a
+    one-hop neighbor of ``source``."""
+    one_hop = network.neighbors(source)
+    advertised = {
+        frozenset((node, relay))
+        for node, selection in selections.items()
+        for relay in selection.selected
+    }
+    known = [
+        (u, v)
+        for u, v in network.graph.edges
+        if u in one_hop or v in one_hop or frozenset((u, v)) in advertised
+    ]
+    route = best_path_nx(network.graph.edge_subgraph(known), source, destination, metric)
+    if not route.reachable or not metric.is_usable(route.value):
+        return RouteOutcome(source, destination, (source,), False, metric.worst, "no-route")
+    return RouteOutcome(source, destination, route.path, True, route.value)
+
+
+def _assert_link_state_routes_match_oracle(network, metric, label):
+    """Every paper selector's routes from three sources to every destination."""
+    views = LocalView.all_from_network(network)
+    for name in PAPER_SELECTORS:
+        selections = make_selector(name).select_all(network, metric, views=views)
+        router = HopByHopRouter(network, AdvertisedTopologyBuilder(network).build(selections), metric)
+        for source in _owners(network):
+            for destination in network.nodes():
+                if destination == source:
+                    continue
+                assert router.link_state_route(source, destination) == (
+                    _oracle_link_state_route(network, selections, source, destination, metric)
+                ), (label, metric.name, name, source, destination)
+
+
+class TestLinkStateRoutesMatchNetworkxOracle:
+    @pytest.mark.parametrize(
+        "metric", (BANDWIDTH, DELAY, COMPOSITE), ids=("bandwidth", "delay", "composite")
+    )
+    @pytest.mark.parametrize("seed", range(0, TOPOLOGY_COUNT, 5))
+    def test_unit_disk_corpus(self, seed, metric):
+        _assert_link_state_routes_match_oracle(unit_disk_network(seed), metric, seed)
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(network=tie_heavy_networks())
+    def test_generated_tie_heavy_networks(self, network):
+        """The same on drawn networks of 1-40 nodes where path values tie all the time."""
+        for metric in (BANDWIDTH, DELAY):
+            _assert_link_state_routes_match_oracle(network, metric, repr(network))

@@ -503,13 +503,15 @@ class TestDynamicSweepsThroughTheEngine:
         with pytest.raises(ValueError, match="position-independent"):
             generator.dynamic()
 
-    def test_reweighted_links_refresh_the_advertised_working_graph(self):
-        """A link that stays advertised while the churn model re-measures it must not keep
-        its stale weight copy in the incremental builder's working graph."""
-        from repro.core.selection import make_selector
-        from repro.routing.advertised import AdvertisedTopologyBuilder
+    def test_link_state_routes_over_a_held_topology_read_the_current_weights(self):
+        """Across re-measuring churn steps, every link-state route over a topology built
+        before the step equals the route over one built from the current network (value
+        and path), with no refresh step in between."""
+        from itertools import permutations
 
-        metric = BandwidthMetric()
+        from repro.core.selection import make_selector
+        from repro.routing import AdvertisedTopologyBuilder, HopByHopRouter
+
         generator = LinkChurnGenerator(
             field=FIELD,
             node_count=25,
@@ -519,22 +521,25 @@ class TestDynamicSweepsThroughTheEngine:
             outage_probability=0.0,
         )
         dynamic = generator.dynamic()
-        builder = AdvertisedTopologyBuilder(dynamic.network)
+        network = dynamic.network
+        pairs = list(permutations(network.nodes(), 2))
         selector = make_selector("fnbp")
-
-        def advertise():
-            views = dynamic.views()
-            return builder.build(
-                {node: selector.select(view, metric).selected for node, view in views.items()}
-            )
-
-        advertised = advertise()
-        for _ in range(3):
-            delta = dynamic.advance()
-            builder.refresh_attributes(delta.reweighted)
-            advertised = advertise()
-            for u, v in advertised.graph.edges:
-                assert advertised.graph.edges[u, v] == dynamic.network.link_attributes(u, v)
+        reweighted = 0
+        for metric in (BandwidthMetric(), DelayMetric()):
+            for _ in range(2):
+                held = AdvertisedTopologyBuilder(network).build(
+                    {node: selector.select(view, metric) for node, view in dynamic.views().items()}
+                )
+                held_router = HopByHopRouter(network, held, metric)
+                reweighted += len(dynamic.advance().reweighted)
+                current = HopByHopRouter(
+                    network, AdvertisedTopologyBuilder(network).build(held.ans_sets), metric
+                )
+                for source, destination in pairs:
+                    assert held_router.link_state_route(source, destination) == (
+                        current.link_state_route(source, destination)
+                    ), (metric.name, source, destination)
+        assert reweighted  # the steps really re-measured links
 
     def test_missing_survival_samples_keep_per_step_series_aligned(self):
         """A step with no routes to judge contributes None, not a silent gap: per-step

