@@ -56,7 +56,7 @@ def figure2() -> None:
           f"with B~W(u, v3) = {fp_v3.best_value:g}")
     print("Optimal paths to v3 inside G_u:",
           [" -> ".join("u" if n == FIGURE2_OWNER else f"v{n}" for n in path)
-           for path in enumerate_best_paths(view.graph, FIGURE2_OWNER, 3, BANDWIDTH)])
+           for path in enumerate_best_paths(view.links, FIGURE2_OWNER, 3, BANDWIDTH)])
     fp_v4 = first_hops_to(view, 4, BANDWIDTH)
     print(f"Reaching v4: direct bandwidth {view.direct_link_value(4, BANDWIDTH):g}, "
           f"best path value {fp_v4.best_value:g} starting at v{min(fp_v4.first_hops)}")

@@ -62,8 +62,8 @@ class CompactGraph:
     @classmethod
     def from_links(cls, links, metric: Metric) -> "CompactGraph":
         """Flatten a link map (node -> ``{neighbor: attributes}``, such as
-        :attr:`LocalView.links` or a networkx graph's ``adj``), extracting ``metric``'s
-        link values once.
+        :attr:`LocalView.links` or :attr:`Network.adjacency`), extracting ``metric``'s link
+        values once.
 
         Node indices and rows follow the map's (deterministic) order.  Raises the same
         :class:`KeyError` as ``metric.link_value_from_attributes`` when a link lacks the

@@ -18,9 +18,9 @@ Layout
 * ``slot_edge``  -- int64, slot -> undirected edge id.  Edge ids are assigned in
   lexicographic ``(u, v)`` order (``u < v``), deterministically.
 * ``edge_u``/``edge_v`` -- int64 per-edge endpoint rows (``edge_u < edge_v``).
-* ``rows``       -- node -> frozenset of its neighbours, built as
-  ``frozenset(network.graph.adj[node])`` so a view's ``one_hop`` iterates as a view built
-  from the network would (``Metric.optimum``'s first-wins scans depend on it).
+* ``rows``       -- node -> frozenset of its neighbours, filled from the network's row one
+  node at a time, as a view built from the network fills its ``one_hop``, so both iterate
+  alike (``Metric.optimum``'s first-wins scans depend on it).
 * ``adjacency``  -- node -> ``{neighbour: attributes}`` in the network's adjacency order,
   one attribute dict per link shared by both directions: the link map attached views
   answer from and derive ``view.links`` from.
@@ -82,7 +82,7 @@ class NetworkGraph:
     # ------------------------------------------------------------------ construction
 
     def _build(self, network) -> None:
-        live = network.graph.adj
+        live = network.adjacency
         nodes: Tuple[NodeId, ...] = tuple(network.nodes())  # sorted by the Network contract
         index = {node: i for i, node in enumerate(nodes)}
         # One attribute copy per physical link: the views built from it must keep
@@ -125,7 +125,7 @@ class NetworkGraph:
         self.adjacency = adjacency
         # From the live rows, exactly as a view built from the network takes its one-hop
         # set: a frozenset's iteration order depends on how it was filled.
-        self.rows: Dict[NodeId, frozenset] = {node: frozenset(live[node]) for node in nodes}
+        self.rows: Dict[NodeId, frozenset] = {node: frozenset(iter(live[node])) for node in nodes}
         self._edge_attrs = edge_attrs
         self._edge_id = edge_id
         self._edge_values: Dict[object, np.ndarray] = {}
@@ -228,7 +228,7 @@ class NetworkGraph:
         array is patched in place (references held by the batched kernels stay valid) and
         the value rows and cached Kruskal orders are dropped.
         """
-        live = network.graph.adj
+        live = network.adjacency
         index = self.index
         adjacency = self.adjacency
         touched: List[int] = []

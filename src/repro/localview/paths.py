@@ -12,6 +12,9 @@ This is the computational core every selection algorithm relies on:
 * :func:`enumerate_best_paths` -- explicit enumeration of all optimal simple paths (used by
   tests and the worked-example walk-throughs, not by the selection algorithms themselves).
 
+Graphs are link maps (node -> ``{neighbor: attributes}``), such as :attr:`LocalView.links`
+or :attr:`Network.adjacency`.
+
 The first-hop computation uses the decomposition: a simple path from ``u`` starting with the
 link ``(u, w)`` has value ``combine(weight(u, w), best(w → v in G \\ {u}))``.  Removing ``u``
 is what enforces simplicity at the first hop; for both metric families the best simple path
@@ -20,9 +23,9 @@ inner computation can use the label-setting solver.
 
 Every solve runs on a :class:`~repro.localview.compactgraph.CompactGraph` -- a
 flat-adjacency snapshot with the metric's link values extracted once and cached per metric
-on the view -- instead of traversing a dict-of-dicts on every relaxation.  The original
-networkx implementations live on in ``tests/nx_oracles.py`` as independent references
-for the cross-validation tests.
+on the view -- instead of traversing a link map on every relaxation.  The original
+implementations, which extracted link values on every relaxation, live on in
+``tests/nx_oracles.py`` as independent references for the cross-validation tests.
 
 Caching contract: both per-view caches this module consumes --
 :meth:`LocalView.compact_graph` (link values extracted once per metric) and
@@ -42,22 +45,20 @@ import math
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.localview.compactgraph import (
     CompactGraph,
     best_values,
     combine_and_equality,
     specialized_kind,
 )
-from repro.localview.view import LocalView, mask_members
+from repro.localview.view import Links, LocalView, mask_members
 from repro.metrics.base import Metric, MetricKind
 from repro.obs import runtime as obs
 from repro.utils.ids import NodeId
 
 
 def best_values_from(
-    graph: nx.Graph | CompactGraph,
+    graph: Links | CompactGraph,
     source: NodeId,
     metric: Metric,
     excluded: Iterable[NodeId] = (),
@@ -67,10 +68,10 @@ def best_values_from(
     ``excluded`` nodes are treated as absent (neither traversed nor reported).  The source
     itself is reported with the metric's identity value.  Unreachable nodes are simply not in
     the returned mapping.  ``graph`` may be an already-built :class:`CompactGraph` for the
-    same metric, or a :class:`networkx.Graph`, flattened first: a link without the metric's
-    attribute raises :class:`KeyError`, whether or not the search would reach it.
+    same metric, or a link map, flattened first: a link without the metric's attribute
+    raises :class:`KeyError`, whether or not the search would reach it.
     """
-    cg = graph if isinstance(graph, CompactGraph) else CompactGraph.from_links(graph.adj, metric)
+    cg = graph if isinstance(graph, CompactGraph) else CompactGraph.from_links(graph, metric)
     index = cg.index
     source_idx = index.get(source)
     if source_idx is None:
@@ -84,16 +85,16 @@ def best_values_from(
 
 
 def best_value_between(
-    graph: nx.Graph,
+    links: Links,
     source: NodeId,
     target: NodeId,
     metric: Metric,
     excluded: Iterable[NodeId] = (),
 ) -> float:
     """Best path value between two nodes (the metric's ``worst`` when unreachable)."""
-    if target not in graph:
+    if target not in links:
         return metric.worst
-    return best_values_from(graph, source, metric, excluded).get(target, metric.worst)
+    return best_values_from(links, source, metric, excluded).get(target, metric.worst)
 
 
 class FirstHopResult(NamedTuple):
@@ -608,7 +609,7 @@ def prime_first_hops(views: Iterable[LocalView], metric: Metric) -> int:
 
 
 def enumerate_best_paths(
-    graph: nx.Graph,
+    links: Links,
     source: NodeId,
     target: NodeId,
     metric: Metric,
@@ -621,9 +622,9 @@ def enumerate_best_paths(
     :class:`RuntimeError` is raised when it is exceeded so callers never silently get a
     truncated answer).
     """
-    if source not in graph or target not in graph:
+    if source not in links or target not in links:
         return []
-    best_value = best_value_between(graph, source, target, metric)
+    best_value = best_value_between(links, source, target, metric)
     if not metric.is_usable(best_value):
         return []
 
@@ -637,10 +638,10 @@ def enumerate_best_paths(
                 if len(results) > max_paths:
                     raise RuntimeError(f"more than {max_paths} optimal paths between {source} and {target}")
             return
-        for neighbor in graph.neighbors(node):
+        for neighbor, attributes in links[node].items():
             if neighbor in path:
                 continue
-            link_value = metric.link_value_from_attributes(graph.edges[node, neighbor])
+            link_value = metric.link_value_from_attributes(attributes)
             extended = metric.combine(value, link_value)
             # A prefix can only be extended into an optimal path if it is at least as good as
             # the optimum (path values are monotonically non-improving under extension).
@@ -651,13 +652,14 @@ def enumerate_best_paths(
     return sorted(results)
 
 
-def path_value(graph: nx.Graph, path: Sequence[NodeId], metric: Metric) -> float:
-    """The QoS value of an explicit node path evaluated on ``graph``'s true link weights."""
+def path_value(links: Links, path: Sequence[NodeId], metric: Metric) -> float:
+    """The QoS value of an explicit node path evaluated on the link map's true weights."""
     if len(path) == 0:
         raise ValueError("a path needs at least one node")
     value = metric.identity
     for u, v in zip(path, path[1:]):
-        if not graph.has_edge(u, v):
+        attributes = links.get(u, {}).get(v)
+        if attributes is None:
             raise KeyError(f"path uses the non-existent link ({u}, {v})")
-        value = metric.combine(value, metric.link_value_from_attributes(graph.edges[u, v]))
+        value = metric.combine(value, metric.link_value_from_attributes(attributes))
     return value

@@ -13,7 +13,7 @@ are shorter.  Removing such a link never removes the last optimal two-hop detour
 why the baseline preserves QoS-optimal two-hop paths while shrinking the advertised set.
 
 These functions reduce one link map (node -> ``{neighbor: attributes}``, such as
-:attr:`LocalView.links` or a networkx graph's ``adj``) at a time and are the reference for
+:attr:`LocalView.links` or :attr:`Network.adjacency`) at a time and are the reference for
 the batched path: :mod:`repro.localview.filtering` finds every link's witnesses once per
 network (:func:`~repro.localview.filtering.dominance_witnesses`) and applies the reduction
 to all views at once; ``tests/test_filtering_kernel.py`` pins the two together.

@@ -25,15 +25,14 @@ view, and sees only ``G_u`` (a two-hop node's known neighbours are its row inter
 
 :attr:`LocalView.links` is ``G_u`` alone as a link map: the view's own map, or derived on
 first read from the snapshot -- never from the live network, which ``DynamicTopology``
-mutates in place.  The compact graphs and the scalar topology-filtering table read it, and
-so does ``view.graph``, a networkx adapter built on first read for callers outside the
-selection path.
+mutates in place.  The compact graphs, the scalar topology-filtering table and the path
+helpers of :mod:`repro.localview.paths` read it.
 
 Views are immutable by default: the selection machinery caches compact graphs, bottleneck
 forests and direct-link values per metric on the view, plus one metric-free
 :class:`Coverage` record of which one-hop neighbours cover which two-hop neighbours, and
-sibling views share link attribute dictionaries, so callers must treat ``view.links``,
-``view.graph`` and their edge data as read-only.  The one sanctioned mutation path is
+sibling views share link attribute dictionaries, so callers must treat ``view.links`` and
+its attribute dicts as read-only.  The one sanctioned mutation path is
 :meth:`LocalView.update_link` (a node re-measuring one of the links it knows about): it
 gives the view its own copy of the map with a fresh attribute dictionary for the link,
 drops every derived cache via :meth:`LocalView.invalidate_caches` and so detaches the view.
@@ -42,8 +41,6 @@ drops every derived cache via :meth:`LocalView.invalidate_caches` and so detache
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from repro.localview.compactgraph import CompactGraph, max_bottleneck_forest
 from repro.metrics.base import Metric
@@ -61,18 +58,17 @@ class LocalView:
         owner: NodeId,
         one_hop: Iterable[NodeId],
         two_hop: Iterable[NodeId],
-        graph: nx.Graph,
+        links: Links,
     ) -> None:
-        """The view of ``owner`` in ``graph``: the declared nodes and every link of a one-hop
-        neighbor (``graph`` itself is neither kept nor modified)."""
+        """The view of ``owner`` in the link map ``links``: the declared nodes and every
+        link of a one-hop neighbor (``links`` itself is neither kept nor modified)."""
         one_hop, two_hop = frozenset(one_hop), frozenset(two_hop)
-        adjacency = graph.adj
-        _validate(owner, one_hop, two_hop, adjacency.get(owner, {}))
-        stray = _two_hop(adjacency, owner, one_hop) - two_hop
+        _validate(owner, one_hop, two_hop, links.get(owner, {}))
+        stray = _two_hop(links, owner, one_hop) - two_hop
         if stray:
             raise ValueError(f"neighbors of one-hop neighbors missing from two_hop: {sorted(stray)}")
-        links = _restrict(adjacency, owner, one_hop, two_hop, None)
-        self._setup(owner, one_hop, two_hop, links, links, None)
+        own = _restrict(links, owner, one_hop, two_hop, None)
+        self._setup(owner, one_hop, two_hop, own, own, None)
 
     def _setup(self, owner, one_hop, two_hop, adjacency, links, network_graph) -> None:
         self.owner = owner
@@ -80,9 +76,8 @@ class LocalView:
         self.two_hop: FrozenSet[NodeId] = frozenset(two_hop)
         # What queries read: the shared snapshot, or the view's own map of G_u.
         self._adjacency: Links = adjacency
-        # G_u alone, in view order (derived on first read when None), and its networkx form.
+        # G_u alone, in view order (derived on first read when None).
         self._links: Optional[Links] = links
-        self._graph: Optional[nx.Graph] = None
         self._network_graph = network_graph
         # Per-metric caches keyed by Metric.cache_token, plus what the batched kernels
         # primed (first hops, and filtering tables keyed by filtering.table_key).
@@ -103,7 +98,7 @@ class LocalView:
         """
         if owner not in network:
             raise KeyError(f"node {owner} is not part of the network")
-        return cls._from_adjacency(network.graph.adj, owner, {})
+        return cls._from_adjacency(network.adjacency, owner, {})
 
     @classmethod
     def all_from_network(cls, network, network_graph=None) -> Dict[NodeId, "LocalView"]:
@@ -116,7 +111,7 @@ class LocalView:
         """
         if network_graph is not None:
             return {owner: cls._attached(network_graph, owner) for owner in network.nodes()}
-        adjacency = network.graph.adj
+        adjacency = network.adjacency
         shared: Dict[int, dict] = {}
         return {owner: cls._from_adjacency(adjacency, owner, shared) for owner in network.nodes()}
 
@@ -131,7 +126,7 @@ class LocalView:
     @classmethod
     def _from_adjacency(cls, adjacency, owner: NodeId, shared: Dict[int, dict]) -> "LocalView":
         """One view with its own map; ``shared`` maps source attribute dicts' ids to copies."""
-        one_hop = frozenset(adjacency[owner])
+        one_hop = frozenset(iter(adjacency[owner]))  # filled as NetworkGraph.rows are
         two_hop = _two_hop(adjacency, owner, one_hop)
         return cls._own(owner, one_hop, two_hop, _restrict(adjacency, owner, one_hop, two_hop, shared))
 
@@ -216,20 +211,6 @@ class LocalView:
         return links
 
     @property
-    def graph(self) -> nx.Graph:
-        """:attr:`links` as a networkx graph, built on first read; it shares the attribute
-        dicts, so treat it as read-only."""
-        graph = self._graph
-        if graph is None:
-            links = self.links
-            graph = self._graph = nx.Graph()
-            graph.add_nodes_from(links)
-            adjacency = graph._adj
-            for node, row in links.items():
-                adjacency[node].update(row)
-        return graph
-
-    @property
     def nodes(self) -> Set[NodeId]:
         """All nodes the owner knows about (``V_u``)."""
         return {self.owner} | self.one_hop | self.two_hop
@@ -298,8 +279,7 @@ class LocalView:
 
     def invalidate_caches(self) -> None:
         """Drop everything derived from the link attributes: the per-metric caches (compact
-        graphs, forests, direct values, first hops), the coverage record, :attr:`links` and
-        ``view.graph``.
+        graphs, forests, direct values, first hops), the coverage record and :attr:`links`.
 
         Must be called on an attached view after a ``patch_weights`` of a link it sees
         (the map is derived again from the patched snapshot); :meth:`update_link` calls it
@@ -309,7 +289,7 @@ class LocalView:
         self._forest.clear()
         self._direct.clear()
         self._first_hops.clear()
-        self._links = self._graph = self._coverage = None
+        self._links = self._coverage = None
 
     def _follow(self, network_graph) -> None:
         """Move onto a rebuilt snapshot that left the owner's neighbourhood (and caches,
@@ -456,8 +436,8 @@ def _two_hop(adjacency, owner: NodeId, one_hop: FrozenSet[NodeId]) -> FrozenSet[
     """Every neighbor of a one-hop node that is neither the owner nor one hop away.
 
     Views built from the network and attached views must iterate it, and so order their
-    maps, alike; ``set.update`` sizes its table differently for a dict than for the
-    network's adjacency views, so it is fed plain iterators.
+    maps, alike.  ``set.update`` presizes its table when fed a dict, so every neighbour set
+    built from link-map rows is filled from a plain iterator, one node at a time.
     """
     two_hop: Set[NodeId] = set()
     for neighbor in one_hop:
@@ -495,10 +475,10 @@ def _merge_tables(
     """The one-hop set and the links of the view built from protocol tables.
 
     Links are keyed ``(min, max)`` in the order they are first reported; a repeated
-    report updates the first one's weights (networkx's ``add_edge`` rule).  Adding them
-    in this order builds the same graph, node and adjacency order included, as adding
-    every report as it comes: each report has one endpoint already in the graph (the
-    owner or a one-hop neighbor), so the orientation never decides which node comes first.
+    report updates the first one's weights in place.  Adding them in this order builds
+    the same map, node and row order included, as adding every report as it comes: each
+    report has one endpoint already in the map (the owner or a one-hop neighbor), so the
+    orientation never decides which node comes first.
     """
     one_hop = frozenset(neighbor_links)
     links: Dict[Tuple[NodeId, NodeId], Dict[str, float]] = {}

@@ -8,9 +8,10 @@ the network and rebuilding every view (and with them every per-metric compact gr
 bottleneck forest) from scratch, :meth:`advance` diffs the unit-disk link set against the
 current one and
 
-* removes/adds only the changed links on the shared networkx graph (new links get their
-  weights from the same pure per-edge assigner draws a full regeneration would use, so the
-  incremental network is bit-identical to a from-scratch rebuild);
+* moves the nodes and removes/adds only the changed links, through the network's own
+  methods (new links get their weights from the same pure per-edge assigner draws a full
+  regeneration would use, so the incremental network is bit-identical to a from-scratch
+  rebuild);
 * keeps one shared :class:`~repro.localview.networkgraph.NetworkGraph` in step: a
   structural change rebuilds it, a pure weight change patches it in place;
 * gives a fresh CSR-native view (a few set operations, no graph) only to the owners whose
@@ -177,32 +178,34 @@ class DynamicTopology:
         """The incremental step path: diff links, rebuild only the views a change touched."""
         removed = sorted(self._edges - target)
         added = sorted(target - self._edges)
-        graph = self.network.graph
+        network = self.network
+        adjacency = network.adjacency
 
         # Owners whose view structure a flipped link touches: the link's endpoints plus
         # every pre-change neighbor of either endpoint (post-change neighbors are added
-        # below, after the graph mutation).  This doubles as the flipped-link half of the
+        # below, after the network mutation).  This doubles as the flipped-link half of the
         # delta's dirty set, so it is computed whether or not views are materialized.
         affected: Set[NodeId] = set()
-        _absorb_link_neighborhoods(graph.adj, removed + added, affected)
+        _absorb_link_neighborhoods(adjacency, removed + added, affected)
 
         for node, position in world.positions.items():
-            graph.nodes[node]["pos"] = (float(position[0]), float(position[1]))
+            network.add_node(node, position)
         for u, v in removed:
-            graph.remove_edge(u, v)
+            network.remove_link(u, v)
         for u, v in added:
-            self.network.add_link(u, v, **self._link_weights((u, v), world))
+            network.add_link(u, v, **self._link_weights((u, v), world))
 
-        _absorb_link_neighborhoods(graph.adj, added + removed, affected)
+        _absorb_link_neighborhoods(adjacency, added + removed, affected)
 
         # Weight-only changes on links that persisted through the step.
         reweighted = sorted(
             edge for edge in world.changed_weights if edge in target and edge in self._edges
         )
         for u, v in reweighted:
-            graph.edges[u, v].update(world.weight_overrides[(u, v)])
+            for name, value in world.weight_overrides[(u, v)].items():
+                network.set_link_weight(u, v, name, value)
         dirty = set(affected)
-        _absorb_link_neighborhoods(graph.adj, reweighted, dirty)
+        _absorb_link_neighborhoods(adjacency, reweighted, dirty)
 
         # Bring the shared CSR back in sync with the mutated network before any view
         # touches it: structural changes rebuild it (new rows; views built earlier keep
@@ -221,7 +224,7 @@ class DynamicTopology:
             views = self._views
             obs.add("mobility.views_rebuilt", len(affected))
             for owner in affected:
-                views[owner] = LocalView.from_adjacency(graph.adj, owner, network_graph=ng)
+                views[owner] = LocalView.from_adjacency(adjacency, owner, network_graph=ng)
             for owner, view in views.items():
                 if owner in affected:
                     continue
@@ -278,18 +281,18 @@ class DynamicTopology:
         reweighted = sorted(
             edge for edge in world.changed_weights if edge in target and edge in self._edges
         )
+        network = self.network
         dirty: Set[NodeId] = set()
-        _absorb_link_neighborhoods(self.network.graph.adj, removed + added, dirty)
+        _absorb_link_neighborhoods(network.adjacency, removed + added, dirty)
         # Repopulate the existing Network object so the driver's live-ownership contract
         # (self.network is mutated in place, never swapped) holds in this mode too --
         # callers may have handed the network to builders or routers before the step.
-        network = self.network
-        network.graph.clear()
+        network.clear()
         for node, position in world.positions.items():
             network.add_node(node, position)
         for edge in sorted(target):
             network.add_link(*edge, **self._link_weights(edge, world))
-        _absorb_link_neighborhoods(network.graph.adj, added + removed + reweighted, dirty)
+        _absorb_link_neighborhoods(network.adjacency, added + removed + reweighted, dirty)
         self._views = None
         self._network_graph = None
         self._edges = target
@@ -306,10 +309,12 @@ def _absorb_link_neighborhoods(adjacency, edges: Sequence[Edge], into: Set[NodeI
     """Union each link's view neighborhood ``{u, v} ∪ N(u) ∪ N(v)`` into ``into``.
 
     A link is visible in exactly those owners' two-hop views, so this is the building
-    block of :attr:`StepDelta.dirty`.
+    block of :attr:`StepDelta.dirty`.  Rows are fed as plain iterators, one node at a
+    time (``set.update`` presizes its table for a dict, which would change the set's
+    iteration order).
     """
     for u, v in edges:
         into.add(u)
         into.add(v)
-        into.update(adjacency[u])
-        into.update(adjacency[v])
+        into.update(iter(adjacency[u]))
+        into.update(iter(adjacency[v]))

@@ -7,19 +7,19 @@ of :class:`repro.routing.hop_by_hop.HopByHopRouter`, deciding by the same rule
 (:func:`~repro.routing.hop_by_hop.best_next_hop`), and the simulator's nodes use it to
 forward data packets.
 
-:meth:`RoutingTable.recompute` only takes a snapshot of the tables; each query solves the
-one destination it asks for over that snapshot.  An answer is therefore a pure function of
-the tables as they stood at the last ``recompute``, whenever it is read.
+:meth:`RoutingTable.recompute` only takes a snapshot of the tables -- a link map of the
+node's knowledge and its compact graph; each query solves the one destination it asks for
+over that snapshot.  An answer is therefore a pure function of the tables as they stood at
+the last ``recompute``, whenever it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-import networkx as nx
+from typing import Dict, Mapping, Optional
 
 from repro.localview.compactgraph import CompactGraph
+from repro.localview.view import Links
 from repro.metrics.base import Metric
 from repro.olsr.neighbor_table import NeighborTable
 from repro.olsr.topology_table import TopologyTable
@@ -42,7 +42,7 @@ class RoutingTable:
     def __init__(self, owner: NodeId, metric: Metric):
         self.owner = owner
         self.metric = metric
-        self._knowledge = nx.Graph()
+        self._knowledge: Links = {}
         self._solver_graph: Optional[CompactGraph] = None  # set by recompute
         self._direct: Dict[NodeId, float] = {}
 
@@ -51,29 +51,34 @@ class RoutingTable:
     def recompute(self, neighbors: NeighborTable, topology: TopologyTable) -> None:
         """Snapshot the current neighbor and topology tables; queries answer from it."""
         metric = self.metric
-        knowledge = self._knowledge_graph(neighbors, topology)
-        owner_row = knowledge.adj[self.owner]
+        knowledge = self._knowledge_links(neighbors, topology)
+        owner_row = knowledge[self.owner]
         self._knowledge = knowledge
         # One flat snapshot serves every per-destination solve (excluded nodes are handled
         # at solver level).
-        self._solver_graph = CompactGraph.from_links(knowledge.adj, metric)
+        self._solver_graph = CompactGraph.from_links(knowledge, metric)
         self._direct = {
             neighbor: metric.link_value_from_attributes(owner_row[neighbor])
             for neighbor in neighbors.neighbors()
             if neighbor in owner_row
         }
 
-    def _knowledge_graph(self, neighbors: NeighborTable, topology: TopologyTable) -> nx.Graph:
-        graph = topology.as_graph()
-        graph.add_node(self.owner)
+    def _knowledge_links(self, neighbors: NeighborTable, topology: TopologyTable) -> Links:
+        """The node's knowledge as a link map: the advertised links, the owner, its HELLO
+        links (a known link's weights are updated in place) and the two-hop reports of
+        links not yet known."""
+        links: Links = {}
+        for (u, v), weights in topology.advertised_links().items():
+            _add_link(links, u, v, weights)
+        links.setdefault(self.owner, {})
         for neighbor, weights in neighbors.neighbor_link_table().items():
-            graph.add_edge(self.owner, neighbor, **weights)
+            _add_link(links, self.owner, neighbor, weights)
         # Two-hop reports give additional usable links around the owner.
         for neighbor, reported in neighbors.two_hop_link_table().items():
             for other, weights in reported.items():
-                if not graph.has_edge(neighbor, other):
-                    graph.add_edge(neighbor, other, **weights)
-        return graph
+                if other not in links.get(neighbor, ()):
+                    _add_link(links, neighbor, other, weights)
+        return links
 
     # ------------------------------------------------------------------ queries
 
@@ -82,7 +87,7 @@ class RoutingTable:
         if destination == self.owner or destination not in self._knowledge:
             return None
         chosen = best_next_hop(
-            self._knowledge, self._solver_graph, self.owner, destination, self._direct, self.metric
+            self._solver_graph, self.owner, destination, self._direct, self.metric
         )
         return RouteEntry(destination, *chosen) if chosen is not None else None
 
@@ -96,3 +101,15 @@ class RoutingTable:
 
     def __len__(self) -> int:
         return len(self.destinations())
+
+
+def _add_link(links: Links, u: NodeId, v: NodeId, weights: Mapping[str, float]) -> None:
+    """Add link ``(u, v)`` to ``links``, creating ``u`` then ``v`` if missing: a known
+    link's attribute dict is updated in place and keeps its place in both rows, a new link
+    gets a copy of ``weights``."""
+    row = links.setdefault(u, {})
+    links.setdefault(v, {})
+    if v in row:
+        row[v].update(weights)
+    else:
+        row[v] = links[v][u] = dict(weights)

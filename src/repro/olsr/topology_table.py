@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Set, Tuple
 
-import networkx as nx
-
 from repro.olsr.messages import TcMessage
 from repro.utils.ids import NodeId
 
@@ -106,13 +104,6 @@ class TopologyTable:
             )
             links[key] = dict(entry.weights)
         return links
-
-    def as_graph(self) -> nx.Graph:
-        """The advertised topology as a weighted graph (used for routing-table computation)."""
-        graph = nx.Graph()
-        for (u, v), weights in self.advertised_links().items():
-            graph.add_edge(u, v, **weights)
-        return graph
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -16,10 +16,8 @@ even when nobody advertised them -- see :mod:`repro.routing.hop_by_hop`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Set
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Mapping, Set
 
 from repro.core.selection import AnsSelector, SelectionResult
 from repro.metrics.base import Metric
@@ -46,26 +44,6 @@ class AdvertisedTopology:
     network: Network
     ans_sets: Dict[NodeId, FrozenSet[NodeId]]
     neighbors: Dict[NodeId, Set[NodeId]]
-    _graph: Optional[nx.Graph] = field(default=None, repr=False, compare=False)
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The advertised links as a networkx graph over every network node, built on first
-        read.
-
-        It is a snapshot of the network taken then: each link carries a copy of its
-        attributes at that moment.  Per-hop forwarding reads it; link-state routes read the
-        network live instead.
-        """
-        graph = self._graph
-        if graph is None:
-            network = self.network
-            graph = self._graph = nx.Graph()
-            graph.add_nodes_from(network.nodes())
-            for node, selected in self.ans_sets.items():
-                for relay in selected:
-                    graph.add_edge(node, relay, **network.link_attributes(node, relay))
-        return graph
 
     def advertised_link_count(self) -> int:
         """Number of distinct links present in the advertised topology."""

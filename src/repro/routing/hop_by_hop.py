@@ -10,12 +10,12 @@ them rather than hiding them.
 
 Link-state routes (:meth:`HopByHopRouter.link_state_route`, what the paper's Figures 8 and 9
 measure) search the network's own adjacency, restricted to the links the source knows, and
-read the network's current weights; per-hop forwarding reads the advertised topology's
-networkx snapshot (:attr:`~repro.routing.advertised.AdvertisedTopology.graph`).
+read the network's current weights; per-hop forwarding solves on one compact snapshot of
+the advertised links, taken at the router's first decision.
 
 :func:`best_next_hop` is the one next-hop rule: the analytic router below and the protocol
 simulator's per-node :class:`~repro.olsr.routing_table.RoutingTable` both call it, each over
-its own knowledge graph.
+the compact graph of its own knowledge.
 
 The QoS value "consumed" by a delivered packet (the paper's ``b`` and ``d``) is the value of
 the traversed path computed on the *true* link weights of the network.
@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from repro.localview.compactgraph import CompactGraph
 from repro.localview.paths import best_values_from
+from repro.localview.view import Links
 from repro.metrics.base import Metric
 from repro.metrics.ordering import preferred_neighbor
 from repro.routing.advertised import AdvertisedTopology
@@ -39,7 +38,6 @@ from repro.utils.ids import NodeId
 
 
 def best_next_hop(
-    graph: nx.Graph,
     solver_graph: CompactGraph,
     owner: NodeId,
     destination: NodeId,
@@ -48,13 +46,13 @@ def best_next_hop(
 ) -> Optional[Tuple[NodeId, float]]:
     """The neighbor ``owner`` forwards to for ``destination``, with the path value it expects.
 
-    ``graph`` is the topology the owner knows, which must contain ``destination``, and
-    ``solver_graph`` is its :class:`CompactGraph` snapshot under ``metric``.  ``direct``
-    maps each one-hop neighbor to the value of the owner's link to it; candidates are
-    scanned in its order.  A neighbor's value is its link combined with the best path from
-    it to ``destination`` over ``graph`` minus the owner (the rest of the path cannot
-    revisit it).  Among the neighbors achieving the optimal value, the fewest hops over
-    ``graph`` minus the owner win, then the better direct link, then the smaller
+    ``solver_graph`` is the topology the owner knows, as a :class:`CompactGraph` under
+    ``metric``; it must contain ``destination``.  ``direct`` maps each one-hop neighbor to
+    the value of the owner's link to it; candidates are scanned in its order.  A
+    neighbor's value is its link combined with the best path from it to ``destination``
+    over ``solver_graph`` minus the owner (the rest of the path cannot revisit it).  Among
+    the neighbors achieving the optimal value, the fewest hops over ``solver_graph``
+    minus the owner win, then the better direct link, then the smaller
     identifier.  The hop tie-break matters in practice: bottleneck metrics produce many
     equally wide next hops, and preferring hop progress is what keeps independent per-node
     decisions from bouncing a packet back and forth (QOLSR's own route computation also
@@ -62,15 +60,18 @@ def best_next_hop(
     no neighbor leads anywhere.
     """
     from_destination = best_values_from(solver_graph, destination, metric, excluded=(owner,))
-    distance: Dict[NodeId, float] = {destination: 0.0}
-    frontier = [destination]
+    index = solver_graph.index
+    adj = solver_graph.adj
+    skipped = index.get(owner)
+    frontier = [index[destination]]
+    distance: Dict[int, float] = {frontier[0]: 0.0}
     while frontier:  # breadth-first hop distances from the destination, owner excluded
         next_frontier = []
-        for node in frontier:
-            for neighbor in graph.neighbors(node):
-                if neighbor != owner and neighbor not in distance:
-                    distance[neighbor] = distance[node] + 1.0
-                    next_frontier.append(neighbor)
+        for i in frontier:
+            for j, _ in adj[i]:
+                if j != skipped and j not in distance:
+                    distance[j] = distance[i] + 1.0
+                    next_frontier.append(j)
         frontier = next_frontier
 
     candidates: Dict[NodeId, Tuple[float, float]] = {}
@@ -81,7 +82,7 @@ def best_next_hop(
             continue
         remainder = from_destination.get(neighbor)
         if remainder is not None:
-            hop_estimate = 1.0 + distance.get(neighbor, float("inf"))
+            hop_estimate = 1.0 + distance.get(index[neighbor], float("inf"))
             candidates[neighbor] = (metric.combine(start, remainder), hop_estimate)
 
     if not candidates:
@@ -123,9 +124,10 @@ class RouteOutcome:
 class HopByHopRouter:
     """Forwards packets using per-node next-hop decisions over an advertised topology.
 
-    Per-hop forwarding caches one compact snapshot of the advertised topology's graph for
-    its solves, so it routes on the weights of that snapshot; link-state routes cache
-    nothing.
+    Per-hop forwarding (:meth:`next_hop`, :meth:`route`, :meth:`routing_table`) builds one
+    compact snapshot of the advertised links at the router's first decision, so its answers
+    use the link weights as they were then; link-state routes read the network's current
+    weights and cache nothing.
     """
 
     def __init__(self, network: Network, advertised: AdvertisedTopology, metric: Metric):
@@ -135,14 +137,21 @@ class HopByHopRouter:
         self._advertised_compact: Optional[CompactGraph] = None
 
     def _advertised_compact_graph(self) -> CompactGraph:
-        """One flat snapshot of the advertised topology, shared by every next-hop solve.
+        """One flat snapshot of the advertised links, shared by every next-hop solve.
 
-        The advertised graph is fixed for the router's lifetime, so the per-hop
-        ``best_values_from`` calls can all reuse it (excluded nodes are handled at solver
-        level).
+        It holds every network node, sorted, and the advertised links in ``ans_sets``
+        order, valued from the network's weights now.  The advertised sets are fixed for
+        the router's lifetime, so the per-hop ``best_values_from`` calls can all reuse it
+        (excluded nodes are handled at solver level).
         """
         if self._advertised_compact is None:
-            self._advertised_compact = CompactGraph.from_links(self.advertised.graph.adj, self.metric)
+            network = self.advertised.network
+            adjacency = network.adjacency
+            links: Links = {node: {} for node in network.nodes()}
+            for node, selected in self.advertised.ans_sets.items():
+                for relay in selected:
+                    links[node][relay] = links[relay][node] = adjacency[node][relay]
+            self._advertised_compact = CompactGraph.from_links(links, self.metric)
         return self._advertised_compact
 
     # ------------------------------------------------------------------ next-hop decision
@@ -157,13 +166,12 @@ class HopByHopRouter:
         if destination == current:
             return None
         own_neighbors = self.network.neighbors(current)
-        graph = self.advertised.graph
         direct = {
             neighbor: self.network.link_value(current, neighbor, metric)
             for neighbor in own_neighbors
         }
         chosen = best_next_hop(
-            graph, self._advertised_compact_graph(), current, destination, direct, metric
+            self._advertised_compact_graph(), current, destination, direct, metric
         )
         return chosen[0] if chosen is not None else None
 
@@ -204,7 +212,7 @@ class HopByHopRouter:
         if source == destination:
             return RouteOutcome(source, destination, (source,), True, metric.identity)
 
-        adjacency = network.graph.adj
+        adjacency = network.adjacency
         one_hop = adjacency[source]
         advertised = self.advertised.neighbors
 

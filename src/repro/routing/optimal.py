@@ -15,8 +15,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
+from repro.localview.view import Links
 from repro.metrics.base import Metric
 from repro.topology.network import Network
 from repro.utils.ids import NodeId
@@ -85,23 +84,22 @@ def _label_setting(rows: Rows, source: NodeId, destination: NodeId, metric: Metr
 
 
 def best_path(
-    graph: nx.Graph,
+    links: Links,
     source: NodeId,
     destination: NodeId,
     metric: Metric,
 ) -> OptimalRoute:
-    """The QoS-optimal path between two nodes of ``graph`` (empty path when unreachable).
+    """The QoS-optimal path between two nodes of the link map ``links`` (empty path when
+    unreachable).
 
-    Neighbors are scanned in ``graph``'s adjacency order, and among equally good paths the
-    one found first that way is returned; the value, which is what the evaluation compares,
-    is unique.
+    Neighbors are scanned in row order, and among equally good paths the one found first
+    that way is returned; the value, which is what the evaluation compares, is unique.
     """
-    if source not in graph or destination not in graph:
+    if source not in links or destination not in links:
         return OptimalRoute(source, destination, (), metric.worst)
-    adjacency = graph.adj
-    return _label_setting(lambda node: adjacency[node].items(), source, destination, metric)
+    return _label_setting(lambda node: links[node].items(), source, destination, metric)
 
 
 def optimal_route(network: Network, source: NodeId, destination: NodeId, metric: Metric) -> OptimalRoute:
     """Centralized optimal route on a :class:`~repro.topology.network.Network`."""
-    return best_path(network.graph, source, destination, metric)
+    return best_path(network.adjacency, source, destination, metric)

@@ -3,18 +3,23 @@
 The paper models the network as an undirected graph ``G = (V, E)`` in which an edge exists
 between two nodes exactly when their Euclidean distance is at most the (common) communication
 radius ``R``, links are bidirectional, and every link carries one weight per QoS metric.
-:class:`Network` is that object: node positions, undirected links, per-metric link weights --
-backed by a :class:`networkx.Graph` so the rest of the library (and downstream users) can
-reuse the networkx ecosystem when convenient.
+:class:`Network` is that object: node positions, undirected links, per-metric link weights.
+Its links are a link map (node -> ``{neighbour: attributes}``, the library's one graph
+representation), with one attribute dict per link shared by both endpoints' rows.
+
+Orders are part of the contract, because every figure and digest depends on them: nodes
+are kept in insertion order, a row lists neighbours in the order their links were first
+added (re-adding a link updates its dict in place), links iterate node by node over the
+neighbours not yet visited as a node, and each connected component is the set a
+breadth-first search grows level by level.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
-
+from repro.localview.view import Links
 from repro.metrics.base import Metric
 from repro.metrics.assignment import WeightAssigner, canonical_edge
 from repro.utils.ids import NodeId, normalize_node_id
@@ -26,15 +31,18 @@ class Network:
     """An ad-hoc wireless network: positioned nodes, bidirectional QoS-weighted links."""
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._adjacency: Links = {}
+        self._positions: Dict[NodeId, Position] = {}
 
     # ------------------------------------------------------------------ construction
 
     def add_node(self, node: NodeId, position: Optional[Position] = None) -> NodeId:
-        """Add a node (idempotent).  ``position`` defaults to the origin."""
+        """Add a node, or move an existing one.  ``position`` defaults to the origin."""
         node = normalize_node_id(node)
         x, y = position if position is not None else (0.0, 0.0)
-        self._graph.add_node(node, pos=(float(x), float(y)))
+        if node not in self._adjacency:
+            self._adjacency[node] = {}
+        self._positions[node] = (float(x), float(y))
         return node
 
     def add_link(self, u: NodeId, v: NodeId, **weights: float) -> None:
@@ -42,22 +50,37 @@ class Network:
 
         Weights are keyword arguments keyed by metric name, e.g.
         ``network.add_link(1, 2, bandwidth=5.0, delay=2.0)``.  Both endpoints must already
-        exist (or they are created at the origin).  Self-links are rejected.
+        exist (or they are created at the origin, ``u`` first).  Self-links are rejected.
+        Re-adding an existing link updates its weights in place.
         """
         u, v = normalize_node_id(u), normalize_node_id(v)
         if u == v:
             raise ValueError(f"self-links are not allowed (node {u})")
-        if u not in self._graph:
+        if u not in self._adjacency:
             self.add_node(u)
-        if v not in self._graph:
+        if v not in self._adjacency:
             self.add_node(v)
-        self._graph.add_edge(u, v, **{name: float(value) for name, value in weights.items()})
+        attributes = {name: float(value) for name, value in weights.items()}
+        row = self._adjacency[u]
+        if v in row:
+            row[v].update(attributes)
+        else:
+            row[v] = self._adjacency[v][u] = attributes
+
+    def remove_link(self, u: NodeId, v: NodeId) -> None:
+        """Remove the link between ``u`` and ``v`` (both endpoints stay)."""
+        self._link(u, v)
+        del self._adjacency[u][v]
+        del self._adjacency[v][u]
 
     def set_link_weight(self, u: NodeId, v: NodeId, metric_name: str, value: float) -> None:
         """Set (or overwrite) one metric weight on an existing link."""
-        if not self.has_link(u, v):
-            raise KeyError(f"no link between {u} and {v}")
-        self._graph.edges[u, v][metric_name] = float(value)
+        self._link(u, v)[metric_name] = float(value)
+
+    def clear(self) -> None:
+        """Remove every node and link."""
+        self._adjacency.clear()
+        self._positions.clear()
 
     def apply_weight_assigner(self, assigner: WeightAssigner) -> None:
         """Populate every link's weight for ``assigner.metric`` using the assigner."""
@@ -91,42 +114,46 @@ class Network:
     # ------------------------------------------------------------------ queries
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying :class:`networkx.Graph` (shared, not a copy)."""
-        return self._graph
+    def adjacency(self) -> Links:
+        """The links as a link map, nodes in insertion order (shared, not a copy).
+
+        Read-only: mutate the network through its methods, which keep both rows of a link
+        on one attribute dict.
+        """
+        return self._adjacency
 
     def nodes(self) -> list[NodeId]:
         """All node identifiers, sorted."""
-        return sorted(self._graph.nodes)
+        return sorted(self._adjacency)
 
     def links(self) -> list[Tuple[NodeId, NodeId]]:
         """All links in canonical (sorted-endpoint) orientation."""
-        return [canonical_edge(u, v) for u, v in self._graph.edges]
+        return [canonical_edge(u, v) for u, v in self._edges()]
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adjacency)
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._graph
+        return node in self._adjacency
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(sorted(self._graph.nodes))
+        return iter(sorted(self._adjacency))
 
     def number_of_links(self) -> int:
         """Number of (undirected) links."""
-        return self._graph.number_of_edges()
+        return sum(len(row) for row in self._adjacency.values()) // 2
 
     def has_link(self, u: NodeId, v: NodeId) -> bool:
         """True when a (bidirectional) link exists between ``u`` and ``v``."""
-        return self._graph.has_edge(u, v)
+        return v in self._adjacency.get(u, ())
 
     def position(self, node: NodeId) -> Position:
         """The (x, y) position of ``node``."""
-        return self._graph.nodes[node]["pos"]
+        return self._positions[node]
 
     def positions(self) -> Dict[NodeId, Position]:
         """Mapping of every node to its position."""
-        return {node: data["pos"] for node, data in self._graph.nodes(data=True)}
+        return dict(self._positions)
 
     def distance(self, u: NodeId, v: NodeId) -> float:
         """Euclidean distance between two nodes."""
@@ -135,19 +162,19 @@ class Network:
 
     def link_attributes(self, u: NodeId, v: NodeId) -> Dict[str, float]:
         """All metric weights carried by the link (a copy)."""
-        if not self.has_link(u, v):
-            raise KeyError(f"no link between {u} and {v}")
-        return dict(self._graph.edges[u, v])
+        return dict(self._link(u, v))
 
     def link_value(self, u: NodeId, v: NodeId, metric: Metric) -> float:
         """The weight of link (u, v) under ``metric``."""
-        return metric.link_value_from_attributes(self.link_attributes(u, v))
+        return metric.link_value_from_attributes(self._link(u, v))
 
     # ------------------------------------------------------------------ neighborhoods
 
     def neighbors(self, node: NodeId) -> Set[NodeId]:
         """The one-hop neighborhood ``N(node)``."""
-        return set(self._graph.neighbors(node))
+        # Filled one neighbour at a time: a set built from a dict is sized differently,
+        # and the next-hop rule scans candidates in this set's order.
+        return set(iter(self._adjacency[node]))
 
     def two_hop_neighbors(self, node: NodeId) -> Set[NodeId]:
         """The strict two-hop neighborhood ``N²(node)``.
@@ -157,29 +184,39 @@ class Network:
         one_hop = self.neighbors(node)
         two_hop: Set[NodeId] = set()
         for neighbor in one_hop:
-            two_hop.update(self._graph.neighbors(neighbor))
+            two_hop.update(iter(self._adjacency[neighbor]))
         two_hop.discard(node)
         return two_hop - one_hop
 
     def degree(self, node: NodeId) -> int:
         """Number of one-hop neighbors of ``node``."""
-        return self._graph.degree[node]
+        return len(self._adjacency[node])
 
     def average_degree(self) -> float:
         """Mean node degree over the network (0.0 for an empty network)."""
-        if self._graph.number_of_nodes() == 0:
+        if not self._adjacency:
             return 0.0
-        return 2.0 * self._graph.number_of_edges() / self._graph.number_of_nodes()
+        return 2.0 * self.number_of_links() / len(self._adjacency)
 
     # ------------------------------------------------------------------ connectivity
 
     def is_connected(self) -> bool:
         """True when the network has at least one node and is connected."""
-        return self._graph.number_of_nodes() > 0 and nx.is_connected(self._graph)
+        adjacency = self._adjacency
+        return bool(adjacency) and len(self._component(next(iter(adjacency)))) == len(adjacency)
 
     def connected_components(self) -> list[Set[NodeId]]:
-        """The connected components, largest first."""
-        return sorted((set(c) for c in nx.connected_components(self._graph)), key=len, reverse=True)
+        """The connected components, largest first (ties in node order)."""
+        components: List[Set[NodeId]] = []
+        seen: Set[NodeId] = set()
+        for node in self._adjacency:
+            if node not in seen:
+                component = self._component(node)
+                seen.update(component)
+                # A copy is sized afresh, which fixes the order a set built from it (as
+                # subnetwork builds one) iterates in.
+                components.append(set(component))
+        return sorted(components, key=len, reverse=True)
 
     def largest_component(self) -> "Network":
         """A copy of the network restricted to its largest connected component."""
@@ -189,20 +226,55 @@ class Network:
         return self.subnetwork(components[0])
 
     def subnetwork(self, nodes: Iterable[NodeId]) -> "Network":
-        """A copy of the network induced by ``nodes``."""
+        """A copy of the network induced by ``nodes`` (added in the order of ``set(nodes)``)."""
         keep = set(nodes)
         sub = Network()
         for node in keep:
-            if node in self._graph:
-                sub.add_node(node, self.position(node))
-        for u, v in self._graph.edges:
+            if node in self._adjacency:
+                sub.add_node(node, self._positions[node])
+        for u, v in self._edges():
             if u in keep and v in keep:
-                sub.add_link(u, v, **self.link_attributes(u, v))
+                sub.add_link(u, v, **self._adjacency[u][v])
         return sub
 
     def copy(self) -> "Network":
         """A deep copy of the network."""
-        return self.subnetwork(self._graph.nodes)
+        # A list, not the dict: ``set()`` presizes for a dict, which changes the order the
+        # copy adds its nodes in.
+        return self.subnetwork(list(self._adjacency))
+
+    # ------------------------------------------------------------------ internals
+
+    def _link(self, u: NodeId, v: NodeId) -> dict:
+        """The attribute dict link ``(u, v)`` shares between both rows."""
+        attributes = self._adjacency.get(u, {}).get(v)
+        if attributes is None:
+            raise KeyError(f"no link between {u} and {v}")
+        return attributes
+
+    def _edges(self) -> Iterator[Tuple[NodeId, NodeId]]:
+        """Each link once: node by node, the row's neighbours not yet visited as a node."""
+        visited: Set[NodeId] = set()
+        for node, row in self._adjacency.items():
+            for other in row:
+                if other not in visited:
+                    yield node, other
+            visited.add(node)
+
+    def _component(self, source: NodeId) -> Set[NodeId]:
+        """The nodes connected to ``source``, added to the set level by level."""
+        adjacency = self._adjacency
+        component = {source}
+        level = [source]
+        while level:
+            next_level = []
+            for node in level:
+                for other in adjacency[node]:
+                    if other not in component:
+                        component.add(other)
+                        next_level.append(other)
+            level = next_level
+        return component
 
     # ------------------------------------------------------------------ misc
 

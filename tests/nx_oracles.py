@@ -1,25 +1,103 @@
-"""The networkx reference solvers the compact-graph core is cross-validated against.
+"""The networkx references the library's link-map code is cross-validated against.
 
-These are the library's original implementations of :mod:`repro.localview.paths`, which
-traversed a networkx graph and extracted link values on every relaxation.  They share no
-code with the flat-adjacency solvers, so agreement between the two is evidence for both;
-``tests/test_compactgraph_and_parallel.py`` and ``tests/test_differential_solvers.py``
-use them as oracles.  :func:`best_path_nx` is the original label-setting route search over
-a networkx graph, the oracle of the hop-by-hop router's link-state routes.
+networkx is a test dependency only: the library's one graph representation is the link map
+(node -> ``{neighbour: attributes}``).  :func:`nx_graph` turns a link map into a networkx
+graph with the same node and row order.
+
+The solvers below are the library's original implementations of
+:mod:`repro.localview.paths`, which traversed a networkx graph and extracted link values on
+every relaxation.  They share no code with the flat-adjacency solvers, so agreement between
+the two is evidence for both; ``tests/test_compactgraph_and_parallel.py`` and
+``tests/test_differential_solvers.py`` use them as oracles.  :func:`best_path_nx` is the
+original label-setting route search over a networkx graph, the oracle of the hop-by-hop
+router's link-state routes.  :class:`NxNetwork` is the original
+:class:`~repro.topology.network.Network`, backed by a networkx graph: the reference
+``tests/test_topology_network.py`` holds the link-map network's orders to.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
 from repro.localview import FirstHopResult, LocalView
+from repro.localview.view import Links
 from repro.metrics.base import Metric
 from repro.routing.optimal import OptimalRoute
-from repro.utils.ids import NodeId
+from repro.utils.ids import NodeId, normalize_node_id
+
+
+def nx_graph(links: Links) -> nx.Graph:
+    """The link map ``links`` as a networkx graph, in the same node and row order; it shares
+    the attribute dicts."""
+    graph = nx.Graph()
+    graph.add_nodes_from(links)
+    adjacency = graph._adj
+    for node, row in links.items():
+        adjacency[node].update(row)
+    return graph
+
+
+class NxNetwork:
+    """The network model on a networkx graph: each method is the body the link-map
+    :class:`~repro.topology.network.Network` replaced."""
+
+    def __init__(self) -> None:
+        self.graph = nx.Graph()
+
+    def add_node(self, node, position=None):
+        node = normalize_node_id(node)
+        x, y = position if position is not None else (0.0, 0.0)
+        self.graph.add_node(node, pos=(float(x), float(y)))
+        return node
+
+    def add_link(self, u, v, **weights) -> None:
+        u, v = normalize_node_id(u), normalize_node_id(v)
+        if u == v:
+            raise ValueError(f"self-links are not allowed (node {u})")
+        if u not in self.graph:
+            self.add_node(u)
+        if v not in self.graph:
+            self.add_node(v)
+        self.graph.add_edge(u, v, **{name: float(value) for name, value in weights.items()})
+
+    def set_link_weight(self, u, v, metric_name: str, value: float) -> None:
+        self.graph.edges[u, v][metric_name] = float(value)
+
+    def remove_link(self, u, v) -> None:
+        self.graph.remove_edge(u, v)
+
+    def links(self) -> List[Tuple[NodeId, NodeId]]:
+        return [(u, v) if u <= v else (v, u) for u, v in self.graph.edges]
+
+    def positions(self) -> Dict[NodeId, Tuple[float, float]]:
+        return {node: data["pos"] for node, data in self.graph.nodes(data=True)}
+
+    def connected_components(self) -> List[Set[NodeId]]:
+        return sorted((set(c) for c in nx.connected_components(self.graph)), key=len, reverse=True)
+
+    def largest_component(self) -> "NxNetwork":
+        components = self.connected_components()
+        if not components:
+            return NxNetwork()
+        return self.subnetwork(components[0])
+
+    def subnetwork(self, nodes: Iterable[NodeId]) -> "NxNetwork":
+        keep = set(nodes)
+        sub = NxNetwork()
+        for node in keep:
+            if node in self.graph:
+                sub.add_node(node, self.graph.nodes[node]["pos"])
+        for u, v in self.graph.edges:
+            if u in keep and v in keep:
+                sub.add_link(u, v, **self.graph.edges[u, v])
+        return sub
+
+    def copy(self) -> "NxNetwork":
+        return self.subnetwork(self.graph.nodes)
 
 
 def best_values_from_nx(
@@ -55,10 +133,11 @@ def first_hops_to_nx(view: LocalView, target: NodeId, metric: Metric) -> FirstHo
     owner = view.owner
     if target == owner:
         raise ValueError("the owner trivially reaches itself; first hops are undefined")
-    if target not in view.graph:
+    graph = nx_graph(view.links)
+    if target not in graph:
         return FirstHopResult(target=target, best_value=metric.worst, first_hops=frozenset())
 
-    from_target = best_values_from_nx(view.graph, target, metric, excluded=(owner,))
+    from_target = best_values_from_nx(graph, target, metric, excluded=(owner,))
 
     candidate_values: Dict[NodeId, float] = {}
     for neighbor in view.one_hop:
@@ -86,7 +165,7 @@ def first_hops_to_nx(view: LocalView, target: NodeId, metric: Metric) -> FirstHo
 
 def all_first_hops_owner_dijkstra_nx(view: LocalView, metric: Metric) -> Dict[NodeId, FirstHopResult]:
     owner = view.owner
-    graph = view.graph
+    graph = nx_graph(view.links)
     distances = best_values_from_nx(graph, owner, metric)
 
     first_hops: Dict[NodeId, set] = {node: set() for node in distances}
@@ -133,7 +212,7 @@ def all_first_hops_owner_dijkstra_nx(view: LocalView, metric: Metric) -> Dict[No
 
 def all_first_hops_bottleneck_forest_nx(view: LocalView, metric: Metric) -> Dict[NodeId, FirstHopResult]:
     owner = view.owner
-    graph = view.graph
+    graph = nx_graph(view.links)
     nodes = [node for node in graph.nodes if node != owner]
     if not nodes:
         return {

@@ -30,6 +30,7 @@ from tests.nx_oracles import (
     all_first_hops_owner_dijkstra_nx,
     best_values_from_nx,
     first_hops_to_nx,
+    nx_graph,
 )
 
 METRICS = (BandwidthMetric(), DelayMetric())
@@ -59,7 +60,7 @@ class TestCompactGraphStructure:
             {(0, 1): {"bandwidth": 5.0, "delay": 2.0}, (1, 2): {"bandwidth": 3.0, "delay": 4.0}}
         )
         metric = BandwidthMetric()
-        cg = CompactGraph.from_links(network.graph.adj, metric)
+        cg = CompactGraph.from_links(network.adjacency, metric)
         assert set(cg.nodes) == {0, 1, 2}
         assert all(cg.nodes[cg.index[node]] == node for node in cg.nodes)
         assert cg.edge_count() == 2
@@ -76,7 +77,7 @@ class TestCompactGraphStructure:
     def test_missing_metric_attribute_raises_key_error(self):
         network = Network.from_links({(0, 1): {"bandwidth": 5.0}})
         with pytest.raises(KeyError):
-            CompactGraph.from_links(network.graph.adj, DelayMetric())
+            CompactGraph.from_links(network.adjacency, DelayMetric())
 
     def test_same_name_metrics_with_different_extraction_do_not_share_cache(self):
         network = random_weighted_network(random.Random(13))
@@ -94,11 +95,11 @@ class TestCompactGraphStructure:
         network = Network.from_links({(0, 1): {"delay": 1.0}})
         network.add_node(2)
         network.add_node(3)
-        network.graph.add_edge(2, 3)  # disconnected component, no weights at all
+        network.add_link(2, 3)  # disconnected component, no weights at all
         delay = DelayMetric()
         for source in (0, 2):
             with pytest.raises(KeyError):
-                best_values_from(network.graph, source, delay)
+                best_values_from(network.adjacency, source, delay)
 
 
 class TestCompactSolversAgreeWithNetworkxReference:
@@ -136,8 +137,8 @@ class TestCompactSolversAgreeWithNetworkxReference:
             source = rng.randrange(len(network))
             excluded = (rng.randrange(len(network)),)
             for metric in METRICS:
-                assert best_values_from(network.graph, source, metric, excluded) == (
-                    best_values_from_nx(network.graph, source, metric, excluded)
+                assert best_values_from(network.adjacency, source, metric, excluded) == (
+                    best_values_from_nx(nx_graph(network.adjacency), source, metric, excluded)
                 )
 
     def test_degenerate_unvalidated_weights_keep_legacy_reachability(self):
@@ -149,8 +150,8 @@ class TestCompactSolversAgreeWithNetworkxReference:
         )
         inf_delay = Network.from_links({(1, 2): {"delay": float("inf")}, (2, 3): {"delay": 1.0}})
         for network, metric in ((zero_bw, BandwidthMetric()), (inf_delay, DelayMetric())):
-            assert best_values_from(network.graph, 1, metric) == (
-                best_values_from_nx(network.graph, 1, metric)
+            assert best_values_from(network.adjacency, 1, metric) == (
+                best_values_from_nx(nx_graph(network.adjacency), 1, metric)
             )
 
     def test_generic_solver_handles_composite_metrics(self):
@@ -158,8 +159,8 @@ class TestCompactSolversAgreeWithNetworkxReference:
         network = random_weighted_network(random.Random(11))
         metric = LexicographicMetric([DelayMetric(), BandwidthMetric()])
         assert metric.kind is MetricKind.ADDITIVE
-        fast = best_values_from(network.graph, 0, metric)
-        assert fast == best_values_from_nx(network.graph, 0, metric)
+        fast = best_values_from(network.adjacency, 0, metric)
+        assert fast == best_values_from_nx(nx_graph(network.adjacency), 0, metric)
 
     def test_batched_views_equal_per_node_views(self):
         network = random_weighted_network(random.Random(3))
@@ -169,9 +170,7 @@ class TestCompactSolversAgreeWithNetworkxReference:
             single = LocalView.from_network(network, node)
             assert view.one_hop == single.one_hop
             assert view.two_hop == single.two_hop
-            assert set(view.graph.edges) == set(single.graph.edges)
-            for u, v in view.graph.edges:
-                assert view.graph.edges[u, v] == single.graph.edges[u, v]
+            assert view.links == single.links
 
 
 class TestEnumerationPruning:
@@ -186,10 +185,10 @@ class TestEnumerationPruning:
                 (0, 3): {"delay": 5.0},
             }
         )
-        paths = enumerate_best_paths(network.graph, 0, 3, DelayMetric())
+        paths = enumerate_best_paths(network.adjacency, 0, 3, DelayMetric())
         assert paths == [[0, 1, 3], [0, 2, 3]]
         for path in paths:
-            assert path_value(network.graph, path, DelayMetric()) == 2.0
+            assert path_value(network.adjacency, path, DelayMetric()) == 2.0
 
 
 class TestParallelRunnerEquivalence:

@@ -75,7 +75,7 @@ def _with_nan_link(network, link):
 
     links = {}
     for u, v in network.links():
-        weights = dict(network.graph.edges[u, v])
+        weights = network.link_attributes(u, v)
         if (u, v) == link:
             weights = {"bandwidth": math.nan, "delay": math.nan}
         links[(u, v)] = weights
@@ -173,14 +173,14 @@ class TestTheRecord:
         if kind == "from-tables":
             views = []
             for owner in network.nodes():
-                neighbor_links = {v: dict(network.graph.edges[owner, v]) for v in network.graph.adj[owner]}
+                rows = network.adjacency
+                neighbor_links = {v: dict(weights) for v, weights in rows[owner].items()}
                 two_hop_links = {
-                    v: {w: dict(network.graph.edges[v, w]) for w in network.graph.adj[v]}
-                    for v in neighbor_links
+                    v: {w: dict(weights) for w, weights in rows[v].items()} for v in neighbor_links
                 }
                 views.append(LocalView.from_tables(owner, neighbor_links, two_hop_links))
         elif kind == "detached":
-            views = [_detached(network, owner) for owner in network.nodes() if network.graph.adj[owner]]
+            views = [_detached(network, owner) for owner in network.nodes() if network.degree(owner)]
         elif kind == "attached":
             ng = NetworkGraph.from_network(network)
             views = list(LocalView.all_from_network(network, network_graph=ng).values())
@@ -200,7 +200,7 @@ class TestTheRecord:
 
     def test_built_once_and_dropped_with_the_other_caches(self, integer_network):
         network = integer_network
-        owner = max(network.nodes(), key=lambda node: len(network.graph.adj[node]))
+        owner = max(network.nodes(), key=network.degree)
         ng = NetworkGraph.from_network(network)
         view = LocalView.all_from_network(network, network_graph=ng)[owner]
         record = view.coverage()

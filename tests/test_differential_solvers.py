@@ -34,6 +34,7 @@ from tests.nx_oracles import (
     best_path_nx,
     best_values_from_nx,
     first_hops_to_nx,
+    nx_graph,
 )
 
 TOPOLOGY_COUNT = 50
@@ -148,8 +149,8 @@ class TestFastSolversMatchNetworkxReferences:
         nodes = network.nodes()
         source, excluded = nodes[0], (nodes[len(nodes) // 3],)
         for metric in (BANDWIDTH, DELAY, COMPOSITE, ADDITIVE_COMPOSITE):
-            assert best_values_from(network.graph, source, metric, excluded) == (
-                best_values_from_nx(network.graph, source, metric, excluded)
+            assert best_values_from(network.adjacency, source, metric, excluded) == (
+                best_values_from_nx(nx_graph(network.adjacency), source, metric, excluded)
             )
 
     @pytest.mark.parametrize("seed", range(0, TOPOLOGY_COUNT, 5))
@@ -617,12 +618,13 @@ def _oracle_link_state_route(network, selections, source, destination, metric):
         for node, selection in selections.items()
         for relay in selection.selected
     }
+    graph = nx_graph(network.adjacency)
     known = [
         (u, v)
-        for u, v in network.graph.edges
+        for u, v in graph.edges
         if u in one_hop or v in one_hop or frozenset((u, v)) in advertised
     ]
-    route = best_path_nx(network.graph.edge_subgraph(known), source, destination, metric)
+    route = best_path_nx(graph.edge_subgraph(known), source, destination, metric)
     if not route.reachable or not metric.is_usable(route.value):
         return RouteOutcome(source, destination, (source,), False, metric.worst, "no-route")
     return RouteOutcome(source, destination, route.path, True, route.value)

@@ -1,14 +1,14 @@
-"""The selection path builds no networkx graph, and the routing path leaks none into cycles.
+"""The selection and routing paths build no networkx graph and leave no reference cycle.
 
-Selection reads each view's link map: a protocol node re-selecting from its tables, or
-topology filtering on an unprimed attached view, must construct no ``networkx.Graph``
-(counted below).  The routing path still builds networkx graphs (routing knowledge graphs,
-the advertised topology), and ``view.graph`` is a networkx adapter for callers outside the
-library.  networkx caches an ``EdgeView`` on a graph the first time ``graph.edges`` is
-read, and the view points back at the graph.  A dropped graph in that cycle waits for the
-cyclic garbage collector, so short-lived graphs would pile up between collections.  Each
-cycle check runs with the collector disabled and requires that no new ``EdgeView``
-outlives the call.
+networkx caches an ``EdgeView`` on a graph the first time ``graph.edges`` is read, and the
+view points back at the graph, so a dropped graph waited in that cycle for the cyclic
+garbage collector.  The library now holds every graph as a link map and imports no
+networkx (``tests/test_runtime_imports.py`` checks the imports in a subprocess with the
+package blocked, over smoke-size sweeps).  These checks run in process, for every selector
+and metric, on both kinds of view, on protocol re-selection and on routing-table
+recomputes: each action must construct no ``networkx`` graph (a function-level import on a
+path the smoke sweeps skip would) and, with the collector disabled, must leave no object
+in an unreachable reference cycle -- an ``EdgeView`` cycle or any other.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import gc
 
 import networkx as nx
 import pytest
-from networkx.classes.reportviews import EdgeView
 
 from repro.baselines.topology_filtering import TopologyFilteringSelector
 from repro.core.selection import make_selector
@@ -39,31 +38,39 @@ def _grid(metric):
     ).generate()
 
 
-def _edge_views_left_by(action) -> int:
-    """How many ``EdgeView`` objects ``action`` leaves behind, with the collector off."""
+def _cycles_left_by(action) -> int:
+    """How many objects ``action`` leaves in unreachable cycles, with the collector off."""
     gc.collect()
     gc.disable()
     try:
-        before = sum(isinstance(obj, EdgeView) for obj in gc.get_objects())
         action()
-        return sum(isinstance(obj, EdgeView) for obj in gc.get_objects()) - before
+        return gc.collect()
     finally:
         gc.enable()
 
 
 def _graphs_built_by(action, monkeypatch) -> int:
-    """How many ``networkx.Graph`` objects ``action`` constructs."""
+    """How many ``networkx`` graphs (``Graph``, ``DiGraph`` and their subclasses)
+    ``action`` constructs."""
     built = []
-    init = nx.Graph.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def counting(init):
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        return counting_init
 
     with monkeypatch.context() as patch:
-        patch.setattr(nx.Graph, "__init__", counting_init)
+        for cls in (nx.Graph, nx.DiGraph):
+            patch.setattr(cls, "__init__", counting(cls.__init__))
         action()
     return len(built)
+
+
+def _clean(action, monkeypatch) -> tuple:
+    """(graphs built, objects left in cycles) by one run of ``action`` each."""
+    return _graphs_built_by(action, monkeypatch), _cycles_left_by(action)
 
 
 @pytest.mark.parametrize("selector_name", SELECTORS.names())
@@ -73,8 +80,12 @@ def test_protocol_reselection_builds_no_graph(selector_name, monkeypatch):
     simulation.run_until(12.0)
     node = simulation.nodes[OWNER]
     assert node.local_view().two_hop  # the tables describe a two-hop neighbourhood
-    node._selection_memo = None  # recompute, not a memo hit
-    assert _graphs_built_by(node.current_selection, monkeypatch) == 0
+
+    def reselect() -> None:
+        node._selection_memo = None  # recompute, not a memo hit
+        node.current_selection()
+
+    assert _clean(reselect, monkeypatch) == (0, 0)
     assert node._selection_memo is not None
 
 
@@ -83,25 +94,25 @@ def test_scalar_topology_filtering_builds_no_graph(metric, monkeypatch):
     network = _grid(metric)
     view = LocalView.all_from_network(network, network_graph=NetworkGraph.from_network(network))[OWNER]
     selector = TopologyFilteringSelector()
-    assert _graphs_built_by(lambda: selector.select(view, metric), monkeypatch) == 0
-    assert view._graph is None
+    assert _clean(lambda: selector.select(view, metric), monkeypatch) == (0, 0)
+    assert not hasattr(view, "graph") and not hasattr(view, "_graph")  # no adapter to build
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda metric: metric.name)
 @pytest.mark.parametrize("selector_name", SELECTORS.names())
-def test_select_on_a_detached_view(selector_name, metric):
+def test_select_on_a_detached_view(selector_name, metric, monkeypatch):
     network = _grid(metric)
     selector = make_selector(selector_name)
 
     def select() -> None:
         selector.select(LocalView.from_network(network, OWNER), metric)
 
-    assert _edge_views_left_by(select) == 0
+    assert _clean(select, monkeypatch) == (0, 0)
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda metric: metric.name)
 @pytest.mark.parametrize("selector_name", SELECTORS.names())
-def test_select_on_an_attached_view(selector_name, metric):
+def test_select_on_an_attached_view(selector_name, metric, monkeypatch):
     network = _grid(metric)
     selector = make_selector(selector_name)
 
@@ -109,23 +120,23 @@ def test_select_on_an_attached_view(selector_name, metric):
         ng = NetworkGraph.from_network(network)
         view = LocalView.all_from_network(network, network_graph=ng)[OWNER]
         selector.select(view, metric)  # unprimed: the scalar paths derive view.links
-        view.graph  # the networkx adapter, built on demand here
+        view.links
 
-    assert _edge_views_left_by(select) == 0
+    assert _clean(select, monkeypatch) == (0, 0)
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda metric: metric.name)
-def test_qos_rng_reduce(metric):
+def test_qos_rng_reduce(metric, monkeypatch):
     network = _grid(metric)
 
     def reduce() -> None:
         qos_rng_reduce(LocalView.from_network(network, OWNER).links, metric)
 
-    assert _edge_views_left_by(reduce) == 0
+    assert _clean(reduce, monkeypatch) == (0, 0)
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda metric: metric.name)
-def test_routing_table_recompute(metric):
+def test_routing_table_recompute(metric, monkeypatch):
     simulation = ProtocolSimulator(_grid(metric), metric, seed=1)
     simulation.run_until(12.0)
     node = simulation.nodes[OWNER]
@@ -134,5 +145,5 @@ def test_routing_table_recompute(metric):
         node.recompute_routes()
         node.routing_table.destinations()  # the solves run when routes are read
 
-    assert _edge_views_left_by(recompute_and_read) == 0
+    assert _clean(recompute_and_read, monkeypatch) == (0, 0)
     assert len(node.routing_table) > 0

@@ -124,15 +124,15 @@ def witness_table(ng, metric):
 
 
 def reference_witnesses(network, metric):
-    """Every link's strict-dominance witnesses, by brute force over the network graph."""
-    graph = network.graph
-    value = lambda a, b: metric.link_value_from_attributes(graph.edges[a, b])  # noqa: E731
+    """Every link's strict-dominance witnesses, by brute force over the network's links."""
+    links = network.adjacency
+    value = lambda a, b: metric.link_value_from_attributes(links[a][b])  # noqa: E731
     table = {}
-    for a, b in graph.edges:
+    for a, b in network.links():
         direct = value(a, b)
-        table[(min(a, b), max(a, b))] = sorted(
+        table[(a, b)] = sorted(
             c
-            for c in set(graph.neighbors(a)) & set(graph.neighbors(b))
+            for c in links[a].keys() & links[b].keys()
             if metric.is_better(value(a, c), direct) and metric.is_better(value(c, b), direct)
         )
     return table
@@ -221,7 +221,7 @@ class TestWitnessTable:
             }
             assert table == reference_witnesses(network, metric)
             dominated = {edge for edge, witnesses in table.items() if witnesses}
-            assert dominated == dominated_links(network.graph.adj, metric)
+            assert dominated == dominated_links(network.adjacency, metric)
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(network=unit_disk_networks())
@@ -232,17 +232,14 @@ class TestWitnessTable:
             witnesses = reference_witnesses(network, metric)
             for view in LocalView.all_from_network(network).values():
                 reduced = qos_rng_reduce(view.links, metric)
-                removed = {
-                    (min(a, b), max(a, b))
-                    for a, b in view.graph.edges
-                    if b not in reduced[a]
-                }
+                links = [(a, b) for a, row in view.links.items() for b in row if a < b]
+                removed = {(a, b) for a, b in links if b not in reduced[a]}
                 by_rule = {
-                    (min(a, b), max(a, b))
-                    for a, b in view.graph.edges
+                    (a, b)
+                    for a, b in links
                     if any(
                         len({a, b, c} & view.one_hop) >= 2
-                        for c in witnesses[(min(a, b), max(a, b))]
+                        for c in witnesses[(a, b)]
                     )
                 }
                 assert removed == by_rule
@@ -253,7 +250,7 @@ class TestWitnessTable:
         for metric in PLAIN_METRICS:
             ptr, nodes = witness_table(ng, metric)
             assert nodes.size == 0
-            assert dominated_links(network.graph.adj, metric) == set()
+            assert dominated_links(network.adjacency, metric) == set()
 
     def test_unreplayable_metrics_have_no_table(self):
         ng = NetworkGraph.from_network(unit_disk_network(1))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.localview import LocalView
@@ -71,7 +70,7 @@ class TestFromTables:
         rebuilt = LocalView.from_tables(0, neighbor_links, two_hop_links)
         assert rebuilt.one_hop == direct.one_hop
         assert rebuilt.two_hop == direct.two_hop
-        assert set(rebuilt.graph.edges) == set(direct.graph.edges)
+        assert rebuilt.links == direct.links
 
     def test_stale_reports_from_non_neighbors_are_ignored(self):
         view = LocalView.from_tables(
@@ -83,44 +82,39 @@ class TestFromTables:
         assert view.two_hop == set()
 
     def test_validation_rejects_owner_in_neighbor_sets(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 1, bandwidth=1.0)
+        links = Network.from_links({(0, 1): {"bandwidth": 1.0}}).adjacency
         with pytest.raises(ValueError):
-            LocalView(owner=0, one_hop={0, 1}, two_hop=set(), graph=graph)
+            LocalView(owner=0, one_hop={0, 1}, two_hop=set(), links=links)
 
     def test_validation_rejects_overlapping_sets(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 1, bandwidth=1.0)
+        links = Network.from_links({(0, 1): {"bandwidth": 1.0}}).adjacency
         with pytest.raises(ValueError):
-            LocalView(owner=0, one_hop={1}, two_hop={1}, graph=graph)
+            LocalView(owner=0, one_hop={1}, two_hop={1}, links=links)
 
     def test_validation_requires_direct_links(self):
-        graph = nx.Graph()
-        graph.add_node(0)
-        graph.add_node(1)
         with pytest.raises(ValueError):
-            LocalView(owner=0, one_hop={1}, two_hop=set(), graph=graph)
+            LocalView(owner=0, one_hop={1}, two_hop=set(), links={0: {}, 1: {}})
 
     def test_validation_requires_the_neighbors_of_one_hop_nodes(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 1, bandwidth=1.0)
-        graph.add_edge(1, 2, bandwidth=1.0)
+        links = Network.from_links({(0, 1): {"bandwidth": 1.0}, (1, 2): {"bandwidth": 1.0}}).adjacency
         with pytest.raises(ValueError, match="two_hop"):
-            LocalView(owner=0, one_hop={1}, two_hop=set(), graph=graph)
+            LocalView(owner=0, one_hop={1}, two_hop=set(), links=links)
 
     def test_constructor_keeps_only_g_u_and_leaves_the_graph_alone(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 1, bandwidth=1.0)
-        graph.add_edge(1, 2, bandwidth=2.0)
-        graph.add_edge(1, 3, bandwidth=3.0)
-        graph.add_edge(2, 3, bandwidth=4.0)  # between two two-hop nodes: not in G_0
-        view = LocalView(owner=0, one_hop={1}, two_hop={2, 3}, graph=graph)
+        network = Network()
+        network.add_link(0, 1, bandwidth=1.0)
+        network.add_link(1, 2, bandwidth=2.0)
+        network.add_link(1, 3, bandwidth=3.0)
+        network.add_link(2, 3, bandwidth=4.0)  # between two two-hop nodes: not in G_0
+        links = network.adjacency
+        view = LocalView(owner=0, one_hop={1}, two_hop={2, 3}, links=links)
         assert not view.has_link(2, 3)
-        adj = graph.adj
-        assert view.links == {0: {1: adj[0][1]}, 1: dict(adj[1]), 2: {1: adj[1][2]}, 3: {1: adj[1][3]}}
-        empty = nx.Graph()
-        assert LocalView(owner=0, one_hop=(), two_hop=(), graph=empty).nodes == {0}
-        assert 0 not in empty  # the owner is not written into the caller's graph
+        assert view.links == {0: {1: links[0][1]}, 1: dict(links[1]), 2: {1: links[1][2]}, 3: {1: links[1][3]}}
+        assert view.links[2][1] is links[1][2]  # attributes are referenced, not copied
+        assert 3 in links[2]
+        empty = {}
+        assert LocalView(owner=0, one_hop=(), two_hop=(), links=empty).nodes == {0}
+        assert empty == {}  # the owner is not written into the caller's map
 
 
 class TestCacheInvalidation:
@@ -170,7 +164,7 @@ class TestCacheInvalidation:
         after = all_first_hops(view, metric)
         assert after[1].best_value == 1.0  # 0-2-1 (min(1, 3)) beats the degraded direct link
         assert after[1].first_hops == frozenset({2})
-        fresh = LocalView(owner=0, one_hop=view.one_hop, two_hop=view.two_hop, graph=view.graph.copy())
+        fresh = LocalView(owner=0, one_hop=view.one_hop, two_hop=view.two_hop, links=view.links)
         assert after == all_first_hops(fresh, metric)
 
     def test_update_link_unshares_attribute_dicts_between_sibling_views(self):

@@ -21,6 +21,8 @@ from repro.localview import (
 )
 from repro.metrics import BandwidthMetric, DelayMetric
 from repro.papergraphs import FIGURE2_OWNER, figure2_network
+from repro.topology import Network
+from tests.nx_oracles import nx_graph
 
 
 def _figure2_view():
@@ -29,52 +31,51 @@ def _figure2_view():
 
 class TestBestValues:
     def test_delay_matches_networkx_dijkstra(self, grid_network, delay):
-        graph = grid_network.graph
-        ours = best_values_from(graph, 0, delay)
-        reference = nx.single_source_dijkstra_path_length(graph, 0, weight="delay")
+        links = grid_network.adjacency
+        ours = best_values_from(links, 0, delay)
+        reference = nx.single_source_dijkstra_path_length(nx_graph(links), 0, weight="delay")
         assert set(ours) == set(reference)
         for node, value in reference.items():
             assert ours[node] == pytest.approx(value)
 
     def test_bandwidth_is_widest_path(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 1, bandwidth=2.0)
-        graph.add_edge(1, 3, bandwidth=9.0)
-        graph.add_edge(0, 2, bandwidth=5.0)
-        graph.add_edge(2, 3, bandwidth=4.0)
-        values = best_values_from(graph, 0, BandwidthMetric())
+        network = Network()
+        network.add_link(0, 1, bandwidth=2.0)
+        network.add_link(1, 3, bandwidth=9.0)
+        network.add_link(0, 2, bandwidth=5.0)
+        network.add_link(2, 3, bandwidth=4.0)
+        values = best_values_from(network.adjacency, 0, BandwidthMetric())
         assert values[3] == 4.0  # via 2, bottleneck 4 beats via 1 (bottleneck 2)
 
     def test_excluded_nodes_are_not_traversed(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 1, delay=1.0)
-        graph.add_edge(1, 2, delay=1.0)
-        values = best_values_from(graph, 0, DelayMetric(), excluded=(1,))
+        network = Network()
+        network.add_link(0, 1, delay=1.0)
+        network.add_link(1, 2, delay=1.0)
+        values = best_values_from(network.adjacency, 0, DelayMetric(), excluded=(1,))
         assert 2 not in values
         assert values == {0: 0.0}
 
     def test_source_excluded_or_missing_gives_empty(self, delay):
-        graph = nx.Graph()
-        graph.add_edge(0, 1, delay=1.0)
-        assert best_values_from(graph, 0, delay, excluded=(0,)) == {}
-        assert best_values_from(graph, 9, delay) == {}
+        links = {0: {1: {"delay": 1.0}}, 1: {0: {"delay": 1.0}}}
+        assert best_values_from(links, 0, delay, excluded=(0,)) == {}
+        assert best_values_from(links, 9, delay) == {}
 
     def test_best_value_between_unreachable_is_worst(self, delay, bandwidth):
-        graph = nx.Graph()
-        graph.add_node(0)
-        graph.add_node(1)
-        assert best_value_between(graph, 0, 1, delay) == math.inf
-        assert best_value_between(graph, 0, 1, bandwidth) == 0.0
+        links = {0: {}, 1: {}}
+        assert best_value_between(links, 0, 1, delay) == math.inf
+        assert best_value_between(links, 0, 1, bandwidth) == 0.0
 
     def test_path_value_evaluates_true_weights(self, line_network, bandwidth, delay):
-        assert path_value(line_network.graph, [0, 1, 2, 3], bandwidth) == 3.0
-        assert path_value(line_network.graph, [0, 1, 2, 3], delay) == 4.0
+        assert path_value(line_network.adjacency, [0, 1, 2, 3], bandwidth) == 3.0
+        assert path_value(line_network.adjacency, [0, 1, 2, 3], delay) == 4.0
 
     def test_path_value_rejects_broken_paths(self, line_network, delay):
         with pytest.raises(KeyError):
-            path_value(line_network.graph, [0, 2], delay)
+            path_value(line_network.adjacency, [0, 2], delay)
+        with pytest.raises(KeyError):
+            path_value(line_network.adjacency, [7, 0], delay)
         with pytest.raises(ValueError):
-            path_value(line_network.graph, [], delay)
+            path_value(line_network.adjacency, [], delay)
 
 
 class TestFirstHops:
@@ -144,80 +145,77 @@ class TestFirstHops:
 class TestEnumerateBestPaths:
     def test_enumerates_all_optimal_paths(self, bandwidth):
         view = _figure2_view()
-        paths = enumerate_best_paths(view.graph, FIGURE2_OWNER, 3, bandwidth)
+        paths = enumerate_best_paths(view.links, FIGURE2_OWNER, 3, bandwidth)
         assert [FIGURE2_OWNER, 1, 3] in paths
         assert [FIGURE2_OWNER, 2, 3] in paths
         assert all(path[0] == FIGURE2_OWNER and path[-1] == 3 for path in paths)
 
     def test_every_enumerated_path_has_the_optimal_value(self, grid_network, delay):
-        best = best_value_between(grid_network.graph, 0, 15, delay)
-        for path in enumerate_best_paths(grid_network.graph, 0, 15, delay):
-            assert path_value(grid_network.graph, path, delay) == pytest.approx(best)
+        links = grid_network.adjacency
+        best = best_value_between(links, 0, 15, delay)
+        for path in enumerate_best_paths(links, 0, 15, delay):
+            assert path_value(links, path, delay) == pytest.approx(best)
 
     def test_unreachable_gives_empty_list(self, delay):
-        graph = nx.Graph()
-        graph.add_node(0)
-        graph.add_node(1)
-        assert enumerate_best_paths(graph, 0, 1, delay) == []
+        assert enumerate_best_paths({0: {}, 1: {}}, 0, 1, delay) == []
 
     def test_max_paths_guard(self, bandwidth):
-        graph = nx.Graph()
+        network = Network()
         # A ladder of parallel equal-bandwidth two-hop segments: optimal paths multiply.
+        # Level k's main node is 2k, its alternative 2k + 1.
         for level in range(6):
-            graph.add_edge((level, "a"), (level + 1, "a"), bandwidth=5.0)
+            network.add_link(2 * level, 2 * level + 2, bandwidth=5.0)
         # add parallel alternatives
         for level in range(6):
-            graph.add_edge((level, "a"), (level, "b"), bandwidth=5.0)
-            graph.add_edge((level, "b"), (level + 1, "a"), bandwidth=5.0)
+            network.add_link(2 * level, 2 * level + 1, bandwidth=5.0)
+            network.add_link(2 * level + 1, 2 * level + 2, bandwidth=5.0)
         with pytest.raises(RuntimeError):
-            enumerate_best_paths(graph, (0, "a"), (6, "a"), bandwidth, max_paths=3)
+            enumerate_best_paths(network.adjacency, 0, 12, bandwidth, max_paths=3)
 
 
 class TestRngReduction:
     def test_dominated_link_removed_for_bandwidth(self, bandwidth):
-        graph = nx.Graph()
-        graph.add_edge(1, 2, bandwidth=1.0)
-        graph.add_edge(1, 3, bandwidth=5.0)
-        graph.add_edge(3, 2, bandwidth=4.0)
-        reduced = qos_rng_reduce(graph.adj, bandwidth)
+        network = Network()
+        network.add_link(1, 2, bandwidth=1.0)
+        network.add_link(1, 3, bandwidth=5.0)
+        network.add_link(3, 2, bandwidth=4.0)
+        reduced = qos_rng_reduce(network.adjacency, bandwidth)
         assert 2 not in reduced[1] and 1 not in reduced[2]
         assert 3 in reduced[1] and 2 in reduced[3]
-        assert dominated_links(graph.adj, bandwidth) == {(1, 2)}
+        assert dominated_links(network.adjacency, bandwidth) == {(1, 2)}
 
     def test_dominated_link_removed_for_delay(self, delay):
-        graph = nx.Graph()
-        graph.add_edge(1, 2, delay=10.0)
-        graph.add_edge(1, 3, delay=2.0)
-        graph.add_edge(3, 2, delay=3.0)
-        reduced = qos_rng_reduce(graph.adj, delay)
+        network = Network()
+        network.add_link(1, 2, delay=10.0)
+        network.add_link(1, 3, delay=2.0)
+        network.add_link(3, 2, delay=3.0)
+        reduced = qos_rng_reduce(network.adjacency, delay)
         assert 2 not in reduced[1]
 
     def test_link_kept_when_no_witness_dominates_both_legs(self, bandwidth):
-        graph = nx.Graph()
-        graph.add_edge(1, 2, bandwidth=4.0)
-        graph.add_edge(1, 3, bandwidth=5.0)
-        graph.add_edge(3, 2, bandwidth=3.0)  # second leg is worse than the direct link
-        reduced = qos_rng_reduce(graph.adj, bandwidth)
+        network = Network()
+        network.add_link(1, 2, bandwidth=4.0)
+        network.add_link(1, 3, bandwidth=5.0)
+        network.add_link(3, 2, bandwidth=3.0)  # second leg is worse than the direct link
+        reduced = qos_rng_reduce(network.adjacency, bandwidth)
         assert 2 in reduced[1]
 
     def test_reduction_preserves_widest_path_values(self, random_network_factory, bandwidth):
         """A removed link is always the strict bottleneck of a triangle, so the maximum
         spanning tree survives the reduction and every pair's widest-path value is intact."""
         network = random_network_factory(25, seed=8)
-        graph = network.graph
-        reduced = qos_rng_reduce(graph.adj, bandwidth)
-        nodes = sorted(graph.nodes)
-        source = nodes[0]
-        original = best_values_from(graph, source, bandwidth)
+        reduced = qos_rng_reduce(network.adjacency, bandwidth)
+        source = network.nodes()[0]
+        original = best_values_from(network.adjacency, source, bandwidth)
         filtered = best_values_from(CompactGraph.from_links(reduced, bandwidth), source, bandwidth)
         assert set(original) == set(filtered)
         for node, value in original.items():
             assert filtered[node] == pytest.approx(value)
 
     def test_input_graph_is_not_modified(self, bandwidth):
-        graph = nx.Graph()
-        graph.add_edge(1, 2, bandwidth=1.0)
-        graph.add_edge(1, 3, bandwidth=5.0)
-        graph.add_edge(3, 2, bandwidth=4.0)
-        qos_rng_reduce(graph.adj, bandwidth)
-        assert graph.has_edge(1, 2)
+        network = Network()
+        network.add_link(1, 2, bandwidth=1.0)
+        network.add_link(1, 3, bandwidth=5.0)
+        network.add_link(3, 2, bandwidth=4.0)
+        qos_rng_reduce(network.adjacency, bandwidth)
+        assert network.has_link(1, 2)

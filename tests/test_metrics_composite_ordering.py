@@ -72,16 +72,15 @@ class TestLexicographicMetric:
 
     def test_composite_drives_path_solver(self, bw_then_energy):
         """The composite metric plugs into the generic best-path machinery unchanged."""
-        import networkx as nx
-
         from repro.localview.paths import best_value_between
+        from repro.topology import Network
 
-        graph = nx.Graph()
-        graph.add_edge(0, 1, bandwidth=5.0, energy_cost=5.0)
-        graph.add_edge(1, 3, bandwidth=5.0, energy_cost=5.0)
-        graph.add_edge(0, 2, bandwidth=5.0, energy_cost=1.0)
-        graph.add_edge(2, 3, bandwidth=5.0, energy_cost=1.0)
-        value = best_value_between(graph, 0, 3, bw_then_energy)
+        network = Network()
+        network.add_link(0, 1, bandwidth=5.0, energy_cost=5.0)
+        network.add_link(1, 3, bandwidth=5.0, energy_cost=5.0)
+        network.add_link(0, 2, bandwidth=5.0, energy_cost=1.0)
+        network.add_link(2, 3, bandwidth=5.0, energy_cost=1.0)
+        value = best_value_between(network.adjacency, 0, 3, bw_then_energy)
         assert value == (5.0, 2.0)
 
 

@@ -59,7 +59,7 @@ def _view_key(view):
         view.owner,
         view.one_hop,
         view.two_hop,
-        {frozenset(edge): dict(view.graph.edges[edge]) for edge in view.graph.edges},
+        _graph_key(view.links),
     )
 
 
@@ -339,8 +339,8 @@ def _answers(view):
     )
 
 
-def _graph_key(graph):
-    return {frozenset(edge): dict(graph.adj[edge[0]][edge[1]]) for edge in graph.edges}
+def _graph_key(links):
+    return {frozenset((u, v)): dict(data) for u, row in links.items() for v, data in row.items()}
 
 
 def _assert_same_csr(maintained, fresh):
@@ -386,7 +386,7 @@ class TestMaintainedViewsMatchFreshBuilds:
                 for metric in METRICS:
                     view.direct_link_values(metric)
                 if owner % 2:
-                    view.graph
+                    view.links
             records = {owner: view.coverage() for owner, view in views.items()}
             held = dict(views)
             before = {owner: LocalView.from_network(dynamic.network, owner) for owner in views}
@@ -400,17 +400,17 @@ class TestMaintainedViewsMatchFreshBuilds:
                     assert view.coverage() is records[owner], owner
                 assert _answers(view) == _answers(fresh), owner
                 if owner % 2:
-                    assert _graph_key(view.graph) == _graph_key(fresh.graph), owner
+                    assert _graph_key(view.links) == _graph_key(fresh.links), owner
             for owner, view in held.items():
                 if views[owner] is view:
                     continue  # kept: its neighbourhood did not change
                 assert delta.link_churn, "only a structural step replaces views"
                 assert view.network_graph() is None, owner
                 assert _answers(view) == _answers(before[owner]), owner
-                assert _graph_key(view.graph) == _graph_key(before[owner].graph), owner
+                assert _graph_key(view.links) == _graph_key(before[owner].links), owner
         for owner, view in views.items():
             fresh = LocalView.from_network(dynamic.network, owner)
-            assert _graph_key(view.graph) == _graph_key(fresh.graph), owner
+            assert _graph_key(view.links) == _graph_key(fresh.links), owner
 
 
 class TestDynamicSweepsThroughTheEngine:

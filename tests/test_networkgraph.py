@@ -1,8 +1,8 @@
 """The shared network-level CSR: CSR-native views and batched-kernel bit-identity.
 
 Two families of pins.  First, :class:`LocalView` attached to a :class:`NetworkGraph`: it
-holds its sets and references to the shared rows (no per-view graph until a scalar
-consumer reads ``view.graph``), answers every query exactly as a view built from the
+holds its sets and references to the shared rows (no per-view map until a scalar
+consumer reads ``view.links``), answers every query exactly as a view built from the
 network itself, sees in-place weight patches once its caches are dropped, keeps
 describing its own state across a structural rebuild (and stops batching), and the
 sanctioned per-view mutation (``update_link``) detaches exactly the touched view.
@@ -27,6 +27,7 @@ from repro.metrics import BandwidthMetric, DelayMetric, LexicographicMetric
 from repro.obs import runtime as obs
 from repro.obs.registry import MetricsRegistry
 from repro.topology import FieldSpec, FixedCountNetworkGenerator
+from tests.nx_oracles import nx_graph
 
 BANDWIDTH = BandwidthMetric()
 DELAY = DelayMetric()
@@ -60,9 +61,9 @@ class TestAttachedViews:
         for owner, view in views.items():
             assert view.network_graph() is ng
             # References into the shared CSR, not copies: the one-hop set is the owner's
-            # row, and no networkx graph exists until someone reads view.graph.
+            # row, and the view has no map of its own until someone reads view.links.
             assert view.one_hop is ng.rows[owner]
-            assert view._graph is None
+            assert view._links is None
             g = ng.index[owner]
             row = [ng.nodes[j] for j in ng.indices[ng.indptr[g] : ng.indptr[g + 1]].tolist()]
             assert row == sorted(view.one_hop)
@@ -74,9 +75,10 @@ class TestAttachedViews:
         iterate it exactly as a view built from the network does."""
         network = float_weighted_network(9)
         ng = NetworkGraph.from_network(network)
+        reference = nx_graph(network.adjacency).adj  # a frozenset of one of its rows is filled node by node
         for node in network.nodes():
-            assert list(ng.rows[node]) == list(frozenset(network.graph.adj[node]))
-            assert list(ng.adjacency[node]) == list(network.graph.adj[node])
+            assert list(ng.rows[node]) == list(frozenset(reference[node]))
+            assert list(ng.adjacency[node]) == list(network.adjacency[node])
         views = LocalView.all_from_network(network, network_graph=ng)
         for owner, view in views.items():
             fresh = LocalView.from_network(network, owner)
@@ -92,7 +94,7 @@ class TestAttachedViews:
             fresh = LocalView.from_network(network, owner)
             assert view.nodes == fresh.nodes
             for node in sorted(fresh.nodes) + [outsider]:
-                assert (node in view) == (node in fresh.graph)
+                assert (node in view) == (node in fresh.links)
                 assert view.neighbors_of(node) == fresh.neighbors_of(node), (owner, node)
                 assert view.common_relays(node) == fresh.common_relays(node), (owner, node)
             for u in sorted(fresh.nodes):
@@ -106,7 +108,7 @@ class TestAttachedViews:
                     assert view.direct_link_value(neighbor, metric) == fresh.direct_link_value(
                         neighbor, metric
                     )
-            assert view._graph is None  # none of the above needed a graph
+            assert view._links is None  # none of the above needed the view's own map
 
     def test_direct_values_come_from_the_shared_value_rows(self):
         network = float_weighted_network(11)
@@ -119,23 +121,22 @@ class TestAttachedViews:
         assert ng.value_rows(COMPOSITE) is None  # composites read the attributes instead
 
     def test_the_graph_is_materialized_once_from_the_snapshot(self):
-        """view.graph equals the graph of a view built from the network -- node order,
-        adjacency order and attributes -- and is built from the CSR's snapshot, never
-        from the live network (which may have moved on)."""
+        """view.links equals the map of a view built from the network -- node order, row
+        order and attributes -- and is derived from the CSR's snapshot, never from the
+        live network (which may have moved on)."""
         network = float_weighted_network(12)
         ng = NetworkGraph.from_network(network)
         views = LocalView.all_from_network(network, network_graph=ng)
         owner = network.nodes()[3]
         fresh = LocalView.from_network(network, owner)
-        u, v = sorted(fresh.graph.edges)[0]
+        u, v = min((a, b) for a, row in fresh.links.items() for b in row)
         network.set_link_weight(u, v, DELAY.name, 777.0)  # the live network moves on
-        graph = views[owner].graph
-        assert graph is views[owner].graph  # built once
-        assert list(graph.nodes) == list(fresh.graph.nodes)
-        assert [(n, list(row.items())) for n, row in graph.adj.items()] == [
-            (n, list(row.items())) for n, row in fresh.graph.adj.items()
+        links = views[owner].links
+        assert links is views[owner].links  # derived once
+        assert [(n, list(row.items())) for n, row in links.items()] == [
+            (n, list(row.items())) for n, row in fresh.links.items()
         ]
-        assert graph.adj[u][v] is ng.adjacency[u][v]  # the shared snapshot, not a copy
+        assert links[u][v] is ng.adjacency[u][v]  # the shared snapshot, not a copy
 
     def test_weight_patches_reach_views_once_their_caches_drop(self):
         """patch_weights rewrites the shared arrays in place: a view that sees the link
@@ -148,7 +149,7 @@ class TestAttachedViews:
         view = views[u]
         slot_array_before = ng.slot_values(DELAY)
         before = view.direct_link_value(v, DELAY)
-        graph_before = view.graph
+        links_before = view.links
         network.set_link_weight(u, v, DELAY.name, 123.456)
         ng.patch_weights(network, [(u, v)])
         # Same array object, patched in place -- references held by kernels stay valid.
@@ -158,8 +159,8 @@ class TestAttachedViews:
         assert view.network_graph() is ng  # a weight patch does not detach
         assert view.direct_link_value(v, DELAY) == 123.456 != before
         assert view.link_value(u, v, DELAY) == 123.456
-        assert view.graph is not graph_before  # the stale graph was dropped
-        assert view.graph.adj[u][v][DELAY.name] == 123.456
+        assert view.links is not links_before  # the stale map was dropped
+        assert view.links[u][v][DELAY.name] == 123.456
 
     def test_views_outlive_a_rebuild_describing_their_own_state(self):
         """A structural rebuild replaces the rows: views built before it keep answering
@@ -170,7 +171,7 @@ class TestAttachedViews:
         u, v = sorted(network.links())[0]
         held = views[u]
         before = LocalView.from_network(network, u)
-        network.graph.remove_edge(u, v)
+        network.remove_link(u, v)
         generation = ng.generation
         ng.rebuild(network)
         assert ng.generation == generation + 1
@@ -179,9 +180,7 @@ class TestAttachedViews:
         assert held.neighbors_of(v) == before.neighbors_of(v)
         assert held.has_link(u, v)
         assert held.direct_link_values(DELAY) == before.direct_link_values(DELAY)
-        assert {frozenset(e): held.graph.edges[e] for e in held.graph.edges} == {
-            frozenset(e): before.graph.edges[e] for e in before.graph.edges
-        }
+        assert held.links == before.links
         assert prime_first_hops([held], DELAY) == 0  # never primed from the new arrays
         assert all_first_hops(held, DELAY) == all_first_hops(before, DELAY)
         rebuilt = LocalView.all_from_network(network, network_graph=ng)[u]

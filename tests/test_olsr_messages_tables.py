@@ -119,9 +119,7 @@ class TestTopologyTable:
     def test_update_and_graph(self):
         table = TopologyTable(owner=0)
         assert table.update_from_tc(self._tc(1, 1, {2: {"delay": 1.0}, 3: {"delay": 2.0}}))
-        graph = table.as_graph()
-        assert graph.has_edge(1, 2) and graph.has_edge(1, 3)
-        assert graph.edges[1, 3]["delay"] == 2.0
+        assert table.advertised_links() == {(1, 2): {"delay": 1.0}, (1, 3): {"delay": 2.0}}
 
     def test_stale_ansn_is_ignored(self):
         table = TopologyTable(owner=0)
@@ -201,9 +199,9 @@ class TestRoutingTable:
         solved = []
         rule = routing_table_module.best_next_hop
 
-        def counting_rule(graph, solver_graph, owner, destination, direct, metric):
+        def counting_rule(solver_graph, owner, destination, direct, metric):
             solved.append(destination)
-            return rule(graph, solver_graph, owner, destination, direct, metric)
+            return rule(solver_graph, owner, destination, direct, metric)
 
         monkeypatch.setattr(routing_table_module, "best_next_hop", counting_rule)
         table = RoutingTable(owner=0, metric=DelayMetric())

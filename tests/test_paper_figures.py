@@ -53,7 +53,7 @@ class TestFigure2:
         assert result.best_value == pytest.approx(4.0)
 
     def test_both_optimal_paths_to_v3_are_two_hop(self, view, bandwidth):
-        paths = enumerate_best_paths(view.graph, FIGURE2_OWNER, 3, bandwidth)
+        paths = enumerate_best_paths(view.links, FIGURE2_OWNER, 3, bandwidth)
         assert sorted(paths) == [[FIGURE2_OWNER, 1, 3], [FIGURE2_OWNER, 2, 3]]
 
     def test_direct_links_to_v1_and_v2_have_equal_bandwidth(self, view, bandwidth):

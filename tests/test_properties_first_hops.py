@@ -75,7 +75,7 @@ def test_first_hop_sets_satisfy_their_defining_property(network, owner_index):
                     remainder = metric.identity
                 else:
                     remainder = best_value_between(
-                        view.graph, neighbor, target, metric, excluded=(owner,)
+                        view.links, neighbor, target, metric, excluded=(owner,)
                     )
                     if not metric.is_usable(remainder) and not metric.values_equal(
                         remainder, metric.identity
@@ -138,9 +138,7 @@ def test_cached_forest_answers_equal_fresh_ones_after_mutation(
     u = owner
     v = sorted(view.one_hop)[0]
     view.update_link(u, v, bandwidth=float(new_bandwidth), delay=float(new_delay))
-    pristine = LocalView(
-        owner=owner, one_hop=view.one_hop, two_hop=view.two_hop, graph=view.graph.copy()
-    )
+    pristine = LocalView(owner=owner, one_hop=view.one_hop, two_hop=view.two_hop, links=view.links)
     for metric in METRICS:
         assert all_first_hops(view, metric) == all_first_hops(pristine, metric)
         assert all_first_hops(view, metric, method="per-target") == all_first_hops(

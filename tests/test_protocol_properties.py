@@ -445,8 +445,7 @@ def test_from_tables_builds_the_graph_report_by_report(tables):
     owner, neighbor_links, two_hop_links = tables
     view = LocalView.from_tables(owner, neighbor_links, two_hop_links)
     expected = _graph_report_by_report(owner, neighbor_links, two_hop_links)
-    assert list(view.graph.nodes) == list(expected.nodes)
-    assert [(u, list(row.items())) for u, row in view.graph.adj.items()] == [
+    assert [(u, list(row.items())) for u, row in view.links.items()] == [
         (u, list(row.items())) for u, row in expected.adj.items()
     ]
     assert view.one_hop == set(neighbor_links)
@@ -469,9 +468,26 @@ def test_from_tables_builds_the_graph_report_by_report(tables):
 # ---------------------------------------------------------------------- routes on demand
 
 
+def _knowledge_graph(owner, neighbors: NeighborTable, topology: TopologyTable) -> nx.Graph:
+    """The node's routing knowledge built with networkx's ``add_edge``, the oracle of
+    ``RoutingTable``'s link map: advertised links, the owner, HELLO links, then two-hop
+    reports of links not yet known."""
+    graph = nx.Graph()
+    for (u, v), weights in topology.advertised_links().items():
+        graph.add_edge(u, v, **weights)
+    graph.add_node(owner)
+    for neighbor, weights in neighbors.neighbor_link_table().items():
+        graph.add_edge(owner, neighbor, **weights)
+    for neighbor, reported in neighbors.two_hop_link_table().items():
+        for other, weights in reported.items():
+            if not graph.has_edge(neighbor, other):
+                graph.add_edge(neighbor, other, **weights)
+    return graph
+
+
 def _eager_routes(owner, metric, neighbors: NeighborTable, topology: TopologyTable) -> dict:
     """Every destination's route, solved one by one inside ``recompute`` (the oracle)."""
-    knowledge = RoutingTable(owner, metric)._knowledge_graph(neighbors, topology)
+    knowledge = _knowledge_graph(owner, neighbors, topology)
     solver_graph = CompactGraph.from_links(knowledge.adj, metric)
     routes = {}
     for destination in [node for node in knowledge.nodes if node != owner]:
@@ -548,6 +564,14 @@ def test_on_demand_routes_equal_the_eager_loop(tables, metric_name):
     expected = _eager_routes(0, metric, neighbors, topology)
     table = RoutingTable(owner=0, metric=metric)
     table.recompute(neighbors, topology)
+    knowledge = _knowledge_graph(0, neighbors, topology)
+    assert [(u, list(row.items())) for u, row in table._knowledge.items()] == [
+        (u, list(row.items())) for u, row in knowledge.adj.items()
+    ]
+    table_dicts = {id(entry.weights) for entry in topology.entries()}
+    table_dicts |= {id(entry.weights) for entry in neighbors._neighbors.values()}
+    table_dicts |= {id(entry.weights) for entry in neighbors._two_hop.values()}
+    assert not table_dicts & {id(data) for row in table._knowledge.values() for data in row.values()}
     for destination in range(10):  # every node the tables can name, the owner and one more
         assert table.entry(destination) == expected.get(destination)
         assert table.next_hop(destination) == (

@@ -27,7 +27,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import networkx as nx
 import pytest
 
 from repro.experiments import sweep_cli
@@ -62,10 +61,6 @@ def _anchor_trial(metric):
         tc_interval=1.0,
     )
     return build_trial(spec, metric, 20.0, 0)
-
-
-def _components(network):
-    return [frozenset(component) for component in nx.connected_components(network.graph)]
 
 
 def _tiny_protocol_spec(**overrides) -> ExperimentSpec:
@@ -114,7 +109,7 @@ class TestZeroLossAnchor:
         truth_edges = {
             canonical_edge(node, relay) for node, sel in analytic.items() for relay in sel
         }
-        component_of = {node: comp for comp in _components(trial.network) for node in comp}
+        component_of = {node: comp for comp in map(frozenset, trial.network.connected_components()) for node in comp}
         for node, links in sim.advertised_link_sets().items():
             own = {canonical_edge(node, relay) for relay in analytic[node]}
             component_truth = {edge for edge in truth_edges if edge[0] in component_of[node]}

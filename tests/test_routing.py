@@ -18,12 +18,15 @@ from repro.routing import (
     optimal_route,
 )
 from repro.topology import Network
+from tests.nx_oracles import nx_graph
 
 
 class TestOptimalRoute:
     def test_delay_route_matches_networkx(self, grid_network, delay):
         ours = optimal_route(grid_network, 0, 15, delay)
-        reference_length = nx.dijkstra_path_length(grid_network.graph, 0, 15, weight="delay")
+        reference_length = nx.dijkstra_path_length(
+            nx_graph(grid_network.adjacency), 0, 15, weight="delay"
+        )
         assert ours.value == pytest.approx(reference_length)
         assert ours.path[0] == 0 and ours.path[-1] == 15
         # The returned path's true cost equals the reported value.
@@ -42,7 +45,7 @@ class TestOptimalRoute:
         # verify optimality against brute force on this small graph.
         best = max(
             min(grid_network.link_value(u, v, bandwidth) for u, v in zip(path, path[1:]))
-            for path in nx.all_simple_paths(grid_network.graph, 0, 15, cutoff=8)
+            for path in nx.all_simple_paths(nx_graph(grid_network.adjacency), 0, 15, cutoff=8)
         )
         assert ours.value == pytest.approx(best)
 
@@ -60,7 +63,7 @@ class TestOptimalRoute:
         assert route.value == delay.worst
 
     def test_missing_node(self, grid_network, delay):
-        route = best_path(grid_network.graph, 0, 999, delay)
+        route = best_path(grid_network.adjacency, 0, 999, delay)
         assert not route.reachable
 
 
@@ -68,15 +71,16 @@ class TestAdvertisedTopology:
     def test_links_come_from_selections(self, diamond_network, bandwidth):
         selections = {0: frozenset({1}), 3: frozenset({2})}
         advertised = AdvertisedTopologyBuilder(diamond_network).build(selections)
-        assert advertised.graph.has_edge(0, 1)
-        assert advertised.graph.has_edge(3, 2)
-        assert not advertised.graph.has_edge(0, 3)
+        assert advertised.neighbors == {0: {1}, 1: {0}, 3: {2}, 2: {3}}
         assert advertised.advertised_link_count() == 2
         assert advertised.average_set_size() == 1.0
 
     def test_advertised_links_carry_true_weights(self, diamond_network, bandwidth):
         advertised = AdvertisedTopologyBuilder(diamond_network).build({0: frozenset({1})})
-        assert advertised.graph.edges[0, 1]["bandwidth"] == 4.0
+        snapshot = HopByHopRouter(diamond_network, advertised, bandwidth)._advertised_compact_graph()
+        index = snapshot.index
+        assert snapshot.adj[index[0]] == ((index[1], 4.0),)
+        assert snapshot.adj[index[1]] == ((index[0], 4.0),)
 
     def test_advertising_a_non_link_is_rejected(self, diamond_network):
         with pytest.raises(ValueError):
@@ -86,12 +90,14 @@ class TestAdvertisedTopology:
         selector = FnbpSelector()
         by_parts = AdvertisedTopologyBuilder(grid_network).build(selector.select_all(grid_network, bandwidth))
         direct = advertise(grid_network, selector, bandwidth)
-        assert set(by_parts.graph.edges) == set(direct.graph.edges)
+        assert by_parts.neighbors == direct.neighbors
         assert by_parts.ans_sets == direct.ans_sets
 
-    def test_every_node_present_even_without_advertisements(self, diamond_network):
+    def test_every_node_present_even_without_advertisements(self, diamond_network, bandwidth):
         advertised = AdvertisedTopologyBuilder(diamond_network).build({})
-        assert set(advertised.graph.nodes) == set(diamond_network.nodes())
+        snapshot = HopByHopRouter(diamond_network, advertised, bandwidth)._advertised_compact_graph()
+        assert snapshot.nodes == tuple(diamond_network.nodes())
+        assert snapshot.edge_count() == 0
         assert advertised.average_set_size() == 0.0
 
 
