@@ -1,11 +1,9 @@
 """Record the selection micro-benchmark trajectory as machine-readable JSON.
 
 Times the all-targets first-hop computation (the inner loop of every density sweep) on the
-same dense local view as ``test_bench_micro_selection.py``, for every solver method;
-additionally times the concave bottleneck-forest solve cold vs warm (cold drops the per-view forest cache first,
-so every run pays for Kruskal; warm answers from the cache).  Everything is written to
-``BENCH_selection.json`` at the repository root.  Successive
-PRs re-run this to keep the perf trajectory comparable across versions::
+same dense local view as ``test_bench_micro_selection.py``, for every solver method.
+Everything is written to ``BENCH_selection.json`` at the repository root.  Successive
+changes re-run this to keep the perf trajectory comparable across versions::
 
     PYTHONPATH=src python benchmarks/record.py            # writes BENCH_selection.json
     PYTHONPATH=src python benchmarks/record.py --rounds 60 --output /tmp/bench.json
@@ -88,118 +86,24 @@ def time_case(fn, rounds: int) -> dict:
     }
 
 
-def record_forest_cache(view: LocalView, rounds: int) -> dict:
-    """Cold-vs-warm timings of the concave all-targets solve on one dense view.
-
-    Cold drops the cached bottleneck forest before every run (the compact graph stays, so
-    the delta is exactly the Kruskal the cache skips); warm answers from the cache.
-    """
-    bandwidth = BandwidthMetric()
-
-    def cold():
-        view._forest.clear()
-        all_first_hops(view, bandwidth, method="bottleneck-forest")
-
-    def warm():
-        all_first_hops(view, bandwidth, method="bottleneck-forest")
-
-    cold_timing = time_case(cold, rounds)
-    warm_timing = time_case(warm, rounds)
-    return {
-        "cold": cold_timing,
-        "warm": warm_timing,
-        "warm_speedup": cold_timing["min_s"] / warm_timing["min_s"],
-    }
-
-
-def record_mobility(rounds: int) -> dict:
-    """Incremental dynamic-topology stepping vs per-step regeneration.
-
-    One timed round advances a dense random-waypoint network through several timesteps and,
-    after each step, runs the all-targets first-hop solve on a fixed owner sample (the
-    selection workload every dynamic measure funnels through).  The incremental path diffs
-    link sets, rebuilds only the views a change touched and keeps every other view's
-    compact-graph/forest caches warm; the regeneration baseline rebuilds the network and
-    all views from scratch each step.  Both paths produce bit-identical networks and views
-    (asserted by ``tests/test_mobility.py``); this records the speedup in two regimes:
-
-    * ``clustered`` (the headline ``incremental_speedup``): 10% of nodes mobile (a static
-      mesh serving mobile clients) -- changes localize, most views keep their caches, the
-      affected-view rebuild carries the win;
-    * ``full``: every node mobile -- a step touches most neighborhoods, so most views are
-      rebuilt (cheap CSR-native views), and the (smaller) win is skipping the network
-      regeneration and per-link weight redraws.
-    """
-    metric = BandwidthMetric()
-    steps = 5
-
-    def scenario(mobile_fraction: float) -> dict:
-        # 110 nodes in a 420x420 field at radius 100 is mean degree ~20 -- the middle of
-        # the paper's density range -- with pedestrian-scale movement per time unit.
-        generator = RandomWaypointGenerator(
-            field=FieldSpec(width=420.0, height=420.0, radius=100.0),
-            node_count=110,
-            seed=13,
-            weight_assigners=(UniformWeightAssigner(metric=metric, low=1.0, high=10.0, seed=31),),
-            speed_low=1.0,
-            speed_high=4.0,
-            pause_high=0.5,
-            mobile_fraction=mobile_fraction,
-        )
-
-        def run(incremental: bool) -> None:
-            dynamic = generator.dynamic()
-            dynamic.incremental = incremental
-            views = dynamic.views()
-            owners = dynamic.network.nodes()[::22]
-            for owner in owners:
-                all_first_hops(views[owner], metric)
-            for _ in range(steps):
-                dynamic.advance()
-                views = dynamic.views()
-                for owner in owners:
-                    all_first_hops(views[owner], metric)
-
-        incremental_timing = time_case(lambda: run(True), rounds)
-        rebuild_timing = time_case(lambda: run(False), rounds)
-        probe = generator.dynamic()
-        return {
-            "network": {"nodes": len(probe.network), "links": probe.network.number_of_links()},
-            "mobile_fraction": mobile_fraction,
-            "incremental": incremental_timing,
-            "rebuild": rebuild_timing,
-            "incremental_speedup": rebuild_timing["min_s"] / incremental_timing["min_s"],
-        }
-
-    clustered = scenario(0.1)
-    full = scenario(1.0)
-    return {
-        "model": "rwp",
-        "steps_per_round": steps,
-        "clustered": clustered,
-        "full": full,
-        "incremental_speedup": clustered["incremental_speedup"],
-    }
-
-
 def record_incremental_selection(rounds: int) -> dict:
     """Dirty-set cached re-selection vs from-scratch per-step selection on the step path.
 
     One timed round advances a dense random-waypoint network through several timesteps and,
     after each step (plus once at time zero), computes every paper selector's advertised
     sets at every node -- the selection workload of the dynamic measures.  Both paths use
-    the PR-4 incremental step path (diffed links, warm view caches); the difference is the
-    selection layer on top:
+    the same step path (diffed links, warm view caches); the difference is the selection
+    layer on top:
 
-    * ``from_scratch`` is the PR-4 behavior: every step re-runs every selector on every
-      node, even in neighborhoods no link flip touched;
+    * ``from_scratch`` re-runs every selector on every node at every step, even in
+      neighborhoods no link flip touched;
     * ``cached`` routes the same workload through a :class:`SelectionCache` invalidated by
       each step's ``StepDelta.dirty`` set, so only owners whose local view changed re-run
       the selector and everyone else reuses the previous step's results (bit-identical,
       pinned by ``tests/test_incremental_selection.py``).
 
-    Recorded in the same two regimes as the ``mobility`` section: ``clustered`` (10% of
-    nodes mobile; dirt localizes, most selections are reused -- the headline
+    Recorded in two regimes: ``clustered`` (10% of nodes mobile, a static mesh serving
+    mobile clients; dirt localizes, most selections are reused -- the headline
     ``incremental_speedup``) and ``full`` (every node mobile; most views are dirtied each
     step, so the cache's win shrinks toward the cost of the bookkeeping).
     """
@@ -321,7 +225,6 @@ def record_csr_kernels(rounds: int) -> dict:
         def scalar():
             for view in views:
                 view._compact = {}
-                view._forest = {}
                 view._first_hops = {}
             return {view.owner: all_first_hops(view, metric) for view in views}
 
@@ -595,10 +498,8 @@ def record(rounds: int) -> dict:
         },
         "python": platform.python_version(),
         "results": results,
-        "forest_cache": record_forest_cache(view, rounds),
         "engine_dispatch": record_engine_dispatch(max(5, rounds // 4)),
         "telemetry": record_telemetry(max(5, rounds // 4)),
-        "mobility": record_mobility(max(3, rounds // 8)),
         "incremental_selection": record_incremental_selection(max(3, rounds // 8)),
         "csr_kernels": record_csr_kernels(max(3, rounds // 8)),
         "topology_filtering": record_topology_filtering(max(3, rounds // 8)),
@@ -621,11 +522,6 @@ def main(argv=None) -> int:
     for name in sorted(payload["results"]):
         timing = payload["results"][name]
         print(f"{name:32s} min {timing['min_s'] * 1e3:8.3f} ms   {timing['targets_per_s']:10.0f} targets/s")
-    forest = payload["forest_cache"]
-    print(
-        f"forest cache: cold {forest['cold']['min_s'] * 1e3:.3f} ms  "
-        f"warm {forest['warm']['min_s'] * 1e3:.3f} ms  ({forest['warm_speedup']:.2f}x)"
-    )
     dispatch = payload["engine_dispatch"]
     print(
         f"engine dispatch: spec engine {dispatch['spec_engine']['min_s'] * 1e3:.3f} ms  "
@@ -639,14 +535,6 @@ def main(argv=None) -> int:
         f"on {telemetry['metrics_on']['min_s'] * 1e3:.3f} ms  "
         f"(on/off {telemetry['on_overhead_ratio']:.3f}x)"
     )
-    for regime in ("clustered", "full"):
-        mobility = payload["mobility"][regime]
-        print(
-            f"mobility step path ({regime}, {mobility['mobile_fraction']:.0%} mobile): "
-            f"rebuild {mobility['rebuild']['min_s'] * 1e3:.3f} ms  "
-            f"incremental {mobility['incremental']['min_s'] * 1e3:.3f} ms  "
-            f"({mobility['incremental_speedup']:.2f}x)"
-        )
     for regime in ("clustered", "full"):
         selection = payload["incremental_selection"][regime]
         print(

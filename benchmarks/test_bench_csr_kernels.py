@@ -33,7 +33,6 @@ def _solve_rounds(metric):
     def scalar():
         for view in views:
             view._compact = {}
-            view._forest = {}
             view._first_hops = {}
         return {view.owner: all_first_hops(view, metric) for view in views}
 

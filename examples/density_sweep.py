@@ -3,8 +3,8 @@
 
 By default this runs the ``quick`` profile (a reduced sweep with the same shape as the
 paper's); pass ``--profile paper`` for the full 100-run evaluation (this takes hours) or
-``--figure N`` to run a single figure.  The same functionality is installed as the
-``repro-figures`` console script.
+``--figure N`` to run a single figure (``--all`` runs all four).  This is the
+``repro-sweep`` command, also installed as ``repro-figures``.
 
 Run with:  python examples/density_sweep.py --figure 6 --profile quick
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.cli import main
+from repro.experiments.sweep_cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

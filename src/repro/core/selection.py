@@ -157,9 +157,9 @@ class AnsSelector(ABC):
         Views are built in one batched adjacency pass rather than node by node (``network``
         is only consulted when ``views`` is not supplied).  Callers that run several
         selectors (or several metrics) on the same network should build the batch once and
-        pass it as ``views``: each view memoizes its per-metric compact graph and
-        bottleneck forest, so sharing the views shares that work across runs (this is what
-        the sweep harness does through :class:`repro.experiments.runner.Trial`).
+        pass it as ``views``: each view memoizes its per-metric compact graph, so sharing
+        the views shares that work across runs (this is what the sweep harness does
+        through :class:`repro.experiments.runner.Trial`).
 
         ``previous`` and ``dirty`` (always passed together) make the run *incremental*:
         ``previous`` is a complete earlier result on the same metric and ``dirty`` names
@@ -249,13 +249,12 @@ class _TracedSelector(AnsSelector):
 class SelectionCache:
     """Per-``(selector, metric)`` selection results reused across dynamic-trial timesteps.
 
-    The last cache layer of the harness, same philosophy as the compact-graph and
-    bottleneck-forest caches on :class:`~repro.localview.view.LocalView`: selection is a
-    pure function of the owner's local view and the metric, so results stay valid exactly
-    until the view changes.  A dynamic trial therefore only has to re-run a selector on
-    the nodes each step's :attr:`StepDelta.dirty
-    <repro.mobility.dynamic.StepDelta.dirty>` set names; everyone else's
-    :class:`SelectionResult` is reused verbatim from the previous step.
+    The last cache layer of the harness, same philosophy as the compact-graph caches on
+    :class:`~repro.localview.view.LocalView`: selection is a pure function of the owner's
+    local view and the metric, so results stay valid exactly until the view changes.  A
+    dynamic trial therefore only has to re-run a selector on the nodes each step's
+    :attr:`StepDelta.dirty <repro.mobility.dynamic.StepDelta.dirty>` set names; everyone
+    else's :class:`SelectionResult` is reused verbatim from the previous step.
 
     Usage: register :meth:`on_step` as a step listener of the trial's
     :class:`~repro.mobility.dynamic.DynamicTopology` (which

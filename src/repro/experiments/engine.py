@@ -6,8 +6,8 @@ resolves the spec's registry names (measure kind, metric, topology model, select
 ``REPRO_WORKERS`` processes, bit-identically either way), folds the trial payloads through
 the measure's streaming aggregation, and emits the event stream to any number of
 :class:`~repro.experiments.sinks.ResultSink` instances.  Every figure preset, every
-``repro-figures`` and ``repro-sweep`` invocation and every future measure kind runs through
-this one function; the trials of a density carry the spec itself to the workers.
+``repro-sweep`` invocation and every future measure kind runs through this one function;
+the trials of a density carry the spec itself to the workers.
 
 Crash resilience is layered on top of the same determinism that makes parallelism
 bit-identical:

@@ -105,8 +105,8 @@ class Measure(ABC):
 def _selections_for_sample(trial: Trial, selector_name: str, sampled: set) -> Sequence:
     """Selection results for the sampled nodes only (avoids running selectors network-wide).
 
-    The trial's views -- and with them the per-metric compact-graph and bottleneck-forest
-    caches -- are shared across every selector of the sweep.
+    The trial's views -- and with them the per-metric compact-graph caches -- are shared
+    across every selector of the sweep.
     """
     from repro.core.selection import make_selector
 

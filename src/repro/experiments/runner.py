@@ -22,9 +22,9 @@ retries either aborts the sweep (``on_error="fail"``, the default) or is recorde
 structured :class:`TrialFailure` in the result list (``on_error="skip"``), which the engine
 turns into an ``on_trial_error`` sink event.
 
-Every cache in the harness hangs off the :class:`Trial` (the per-view compact graphs and
-bottleneck forests live on the trial's views; each selector's selections and advertised
-topology are memoized on the trial), and under the parallel path each worker process builds
+Every cache in the harness hangs off the :class:`Trial` (the per-view compact graphs live
+on the trial's views; each selector's selections and advertised topology are memoized on
+the trial), and under the parallel path each worker process builds
 its own trials.  Caches are therefore per-worker by construction -- nothing warm crosses a
 process boundary -- and a worker's computation for a given run index is the same
 deterministic function a serial run evaluates, which is what keeps parallel sweeps
@@ -254,7 +254,7 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     """Number of worker processes to use for a sweep.
 
     ``workers=None`` falls back to the ``REPRO_WORKERS`` environment variable; an unset or
-    empty variable means serial execution.  The ``workers`` *argument* (the CLIs'
+    empty variable means serial execution.  The ``workers`` *argument* (the CLI's
     ``--workers`` flag) keeps its documented ``0`` = "one worker per CPU" meaning; the
     environment variable must be a positive integer -- zero, negative and absurdly large
     values are configuration mistakes and are rejected with an error naming the variable.

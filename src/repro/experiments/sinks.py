@@ -34,8 +34,8 @@ emits it when it quarantines a raising sink (see below).  A sink whose handler r
 sinks via ``on_warning``, so one broken consumer cannot kill a long run.
 
 ``close()`` is called by whoever created the sink, not by the engine -- one sink may span
-several experiments (``repro-figures --all`` feeds all four figures through the same
-text/JSON sinks).  The CLIs close the buffered report sinks only after a fully successful
+several experiments (``repro-sweep --all`` feeds all four figures through the same
+text/JSON sinks).  The CLI closes the buffered report sinks only after a fully successful
 run (so a failure never clobbers existing output files with a partial report) but close
 the incremental JSONL sink unconditionally (its per-density checkpoints surviving a dead
 run is the point).  Every handler has a no-op default, so a sink overrides only what it
@@ -111,10 +111,10 @@ def _format_duration(seconds: float) -> str:
 class ProgressSink(ResultSink):
     """Adapter from the trial event stream to a ``write(message)`` callable.
 
-    This is how progress reporting rides on the sink API: the CLIs build one writing to
+    This is how progress reporting rides on the sink API: the CLI builds one writing to
     stderr unless ``--quiet``.
 
-    With ``throughput=True`` (on for the CLIs' stderr sink) each finished density also
+    With ``throughput=True`` (on for the CLI's stderr sink) each finished density also
     reports the sweep's trials/sec and an ETA extrapolated from the completed densities'
     share of wall-clock time.  Off by default: the numbers are wall-clock, so enabling
     them makes otherwise-identical runs' progress streams differ (everything else a
@@ -379,5 +379,5 @@ class MetricsJsonlSink(JsonlSink):
 
 
 def stderr_progress_sink() -> ProgressSink:
-    """The CLIs' default progress sink (one line per trial to stderr, with throughput)."""
+    """The CLI's default progress sink (one line per trial to stderr, with throughput)."""
     return ProgressSink(lambda message: print(message, file=sys.stderr), throughput=True)

@@ -1,21 +1,26 @@
-"""Generic spec-driven sweep command-line interface.
+"""The command-line interface: spec-driven sweeps and the paper's figures.
 
-Installed as ``repro-sweep`` (see ``pyproject.toml``).  Runs *any* experiment the registries
-can express -- not just the paper's four figures::
+Installed as ``repro-sweep`` and, under its old name, ``repro-figures`` (both name this
+module's :func:`main`; see ``pyproject.toml``).  Runs *any* experiment the registries can
+express, the paper's four figures included::
 
     repro-sweep --list                                   # what can I plug together?
+    repro-sweep --figure 6 --profile quick
+    repro-sweep --all --profile paper --output results.txt --json results.json
     repro-sweep --spec examples/specs/custom_delay_sweep.json --jsonl out.jsonl
     repro-sweep --preset fig6 --densities 12,18,24 --runs 10 --json fig6_custom.json
     repro-sweep --measure ans-size --metric jitter --densities 10,20 --runs 2 \\
         --selectors fnbp,olsr-mpr --id jitter-ans --title "Jitter ANS sizes"
 
 A sweep is described by an :class:`~repro.experiments.spec.ExperimentSpec`, obtained from
-``--spec file.json``, from a registered preset (``--preset fig8``), or built from scratch
-(requires at least ``--measure``, ``--metric`` and ``--densities``); every per-field
-override flag applies on top.  Results stream through the sink API: the text table always
-prints to stdout, ``--output`` adds a text-report file, ``--json`` the experiment-keyed
-JSON document, and ``--jsonl`` an incremental line-per-event file whose per-density
-checkpoints survive a killed run.
+``--spec file.json``, from a registered preset (``--preset fig8``), from a figure narrowed
+to a parameter profile (``--figure 8 --profile smoke``; the profile defaults to ``quick``,
+see :data:`~repro.experiments.presets.PROFILES`), or built from scratch (requires at least
+``--measure``, ``--metric`` and ``--densities``); every per-field override flag applies on
+top.  ``--all`` runs the four figures, in figure order, into one report.  Results stream
+through the sink API: the text table always prints to stdout, ``--output`` adds a
+text-report file, ``--json`` the experiment-keyed JSON document, and ``--jsonl`` an
+incremental line-per-event file whose per-density checkpoints survive a killed run.
 
 A killed run is not a lost run: ``repro-sweep --resume out.jsonl`` reads the stream back
 (:mod:`repro.experiments.checkpoint`), skips the finished densities and rewrites the
@@ -36,7 +41,9 @@ from typing import List, Optional, Tuple
 
 from repro.experiments.checkpoint import Checkpoint, CheckpointError, load_checkpoint, spec_hash
 from repro.experiments.engine import run_experiment
+from repro.experiments.presets import FIGURE_PRESETS, PROFILES, figure_spec
 from repro.experiments.reporting import render_report
+from repro.experiments.results import ExperimentResult
 from repro.experiments.sinks import (
     JsonlSink,
     JsonSink,
@@ -90,11 +97,23 @@ def parse_node_sample(text: str) -> Optional[int]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sweep",
-        description="Run an arbitrary spec-driven density sweep against the plugin registries.",
+        description="Run a spec-driven density sweep against the plugin registries, or "
+        "regenerate the evaluation figures of the QOLSR/FNBP paper.",
     )
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--spec", default=None, help="load the experiment spec from this JSON file")
     source.add_argument("--preset", default=None, choices=None, help="start from a registered spec preset (e.g. fig6)")
+    source.add_argument(
+        "--figure", type=int, choices=sorted(FIGURE_PRESETS), help="run one of the paper's figures"
+    )
+    source.add_argument("--all", action="store_true", help="run every figure into one report")
+    parser.add_argument(
+        "--profile",
+        choices=tuple(PROFILES),
+        default=None,
+        help="parameter profile of --figure/--all (default quick; paper = 100 runs at the "
+        "paper's densities)",
+    )
     parser.add_argument("--list", action="store_true", help="list every registry's entries and exit")
     parser.add_argument(
         "--resume",
@@ -248,7 +267,7 @@ def _base_spec(
     missing = [flag for flag, value in (("--measure", args.measure), ("--metric", args.metric), ("--densities", args.densities)) if value is None]
     if missing:
         parser.error(
-            "without --spec or --preset, a sweep needs at least "
+            "without --spec, --preset, --figure or --all, a sweep needs at least "
             + ", ".join(missing)
             + " (see --list for registry contents)"
         )
@@ -290,6 +309,18 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    figures = args.all or args.figure is not None
+    profile = args.profile or "quick"
+    if args.profile is not None and not figures:
+        parser.error("--profile applies only to --figure or --all")
+    if args.all and any(
+        (args.experiment_id, args.resume, args.jsonl_output, args.metrics_jsonl, args.profile_trials)
+    ):
+        # Four sweeps under one id would overwrite each other's results in --json.
+        parser.error(
+            "--all runs four sweeps; --id, --resume, --jsonl, --metrics-jsonl and "
+            "--profile-trials each name a single sweep"
+        )
 
     if args.list:
         print(render_registries())
@@ -303,19 +334,25 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"cannot resume: {exc}")
 
     try:
-        spec = _apply_overrides(_base_spec(args, parser, checkpoint), args).validate_names()
+        if figures:
+            numbers = sorted(FIGURE_PRESETS) if args.all else [args.figure]
+            bases = [figure_spec(number, profile) for number in numbers]
+        else:
+            bases = [_base_spec(args, parser, checkpoint)]
+        specs = [_apply_overrides(base, args).validate_names() for base in bases]
     except (KeyError, ValueError, OSError) as exc:
         # Unknown registry names, malformed spec files and bad field values all carry
         # self-explanatory messages (the registry errors name their known entries).
         message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
         parser.error(message)
+    header = f"profile={profile}" if figures else f"spec={specs[0].experiment_id}"
 
-    if checkpoint is not None and spec_hash(spec) != checkpoint.spec_hash:
+    if checkpoint is not None and spec_hash(specs[0]) != checkpoint.spec_hash:
         # The guard the engine would also apply -- surfaced here as a CLI error so a
         # mismatched --spec/--preset/override never even starts a sweep.
         parser.error(
             f"refusing to resume {args.resume}: the requested spec does not match the "
-            f"one the stream was written by (spec-hash {spec_hash(spec)[:12]}... vs "
+            f"one the stream was written by (spec-hash {spec_hash(specs[0])[:12]}... vs "
             f"{checkpoint.spec_hash[:12]}...); drop the conflicting flags or start a "
             f"fresh sweep without --resume"
         )
@@ -332,7 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.quiet:
         sinks.append(stderr_progress_sink())
     if args.output:
-        sinks.append(TextReportSink(args.output, header=f"spec={spec.experiment_id}"))
+        sinks.append(TextReportSink(args.output, header=header))
     if args.json_output:
         sinks.append(JsonSink(args.json_output))
     jsonl_sink: Optional[JsonlSink] = None
@@ -362,17 +399,26 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # The JSONL sink streams incrementally and must keep its per-density checkpoints even
     # when the run dies -- that is its purpose -- so it closes unconditionally.  The text
-    # and JSON report sinks buffer and write at close; they are closed only after success,
-    # so a failed run never clobbers existing output files with a partial report.
+    # and JSON report sinks buffer and write at close; they are closed only after every
+    # sweep succeeded, so a failed run never clobbers existing output files with a
+    # partial report.
+    results: List[ExperimentResult] = []
+    summaries: List[str] = []
     try:
-        result = run_experiment(
-            spec,
-            sinks=sinks,
-            workers=args.workers,
-            resume_from=checkpoint,
-            on_error=args.on_error,
-            metrics=metrics_enabled,
-        )
+        for spec in specs:
+            results.append(
+                run_experiment(
+                    spec,
+                    sinks=sinks,
+                    workers=args.workers,
+                    resume_from=checkpoint,
+                    on_error=args.on_error,
+                    metrics=metrics_enabled,
+                )
+            )
+            if metrics_capture is not None and metrics_capture.last is not None:
+                summary = render_metrics_summary(metrics_capture.last)
+                summaries.append(f"[{spec.experiment_id}] {summary}" if args.all else summary)
     except KeyboardInterrupt:
         # The finally below flushes and closes the checkpoint stream; tell the user where
         # it lives so the interrupted sweep is one --resume away from completion.
@@ -385,7 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(
                 "interrupted -- no --jsonl stream was attached, so nothing was "
-                "checkpointed (add --jsonl to make sweeps resumable)",
+                "checkpointed (add --jsonl to make a single sweep resumable)",
                 file=sys.stderr,
             )
         return 130
@@ -403,12 +449,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         profile_path = Path(args.profile_trials)
         profile_path.parent.mkdir(parents=True, exist_ok=True)
         profile_path.write_text(
-            json.dumps(build_profile(spec, metrics_capture.last), indent=2, sort_keys=True) + "\n",
+            json.dumps(build_profile(specs[0], metrics_capture.last), indent=2, sort_keys=True)
+            + "\n",
             encoding="utf-8",
         )
-    print(render_report([result], header=f"spec={spec.experiment_id}"))
-    if metrics_capture is not None and metrics_capture.last is not None:
-        print(render_metrics_summary(metrics_capture.last))
+    print(render_report(results, header=header))
+    for summary in summaries:
+        print(summary)
     return 0
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.base import AdditiveMetric, ConcaveMetric, Metric
 from repro.utils.ids import NodeId
@@ -161,7 +161,7 @@ def combine_and_equality(metric: Metric):
 
 def max_bottleneck_forest(
     cg: CompactGraph, excluded: int, metric: Metric
-) -> Tuple[Tuple[Tuple[int, float], ...], ...]:
+) -> List[List[Tuple[int, float]]]:
     """Maximum-bottleneck spanning forest of ``cg`` minus one node (Kruskal).
 
     For a concave metric the best path value between two nodes of a graph equals the
@@ -169,11 +169,8 @@ def max_bottleneck_forest(
     forest answers every pairwise bottleneck query on the owner-free view.  Edges are sorted
     best-first by ``metric.sort_key`` and joined with a union-find.
 
-    The returned adjacency (``forest[i]`` is a tuple of ``(neighbor_index, link_value)``
-    pairs, indices matching ``cg``) is immutable, which is what makes it safe to cache per
-    ``(view, metric)`` -- :meth:`repro.localview.view.LocalView.bottleneck_forest` memoizes
-    one forest per metric cache token so repeated concave selector runs on one view skip
-    Kruskal entirely.
+    The returned adjacency (``forest[i]`` is a list of ``(neighbor_index, link_value)``
+    pairs) is indexed like ``cg``.
     """
     adj = cg.adj
     node_count = len(adj)
@@ -197,7 +194,7 @@ def max_bottleneck_forest(
             parent[node], node = root, parent[node]
         return root
 
-    forest: list = [[] for _ in range(node_count)]
+    forest: List[List[Tuple[int, float]]] = [[] for _ in range(node_count)]
     for _, a, b, value in edges:
         root_a, root_b = find(a), find(b)
         if root_a == root_b:
@@ -205,7 +202,7 @@ def max_bottleneck_forest(
         parent[root_a] = root_b
         forest[a].append((b, value))
         forest[b].append((a, value))
-    return tuple(tuple(row) for row in forest)
+    return forest
 
 
 def best_values(

@@ -27,16 +27,13 @@ on the view -- instead of traversing a link map on every relaxation.  The origin
 implementations, which extracted link values on every relaxation, live on in
 ``tests/nx_oracles.py`` as independent references for the cross-validation tests.
 
-Caching contract: both per-view caches this module consumes --
-:meth:`LocalView.compact_graph` (link values extracted once per metric) and
-:meth:`LocalView.bottleneck_forest` (the owner-free maximum-bottleneck spanning forest the
-concave fast path walks, so warm runs skip Kruskal entirely) -- are keyed by
-:meth:`Metric.cache_token` and are valid exactly as long as the view's links do not change;
-any mutation must go through :meth:`LocalView.update_link` (or call
-:meth:`LocalView.invalidate_caches`), after which the next solve transparently rebuilds
-both.  The solvers never mutate the cached structures, so views (and therefore warm caches)
-are safe to share across selectors within one process; worker processes build their own
-views and thus their own caches.
+Caching contract: the per-view cache this module consumes -- :meth:`LocalView.compact_graph`
+(link values extracted once per metric) -- is keyed by :meth:`Metric.cache_token` and is
+valid exactly as long as the view's links do not change; any mutation must go through
+:meth:`LocalView.update_link` (or call :meth:`LocalView.invalidate_caches`), after which the
+next solve transparently rebuilds it.  The solvers never mutate the cached structures, so
+views (and therefore warm caches) are safe to share across selectors within one process;
+worker processes build their own views and thus their own caches.
 """
 
 from __future__ import annotations
@@ -49,6 +46,7 @@ from repro.localview.compactgraph import (
     CompactGraph,
     best_values,
     combine_and_equality,
+    max_bottleneck_forest,
     specialized_kind,
 )
 from repro.localview.view import Links, LocalView, mask_members
@@ -452,13 +450,12 @@ def _all_first_hops_bottleneck_forest(view: LocalView, metric: Metric) -> Dict[N
     """Every first-hop set for a concave (bottleneck) metric, via a maximum spanning forest.
 
     For bottleneck metrics the best value between two nodes of a graph equals the bottleneck
-    along their path in any maximum(-bottleneck) spanning forest.  So: take the owner-free
-    spanning forest (built with Kruskal over edges sorted best-first and cached per metric
-    on the view -- see :meth:`LocalView.bottleneck_forest` -- so only the first run per
-    ``(view, metric)`` pays for the sort and union-find), then walk the forest once *per
-    one-hop neighbor* (bottleneck values are symmetric, and a node has fewer one-hop
-    neighbors than known targets) to obtain ``best(n → target in G \\ {u})`` for every
-    target, and combine with the owner's direct links exactly as in :func:`first_hops_to`.
+    along their path in any maximum(-bottleneck) spanning forest.  So: build the owner-free
+    spanning forest (Kruskal over the compact graph's edges sorted best-first), then walk
+    the forest once *per one-hop neighbor* (bottleneck values are symmetric, and a node has
+    fewer one-hop neighbors than known targets) to obtain ``best(n → target in G \\ {u})``
+    for every target, and combine with the owner's direct links exactly as in
+    :func:`first_hops_to`.
     For the stock concave metrics the inner loops inline ``min`` and the tolerant equality
     (see :func:`~repro.localview.compactgraph.float_values_equal`).
     """
@@ -471,7 +468,7 @@ def _all_first_hops_bottleneck_forest(view: LocalView, metric: Metric) -> Dict[N
             for target in view.known_targets()
         }
 
-    forest = view.bottleneck_forest(metric)
+    forest = max_bottleneck_forest(cg, cg.index[view.owner], metric)
     one_hop_rows = _one_hop_rows(view, cg)
     plain = specialized_kind(metric) == "concave"
     identity = metric.identity

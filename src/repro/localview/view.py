@@ -28,21 +28,21 @@ first read from the snapshot -- never from the live network, which ``DynamicTopo
 mutates in place.  The compact graphs, the scalar topology-filtering table and the path
 helpers of :mod:`repro.localview.paths` read it.
 
-Views are immutable by default: the selection machinery caches compact graphs, bottleneck
-forests and direct-link values per metric on the view, plus one metric-free
-:class:`Coverage` record of which one-hop neighbours cover which two-hop neighbours, and
-sibling views share link attribute dictionaries, so callers must treat ``view.links`` and
-its attribute dicts as read-only.  The one sanctioned mutation path is
-:meth:`LocalView.update_link` (a node re-measuring one of the links it knows about): it
-gives the view its own copy of the map with a fresh attribute dictionary for the link,
-drops every derived cache via :meth:`LocalView.invalidate_caches` and so detaches the view.
+Views are immutable by default: the selection machinery caches compact graphs and
+direct-link values per metric on the view, plus one metric-free :class:`Coverage` record
+of which one-hop neighbours cover which two-hop neighbours, and sibling views share link
+attribute dictionaries, so callers must treat ``view.links`` and its attribute dicts as
+read-only.  The one sanctioned mutation path is :meth:`LocalView.update_link` (a node
+re-measuring one of the links it knows about): it gives the view its own copy of the map
+with a fresh attribute dictionary for the link, drops every derived cache via
+:meth:`LocalView.invalidate_caches` and so detaches the view.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.localview.compactgraph import CompactGraph, max_bottleneck_forest
+from repro.localview.compactgraph import CompactGraph
 from repro.metrics.base import Metric
 from repro.utils.ids import NodeId
 
@@ -82,7 +82,6 @@ class LocalView:
         # Per-metric caches keyed by Metric.cache_token, plus what the batched kernels
         # primed (first hops, and filtering tables keyed by filtering.table_key).
         self._compact: Dict[object, CompactGraph] = {}
-        self._forest: Dict[object, tuple] = {}
         self._direct: Dict[object, Dict[NodeId, float]] = {}
         self._first_hops: Dict[object, object] = {}
         self._coverage: Optional[Coverage] = None
@@ -237,24 +236,6 @@ class LocalView:
             self._compact[token] = compact
         return compact
 
-    def bottleneck_forest(self, metric: Metric) -> tuple:
-        """The owner-free maximum-bottleneck spanning forest under ``metric`` (cached).
-
-        This is what lets repeated concave selector runs on one view skip Kruskal entirely:
-        the forest is a pure function of the view's link weights, so it is built once per
-        metric cache token (like :meth:`compact_graph`) and shared by every subsequent
-        ``bottleneck-forest`` solve.  The forest adjacency is indexed like
-        ``self.compact_graph(metric)`` and is immutable; :meth:`invalidate_caches` drops it
-        together with the compact graphs whenever the view's links change.
-        """
-        token = metric.cache_token()
-        forest = self._forest.get(token)
-        if forest is None:
-            cg = self.compact_graph(metric)
-            forest = max_bottleneck_forest(cg, cg.index[self.owner], metric)
-            self._forest[token] = forest
-        return forest
-
     def coverage(self) -> "Coverage":
         """The view's two-hop coverage as bitmasks (built once from the link map, cached).
 
@@ -279,14 +260,13 @@ class LocalView:
 
     def invalidate_caches(self) -> None:
         """Drop everything derived from the link attributes: the per-metric caches (compact
-        graphs, forests, direct values, first hops), the coverage record and :attr:`links`.
+        graphs, direct values, first hops), the coverage record and :attr:`links`.
 
         Must be called on an attached view after a ``patch_weights`` of a link it sees
         (the map is derived again from the patched snapshot); :meth:`update_link` calls it
         itself.
         """
         self._compact.clear()
-        self._forest.clear()
         self._direct.clear()
         self._first_hops.clear()
         self._links = self._coverage = None

@@ -7,7 +7,7 @@ Three layers, stacked:
   ``rwp`` / ``gauss-markov`` / ``churn``.
 * :mod:`repro.mobility.dynamic` -- the :class:`DynamicTopology` driver that advances a
   network through timesteps by diffing link sets and weights, maintaining the per-node
-  local views (and their compact-graph / bottleneck-forest caches) incrementally.
+  local views (and their compact-graph caches) incrementally.
 * :mod:`repro.mobility.measures` -- the time-axis measure plugins (``ans-churn``,
   ``tc-overhead``, ``route-stability``) that run dynamic sweeps through the standard
   spec/engine/sink pipeline.

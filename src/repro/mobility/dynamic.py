@@ -4,9 +4,8 @@
 per-node :class:`~repro.localview.view.LocalView` objects built on it, and applies a
 :class:`~repro.mobility.models.TrajectoryStepper`'s world states step by step.  The whole
 point is *incrementality*: a small timestep changes few links, so instead of regenerating
-the network and rebuilding every view (and with them every per-metric compact graph and
-bottleneck forest) from scratch, :meth:`advance` diffs the unit-disk link set against the
-current one and
+the network and rebuilding every view (and with them every per-metric compact graph) from
+scratch, :meth:`advance` diffs the unit-disk link set against the current one and
 
 * moves the nodes and removes/adds only the changed links, through the network's own
   methods (new links get their weights from the same pure per-edge assigner draws a full
@@ -20,18 +19,14 @@ current one and
 * drops the caches (``invalidate_caches``) of every other view that sees a reweighted
   link: the patched CSR already carries the new weights.
 
-Every untouched view keeps its cached first hops, compact graphs and bottleneck forests
-warm across the step -- that is the measured speedup of the ``mobility`` section of
-``BENCH_selection.json``.
-
-``incremental=False`` switches the driver to the naïve baseline -- rebuild the network and
-drop all views every step -- used by the differential tests (both modes must produce
-bit-identical networks and views) and as the benchmark reference.
+Every untouched view keeps its cached first hops and compact graphs warm across the step.
+``tests/test_mobility.py`` holds every step to an independent regeneration: a fresh network
+and fresh views built from the step's :class:`~repro.mobility.models.WorldState` alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.localview.networkgraph import NetworkGraph
@@ -57,9 +52,8 @@ class StepDelta:
     neighbors and an added one through its new -- plus the same (current-adjacency)
     neighborhood of every reweighted link.  Any per-node quantity that is a pure function
     of the local view -- ANS selection above all -- is unchanged outside ``dirty``; that is
-    the contract the :class:`~repro.core.selection.SelectionCache` keys its reuse off, and
-    it holds identically in incremental and rebuild mode (the set describes the *topology
-    step*, not the driver's view-maintenance strategy).
+    the contract the :class:`~repro.core.selection.SelectionCache` keys its reuse off.  The
+    set describes the *topology step*, not how :class:`DynamicTopology` maintains its views.
     """
 
     step: int
@@ -89,7 +83,6 @@ class DynamicTopology:
         radius: float,
         weight_assigners: Sequence[WeightAssigner] = (),
         step_interval: float = 1.0,
-        incremental: bool = True,
     ) -> None:
         require_positive(radius, "radius")
         require_positive(step_interval, "step_interval")
@@ -97,7 +90,8 @@ class DynamicTopology:
             if not getattr(assigner, "position_independent", True):
                 # Weights are drawn at link birth and kept until the model re-measures
                 # them; a position-dependent draw would silently go stale as nodes move
-                # (and diverge from the rebuild baseline), so it is rejected up front.
+                # (and diverge from a regeneration of the same step), so it is rejected
+                # up front.
                 raise ValueError(
                     f"dynamic topologies require position-independent weight assigners; "
                     f"{type(assigner).__name__} (metric {assigner.metric.name!r}) recomputes "
@@ -107,7 +101,6 @@ class DynamicTopology:
         self.radius = radius
         self.weight_assigners = tuple(weight_assigners)
         self.step_interval = step_interval
-        self.incremental = incremental
         self.step_index = 0
         self._stepper = stepper
         self._views: Optional[Dict[NodeId, LocalView]] = None
@@ -159,12 +152,7 @@ class DynamicTopology:
         """Advance one timestep, notify the step listeners and return what changed."""
         self.step_index += 1
         with obs.span("mobility_step"):
-            world = self._stepper.step(self.step_interval)
-            target = self._target_links(world)
-            if self.incremental:
-                delta = self._advance_incremental(world, target)
-            else:
-                delta = self._rebuild(world, target)
+            delta = self._apply(self._stepper.step(self.step_interval))
         obs.add("mobility.steps")
         obs.add("mobility.links_added", len(delta.added))
         obs.add("mobility.links_removed", len(delta.removed))
@@ -174,20 +162,13 @@ class DynamicTopology:
             listener(delta)
         return delta
 
-    def _advance_incremental(self, world: WorldState, target: Set[Edge]) -> StepDelta:
-        """The incremental step path: diff links, rebuild only the views a change touched."""
+    def _apply(self, world: WorldState) -> StepDelta:
+        """Diff links against ``world``, rebuild only the views a change touched."""
+        target = self._target_links(world)
         removed = sorted(self._edges - target)
         added = sorted(target - self._edges)
         network = self.network
         adjacency = network.adjacency
-
-        # Owners whose view structure a flipped link touches: the link's endpoints plus
-        # every pre-change neighbor of either endpoint (post-change neighbors are added
-        # below, after the network mutation).  This doubles as the flipped-link half of the
-        # delta's dirty set, so it is computed whether or not views are materialized.
-        affected: Set[NodeId] = set()
-        _absorb_link_neighborhoods(adjacency, removed + added, affected)
-
         for node, position in world.positions.items():
             network.add_node(node, position)
         for u, v in removed:
@@ -195,6 +176,13 @@ class DynamicTopology:
         for u, v in added:
             network.add_link(u, v, **self._link_weights((u, v), world))
 
+        # Owners whose view structure a flipped link touches: the link's endpoints plus
+        # every neighbour of either endpoint.  The post-step adjacency alone gives the
+        # union over the pre- and post-step adjacency: an endpoint's neighbour that only
+        # one of them has is the far endpoint of another flipped link.  This doubles as
+        # the flipped-link half of the delta's dirty set, so it is computed whether or
+        # not views are materialized.
+        affected: Set[NodeId] = set()
         _absorb_link_neighborhoods(adjacency, added + removed, affected)
 
         # Weight-only changes on links that persisted through the step.
@@ -268,41 +256,6 @@ class DynamicTopology:
             attributes[assigner.metric.name] = assigner.assign([edge], world.positions)[edge]
         attributes.update(world.weight_overrides.get(edge, {}))
         return attributes
-
-    def _rebuild(self, world: WorldState, target: Set[Edge]) -> StepDelta:
-        """The naïve per-step regeneration baseline: fresh network, all views dropped.
-
-        The delta's ``dirty`` set is computed exactly as on the incremental path (it
-        describes the topology step, not the maintenance strategy), which is what keeps
-        cached selections bit-identical between the two modes.
-        """
-        removed = sorted(self._edges - target)
-        added = sorted(target - self._edges)
-        reweighted = sorted(
-            edge for edge in world.changed_weights if edge in target and edge in self._edges
-        )
-        network = self.network
-        dirty: Set[NodeId] = set()
-        _absorb_link_neighborhoods(network.adjacency, removed + added, dirty)
-        # Repopulate the existing Network object so the driver's live-ownership contract
-        # (self.network is mutated in place, never swapped) holds in this mode too --
-        # callers may have handed the network to builders or routers before the step.
-        network.clear()
-        for node, position in world.positions.items():
-            network.add_node(node, position)
-        for edge in sorted(target):
-            network.add_link(*edge, **self._link_weights(edge, world))
-        _absorb_link_neighborhoods(network.adjacency, added + removed + reweighted, dirty)
-        self._views = None
-        self._network_graph = None
-        self._edges = target
-        return StepDelta(
-            step=self.step_index,
-            added=tuple(added),
-            removed=tuple(removed),
-            reweighted=tuple(reweighted),
-            dirty=frozenset(dirty),
-        )
 
 
 def _absorb_link_neighborhoods(adjacency, edges: Sequence[Edge], into: Set[NodeId]) -> None:

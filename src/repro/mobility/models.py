@@ -55,9 +55,10 @@ class WorldState:
     currently suppressed by an outage (empty for pure-movement models);
     ``weight_overrides`` the *cumulative* table of re-measured link weights
     (``{edge: {metric_name: value}}``) and ``changed_weights`` the edges whose override
-    changed at this step.  Carrying the cumulative table (not just the delta) is what lets
-    the rebuild-from-scratch path of :class:`~repro.mobility.dynamic.DynamicTopology`
-    reconstruct the identical network a long incremental run has arrived at.
+    changed at this step.  The step path of :class:`~repro.mobility.dynamic.DynamicTopology`
+    needs the cumulative table, not just the delta: a link that comes back after an outage
+    carries its last re-measured weight.  It also makes each state self-contained, so a
+    network regenerated from one state equals the one the step path has arrived at.
     """
 
     positions: Dict[NodeId, Position]
@@ -364,7 +365,7 @@ class _LinkChurnStepper(TrajectoryStepper):
 
     No sequential RNG state at all: whether a link is re-measured or down at step ``t``
     depends only on the derived seed, the canonical edge and ``t``, which makes the model
-    trivially order-independent and lets the rebuild path reconstruct any step.
+    trivially order-independent.
     """
 
     def __init__(self, positions, base_links, reweight_probability, outage_probability, assigners, seed):

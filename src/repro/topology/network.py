@@ -77,11 +77,6 @@ class Network:
         """Set (or overwrite) one metric weight on an existing link."""
         self._link(u, v)[metric_name] = float(value)
 
-    def clear(self) -> None:
-        """Remove every node and link."""
-        self._adjacency.clear()
-        self._positions.clear()
-
     def apply_weight_assigner(self, assigner: WeightAssigner) -> None:
         """Populate every link's weight for ``assigner.metric`` using the assigner."""
         weights = assigner.assign(list(self.links()), dict(self.positions()))

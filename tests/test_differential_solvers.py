@@ -117,7 +117,7 @@ class TestFastSolversMatchNetworkxReferences:
     @pytest.mark.parametrize("seed", range(TOPOLOGY_COUNT))
     def test_all_methods_and_metrics_on_one_topology(self, seed):
         """Every fast method equals the per-target reference AND its own networkx twin,
-        cold and warm (the second run answers from the cached compact graph and forest)."""
+        cold and warm (the second run answers from the cached compact graph)."""
         network = unit_disk_network(seed)
         for owner in _owners(network):
             view = LocalView.from_network(network, owner)
@@ -152,20 +152,6 @@ class TestFastSolversMatchNetworkxReferences:
             assert best_values_from(network.adjacency, source, metric, excluded) == (
                 best_values_from_nx(nx_graph(network.adjacency), source, metric, excluded)
             )
-
-    @pytest.mark.parametrize("seed", range(0, TOPOLOGY_COUNT, 5))
-    def test_warm_forest_cache_equals_fresh_view(self, seed):
-        """A view that has served many solves answers exactly like a freshly built one."""
-        network = unit_disk_network(seed)
-        owner = _owners(network)[0]
-        warm_view = LocalView.from_network(network, owner)
-        for _ in range(3):  # populate and exercise the compact-graph and forest caches
-            all_first_hops(warm_view, BANDWIDTH, method="bottleneck-forest")
-        fresh_view = LocalView.from_network(network, owner)
-        assert all_first_hops(warm_view, BANDWIDTH, method="bottleneck-forest") == (
-            all_first_hops(fresh_view, BANDWIDTH, method="bottleneck-forest")
-        )
-        assert warm_view._forest  # the warm path really did come from the cache
 
 
 class TestAdvertisedTopologyBuilder:

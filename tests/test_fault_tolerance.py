@@ -23,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments import sweep_cli
-from repro.experiments import cli as figures_cli
 from repro.experiments.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -549,9 +548,9 @@ class TestKeyboardInterruptExits:
         output = tmp_path / "report.txt"
         output.write_text("previous good report")
         monkeypatch.setattr(
-            figures_cli, "run_experiment", lambda *a, **k: (_ for _ in ()).throw(KeyboardInterrupt())
+            sweep_cli, "run_experiment", lambda *a, **k: (_ for _ in ()).throw(KeyboardInterrupt())
         )
-        exit_code = figures_cli.main(
+        exit_code = sweep_cli.main(
             ["--figure", "6", "--profile", "smoke", "--quiet", "--output", str(output)]
         )
         assert exit_code == 130

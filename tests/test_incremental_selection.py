@@ -13,7 +13,7 @@ The load-bearing guarantees, in the style of the suites locking down every other
 * **The dirty set is exact.**  ``StepDelta.dirty`` equals the view neighborhood
   ``{u, v} ∪ N(u) ∪ N(v)`` unioned over the symmetric difference of the pre- and
   post-step link sets (over both adjacencies) plus the same neighborhood of every
-  reweighted link -- no more, no less -- and is identical in incremental and rebuild mode.
+  reweighted link -- no more, no less.
 * **A frozen world is free.**  A zero-movement dynamic trial produces an empty dirty set
   after step 0, so a fully warm selection cache re-runs *nothing*.
 """
@@ -99,15 +99,6 @@ class TestStepDeltaDirtySet:
             delta = dynamic.advance()
             post_adj = _adjacency_snapshot(dynamic.network)
             assert set(delta.dirty) == _expected_dirty(pre_adj, post_adj, delta)
-
-    @pytest.mark.parametrize("model_name,cls,kwargs", MODELS)
-    def test_rebuild_mode_reports_the_same_dirty_set(self, model_name, cls, kwargs):
-        generator = _generator(cls, kwargs, seed=7)
-        incremental, rebuild = generator.dynamic(), generator.dynamic()
-        rebuild.incremental = False
-        incremental.views()
-        for _ in range(4):
-            assert incremental.advance().dirty == rebuild.advance().dirty
 
     def test_zero_movement_trial_has_an_empty_dirty_set(self):
         generator = _generator(

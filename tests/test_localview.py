@@ -139,15 +139,13 @@ class TestCacheInvalidation:
         all_first_hops(view, bandwidth)
         all_first_hops(view, delay)
         stale_compact = view.compact_graph(bandwidth)
-        stale_forest = view.bottleneck_forest(bandwidth)
-        assert view._compact and view._forest
+        assert view._compact
 
         view.update_link(0, 1, bandwidth=0.5)
 
-        assert not view._compact and not view._forest  # both caches dropped eagerly
+        assert not view._compact  # dropped eagerly
         rebuilt = view.compact_graph(bandwidth)
         assert rebuilt is not stale_compact
-        assert view.bottleneck_forest(bandwidth) is not stale_forest
         row = dict(rebuilt.adj[rebuilt.index[0]])
         assert row[rebuilt.index[1]] == 0.5
 

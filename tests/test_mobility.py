@@ -6,8 +6,8 @@ other fast paths:
 * **Incremental == regeneration.**  A :class:`DynamicTopology` advanced incrementally
   (diffed links, rebuilt-only-affected views, reweighted links patched into the shared CSR)
   is bit-identical -- networks, positions, link attributes, every view's structure and
-  edge data -- to the naive baseline that regenerates the network and drops all views
-  every step, for all three models.
+  edge data, each step's added/removed/reweighted links -- to a fresh network and fresh
+  views regenerated from the step's world state alone, for all three models.
 * **Determinism.**  Trajectories are pure functions of ``(model, seed, run_index)``; a
   dynamic sweep aggregates bit-identically serial and under ``REPRO_WORKERS``.
 * **Static anchor.**  A zero-velocity model reproduces the static ``fixed-count``
@@ -31,9 +31,12 @@ from repro.mobility import (
     LinkChurnGenerator,
     RandomWaypointGenerator,
 )
+from repro.mobility.models import TrajectoryStepper, WorldState
 from repro.localview import LocalView, NetworkGraph
 from repro.registry import PRESETS
 from repro.topology.generators import FieldSpec, FixedCountNetworkGenerator
+from repro.topology.network import Network
+from repro.topology.unit_disk import unit_disk_links
 
 FIELD = FieldSpec(width=400.0, height=400.0, radius=100.0)
 
@@ -61,6 +64,58 @@ def _view_key(view):
         view.two_hop,
         _graph_key(view.links),
     )
+
+
+def _regenerate(world, radius, assigners):
+    """A fresh network built from one world state alone, and its link set.
+
+    Nodes come from ``positions``, links are the unit-disk links minus ``down_links`` in
+    sorted order, and each link carries the assigners' draws plus the cumulative
+    ``weight_overrides``: nothing is carried over from earlier steps.
+    """
+    network = Network()
+    for node, position in world.positions.items():
+        network.add_node(node, position)
+    links = sorted(set(unit_disk_links(world.positions, radius)) - world.down_links)
+    for edge in links:
+        weights = {
+            assigner.metric.name: assigner.assign([edge], world.positions)[edge]
+            for assigner in assigners
+        }
+        weights.update(world.weight_overrides.get(edge, {}))
+        network.add_link(*edge, **weights)
+    return network, set(links)
+
+
+class _ScriptedStepper(TrajectoryStepper):
+    """Hands out a fixed sequence of world states, one per step."""
+
+    def __init__(self, states):
+        self._states = iter(states)
+
+    def step(self, dt):
+        return next(self._states)
+
+
+#: Three nodes in a row, 60 apart under ``FIELD``'s radius 100: links (0, 1) and (1, 2).
+ROW = {0: (0.0, 0.0), 1: (60.0, 0.0), 2: (120.0, 0.0)}
+
+
+def _scripted(states, assigners):
+    """A driver that starts from ``ROW``'s regeneration and then replays ``states``."""
+    network, _ = _regenerate(WorldState(ROW), FIELD.radius, assigners)
+    dynamic = DynamicTopology(network, _ScriptedStepper(states), FIELD.radius, assigners)
+    dynamic.views()  # materialize so the view-maintenance path runs
+    return dynamic
+
+
+def _assert_regenerates(dynamic, world, assigners):
+    fresh, _ = _regenerate(world, FIELD.radius, assigners)
+    assert _network_key(dynamic.network) == _network_key(fresh)
+    expected = LocalView.all_from_network(fresh)
+    assert {owner: _view_key(view) for owner, view in dynamic.views().items()} == {
+        owner: _view_key(view) for owner, view in expected.items()
+    }
 
 
 ALL_MODELS = [
@@ -163,34 +218,83 @@ class TestTrajectoriesStayDeterministicAndContained:
 class TestIncrementalStepEqualsPerStepRegeneration:
     @pytest.mark.parametrize("model_name,cls,kwargs", ALL_MODELS)
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_networks_views_and_deltas_match_the_rebuild_baseline(
-        self, model_name, cls, kwargs, seed
-    ):
-        generator = cls(
-            field=FIELD, node_count=35, seed=seed, weight_assigners=_assigners(), **kwargs
-        )
-        incremental = generator.dynamic()
-        rebuild = generator.dynamic()
-        rebuild.incremental = False
-        incremental.views()  # materialize so the incremental maintenance path runs
-        incremental_network, rebuild_network = incremental.network, rebuild.network
+    def test_networks_views_and_deltas_match_a_regeneration(self, model_name, cls, kwargs, seed):
+        """Every step equals an oracle that regenerates the network and its views from a
+        twin stepper's world state, with no state carried between steps."""
+        assigners = _assigners()
+        generator = cls(field=FIELD, node_count=35, seed=seed, weight_assigners=assigners, **kwargs)
+        dynamic = generator.dynamic()
+        twin = generator._stepper(generator.generate(0), 0)
+        network = dynamic.network
+        dynamic.views()  # materialize so the view-maintenance path runs
+        previous = set(network.links())
+        reweights = 0
         for _ in range(5):
-            first = incremental.advance()
-            second = rebuild.advance()
-            # Live-ownership: both modes mutate the same Network object in place.
-            assert incremental.network is incremental_network
-            assert rebuild.network is rebuild_network
-            assert (first.added, first.removed, first.reweighted) == (
-                second.added,
-                second.removed,
-                second.reweighted,
+            world = twin.step(dynamic.step_interval)
+            delta = dynamic.advance()
+            fresh, links = _regenerate(world, FIELD.radius, assigners)
+            assert dynamic.network is network  # mutated in place, never swapped
+            assert _network_key(network) == _network_key(fresh)
+            assert delta.added == tuple(sorted(links - previous))
+            assert delta.removed == tuple(sorted(previous - links))
+            assert delta.reweighted == tuple(
+                sorted(edge for edge in world.changed_weights if edge in links & previous)
             )
-            assert _network_key(incremental.network) == _network_key(rebuild.network)
-            incremental_views = incremental.views()
-            rebuild_views = rebuild.views()
-            assert set(incremental_views) == set(rebuild_views)
-            for owner in incremental_views:
-                assert _view_key(incremental_views[owner]) == _view_key(rebuild_views[owner])
+            maintained = dynamic.views()
+            expected = LocalView.all_from_network(fresh)
+            assert set(maintained) == set(expected)
+            for owner, view in maintained.items():
+                assert _view_key(view) == _view_key(expected[owner]), owner
+                assert view.network_graph() is dynamic.network_graph(), owner
+            reweights += len(delta.reweighted)
+            previous = links
+        if model_name == "churn":
+            assert reweights  # the patch path really ran
+
+    def test_a_link_back_from_an_outage_carries_its_last_re_measured_weight(self):
+        """Why a world state carries the cumulative override table: a link that returns
+        is added afresh, and its re-measured weight must win over the assigner's draw."""
+        assigners = _assigners()
+        name = assigners[0].metric.name
+        link = (0, 1)
+        overrides = {link: {name: 123.0}}
+        states = [
+            WorldState(ROW, weight_overrides=overrides, changed_weights=frozenset({link})),
+            WorldState(ROW, down_links=frozenset({link}), weight_overrides=overrides),
+            WorldState(ROW, weight_overrides=overrides),
+        ]
+        dynamic = _scripted(states, assigners)
+        drawn = dynamic.network.link_attributes(*link)
+        assert drawn[name] != 123.0
+        reweigh, outage, back = [dynamic.advance() for _ in states]
+        assert (reweigh.added, reweigh.removed, reweigh.reweighted) == ((), (), (link,))
+        assert (outage.added, outage.removed, outage.reweighted) == ((), (link,), ())
+        assert (back.added, back.removed, back.reweighted) == ((link,), (), ())
+        assert dynamic.network.link_attributes(*link) == {**drawn, name: 123.0}
+        assert back.dirty == {0, 1, 2}
+        _assert_regenerates(dynamic, states[-1], assigners)
+
+    def test_a_re_measured_link_that_flips_this_step_is_not_reported_as_reweighted(self):
+        """Only a link present before and after the step can be reweighted; one that
+        goes down or comes back while its weight changes is removed or added."""
+        assigners = _assigners()
+        name = assigners[0].metric.name
+        link = (1, 2)
+        states = [
+            WorldState(
+                ROW,
+                down_links=frozenset({link}),
+                weight_overrides={link: {name: 7.0}},
+                changed_weights=frozenset({link}),
+            ),
+            WorldState(ROW, weight_overrides={link: {name: 9.0}}, changed_weights=frozenset({link})),
+        ]
+        dynamic = _scripted(states, assigners)
+        down, back = [dynamic.advance() for _ in states]
+        assert (down.added, down.removed, down.reweighted) == ((), (link,), ())
+        assert (back.added, back.removed, back.reweighted) == ((link,), (), ())
+        assert dynamic.network.link_attributes(*link)[name] == 9.0
+        _assert_regenerates(dynamic, states[-1], assigners)
 
     def test_untouched_views_keep_their_caches_across_a_step(self):
         """The point of the incremental path: a step that does not touch a node's

@@ -33,18 +33,21 @@ class TestSimulatorEngine:
 
     def test_run_until_leaves_future_events_pending(self):
         simulator = Simulator()
-        simulator.schedule_at(10.0, lambda: None)
-        simulator.run_until(5.0)
-        assert simulator.pending_events() == 1
-
-    def test_cancelled_events_do_not_run(self):
-        simulator = Simulator()
         fired = []
-        handle = simulator.schedule_at(1.0, lambda: fired.append(True))
-        handle.cancel()
-        simulator.run_until(2.0)
-        assert fired == []
-        assert handle.cancelled
+        simulator.schedule_at(10.0, lambda: fired.append(simulator.now))
+        simulator.run_until(5.0)
+        assert fired == [] and simulator.processed_events == 0
+        simulator.run_until(10.0)
+        assert fired == [10.0] and simulator.processed_events == 1
+
+    def test_events_at_one_time_run_in_scheduling_order(self):
+        simulator = Simulator()
+        order = []
+        for label in ("first", "second", "third"):
+            simulator.schedule_at(1.0, lambda label=label: order.append(label))
+        simulator.schedule_in(1.0, lambda: order.append("fourth"))
+        simulator.run_until(1.0)
+        assert order == ["first", "second", "third", "fourth"]
 
     def test_scheduling_in_the_past_is_rejected(self):
         simulator = Simulator()
@@ -55,15 +58,41 @@ class TestSimulatorEngine:
         with pytest.raises(ValueError):
             simulator.schedule_in(-1.0, lambda: None)
 
-    def test_run_all_guards_against_runaway_event_loops(self):
+    def test_nan_times_are_rejected(self):
         simulator = Simulator()
+        with pytest.raises(ValueError):
+            simulator.schedule_at(math.nan, lambda: None)
+        with pytest.raises(ValueError):
+            simulator.schedule_in(math.nan, lambda: None)
+        simulator.run_until(1.0)
+        assert simulator.processed_events == 0
 
-        def reschedule():
-            simulator.schedule_in(0.1, reschedule)
+    def test_an_event_scheduled_for_now_runs_in_the_same_call(self):
+        """A zero-delay event scheduled by a running callback runs before ``run_until``
+        returns, after every event already queued for that time."""
+        simulator = Simulator()
+        order = []
 
-        simulator.schedule_in(0.1, reschedule)
-        with pytest.raises(RuntimeError):
-            simulator.run_all(max_events=50)
+        def first():
+            order.append(("first", simulator.now))
+            simulator.schedule_in(0.0, lambda: order.append(("echo", simulator.now)))
+
+        simulator.schedule_at(2.0, first)
+        simulator.schedule_at(2.0, lambda: order.append(("second", simulator.now)))
+        simulator.run_until(2.0)
+        assert order == [("first", 2.0), ("second", 2.0), ("echo", 2.0)]
+        assert simulator.processed_events == 3
+
+    def test_run_until_never_moves_time_backwards(self):
+        simulator = Simulator()
+        simulator.run_until(5.0)
+        simulator.run_until(3.0)
+        assert simulator.now == 5.0
+        with pytest.raises(ValueError):
+            simulator.schedule_at(4.0, lambda: None)
+        simulator.schedule_in(1.0, lambda: None)
+        simulator.run_until(6.0)
+        assert simulator.now == 6.0 and simulator.processed_events == 1
 
 
 class TestLosslessRadio:

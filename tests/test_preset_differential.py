@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import main
+from repro.experiments.sweep_cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_REPORT = DATA / "golden_smoke_report.txt"

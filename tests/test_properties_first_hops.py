@@ -129,11 +129,11 @@ def test_concave_best_values_respect_the_direct_link_bottleneck_bound(network, o
 def test_cached_forest_answers_equal_fresh_ones_after_mutation(
     network, owner_index, new_bandwidth, new_delay
 ):
-    """Warming the caches, mutating a link through the sanctioned path, and re-querying
-    must give exactly the answers a cache-free view of the mutated graph gives."""
+    """Warming the compact-graph caches, mutating a link through the sanctioned path, and
+    re-querying must give exactly the answers a cache-free view of the mutated graph gives."""
     owner = sorted(network.nodes())[owner_index % len(network.nodes())]
     view = LocalView.from_network(network, owner)
-    for metric in METRICS:  # warm the compact-graph and bottleneck-forest caches
+    for metric in METRICS:
         all_first_hops(view, metric)
     u = owner
     v = sorted(view.one_hop)[0]

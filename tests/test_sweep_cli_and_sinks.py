@@ -1,4 +1,4 @@
-"""Tests for the repro-sweep CLI, the streaming sink API and the figures-CLI overrides."""
+"""Tests for the repro-sweep CLI, the streaming sink API and the figure-source overrides."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import cli as figures_cli
 from repro.experiments import sweep_cli
 from repro.experiments.engine import run_experiment
 from repro.experiments.reporting import render_report, write_json, write_report
@@ -290,29 +289,38 @@ class TestSinks:
 
 
 class TestFailedRunsDoNotClobberOutputs:
-    def test_figures_cli_failure_leaves_existing_files_untouched(self, tmp_path):
+    def test_figures_cli_failure_leaves_existing_files_untouched(self, tmp_path, monkeypatch):
+        """A failure in the third figure of ``--all``, after two figures fed the report
+        sinks, writes neither report."""
         output = tmp_path / "report.txt"
         json_output = tmp_path / "results.json"
-        output.write_text("previous good report")
-        json_output.write_text('{"previous": "good"}')
-        with pytest.raises(ValueError):
-            figures_cli.main(
+        output.write_bytes(b"previous good report")
+        json_output.write_bytes(b'{"previous": "good"}')
+        started = []
+
+        def failing_third_figure(spec, **kwargs):
+            started.append(spec.experiment_id)
+            if len(started) == 3:
+                raise RuntimeError("died in the third figure")
+            return run_experiment(spec, **kwargs)
+
+        monkeypatch.setattr(sweep_cli, "run_experiment", failing_third_figure)
+        with pytest.raises(RuntimeError):
+            sweep_cli.main(
                 [
-                    "--figure",
-                    "6",
+                    "--all",
                     "--profile",
                     "smoke",
                     "--quiet",
-                    "--runs",
-                    "0",
                     "--output",
                     str(output),
                     "--json",
                     str(json_output),
                 ]
             )
-        assert output.read_text() == "previous good report"
-        assert json_output.read_text() == '{"previous": "good"}'
+        assert started == ["fig6", "fig7", "fig8"]
+        assert output.read_bytes() == b"previous good report"
+        assert json_output.read_bytes() == b'{"previous": "good"}'
 
     def test_sweep_cli_failure_keeps_reports_but_flushes_jsonl_checkpoints(self, tmp_path, monkeypatch):
         output = tmp_path / "report.txt"
@@ -344,7 +352,7 @@ class TestFailedRunsDoNotClobberOutputs:
 
 class TestFiguresCliOverrides:
     def test_parser_accepts_densities_and_node_sample(self):
-        parser = figures_cli.build_parser()
+        parser = sweep_cli.build_parser()
         args = parser.parse_args(
             ["--figure", "6", "--densities", "8,12", "--node-sample", "10"]
         )
@@ -356,7 +364,7 @@ class TestFiguresCliOverrides:
 
     def test_density_override_reaches_the_sweep(self, tmp_path, capsys):
         json_output = tmp_path / "results.json"
-        exit_code = figures_cli.main(
+        exit_code = sweep_cli.main(
             [
                 "--figure",
                 "6",
