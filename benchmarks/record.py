@@ -1,7 +1,7 @@
 """Record the selection micro-benchmark trajectory as machine-readable JSON.
 
 Times the all-targets first-hop computation (the inner loop of every density sweep) on the
-same dense local view as ``test_bench_micro_selection.py``, for every solver method.
+same dense local view as ``test_bench_micro_selection.py``, for every solver.
 Everything is written to ``BENCH_selection.json`` at the repository root.  Successive
 changes re-run this to keep the perf trajectory comparable across versions::
 
@@ -29,7 +29,11 @@ from repro.experiments.results import ExperimentResult, SeriesPoint  # noqa: E40
 from repro.experiments.runner import build_trial  # noqa: E402
 from repro.experiments.spec import ExperimentSpec  # noqa: E402
 from repro.experiments.stats import summarize  # noqa: E402
-from repro.localview import LocalView, all_first_hops  # noqa: E402
+from repro.localview import LocalView, all_first_hops, first_hops_to  # noqa: E402
+from repro.localview.paths import (  # noqa: E402
+    _all_first_hops_bottleneck_forest,
+    _all_first_hops_owner_dijkstra,
+)
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner  # noqa: E402
 from repro.mobility.models import LinkChurnGenerator, RandomWaypointGenerator  # noqa: E402
 from repro.protocol import LossModel, ProtocolSimulator  # noqa: E402
@@ -62,13 +66,18 @@ def dense_view() -> LocalView:
     return LocalView.from_network(network, owner)
 
 
+def _per_target(view: LocalView, metric) -> dict:
+    """The per-target reference: :func:`first_hops_to` once per known target."""
+    return {target: first_hops_to(view, target, metric) for target in view.known_targets()}
+
+
 def _cases(view: LocalView):
     bandwidth, delay = BandwidthMetric(), DelayMetric()
     return {
-        "owner-dijkstra": lambda: all_first_hops(view, delay, method="owner-dijkstra"),
-        "bottleneck-forest": lambda: all_first_hops(view, bandwidth, method="bottleneck-forest"),
-        "per-target-delay": lambda: all_first_hops(view, delay, method="per-target"),
-        "per-target-bandwidth": lambda: all_first_hops(view, bandwidth, method="per-target"),
+        "owner-dijkstra": lambda: _all_first_hops_owner_dijkstra(view, delay),
+        "bottleneck-forest": lambda: _all_first_hops_bottleneck_forest(view, bandwidth),
+        "per-target-delay": lambda: _per_target(view, delay),
+        "per-target-bandwidth": lambda: _per_target(view, bandwidth),
     }
 
 
@@ -207,7 +216,7 @@ def record_csr_kernels(rounds: int) -> dict:
 
     One timed round produces every owner's all-targets first-hop sets on the dense
     benchmark network, starting from cold solver caches each time.  The scalar round
-    runs on detached views built once up front: it rebuilds every view's compact graph
+    runs on own-map views built once up front: it rebuilds every view's compact graph
     and runs the per-view solvers (that per-link re-extraction cost is exactly what the
     shared CSR eliminates).  The batched round builds a fresh :class:`NetworkGraph` and
     views attached to it, primes them through the stacked numpy kernels

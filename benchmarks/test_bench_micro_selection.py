@@ -9,7 +9,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import make_selector
-from repro.localview import LocalView, all_first_hops
+from repro.localview import LocalView, first_hops_to
+from repro.localview.paths import (
+    _all_first_hops_bottleneck_forest,
+    _all_first_hops_owner_dijkstra,
+)
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner
 from repro.topology import FieldSpec, FixedCountNetworkGenerator
 
@@ -52,17 +56,22 @@ def test_selection_speed_delay(benchmark, selector_name):
     assert result.selected <= VIEW.one_hop
 
 
+def _per_target(view, metric):
+    """The per-target reference: :func:`first_hops_to` once per known target."""
+    return {target: first_hops_to(view, target, metric) for target in view.known_targets()}
+
+
 @pytest.mark.parametrize(
-    "metric,method",
+    "metric,solve",
     [
-        (BandwidthMetric(), "bottleneck-forest"),
-        (BandwidthMetric(), "per-target"),
-        (DelayMetric(), "owner-dijkstra"),
-        (DelayMetric(), "per-target"),
+        (BandwidthMetric(), _all_first_hops_bottleneck_forest),
+        (BandwidthMetric(), _per_target),
+        (DelayMetric(), _all_first_hops_owner_dijkstra),
+        (DelayMetric(), _per_target),
     ],
     ids=["bw-forest", "bw-per-target", "delay-dijkstra", "delay-per-target"],
 )
-def test_first_hop_computation_speed(benchmark, metric, method):
-    """The all-targets first-hop computation: fast single-pass methods vs the reference."""
-    results = benchmark(lambda: all_first_hops(VIEW, metric, method=method))
+def test_first_hop_computation_speed(benchmark, metric, solve):
+    """The all-targets first-hop computation: fast single-pass solvers vs the reference."""
+    results = benchmark(lambda: solve(VIEW, metric))
     assert set(results) == set(VIEW.known_targets())

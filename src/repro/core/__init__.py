@@ -13,7 +13,6 @@ from repro.core.selection import (
     SelectionResult,
     available_selectors,
     make_selector,
-    register_selector,
 )
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "SelectionCache",
     "SelectionDecision",
     "SelectionResult",
-    "register_selector",
     "available_selectors",
     "make_selector",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 # FnbpSelector.prime calls prime_first_hops through this module, so patching the name
 # here (tests, perfbench's tracer) reaches every batched first-hop priming.
@@ -309,17 +309,6 @@ class SelectionCache:
         self._results[key] = results
         self._dirty[key] = set()
         return results
-
-
-def register_selector(name: str, factory: Callable[[], AnsSelector]) -> None:
-    """Register a selector factory under ``name`` (last registration wins).
-
-    Thin wrapper over the unified :data:`repro.registry.SELECTORS` registry, kept for
-    backward compatibility; new code can register through the registry's decorator
-    directly (see :mod:`repro.registry`).  The built-in selectors register themselves in
-    their defining modules and are loaded lazily on first lookup.
-    """
-    SELECTORS.register(name, factory)
 
 
 def available_selectors() -> list[str]:

@@ -1,7 +1,7 @@
 """Batched numpy solver kernels over the shared network-level CSR.
 
 These kernels compute, for *many owners at once*, exactly what the scalar per-view fast
-paths of :mod:`repro.localview.paths` compute for one owner: the auto-method
+paths of :mod:`repro.localview.paths` compute for one owner: the
 ``all_first_hops`` result.  All owners' two-hop windows are stacked into one flat row
 space and solved together with array operations; the scalar code's per-edge Python
 interpreter work (heap pushes, dict lookups, tuple unpacking) collapses into a handful
@@ -106,11 +106,11 @@ PAIR_BUDGET = 1 << 16
 def batched_all_first_hops(
     ng: NetworkGraph, views: List, metric: Metric
 ) -> Optional[Dict[NodeId, TargetRows]]:
-    """Auto-method ``all_first_hops`` for every view at once, or None when not batchable.
+    """``all_first_hops`` for every view at once, or None when not batchable.
 
     ``views`` must all be attached to ``ng`` (their declared one-/two-hop sets are then
     windows of its rows by construction).  Returns ``{owner: TargetRows}`` encoding
-    exactly the payload the scalar auto dispatch produces, or None when the metric
+    exactly the payload the scalar dispatch produces, or None when the metric
     is not specialized, lacks an attribute or has values the kernels do not replay (NaN,
     negative additive values, ``-inf`` bottleneck values); callers then fall back to the
     scalar path (which is trivially bit-identical to itself).

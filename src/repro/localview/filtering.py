@@ -39,8 +39,9 @@ The tolerance tests replay :meth:`Metric.values_equal` and ``is_better`` element
 ``Metric.optimum`` is a first-wins scan under tolerant comparison, so when a candidate is
 a different float from a target's best yet within ``rel_tol`` of it (a near-tie), the
 scalar best value depends on the scan order; an owner with such a target is left to the
-scalar path, like composite metrics, missing attributes and detached or protocol-table
-views.  Owners are processed in fixed-size chunks so the transient arrays stay small.
+scalar path, like composite metrics, missing attributes and views that hold their own
+map (protocol-table views among them).  Owners are processed in fixed-size chunks so the
+transient arrays stay small.
 """
 
 from __future__ import annotations
@@ -169,8 +170,9 @@ def prime_filtering_tables(
     Views attached to a shared :class:`NetworkGraph` get their table (one
     :class:`TargetRows`, every target by identifier) stored in
     ``view._first_hops`` under :func:`table_key`, where
-    :meth:`TopologyFilteringSelector.select` picks it up.  Detached views, metrics the
-    kernel cannot replay and owners with a near-tie are left for the scalar path.
+    :meth:`TopologyFilteringSelector.select` picks it up.  Views that hold their own map,
+    metrics the kernel cannot replay and owners with a near-tie are left for the scalar
+    path.
     """
     key = table_key(metric, apply_reduction)
     groups: Dict[int, Tuple[NetworkGraph, list]] = {}

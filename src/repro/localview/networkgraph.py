@@ -1,4 +1,4 @@
-"""One shared network-level CSR per trial, which every attached :class:`LocalView` answers from.
+"""One shared network-level CSR per network state, which every attached :class:`LocalView` answers from.
 
 A per-view graph repeats each link's work once per view that sees it -- well over a
 hundred times in the paper's dense settings.  :class:`NetworkGraph` lays the network out
@@ -31,30 +31,21 @@ Layout
   ``value_rows(metric)`` regroups the slot values into one ``{neighbour: value}`` dict
   per node, lazily: the views' direct-link values.
 
-Ownership and validity contract
--------------------------------
+Immutability
+------------
 
-The graph snapshots the network's link attributes at build time (each attribute dict is
-*copied*), so later mutations of the source network do not leak into it.  Two mutation
-paths keep a shared graph current:
-
-* :meth:`patch_weights` -- weight-only changes on surviving links.  The links' snapshots
-  are replaced and their values re-extracted **in place** into every materialized weight
-  array; the value rows are dropped, index arrays and neighbour rows are untouched.
-  Views that see a patched link must call :meth:`LocalView.invalidate_caches`, which
-  also drops the map (``view.links``) they derived from the snapshot.
-* :meth:`rebuild` -- structural changes.  Everything is rebuilt into *new* containers and
-  ``generation`` is bumped.  A view keeps the rows and snapshot it was built from, so it
-  goes on describing its own state; it stops batching (its ``network_graph()`` is None).
-
-:class:`~repro.mobility.dynamic.DynamicTopology` owns one ``NetworkGraph`` per dynamic
-trial and routes each step's diff through exactly these two paths.  Views never mutate
-the shared containers; :meth:`LocalView.update_link` *detaches* the view instead.
+A graph is a value: it is built once from a network's state and never changes.  The build
+copies each link's attribute dict, so later mutations of the source network do not leak
+into it, and no method mutates it afterwards; the weight arrays, Kruskal orders and value
+rows filled lazily per metric are memos of that one state.  A view attached to a graph
+therefore describes the same state for as long as it holds the graph.
+:class:`~repro.mobility.dynamic.DynamicTopology` builds a new graph for each step that
+adds, removes or reweights a link.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,26 +53,11 @@ from repro.localview.compactgraph import specialized_kind
 from repro.metrics.base import Metric
 from repro.utils.ids import NodeId
 
-Edge = Tuple[NodeId, NodeId]
-
 
 class NetworkGraph:
     """Flat CSR adjacency of a whole network plus shared per-metric weight arrays."""
 
     def __init__(self, network) -> None:
-        #: Bumped by structural rebuilds only: views built before the bump keep the
-        #: previous rows and no longer batch on this graph.
-        self.generation = 0
-        self._build(network)
-
-    @classmethod
-    def from_network(cls, network) -> "NetworkGraph":
-        """Build the shared CSR of ``network``'s current state."""
-        return cls(network)
-
-    # ------------------------------------------------------------------ construction
-
-    def _build(self, network) -> None:
         live = network.adjacency
         nodes: Tuple[NodeId, ...] = tuple(network.nodes())  # sorted by the Network contract
         index = {node: i for i, node in enumerate(nodes)}
@@ -127,12 +103,15 @@ class NetworkGraph:
         # set: a frozenset's iteration order depends on how it was filled.
         self.rows: Dict[NodeId, frozenset] = {node: frozenset(iter(live[node])) for node in nodes}
         self._edge_attrs = edge_attrs
-        self._edge_id = edge_id
         self._edge_values: Dict[object, np.ndarray] = {}
         self._slot_values: Dict[object, np.ndarray] = {}
         self._sorted_edges: Dict[object, np.ndarray] = {}
         self._value_rows: Dict[object, Dict[NodeId, Dict[NodeId, float]]] = {}
-        self._metrics: Dict[object, Metric] = {}
+
+    @classmethod
+    def from_network(cls, network) -> "NetworkGraph":
+        """Build the shared CSR of ``network``'s current state."""
+        return cls(network)
 
     # ------------------------------------------------------------------ queries
 
@@ -166,7 +145,6 @@ class NetworkGraph:
                 return None
             self._edge_values[token] = values
             self._slot_values[token] = values[self.slot_edge]
-            self._metrics[token] = metric
         return values
 
     def slot_values(self, metric: Metric) -> Optional[np.ndarray]:
@@ -218,47 +196,10 @@ class NetworkGraph:
             self._sorted_edges[token] = order
         return order
 
-    # ------------------------------------------------------------------ mutation
-
-    def patch_weights(self, network, edges: Iterable[Edge]) -> None:
-        """Re-extract the values of surviving, reweighted ``edges`` in place.
-
-        ``network`` must be the graph's source network with the new attribute values
-        already applied.  Each edge's snapshot is replaced, every materialized weight
-        array is patched in place (references held by the batched kernels stay valid) and
-        the value rows and cached Kruskal orders are dropped.
-        """
-        live = network.adjacency
-        index = self.index
-        adjacency = self.adjacency
-        touched: List[int] = []
-        for u, v in edges:
-            i, j = index[u], index[v]
-            e = self._edge_id[(i, j) if i < j else (j, i)]
-            attrs = dict(live[u][v])
-            self._edge_attrs[e] = attrs
-            adjacency[u][v] = adjacency[v][u] = attrs
-            touched.append(e)
-        for token, metric in self._metrics.items():
-            extract = metric.link_value_from_attributes
-            values = self._edge_values[token]
-            for e in touched:
-                values[e] = extract(self._edge_attrs[e])
-            # Refresh the slot scatter in place so outstanding references see the patch.
-            self._slot_values[token][:] = values[self.slot_edge]
-        self._value_rows.clear()
-        self._sorted_edges.clear()
-
-    def rebuild(self, network) -> None:
-        """Rebuild everything from ``network`` after a structural change (same object,
-        new containers: views built before keep describing the old state)."""
-        self._build(network)
-        self.generation += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"NetworkGraph(nodes={len(self.nodes)}, edges={self.edge_count()}, "
-            f"tokens={len(self._edge_values)}, generation={self.generation})"
+            f"tokens={len(self._edge_values)})"
         )
 
 

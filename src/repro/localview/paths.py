@@ -28,11 +28,9 @@ implementations, which extracted link values on every relaxation, live on in
 ``tests/nx_oracles.py`` as independent references for the cross-validation tests.
 
 Caching contract: the per-view cache this module consumes -- :meth:`LocalView.compact_graph`
-(link values extracted once per metric) -- is keyed by :meth:`Metric.cache_token` and is
-valid exactly as long as the view's links do not change; any mutation must go through
-:meth:`LocalView.update_link` (or call :meth:`LocalView.invalidate_caches`), after which the
-next solve transparently rebuilds it.  The solvers never mutate the cached structures, so
-views (and therefore warm caches) are safe to share across selectors within one process;
+(link values extracted once per metric) -- is keyed by :meth:`Metric.cache_token` and lives
+as long as the view, which never changes.  The solvers never mutate the cached structures,
+so views (and therefore warm caches) are safe to share across selectors within one process;
 worker processes build their own views and thus their own caches.
 """
 
@@ -257,76 +255,42 @@ def first_hops_to(view: LocalView, target: NodeId, metric: Metric) -> FirstHopRe
     return FirstHopResult(target=target, best_value=best_value, first_hops=first_hops)
 
 
-def all_first_hops(
-    view: LocalView,
-    metric: Metric,
-    method: str = "auto",
-) -> Dict[NodeId, FirstHopResult]:
+def all_first_hops(view: LocalView, metric: Metric) -> Dict[NodeId, FirstHopResult]:
     """``fP(u, v)`` for every one- and two-hop neighbor ``v`` of the owner.
 
-    Three implementations are provided; all agree (the property-based tests assert it on
-    random topologies), they only trade generality for speed:
+    Rows :func:`prime_first_hops` stored on the view answer first, decoded (the
+    differential suite pins them bit-identical to the scalar solvers).  Otherwise the
+    fastest scalar solver sound for the metric runs; all agree with the per-target
+    reference (the property-based tests assert it on random topologies):
 
-    * ``"per-target"`` calls :func:`first_hops_to` once per target (one solver run each) --
-      the direct transcription of the paper's definition, used as the reference in tests.
-    * ``"owner-dijkstra"`` runs a *single* solver pass rooted at the owner and propagates
-      first-hop sets along tight predecessor links.  Valid only for **prefix-optimal**
-      metrics (see :attr:`Metric.prefix_optimal`): every prefix of an optimal path must
-      itself be optimal, which holds for the additive family but *not* for composites with
-      a concave component (a suffix's ``min`` can erase a prefix's disadvantage, so
-      optimal paths with suboptimal prefixes exist and the propagation would miss their
-      first hops).
-    * ``"bottleneck-forest"`` computes, for **concave** metrics, every pairwise bottleneck
-      value through a maximum-bottleneck spanning forest of the view without the owner
-      (the classical equivalence between widest paths and maximum spanning trees), then
-      assembles the first-hop sets from ``combine(w(u, n), bottleneck(n, target))``.
+    * prefix-optimal **additive** metrics: :func:`_all_first_hops_owner_dijkstra`, a
+      *single* solver pass rooted at the owner that propagates first-hop sets along tight
+      predecessor links.  It needs every prefix of an optimal path to be optimal (see
+      :attr:`Metric.prefix_optimal`), which holds for the additive family but *not* for
+      composites with a concave component (a suffix's ``min`` can erase a prefix's
+      disadvantage, so optimal paths with suboptimal prefixes exist and the propagation
+      would miss their first hops).
+    * **concave** metrics: :func:`_all_first_hops_bottleneck_forest`, every pairwise
+      bottleneck value through a maximum-bottleneck spanning forest of the view without
+      the owner (the classical equivalence between widest paths and maximum spanning
+      trees), combined with the owner's direct links.
+    * anything else (e.g. lexicographic composites mixing the families, for which neither
+      single-pass shortcut is sound): :func:`first_hops_to` once per target, the direct
+      transcription of the paper's definition.
 
-    ``"auto"`` (default) picks the fast implementation matching the metric: owner-dijkstra
-    for prefix-optimal additive metrics, bottleneck-forest for concave metrics, and the
-    per-target reference for anything else (e.g. lexicographic composites mixing the
-    families, for which neither single-pass shortcut is sound).  This is what makes the
-    paper's densest settings (about 1100 nodes of degree 35, each with a local view of
-    well over a hundred nodes) tractable in pure Python.
+    The fast solvers are what make the paper's densest settings (about 1100 nodes of
+    degree 35, each with a local view of well over a hundred nodes) tractable in pure
+    Python.
     """
-    if method == "per-target":
-        return {target: first_hops_to(view, target, metric) for target in view.known_targets()}
-    if method == "auto":
-        primed = primed_first_hops(view, metric)
-        if primed is not None:
-            # Batch-primed by prime_first_hops (bit-identical to the scalar dispatch
-            # below by the differential suite's lock), decoded on request.  Only the
-            # auto dispatch consults this cache, and only the batched kernels populate
-            # it: explicit-method calls and scalar runs stay un-cached so the
-            # method-comparison tests and the benchmark recorder keep measuring real
-            # solver work.
-            return primed.first_hop_results()
-        obs.add("kernel.scalar_dispatches")
-        if metric.kind is MetricKind.ADDITIVE and metric.prefix_optimal:
-            method = "owner-dijkstra"
-        elif metric.kind is MetricKind.CONCAVE:
-            method = "bottleneck-forest"
-        else:
-            return {
-                target: first_hops_to(view, target, metric) for target in view.known_targets()
-            }
-    if method == "owner-dijkstra":
-        if metric.kind is not MetricKind.ADDITIVE or not metric.prefix_optimal:
-            raise ValueError(
-                "the owner-dijkstra method is only correct for prefix-optimal additive "
-                "metrics; use 'per-target' for mixed composites and 'bottleneck-forest' "
-                "for concave metrics"
-            )
+    primed = primed_first_hops(view, metric)
+    if primed is not None:
+        return primed.first_hop_results()
+    obs.add("kernel.scalar_dispatches")
+    if metric.kind is MetricKind.ADDITIVE and metric.prefix_optimal:
         return _all_first_hops_owner_dijkstra(view, metric)
-    if method == "bottleneck-forest":
-        if metric.kind is not MetricKind.CONCAVE:
-            raise ValueError(
-                "the bottleneck-forest method is only correct for concave metrics; "
-                "use 'owner-dijkstra' or 'per-target' for additive metrics"
-            )
+    if metric.kind is MetricKind.CONCAVE:
         return _all_first_hops_bottleneck_forest(view, metric)
-    raise ValueError(
-        f"unknown method {method!r}; use 'auto', 'owner-dijkstra', 'bottleneck-forest' or 'per-target'"
-    )
+    return {target: first_hops_to(view, target, metric) for target in view.known_targets()}
 
 
 def _all_first_hops_owner_dijkstra(view: LocalView, metric: Metric) -> Dict[NodeId, FirstHopResult]:
@@ -560,14 +524,14 @@ def _all_first_hops_bottleneck_forest(view: LocalView, metric: Metric) -> Dict[N
 
 
 def prime_first_hops(views: Iterable[LocalView], metric: Metric) -> int:
-    """Batch-compute auto-method first-hop results for network-graph-backed views.
+    """Batch-compute :func:`all_first_hops` results for network-graph-backed views.
 
     The integration point of the batched CSR kernels (:mod:`repro.localview.batched`):
     views attached to a shared :class:`~repro.localview.networkgraph.NetworkGraph` get
     their ``all_first_hops(view, metric)`` result computed for all owners at once and
     cached on the view as :class:`TargetRows` (one-hop block, then two-hop block, each
     sorted).  FNBP's ``select`` reads the rows as they are (:func:`primed_first_hops`);
-    the next auto-dispatch call decodes them.  Views without
+    the next :func:`all_first_hops` call decodes them.  Views without
     a shared graph (or with one the metric cannot be batched on -- composite metrics,
     missing attributes) are silently left for the scalar path, which the differential
     suite pins bit-identical to the batched one, so callers never need to care which

@@ -17,25 +17,25 @@ view, and sees only ``G_u`` (a two-hop node's known neighbours are its row inter
 ``one_hop``).  The map is either
 
 * the attribute snapshot of a shared :class:`~repro.localview.networkgraph.NetworkGraph`
-  the view is *attached* to (:meth:`LocalView.all_from_network` with ``network_graph``):
-  it holds the whole network, building the view copies nothing, and the batched kernels
-  prime its first hops; or
-* the view's own map of ``G_u`` (:meth:`from_network`, :meth:`from_tables`, the
-  constructor, and any view after :meth:`update_link`).
+  the view is *attached* to (:meth:`LocalView.all_from_network` with ``network_graph``,
+  :meth:`LocalView.attached`): it holds the whole network, building the view copies
+  nothing, and the batched kernels prime its first hops; or
+* the view's own map of ``G_u`` (:meth:`from_network`, :meth:`from_tables`,
+  :meth:`from_table_key` and the constructor).
 
 :attr:`LocalView.links` is ``G_u`` alone as a link map: the view's own map, or derived on
 first read from the snapshot -- never from the live network, which ``DynamicTopology``
 mutates in place.  The compact graphs, the scalar topology-filtering table and the path
 helpers of :mod:`repro.localview.paths` read it.
 
-Views are immutable by default: the selection machinery caches compact graphs and
-direct-link values per metric on the view, plus one metric-free :class:`Coverage` record
-of which one-hop neighbours cover which two-hop neighbours, and sibling views share link
-attribute dictionaries, so callers must treat ``view.links`` and its attribute dicts as
-read-only.  The one sanctioned mutation path is :meth:`LocalView.update_link` (a node
-re-measuring one of the links it knows about): it gives the view its own copy of the map
-with a fresh attribute dictionary for the link, drops every derived cache via
-:meth:`LocalView.invalidate_caches` and so detaches the view.
+A view never changes: it describes the one state it was built from, and the selection
+machinery caches compact graphs and direct-link values per metric on it, plus one
+metric-free :class:`Coverage` record of which one-hop neighbours cover which two-hop
+neighbours.  Sibling views share link attribute dictionaries, so callers must treat
+``view.links`` and its attribute dicts as read-only.  A graph never changes either, so an
+attached view keeps batching on the graph it was built on for as long as it is held.  The
+one move a view makes is private: ``DynamicTopology`` moves a view whose ``G_u`` a step
+left untouched onto the step's new graph (:meth:`_follow`), caches and all.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class LocalView:
         """
         if owner not in network:
             raise KeyError(f"node {owner} is not part of the network")
-        return cls._from_adjacency(network.adjacency, owner, {})
+        return cls._with_own_map(network.adjacency, owner, {})
 
     @classmethod
     def all_from_network(cls, network, network_graph=None) -> Dict[NodeId, "LocalView"]:
@@ -109,28 +109,20 @@ class LocalView:
         between the views that see it.
         """
         if network_graph is not None:
-            return {owner: cls._attached(network_graph, owner) for owner in network.nodes()}
+            return {owner: cls.attached(network_graph, owner) for owner in network.nodes()}
         adjacency = network.adjacency
         shared: Dict[int, dict] = {}
-        return {owner: cls._from_adjacency(adjacency, owner, shared) for owner in network.nodes()}
+        return {owner: cls._with_own_map(adjacency, owner, shared) for owner in network.nodes()}
 
     @classmethod
-    def from_adjacency(cls, adjacency, owner: NodeId, network_graph=None) -> "LocalView":
-        """One view of the state ``adjacency`` describes, as :meth:`all_from_network`
-        builds it: attached to ``network_graph`` if given, else with its own map."""
-        if network_graph is not None:
-            return cls._attached(network_graph, owner)
-        return cls._from_adjacency(adjacency, owner, {})
-
-    @classmethod
-    def _from_adjacency(cls, adjacency, owner: NodeId, shared: Dict[int, dict]) -> "LocalView":
+    def _with_own_map(cls, adjacency, owner: NodeId, shared: Dict[int, dict]) -> "LocalView":
         """One view with its own map; ``shared`` maps source attribute dicts' ids to copies."""
         one_hop = frozenset(iter(adjacency[owner]))  # filled as NetworkGraph.rows are
         two_hop = _two_hop(adjacency, owner, one_hop)
         return cls._own(owner, one_hop, two_hop, _restrict(adjacency, owner, one_hop, two_hop, shared))
 
     @classmethod
-    def _attached(cls, network_graph, owner: NodeId) -> "LocalView":
+    def attached(cls, network_graph, owner: NodeId) -> "LocalView":
         """The CSR-native view of ``owner``: its sets from the shared rows, no map of its own."""
         adjacency = network_graph.adjacency
         one_hop = network_graph.rows[owner]
@@ -225,7 +217,7 @@ class LocalView:
     def compact_graph(self, metric: Metric) -> CompactGraph:
         """The flat-adjacency snapshot of the view under ``metric`` (built once, cached).
 
-        Caching is sound because views are immutable once constructed; the cache key is
+        Caching is sound because a view never changes; the cache key is
         :meth:`Metric.cache_token`, which identifies the metric's link-value extraction
         rule (not just its display name).
         """
@@ -240,7 +232,6 @@ class LocalView:
         """The view's two-hop coverage as bitmasks (built once from the link map, cached).
 
         Metric-free: it depends on which links exist, not on their weights.
-        :meth:`invalidate_caches` drops it; a view moved onto rebuilt rows keeps it.
         """
         coverage = self._coverage
         if coverage is None:
@@ -248,51 +239,15 @@ class LocalView:
         return coverage
 
     def network_graph(self):
-        """The shared :class:`NetworkGraph` this view answers from, or None when the view
-        holds its own map or was built before the graph's last ``rebuild`` (the graph's
-        arrays no longer describe it)."""
-        network_graph = self._network_graph
-        if network_graph is None or network_graph.adjacency is not self._adjacency:
-            return None
-        return network_graph
-
-    # ------------------------------------------------------------------ mutation
-
-    def invalidate_caches(self) -> None:
-        """Drop everything derived from the link attributes: the per-metric caches (compact
-        graphs, direct values, first hops), the coverage record and :attr:`links`.
-
-        Must be called on an attached view after a ``patch_weights`` of a link it sees
-        (the map is derived again from the patched snapshot); :meth:`update_link` calls it
-        itself.
-        """
-        self._compact.clear()
-        self._direct.clear()
-        self._first_hops.clear()
-        self._links = self._coverage = None
+        """The shared :class:`NetworkGraph` this view answers from: the one it was built
+        on or moved onto, or None when the view holds its own map."""
+        return self._network_graph
 
     def _follow(self, network_graph) -> None:
-        """Move onto a rebuilt snapshot that left the owner's neighbourhood (and caches,
-        the coverage record included) intact."""
+        """Move onto a new graph of a state that left the owner's ``G_u`` (and so its
+        caches, the coverage record included) intact."""
+        self._network_graph = network_graph
         self._adjacency = network_graph.adjacency
-
-    def update_link(self, u: NodeId, v: NodeId, **weights: float) -> None:
-        """Update the attributes of a known link, drop the derived caches and detach.
-
-        Models a node re-measuring the QoS of a link it already knows about.  The view gets
-        its own copy of :attr:`links` in which the link has a fresh attribute dictionary,
-        so the update stays local to this view (other nodes only learn of new measurements
-        through the protocol, not through shared memory) and the view no longer matches a
-        shared CSR.
-        """
-        if not self.has_link(u, v):
-            raise KeyError(f"node {self.owner} does not know of a link between {u} and {v}")
-        links = {node: dict(row) for node, row in self.links.items()}
-        updated = dict(links[u][v])
-        updated.update(weights)
-        links[u][v] = links[v][u] = updated
-        self.invalidate_caches()
-        self._adjacency = self._links = links
 
     def has_link(self, u: NodeId, v: NodeId) -> bool:
         """True when the owner knows about a link between ``u`` and ``v``."""

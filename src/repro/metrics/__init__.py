@@ -23,7 +23,7 @@ from repro.metrics.assignment import (
     canonical_edge,
 )
 from repro.metrics.bandwidth import BandwidthMetric, ResidualBufferMetric
-from repro.metrics.base import AdditiveMetric, ConcaveMetric, Metric, MetricKind, path_links
+from repro.metrics.base import AdditiveMetric, ConcaveMetric, Metric, MetricKind
 from repro.metrics.composite import LexicographicMetric
 from repro.metrics.delay import (
     DelayMetric,
@@ -32,7 +32,7 @@ from repro.metrics.delay import (
     JitterMetric,
     PacketLossMetric,
 )
-from repro.metrics.ordering import preference_key, preferred_neighbor, rank_neighbors
+from repro.metrics.ordering import preference_key, preferred_neighbor
 from repro.registry import METRICS as _METRIC_REGISTRY
 
 #: The ready-made single-criterion metric instances, shared library-wide.  They register
@@ -71,7 +71,6 @@ __all__ = [
     "MetricKind",
     "AdditiveMetric",
     "ConcaveMetric",
-    "path_links",
     "BandwidthMetric",
     "ResidualBufferMetric",
     "DelayMetric",
@@ -88,7 +87,6 @@ __all__ = [
     "canonical_edge",
     "preferred_neighbor",
     "preference_key",
-    "rank_neighbors",
     "METRICS",
     "get_metric",
 ]

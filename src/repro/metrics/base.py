@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 class MetricKind(Enum):
@@ -56,13 +56,13 @@ class Metric(ABC):
     def prefix_optimal(self) -> bool:
         """Whether every prefix of an optimal path is itself optimal under this metric.
 
-        The single-pass ``owner-dijkstra`` first-hop method propagates first-hop sets
+        The single-pass owner-rooted first-hop solver propagates first-hop sets
         across *tight* links rooted at the owner, which is only complete when a path can be
         optimal exclusively through optimal prefixes.  That holds for plain additive
         composition (adding a common suffix preserves every componentwise difference) but
         fails as soon as composition can erase differences -- ``min`` makes a bottleneck
         path optimal even when its prefix is not, which is also why concave metrics use the
-        ``bottleneck-forest`` method instead.  Conservative default: False; the stock
+        bottleneck-forest solver instead.  Conservative default: False; the stock
         additive family overrides it, and composites derive it from their components.
         Subclasses that override :meth:`combine` with non-additive semantics must leave it
         (or set it back to) False.
@@ -241,12 +241,3 @@ class ConcaveMetric(Metric):
         if value <= 0:
             raise ValueError(f"{self.name} link values must be strictly positive, got {value!r}")
         return value
-
-
-def path_links(path: Sequence[object]) -> list[tuple[object, object]]:
-    """Return the consecutive (u, v) link pairs of a node path.
-
-    A path with fewer than two nodes has no links.  Shared here because path-value
-    computations appear in the solver, the router and the evaluation harness.
-    """
-    return [(path[i], path[i + 1]) for i in range(len(path) - 1)]

@@ -12,7 +12,7 @@ single place where that tie-break lives.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.metrics.base import Metric
 from repro.utils.ids import NodeId
@@ -50,15 +50,3 @@ def preferred_neighbor(
         if best_key is None or key < best_key:
             best, best_key = candidate, key
     return best
-
-
-def rank_neighbors(
-    candidates: Iterable[NodeId],
-    metric: Metric,
-    direct_link_value: Callable[[NodeId], float],
-) -> Sequence[NodeId]:
-    """Return ``candidates`` sorted from most to least preferred under ``≺``."""
-    return sorted(
-        candidates,
-        key=lambda candidate: preference_key(metric, direct_link_value(candidate), candidate),
-    )

@@ -11,13 +11,13 @@ scratch, :meth:`advance` diffs the unit-disk link set against the current one an
   methods (new links get their weights from the same pure per-edge assigner draws a full
   regeneration would use, so the incremental network is bit-identical to a from-scratch
   rebuild);
-* keeps one shared :class:`~repro.localview.networkgraph.NetworkGraph` in step: a
-  structural change rebuilds it, a pure weight change patches it in place;
-* gives a fresh CSR-native view (a few set operations, no graph) only to the owners whose
-  two-hop neighborhood a structural change touched (the owners ``{u, v} ∪ N(u) ∪ N(v)``
-  of each flipped link, unioned over the pre- and post-change adjacency);
-* drops the caches (``invalidate_caches``) of every other view that sees a reweighted
-  link: the patched CSR already carries the new weights.
+* builds a new shared :class:`~repro.localview.networkgraph.NetworkGraph` of the step's
+  network when the step added, removed or reweighted a link (a graph never changes once
+  built);
+* gives a fresh CSR-native view on it (a few set operations, no graph) only to the owners
+  in the step's dirty set, the owners ``{u, v} ∪ N(u) ∪ N(v)`` of each flipped or
+  reweighted link;
+* moves every other view onto the new graph: its ``G_u`` is unchanged.
 
 Every untouched view keeps its cached first hops and compact graphs warm across the step.
 ``tests/test_mobility.py`` holds every step to an independent regeneration: a fresh network
@@ -126,13 +126,13 @@ class DynamicTopology:
     # ------------------------------------------------------------------ views
 
     def network_graph(self) -> NetworkGraph:
-        """The current step's shared network-level CSR (maintained across steps).
+        """The current step's shared network-level CSR.
 
-        Built lazily alongside :meth:`views` and kept in lockstep with the live network:
-        structural steps rebuild it, weight-only steps patch its weight arrays in place
-        (:meth:`NetworkGraph.patch_weights`).  The maintained object is pinned
-        array-for-array identical to a fresh ``NetworkGraph.from_network`` of the current
-        network by ``tests/test_mobility.py``.
+        Built lazily alongside :meth:`views`, and built anew by every step that adds,
+        removes or reweights a link, so a caller that wants the current graph reads it
+        after :meth:`advance`; a graph handed out earlier keeps describing its own step.
+        ``tests/test_mobility.py`` pins every graph array-for-array identical to a fresh
+        ``NetworkGraph.from_network`` of the network at its step.
         """
         if self._network_graph is None:
             self._network_graph = NetworkGraph.from_network(self.network)
@@ -176,14 +176,13 @@ class DynamicTopology:
         for u, v in added:
             network.add_link(u, v, **self._link_weights((u, v), world))
 
-        # Owners whose view structure a flipped link touches: the link's endpoints plus
-        # every neighbour of either endpoint.  The post-step adjacency alone gives the
-        # union over the pre- and post-step adjacency: an endpoint's neighbour that only
-        # one of them has is the far endpoint of another flipped link.  This doubles as
-        # the flipped-link half of the delta's dirty set, so it is computed whether or
-        # not views are materialized.
-        affected: Set[NodeId] = set()
-        _absorb_link_neighborhoods(adjacency, added + removed, affected)
+        # The delta's dirty set, computed whether or not views are materialized: each
+        # flipped link's endpoints plus every neighbour of either endpoint.  The
+        # post-step adjacency alone gives the union over the pre- and post-step
+        # adjacency: an endpoint's neighbour that only one of them has is the far
+        # endpoint of another flipped link.
+        dirty: Set[NodeId] = set()
+        _absorb_link_neighborhoods(adjacency, added + removed, dirty)
 
         # Weight-only changes on links that persisted through the step.
         reweighted = sorted(
@@ -192,34 +191,25 @@ class DynamicTopology:
         for u, v in reweighted:
             for name, value in world.weight_overrides[(u, v)].items():
                 network.set_link_weight(u, v, name, value)
-        dirty = set(affected)
         _absorb_link_neighborhoods(adjacency, reweighted, dirty)
 
-        # Bring the shared CSR back in sync with the mutated network before any view
-        # touches it: structural changes rebuild it (new rows; views built earlier keep
-        # the old ones), weight-only steps patch its snapshot and weight arrays in place.
+        # A changed step (dirty is empty exactly when nothing changed) gets a new graph of
+        # the mutated network before any view reads it; the previous graph and the views
+        # held on it keep describing the old state.
         ng = self._network_graph
-        if ng is not None:
-            if added or removed:
-                with obs.span("csr_rebuild"):
-                    ng.rebuild(self.network)
-            elif reweighted:
-                with obs.span("csr_patch"):
-                    ng.patch_weights(self.network, reweighted)
+        if ng is not None and dirty:
+            with obs.span("csr_rebuild"):
+                ng = self._network_graph = NetworkGraph.from_network(network)
 
         if self._views is not None:
             # Updated in place (views() hands out a live dict); views() built ``ng`` first.
             views = self._views
-            obs.add("mobility.views_rebuilt", len(affected))
-            for owner in affected:
-                views[owner] = LocalView.from_adjacency(adjacency, owner, network_graph=ng)
+            obs.add("mobility.views_rebuilt", len(dirty))
             for owner, view in views.items():
-                if owner in affected:
-                    continue
-                if added or removed:
-                    view._follow(ng)  # its neighbourhood is unchanged on the new rows
-                if owner in dirty:  # sees a reweighted link, which the CSR now carries
-                    view.invalidate_caches()
+                if owner not in dirty:
+                    view._follow(ng)  # its G_u is unchanged on the new graph
+            for owner in dirty:
+                views[owner] = LocalView.attached(ng, owner)
 
         self._edges = target
         return StepDelta(

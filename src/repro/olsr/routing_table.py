@@ -2,10 +2,8 @@
 
 An OLSR node computes next hops from what it knows: its own links (neighbor table) plus the
 TC-learned advertised topology.  The original protocol uses hop count; the QoS variants use
-the QoS metric, which is what this implementation does -- it is the in-protocol counterpart
-of :class:`repro.routing.hop_by_hop.HopByHopRouter`, deciding by the same rule
-(:func:`~repro.routing.hop_by_hop.best_next_hop`), and the simulator's nodes use it to
-forward data packets.
+the QoS metric, which is what this implementation does: :func:`best_next_hop` is the
+next-hop rule, and the simulator's nodes use it to forward data packets hop by hop.
 
 :meth:`RoutingTable.recompute` only takes a snapshot of the tables -- a link map of the
 node's knowledge and its compact graph; each query solves the one destination it asks for
@@ -16,15 +14,79 @@ the last ``recompute``, whenever it is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.localview.compactgraph import CompactGraph
+from repro.localview.paths import best_values_from
 from repro.localview.view import Links
 from repro.metrics.base import Metric
+from repro.metrics.ordering import preferred_neighbor
 from repro.olsr.neighbor_table import NeighborTable
 from repro.olsr.topology_table import TopologyTable
-from repro.routing.hop_by_hop import best_next_hop
 from repro.utils.ids import NodeId
+
+
+def best_next_hop(
+    solver_graph: CompactGraph,
+    owner: NodeId,
+    destination: NodeId,
+    direct: Mapping[NodeId, float],
+    metric: Metric,
+) -> Optional[Tuple[NodeId, float]]:
+    """The neighbor ``owner`` forwards to for ``destination``, with the path value it expects.
+
+    ``solver_graph`` is the topology the owner knows, as a :class:`CompactGraph` under
+    ``metric``; it must contain ``destination``.  ``direct`` maps each one-hop neighbor to
+    the value of the owner's link to it; candidates are scanned in its order.  A
+    neighbor's value is its link combined with the best path from it to ``destination``
+    over ``solver_graph`` minus the owner (the rest of the path cannot revisit it).  Among
+    the neighbors achieving the optimal value, the fewest hops over ``solver_graph``
+    minus the owner win, then the better direct link, then the smaller
+    identifier.  The hop tie-break matters in practice: bottleneck metrics produce many
+    equally wide next hops, and preferring hop progress is what keeps independent per-node
+    decisions from bouncing a packet back and forth (QOLSR's own route computation also
+    keeps hop-shortest among the QoS-optimal routes).  None when the optimum is unusable or
+    no neighbor leads anywhere.
+    """
+    from_destination = best_values_from(solver_graph, destination, metric, excluded=(owner,))
+    index = solver_graph.index
+    adj = solver_graph.adj
+    skipped = index.get(owner)
+    frontier = [index[destination]]
+    distance: Dict[int, float] = {frontier[0]: 0.0}
+    while frontier:  # breadth-first hop distances from the destination, owner excluded
+        next_frontier = []
+        for i in frontier:
+            for j, _ in adj[i]:
+                if j != skipped and j not in distance:
+                    distance[j] = distance[i] + 1.0
+                    next_frontier.append(j)
+        frontier = next_frontier
+
+    candidates: Dict[NodeId, Tuple[float, float]] = {}
+    for neighbor, link_value in direct.items():
+        start = metric.combine(metric.identity, link_value)
+        if neighbor == destination:
+            candidates[neighbor] = (start, 1.0)
+            continue
+        remainder = from_destination.get(neighbor)
+        if remainder is not None:
+            hop_estimate = 1.0 + distance.get(index[neighbor], float("inf"))
+            candidates[neighbor] = (metric.combine(start, remainder), hop_estimate)
+
+    if not candidates:
+        return None
+    best_value = metric.optimum(value for value, _ in candidates.values())
+    if not metric.is_usable(best_value):
+        return None
+    best_candidates = {
+        neighbor: hops
+        for neighbor, (value, hops) in candidates.items()
+        if metric.values_equal(value, best_value)
+    }
+    fewest_hops = min(best_candidates.values())
+    shortlist = [neighbor for neighbor, hops in best_candidates.items() if hops == fewest_hops]
+    return preferred_neighbor(shortlist, metric, direct.__getitem__), best_value
 
 
 @dataclass(frozen=True)

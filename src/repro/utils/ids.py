@@ -3,13 +3,11 @@
 The protocols reproduced here (OLSR, QOLSR, FNBP) all rely on a *total order over node
 identifiers* to break ties deterministically -- e.g. the FNBP loop guard gives the node with
 the smallest identifier the responsibility of covering a contested two-hop neighbor.  We keep
-identifiers as plain integers (they stand in for the 32-bit "main address" of RFC 3626) and
-centralize the comparison helpers here so every module breaks ties the same way.
+identifiers as plain integers (they stand in for the 32-bit "main address" of RFC 3626), so
+every module breaks ties the same way: by Python's integer order.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 NodeId = int
 """A node identifier.  Plain ``int``; comparisons define the protocol's total order."""
@@ -37,14 +35,3 @@ def normalize_node_id(value: object) -> NodeId:
         raise ValueError(f"node identifiers must be non-negative, got {node_id}")
     return node_id
 
-
-def smallest_id(nodes: Iterable[NodeId]) -> NodeId:
-    """Return the smallest identifier in ``nodes``.
-
-    Raises :class:`ValueError` when ``nodes`` is empty, mirroring built-in :func:`min`,
-    but with a clearer message for protocol code.
-    """
-    nodes = list(nodes)
-    if not nodes:
-        raise ValueError("cannot take the smallest identifier of an empty set")
-    return min(nodes)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 _MASK_63 = (1 << 63) - 1
 
@@ -44,11 +44,6 @@ def derive_seed(base_seed: int, *components: object) -> int:
     with simple arithmetic mixing).
     """
     return _seed_of(_hasher(base_seed, components))
-
-
-def make_rng(seed: Optional[int]) -> random.Random:
-    """Return a :class:`random.Random` seeded with ``seed`` (or OS entropy when ``None``)."""
-    return random.Random(seed)
 
 
 def spawn_rng(base_seed: int, *components: object) -> random.Random:

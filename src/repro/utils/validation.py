@@ -29,22 +29,6 @@ def require_non_negative(value: Number, name: str) -> Number:
     return value
 
 
-def require_probability(value: Number, name: str) -> Number:
-    """Return ``value`` if it lies in the closed interval [0, 1]."""
-    _require_finite(value, name)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-    return value
-
-
-def require_in_range(value: Number, name: str, low: Number, high: Number) -> Number:
-    """Return ``value`` if it lies in the closed interval [``low``, ``high``]."""
-    _require_finite(value, name)
-    if not low <= value <= high:
-        raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
-    return value
-
-
 def _require_finite(value: Number, name: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {type(value).__name__}")

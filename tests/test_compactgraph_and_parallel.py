@@ -16,7 +16,12 @@ from repro.experiments.engine import run_experiment
 from repro.experiments.presets import figure_spec
 from repro.experiments.runner import resolve_workers
 from repro.localview import CompactGraph, LocalView, all_first_hops, best_values_from
-from repro.localview.paths import enumerate_best_paths, path_value
+from repro.localview.paths import (
+    _all_first_hops_bottleneck_forest,
+    _all_first_hops_owner_dijkstra,
+    enumerate_best_paths,
+    path_value,
+)
 from repro.metrics import (
     BandwidthMetric,
     DelayMetric,
@@ -109,7 +114,7 @@ class TestCompactSolversAgreeWithNetworkxReference:
             owner = rng.randrange(len(network))
             view = LocalView.from_network(network, owner)
             for metric in METRICS:
-                fast = all_first_hops(view, metric, method="auto")
+                fast = all_first_hops(view, metric)
                 reference = {
                     target: first_hops_to_nx(view, target, metric)
                     for target in view.known_targets()
@@ -122,12 +127,12 @@ class TestCompactSolversAgreeWithNetworkxReference:
             network = random_weighted_network(rng)
             owner = rng.randrange(len(network))
             view = LocalView.from_network(network, owner)
-            assert all_first_hops_owner_dijkstra_nx(view, DelayMetric()) == all_first_hops(
-                view, DelayMetric(), method="owner-dijkstra"
-            )
-            assert all_first_hops_bottleneck_forest_nx(view, BandwidthMetric()) == all_first_hops(
-                view, BandwidthMetric(), method="bottleneck-forest"
-            )
+            assert all_first_hops_owner_dijkstra_nx(
+                view, DelayMetric()
+            ) == _all_first_hops_owner_dijkstra(view, DelayMetric())
+            assert all_first_hops_bottleneck_forest_nx(
+                view, BandwidthMetric()
+            ) == _all_first_hops_bottleneck_forest(view, BandwidthMetric())
 
     def test_best_values_from_matches_networkx_with_exclusions(self):
         rng = random.Random(5)

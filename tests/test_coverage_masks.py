@@ -10,7 +10,7 @@ relay mask.  These tests pin
   shapes, the 70-spoke hub (masks wider than 64 bits), protocol-table views with stale,
   one-sided and conflicting reports, and networks with a NaN link;
 * the record to the view's own set queries on every kind of view, and its cache
-  contract (``invalidate_caches`` and ``update_link`` drop it);
+  contract (built once, then shared by every reader);
 * FNBP's rows to the record's bit orders, which its loop guard relies on.
 """
 
@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.fnbp import FnbpSelector
 from repro.core.selection import make_selector
 from repro.localview import LocalView, NetworkGraph
-from repro.localview.view import mask_members
+from repro.localview.view import Coverage, mask_members
 from repro.metrics import BandwidthMetric, DelayMetric
 from repro.olsr.mpr import coverage_map, rfc3626_mpr
 from tests.mpr_oracles import QOLSR_VARIANTS, coverage_map_sets, qolsr_sets, rfc3626_mpr_sets
@@ -42,7 +42,7 @@ def integer_network():
 
 
 def _views(network) -> list:
-    """Every owner's view, detached (its own map) and attached to a shared CSR."""
+    """Every owner's view, with its own map and attached to a shared CSR."""
     attached = LocalView.all_from_network(network, network_graph=NetworkGraph.from_network(network))
     return [*LocalView.all_from_network(network).values(), *attached.values()]
 
@@ -157,17 +157,8 @@ class TestMasksMatchTheSetRoutines:
         _assert_masks_match_sets([LocalView.from_tables(*tables)])
 
 
-def _detached(network, owner):
-    """An attached view of ``owner`` detached by ``update_link`` on its first direct link."""
-    view = LocalView.all_from_network(network, network_graph=NetworkGraph.from_network(network))[owner]
-    neighbor = min(view.one_hop)
-    view.update_link(owner, neighbor, bandwidth=99.0)
-    assert view.network_graph() is None
-    return view
-
-
 class TestTheRecord:
-    @pytest.mark.parametrize("kind", ["attached", "own-map", "from-tables", "detached"])
+    @pytest.mark.parametrize("kind", ["attached", "own-map", "from-tables"])
     def test_masks_decode_to_the_view_queries(self, kind, integer_network):
         network = integer_network
         if kind == "from-tables":
@@ -179,8 +170,6 @@ class TestTheRecord:
                     v: {w: dict(weights) for w, weights in rows[v].items()} for v in neighbor_links
                 }
                 views.append(LocalView.from_tables(owner, neighbor_links, two_hop_links))
-        elif kind == "detached":
-            views = [_detached(network, owner) for owner in network.nodes() if network.degree(owner)]
         elif kind == "attached":
             ng = NetworkGraph.from_network(network)
             views = list(LocalView.all_from_network(network, network_graph=ng).values())
@@ -198,22 +187,27 @@ class TestTheRecord:
                 covered = set(mask_members(coverage.two_hops, coverage.covers[i]))
                 assert covered == view.neighbors_of(hop) & view.two_hop, (view.owner, hop)
 
-    def test_built_once_and_dropped_with_the_other_caches(self, integer_network):
+    def test_built_once_and_shared_by_its_readers(self, integer_network, monkeypatch):
         network = integer_network
         owner = max(network.nodes(), key=network.degree)
         ng = NetworkGraph.from_network(network)
         view = LocalView.all_from_network(network, network_graph=ng)[owner]
+        builds = []
+        build = Coverage.of.__func__
+
+        def counting_of(cls, *args):
+            builds.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(Coverage, "of", classmethod(counting_of))
         record = view.coverage()
         assert view.coverage() is record
-        make_selector("qolsr-mpr2").select(view, METRICS[0])
-        rfc3626_mpr(view)
+        for metric in METRICS:
+            make_selector("qolsr-mpr2").select(view, metric)
+            make_selector("fnbp").select(view, metric)
+        assert rfc3626_mpr(view) == rfc3626_mpr_sets(view)
         assert view.coverage() is record
-        view.invalidate_caches()
-        rebuilt = view.coverage()
-        assert rebuilt is not record
-        assert (rebuilt.covers, rebuilt.relays) == (record.covers, record.relays)
-        view.update_link(owner, min(view.one_hop), bandwidth=99.0)
-        assert view.coverage() is not rebuilt
+        assert len(builds) == 1
 
 
 class TestFnbpRowsFollowTheRecord:

@@ -23,7 +23,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.selection import make_selector
 from repro.experiments.engine import run_experiment
 from repro.experiments.presets import figure_spec
-from repro.localview import LocalView, all_first_hops, best_values_from
+from repro.localview import LocalView, all_first_hops, best_values_from, first_hops_to
+from repro.localview.paths import (
+    _all_first_hops_bottleneck_forest,
+    _all_first_hops_owner_dijkstra,
+)
 from repro.metrics import BandwidthMetric, DelayMetric, LexicographicMetric
 from repro.routing.advertised import AdvertisedTopologyBuilder
 from repro.routing.hop_by_hop import HopByHopRouter, RouteOutcome
@@ -60,17 +64,24 @@ ADDITIVE_COMPOSITE = LexicographicMetric([DelayMetric(), CongestionMetric()], na
 #: The selectors the paper's overhead figures compare.
 PAPER_SELECTORS = ("qolsr-mpr2", "topology-filtering", "fnbp")
 
-#: Metrics paired with the all-targets fast methods that are valid for them.  The mixed
-#: composite gets no single-pass method: it is not prefix-optimal (its concave component
-#: lets a suffix's ``min`` erase a prefix's disadvantage), so owner-dijkstra would
-#: under-report first-hop sets -- the exact bug this suite originally caught in the
-#: ``auto`` dispatch.  The all-additive composite IS prefix-optimal and exercises
-#: owner-dijkstra's generic tuple-valued tight-link branch.
-METHODS_BY_METRIC = (
-    (BANDWIDTH, ("per-target", "bottleneck-forest", "auto")),
-    (DELAY, ("per-target", "owner-dijkstra", "auto")),
-    (COMPOSITE, ("per-target", "auto")),
-    (ADDITIVE_COMPOSITE, ("per-target", "owner-dijkstra", "auto")),
+
+def _per_target(view, metric):
+    """The per-target reference: :func:`first_hops_to` once per known target."""
+    return {target: first_hops_to(view, target, metric) for target in view.known_targets()}
+
+
+#: Metrics paired with the all-targets solvers that are valid for them, plus
+#: ``all_first_hops``'s own dispatch.  The mixed composite gets no single-pass solver: it
+#: is not prefix-optimal (its concave component lets a suffix's ``min`` erase a prefix's
+#: disadvantage), so the owner-rooted propagation would under-report first-hop sets --
+#: the exact bug this suite originally caught in the dispatch.  The all-additive
+#: composite IS prefix-optimal and exercises the owner-rooted solver's generic
+#: tuple-valued tight-link branch.
+SOLVERS_BY_METRIC = (
+    (BANDWIDTH, (_per_target, _all_first_hops_bottleneck_forest, all_first_hops)),
+    (DELAY, (_per_target, _all_first_hops_owner_dijkstra, all_first_hops)),
+    (COMPOSITE, (_per_target, all_first_hops)),
+    (ADDITIVE_COMPOSITE, (_per_target, _all_first_hops_owner_dijkstra, all_first_hops)),
 )
 
 
@@ -108,40 +119,31 @@ def _reference_first_hops(view, metric):
 
 
 _NX_TWINS = {
-    "owner-dijkstra": all_first_hops_owner_dijkstra_nx,
-    "bottleneck-forest": all_first_hops_bottleneck_forest_nx,
+    _all_first_hops_owner_dijkstra: all_first_hops_owner_dijkstra_nx,
+    _all_first_hops_bottleneck_forest: all_first_hops_bottleneck_forest_nx,
 }
 
 
 class TestFastSolversMatchNetworkxReferences:
     @pytest.mark.parametrize("seed", range(TOPOLOGY_COUNT))
     def test_all_methods_and_metrics_on_one_topology(self, seed):
-        """Every fast method equals the per-target reference AND its own networkx twin,
-        cold and warm (the second run answers from the cached compact graph)."""
+        """Every fast solver and the dispatch equal the networkx per-target reference, and
+        each single-pass solver its own networkx twin, cold and warm (the second run
+        answers from the cached compact graph)."""
+        assert not COMPOSITE.prefix_optimal and ADDITIVE_COMPOSITE.prefix_optimal
         network = unit_disk_network(seed)
         for owner in _owners(network):
             view = LocalView.from_network(network, owner)
-            for metric, methods in METHODS_BY_METRIC:
+            for metric, solvers in SOLVERS_BY_METRIC:
                 reference = _reference_first_hops(view, metric)
-                for method in methods:
-                    cold = all_first_hops(view, metric, method=method)
-                    assert cold == reference, (seed, owner, metric.name, method)
-                    twin = _NX_TWINS.get(method)
+                for solve in solvers:
+                    where = (seed, owner, metric.name, solve.__name__)
+                    cold = solve(view, metric)
+                    assert cold == reference, where
+                    twin = _NX_TWINS.get(solve)
                     if twin is not None:
-                        assert cold == twin(view, metric), (seed, owner, metric.name, method)
-                    warm = all_first_hops(view, metric, method=method)
-                    assert warm == reference, (seed, owner, metric.name, method, "warm")
-
-    def test_owner_dijkstra_is_rejected_for_non_prefix_optimal_metrics(self):
-        """Mixed composites must not reach the tight-link propagation (found by this suite:
-        the auto dispatch used to send every ADDITIVE-kind metric, composites included, to
-        owner-dijkstra, silently dropping first hops whose path prefixes were suboptimal)."""
-        network = unit_disk_network(0)
-        view = LocalView.from_network(network, _owners(network)[0])
-        assert not COMPOSITE.prefix_optimal
-        with pytest.raises(ValueError):
-            all_first_hops(view, COMPOSITE, method="owner-dijkstra")
-        assert ADDITIVE_COMPOSITE.prefix_optimal  # exercised in METHODS_BY_METRIC above
+                        assert cold == twin(view, metric), where
+                    assert solve(view, metric) == reference, (*where, "warm")
 
     @pytest.mark.parametrize("seed", range(0, TOPOLOGY_COUNT, 5))
     def test_best_values_with_exclusions_match_reference(self, seed):

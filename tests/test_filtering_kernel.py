@@ -189,13 +189,12 @@ class TestBatchedEqualsScalar:
         assert first == second
         assert counted == {"filtering.batched_views": 1, "filtering.scalar_views": 1}
 
-    def test_detached_and_protocol_views_take_the_scalar_path(self):
+    def test_own_map_and_protocol_views_take_the_scalar_path(self):
         network = unit_disk_network(5)
         ng = NetworkGraph.from_network(network)
         views = LocalView.all_from_network(network, network_graph=ng)
         owner = network.nodes()[0]
-        neighbor = min(views[owner].one_hop)
-        views[owner].update_link(owner, neighbor, bandwidth=2.5)
+        views[owner] = LocalView.from_network(network, owner)
         tables = {
             node: LocalView.from_tables(
                 node,

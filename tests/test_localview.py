@@ -1,11 +1,12 @@
-"""Tests for the local view ``G_u``: construction from a network and from protocol tables."""
+"""Tests for the local view ``G_u``: construction from a network and from protocol tables,
+and the one state a view describes."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.localview import LocalView
-from repro.metrics import BandwidthMetric
+from repro.localview import LocalView, all_first_hops
+from repro.metrics import BandwidthMetric, DelayMetric
 from repro.papergraphs import FIGURE2_OWNER, figure2_network
 from repro.topology import Network
 
@@ -117,8 +118,8 @@ class TestFromTables:
         assert empty == {}  # the owner is not written into the caller's map
 
 
-class TestCacheInvalidation:
-    """The view's derived caches (compact graphs, bottleneck forests) vs link mutation."""
+class TestViewsDescribeOneState:
+    """A view never changes: it answers for the network state it was built from."""
 
     def _network(self):
         return Network.from_links(
@@ -130,57 +131,56 @@ class TestCacheInvalidation:
             }
         )
 
-    def test_update_link_drops_compact_graph_and_forest_caches(self):
-        from repro.localview import all_first_hops
-        from repro.metrics import DelayMetric
+    def _answers(self, view):
+        metrics = (BandwidthMetric(), DelayMetric())
+        return (
+            view.one_hop,
+            view.two_hop,
+            [(node, [(other, dict(data)) for other, data in row.items()]) for node, row in view.links.items()],
+            [dict(view.direct_link_values(metric)) for metric in metrics],
+            [all_first_hops(view, metric) for metric in metrics],
+        )
 
+    def test_a_view_keeps_its_state_when_the_network_changes(self):
+        """Reweighting, removing and adding links in the network leave a view built
+        before unchanged; a view built afterwards answers for the new state."""
+        network = self._network()
+        view = LocalView.from_network(network, 0)
+        answers = self._answers(view)
+        assert answers[4][0][1].best_value == 5.0  # the direct link is the widest
+        network.set_link_weight(0, 1, "bandwidth", 0.25)
+        network.remove_link(2, 3)
+        network.add_link(1, 4, bandwidth=7.0, delay=1.0)
+        assert self._answers(view) == answers
+        fresh = all_first_hops(LocalView.from_network(network, 0), BandwidthMetric())
+        assert fresh[1].best_value == 1.0  # 0-2-1 (min(1, 3)) beats the degraded link
+        assert fresh[1].first_hops == frozenset({2})
+        assert sorted(fresh) == [1, 2, 4]
+
+    def test_views_built_together_share_one_copy_of_each_link(self):
+        """``all_from_network`` without a graph copies each link's attributes once and
+        shares the copy between the views that see the link; the network's own dicts
+        are not referenced, so later network mutations stay out of every view."""
+        network = self._network()
+        views = LocalView.all_from_network(network)
+        for u, v in network.links():
+            seen = [view.links[u][v] for view in views.values() if view.has_link(u, v)]
+            assert len(seen) >= 2, (u, v)
+            assert all(data is seen[0] for data in seen), (u, v)
+            assert seen[0] is not network.adjacency[u][v] and seen[0] == network.link_attributes(u, v)
+        answers = {owner: self._answers(view) for owner, view in views.items()}
+        network.set_link_weight(1, 2, "delay", 50.0)
+        assert {owner: self._answers(view) for owner, view in views.items()} == answers
+
+    def test_per_metric_caches_are_built_once(self):
+        """A compact graph and the direct values are built once per metric token and
+        reused by an equal metric instance; another metric gets its own."""
         view = LocalView.from_network(self._network(), 0)
         bandwidth, delay = BandwidthMetric(), DelayMetric()
-        all_first_hops(view, bandwidth)
-        all_first_hops(view, delay)
-        stale_compact = view.compact_graph(bandwidth)
-        assert view._compact
-
-        view.update_link(0, 1, bandwidth=0.5)
-
-        assert not view._compact  # dropped eagerly
-        rebuilt = view.compact_graph(bandwidth)
-        assert rebuilt is not stale_compact
-        row = dict(rebuilt.adj[rebuilt.index[0]])
-        assert row[rebuilt.index[1]] == 0.5
-
-    def test_requery_after_mutation_reflects_the_new_weight(self):
-        """The regression this guards: before invalidation existed, a mutated link kept
-        being answered from the stale cached forest."""
-        from repro.localview import all_first_hops
-
-        view = LocalView.from_network(self._network(), 0)
-        metric = BandwidthMetric()
-        before = all_first_hops(view, metric)
-        assert before[1].best_value == 5.0
-        view.update_link(0, 1, bandwidth=0.25)  # direct link now worse than the detour
-        after = all_first_hops(view, metric)
-        assert after[1].best_value == 1.0  # 0-2-1 (min(1, 3)) beats the degraded direct link
-        assert after[1].first_hops == frozenset({2})
-        fresh = LocalView(owner=0, one_hop=view.one_hop, two_hop=view.two_hop, links=view.links)
-        assert after == all_first_hops(fresh, metric)
-
-    def test_update_link_unshares_attribute_dicts_between_sibling_views(self):
-        """Batch-built views share link-attribute dictionaries; a mutation through one view
-        must stay local to it (other nodes learn of new measurements via the protocol, not
-        via shared memory) and must not silently corrupt the siblings' caches."""
-        views = LocalView.all_from_network(self._network())
-        metric = BandwidthMetric()
-        sibling = views[1]
-        sibling_before = sibling.compact_graph(metric)
-
-        views[0].update_link(0, 1, bandwidth=9.0)
-
-        assert views[0].link_value(0, 1, metric) == 9.0
-        assert sibling.link_value(0, 1, metric) == 5.0  # untouched
-        assert sibling.compact_graph(metric) is sibling_before  # its cache is still valid
-
-    def test_update_link_rejects_unknown_links(self):
-        view = LocalView.from_network(self._network(), 0)
-        with pytest.raises(KeyError):
-            view.update_link(0, 99, bandwidth=1.0)
+        compact = view.compact_graph(bandwidth)
+        assert view.compact_graph(BandwidthMetric()) is compact
+        assert view.compact_graph(delay) is not compact
+        direct = view.direct_link_values(delay)
+        assert view.direct_link_values(DelayMetric()) is direct
+        assert direct == {1: 2.0, 2: 9.0}
+        assert view.coverage() is view.coverage()

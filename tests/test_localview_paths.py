@@ -19,7 +19,12 @@ from repro.localview import (
     path_value,
     qos_rng_reduce,
 )
-from repro.metrics import BandwidthMetric, DelayMetric
+from repro.localview import paths as paths_module
+from repro.localview.paths import (
+    _all_first_hops_bottleneck_forest,
+    _all_first_hops_owner_dijkstra,
+)
+from repro.metrics import BandwidthMetric, DelayMetric, HopCountMetric, LexicographicMetric
 from repro.papergraphs import FIGURE2_OWNER, figure2_network
 from repro.topology import Network
 from tests.nx_oracles import nx_graph
@@ -120,19 +125,54 @@ class TestFirstHops:
     def test_all_first_hops_fast_methods_match_reference(self, grid_network, bandwidth, delay):
         for node in (0, 5, 10, 15):
             view = LocalView.from_network(grid_network, node)
-            for metric in (bandwidth, delay):
-                fast = all_first_hops(view, metric, method="auto")
-                reference = all_first_hops(view, metric, method="per-target")
-                assert fast == reference
+            for metric, fast in (
+                (bandwidth, _all_first_hops_bottleneck_forest),
+                (delay, _all_first_hops_owner_dijkstra),
+            ):
+                reference = {
+                    target: first_hops_to(view, target, metric)
+                    for target in view.known_targets()
+                }
+                assert fast(view, metric) == reference
+                assert all_first_hops(view, metric) == reference
 
-    def test_all_first_hops_method_validation(self, bandwidth, delay):
-        view = _figure2_view()
-        with pytest.raises(ValueError):
-            all_first_hops(view, bandwidth, method="owner-dijkstra")
-        with pytest.raises(ValueError):
-            all_first_hops(view, delay, method="bottleneck-forest")
-        with pytest.raises(ValueError):
-            all_first_hops(view, bandwidth, method="nonsense")
+    @pytest.mark.parametrize(
+        "metric,solver",
+        [
+            (DelayMetric(), "owner-dijkstra"),
+            (LexicographicMetric([DelayMetric(), HopCountMetric()]), "owner-dijkstra"),
+            (BandwidthMetric(), "bottleneck-forest"),
+            (LexicographicMetric([DelayMetric(), BandwidthMetric()]), "per-target"),
+        ],
+        ids=["delay", "additive-composite", "bandwidth", "mixed-composite"],
+    )
+    def test_all_first_hops_runs_the_one_solver_its_metric_allows(
+        self, grid_network, monkeypatch, metric, solver
+    ):
+        """Every solver gives the same answers, so only the calls show the dispatch: one
+        single pass for prefix-optimal additive and for concave metrics, the per-target
+        definition for anything else."""
+        calls = []
+        for name, label in (
+            ("_all_first_hops_owner_dijkstra", "owner-dijkstra"),
+            ("_all_first_hops_bottleneck_forest", "bottleneck-forest"),
+            ("first_hops_to", "per-target"),
+        ):
+            original = getattr(paths_module, name)
+
+            def counted(*args, _original=original, _label=label):
+                calls.append(_label)
+                return _original(*args)
+
+            monkeypatch.setattr(paths_module, name, counted)
+        for u, v in grid_network.links():
+            grid_network.set_link_weight(u, v, "hops", 1.0)
+        view = LocalView.from_network(grid_network, 5)
+        results = all_first_hops(view, metric)
+        monkeypatch.undo()
+        targets = view.known_targets()
+        assert calls == [solver] * (len(targets) if solver == "per-target" else 1)
+        assert results == {target: first_hops_to(view, target, metric) for target in targets}
 
     def test_first_hops_are_always_one_hop_neighbors(self, random_network_factory, bandwidth):
         network = random_network_factory(25, seed=3)

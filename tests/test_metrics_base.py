@@ -17,7 +17,6 @@ from repro.metrics import (
     get_metric,
     METRICS,
 )
-from repro.metrics.base import path_links
 
 
 class TestAdditiveSemantics:
@@ -155,8 +154,3 @@ class TestRegistry:
     def test_get_metric_unknown_name(self):
         with pytest.raises(KeyError):
             get_metric("latency")
-
-
-def test_path_links_pairs_consecutive_nodes():
-    assert path_links([1, 2, 3, 4]) == [(1, 2), (2, 3), (3, 4)]
-    assert path_links([1]) == []

@@ -13,7 +13,6 @@ from repro.metrics import (
     LexicographicMetric,
     preference_key,
     preferred_neighbor,
-    rank_neighbors,
 )
 
 
@@ -102,11 +101,6 @@ class TestPreferenceOperator:
 
     def test_preferred_neighbor_empty_returns_none(self):
         assert preferred_neighbor([], BandwidthMetric(), lambda n: 1.0) is None
-
-    def test_rank_neighbors_full_order(self):
-        metric = BandwidthMetric()
-        links = {1: 3.0, 2: 7.0, 3: 7.0, 4: 1.0}
-        assert list(rank_neighbors(links, metric, links.__getitem__)) == [2, 3, 1, 4]
 
     def test_preference_key_is_sortable(self):
         metric = DelayMetric()

@@ -4,7 +4,7 @@ The load-bearing guarantees, in the style of the differential suites that lock d
 other fast paths:
 
 * **Incremental == regeneration.**  A :class:`DynamicTopology` advanced incrementally
-  (diffed links, rebuilt-only-affected views, reweighted links patched into the shared CSR)
+  (diffed links, a new shared CSR per changed step, fresh views for the dirty owners only)
   is bit-identical -- networks, positions, link attributes, every view's structure and
   edge data, each step's added/removed/reweighted links -- to a fresh network and fresh
   views regenerated from the step's world state alone, for all three models.
@@ -249,7 +249,7 @@ class TestIncrementalStepEqualsPerStepRegeneration:
             reweights += len(delta.reweighted)
             previous = links
         if model_name == "churn":
-            assert reweights  # the patch path really ran
+            assert reweights  # the reweight path really ran
 
     def test_a_link_back_from_an_outage_carries_its_last_re_measured_weight(self):
         """Why a world state carries the cumulative override table: a link that returns
@@ -295,6 +295,95 @@ class TestIncrementalStepEqualsPerStepRegeneration:
         assert (back.added, back.removed, back.reweighted) == ((link,), (), ())
         assert dynamic.network.link_attributes(*link)[name] == 9.0
         _assert_regenerates(dynamic, states[-1], assigners)
+
+    def test_a_step_that_changes_nothing_keeps_the_graph_and_every_view(self):
+        """An empty dirty set builds no graph and replaces no view: the step's graph, the
+        views and their caches are the objects handed out before it."""
+        assigners = _assigners()
+        dynamic = _scripted([WorldState(ROW), WorldState(ROW)], assigners)
+        graph, views = dynamic.network_graph(), dynamic.views()
+        held = dict(views)
+        compact = {owner: view.compact_graph(DelayMetric()) for owner, view in views.items()}
+        for _ in range(2):
+            delta = dynamic.advance()
+            assert (delta.added, delta.removed, delta.reweighted, delta.dirty) == ((), (), (), frozenset())
+            assert dynamic.network_graph() is graph
+            assert all(views[owner] is held[owner] for owner in held)
+            assert all(views[owner].network_graph() is graph for owner in held)
+            assert all(views[owner].compact_graph(DelayMetric()) is compact[owner] for owner in held)
+
+    def test_graphs_are_built_only_once_a_caller_asks_for_one(self, monkeypatch):
+        """Steps before anyone reads the graph or the views build no graph; afterwards
+        every changed step builds exactly one and an unchanged step none."""
+        builds = []
+        build = NetworkGraph.__init__
+
+        def counted(self, network):
+            builds.append(network)
+            build(self, network)
+
+        monkeypatch.setattr(NetworkGraph, "__init__", counted)
+        assigners = _assigners()
+        name = assigners[0].metric.name
+        network, _ = _regenerate(WorldState(ROW), FIELD.radius, assigners)
+        reweighted = {(0, 1): {name: 3.0}}
+        states = [
+            WorldState(ROW, weight_overrides=reweighted, changed_weights=frozenset({(0, 1)})),
+            WorldState(ROW, weight_overrides=reweighted),
+            WorldState(ROW, down_links=frozenset({(1, 2)}), weight_overrides=reweighted),
+            WorldState(ROW, weight_overrides=reweighted),
+        ]
+        dynamic = DynamicTopology(network, _ScriptedStepper(states), FIELD.radius, assigners)
+        assert dynamic.advance().dirty == {0, 1, 2}
+        assert builds == []
+        graph = dynamic.network_graph()
+        assert dynamic.views()[0].network_graph() is graph is dynamic.network_graph()
+        assert builds == [network]
+        assert not dynamic.advance().dirty
+        assert len(builds) == 1 and dynamic.network_graph() is graph
+        assert dynamic.advance().removed == ((1, 2),)
+        assert len(builds) == 2 and dynamic.network_graph() is not graph
+        assert dynamic.advance().added == ((1, 2),)
+        assert len(builds) == 3
+        monkeypatch.undo()
+        _assert_same_csr(dynamic.network_graph(), NetworkGraph.from_network(dynamic.network))
+
+    def test_a_reweighted_owner_gets_a_fresh_view_that_iterates_like_the_old(self):
+        """On a weight-only step a dirty owner's sets and map keep their members and their
+        order (a change in either would have flipped a link), so the fresh view it gets
+        iterates exactly like the view it replaces, and only the weights differ."""
+        generator = LinkChurnGenerator(
+            field=FIELD,
+            node_count=35,
+            seed=1,
+            weight_assigners=_assigners(),
+            reweight_probability=0.05,
+            outage_probability=0.0,
+        )
+        dynamic = generator.dynamic()
+        views = dynamic.views()
+        changed = 0
+        for _ in range(3):
+            held = dict(views)
+            delta = dynamic.advance()
+            assert delta.reweighted and not delta.link_churn
+            for owner in delta.dirty:
+                fresh, old = views[owner], held[owner]
+                assert fresh is not old, owner
+                assert list(fresh.one_hop) == list(old.one_hop), owner
+                assert list(fresh.two_hop) == list(old.two_hop), owner
+                assert [(n, list(row)) for n, row in fresh.links.items()] == [
+                    (n, list(row)) for n, row in old.links.items()
+                ], owner
+                for metric in METRICS:
+                    values = fresh.direct_link_values(metric)
+                    assert list(values) == list(old.direct_link_values(metric)), owner
+                    assert values == {
+                        neighbor: dynamic.network.link_value(owner, neighbor, metric)
+                        for neighbor in fresh.one_hop
+                    }, owner
+                    changed += values != old.direct_link_values(metric)
+        assert changed  # some owner's own link was re-measured
 
     def test_untouched_views_keep_their_caches_across_a_step(self):
         """The point of the incremental path: a step that does not touch a node's
@@ -347,38 +436,61 @@ class TestIncrementalStepEqualsPerStepRegeneration:
     def test_maintained_network_graph_equals_a_fresh_build_every_step(
         self, model_name, cls, kwargs
     ):
-        """The driver-maintained shared CSR (structural steps rebuild it, weight-only
-        steps patch its arrays in place) is array-for-array bit-identical to a
-        from-scratch ``NetworkGraph.from_network`` of the current network, every step."""
-        from repro.localview import NetworkGraph
-
+        """The shared CSR the driver hands out after each step (a changed step builds a
+        new one) is array-for-array bit-identical to a from-scratch
+        ``NetworkGraph.from_network`` of the current network, every step."""
         generator = cls(
             field=FIELD, node_count=35, seed=5, weight_assigners=_assigners(), **kwargs
         )
         dynamic = generator.dynamic()
-        metrics = (BandwidthMetric(), DelayMetric())
         dynamic.views()  # materialize views + shared CSR so maintenance runs
-        maintained = dynamic.network_graph()
-        for metric in metrics:
-            maintained.edge_values(metric)  # materialize so patches have arrays to hit
         for _ in range(5):
             dynamic.advance()
-            assert dynamic.network_graph() is maintained  # identity is preserved
-            fresh = NetworkGraph.from_network(dynamic.network)
-            assert maintained.nodes == fresh.nodes
-            for name in ("indptr", "indices", "slot_edge", "edge_u", "edge_v"):
-                assert (getattr(maintained, name) == getattr(fresh, name)).all(), name
-            for metric in metrics:
-                assert (
-                    maintained.edge_values(metric) == fresh.edge_values(metric)
-                ).all(), metric.name
-                assert (
-                    maintained.slot_values(metric) == fresh.slot_values(metric)
-                ).all(), metric.name
-            # The views handed out after the step are attached to the maintained CSR
-            # (untouched views move onto the rebuilt rows; reweight viewers stay attached).
+            current = dynamic.network_graph()
+            _assert_same_csr(current, NetworkGraph.from_network(dynamic.network))
+            # The views handed out after the step are attached to the current CSR
+            # (untouched views moved onto it, dirty owners built on it).
             for owner, view in dynamic.views().items():
-                assert view.network_graph() is maintained, owner
+                assert view.network_graph() is current, owner
+
+    @pytest.mark.parametrize(
+        "cls,kwargs",
+        [
+            (RandomWaypointGenerator, {}),
+            (LinkChurnGenerator, {}),
+            (LinkChurnGenerator, dict(reweight_probability=0.3, outage_probability=0.0)),
+        ],
+        ids=["rwp", "churn", "weight-only-churn"],
+    )
+    def test_every_graph_handed_out_keeps_describing_its_step(self, cls, kwargs):
+        """No step changes a graph handed out before it: five steps later, each still
+        equals a fresh build taken at its step and carries the link weights of a copy of
+        the network taken then.  (A fresh build of the copy itself would list each row in
+        the copy's link order, not the network's.)"""
+        generator = cls(
+            field=FIELD, node_count=35, seed=5, weight_assigners=_assigners(), **kwargs
+        )
+        dynamic = generator.dynamic()
+        dynamic.views()
+        handed_out = []
+
+        def hand_out():
+            graph, network = dynamic.network_graph(), dynamic.network
+            for metric in METRICS:
+                graph.value_rows(metric)  # memos filled before the later steps
+            handed_out.append((graph, NetworkGraph.from_network(network), network.copy()))
+
+        hand_out()
+        for _ in range(5):
+            delta = dynamic.advance()
+            assert delta.link_churn or delta.reweighted, "expected every step to change"
+            hand_out()
+        for _ in range(5):
+            dynamic.advance()
+        assert len({id(graph) for graph, _, _ in handed_out}) == len(handed_out)
+        for graph, fresh, copy in handed_out:
+            _assert_same_csr(graph, fresh)
+            assert _graph_key(graph.adjacency) == _graph_key(copy.adjacency)
 
     def test_churn_model_perturbs_weights_without_moving_nodes(self):
         generator = LinkChurnGenerator(
@@ -418,7 +530,7 @@ def churning_topologies(draw):
         weight_assigners=_assigners(seed),
     )
     if draw(st.booleans()):
-        # No outages makes weight-only steps (the patch path) common.
+        # No outages makes weight-only steps common.
         return LinkChurnGenerator(
             reweight_probability=draw(st.sampled_from((0.3, 0.6, 0.9))),
             outage_probability=draw(st.sampled_from((0.0, 0.0, 0.2, 0.5))),
@@ -467,14 +579,15 @@ def _assert_same_csr(maintained, fresh):
 class TestMaintainedViewsMatchFreshBuilds:
     """The stateful contract of the views ``DynamicTopology`` maintains.
 
-    After every random add/remove/reweight step, the maintained shared CSR equals a fresh
+    After every random add/remove/reweight step, the current shared CSR equals a fresh
     build array for array, and every maintained view answers exactly like a view built
     from the current network, its coverage record included.  Before each step every view
     caches its direct values and its coverage record and every odd owner builds its
     graph, so a cache or graph that outlives a change shows up; even owners stay lazy, so
     a view the step replaced builds its graph afterwards and must build it from the state
-    it describes, not from the live network.  A view the step neither replaced nor
-    dirtied keeps its record (moved onto rebuilt rows, its neighbourhood is unchanged).
+    it describes, not from the live network.  A step replaces exactly the views of its
+    dirty owners; every other view keeps its object and its record (moved onto the new
+    graph, its ``G_u`` is unchanged).
     """
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -482,10 +595,8 @@ class TestMaintainedViewsMatchFreshBuilds:
     def test_every_step_matches_a_fresh_build(self, generator, steps):
         dynamic = generator.dynamic()
         views = dynamic.views()
-        maintained = dynamic.network_graph()
-        for metric in METRICS:
-            maintained.value_rows(metric)  # materialized, so patches have rows to hit
         for _ in range(steps):
+            previous = dynamic.network_graph()
             for owner, view in views.items():
                 for metric in METRICS:
                     view.direct_link_values(metric)
@@ -496,20 +607,20 @@ class TestMaintainedViewsMatchFreshBuilds:
             before = {owner: LocalView.from_network(dynamic.network, owner) for owner in views}
             delta = dynamic.advance()
             network = dynamic.network
-            _assert_same_csr(maintained, NetworkGraph.from_network(network))
+            current = dynamic.network_graph()
+            _assert_same_csr(current, NetworkGraph.from_network(network))
             for owner, view in views.items():
                 fresh = LocalView.from_network(network, owner)
-                assert view.network_graph() is maintained, owner
-                if view is held[owner] and owner not in delta.dirty:
+                assert view.network_graph() is current, owner
+                assert (view is not held[owner]) == (owner in delta.dirty), owner
+                if owner not in delta.dirty:
                     assert view.coverage() is records[owner], owner
                 assert _answers(view) == _answers(fresh), owner
                 if owner % 2:
                     assert _graph_key(view.links) == _graph_key(fresh.links), owner
-            for owner, view in held.items():
-                if views[owner] is view:
-                    continue  # kept: its neighbourhood did not change
-                assert delta.link_churn, "only a structural step replaces views"
-                assert view.network_graph() is None, owner
+            for owner in delta.dirty:
+                view = held[owner]  # replaced: it keeps describing the pre-step state
+                assert view.network_graph() is previous, owner
                 assert _answers(view) == _answers(before[owner]), owner
                 assert _graph_key(view.links) == _graph_key(before[owner].links), owner
         for owner, view in views.items():

@@ -3,14 +3,13 @@
 Two families of pins.  First, :class:`LocalView` attached to a :class:`NetworkGraph`: it
 holds its sets and references to the shared rows (no per-view map until a scalar
 consumer reads ``view.links``), answers every query exactly as a view built from the
-network itself, sees in-place weight patches once its caches are dropped, keeps
-describing its own state across a structural rebuild (and stops batching), and the
-sanctioned per-view mutation (``update_link``) detaches exactly the touched view.
-Second, the canonical-summation-order guarantee of the batched additive kernel: its
-distance labels are compared against the scalar Dijkstra's with exact ``==`` -- not
-``approx`` -- on genuinely non-representable float weights, because both accumulate
-every path cost as the same left-to-right fold of single additions (the batched side
-never substitutes a reduction with a different association order).
+network itself, and, held across a dynamic step that changed it, keeps describing (and
+batching on) the state it was built from.  Second, the canonical-summation-order
+guarantee of the batched additive kernel: its distance labels are compared against the
+scalar Dijkstra's with exact ``==`` -- not ``approx`` -- on genuinely non-representable
+float weights, because both accumulate every path cost as the same left-to-right fold of
+single additions (the batched side never substitutes a reduction with a different
+association order).
 """
 
 from __future__ import annotations
@@ -23,7 +22,9 @@ import pytest
 from repro.localview import LocalView, NetworkGraph, all_first_hops, prime_first_hops
 from repro.localview.batched import batched_additive_labels, batched_all_first_hops
 from repro.localview.compactgraph import best_values
-from repro.metrics import BandwidthMetric, DelayMetric, LexicographicMetric
+from repro.localview.paths import _all_first_hops_owner_dijkstra
+from repro.metrics import BandwidthMetric, DelayMetric, LexicographicMetric, UniformWeightAssigner
+from repro.mobility import RandomWaypointGenerator
 from repro.obs import runtime as obs
 from repro.obs.registry import MetricsRegistry
 from repro.topology import FieldSpec, FixedCountNetworkGenerator
@@ -51,6 +52,33 @@ def float_weighted_network(seed: int, node_count: int = 24):
     for u, v in sorted(network.links()):
         network.add_link(u, v, bandwidth=rng.uniform(0.5, 9.5), delay=rng.uniform(0.05, 7.5))
     return network
+
+
+def _graph_state(ng):
+    """Everything a graph holds, as comparable values (row iteration order included)."""
+    return (
+        ng.nodes,
+        [getattr(ng, name).tolist() for name in ("indptr", "indices", "slot_edge", "edge_u", "edge_v")],
+        [list(row) for row in ng.rows.values()],
+        [(node, [(other, dict(data)) for other, data in row.items()]) for node, row in ng.adjacency.items()],
+        [ng.edge_values(metric).tolist() for metric in (BANDWIDTH, DELAY)],
+        [ng.sorted_edges(metric).tolist() for metric in (BANDWIDTH, DELAY)],
+    )
+
+
+def _remove_a_link(network):
+    network.remove_link(*sorted(network.links())[0])
+
+
+def _add_a_link(network):
+    u = network.nodes()[0]
+    v = next(node for node in reversed(network.nodes()) if node != u and not network.has_link(u, node))
+    network.add_link(u, v, bandwidth=0.25, delay=0.25)
+
+
+def _add_a_linked_node(network):
+    newcomer = network.add_node(max(network.nodes()) + 1)
+    network.add_link(network.nodes()[0], newcomer, bandwidth=9.0, delay=0.1)
 
 
 class TestAttachedViews:
@@ -138,79 +166,96 @@ class TestAttachedViews:
         ]
         assert links[u][v] is ng.adjacency[u][v]  # the shared snapshot, not a copy
 
-    def test_weight_patches_reach_views_once_their_caches_drop(self):
-        """patch_weights rewrites the shared arrays in place: a view that sees the link
-        answers with the new value after invalidate_caches, without being rebuilt, and
-        stays attached."""
-        network = float_weighted_network(1)
-        ng = NetworkGraph.from_network(network)
-        views = LocalView.all_from_network(network, network_graph=ng)
-        u, v = sorted(network.links())[0]
-        view = views[u]
-        slot_array_before = ng.slot_values(DELAY)
-        before = view.direct_link_value(v, DELAY)
-        links_before = view.links
-        network.set_link_weight(u, v, DELAY.name, 123.456)
-        ng.patch_weights(network, [(u, v)])
-        # Same array object, patched in place -- references held by kernels stay valid.
-        assert ng.slot_values(DELAY) is slot_array_before
-        assert 123.456 in ng.slot_values(DELAY).tolist()
-        view.invalidate_caches()
-        assert view.network_graph() is ng  # a weight patch does not detach
-        assert view.direct_link_value(v, DELAY) == 123.456 != before
-        assert view.link_value(u, v, DELAY) == 123.456
-        assert view.links is not links_before  # the stale map was dropped
-        assert view.links[u][v][DELAY.name] == 123.456
-
     def test_views_outlive_a_rebuild_describing_their_own_state(self):
-        """A structural rebuild replaces the rows: views built before it keep answering
-        for the state they were built from, and stop batching on the rebuilt arrays."""
-        network = float_weighted_network(2)
-        ng = NetworkGraph.from_network(network)
-        views = LocalView.all_from_network(network, network_graph=ng)
-        u, v = sorted(network.links())[0]
-        held = views[u]
-        before = LocalView.from_network(network, u)
-        network.remove_link(u, v)
-        generation = ng.generation
-        ng.rebuild(network)
-        assert ng.generation == generation + 1
-        assert all(view.network_graph() is None for view in views.values())
-        assert held.one_hop == before.one_hop and v in held.one_hop
-        assert held.neighbors_of(v) == before.neighbors_of(v)
-        assert held.has_link(u, v)
-        assert held.direct_link_values(DELAY) == before.direct_link_values(DELAY)
-        assert held.links == before.links
-        assert prime_first_hops([held], DELAY) == 0  # never primed from the new arrays
-        assert all_first_hops(held, DELAY) == all_first_hops(before, DELAY)
-        rebuilt = LocalView.all_from_network(network, network_graph=ng)[u]
-        assert rebuilt.network_graph() is ng and v not in rebuilt.one_hop
+        """A step that flips a link of ``u`` gives ``u`` a fresh view on a new graph: the
+        view held from before the step keeps answering for the state it was built from,
+        and keeps batching on the graph it was built on."""
+        assigners = tuple(
+            UniformWeightAssigner(metric=metric, low=0.5, high=9.5, seed=3)
+            for metric in (BANDWIDTH, DELAY)
+        )
+        dynamic = RandomWaypointGenerator(
+            field=FieldSpec(width=320.0, height=320.0, radius=110.0),
+            node_count=24,
+            seed=2,
+            weight_assigners=assigners,
+            speed_low=20.0,
+            speed_high=60.0,
+            pause_high=0.0,
+        ).dynamic()
+        views = dynamic.views()
+        for _ in range(10):
+            held, before, ng = dict(views), dynamic.network.copy(), dynamic.network_graph()
+            delta = dynamic.advance()
+            if delta.link_churn:
+                break
+        assert delta.link_churn, "expected a step that flips a link"
+        u, v = (delta.added or delta.removed)[0]
+        view = held[u]
+        assert views[u] is not view and dynamic.network_graph() is not ng
+        assert view.network_graph() is ng
+        reference = LocalView.from_network(before, u)
+        assert view.has_link(u, v) == before.has_link(u, v) != dynamic.network.has_link(u, v)
+        assert view.one_hop == reference.one_hop and view.two_hop == reference.two_hop
+        assert view.neighbors_of(v) == reference.neighbors_of(v)
+        assert view.direct_link_values(DELAY) == reference.direct_link_values(DELAY)
+        assert view.links == reference.links
+        scalar = all_first_hops(reference, DELAY)
+        assert prime_first_hops([view], DELAY) == 1  # batched on its own graph
+        assert view._first_hops[DELAY.cache_token()].first_hop_results() == scalar
+        assert all_first_hops(view, DELAY) == scalar
 
     def test_snapshot_isolation_from_later_network_mutations(self):
         """The build snapshots attribute dicts: mutating the source network afterwards
-        must not leak into already-extracted weight arrays until patch_weights."""
+        does not leak into the graph's weight arrays, value rows or snapshot."""
         network = float_weighted_network(3)
         ng = NetworkGraph.from_network(network)
         values = ng.edge_values(DELAY).copy()
         u, v = sorted(network.links())[0]
+        before = ng.value_rows(DELAY)[u][v]
         network.set_link_weight(u, v, DELAY.name, 999.0)
-        assert np.array_equal(ng.edge_values(DELAY), values)  # unchanged until patched
-        ng.patch_weights(network, [(u, v)])
-        assert not np.array_equal(ng.edge_values(DELAY), values)
+        assert np.array_equal(ng.edge_values(DELAY), values)
+        assert ng.value_rows(DELAY)[u][v] == before != 999.0
+        assert ng.adjacency[u][v][DELAY.name] == before
+        assert NetworkGraph.from_network(network).value_rows(DELAY)[u][v] == 999.0
 
-    def test_update_link_detaches_exactly_the_touched_view(self):
+    @pytest.mark.parametrize(
+        "mutate",
+        [_remove_a_link, _add_a_link, _add_a_linked_node],
+        ids=["remove-link", "add-link", "add-linked-node"],
+    )
+    def test_a_graph_and_its_views_keep_their_state_through_structural_changes(self, mutate):
+        """Removing or adding links and nodes in the source network changes neither the
+        graph built before (arrays, rows, snapshot, per-metric memos) nor what its
+        attached views answer; a graph built afterwards sees the change."""
         network = float_weighted_network(4)
         ng = NetworkGraph.from_network(network)
+        state = _graph_state(ng)
         views = LocalView.all_from_network(network, network_graph=ng)
-        u, v = sorted(network.links())[0]
-        views[u].update_link(u, v, delay=3.25)
-        assert views[u].network_graph() is None
-        assert views[u].link_value(u, v, DELAY) == 3.25
-        assert views[v].link_value(u, v, DELAY) != 3.25  # the update stays local
-        assert ng.adjacency[u][v][DELAY.name] != 3.25
-        for owner, view in views.items():
-            if owner != u:
-                assert view.network_graph() is ng, owner
+        owner = network.nodes()[0]
+        answers = (views[owner].one_hop, views[owner].two_hop, dict(views[owner].direct_link_values(DELAY)))
+        mutate(network)
+        assert _graph_state(ng) == state
+        assert (views[owner].one_hop, views[owner].two_hop, views[owner].direct_link_values(DELAY)) == answers
+        assert all(view.network_graph() is ng for view in views.values())
+        assert _graph_state(NetworkGraph.from_network(network)) != state
+
+    def test_memos_are_filled_once_per_metric_token(self):
+        """The lazily filled per-metric arrays and rows are memos: a second read, also
+        through another instance of the same metric, returns the same object."""
+        network = float_weighted_network(13)
+        ng = NetworkGraph.from_network(network)
+        for metric, twin in ((BANDWIDTH, BandwidthMetric()), (DELAY, DelayMetric())):
+            for read in (ng.edge_values, ng.slot_values, ng.value_rows, ng.sorted_edges):
+                first = read(metric)
+                assert first is not None and read(twin) is first, (metric.name, read.__name__)
+            values = ng.edge_values(metric)
+            assert values.tolist() == [
+                metric.link_value_from_attributes(ng.adjacency[ng.nodes[u]][ng.nodes[v]])
+                for u, v in zip(ng.edge_u.tolist(), ng.edge_v.tolist())
+            ]
+            assert np.array_equal(ng.slot_values(metric), values[ng.slot_edge])
+        assert ng.edge_values(BANDWIDTH) is not ng.edge_values(DELAY)
 
     def test_composite_metrics_are_never_materialized(self):
         network = float_weighted_network(5)
@@ -235,22 +280,44 @@ class TestPriming:
         previous = obs.install(registry)
         try:
             assert all_first_hops(views[owner], DELAY) == scalar
-            # Explicit-method calls bypass the cache (method comparisons stay honest).
-            assert all_first_hops(views[owner], DELAY, method="owner-dijkstra") == scalar
+            # The solver itself never reads the primed rows.
+            assert _all_first_hops_owner_dijkstra(views[owner], DELAY) == scalar
         finally:
             obs.install(previous)
-        # The auto dispatch was served from the primed rows, and the explicit call
+        # all_first_hops was served from the primed rows, and the direct solver call
         # neither read them nor counted as a scalar dispatch.
         assert registry.counters == {"kernel.primed_hits": 1}
 
-    def test_priming_is_idempotent_and_skips_detached_views(self):
+    def test_priming_is_idempotent_and_skips_views_with_their_own_map(self):
         network = float_weighted_network(7)
         ng = NetworkGraph.from_network(network)
         views = LocalView.all_from_network(network, network_graph=ng)
-        u, v = sorted(network.links())[0]
-        views[u].update_link(u, v, delay=1.125)  # detached: must be skipped, not crash
+        u = network.nodes()[0]
+        views[u] = LocalView.from_network(network, u)  # own map: skipped, not a crash
+        assert views[u].network_graph() is None
         assert prime_first_hops(views.values(), BANDWIDTH) == len(views) - 1
         assert prime_first_hops(views.values(), BANDWIDTH) == 0  # already primed
+
+    def test_views_on_different_graphs_prime_on_their_own(self):
+        """Views held from two states of one network batch in one call, each on the
+        graph it was built on, and answer for its own state."""
+        network = float_weighted_network(14)
+        old = LocalView.all_from_network(network, network_graph=NetworkGraph.from_network(network))
+        before = network.copy()
+        for u, v in sorted(network.links())[::3]:
+            network.set_link_weight(u, v, DELAY.name, network.link_attributes(u, v)[DELAY.name] * 3.0)
+        new = LocalView.all_from_network(network, network_graph=NetworkGraph.from_network(network))
+        owners = network.nodes()
+        mixed = [old[owner] for owner in owners[::2]] + [new[owner] for owner in owners[1::2]]
+        assert len({id(view.network_graph()) for view in mixed}) == 2
+        assert prime_first_hops(mixed, DELAY) == len(mixed)
+        changed = 0
+        for view in mixed:
+            own, other = (before, network) if view is old[view.owner] else (network, before)
+            scalar = all_first_hops(LocalView.from_network(own, view.owner), DELAY)
+            assert all_first_hops(view, DELAY) == scalar, view.owner
+            changed += scalar != all_first_hops(LocalView.from_network(other, view.owner), DELAY)
+        assert changed  # the two states really answer differently somewhere
 
     def test_scalar_solves_never_populate_the_prime_cache(self):
         network = float_weighted_network(8)

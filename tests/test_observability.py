@@ -35,6 +35,8 @@ from repro.experiments.sinks import (
     _format_duration,
 )
 from repro.experiments.spec import ExperimentSpec
+from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner
+from repro.mobility import LinkChurnGenerator
 from repro.obs import runtime as obs
 from repro.obs.registry import (
     MetricsRegistry,
@@ -61,7 +63,7 @@ def _clean_telemetry_env(monkeypatch):
 
 
 def _dynamic_spec(**overrides) -> ExperimentSpec:
-    """A small mobility sweep exercising selection cache, kernels and the CSR patch path."""
+    """A small mobility sweep exercising selection cache, kernels and weight-only steps."""
     base = ExperimentSpec(
         experiment_id="obs-dynamic",
         title="Telemetry dynamic sweep",
@@ -231,6 +233,38 @@ class TestAmbientRuntime:
             obs.resolve_metrics(None)
         # An explicit argument always wins over the environment.
         assert obs.resolve_metrics(False) is False
+
+
+class TestStepTelemetry:
+    def test_a_changed_step_counts_one_graph_build_and_every_dirty_owner(self):
+        """``csr_rebuild`` times one new graph per changed step (no other step span
+        exists) and ``mobility.views_rebuilt`` counts every dirty owner, the owners that
+        see only a reweighted link included."""
+        generator = LinkChurnGenerator(
+            field=FIELD,
+            node_count=30,
+            seed=2,
+            weight_assigners=tuple(
+                UniformWeightAssigner(metric=metric, seed=9)
+                for metric in (BandwidthMetric(), DelayMetric())
+            ),
+            reweight_probability=0.3,
+            outage_probability=0.2,
+        )
+        dynamic = generator.dynamic()
+        dynamic.views()
+        registry = MetricsRegistry()
+        previous = obs.install(registry)
+        try:
+            deltas = [dynamic.advance() for _ in range(4)]
+        finally:
+            obs.install(previous)
+        assert any(delta.reweighted for delta in deltas)
+        assert any(delta.link_churn for delta in deltas)
+        assert registry.counters["mobility.steps"] == 4
+        assert registry.counters["mobility.views_rebuilt"] == sum(len(d.dirty) for d in deltas)
+        assert sorted(registry.spans) == ["csr_rebuild", "mobility_step"]
+        assert registry.spans["csr_rebuild"]["count"] == sum(bool(d.dirty) for d in deltas)
 
 
 # ------------------------------------------------------------------ engine integration

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.localview.compactgraph import CompactGraph
 from repro.metrics import BandwidthMetric, DelayMetric
 from repro.olsr import routing_table as routing_table_module
 from repro.olsr import (
@@ -20,6 +21,8 @@ from repro.olsr import (
     TopologyTable,
     next_sequence_number,
 )
+from repro.olsr.routing_table import best_next_hop
+from repro.topology import Network
 
 
 def make_hello(originator, links, mpr=()):
@@ -239,3 +242,75 @@ class TestRoutingTable:
         assert table.entry(3).expected_value == 4.0
         assert table.entry(1).expected_value == 14.0
         assert table.destinations() == [1, 2, 3]
+
+
+def _next_hop(links, owner, destination, metric, direct_to=None):
+    """``best_next_hop`` for ``owner`` knowing the whole link table ``links``; ``direct``
+    holds the owner's links (to the neighbors ``direct_to`` only, when given)."""
+    network = Network.from_links(links)
+    solver_graph = CompactGraph.from_links(network.adjacency, metric)
+    direct = {
+        neighbor: metric.link_value_from_attributes(attributes)
+        for neighbor, attributes in network.adjacency[owner].items()
+        if direct_to is None or neighbor in direct_to
+    }
+    return best_next_hop(solver_graph, owner, destination, direct, metric)
+
+
+class TestBestNextHop:
+    """The next-hop rule the protocol's routing tables forward with."""
+
+    def test_picks_the_neighbor_on_the_optimal_path(self):
+        """Delay: the two-hop route through 1 (2.0) beats the direct link (10.0) and the
+        route through 2 (6.0)."""
+        links = {
+            (0, 3): {"delay": 10.0},
+            (0, 1): {"delay": 1.0},
+            (1, 3): {"delay": 1.0},
+            (0, 2): {"delay": 1.0},
+            (2, 3): {"delay": 5.0},
+        }
+        assert _next_hop(links, 0, 3, DelayMetric()) == (1, 2.0)
+        assert _next_hop(links, 0, 2, DelayMetric()) == (2, 1.0)
+
+    def test_equal_values_prefer_fewer_hops(self):
+        """Bandwidth: both routes are 5 wide; the two-hop one through 2 wins over the
+        three-hop one through 1, although 1 is the smaller identifier."""
+        wide = {"bandwidth": 5.0}
+        links = {(0, 1): wide, (1, 4): wide, (4, 3): wide, (0, 2): wide, (2, 3): wide}
+        assert _next_hop(links, 0, 3, BandwidthMetric()) == (2, 5.0)
+
+    def test_equal_values_and_hops_prefer_the_better_direct_link_then_the_smaller_id(self):
+        """Bandwidth: both two-hop routes are 4 wide; the wider direct link decides, and
+        with equal direct links the smaller identifier."""
+        metric = BandwidthMetric()
+        links = {
+            (0, 1): {"bandwidth": 6.0},
+            (1, 3): {"bandwidth": 4.0},
+            (0, 2): {"bandwidth": 9.0},
+            (2, 3): {"bandwidth": 4.0},
+        }
+        assert _next_hop(links, 0, 3, metric) == (2, 4.0)
+        links[(0, 1)] = {"bandwidth": 9.0}
+        assert _next_hop(links, 0, 3, metric) == (1, 4.0)
+
+    def test_a_route_back_through_the_owner_does_not_count(self):
+        """Bandwidth: from 1 the widest way to 3 runs back through the owner (1-0-2-3,
+        width 3), which would tie 1 with 2 and win on 1's wider direct link.  Without the
+        owner, 1 reaches 3 only at width 2, so 2 is the next hop."""
+        links = {
+            (0, 1): {"bandwidth": 9.0},
+            (1, 3): {"bandwidth": 2.0},
+            (0, 2): {"bandwidth": 3.0},
+            (2, 3): {"bandwidth": 3.0},
+        }
+        assert _next_hop(links, 0, 3, BandwidthMetric()) == (2, 3.0)
+        # A neighbor whose only way on is back through the owner leads nowhere.
+        assert _next_hop(links, 0, 3, BandwidthMetric(), direct_to={1}) == (1, 2.0)
+        del links[(1, 3)]
+        assert _next_hop(links, 0, 3, BandwidthMetric(), direct_to={1}) is None
+
+    def test_none_when_no_neighbor_leads_to_the_destination(self):
+        links = {(0, 1): {"delay": 1.0}, (2, 3): {"delay": 1.0}}
+        assert _next_hop(links, 0, 3, DelayMetric()) is None
+        assert _next_hop(links, 0, 1, DelayMetric(), direct_to=()) is None

@@ -12,11 +12,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.localview import LocalView, all_first_hops, best_value_between, first_hops_to
+from repro.localview.paths import (
+    _all_first_hops_bottleneck_forest,
+    _all_first_hops_owner_dijkstra,
+)
 from repro.metrics import BandwidthMetric, DelayMetric
 from repro.topology import Network
 
 
 METRICS = (BandwidthMetric(), DelayMetric())
+#: The single-pass solver ``all_first_hops`` dispatches to for each of ``METRICS``.
+FAST_SOLVERS = (_all_first_hops_bottleneck_forest, _all_first_hops_owner_dijkstra)
+
+
+def _per_target(view, metric):
+    """The per-target reference: :func:`first_hops_to` once per known target."""
+    return {target: first_hops_to(view, target, metric) for target in view.known_targets()}
 
 
 @st.composite
@@ -52,10 +63,10 @@ def random_weighted_networks(draw, max_nodes: int = 12):
 def test_fast_first_hop_methods_agree_with_reference(network, owner_index):
     owner = sorted(network.nodes())[owner_index % len(network.nodes())]
     view = LocalView.from_network(network, owner)
-    for metric in METRICS:
-        fast = all_first_hops(view, metric, method="auto")
-        reference = all_first_hops(view, metric, method="per-target")
-        assert fast == reference
+    for metric, fast in zip(METRICS, FAST_SOLVERS):
+        reference = _per_target(view, metric)
+        assert fast(view, metric) == reference
+        assert all_first_hops(view, metric) == reference
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -96,12 +107,12 @@ def test_first_hop_sets_satisfy_their_defining_property(network, owner_index):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(network=random_weighted_networks(), owner_index=st.integers(min_value=0, max_value=11))
 def test_first_hops_are_always_one_hop_neighbors(network, owner_index):
-    """``fP(u, v)`` is by definition a subset of ``N(u)``, under every method and metric."""
+    """``fP(u, v)`` is by definition a subset of ``N(u)``, under every solver and metric."""
     owner = sorted(network.nodes())[owner_index % len(network.nodes())]
     view = LocalView.from_network(network, owner)
-    for metric in METRICS:
-        for method in ("auto", "per-target"):
-            for result in all_first_hops(view, metric, method=method).values():
+    for metric, fast in zip(METRICS, FAST_SOLVERS):
+        for solve in (fast, all_first_hops, _per_target):
+            for result in solve(view, metric).values():
                 assert result.first_hops <= view.one_hop
 
 
@@ -117,33 +128,6 @@ def test_concave_best_values_respect_the_direct_link_bottleneck_bound(network, o
         for neighbor in result.first_hops:
             direct = view.direct_link_value(neighbor, metric)
             assert metric.is_better_or_equal(direct, result.best_value)
-
-
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    network=random_weighted_networks(),
-    owner_index=st.integers(min_value=0, max_value=11),
-    new_bandwidth=st.integers(min_value=1, max_value=9),
-    new_delay=st.integers(min_value=1, max_value=9),
-)
-def test_cached_forest_answers_equal_fresh_ones_after_mutation(
-    network, owner_index, new_bandwidth, new_delay
-):
-    """Warming the compact-graph caches, mutating a link through the sanctioned path, and
-    re-querying must give exactly the answers a cache-free view of the mutated graph gives."""
-    owner = sorted(network.nodes())[owner_index % len(network.nodes())]
-    view = LocalView.from_network(network, owner)
-    for metric in METRICS:
-        all_first_hops(view, metric)
-    u = owner
-    v = sorted(view.one_hop)[0]
-    view.update_link(u, v, bandwidth=float(new_bandwidth), delay=float(new_delay))
-    pristine = LocalView(owner=owner, one_hop=view.one_hop, two_hop=view.two_hop, links=view.links)
-    for metric in METRICS:
-        assert all_first_hops(view, metric) == all_first_hops(pristine, metric)
-        assert all_first_hops(view, metric, method="per-target") == all_first_hops(
-            pristine, metric, method="per-target"
-        )
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

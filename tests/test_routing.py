@@ -75,13 +75,6 @@ class TestAdvertisedTopology:
         assert advertised.advertised_link_count() == 2
         assert advertised.average_set_size() == 1.0
 
-    def test_advertised_links_carry_true_weights(self, diamond_network, bandwidth):
-        advertised = AdvertisedTopologyBuilder(diamond_network).build({0: frozenset({1})})
-        snapshot = HopByHopRouter(diamond_network, advertised, bandwidth)._advertised_compact_graph()
-        index = snapshot.index
-        assert snapshot.adj[index[0]] == ((index[1], 4.0),)
-        assert snapshot.adj[index[1]] == ((index[0], 4.0),)
-
     def test_advertising_a_non_link_is_rejected(self, diamond_network):
         with pytest.raises(ValueError):
             AdvertisedTopologyBuilder(diamond_network).build({1: frozenset({2})})
@@ -93,12 +86,15 @@ class TestAdvertisedTopology:
         assert by_parts.neighbors == direct.neighbors
         assert by_parts.ans_sets == direct.ans_sets
 
-    def test_every_node_present_even_without_advertisements(self, diamond_network, bandwidth):
-        advertised = AdvertisedTopologyBuilder(diamond_network).build({})
-        snapshot = HopByHopRouter(diamond_network, advertised, bandwidth)._advertised_compact_graph()
-        assert snapshot.nodes == tuple(diamond_network.nodes())
-        assert snapshot.edge_count() == 0
+    def test_every_node_present_even_without_advertisements(self, diamond_network):
+        nodes = diamond_network.nodes()
+        builder = AdvertisedTopologyBuilder(diamond_network)
+        advertised = builder.build({node: frozenset() for node in nodes})
+        assert sorted(advertised.ans_sets) == nodes
+        assert advertised.neighbors == {}  # nodes without advertised links are absent
+        assert advertised.advertised_link_count() == 0
         assert advertised.average_set_size() == 0.0
+        assert builder.build({}).average_set_size() == 0.0
 
 
 class TestRouting:
@@ -130,7 +126,7 @@ class TestRouting:
         with pytest.raises(KeyError):
             routed.link_state_route(0, 999)
         with pytest.raises(KeyError):
-            routed.route(999, 0)
+            routed.link_state_route(999, 0)
 
     def test_no_route_when_destination_is_isolated_from_advertisements(self, bandwidth):
         # Destination 9 hangs off node 3 but nobody advertises it and the source is far away.
@@ -147,21 +143,53 @@ class TestRouting:
         outcome = router.link_state_route(0, 9)
         assert not outcome.delivered
         assert outcome.failure == "no-route"
+        assert outcome.path == (0,) and outcome.hop_count == 0
+        assert outcome.value == bandwidth.worst
+        assert router.link_state_route(0, 2).failure is None  # 1-2 is a link of neighbor 1
 
-    def test_hop_by_hop_route_on_delay_matches_link_state(self, grid_network, delay):
-        advertised = advertise(grid_network, FnbpSelector(), delay)
-        router = HopByHopRouter(grid_network, advertised, delay)
-        hop_by_hop = router.route(0, 15)
-        link_state = router.link_state_route(0, 15)
-        assert hop_by_hop.delivered
-        assert hop_by_hop.value == pytest.approx(link_state.value)
+    @pytest.mark.parametrize("metric_name", ["bandwidth", "delay"])
+    def test_the_router_keeps_no_state_and_routes_on_the_current_weights(
+        self, grid_network, metric_name, request
+    ):
+        """A route is a function of the advertised sets and the network as it is now:
+        degrading a link on the route moves the next route off it, and restoring the
+        weight brings the first route back, from the same router."""
+        metric = request.getfixturevalue(metric_name)
+        router = HopByHopRouter(grid_network, advertise(grid_network, FnbpSelector(), metric), metric)
+        fields = sorted(vars(router))
+        first = router.link_state_route(0, 15)
+        u, v = first.path[1], first.path[2]
+        weight = grid_network.link_attributes(u, v)[metric_name]
+        grid_network.set_link_weight(u, v, metric_name, 0.5 if metric_name == "bandwidth" else 50.0)
+        detour = router.link_state_route(0, 15)
+        assert detour.delivered and (u, v) not in set(zip(detour.path, detour.path[1:]))
+        values = [grid_network.link_value(a, b, metric) for a, b in zip(detour.path, detour.path[1:])]
+        expected = min(values) if metric_name == "bandwidth" else sum(values)
+        assert detour.value == pytest.approx(expected)
+        assert metric.is_better(first.value, detour.value)
+        grid_network.set_link_weight(u, v, metric_name, weight)
+        assert router.link_state_route(0, 15) == first
+        assert sorted(vars(router)) == fields == ["advertised", "metric", "network"]
 
-    def test_routing_table_lists_only_reachable_destinations(self, grid_network, delay):
-        advertised = advertise(grid_network, FnbpSelector(), delay)
-        router = HopByHopRouter(grid_network, advertised, delay)
-        table = router.routing_table(0)
-        assert set(table) == set(grid_network.nodes()) - {0}
-        assert all(hop in grid_network.neighbors(0) for hop in table.values())
+    def test_every_hop_of_a_route_is_a_link_the_source_knows(self, grid_network, bandwidth, delay):
+        """Known links: the advertised ones plus every link of a one-hop neighbor of the
+        source (the source's own links among them)."""
+        one_hop = grid_network.adjacency[0]
+        for metric in (bandwidth, delay):
+            topology = advertise(grid_network, FnbpSelector(), metric)
+            advertised = topology.neighbors
+            router = HopByHopRouter(grid_network, topology, metric)
+            for destination in grid_network.nodes()[1:]:
+                outcome = router.link_state_route(0, destination)
+                assert outcome.delivered and outcome.path[-1] == destination
+                for a, b in zip(outcome.path, outcome.path[1:]):
+                    assert grid_network.has_link(a, b)
+                    assert (
+                        a in one_hop
+                        or b in one_hop
+                        or b in advertised.get(a, ())
+                        or a in advertised.get(b, ())
+                    ), (metric.name, destination, a, b)
 
     def test_fnbp_advertised_topology_preserves_the_figure1_widest_path(self, bandwidth):
         """The Figure 1 phenomenon on the reconstructed topology: a two-hop-constrained

@@ -6,10 +6,14 @@ library's one graph representation is the link map.  A subprocess blocks the pac
 imports every module under ``repro``, and runs smoke-size sweeps of the analytic
 (``ans-size``, ``overhead``), mobility (``route-stability``) and protocol
 (``convergence-time``) measures, one hop-by-hop route and one protocol data packet.
+
+The protocol layer stands on its own too: no module of ``repro.olsr`` imports from
+``repro.routing`` (the analytic router), read off the modules' import statements.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -67,7 +71,7 @@ SCRIPT = textwrap.dedent(
     ).generate()
     source, destination = network.nodes()[0], network.nodes()[-1]
     router = HopByHopRouter(network, advertise(network, FnbpSelector(), metric), metric)
-    routed = router.route(source, destination).delivered
+    routed = router.link_state_route(source, destination).delivered
     simulation = ProtocolSimulator(network, metric, seed=1)
     simulation.run_until(12.0)
     sent = simulation.send_data(source, destination).delivered
@@ -101,3 +105,22 @@ def test_the_library_imports_and_runs_with_networkx_blocked():
     for measure, sweep in report["sweeps"].items():
         assert sweep["densities"] and sweep["samples"] > 0, measure
     assert report["routed"] and report["sent"]
+
+
+def test_the_protocol_package_imports_nothing_from_the_analytic_router():
+    imported = {}
+    for path in sorted((SRC / "repro" / "olsr").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module)
+            elif isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+        imported[path.name] = names
+    assert "routing_table.py" in imported and "node.py" in imported
+    assert "repro.localview.paths" in imported["routing_table.py"]  # the scan sees imports
+    offending = {
+        module: sorted(name for name in names if name.split(".")[:2] == ["repro", "routing"])
+        for module, names in imported.items()
+    }
+    assert not any(offending.values()), offending

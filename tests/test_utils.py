@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.ids import normalize_node_id, smallest_id
-from repro.utils.seeding import derive_seed, make_rng, spawn_rng
-from repro.utils.validation import (
-    require_in_range,
-    require_non_negative,
-    require_positive,
-    require_probability,
-)
+from repro.utils.ids import normalize_node_id
+from repro.utils.seeding import derive_seed, spawn_rng
+from repro.utils.validation import require_non_negative, require_positive
 
 
 class TestNodeIds:
@@ -36,13 +31,6 @@ class TestNodeIds:
         with pytest.raises(TypeError):
             normalize_node_id(object())
 
-    def test_smallest_id(self):
-        assert smallest_id([5, 2, 9]) == 2
-
-    def test_smallest_id_empty_raises(self):
-        with pytest.raises(ValueError):
-            smallest_id([])
-
 
 class TestSeeding:
     def test_derive_seed_is_deterministic(self):
@@ -63,9 +51,6 @@ class TestSeeding:
         assert first == second
         assert first != other
 
-    def test_make_rng_with_seed_reproduces(self):
-        assert make_rng(5).random() == make_rng(5).random()
-
 
 class TestValidation:
     def test_require_positive_passes_and_returns(self):
@@ -84,13 +69,3 @@ class TestValidation:
         assert require_non_negative(0, "x") == 0
         with pytest.raises(ValueError):
             require_non_negative(-0.1, "x")
-
-    def test_require_probability(self):
-        assert require_probability(0.5, "p") == 0.5
-        with pytest.raises(ValueError):
-            require_probability(1.5, "p")
-
-    def test_require_in_range(self):
-        assert require_in_range(3, "x", 1, 5) == 3
-        with pytest.raises(ValueError):
-            require_in_range(6, "x", 1, 5)
