@@ -96,7 +96,7 @@ def time_case(fn, rounds: int) -> dict:
 
 
 def record_incremental_selection(rounds: int) -> dict:
-    """Dirty-set cached re-selection vs from-scratch per-step selection on the step path.
+    """Cached re-selection vs from-scratch per-step selection on the step path.
 
     One timed round advances a dense random-waypoint network through several timesteps and,
     after each step (plus once at time zero), computes every paper selector's advertised
@@ -106,10 +106,10 @@ def record_incremental_selection(rounds: int) -> dict:
 
     * ``from_scratch`` re-runs every selector on every node at every step, even in
       neighborhoods no link flip touched;
-    * ``cached`` routes the same workload through a :class:`SelectionCache` invalidated by
-      each step's ``StepDelta.dirty`` set, so only owners whose local view changed re-run
-      the selector and everyone else reuses the previous step's results (bit-identical,
-      pinned by ``tests/test_incremental_selection.py``).
+    * ``cached`` routes the same workload through a :class:`SelectionCache`, whose reuse
+      follows view objects: a step gives new views only to its ``StepDelta.dirty``
+      owners, so only they re-run the selector and everyone else reuses the previous
+      step's results (bit-identical, pinned by ``tests/test_incremental_selection.py``).
 
     Recorded in two regimes: ``clustered`` (10% of nodes mobile, a static mesh serving
     mobile clients; dirt localizes, most selections are reused -- the headline
@@ -136,12 +136,11 @@ def record_incremental_selection(rounds: int) -> dict:
             dynamic.views()
             if cached:
                 cache = SelectionCache()
-                dynamic.add_step_listener(cache.on_step)
 
                 def select_everywhere() -> None:
                     views = dynamic.views()
                     for name in PAPER_SELECTORS:
-                        cache.select_all(name, metric, views, network=dynamic.network)
+                        cache.select_all(name, metric, views)
 
             else:
 
@@ -426,7 +425,8 @@ def record_protocol_sim(rounds: int) -> dict:
     churn network through its warmup plus ``steps`` step windows -- the workload of one
     protocol-measure trial, single selector.  The analytic baseline routes the same
     dynamic topology through the ``SelectionCache`` step path (what the mobility
-    measures compute per step).  The protocol path is expected to cost *more* -- it
+    measures compute per step): its reuse follows view objects, which a step replaces
+    only at its dirty owners.  The protocol path is expected to cost *more* -- it
     simulates every HELLO/TC transmission -- so the recorded ratio is the price of
     protocol truth, and ``events_per_s`` is the event-queue throughput the price buys.
     """
@@ -464,11 +464,10 @@ def record_protocol_sim(rounds: int) -> dict:
     def run_analytic() -> None:
         dynamic = generator.dynamic()
         cache = SelectionCache()
-        dynamic.add_step_listener(cache.on_step)
-        cache.select_all("fnbp", metric, dynamic.views(), network=dynamic.network)
+        cache.select_all("fnbp", metric, dynamic.views())
         for _ in range(steps):
             dynamic.advance()
-            cache.select_all("fnbp", metric, dynamic.views(), network=dynamic.network)
+            cache.select_all("fnbp", metric, dynamic.views())
 
     protocol_timing = time_case(run_protocol, rounds)
     analytic_timing = time_case(run_analytic, rounds)

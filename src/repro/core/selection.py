@@ -11,9 +11,10 @@ selected.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 # FnbpSelector.prime calls prime_first_hops through this module, so patching the name
 # here (tests, perfbench's tracer) reaches every batched first-hop priming.
@@ -149,63 +150,22 @@ class AnsSelector(ABC):
         network,
         metric: Metric,
         views: Optional[Dict[NodeId, LocalView]] = None,
-        previous: Optional[Dict[NodeId, SelectionResult]] = None,
-        dirty: Optional[Iterable[NodeId]] = None,
     ) -> Dict[NodeId, SelectionResult]:
-        """Run the selection at every node of a network (convenience for experiments).
+        """Run the selection at every node of a network, or at every view of ``views``.
 
         Views are built in one batched adjacency pass rather than node by node (``network``
-        is only consulted when ``views`` is not supplied).  Callers that run several
-        selectors (or several metrics) on the same network should build the batch once and
-        pass it as ``views``: each view memoizes its per-metric compact graph, so sharing
-        the views shares that work across runs (this is what the sweep harness does
-        through :class:`repro.experiments.runner.Trial`).
-
-        ``previous`` and ``dirty`` (always passed together) make the run *incremental*:
-        ``previous`` is a complete earlier result on the same metric and ``dirty`` names
-        the owners whose local view has changed since.  Selection is a pure function of
-        ``(view, metric)``, so every owner outside ``dirty`` reuses its previous
-        :class:`SelectionResult` verbatim and only dirty (or newly appeared) owners re-run
-        the selector -- bit-identical to a from-scratch run, just cheaper.  Dynamic trials
-        drive this through :class:`SelectionCache` with the dirty sets reported by
-        :attr:`StepDelta.dirty <repro.mobility.dynamic.StepDelta.dirty>`.
+        is only consulted when ``views`` is not supplied).  The views are primed together
+        (:meth:`prime`) and then selected one by one, in ``views`` order.  Callers that run
+        several selectors (or several metrics) on the same views share each view's
+        per-metric caches across those runs; the sweep harness does so, and reuses whole
+        results across calls, through :class:`SelectionCache`.
         """
-        if (previous is None) != (dirty is None):
-            raise ValueError("previous and dirty must be passed together")
         if views is None:
             views = LocalView.all_from_network(network)
-        if previous is None:
-            with obs.span("selection"):
-                self.prime(list(views.values()), metric)
-                results = {node: self.select(view, metric) for node, view in views.items()}
-            obs.add("selection.full_runs")
-            obs.add("selection.owners_selected", len(results))
-            return results
-        if not isinstance(dirty, (set, frozenset)):
-            dirty = set(dirty)
         with obs.span("selection"):
-            # Batch only the owners that will actually re-run: everyone else's result is
-            # reused verbatim below, so priming them would be pure waste.
-            self.prime(
-                [
-                    view
-                    for node, view in views.items()
-                    if previous.get(node) is None or node in dirty
-                ],
-                metric,
-            )
-            results: Dict[NodeId, SelectionResult] = {}
-            reused = 0
-            for node, view in views.items():
-                cached = previous.get(node)
-                if cached is not None and node not in dirty:
-                    results[node] = cached
-                    reused += 1
-                else:
-                    results[node] = self.select(view, metric)
-        obs.add("selection.incremental_runs")
-        obs.add("selection.cache_hits", reused)
-        obs.add("selection.owners_selected", len(results) - reused)
+            self.prime(list(views.values()), metric)
+            results = {node: self.select(view, metric) for node, view in views.items()}
+        obs.add("selection.owners_selected", len(results))
         return results
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -247,68 +207,58 @@ class _TracedSelector(AnsSelector):
 
 
 class SelectionCache:
-    """Per-``(selector, metric)`` selection results reused across dynamic-trial timesteps.
+    """Per-``(selector, metric)`` selection results, kept while their owner's view is.
 
-    The last cache layer of the harness, same philosophy as the compact-graph caches on
-    :class:`~repro.localview.view.LocalView`: selection is a pure function of the owner's
-    local view and the metric, so results stay valid exactly until the view changes.  A
-    dynamic trial therefore only has to re-run a selector on the nodes each step's
-    :attr:`StepDelta.dirty <repro.mobility.dynamic.StepDelta.dirty>` set names; everyone
-    else's :class:`SelectionResult` is reused verbatim from the previous step.
+    Selection is a pure function of the owner's local view and the metric, and a
+    :class:`~repro.localview.view.LocalView` never changes, so a result stays valid as
+    long as its owner is handed the very view object it was computed on.  For each
+    ``(selector registry name, metric cache token)`` key the cache holds, from that key's
+    last :meth:`select_all`, every owner's result with a weak reference to its view; the
+    next call re-runs the selector only at the owners whose view is not that object (or
+    who have no result yet), and reuses every other result verbatim.
 
-    Usage: register :meth:`on_step` as a step listener of the trial's
-    :class:`~repro.mobility.dynamic.DynamicTopology` (which
-    :meth:`Trial.step_selections <repro.experiments.runner.Trial.step_selections>` does for
-    you), then call :meth:`select_all` whenever a selector's current-step results are
-    needed.  Invalidations accumulate *per key*: a key selected every step only re-runs
-    the last step's dirty owners, while a key first selected after several steps re-runs
-    the union of everything dirtied since its previous selection.  The cache is per-trial
-    and therefore per-worker under ``REPRO_WORKERS``, and cached incremental selection is
-    pinned bit-identical to from-scratch per-step selection by
-    ``tests/test_incremental_selection.py``.
+    That one rule serves every analytic sweep of a :class:`Trial
+    <repro.experiments.runner.Trial>`: its static views are never replaced, so a second
+    selection of a key runs nothing, and a
+    :class:`~repro.mobility.dynamic.DynamicTopology` step gives new views to exactly the
+    owners of its :attr:`StepDelta.dirty <repro.mobility.dynamic.StepDelta.dirty>` set,
+    so a key selected every step re-runs that set and a key selected after several steps
+    re-runs the union of theirs.  The references are weak, so the cache keeps no replaced
+    view (nor the graph it was built on) alive.  The cache is per-trial and therefore
+    per-worker under ``REPRO_WORKERS``; cached selection is pinned bit-identical to
+    from-scratch per-step selection by ``tests/test_incremental_selection.py``.
     """
 
     def __init__(self) -> None:
-        self._results: Dict[Tuple[str, object], Dict[NodeId, SelectionResult]] = {}
-        self._dirty: Dict[Tuple[str, object], Set[NodeId]] = {}
-
-    def on_step(self, delta) -> None:
-        """Step-listener hook: invalidate the owners a :class:`StepDelta` dirtied."""
-        self.invalidate(delta.dirty)
-
-    def invalidate(self, nodes: Iterable[NodeId]) -> None:
-        """Mark ``nodes`` as needing re-selection in every cached (selector, metric) key."""
-        nodes = set(nodes)
-        for pending in self._dirty.values():
-            pending |= nodes
-
-    def clear(self) -> None:
-        """Drop every cached result (the next ``select_all`` per key runs from scratch)."""
-        self._results.clear()
-        self._dirty.clear()
+        self._held: Dict[
+            Tuple[str, object], Dict[NodeId, Tuple[weakref.ref, SelectionResult]]
+        ] = {}
 
     def select_all(
-        self,
-        selector_name: str,
-        metric: Metric,
-        views: Dict[NodeId, LocalView],
-        network=None,
+        self, selector_name: str, metric: Metric, views: Dict[NodeId, LocalView]
     ) -> Dict[NodeId, SelectionResult]:
-        """Current per-node results of one selector, re-running only dirty owners."""
+        """Every owner's result of one selector on ``views``, in ``views`` order.
+
+        Only the owners whose view is not the one their held result was computed on run
+        the selector, in one :meth:`AnsSelector.select_all` call (so they prime together).
+        """
         key = (selector_name, metric.cache_token())
-        selector = make_selector(selector_name)
-        previous = self._results.get(key)
-        if previous is None:
-            obs.add("selection.cache_cold_keys")
-            results = selector.select_all(network, metric, views=views)
-        else:
-            obs.observe("selection.dirty_owners", len(self._dirty[key]))
-            results = selector.select_all(
-                network, metric, views=views, previous=previous, dirty=self._dirty[key]
-            )
-        self._results[key] = results
-        self._dirty[key] = set()
-        return results
+        held = self._held.get(key, {})
+        stale = {}
+        for node, view in views.items():
+            entry = held.get(node)
+            if entry is None or entry[0]() is not view:
+                stale[node] = view
+        fresh = (
+            make_selector(selector_name).select_all(None, metric, views=stale) if stale else {}
+        )
+        obs.add("selection.cache_hits", len(views) - len(stale))
+        entries = {}
+        for node, view in views.items():
+            result = fresh.get(node)
+            entries[node] = held[node] if result is None else (weakref.ref(view), result)
+        self._held[key] = entries
+        return {node: entry[1] for node, entry in entries.items()}
 
 
 def available_selectors() -> list[str]:

@@ -17,17 +17,19 @@ advertised-set size per node) and ``"overhead"`` (Figures 8 and 9: achieved QoS 
 centralized optimum).  Registering a new subclass opens a new measure kind to every spec,
 the ``repro-sweep`` CLI and the preset machinery without touching the engine -- a worked,
 test-executed example lives in ``docs/extending.md``, and the event stream a measure's
-aggregation feeds is specified in ``docs/events.md``.  Time-axis measures (the dynamic
-sweeps of :mod:`repro.mobility.measures`) additionally override :meth:`Measure.validate_spec`
-and consume the trial's incrementally maintained selections
-(:meth:`Trial.step_selections <repro.experiments.runner.Trial.step_selections>`) instead of
-re-running every selector from scratch each step.
+aggregation feeds is specified in ``docs/events.md``.  Every built-in measure selects
+through the trial's :class:`~repro.core.selection.SelectionCache`
+(:meth:`Trial.selection_cache <repro.experiments.runner.Trial.selection_cache>`).
+Time-axis measures (the dynamic sweeps of :mod:`repro.mobility.measures`) additionally
+override :meth:`Measure.validate_spec` and read the current step's selections
+(:meth:`Trial.step_selections <repro.experiments.runner.Trial.step_selections>`), which
+re-run a selector only at the owners whose view a step replaced instead of at every node.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.results import SeriesPoint
 from repro.experiments.runner import Trial
@@ -102,29 +104,25 @@ class Measure(ABC):
 # ---------------------------------------------------------------------- advertised-set size
 
 
-def _selections_for_sample(trial: Trial, selector_name: str, sampled: set) -> Sequence:
-    """Selection results for the sampled nodes only (avoids running selectors network-wide).
-
-    The trial's views -- and with them the per-metric compact-graph caches -- are shared
-    across every selector of the sweep.
-    """
-    from repro.core.selection import make_selector
-
-    selector = make_selector(selector_name)
-    views = trial.views()
-    return [selector.select(views[node], trial.metric) for node in sorted(sampled)]
-
-
 def _ans_size_trial(trial: Trial) -> dict:
     """Per-trial measurement: advertised-set sizes per selector (runs in a worker under the
-    parallel path, so it must return plain picklable data)."""
+    parallel path, so it must return plain picklable data).
+
+    Only the sampled owners are selected, through the trial's
+    :meth:`~repro.experiments.runner.Trial.selection_cache`, so each selector primes
+    their views (attached to the trial's shared CSR) in one batch.
+    """
     if len(trial.network) == 0:
         return {"node_count": 0, "sizes": {}}
-    sampled = set(trial.sample_nodes(trial.spec.node_sample, "ans-size-sample"))
+    views = trial.views()
+    sampled = {
+        node: views[node]
+        for node in sorted(trial.sample_nodes(trial.spec.node_sample, "ans-size-sample"))
+    }
     sizes: Dict[str, List[float]] = {}
     for selector_name in trial.spec.selectors:
-        selections = _selections_for_sample(trial, selector_name, sampled)
-        sizes[selector_name] = [float(len(selection.selected)) for selection in selections]
+        selections = trial.selection_cache().select_all(selector_name, trial.metric, sampled)
+        sizes[selector_name] = [float(len(result.selected)) for result in selections.values()]
     return {"node_count": len(trial.network), "sizes": sizes}
 
 

@@ -23,9 +23,10 @@ structured :class:`TrialFailure` in the result list (``on_error="skip"``), which
 turns into an ``on_trial_error`` sink event.
 
 Every cache in the harness hangs off the :class:`Trial` (the per-view compact graphs live
-on the trial's views; each selector's selections and advertised topology are memoized on
-the trial), and under the parallel path each worker process builds
-its own trials.  Caches are therefore per-worker by construction -- nothing warm crosses a
+on the trial's views; the trial's :class:`~repro.core.selection.SelectionCache` keeps each
+selector's selections, and each selector's advertised topology is memoized on the trial),
+and under the parallel path each worker process builds its own trials.  Caches are
+therefore per-worker by construction -- nothing warm crosses a
 process boundary -- and a worker's computation for a given run index is the same
 deterministic function a serial run evaluates, which is what keeps parallel sweeps
 bit-identical to serial ones even with all caches enabled (asserted by
@@ -41,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.selection import AnsSelector, SelectionCache, SelectionResult, make_selector
+from repro.core.selection import SelectionCache, SelectionResult
 from repro.experiments.spec import ExperimentSpec
 from repro.localview.networkgraph import NetworkGraph
 from repro.obs import runtime as obs
@@ -67,10 +68,9 @@ class Trial:
     generator: Optional[object] = None
     _views: Optional[Dict[NodeId, LocalView]] = None
     _network_graph: Optional[NetworkGraph] = None
-    _selections: Dict[str, Dict[NodeId, SelectionResult]] = field(default_factory=dict)
     _advertised: Dict[str, AdvertisedTopology] = field(default_factory=dict)
     _dynamic: Optional[object] = None
-    _selection_cache: Optional[SelectionCache] = None
+    _selection_cache: SelectionCache = field(default_factory=SelectionCache)
 
     # ------------------------------------------------------------------ views
 
@@ -99,18 +99,15 @@ class Trial:
     # ------------------------------------------------------------------ selections
 
     def selections(self, selector_name: str) -> Dict[NodeId, SelectionResult]:
-        """Per-node selection results of one selector (cached).
+        """Per-node selection results of one selector on :meth:`views`.
 
-        Runs through :meth:`AnsSelector.select_all` so selectors that batch (FNBP's
-        first-hop solves run as shared-CSR kernels over all owners at once) get their
-        fast path; per-owner results are bit-identical to per-view ``select`` calls.
+        Served by :meth:`selection_cache`: the first call selects every owner in one
+        :meth:`~repro.core.selection.AnsSelector.select_all` run, so selectors that batch
+        (FNBP's first-hop solves run as shared-CSR kernels over all owners at once) get
+        their fast path, and later calls reuse those results, since the views never
+        change.  Per-owner results are bit-identical to per-view ``select`` calls.
         """
-        if selector_name not in self._selections:
-            selector = make_selector(selector_name)
-            self._selections[selector_name] = selector.select_all(
-                self.network, self.metric, views=self.views()
-            )
-        return self._selections[selector_name]
+        return self._selection_cache.select_all(selector_name, self.metric, self.views())
 
     def advertised_topology(self, selector_name: str) -> AdvertisedTopology:
         """The network-wide advertised topology induced by one selector (cached).
@@ -151,34 +148,30 @@ class Trial:
         return self._dynamic
 
     def selection_cache(self) -> SelectionCache:
-        """The trial's cross-timestep :class:`SelectionCache`, wired to the dynamic driver.
+        """The trial's one :class:`SelectionCache`, behind every selection it makes.
 
-        Built once per trial; its invalidation hook is registered as a step listener of
-        :meth:`dynamic_topology`, so every ``advance`` automatically marks the step's
-        :attr:`~repro.mobility.dynamic.StepDelta.dirty` owners for re-selection and
-        nothing has to thread deltas through the measures by hand.
+        :meth:`selections`, :meth:`step_selections` and the ans-size measure's sampled
+        owners all select through it.  It keeps each result while its owner's view object
+        is unchanged, so it needs no step listener: a dynamic step replaces exactly its
+        dirty owners' views.
         """
-        if self._selection_cache is None:
-            cache = SelectionCache()
-            self.dynamic_topology().add_step_listener(cache.on_step)
-            self._selection_cache = cache
         return self._selection_cache
 
     def step_selections(self, selector_name: str) -> Dict[NodeId, SelectionResult]:
         """Per-node selections of one selector on the *current* step's views.
 
-        The dynamic-trial counterpart of :meth:`selections`: results are maintained
-        incrementally across timesteps by the trial's :class:`SelectionCache` -- only the
-        owners whose local view the steps since this selector's last run dirtied re-run
-        the selector; everyone else reuses the previous step's
+        The dynamic-trial counterpart of :meth:`selections`, served by the same cache over
+        :meth:`dynamic_topology`'s views: only the owners whose view the steps since this
+        selector's last run replaced (the union of those steps'
+        :attr:`~repro.mobility.dynamic.StepDelta.dirty` sets) re-run the selector;
+        everyone else reuses the previous step's
         :class:`~repro.core.selection.SelectionResult`.  Bit-identical to running the
         selector from scratch on every node each step (pinned by
         ``tests/test_incremental_selection.py``), and per-trial, hence per-worker under
         ``REPRO_WORKERS``.
         """
-        dynamic = self.dynamic_topology()
-        return self.selection_cache().select_all(
-            selector_name, self.metric, dynamic.views(), network=self.network
+        return self._selection_cache.select_all(
+            selector_name, self.metric, self.dynamic_topology().views()
         )
 
     # ------------------------------------------------------------------ sampling

@@ -51,10 +51,3 @@ def summarize(values: Iterable[float]) -> Summary:
         variance = sum((value - mean) ** 2 for value in data) / (len(data) - 1)
         std = math.sqrt(variance)
     return Summary(count=len(data), mean=mean, std=std, minimum=min(data), maximum=max(data))
-
-
-def ratio(numerator: float, denominator: float) -> float:
-    """A guarded ratio: ``nan`` when the denominator is zero."""
-    if denominator == 0:
-        return math.nan
-    return numerator / denominator

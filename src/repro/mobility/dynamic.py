@@ -51,9 +51,10 @@ class StepDelta:
     pre- and post-step adjacency, because a removed link is visible through its old
     neighbors and an added one through its new -- plus the same (current-adjacency)
     neighborhood of every reweighted link.  Any per-node quantity that is a pure function
-    of the local view -- ANS selection above all -- is unchanged outside ``dirty``; that is
-    the contract the :class:`~repro.core.selection.SelectionCache` keys its reuse off.  The
-    set describes the *topology step*, not how :class:`DynamicTopology` maintains its views.
+    of the local view -- ANS selection above all -- is unchanged outside ``dirty``.  The
+    set describes the *topology step*; :class:`DynamicTopology` gives exactly these owners
+    new view objects, and that replacement is what the
+    :class:`~repro.core.selection.SelectionCache` keys its reuse off.
     """
 
     step: int
@@ -115,11 +116,10 @@ class DynamicTopology:
     def add_step_listener(self, listener: Callable[[StepDelta], None]) -> None:
         """Call ``listener(delta)`` after every :meth:`advance`, in registration order.
 
-        This is how per-trial caches keyed on the topology's evolution subscribe to the
-        step stream without the measures having to thread deltas around by hand: the
-        :class:`~repro.core.selection.SelectionCache` of
-        :meth:`Trial.step_selections <repro.experiments.runner.Trial.step_selections>`
-        registers its invalidation hook here.
+        This is how state that evolves with the topology subscribes to the step stream
+        without the measures having to thread deltas around by hand: a
+        :class:`~repro.protocol.simulator.ProtocolSimulator` registers here in
+        :meth:`~repro.protocol.simulator.ProtocolSimulator.attach`.
         """
         self._listeners.append(listener)
 

@@ -5,10 +5,11 @@ work* does keeping it up to date cost".  One dynamic trial generates a topology,
 through ``spec.timesteps`` steps of ``spec.step_interval`` time units with the spec's
 mobility model (see :mod:`repro.mobility.models`), and refreshes every selector's
 selections after each step on the incrementally maintained views of the
-:class:`~repro.mobility.dynamic.DynamicTopology` driver -- incrementally too: the trial's
-:class:`~repro.core.selection.SelectionCache` re-runs a selector only at the owners the
-step's :attr:`~repro.mobility.dynamic.StepDelta.dirty` set names and reuses the previous
-step's results everywhere else (see ``docs/caches.md``).  Three measure kinds fold the
+:class:`~repro.mobility.dynamic.DynamicTopology` driver -- incrementally too: a step gives
+new views only to the owners its :attr:`~repro.mobility.dynamic.StepDelta.dirty` set
+names, and the trial's :class:`~repro.core.selection.SelectionCache` re-runs a selector
+only at owners whose view is new, reusing the previous step's results everywhere else
+(see ``docs/caches.md``).  Three measure kinds fold the
 per-step observations into the standard streaming pipeline (they register in
 :data:`repro.registry.MEASURES` and work with every sink, spec and CLI):
 
@@ -43,11 +44,12 @@ from repro.routing.hop_by_hop import HopByHopRouter
 def _selector_state(trial, selector_name: str):
     """One selector's per-node advertised sets and advertised link set, on current views.
 
-    Selections come from the trial's cross-timestep
+    Selections come from the trial's
     :class:`~repro.core.selection.SelectionCache` (:meth:`Trial.step_selections`): only the
-    owners the steps since this selector's last run dirtied re-run the selector, everyone
-    else reuses the previous step's result -- bit-identical to re-running everywhere, which
-    is what caps per-step cost at the size of the step instead of the size of the network.
+    owners whose view the steps since this selector's last run replaced re-run the
+    selector, everyone else reuses the previous step's result -- bit-identical to
+    re-running everywhere, which is what caps per-step cost at the size of the step
+    instead of the size of the network.
     """
     results = trial.step_selections(selector_name)
     ans_sets = {node: result.selected for node, result in results.items()}

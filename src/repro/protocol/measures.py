@@ -10,7 +10,7 @@ over the seeded lossy channel, and observes at the end of every step window
 * ``convergence-time`` -- for every step whose advance flipped at least one link (a
   *churn event*), the number of step windows until every node's table-implied advertised
   set first matches the analytic ground truth again (the per-node selections the
-  incremental pipeline reports for the then-current topology).  The window of the event
+  trial's selection cache reports for the then-current topology).  The window of the event
   itself counts, so the minimum is 1; an event the trial's remaining windows never
   recover from carries no sample (``None``).
 * ``advertised-staleness`` -- stale advertised link state: the number of links present
@@ -83,8 +83,8 @@ def _protocol_trial(trial) -> dict:
     One simulator per selector shares the trial's live dynamic network: each step first
     advances the topology once, then runs every simulator's event queue to the end of
     the step window and compares its table state against the analytic ground truth of
-    the then-current topology (``trial.step_selections``, the same incremental pipeline
-    the mobility measures use).
+    the then-current topology (``trial.step_selections``, the same selection cache the
+    mobility measures use).
     """
     spec = trial.spec
     dynamic = trial.dynamic_topology()

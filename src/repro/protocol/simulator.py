@@ -246,9 +246,9 @@ class ProtocolSimulator:
         """
         if dynamic.network is not self.network:
             raise ValueError("the dynamic topology must drive the simulator's own network")
-        dynamic.add_step_listener(self._on_step)
+        dynamic.add_step_listener(self._record_step)
 
-    def _on_step(self, delta) -> None:
+    def _record_step(self, delta) -> None:
         if delta.link_churn:
             self.churn_steps.append(delta.step)
         self.trace.record(

@@ -276,8 +276,9 @@ class Network:
     def validate_metric_coverage(self, metric: Metric) -> None:
         """Check that every link carries a (legal) weight for ``metric``.
 
-        Experiments call this once up front so a missing weight surfaces as a clear error
-        rather than a :class:`KeyError` deep inside a path computation.
+        Raises on the first missing or illegal weight, with a clear error rather than a
+        :class:`KeyError` deep inside a path computation.  Sweeps do not call it; tests
+        use it to check what a topology generator produced.
         """
         for u, v in self.links():
             value = self.link_value(u, v, metric)

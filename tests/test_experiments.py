@@ -155,12 +155,44 @@ class TestTrialsAndSweeps:
         assert first.network.is_connected()
         first.network.validate_metric_coverage(metric)
 
-    def test_trial_caches_views_and_selections(self):
+    def test_trial_caches_views_and_selections(self, monkeypatch):
+        from test_incremental_selection import _counting_fnbp_select
+
         spec = figure_spec(6, "smoke")
         trial = build_trial(spec, BandwidthMetric(), spec.densities[0], 0)
         assert trial.views() is trial.views()
-        assert trial.selections("fnbp") is trial.selections("fnbp")
+        first = trial.selections("fnbp")
+        calls = _counting_fnbp_select(monkeypatch)
+        assert trial.selections("fnbp") == first
+        assert calls == []  # the views never change, so every result is reused
         assert trial.advertised_topology("fnbp") is trial.advertised_topology("fnbp")
+
+    def test_ans_size_trial_primes_its_sampled_views(self):
+        """The ans-size measure selects its sampled owners through the trial's selection
+        cache, so FNBP and topology filtering answer from the batched kernels; the sizes
+        equal per-view ``select`` on views that hold their own map."""
+        from test_filtering_kernel import counters
+
+        from repro.core.selection import make_selector
+        from repro.experiments.measures import _ans_size_trial
+        from repro.localview.view import LocalView
+
+        spec = figure_spec(6, "smoke")
+        metric = BandwidthMetric()
+        trial = build_trial(spec, metric, spec.densities[0], 0)
+        sampled = sorted(trial.sample_nodes(spec.node_sample, "ans-size-sample"))
+        assert 0 < len(sampled) < len(trial.network)
+        with counters() as counted:
+            payload = _ans_size_trial(trial)
+        assert counted.get("kernel.batched_views", 0) == len(sampled)
+        assert counted.get("filtering.batched_views", 0) > 0
+        for name in spec.selectors:
+            selector = make_selector(name)
+            expected = [
+                float(len(selector.select(LocalView.from_network(trial.network, node), metric)))
+                for node in sampled
+            ]
+            assert payload["sizes"][name] == expected
 
     def test_sampling_helpers(self):
         spec = figure_spec(6, "smoke")

@@ -1,10 +1,11 @@
-"""Differential + property suite for dirty-set incremental selection across timesteps.
+"""Differential + property suite for cached selection across timesteps.
 
 The load-bearing guarantees, in the style of the suites locking down every other fast path:
 
 * **Cached == from-scratch.**  Selections served by the :class:`SelectionCache` of a
-  dynamic trial (re-running the selector only at each step's ``StepDelta.dirty`` owners)
-  are bit-identical -- full ``SelectionResult`` equality -- to running every registered
+  dynamic trial (re-running the selector only at the owners whose view object a step
+  replaced, which are exactly each step's ``StepDelta.dirty`` owners) are bit-identical
+  -- full ``SelectionResult`` equality -- to running every registered
   selector's ``select`` from scratch on every node after every step (the built-ins record
   no decision trace under ``select``, so theirs is ``None`` on both sides; the traces are
   pinned by ``tests/test_selection_traces.py``), across seeded topologies of all
@@ -16,11 +17,15 @@ The load-bearing guarantees, in the style of the suites locking down every other
   reweighted link -- no more, no less.
 * **A frozen world is free.**  A zero-movement dynamic trial produces an empty dirty set
   after step 0, so a fully warm selection cache re-runs *nothing*.
+* **View identity is the one reuse rule.**  A replaced view re-runs its owner even with
+  no step at all, and the cache keeps no replaced view alive.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 from test_filtering_kernel import counters
@@ -29,6 +34,7 @@ from repro.core.selection import SelectionCache, make_selector
 from repro.experiments.engine import run_experiment
 from repro.experiments.runner import Trial
 from repro.experiments.spec import ExperimentSpec
+from repro.localview.networkgraph import NetworkGraph
 from repro.localview.view import LocalView
 from repro.metrics import (
     BandwidthMetric,
@@ -146,6 +152,21 @@ def _spec(**overrides) -> ExperimentSpec:
     return base.with_overrides(**overrides) if overrides else base
 
 
+def _counting_fnbp_select(monkeypatch):
+    """Record the owner of every ``FnbpSelector.select`` call."""
+    from repro.core import fnbp
+
+    calls = []
+    original = fnbp.FnbpSelector.select
+
+    def counting_select(self, view, m):
+        calls.append(view.owner)
+        return original(self, view, m)
+
+    monkeypatch.setattr(fnbp.FnbpSelector, "select", counting_select)
+    return calls
+
+
 class TestCachedSelectionEqualsFromScratch:
     @pytest.mark.parametrize("model_name,cls,kwargs", MODELS)
     @pytest.mark.parametrize("metric_name,metric", METRIC_FAMILIES)
@@ -164,9 +185,7 @@ class TestCachedSelectionEqualsFromScratch:
         def assert_cache_matches_scratch():
             views = dynamic.views()
             for name in selector_names:
-                cached = trial.selection_cache().select_all(
-                    name, metric, views, network=trial.network
-                )
+                cached = trial.selection_cache().select_all(name, metric, views)
                 selector = make_selector(name)
                 scratch = {node: selector.select(view, metric) for node, view in views.items()}
                 assert cached == scratch
@@ -178,7 +197,8 @@ class TestCachedSelectionEqualsFromScratch:
 
     def test_interleaved_and_lagging_keys_accumulate_invalidations(self):
         """A (selector, metric) key consulted only every other step must re-run the union
-        of everything dirtied since its own last selection, not just the last delta."""
+        of everything dirtied since its own last selection, not just the last delta: every
+        view replaced since then differs from the one its held result was computed on."""
         metric = BandwidthMetric()
         generator = _generator(RandomWaypointGenerator, dict(mobile_fraction=0.3), seed=2)
         trial = _fresh_dynamic_trial(generator, _spec(), metric)
@@ -198,21 +218,12 @@ class TestCachedSelectionEqualsFromScratch:
     def test_zero_movement_trial_reruns_no_selector_after_warmup(self, monkeypatch):
         """The cache-fully-warm anchor: on a frozen topology, steps after the first
         selection trigger zero selector invocations."""
-        from repro.core import fnbp
-
         metric = BandwidthMetric()
         generator = _generator(
             LinkChurnGenerator, dict(reweight_probability=0.0, outage_probability=0.0), seed=5
         )
         trial = _fresh_dynamic_trial(generator, _spec(), metric)
-        calls = []
-        original = fnbp.FnbpSelector.select
-
-        def counting_select(self, view, m):
-            calls.append(view.owner)
-            return original(self, view, m)
-
-        monkeypatch.setattr(fnbp.FnbpSelector, "select", counting_select)
+        calls = _counting_fnbp_select(monkeypatch)
         warm = trial.step_selections("fnbp")
         assert len(calls) == len(trial.network)
         calls.clear()
@@ -223,9 +234,9 @@ class TestCachedSelectionEqualsFromScratch:
         assert calls == []
 
     def test_incremental_runs_batch_prime_only_the_owners_that_rerun(self, monkeypatch):
-        """select_all's shared-CSR priming covers exactly the views whose selector will
-        actually re-run: all owners on a from-scratch run, only dirty-or-new owners on
-        an incremental one (priming the rest would be pure waste -- their previous
+        """The cache primes exactly the views whose selector will actually re-run: all
+        owners on a key's first selection, only the owners whose view a step replaced on
+        a later one (priming the rest would be pure waste -- their previous
         SelectionResult is reused verbatim)."""
         from repro.core import selection as selection_module
         from repro.localview import paths as paths_module
@@ -250,38 +261,6 @@ class TestCachedSelectionEqualsFromScratch:
         # RWP keeps the node set stable, so "re-runs" is exactly the dirty set.
         assert primed_batches.pop() == set(delta.dirty)
         assert primed_batches == []
-
-    def test_select_all_rejects_previous_without_dirty(self):
-        metric = BandwidthMetric()
-        generator = _generator(RandomWaypointGenerator, {}, seed=0)
-        network = generator.generate(0)
-        selector = make_selector("fnbp")
-        results = selector.select_all(network, metric)
-        with pytest.raises(ValueError, match="together"):
-            selector.select_all(network, metric, previous=results)
-        with pytest.raises(ValueError, match="together"):
-            selector.select_all(network, metric, dirty=set())
-
-    def test_cache_clear_forces_a_from_scratch_run(self, monkeypatch):
-        from repro.core import fnbp
-
-        metric = BandwidthMetric()
-        generator = _generator(
-            LinkChurnGenerator, dict(reweight_probability=0.0, outage_probability=0.0), seed=5
-        )
-        trial = _fresh_dynamic_trial(generator, _spec(), metric)
-        calls = []
-        original = fnbp.FnbpSelector.select
-
-        def counting_select(self, view, m):
-            calls.append(view.owner)
-            return original(self, view, m)
-
-        monkeypatch.setattr(fnbp.FnbpSelector, "select", counting_select)
-        trial.step_selections("fnbp")
-        trial.selection_cache().clear()
-        trial.step_selections("fnbp")
-        assert len(calls) == 2 * len(trial.network)
 
 
 class TestDynamicSweepsStayBitIdentical:
@@ -336,21 +315,40 @@ class TestDynamicSweepsStayBitIdentical:
 
 
 class TestSelectionCacheUnit:
-    def test_invalidate_only_touches_cached_keys(self):
-        cache = SelectionCache()
+    def test_a_replaced_view_reruns_its_owner_without_a_step(self, monkeypatch):
+        """Reuse follows the view object, not a step: a fresh view of an unchanged owner
+        re-runs that owner alone, and its result is unchanged."""
         metric = BandwidthMetric()
-        generator = _generator(RandomWaypointGenerator, {}, seed=4)
-        network = generator.generate(0)
-        from repro.localview.view import LocalView
+        network = _generator(RandomWaypointGenerator, {}, seed=4).generate(0)
+        ng = NetworkGraph.from_network(network)
+        views = LocalView.all_from_network(network, network_graph=ng)
+        cache = SelectionCache()
+        first = cache.select_all("fnbp", metric, views)
+        calls = _counting_fnbp_select(monkeypatch)
+        owner = network.nodes()[0]
+        views[owner] = LocalView.attached(ng, owner)
+        assert cache.select_all("fnbp", metric, views) == first
+        assert calls == [owner]
+        calls.clear()
+        assert cache.select_all("fnbp", metric, views) == first
+        assert calls == []
 
-        views = LocalView.all_from_network(network)
-        first = cache.select_all("fnbp", metric, views, network=network)
-        cache.invalidate([network.nodes()[0]])
-        # A key selected for the first time after invalidations runs from scratch anyway.
-        second = cache.select_all("topology-filtering", metric, views, network=network)
-        assert set(first) == set(second) == set(views)
-        # Re-selecting the invalidated key with unchanged views is still bit-identical.
-        assert cache.select_all("fnbp", metric, views, network=network) == first
+    def test_the_cache_keeps_no_replaced_view_alive(self):
+        """The cache holds weak references: a step's replaced views (and the graph they
+        were built on) are freed at the step, not at the next selection."""
+        metric = BandwidthMetric()
+        generator = _generator(RandomWaypointGenerator, dict(mobile_fraction=0.3), seed=4)
+        trial = _fresh_dynamic_trial(generator, _spec(), metric)
+        dynamic = trial.dynamic_topology()
+        trial.step_selections("fnbp")
+        before = {node: weakref.ref(view) for node, view in dynamic.views().items()}
+        delta = dynamic.advance()
+        assert delta.dirty
+        gc.collect()
+        assert all(before[node]() is None for node in delta.dirty)
+        trial.step_selections("fnbp")
+        gc.collect()
+        assert all(before[node]() is None for node in delta.dirty)
 
 
 class TestTopologyFilteringInvalidation:

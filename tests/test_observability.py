@@ -282,8 +282,9 @@ class TestEngineTelemetry:
         total = capture.last["counters"]
         assert total["engine.densities_completed"] == len(spec.densities)
         assert total["mobility.steps"] == len(spec.densities) * spec.runs * spec.timesteps
-        assert total["selection.full_runs"] >= len(spec.selectors)
-        assert "selection.dirty_owners" in capture.last["histograms"]
+        assert total["selection.owners_selected"] >= len(spec.selectors)
+        assert total["selection.cache_hits"] > 0  # a step replaces only its dirty views
+        assert "mobility.dirty_owners" in capture.last["histograms"]
         assert {"trial", "measure", "topology_build", "sink_flush"} <= set(capture.last["spans"])
 
     def test_metrics_off_means_no_events_and_no_ambient_registry(self):
@@ -433,13 +434,13 @@ class TestTelemetrySinks:
 
     def test_build_profile_shape(self):
         registry = MetricsRegistry()
-        registry.count("selection.full_runs", 2)
+        registry.count("selection.owners_selected", 2)
         with registry.span("selection"):
             pass
         profile = build_profile(_dynamic_spec(), registry.snapshot())
         assert profile["experiment_id"] == "obs-dynamic"
         assert set(profile["spans"]["selection"]) == {"count", "total", "mean", "min", "max"}
-        assert profile["counters"]["selection.full_runs"] == 2
+        assert profile["counters"]["selection.owners_selected"] == 2
 
 
 class TestProgressThroughput:
