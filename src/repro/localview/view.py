@@ -40,7 +40,7 @@ left untouched onto the step's new graph (:meth:`_follow`), caches and all.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.localview.compactgraph import CompactGraph
 from repro.metrics.base import Metric
@@ -175,8 +175,8 @@ class LocalView:
     @staticmethod
     def table_key(
         owner: NodeId,
-        neighbor_links: Dict[NodeId, Dict[str, float]],
-        two_hop_links: Dict[NodeId, Dict[NodeId, Dict[str, float]]],
+        neighbor_links: Mapping[NodeId, Mapping[str, float]],
+        two_hop_links: Mapping[NodeId, Mapping[NodeId, Mapping[str, float]]],
     ) -> tuple:
         """The view :meth:`from_tables` would build, without building it.
 
@@ -184,7 +184,8 @@ class LocalView:
         ``from_tables`` applies.  Two keys compare equal exactly when the two views have
         the same nodes, links and weights, whatever order the tables listed them in, so a
         selection computed on one view holds for any table state with an equal key.  The
-        key is a value to compare, not to hash.
+        key is a value to compare, not to hash.  The tables are only read: the key holds
+        its own copies of their weights, so a table may pass its entries' dicts.
         """
         one_hop, links = _merge_tables(owner, neighbor_links, two_hop_links)
         return (owner, one_hop, links)
@@ -404,8 +405,8 @@ def _restrict(adjacency, owner, one_hop, two_hop, shared: Optional[Dict[int, dic
 
 def _merge_tables(
     owner: NodeId,
-    neighbor_links: Dict[NodeId, Dict[str, float]],
-    two_hop_links: Dict[NodeId, Dict[NodeId, Dict[str, float]]],
+    neighbor_links: Mapping[NodeId, Mapping[str, float]],
+    two_hop_links: Mapping[NodeId, Mapping[NodeId, Mapping[str, float]]],
 ) -> Tuple[FrozenSet[NodeId], Dict[Tuple[NodeId, NodeId], Dict[str, float]]]:
     """The one-hop set and the links of the view built from protocol tables.
 

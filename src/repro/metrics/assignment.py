@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Tuple
 
 from repro.metrics.base import Metric
 from repro.utils.ids import NodeId
-from repro.utils.seeding import spawn_rng
+from repro.utils.seeding import DerivedDraws
 from repro.utils.validation import require_positive
 
 Edge = Tuple[NodeId, NodeId]
@@ -66,17 +66,23 @@ class UniformWeightAssigner(WeightAssigner):
         if self.low > self.high:
             raise ValueError(f"low ({self.low}) must not exceed high ({self.high})")
         self.metric.validate_link_value(self.low if self.low > 0 else self.high)
+        # Draw cache, not a field: equality and repr see only the four fields.
+        self._draws = DerivedDraws(self.seed)
 
     def assign(
         self,
         edges: list[Edge],
         positions: Mapping[NodeId, Tuple[float, float]],
     ) -> Dict[Edge, float]:
+        """Each weight is ``spawn_rng(seed, "link-weight", metric.name, edge).uniform(low, high)``."""
+        draws = self._draws
+        if draws.seed != self.seed:  # the field was reassigned after construction
+            draws = self._draws = DerivedDraws(self.seed)
+        prefix = ("link-weight", self.metric.name)
         weights: Dict[Edge, float] = {}
         for edge in edges:
             edge = canonical_edge(*edge)
-            rng = spawn_rng(self.seed, "link-weight", self.metric.name, edge)
-            weights[edge] = rng.uniform(self.low, self.high)
+            weights[edge] = draws.uniform(prefix, edge, self.low, self.high)
         return weights
 
 

@@ -43,7 +43,7 @@ from repro.topology.generators import FieldSpec, FixedCountNetworkGenerator
 from repro.topology.network import Network, Position
 from repro.topology.unit_disk import unit_disk_links
 from repro.utils.ids import NodeId
-from repro.utils.seeding import spawn_rng
+from repro.utils.seeding import DerivedDraws, spawn_rng
 from repro.utils.validation import require_positive
 
 
@@ -365,7 +365,8 @@ class _LinkChurnStepper(TrajectoryStepper):
 
     No sequential RNG state at all: whether a link is re-measured or down at step ``t``
     depends only on the derived seed, the canonical edge and ``t``, which makes the model
-    trivially order-independent.
+    trivially order-independent.  Each coin is ``spawn_rng(seed, label, ..., edge,
+    step).random()`` (or ``.uniform`` for a weight), drawn by one :class:`DerivedDraws`.
     """
 
     def __init__(self, positions, base_links, reweight_probability, outage_probability, assigners, seed):
@@ -374,30 +375,33 @@ class _LinkChurnStepper(TrajectoryStepper):
         self._reweight_probability = reweight_probability
         self._outage_probability = outage_probability
         self._assigners = tuple(assigners)
-        self._seed = seed
+        self._draws = DerivedDraws(seed)
         self._step = 0
         self._overrides: Dict[Edge, Dict[str, float]] = {}
 
     def step(self, dt: float) -> WorldState:
         self._step += 1
         step = self._step
+        draws = self._draws
         changed: List[Edge] = []
         down: List[Edge] = []
         for edge in self._base_links:
             if (
                 self._outage_probability > 0.0
-                and spawn_rng(self._seed, "churn-outage", edge, step).random() < self._outage_probability
+                and draws.random(("churn-outage", edge), step) < self._outage_probability
             ):
                 down.append(edge)
             if (
                 self._reweight_probability > 0.0
-                and spawn_rng(self._seed, "churn-flip", edge, step).random() < self._reweight_probability
+                and draws.random(("churn-flip", edge), step) < self._reweight_probability
             ):
                 override = self._overrides.setdefault(edge, {})
                 for assigner in self._assigners:
                     if isinstance(assigner, UniformWeightAssigner):
-                        redraw = spawn_rng(self._seed, "churn-weight", assigner.metric.name, edge, step)
-                        override[assigner.metric.name] = redraw.uniform(assigner.low, assigner.high)
+                        name = assigner.metric.name
+                        override[name] = draws.uniform(
+                            ("churn-weight", name, edge), step, assigner.low, assigner.high
+                        )
                 if override:
                     changed.append(edge)
         return WorldState(

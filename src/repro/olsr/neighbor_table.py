@@ -5,14 +5,20 @@ when nodes disappear (entries simply age out); the static graph-level experiment
 expire anything because they query the converged state.  An earliest-expiry bound lets
 :meth:`NeighborTable.expire` return at once while no entry can have expired, and the
 MPR-selector set is cached until the table changes.
+
+Two-hop entries are indexed by the neighbor whose HELLO reported them: a HELLO replaces
+just its originator's entry.  An entry holds the HELLO's own weight dicts (messages are
+immutable values; the table never changes them and never hands them out), and every
+query returns copies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Set
 
+from repro.localview.view import LocalView
 from repro.olsr.messages import HelloMessage
 from repro.utils.ids import NodeId
 
@@ -30,11 +36,11 @@ class NeighborEntry:
 
 @dataclass
 class TwoHopEntry:
-    """State kept about one link (neighbor -> two-hop neighbor) reported in a HELLO."""
+    """The links (neighbor -> two-hop neighbor) that a neighbor's last HELLO reported."""
 
     neighbor: NodeId
-    two_hop: NodeId
-    weights: Dict[str, float]
+    links: Mapping[NodeId, Mapping[str, float]]
+    """Each reported neighbor (the owner excluded) with the reported link weights."""
     expires_at: float = math.inf
 
 
@@ -44,7 +50,8 @@ class NeighborTable:
     def __init__(self, owner: NodeId):
         self.owner = owner
         self._neighbors: Dict[NodeId, NeighborEntry] = {}
-        self._two_hop: Dict[tuple[NodeId, NodeId], TwoHopEntry] = {}
+        # reporting neighbor -> its last HELLO's links, in the order the HELLOs arrived.
+        self._two_hop: Dict[NodeId, TwoHopEntry] = {}
         # No entry expires before this time (a lower bound, exact after each purge).
         self._earliest_expiry = math.inf
         self._mpr_selectors: Optional[FrozenSet[NodeId]] = None
@@ -95,19 +102,11 @@ class NeighborTable:
             expires_at=expires,
             is_mpr_selector=hello.declares_mpr(self.owner),
         )
-        # Refresh the two-hop entries reported by this originator (replacing earlier ones).
-        self._two_hop = {
-            key: entry for key, entry in self._two_hop.items() if key[0] != originator
-        }
-        for report in hello.links:
-            if report.neighbor == self.owner:
-                continue
-            self._two_hop[(originator, report.neighbor)] = TwoHopEntry(
-                neighbor=originator,
-                two_hop=report.neighbor,
-                weights=dict(report.weights),
-                expires_at=expires,
-            )
+        # Replace this originator's two-hop entry; the new one goes last.
+        self._two_hop.pop(originator, None)
+        links = {report.neighbor: report.weights for report in hello.links if report.neighbor != self.owner}
+        if links:
+            self._two_hop[originator] = TwoHopEntry(originator, links, expires)
         if expires < self._earliest_expiry:
             self._earliest_expiry = expires
 
@@ -123,9 +122,9 @@ class NeighborTable:
             node: entry for node, entry in self._neighbors.items() if entry.expires_at > now
         }
         self._two_hop = {
-            key: entry
-            for key, entry in self._two_hop.items()
-            if entry.expires_at > now and key[0] in self._neighbors
+            neighbor: entry
+            for neighbor, entry in self._two_hop.items()
+            if entry.expires_at > now and neighbor in self._neighbors
         }
         self._earliest_expiry = min(
             min((entry.expires_at for entry in self._neighbors.values()), default=math.inf),
@@ -151,11 +150,12 @@ class NeighborTable:
 
     def two_hop_neighbors(self) -> FrozenSet[NodeId]:
         """Strict two-hop neighbors (excluding the owner and its one-hop neighbors)."""
-        one_hop = self.neighbors()
+        one_hop = self._neighbors
         return frozenset(
-            entry.two_hop
+            node
             for entry in self._two_hop.values()
-            if entry.two_hop != self.owner and entry.two_hop not in one_hop
+            for node in entry.links
+            if node not in one_hop
         )
 
     def neighbor_link_table(self) -> Dict[NodeId, Dict[str, float]]:
@@ -164,10 +164,19 @@ class NeighborTable:
 
     def two_hop_link_table(self) -> Dict[NodeId, Dict[NodeId, Dict[str, float]]]:
         """``{neighbor: {reported neighbor: link weights}}`` for :meth:`LocalView.from_tables`."""
-        table: Dict[NodeId, Dict[NodeId, Dict[str, float]]] = {}
-        for (neighbor, two_hop), entry in self._two_hop.items():
-            table.setdefault(neighbor, {})[two_hop] = dict(entry.weights)
-        return table
+        return {
+            neighbor: {node: dict(weights) for node, weights in entry.links.items()}
+            for neighbor, entry in self._two_hop.items()
+        }
+
+    def view_key(self) -> tuple:
+        """:meth:`LocalView.table_key` of the two link tables, merged from the entries
+        without copying them first."""
+        return LocalView.table_key(
+            self.owner,
+            {node: entry.weights for node, entry in self._neighbors.items()},
+            {neighbor: entry.links for neighbor, entry in self._two_hop.items()},
+        )
 
     def __len__(self) -> int:
         return len(self._neighbors)

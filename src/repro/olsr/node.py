@@ -110,11 +110,7 @@ class OlsrNode:
 
     def local_view(self) -> LocalView:
         """The node's current ``G_u`` as reconstructed from its protocol tables."""
-        return LocalView.from_tables(
-            owner=self.node_id,
-            neighbor_links=self.neighbor_table.neighbor_link_table(),
-            two_hop_links=self.neighbor_table.two_hop_link_table(),
-        )
+        return LocalView.from_table_key(self.neighbor_table.view_key())
 
     def current_selection(self) -> Tuple[FrozenSet[NodeId], FrozenSet[NodeId]]:
         """The (MPR set, advertised set) the node's current tables imply.
@@ -123,8 +119,7 @@ class OlsrNode:
         the last pair is returned without building the view, and a miss builds it from
         the merge the key holds.  Touches no protocol state.
         """
-        table = self.neighbor_table
-        key = LocalView.table_key(self.node_id, table.neighbor_link_table(), table.two_hop_link_table())
+        key = self.neighbor_table.view_key()
         memo = self._selection_memo
         if memo is None or memo[0] != key:
             view = LocalView.from_table_key(key)
@@ -197,10 +192,9 @@ class OlsrNode:
         raise TypeError(f"node {self.node_id} cannot handle message of type {type(message).__name__}")
 
     def _handle_hello(self, hello: HelloMessage, now: float) -> None:
-        weights = self.link_weights(hello.originator)
         self.neighbor_table.update_from_hello(
             hello,
-            link_weights=weights,
+            link_weights=self._link_weights.get(hello.originator, {}),  # the table copies it
             now=now,
             hold_time=self.neighbor_hold_time,
         )

@@ -5,17 +5,21 @@ selected ``o`` (its advertised/MPR selectors), together with their QoS in the QO
 extension.  The union of the freshest such announcements is the partial topology every node
 routes on.
 
-Entries are kept in one insertion-ordered dict (routing reads them in that order).  An
-originator -> selectors index lets a newer announcement delete just that originator's
-entries, and an earliest-expiry bound lets :meth:`TopologyTable.expire` return at once
-while no entry can have expired.
+Entries are kept in one insertion-ordered dict (routing reads them in that order), each
+as the advertised weights and an expiry time.  The weights are the TC's own dicts:
+messages are immutable values, the table never changes them and never hands them out,
+so ingest copies nothing and every query returns copies.  An entry's ANSN is its
+originator's latest, since a newer announcement replaces all of the originator's
+entries.  An originator -> selectors index lets a newer announcement delete just that
+originator's entries, and an earliest-expiry bound lets :meth:`TopologyTable.expire`
+return at once while no entry can have expired.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from repro.olsr.messages import TcMessage
 from repro.utils.ids import NodeId
@@ -37,7 +41,8 @@ class TopologyTable:
 
     def __init__(self, owner: NodeId):
         self.owner = owner
-        self._entries: Dict[Tuple[NodeId, NodeId], TopologyEntry] = {}
+        # (originator, selector) -> (advertised weights, expiry time).
+        self._entries: Dict[Tuple[NodeId, NodeId], Tuple[Mapping[str, float], float]] = {}
         self._latest_ansn: Dict[NodeId, int] = {}
         # originator -> the selectors it has entries for (the keys of its entries).
         self._selectors: Dict[NodeId, Set[NodeId]] = {}
@@ -63,14 +68,9 @@ class TopologyTable:
             self._latest_ansn[originator] = tc.ansn
         expires = now + hold_time if math.isfinite(hold_time) else math.inf
         for link in tc.advertised:
-            entries[(originator, link.selector)] = TopologyEntry(
-                originator=originator,
-                selector=link.selector,
-                weights=dict(link.weights),
-                ansn=tc.ansn,
-                expires_at=expires,
-            )
-            selectors.add(link.selector)
+            selector = link.selector
+            entries[(originator, selector)] = (link.weights, expires)
+            selectors.add(selector)
         if expires < self._earliest_expiry:
             self._earliest_expiry = expires
         return True
@@ -79,31 +79,31 @@ class TopologyTable:
         """Drop entries whose validity time has passed."""
         if self._earliest_expiry > now:
             return
-        kept: Dict[Tuple[NodeId, NodeId], TopologyEntry] = {}
+        kept: Dict[Tuple[NodeId, NodeId], Tuple[Mapping[str, float], float]] = {}
         for key, entry in self._entries.items():
-            if entry.expires_at > now:
+            if entry[1] > now:
                 kept[key] = entry
             else:
                 self._selectors[key[0]].discard(key[1])
         self._entries = kept
-        self._earliest_expiry = min((entry.expires_at for entry in kept.values()), default=math.inf)
+        self._earliest_expiry = min((expires for _, expires in kept.values()), default=math.inf)
 
     # ------------------------------------------------------------------ queries
 
-    def entries(self) -> Iterable[TopologyEntry]:
-        return list(self._entries.values())
+    def entries(self) -> List[TopologyEntry]:
+        """Every entry, in table order (each with a copy of its weights)."""
+        latest = self._latest_ansn
+        return [
+            TopologyEntry(originator, selector, dict(weights), latest[originator], expires)
+            for (originator, selector), (weights, expires) in self._entries.items()
+        ]
 
     def advertised_links(self) -> Dict[Tuple[NodeId, NodeId], Dict[str, float]]:
-        """Every advertised link (undirected canonical orientation) with its weights."""
-        links: Dict[Tuple[NodeId, NodeId], Dict[str, float]] = {}
-        for entry in self._entries.values():
-            key = (
-                (entry.originator, entry.selector)
-                if entry.originator <= entry.selector
-                else (entry.selector, entry.originator)
-            )
-            links[key] = dict(entry.weights)
-        return links
+        """Every advertised link (undirected canonical orientation) with a copy of its weights."""
+        return {
+            (originator, selector) if originator <= selector else (selector, originator): dict(weights)
+            for (originator, selector), (weights, _) in self._entries.items()
+        }
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -62,10 +62,6 @@ class LossModel:
         # Draw cache, not a field: equality, hashing and repr see only the four fields.
         object.__setattr__(self, "_draws", DerivedDraws(self.seed))
 
-    def __reduce__(self):
-        # The cached hash states cannot be pickled; a copy rebuilds them from the fields.
-        return (type(self), (self.seed, self.loss_rate, self.propagation_delay, self.delay_jitter))
-
     def delivered(self, src: NodeId, dst: NodeId, seq: int) -> bool:
         """Whether transmission ``seq`` on the directed link ``src -> dst`` arrives.
 

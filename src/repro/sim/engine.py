@@ -45,10 +45,10 @@ class Simulator:
         heapq.heappush(self._queue, (time, next(self._order), callback))
 
     def schedule_in(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` after ``delay`` time units."""
-        if delay < 0:
+        """Schedule ``callback`` after ``delay`` time units (not negative, not NaN)."""
+        if not delay >= 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        self.schedule_at(self._now + delay, callback)
+        heapq.heappush(self._queue, (self._now + delay, next(self._order), callback))
 
     # ------------------------------------------------------------------ execution
 

@@ -62,8 +62,9 @@ class TestSimulatorEngine:
         simulator = Simulator()
         with pytest.raises(ValueError):
             simulator.schedule_at(math.nan, lambda: None)
-        with pytest.raises(ValueError):
-            simulator.schedule_in(math.nan, lambda: None)
+        for delay in (math.nan, -1.0):
+            with pytest.raises(ValueError, match=f"delay must be non-negative, got {delay}$"):
+                simulator.schedule_in(delay, lambda: None)
         simulator.run_until(1.0)
         assert simulator.processed_events == 0
 

@@ -3,9 +3,13 @@
 Each fast path must give exactly what the code it replaced gave, on generated inputs:
 
 * **Derived draws.**  :class:`~repro.utils.seeding.DerivedDraws` equals
-  ``spawn_rng(...).random()`` and ``.uniform()`` for any seed, node ids, ``seq`` and both
-  loss-model labels, and a :class:`LossModel` that has already drawn still pickles, and
-  compares and hashes equal to a fresh one.
+  ``spawn_rng(...).random()`` and ``.uniform()`` for any seed (0, one-word Mersenne
+  Twister keys and seeds near ``2**63`` included) and every label shape its callers use:
+  loss, delay and jitter labels with node ids and counters, link weights by metric name
+  and edge, churn coins by edge and step.  :meth:`UniformWeightAssigner.assign` and the
+  churn stepper equal the ``spawn_rng`` loops they replaced, kept below as references.
+  A :class:`LossModel`, an assigner or a churn stepper that has already drawn still
+  pickles and copies, and compares (and hashes, where it did) like a fresh one.
 * **Selection memo.**  On random neighbor tables -- conflicting reports of one link,
   HELLOs arriving in random orders, reports that change -- the memoized
   :meth:`OlsrNode.current_selection` equals a fresh selection on
@@ -27,17 +31,21 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import random
 from typing import Dict, Tuple
 
 import networkx as nx
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.selection import make_selector
 from repro.localview.compactgraph import CompactGraph
 from repro.localview.paths import best_values_from
 from repro.localview.view import LocalView
-from repro.metrics import BandwidthMetric, DelayMetric
+from repro.metrics import BandwidthMetric, ConstantWeightAssigner, DelayMetric, UniformWeightAssigner
+from repro.metrics.assignment import canonical_edge
 from repro.metrics.ordering import preferred_neighbor
+from repro.mobility.models import _LinkChurnStepper
 from repro.olsr.duplicate_set import DuplicateSet
 from repro.olsr.messages import AdvertisedLink, HelloMessage, LinkReport, Packet, TcMessage
 from repro.olsr.mpr import rfc3626_mpr
@@ -55,28 +63,191 @@ WEIGHTS = st.builds(lambda b, d: {"bandwidth": b, "delay": d}, VALUES, VALUES)
 
 node_ids = st.integers(min_value=0, max_value=10_000)
 seqs = st.integers(min_value=0, max_value=10**9)
+edges = st.tuples(node_ids, node_ids).map(lambda pair: canonical_edge(*pair))
+metric_names = st.sampled_from(["bandwidth", "delay", "energy"])
+steps = st.integers(min_value=1, max_value=10_000)
+#: 0, seeds below 2**32 (a one-word Mersenne Twister key), around 2**63 (where derived
+#: seeds are masked), and anything else.
+draw_seeds = st.one_of(
+    st.just(0),
+    st.integers(min_value=1, max_value=2**32 - 1),
+    st.integers(min_value=2**63 - 2**16, max_value=2**63 + 2**16),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+#: ``(prefix, last)`` in the shapes of every caller: loss and delay coins per directed
+#: link and counter, emission jitters per node and index, link weights per metric name
+#: and edge, churn coins per edge and step.
+draw_labels = st.one_of(
+    st.tuples(st.tuples(st.sampled_from(["loss", "delay"]), node_ids, node_ids), seqs),
+    st.tuples(st.tuples(st.sampled_from(["hello-jitter", "tc-jitter", "trigger-jitter"]), node_ids), seqs),
+    st.tuples(st.tuples(st.just("link-weight"), metric_names), edges),
+    st.tuples(st.tuples(st.sampled_from(["churn-outage", "churn-flip"]), edges), steps),
+    st.tuples(st.tuples(st.just("churn-weight"), metric_names, edges), steps),
+)
 
 
 # ---------------------------------------------------------------------- derived draws
 
 
+def _reference_assign(assigner: UniformWeightAssigner, edges) -> dict:
+    """``UniformWeightAssigner.assign`` as one generator per edge (what it replaced)."""
+    weights = {}
+    for edge in edges:
+        edge = canonical_edge(*edge)
+        rng = spawn_rng(assigner.seed, "link-weight", assigner.metric.name, edge)
+        weights[edge] = rng.uniform(assigner.low, assigner.high)
+    return weights
+
+
+class _ReferenceChurnStepper:
+    """The churn stepper's coins as one generator per coin (what it replaced)."""
+
+    def __init__(self, base_links, reweight_probability, outage_probability, assigners, seed):
+        self.base_links = sorted(canonical_edge(*edge) for edge in base_links)
+        self.reweight_probability = reweight_probability
+        self.outage_probability = outage_probability
+        self.assigners = tuple(assigners)
+        self.seed = seed
+        self.step_index = 0
+        self.overrides: Dict[tuple, Dict[str, float]] = {}
+
+    def step(self) -> tuple:
+        self.step_index += 1
+        step = self.step_index
+        changed, down = [], []
+        for edge in self.base_links:
+            if (
+                self.outage_probability > 0.0
+                and spawn_rng(self.seed, "churn-outage", edge, step).random() < self.outage_probability
+            ):
+                down.append(edge)
+            if (
+                self.reweight_probability > 0.0
+                and spawn_rng(self.seed, "churn-flip", edge, step).random() < self.reweight_probability
+            ):
+                override = self.overrides.setdefault(edge, {})
+                for assigner in self.assigners:
+                    if isinstance(assigner, UniformWeightAssigner):
+                        redraw = spawn_rng(self.seed, "churn-weight", assigner.metric.name, edge, step)
+                        override[assigner.metric.name] = redraw.uniform(assigner.low, assigner.high)
+                if override:
+                    changed.append(edge)
+        overrides = {edge: dict(values) for edge, values in self.overrides.items()}
+        return frozenset(down), overrides, frozenset(changed)
+
+
+def _churn_state(state) -> tuple:
+    return state.down_links, state.weight_overrides, state.changed_weights
+
+
+@st.composite
+def churn_setups(draw):
+    links = draw(st.lists(edges.filter(lambda edge: edge[0] != edge[1]), unique=True, max_size=12))
+    assigners = [UniformWeightAssigner(metric=BandwidthMetric(), low=1.0, high=draw(st.sampled_from([1.0, 10.0])))]
+    if draw(st.booleans()):
+        assigners.append(UniformWeightAssigner(metric=DelayMetric(), low=0.5, high=3.0, seed=draw(draw_seeds)))
+    if draw(st.booleans()):
+        assigners.append(ConstantWeightAssigner(metric=BandwidthMetric()))
+    probabilities = st.sampled_from([0.0, 0.3, 1.0])
+    return links, draw(probabilities), draw(probabilities), assigners, draw(draw_seeds)
+
+
 class TestDerivedDraws:
     @settings(max_examples=200, deadline=None)
     @given(
-        seed=st.integers(min_value=-(2**70), max_value=2**70),
-        src=node_ids,
-        dst=node_ids,
-        seqs=st.lists(seqs, min_size=1, max_size=3),
-        label=st.sampled_from(["loss", "delay"]),
+        seed=draw_seeds,
+        labels=st.lists(draw_labels, min_size=1, max_size=4),
+        repeats=st.integers(min_value=1, max_value=2),
         high=st.floats(min_value=0.0, max_value=10.0),
     )
-    def test_draws_equal_spawn_rng(self, seed, src, dst, seqs, label, high):
+    def test_draws_equal_spawn_rng(self, seed, labels, repeats, high):
         draws = DerivedDraws(seed)
-        for seq in seqs:  # the second and later draws reuse the cached prefix state
-            assert draws.random((label, src, dst), seq) == spawn_rng(seed, label, src, dst, seq).random()
-            assert draws.uniform((label, src, dst), seq, 0.0, high) == spawn_rng(
-                seed, label, src, dst, seq
-            ).uniform(0.0, high)
+        for prefix, last in labels * repeats:  # later draws reuse cached prefix states
+            assert draws.random(prefix, last) == spawn_rng(seed, *prefix, last).random()
+            assert draws.uniform(prefix, last, 0.0, high) == spawn_rng(seed, *prefix, last).uniform(0.0, high)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key=st.one_of(
+            st.just(0),
+            st.integers(min_value=1, max_value=2**32 - 1),
+            st.integers(min_value=2**63 - 2**16, max_value=2**63 - 1),
+        )
+    )
+    def test_the_reseed_equals_a_new_generator_for_every_key_width(self, key):
+        # Derived seeds below 2**32 (a one-word key) are too rare to reach by hashing, so
+        # the private generator is reseeded directly with one.
+        draws = DerivedDraws(0)
+        draws._reseed(key)
+        assert draws._random() == random.Random(key).random()
+
+    def test_the_private_generator_is_not_seeded_from_the_os(self):
+        # os.urandom would give every instance its own initial state.
+        states = {DerivedDraws(seed)._random.__self__.getstate() for seed in (1, 2)}
+        assert len(states) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=draw_seeds,
+        pairs=st.lists(st.tuples(node_ids, node_ids), max_size=8),
+        metric=st.sampled_from(sorted(METRICS)),
+        low=st.sampled_from([0.5, 1.0]),
+        high=st.sampled_from([1.0, 10.0]),
+    )
+    def test_uniform_weights_equal_the_spawn_rng_loop(self, seed, pairs, metric, low, high):
+        assigner = UniformWeightAssigner(metric=METRICS[metric], low=low, high=high, seed=seed)
+        draws = assigner._draws
+        expected = _reference_assign(assigner, pairs)
+        assert list(assigner.assign(pairs, {}).items()) == list(expected.items())
+        for pair in pairs:  # one link at a time, as DynamicTopology assigns (re)appearing links
+            assert assigner.assign([pair], {}) == {canonical_edge(*pair): expected[canonical_edge(*pair)]}
+        assert assigner._draws is draws  # built once, not once per call
+
+    def test_a_reassigned_seed_draws_from_the_new_seed(self):
+        assigner = UniformWeightAssigner(metric=BandwidthMetric(), seed=1)
+        assigner.assign([(1, 2)], {})
+        assigner.seed = 2
+        assert assigner.assign([(1, 2)], {}) == _reference_assign(assigner, [(1, 2)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(setup=churn_setups(), step_count=st.integers(min_value=1, max_value=4))
+    def test_churn_coins_equal_the_spawn_rng_loop(self, setup, step_count):
+        links, reweight, outage, assigners, seed = setup
+        stepper = _LinkChurnStepper({}, links, reweight, outage, assigners, seed)
+        reference = _ReferenceChurnStepper(links, reweight, outage, assigners, seed)
+        draws = stepper._draws
+        for _ in range(step_count):
+            assert _churn_state(stepper.step(1.0)) == reference.step()
+        assert stepper._draws is draws
+
+    @settings(max_examples=30, deadline=None)
+    @given(setup=churn_setups(), pairs=st.lists(st.tuples(node_ids, node_ids), min_size=1, max_size=4))
+    def test_draw_holders_pickle_copy_and_compare_like_fresh_ones(self, setup, pairs):
+        links, reweight, outage, assigners, seed = setup
+        metric = METRICS["delay"]
+        assigner = UniformWeightAssigner(metric=metric, low=1.0, high=4.0, seed=seed)
+        drawn = assigner.assign(pairs, {})
+        fresh = UniformWeightAssigner(metric=metric, low=1.0, high=4.0, seed=seed)
+        assert assigner == fresh and repr(assigner) == repr(fresh)
+        assert assigner != UniformWeightAssigner(metric=metric, low=1.0, high=4.0, seed=seed + 1)
+        with pytest.raises(TypeError):
+            hash(assigner)  # a mutable dataclass, unhashable as before
+        assert copy.copy(assigner) == assigner
+        for clone in (pickle.loads(pickle.dumps(assigner)), copy.deepcopy(assigner), copy.copy(assigner)):
+            assert repr(clone) == repr(assigner)  # a deep clone has its own metric object
+            assert clone.assign(pairs, {}) == drawn
+
+        stepper = _LinkChurnStepper({}, links, reweight, outage, assigners, seed)
+        stepper.step(1.0)  # a stepper that has drawn
+        clones = [pickle.loads(pickle.dumps(stepper)), copy.deepcopy(stepper)]
+        expected = _churn_state(stepper.step(1.0))
+        assert all(_churn_state(clone.step(1.0)) == expected for clone in clones)
+
+        draws = DerivedDraws(seed)
+        draws.random(("loss", 1, 2), 0)
+        for clone in (pickle.loads(pickle.dumps(draws)), copy.deepcopy(draws), copy.copy(draws)):
+            assert clone.seed == seed
+            assert clone.random(("loss", 1, 2), 1) == spawn_rng(seed, "loss", 1, 2, 1).random()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -305,6 +476,11 @@ def test_indexed_topology_table_matches_the_rebuild(operations, steps):
             ((entry.originator, entry.selector), (entry.weights, entry.ansn, entry.expires_at))
             for entry in table.entries()
         ] == list(reference.entries.items())
+        # Queries hand out copies: clearing them changes nothing the next step compares.
+        for weights in table.advertised_links().values():
+            weights.clear()
+        for entry in table.entries():
+            entry.weights.clear()
 
 
 class _RebuildNeighborTable:
@@ -387,6 +563,9 @@ def test_neighbor_table_and_duplicate_set_match_the_rebuild(operations, steps):
         assert [
             (neighbor, list(row.items())) for neighbor, row in table.two_hop_link_table().items()
         ] == _grouped(reference.two_hop)
+        for row in table.two_hop_link_table().values():  # copies: clearing them changes nothing
+            for weights in row.values():
+                weights.clear()
         assert table.mpr_selectors() == frozenset(
             node for node, entry in reference.neighbors.items() if entry[2]
         )
@@ -568,9 +747,9 @@ def test_on_demand_routes_equal_the_eager_loop(tables, metric_name):
     assert [(u, list(row.items())) for u, row in table._knowledge.items()] == [
         (u, list(row.items())) for u, row in knowledge.adj.items()
     ]
-    table_dicts = {id(entry.weights) for entry in topology.entries()}
+    table_dicts = {id(weights) for weights, _ in topology._entries.values()}
     table_dicts |= {id(entry.weights) for entry in neighbors._neighbors.values()}
-    table_dicts |= {id(entry.weights) for entry in neighbors._two_hop.values()}
+    table_dicts |= {id(weights) for entry in neighbors._two_hop.values() for weights in entry.links.values()}
     assert not table_dicts & {id(data) for row in table._knowledge.values() for data in row.values()}
     for destination in range(10):  # every node the tables can name, the owner and one more
         assert table.entry(destination) == expected.get(destination)
