@@ -8,8 +8,7 @@ Profiles (``REPRO_BENCH_PROFILE`` environment variable):
 * ``quick`` (default) -- trimmed densities, 1 run per density, sampled nodes; keeps the
   paper's x-axis shape while staying laptop-friendly.
 * ``paper`` -- the full evaluation: 100 runs per density at the paper's densities (up to
-  ~1100 nodes of degree 35).  This is the configuration recorded in ``EXPERIMENTS.md``'s
-  "full profile" runs.
+  ~1100 nodes of degree 35).
 * ``smoke`` -- a seconds-long sanity pass (one tiny density, one run).
 
 Parallelism (``REPRO_WORKERS`` environment variable): the sweep harness fans the
@@ -18,10 +17,6 @@ CPU; unset = serial).  Each trial is derived deterministically from its run inde
 results are aggregated in run order, so sweep outputs are bit-identical whatever the worker
 count -- ``REPRO_WORKERS`` only changes the wall clock, which is what makes the ``paper``
 profile routine on a multi-core machine.
-
-``record.py`` (run directly, not collected by pytest) times the selection micro-benchmark
-and writes ``BENCH_selection.json`` at the repository root so the perf trajectory stays
-machine-readable across PRs.
 """
 
 from __future__ import annotations

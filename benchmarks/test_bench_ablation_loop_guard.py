@@ -1,4 +1,4 @@
-"""Ablation benchmark: the FNBP loop-guard policies (DESIGN.md section 7).
+"""Ablation benchmark: the FNBP loop-guard policies (``repro.core.fnbp.LoopGuardPolicy``).
 
 Compares the advertised-set size and the reachability of the advertised topology under the
 three guard policies: the default (``adjacent-to-target``), the printed pseudocode

@@ -1,13 +1,12 @@
 """CI floor for the batched CSR kernels: never slower than the per-view scalar path.
 
-``record.py`` tracks the full speedup trajectory (``csr_kernels`` and
-``topology_filtering`` sections of ``BENCH_selection.json``; ~3x for the first-hop
-kernels and 16-21x for topology filtering on the dense benchmark network at the time of
-writing).  These tests enforce only the regression floor -- the batched paths must not
-fall below parity with the scalar code they replace -- plus the result-equality bar,
-so a speedup that silently becomes a slowdown (or a divergence) fails the smoke run.
-The same floor holds QOLSR MPR-2 on the views' coverage masks to the set-based routine
-it replaced (``tests/mpr_oracles.py``).
+These tests enforce the regression floor -- the batched paths must not fall below parity
+with the scalar code they replace -- plus the result-equality bar, so a speedup that
+silently becomes a slowdown (or a divergence) fails the smoke run.  The same floor holds
+QOLSR MPR-2 on the views' coverage masks to the set-based routine it replaced
+(``tests/mpr_oracles.py``).  What the kernels cost inside real sweeps is perfbench's to
+measure (``perfbench/run.py --trace 1``; ``localview.prime_first_hops_s`` for the
+first-hop kernels).
 """
 
 from __future__ import annotations
@@ -15,14 +14,29 @@ from __future__ import annotations
 import gc
 import time
 
-from record import dense_network
-
 from repro.core.selection import make_selector
 from repro.localview import LocalView, NetworkGraph, all_first_hops, prime_first_hops
-from repro.metrics import BandwidthMetric, DelayMetric
+from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner
+from repro.topology import FieldSpec, FixedCountNetworkGenerator
 from tests.mpr_oracles import qolsr_sets
 
 ROUNDS = 3
+
+
+def dense_network():
+    """The dense benchmark topology (mirrors ``test_bench_micro_selection._dense_view``)."""
+    metrics = (BandwidthMetric(), DelayMetric())
+    assigners = tuple(
+        UniformWeightAssigner(metric=metric, low=1.0, high=10.0, seed=31 + i)
+        for i, metric in enumerate(metrics)
+    )
+    return FixedCountNetworkGenerator(
+        field=FieldSpec(width=420.0, height=420.0, radius=100.0),
+        node_count=220,
+        seed=13,
+        weight_assigners=assigners,
+        restrict_to_largest_component=True,
+    ).generate()
 
 
 def _solve_rounds(metric):

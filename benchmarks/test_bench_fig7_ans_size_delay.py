@@ -1,9 +1,9 @@
 """Benchmark regenerating the paper's Figure 7: advertised-set size vs density (delay).
 
-Reproduction status (see EXPERIMENTS.md): FNBP stays below the topology-filtering baseline,
-but -- unlike the published figure -- the FNBP set for an *additive* metric grows with
-density and overtakes the QOLSR MPR set, because shortest-delay paths to different targets
-rarely share their first hop.  The assertions below encode what actually reproduces.
+Reproduction status: FNBP stays below the topology-filtering baseline, but -- unlike the
+published figure -- the FNBP set for an *additive* metric grows with density and overtakes
+the QOLSR MPR set, because shortest-delay paths to different targets rarely share their
+first hop.  The assertions below encode what actually reproduces.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
 """CI floor for telemetry overhead: the instrumented engine stays near the direct path.
 
-``record.py`` tracks the full trajectory (``telemetry`` section of
-``BENCH_selection.json``).  This test enforces only the regression floors the telemetry
-layer promised when it landed: with metrics *off* the engine's ambient no-op hooks must
-retain at least 0.98x of the legacy direct harness's throughput (<=2% overhead budget),
-and with metrics *on* the full registry pipeline -- per-trial registries, snapshot
-merges, ``on_metrics`` emission -- must retain at least 0.90x (<=10%).  Result equality
-across all three paths is asserted before timing, so a telemetry change that perturbs
-sweep output fails here too.
+This test enforces the regression floors the telemetry layer promised when it landed:
+with metrics *off* the engine's ambient no-op hooks must retain at least 0.98x of the
+legacy direct harness's throughput (<=2% overhead budget), and with metrics *on* the
+full registry pipeline -- per-trial registries, snapshot merges, ``on_metrics`` emission
+-- must retain at least 0.90x (<=10%).  Result equality across all three paths is
+asserted before timing, so a telemetry change that perturbs sweep output fails here too.
 
 The statistic is the median over rounds of the *paired* per-round ratios (direct time
 over off time, direct over on).  Every round runs all three paths back to back, and the
@@ -22,16 +20,67 @@ import itertools
 import statistics
 import time
 
-from record import _legacy_ans_size_sweep, dispatch_bench_spec
-
 from repro.experiments.engine import run_experiment
+from repro.experiments.measures import _ans_size_trial
+from repro.experiments.results import ExperimentResult, SeriesPoint
+from repro.experiments.runner import build_trial
+from repro.experiments.spec import ExperimentSpec
+from repro.experiments.stats import summarize
 from repro.metrics import BandwidthMetric
+from repro.topology import FieldSpec
 
 #: Six rounds per run order (one sweep takes tens of milliseconds).
 ORDERS = tuple(itertools.permutations(("direct", "off", "on")))
 ROUNDS = 6 * len(ORDERS)
 OFF_FLOOR = 0.98
 ON_FLOOR = 0.90
+
+
+def dispatch_bench_spec() -> ExperimentSpec:
+    """The single-density advertised-set sweep the floors time."""
+    return ExperimentSpec(
+        experiment_id="bench",
+        title="Size of the advertised set",
+        measure="ans-size",
+        metric="bandwidth",
+        densities=(8.0,),
+        runs=1,
+        pairs_per_run=2,
+        node_sample=20,
+        field=FieldSpec(width=400.0, height=400.0, radius=100.0),
+        seed=42,
+    )
+
+
+def _legacy_ans_size_sweep(spec: ExperimentSpec, metric) -> ExperimentResult:
+    """The pre-redesign direct-call harness, kept inline as the benchmark reference.
+
+    This replicates the advertised-set sweep as it ran before the spec/registry/sink
+    redesign -- a hand-written loop with no spec validation, no registry resolution beyond
+    the selector lookups the old code also performed, and no sink events -- a baseline
+    that makes any dispatch overhead of the generic engine machine-visible.
+    """
+    result = ExperimentResult(
+        experiment_id="bench",
+        title="Size of the advertised set",
+        metric_name=metric.name,
+        x_label="density",
+        y_label="advertised neighbors per node",
+    )
+    per_selector = {name: {density: [] for density in spec.densities} for name in spec.selectors}
+    for density in spec.densities:
+        for run_index in range(spec.runs):
+            payload = _ans_size_trial(build_trial(spec, metric, density, run_index))
+            for selector_name, sizes in payload["sizes"].items():
+                per_selector[selector_name][density].extend(sizes)
+    for selector_name in spec.selectors:
+        for density in spec.densities:
+            summary = summarize(per_selector[selector_name][density])
+            result.add_point(selector_name, SeriesPoint(density=density, summary=summary))
+    if spec.node_sample is not None:
+        result.add_note(f"averaged over a sample of up to {spec.node_sample} nodes per topology")
+    result.add_note(f"{spec.runs} run(s) per density; seed={spec.seed}")
+    return result
 
 
 def _median_paired_ratios():

@@ -1,12 +1,11 @@
 """CI floor for the event-driven protocol simulator's event-queue throughput.
 
-``record.py`` tracks the full trajectory (``protocol_sim`` section of
-``BENCH_selection.json``: events/sec, per-step cost, and the cost ratio vs the analytic
-``SelectionCache`` step path).  This smoke enforces only a conservative regression
-floor -- the event queue must push control traffic at a rate no real sweep would notice
--- plus the semantic bar: on a lossless settled network the simulated agents must agree
-with the analytic selections, so a throughput "fix" that breaks the protocol fails here
-too.
+perfbench's ``protocol-convergence`` workload measures the simulator end to end and by
+layer (``perfbench/run.py``; ``protocol.events_per_s`` among its layers).  This smoke
+enforces only a conservative regression floor -- the event queue must push control
+traffic at a rate no real sweep would notice -- plus the semantic bar: on a lossless
+settled network the simulated agents must agree with the analytic selections, so a
+throughput "fix" that breaks the protocol fails here too.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.topology import FieldSpec
 
 ROUNDS = 3
 
-#: Deliberately far below the recorded rate (tens of thousands of events/sec on the
+#: Deliberately far below the measured rate (tens of thousands of events/sec on the
 #: benchmark machines) so only an order-of-magnitude regression trips the floor.
 EVENTS_PER_SECOND_FLOOR = 2_000.0
 

@@ -15,8 +15,8 @@ Quick start
 >>> sorted(selection.selected)
 [1, 6, 7]
 
-See ``README.md`` for the architecture overview and ``DESIGN.md`` for the system inventory
-and experiment index.
+See ``README.md`` for the commands and guarantees, and ``docs/architecture.md`` for the
+layers and how a sweep flows through them.
 """
 
 from repro.baselines import (

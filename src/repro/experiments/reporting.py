@@ -2,8 +2,7 @@
 
 The harness reports results as fixed-width text tables (the repository has no plotting
 dependency); :func:`render_report` stitches several figures' tables into one document and
-:func:`write_report` saves it, which is how ``EXPERIMENTS.md``'s measured sections are
-produced.
+:func:`write_report` saves it, as the text sink behind ``repro-sweep --output`` does.
 """
 
 from __future__ import annotations

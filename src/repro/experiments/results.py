@@ -2,8 +2,8 @@
 
 Every experiment produces an :class:`ExperimentResult`: one series per protocol, one point
 per density, each point carrying the summary statistics of its sample.  The containers know
-how to render themselves as the text tables written to ``EXPERIMENTS.md`` and printed by the
-CLI, and how to serialize to plain dictionaries for further processing.
+how to render themselves as the text tables the CLI prints (and writes with ``--output``),
+and how to serialize to plain dictionaries for further processing.
 """
 
 from __future__ import annotations

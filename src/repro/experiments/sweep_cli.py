@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="profile_trials",
         default=None,
         metavar="JSON",
-        help="write the per-phase span-histogram profile of the run to this JSON file, "
-        "diffable against BENCH_selection.json timings (implies --metrics)",
+        help="write the per-phase span-histogram profile of the run to this JSON file "
+        "(implies --metrics)",
     )
     parser.add_argument(
         "--workers",

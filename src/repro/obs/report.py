@@ -2,9 +2,9 @@
 
 :func:`render_metrics_summary` is the end-of-run table the text sink (and ``repro-sweep``
 with ``--metrics``) appends below the result report; :func:`build_profile` shapes a
-snapshot's span histograms into the JSON document ``--profile-trials`` writes, using the
-same ``mean``/``min``/``max`` seconds-per-phase vocabulary as the timing entries of
-``BENCH_selection.json`` so profiles and benchmark trajectories diff side by side.
+snapshot's span histograms into the JSON document ``--profile-trials`` writes, in
+seconds per phase, the unit of the per-layer times ``perfbench/run.py --trace 1``
+reports.
 """
 
 from __future__ import annotations
@@ -57,11 +57,10 @@ def render_metrics_summary(snapshot: dict) -> str:
 
 
 def build_profile(spec, snapshot: dict) -> dict:
-    """The ``--profile-trials`` report: per-phase span histograms, BENCH-diffable.
+    """The ``--profile-trials`` report: per-phase span histograms.
 
-    Span entries use the same seconds vocabulary as ``BENCH_selection.json`` timing
-    entries (``mean``/``min``/``max`` plus ``total`` and ``count``); the deterministic
-    counters ride along for context.
+    Span entries give ``count`` and, in seconds, ``total``, ``mean``, ``min`` and
+    ``max``; the deterministic counters ride along for context.
     """
     spans = {}
     for name, stats in sorted(snapshot.get("spans", {}).items()):

@@ -8,18 +8,18 @@ routes on.
 Entries are kept in one insertion-ordered dict (routing reads them in that order), each
 as the advertised weights and an expiry time.  The weights are the TC's own dicts:
 messages are immutable values, the table never changes them and never hands them out,
-so ingest copies nothing and every query returns copies.  An entry's ANSN is its
-originator's latest, since a newer announcement replaces all of the originator's
-entries.  An originator -> selectors index lets a newer announcement delete just that
-originator's entries, and an earliest-expiry bound lets :meth:`TopologyTable.expire`
-return at once while no entry can have expired.
+so ingest copies nothing and every query that returns weights returns copies.  An
+entry's ANSN is its originator's latest, since a newer announcement replaces all of the
+originator's entries.  An originator -> selectors index lets a newer announcement delete
+just that originator's entries, and an earliest-expiry bound lets
+:meth:`TopologyTable.expire` return at once while no entry can have expired.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
 
 from repro.olsr.messages import TcMessage
 from repro.utils.ids import NodeId
@@ -104,6 +104,13 @@ class TopologyTable:
             (originator, selector) if originator <= selector else (selector, originator): dict(weights)
             for (originator, selector), (weights, _) in self._entries.items()
         }
+
+    def advertised_link_keys(self) -> FrozenSet[Tuple[NodeId, NodeId]]:
+        """The keys of :meth:`advertised_links`, with no weights copied."""
+        return frozenset(
+            (originator, selector) if originator <= selector else (selector, originator)
+            for originator, selector in self._entries
+        )
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -286,7 +286,7 @@ class ProtocolSimulator:
     def advertised_link_sets(self) -> Dict[NodeId, FrozenSet[Tuple[NodeId, NodeId]]]:
         """Each node's topology-table content as a set of canonical undirected links."""
         return {
-            node_id: frozenset(node.topology_table.advertised_links())
+            node_id: node.topology_table.advertised_link_keys()
             for node_id, node in self.nodes.items()
         }
 

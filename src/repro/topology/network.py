@@ -233,10 +233,20 @@ class Network:
         return sub
 
     def copy(self) -> "Network":
-        """A deep copy of the network."""
-        # A list, not the dict: ``set()`` presizes for a dict, which changes the order the
-        # copy adds its nodes in.
-        return self.subnetwork(list(self._adjacency))
+        """A deep copy of the network, with its node order and every row's order.
+
+        Each link gets one copied attribute dict, shared by both of its rows.
+        """
+        network = Network()
+        adjacency = network._adjacency
+        for node, row in self._adjacency.items():
+            # A neighbour copied before ``node`` already holds this link's new dict.
+            adjacency[node] = {
+                other: adjacency[other][node] if other in adjacency else dict(attributes)
+                for other, attributes in row.items()
+            }
+        network._positions = dict(self._positions)
+        return network
 
     # ------------------------------------------------------------------ internals
 

@@ -96,9 +96,6 @@ class NxNetwork:
                 sub.add_link(u, v, **self.graph.edges[u, v])
         return sub
 
-    def copy(self) -> "NxNetwork":
-        return self.subnetwork(self.graph.nodes)
-
 
 def best_values_from_nx(
     graph: nx.Graph,

@@ -79,8 +79,8 @@ class TestReachabilityProperty:
         reachability for concave metrics: two distant nodes can still defer to each other for
         a target further away when a third, smaller-id node on the tied best paths has no
         coverage problem of its own and therefore never takes responsibility.  This is a
-        reproduction finding documented in EXPERIMENTS.md ("modelling notes"); on the paper's
-        dense random topologies the situation is rare (the measured delivery ratio is 1.0).
+        reproduction finding; on the paper's dense random topologies the situation is rare
+        (the measured delivery ratio is 1.0).
         Here we assert the guaranteed part: any unreachable destination lies strictly beyond
         the source's two-hop neighborhood.
         """

@@ -77,9 +77,9 @@ class TestAdvertisedSetSizes:
 
     def test_fnbp_smaller_than_topology_filtering_for_delay(self, delay_results):
         """For the delay metric only part of the paper's Figure 7 ordering reproduces: FNBP
-        stays below topology filtering, but -- as analysed in EXPERIMENTS.md -- the published
-        algorithm does *not* stay below the QOLSR MPR set for additive metrics, because the
-        first hops of (near-unique) shortest-delay paths spread over many neighbors."""
+        stays below topology filtering, but the published algorithm does *not* stay below
+        the QOLSR MPR set for additive metrics, because the first hops of (near-unique)
+        shortest-delay paths spread over many neighbors."""
         sizes, _, _, _ = delay_results
         assert sizes["fnbp"] < sizes["topology-filtering"]
 

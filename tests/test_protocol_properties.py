@@ -17,10 +17,10 @@ Each fast path must give exactly what the code it replaced gave, on generated in
   bandwidth and delay.  The case where only the last report of a link changes is pinned
   on its own: a key built from table content alone would miss it.
 * **Tables.**  Over random update/expire sequences, the indexed :class:`TopologyTable`
-  gives the same ordered ``advertised_links()`` as the dict rebuild it replaced, and the
-  expiry bounds and the MPR-selector cache of :class:`NeighborTable` and
-  :class:`DuplicateSet` change nothing either.  The references below are those
-  rebuilds.
+  gives the same ordered ``advertised_links()`` as the dict rebuild it replaced (and
+  ``advertised_link_keys()`` their keys), and the expiry bounds and the MPR-selector
+  cache of :class:`NeighborTable` and :class:`DuplicateSet` change nothing either.  The
+  references below are those rebuilds.
 * **Routes on demand.**  On random neighbor and topology tables, every destination's
   :meth:`RoutingTable.entry` equals what the eager per-destination loop it replaced
   computed in ``recompute``; that loop is kept below as the oracle.
@@ -472,6 +472,7 @@ def test_indexed_topology_table_matches_the_rebuild(operations, steps):
             table.expire(now)
             reference.expire(now)
         assert list(table.advertised_links().items()) == list(reference.advertised_links().items())
+        assert table.advertised_link_keys() == set(table.advertised_links())
         assert [
             ((entry.originator, entry.selector), (entry.weights, entry.ansn, entry.expires_at))
             for entry in table.entries()

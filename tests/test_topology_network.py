@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner
-from repro.topology import Network
+from repro.mobility import RandomWaypointGenerator
+from repro.topology import FieldSpec, Network
 from tests.nx_oracles import NxNetwork
 
 
@@ -249,12 +250,22 @@ def _assert_same_copy(copied: Network, expected: NxNetwork) -> None:
     assert list(copied.positions().items()) == list(expected.positions().items())
 
 
+def _assert_exact_copy(copied: Network, original: Network) -> None:
+    """The original's node order, rows as lists and positions, on one new dict per link."""
+    assert _layout(copied) == _layout(original)
+    assert list(copied.positions().items()) == list(original.positions().items())
+    for node, row in copied.adjacency.items():
+        for other, attributes in row.items():
+            assert attributes is not original.adjacency[node][other]
+            assert copied.adjacency[other][node] is attributes
+
+
 @settings(max_examples=150, deadline=None)
 @given(drawn=mutation_sequences())
 def test_orders_match_the_networkx_model(drawn):
     """Every order a digest can depend on -- nodes, rows, links, components and the node
-    order of the copies -- equals the networkx-backed model's, under any mix of node,
-    link, reweight and removal operations."""
+    order of the subnetworks -- equals the networkx-backed model's, and a copy keeps the
+    network's own orders, under any mix of node, link, reweight and removal operations."""
     operations, subset = drawn
     network, reference = Network(), NxNetwork()
     for operation in operations:
@@ -269,5 +280,37 @@ def test_orders_match_the_networkx_model(drawn):
     components = network.connected_components()
     assert [list(c) for c in components] == [list(c) for c in reference.connected_components()]
     _assert_same_copy(network.largest_component(), reference.largest_component())
-    _assert_same_copy(network.copy(), reference.copy())
+    _assert_exact_copy(network.copy(), network)
     _assert_same_copy(network.subnetwork(subset), reference.subnetwork(subset))
+
+
+def test_copy_of_a_stepped_dynamic_network_keeps_its_orders():
+    """Steps remove and re-add links, so rows leave link order; a copy keeps the node
+    order and every row as it is, on new attribute dicts, and is independent."""
+    dynamic = RandomWaypointGenerator(
+        field=FieldSpec(width=300.0, height=300.0, radius=90.0),
+        node_count=40,
+        seed=5,
+        weight_assigners=(UniformWeightAssigner(metric=BandwidthMetric(), low=1.0, high=10.0, seed=5),),
+        speed_low=20.0,
+        speed_high=40.0,
+        pause_high=0.0,
+    ).dynamic()
+    for _ in range(3):
+        dynamic.advance()
+    network = dynamic.network
+    copied = network.copy()
+    _assert_exact_copy(copied, network)
+
+    before = [
+        (node, [(other, dict(attributes)) for other, attributes in row.items()])
+        for node, row in network.adjacency.items()
+    ]
+    positions = list(network.positions().items())
+    u, v = copied.links()[0]
+    copied.set_link_weight(u, v, "bandwidth", 123.0)
+    copied.remove_link(*copied.links()[-1])
+    copied.add_link(u, 10_000, bandwidth=1.0)
+    copied.add_node(v, (-1.0, -1.0))
+    assert _layout(network) == before
+    assert list(network.positions().items()) == positions
