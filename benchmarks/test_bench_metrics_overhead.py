@@ -29,9 +29,10 @@ from repro.experiments.stats import summarize
 from repro.metrics import BandwidthMetric
 from repro.topology import FieldSpec
 
-#: Six rounds per run order (one sweep takes tens of milliseconds).
+#: 24 rounds per run order: one sweep takes a few milliseconds, and at six per order the
+#: median of a 2-vCPU host's paired ratios still moved by about 0.5% from run to run.
 ORDERS = tuple(itertools.permutations(("direct", "off", "on")))
-ROUNDS = 6 * len(ORDERS)
+ROUNDS = 24 * len(ORDERS)
 OFF_FLOOR = 0.98
 ON_FLOOR = 0.90
 

@@ -42,30 +42,21 @@ from repro.utils.ids import NodeId
 class TopologyFilteringSelector(_TracedSelector):
     """QANS selection by RNG-based topology filtering.
 
-    Parameters
-    ----------
-    apply_reduction:
-        When False, skip the RNG reduction and run the first-hop collection on the raw view.
-        This ablation isolates how much of the set-size reduction comes from the filtering
-        itself versus from restricting to best paths.
-
     :meth:`explain` records one decision per table row: its reason, the sorted best first
     hops, the best value and, when it advertises, the hops it added.
     """
 
-    apply_reduction: bool = True
-
     name = "topology-filtering"
 
     def prime(self, views: List[LocalView], metric: Metric) -> None:
-        prime_filtering_tables(views, metric, self.apply_reduction)
+        prime_filtering_tables(views, metric)
 
     def _select(
         self, view: LocalView, metric: Metric, trace: Optional[List[SelectionDecision]]
     ) -> FrozenSet[NodeId]:
         # A table primed by select_all is handed over once: dropping it here keeps the
         # batch's tables from outliving the selection loop.
-        rows = view._first_hops.pop(table_key(metric, self.apply_reduction), None)
+        rows = view._first_hops.pop(table_key(metric), None)
         if rows is None:
             obs.add("filtering.scalar_views")
             rows = self._scalar_table(view, metric)
@@ -112,11 +103,11 @@ class TopologyFilteringSelector(_TracedSelector):
         for every view it does not serve.
         """
         links = view.links
-        reduced = qos_rng_reduce(links, metric) if self.apply_reduction else links
+        reduced = qos_rng_reduce(links, metric)
         entries = []
         for target in sorted(view.one_hop | view.two_hop):
             best_value, first_hops = self._best_two_hop_first_hops(view, reduced, target, metric)
-            if not first_hops and self.apply_reduction:
+            if not first_hops:
                 # The RNG reduction preserves global QoS-optimal connectivity but not
                 # necessarily a <=2-hop path to every neighbor; fall back to the unreduced
                 # view so the baseline never leaves a known neighbor uncovered.

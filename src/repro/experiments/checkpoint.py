@@ -18,18 +18,14 @@ final line truncated by the kill mid-write is tolerated.  Because trials are pur
 functions of ``(spec, metric, density, run_index)``, the re-run densities reproduce the
 exact payloads the dead run would have produced, which is what makes *resumed output
 byte-identical to an uninterrupted run* (locked by ``tests/test_fault_tolerance.py``).
-
-``minimum``/``maximum`` of a point's :class:`~repro.experiments.stats.Summary` are not
-part of any serialized output and therefore not recoverable from a stream; resumed points
-carry ``nan`` there.  Every rendered artifact (text table, JSON, JSONL) only consumes
-``mean``/``std``/``count``/``extra``, all of which round-trip exactly.
+A point's ``mean``/``std``/``count``/``extra`` are all it holds, and all round-trip
+exactly, so a resumed point equals the uninterrupted one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Tuple, Union
@@ -62,13 +58,7 @@ def point_from_dict(payload: dict) -> SeriesPoint:
         for key, value in payload.items()
         if key not in ("density", "mean", "std", "count")
     }
-    summary = Summary(
-        count=payload["count"],
-        mean=payload["mean"],
-        std=payload["std"],
-        minimum=math.nan,
-        maximum=math.nan,
-    )
+    summary = Summary(count=payload["count"], mean=payload["mean"], std=payload["std"])
     return SeriesPoint(density=payload["density"], summary=summary, extra=extra)
 
 

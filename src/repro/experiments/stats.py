@@ -14,40 +14,22 @@ from typing import Iterable, Sequence
 
 @dataclass(frozen=True)
 class Summary:
-    """Mean / spread summary of one sample."""
+    """Mean / spread summary of one sample: exactly what a point serializes."""
 
     count: int
     mean: float
     std: float
-    minimum: float
-    maximum: float
-
-    @property
-    def stderr(self) -> float:
-        """Standard error of the mean (nan for empty samples)."""
-        if self.count == 0:
-            return math.nan
-        if self.count == 1:
-            return 0.0
-        return self.std / math.sqrt(self.count)
-
-    def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        """Normal-approximation confidence interval for the mean."""
-        if self.count == 0:
-            return (math.nan, math.nan)
-        half_width = z * self.stderr
-        return (self.mean - half_width, self.mean + half_width)
 
 
 def summarize(values: Iterable[float]) -> Summary:
     """Summarize a sample of real values (``nan``-free input expected)."""
     data: Sequence[float] = [float(value) for value in values]
     if not data:
-        return Summary(count=0, mean=math.nan, std=math.nan, minimum=math.nan, maximum=math.nan)
+        return Summary(count=0, mean=math.nan, std=math.nan)
     mean = sum(data) / len(data)
     if len(data) == 1:
         std = 0.0
     else:
         variance = sum((value - mean) ** 2 for value in data) / (len(data) - 1)
         std = math.sqrt(variance)
-    return Summary(count=len(data), mean=mean, std=std, minimum=min(data), maximum=max(data))
+    return Summary(count=len(data), mean=mean, std=std)

@@ -24,18 +24,14 @@ over floats is order-independent, so the converged labels are bit-identical what
 order numpy relaxes edges in.  That *is* the pinned canonical summation order: per-edge
 fold-left accumulation, combined only through exact ``min``; no wider intermediate
 precision, no pairwise/blocked re-association (which is also why the kernel never uses
-``np.add.reduce`` over path weights).  ``tests/test_networkgraph.py`` compares the label
-arrays against the scalar solver with ``==``, not ``approx``.
-
-Reachability is tracked in a separate boolean array (the scalar solver encodes
-"unvisited" as ``None`` so that a legitimately infinite link weight still counts as
-reachable -- a float ``inf`` label alone cannot distinguish the two).
+``np.add.reduce`` over path weights).  ``tests/test_networkgraph.py`` compares the
+decoded labels against the scalar solver with ``==``, not ``approx``.  Link values are
+finite, so a window node is reached exactly when its label is.
 
 The tight-edge tests reuse the scalar code's exact float expressions: the seed test
 ``diff <= rel_tol * larger or diff <= rel_tol`` and the one-sided propagation test
 ``not (diff > rel_tol and diff > rel_tol * candidate)``, evaluated in float64 exactly
-as the scalar code evaluates them (NaN from ``inf - inf`` compares False on both sides,
-matching the scalar semantics).  First-hop sets propagate as per-owner bitmask lanes
+as the scalar code evaluates them.  First-hop sets propagate as per-owner bitmask lanes
 (uint64) or-ed to a fixpoint with ``np.bitwise_or.at``; an or-monotone fixpoint is
 unique, so Jacobi iteration reaches exactly the scalar worklist's result.
 
@@ -55,45 +51,40 @@ with two lookups; the best value, the tie masks and the near-tie flags are segme
 reductions over the flat pair array.  Chunks are cut by an upper bound on each owner's
 pair count read off the CSR -- its degree times one plus the summed degrees of its
 one-hop rows -- at ``PAIR_BUDGET`` pairs (an owner above it gets a chunk of its own), so
-the transient arrays scale with the budget, not with the owners a call solves.  One
-subtlety survives: ``Metric.optimum`` is a *first-wins* scan under tolerant comparison,
-so when several candidate floats are distinct yet within ``rel_tol`` of the maximum,
-the scalar best value depends on the scan order.  The kernel detects exactly those
-(rare) targets vectorially and replays the scalar scan for them alone; everywhere else
-the float maximum provably equals the scalar scan's result.
+the transient arrays scale with the budget, not with the owners a call solves.  Where a
+row has no near-tie, the float maximum provably equals the scalar first-wins scan's
+result.
 
-Neither kernel runs on NaN link values (they never compare as the scalar scans expect),
-the additive kernel on no negative ones (a negative undirected link is a negative
-cycle, which the relaxation would chase forever) and the concave kernel on no ``-inf``
-(its unreachable sentinel); :func:`batched_all_first_hops` then returns None and the
-scalar path answers.
+What the kernels batch, and which owners they answer, is the one admission rule of
+:func:`~repro.localview.networkgraph.kernel_kind`; the scalar path answers the rest.
 
-Both kernels return one :class:`~repro.localview.paths.TargetRows` per owner: each
-target's best value and its tie mask over the owner's sorted one-hop neighbours, the
-one-hop block then the two-hop block, each sorted -- the window order the kernels solve
-in.  The rows are slices of each pass's ``.tolist()`` output (an exact bit-preserving
-conversion), so downstream consumers never see numpy scalars, and no per-target object
-is built: FNBP selects on the masks, and :func:`~repro.localview.paths.all_first_hops`
-decodes them on request.
+Both kernels return one :class:`~repro.localview.paths.TargetRows` per owner they
+answer: each target's best value and its tie mask over the owner's sorted one-hop
+neighbours, the one-hop block then the two-hop block, each sorted -- the window order
+the kernels solve in.  The rows are slices of each pass's ``.tolist()`` output (an
+exact bit-preserving conversion), so downstream consumers never see numpy scalars, and
+no per-target object is built: FNBP selects on the masks, and
+:func:`~repro.localview.paths.all_first_hops` decodes them on request.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.localview.compactgraph import specialized_kind
 from repro.localview.networkgraph import (
     NetworkGraph,
     combine_lanes,
+    kernel_kind,
     row_slots,
     seg_arange,
     segment_masks,
+    values_equal,
 )
 from repro.localview.paths import TargetRows
-from repro.metrics.base import Metric, MetricKind
+from repro.metrics.base import Metric
 from repro.obs import runtime as obs
 from repro.utils.ids import NodeId
 
@@ -106,70 +97,29 @@ PAIR_BUDGET = 1 << 16
 def batched_all_first_hops(
     ng: NetworkGraph, views: List, metric: Metric
 ) -> Optional[Dict[NodeId, TargetRows]]:
-    """``all_first_hops`` for every view at once, or None when not batchable.
+    """``all_first_hops`` for the views the kernels replay, or None when not batchable.
 
     ``views`` must all be attached to ``ng`` (their declared one-/two-hop sets are then
     windows of its rows by construction).  Returns ``{owner: TargetRows}`` encoding
-    exactly the payload the scalar dispatch produces, or None when the metric
-    is not specialized, lacks an attribute or has values the kernels do not replay (NaN,
-    negative additive values, ``-inf`` bottleneck values); callers then fall back to the
-    scalar path (which is trivially bit-identical to itself).
+    exactly the payload the scalar dispatch produces, for every owner the kernel answers
+    (an owner with a near-tie row is missing), or None when :func:`kernel_kind` does not
+    admit ``metric`` on ``ng``; callers then fall back to the scalar path (which is
+    trivially bit-identical to itself).
 
     Telemetry (when enabled): each batched solve counts one
-    ``kernel.batched_dispatches`` plus ``kernel.batched_views`` per owner solved; an
-    unbatchable combination counts ``kernel.unbatchable_groups`` (its views then surface
-    as ``kernel.scalar_dispatches`` when the scalar auto path solves them).
+    ``kernel.batched_dispatches`` plus ``kernel.batched_views`` per owner it answered;
+    an unbatchable combination counts ``kernel.unbatchable_groups`` (its views then
+    surface as ``kernel.scalar_dispatches`` when the scalar auto path solves them).
     """
-    kind = specialized_kind(metric)
-    if kind == "additive" and metric.kind is MetricKind.ADDITIVE and metric.prefix_optimal:
-        solve = _batched_owner_dijkstra
-    elif kind == "concave" and metric.kind is MetricKind.CONCAVE:
-        solve = _batched_bottleneck_forest
-    else:
-        solve = None
-    if solve is not None and _replayable(ng, metric, kind):
-        result = solve(ng, views, metric)
-        obs.add("kernel.batched_dispatches")
-        obs.add("kernel.batched_views", len(views))
-        return result
-    obs.add("kernel.unbatchable_groups")
-    return None
-
-
-def batched_additive_labels(
-    ng: NetworkGraph, owners: List[NodeId], metric: Metric
-) -> Optional[Dict[NodeId, Dict[NodeId, float]]]:
-    """Owner-rooted additive distance labels over each owner's window, batched.
-
-    The regression surface for the canonical-summation-order guarantee: returns, per
-    owner, ``{node: label}`` for every *reached* window node, with labels bit-identical
-    to the scalar Dijkstra's (compared with ``==`` in the tests).  None when the metric
-    is not batchable.
-    """
-    kind = specialized_kind(metric)
-    if kind != "additive" or not _replayable(ng, metric, kind):
+    kind = kernel_kind(ng, metric)
+    if kind is None:
+        obs.add("kernel.unbatchable_groups")
         return None
-    stack = _stack_windows(ng, owners, ng.slot_values(metric))
-    dist, reached = _relax_to_fixpoint(stack)
-    nodes = ng.nodes
-    out: Dict[NodeId, Dict[NodeId, float]] = {}
-    for owner, off, members, _deg in stack.meta:
-        V = members.size
-        dist_l = dist[off : off + V].tolist()
-        reach_l = reached[off : off + V].tolist()
-        members_l = members.tolist()
-        out[owner] = {
-            nodes[members_l[i]]: dist_l[i] for i in range(V) if reach_l[i]
-        }
-    return out
-
-
-def _replayable(ng: NetworkGraph, metric: Metric, kind: str) -> bool:
-    """Whether ``metric``'s link values exist and the ``kind`` kernel replays them (not NaN)."""
-    values = ng.edge_values(metric)
-    if values is None:
-        return False
-    return bool((values >= 0).all() if kind == "additive" else (values > _NEG_INF).all())
+    solve = _batched_owner_dijkstra if kind == "additive" else _batched_bottleneck_forest
+    result = solve(ng, views, metric)
+    obs.add("kernel.batched_dispatches")
+    obs.add("kernel.batched_views", len(result))
+    return result
 
 
 # ---------------------------------------------------------------------- window stacking
@@ -303,8 +253,9 @@ def _stack_windows(ng: NetworkGraph, owners: Iterable[NodeId], w_slots) -> _Stac
     return _Stack(src_full, dst_full, w_full, off, members_all, meta, rows_total, g, win.deg)
 
 
-def _relax_to_fixpoint(stack: _Stack):
-    """Additive labels + reachability over the stacked windows (see module docstring).
+def _relax_to_fixpoint(stack: _Stack) -> np.ndarray:
+    """Additive labels over the stacked windows, ``inf`` where unreached (see module
+    docstring).
 
     Edges are grouped by destination once (a stable argsort) so each Jacobi sweep is a
     gather + one float addition per edge + segmented ``minimum.reduceat`` instead of the
@@ -313,44 +264,23 @@ def _relax_to_fixpoint(stack: _Stack):
     candidate is still the same single ``dist[u] + w`` double addition.
     """
     dist = np.full(stack.rows, np.inf, dtype=np.float64)
-    reached = np.zeros(stack.rows, dtype=bool)
-    if stack.owner_rows.size:
-        dist[stack.owner_rows] = 0.0
-        reached[stack.owner_rows] = True
+    dist[stack.owner_rows] = 0.0
     if not stack.src.size:
-        return dist, reached
+        return dist
     by_dst = np.argsort(stack.dst, kind="stable")
     src = stack.src[by_dst]
     dst = stack.dst[by_dst]
     w = stack.w[by_dst]
     starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
     group_dst = dst[starts]
-    if np.isfinite(w).all():
-        # All-finite weights: a node is reached exactly when its label is finite, so
-        # reachability needs no tracking of its own inside the sweep loop.
-        while True:
-            cand = dist[src] + w  # the one scalar-identical float addition per edge
-            seg_min = np.minimum.reduceat(cand, starts)
-            old_dist = dist[group_dst]
-            new_dist = np.minimum(old_dist, seg_min)
-            if not (new_dist < old_dist).any():
-                break
-            dist[group_dst] = new_dist
-        return dist, np.isfinite(dist) | reached
     while True:
-        with np.errstate(invalid="ignore"):
-            cand = dist[src] + w  # the one scalar-identical float addition per edge
-            seg_min = np.minimum.reduceat(cand, starts)
-        seg_reach = np.logical_or.reduceat(reached[src], starts)
+        cand = dist[src] + w  # the one scalar-identical float addition per edge
+        seg_min = np.minimum.reduceat(cand, starts)
         old_dist = dist[group_dst]
-        old_reach = reached[group_dst]
         new_dist = np.minimum(old_dist, seg_min)
-        changed = (new_dist < old_dist).any() or (seg_reach & ~old_reach).any()
-        if not changed:
-            break
+        if not (new_dist < old_dist).any():
+            return dist
         dist[group_dst] = new_dist
-        reached[group_dst] = old_reach | seg_reach
-    return dist, reached
 
 
 # ---------------------------------------------------------------------- additive kernel
@@ -362,7 +292,8 @@ def _batched_owner_dijkstra(
     rel_tol = metric.rel_tol
     w_slots = ng.slot_values(metric)
     stack = _stack_windows(ng, [view.owner for view in views], w_slots)
-    dist, reached = _relax_to_fixpoint(stack)
+    dist = _relax_to_fixpoint(stack)
+    reached = np.isfinite(dist)
 
     # Seed bits: the direct link (owner, n_i) is tight for bit i exactly per the scalar
     # seed test.  Bit i = the i-th *sorted* one-hop neighbor (CSR rows are sorted); the
@@ -374,17 +305,15 @@ def _batched_owner_dijkstra(
     s_rows = np.repeat(stack.owner_rows + 1, stack.deg) + s_bits
     s_links = w_slots[np.repeat(ng.indptr[stack.g], stack.deg) + s_bits]
     d = dist[s_rows]
-    with np.errstate(invalid="ignore"):
-        diff = np.abs(s_links - d)
-        larger = np.maximum(s_links, d)
-        tight = reached[s_rows] & ((diff <= rel_tol * larger) | (diff <= rel_tol))
+    diff = np.abs(s_links - d)
+    larger = np.maximum(s_links, d)
+    tight = (diff <= rel_tol * larger) | (diff <= rel_tol)
     r = s_rows[tight]
     b = s_bits[tight]
     np.bitwise_or.at(masks, (r, b >> 6), np.uint64(1) << (b & 63).astype(np.uint64))
 
     # Tight propagation edges: both endpoints reached, neither the owner row, and the
-    # scalar one-sided slack test does not reject (NaN comparisons are False, matching
-    # the scalar inf-label semantics).
+    # scalar one-sided slack test does not reject.
     src, dst, w = stack.src, stack.dst, stack.w
     if src.size:
         is_owner = np.zeros(stack.rows, dtype=bool)
@@ -392,10 +321,9 @@ def _batched_owner_dijkstra(
         usable = reached[src] & reached[dst] & ~is_owner[src] & ~is_owner[dst]
         u_src = src[usable]
         u_dst = dst[usable]
-        with np.errstate(invalid="ignore"):
-            cand = dist[u_src] + w[usable]
-            diff = cand - dist[u_dst]
-            skip = (diff > rel_tol) & (diff > rel_tol * cand)
+        cand = dist[u_src] + w[usable]
+        diff = cand - dist[u_dst]
+        skip = (diff > rel_tol) & (diff > rel_tol * cand)
         t_src = u_src[~skip]
         t_dst = u_dst[~skip]
         if t_src.size:
@@ -478,8 +406,8 @@ def _batched_bottleneck_forest(
 
 
 def _bottleneck_chunk(ng, views, g, metric, w_slots, rank, results) -> None:
-    """Solve the owner rows ``g`` (of ``views``) in one pass into ``results``."""
-    rel_tol = metric.rel_tol
+    """Solve the owner rows ``g`` (of ``views``) in one pass into ``results`` (owners
+    with a near-tie row left out)."""
     win = _windows(ng, g)
     deg, tc = win.deg, win.tc
     # Chunk rows: each owner's targets, one-hop then two-hop (window-local index - 1).
@@ -494,16 +422,12 @@ def _bottleneck_chunk(ng, views, g, metric, w_slots, rank, results) -> None:
 
     best = np.maximum.reduceat(M, row_starts)
     best_p = np.repeat(best, row_deg)
-    with np.errstate(invalid="ignore"):
-        close = np.abs(M - best_p) <= np.maximum(
-            rel_tol * np.maximum(np.abs(M), np.abs(best_p)), rel_tol
-        )
-    eq = (M == best_p) | (close & np.isfinite(M) & np.isfinite(best_p))
-    # A candidate that is a *different float* from the maximum yet within tolerance
-    # makes Metric.optimum's first-wins scan order-dependent: replay the scalar scan
-    # for exactly those targets.
-    rare = np.logical_or.reduceat(eq & (M != best_p), row_starts)
+    eq = values_equal(M, best_p, metric.rel_tol)
     masks = segment_masks(pcol, eq, row_starts)
+    # An owner with a near-tie row is left whole to the scalar path (see kernel_kind).
+    near = np.logical_or.reduceat(eq & (M != best_p), row_starts)
+    skip = np.zeros(g.size, dtype=bool)
+    skip[np.repeat(np.arange(g.size, dtype=np.int64), V)[near]] = True
 
     members = np.empty(R, dtype=np.int64)
     members[np.repeat(off, deg) + seg_arange(deg)] = win.one
@@ -511,21 +435,14 @@ def _bottleneck_chunk(ng, views, g, metric, w_slots, rank, results) -> None:
     unreachable = best == _NEG_INF
     best[unreachable] = metric.worst
     masks[unreachable] = 0
-    best_l = best.tolist()
-    mask_l = combine_lanes(masks)
-    off_l, deg_l = off.tolist(), deg.tolist()
-    blocks = [(view.owner, lo, count, d) for view, lo, count, d in zip(views, off_l, V.tolist(), deg_l)]
-    # Near-tie targets: the scalar scan decides their rows instead.
-    rare_rows = np.flatnonzero(rare).tolist()
-    if rare_rows:
-        nodes = ng.nodes
-        row_owner = np.repeat(np.arange(g.size, dtype=np.int64), V)
-        for r in rare_rows:
-            o = int(row_owner[r])
-            lo, d, start = off_l[o], deg_l[o], int(row_starts[r])
-            hops = [nodes[x] for x in members[lo : lo + d].tolist()]
-            best_l[r], mask_l[r] = _replay_scan(views[o], metric, hops, M[start : start + d].tolist())
-    results.update(_rows_by_owner(ng, members, best_l, mask_l, blocks))
+    blocks = [
+        (view.owner, lo, count, d)
+        for view, lo, count, d, near_tie in zip(
+            views, off.tolist(), V.tolist(), deg.tolist(), skip.tolist()
+        )
+        if not near_tie
+    ]
+    results.update(_rows_by_owner(ng, members, best.tolist(), combine_lanes(masks), blocks))
 
 
 def _candidate_values(ng, g, win, V, off, row_deg, pcol, w_slots, rank) -> np.ndarray:
@@ -618,21 +535,3 @@ def _range_minima(gaps: np.ndarray, pa: np.ndarray, pb: np.ndarray, span: int) -
     flat = table.ravel()
     jR = j * R
     return np.minimum(flat[jR + lo], flat[jR + hi - (1 << j)])
-
-
-def _replay_scan(view, metric: Metric, one_nodes, row) -> Tuple[float, int]:
-    """The scalar first-wins scan over ``view.one_hop`` for one near-tie target.
-
-    ``row`` holds the target's candidate values in sorted one-hop order (``one_nodes``);
-    returns the best value and the tie mask over that order.
-    """
-    bit_of = {hop: i for i, hop in enumerate(one_nodes)}
-    scanned = [(bit_of[hop], row[bit_of[hop]]) for hop in view.one_hop]
-    scanned = [(bit, value) for bit, value in scanned if value != _NEG_INF]
-    best = metric.optimum(value for _bit, value in scanned)
-    rel_tol = metric.rel_tol
-    mask = 0
-    for bit, value in scanned:
-        if value == best or math.isclose(value, best, rel_tol=rel_tol, abs_tol=rel_tol):
-            mask |= 1 << bit
-    return best, mask

@@ -36,12 +36,10 @@ selector reads directly.
 
 Bit-identity with the scalar selector is pinned by ``tests/test_filtering_kernel.py``.
 The tolerance tests replay :meth:`Metric.values_equal` and ``is_better`` elementwise.
-``Metric.optimum`` is a first-wins scan under tolerant comparison, so when a candidate is
-a different float from a target's best yet within ``rel_tol`` of it (a near-tie), the
-scalar best value depends on the scan order; an owner with such a target is left to the
-scalar path, like composite metrics, missing attributes and views that hold their own
-map (protocol-table views among them).  Owners are processed in fixed-size chunks so the
-transient arrays stay small.
+What the kernel batches, and which owners it answers, is the one admission rule of
+:func:`~repro.localview.networkgraph.kernel_kind`; views that hold their own map
+(protocol-table views among them) and everything the rule declines take the scalar
+path.  Owners are processed in fixed-size chunks so the transient arrays stay small.
 """
 
 from __future__ import annotations
@@ -50,16 +48,17 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.localview.compactgraph import specialized_kind
 from repro.localview.networkgraph import (
     NetworkGraph,
     combine_lanes,
+    kernel_kind,
     row_slots,
     seg_arange,
     segment_masks,
+    values_equal,
 )
 from repro.localview.paths import TargetRows
-from repro.metrics.base import AdditiveMetric, ConcaveMetric, Metric
+from repro.metrics.base import Metric
 from repro.utils.ids import NodeId
 
 #: Owners solved per kernel pass; bounds the transient arrays (and so peak memory).
@@ -67,61 +66,32 @@ OWNER_CHUNK = 64
 #: Neighbour pairs examined per witness-table pass, for the same reason.
 PAIR_CHUNK = 1 << 16
 
-def table_key(metric: Metric, apply_reduction: bool) -> tuple:
+
+def table_key(metric: Metric) -> tuple:
     """The ``LocalView._first_hops`` key a primed filtering table is stored under."""
-    return ("topology-filtering", apply_reduction, metric.cache_token())
-
-
-def filterable_kind(metric: Metric) -> Optional[str]:
-    """``"additive"`` / ``"concave"`` when the kernel can replay ``metric``, else None.
-
-    On top of :func:`specialized_kind` (stock ``combine``, ``identity``, ``sort_key`` and
-    ``values_equal``) the kernel inlines ``is_better`` and ``optimum``, so neither may be
-    overridden either.
-    """
-    kind = specialized_kind(metric)
-    cls = type(metric)
-    if cls.optimum is not Metric.optimum:
-        return None
-    if kind == "additive" and cls.is_better is AdditiveMetric.is_better:
-        return kind
-    if kind == "concave" and cls.is_better is ConcaveMetric.is_better:
-        return kind
-    return None
-
-
-# ---------------------------------------------------------------------- tolerance tests
-
-
-def _values_equal(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Elementwise :meth:`Metric.values_equal` (``==``, else finite ``math.isclose``)."""
-    with np.errstate(invalid="ignore"):
-        diff = np.abs(a - b)
-        close = (
-            (diff <= np.abs(rel_tol * b)) | (diff <= np.abs(rel_tol * a)) | (diff <= rel_tol)
-        )
-    return (a == b) | (np.isfinite(a) & np.isfinite(b) & close)
+    return ("topology-filtering", metric.cache_token())
 
 
 def _is_better(a: np.ndarray, b: np.ndarray, kind: str, rel_tol: float) -> np.ndarray:
     """Elementwise stock ``is_better``: strictly better and not ``values_equal``."""
     strictly = a > b if kind == "concave" else a < b
-    return strictly & ~_values_equal(a, b, rel_tol)
+    return strictly & ~values_equal(a, b, rel_tol)
 
 
 # ---------------------------------------------------------------------- witness table
 
 
 def dominance_witnesses(
-    ng: NetworkGraph, metric: Metric, kind: str, values: np.ndarray
+    ng: NetworkGraph, metric: Metric, kind: str
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every link's strict-dominance witnesses as CSR arrays ``(ptr, nodes)``.
 
     Witnesses of edge ``e`` are the global rows ``nodes[ptr[e]:ptr[e + 1]]`` (sorted): the
     common neighbours ``c`` of its endpoints with both legs ``is_better`` than ``e``.
-    ``kind`` is :func:`filterable_kind` of ``metric`` and ``values`` its NaN-free
-    ``ng.edge_values(metric)``; :func:`batched_filtering_tables` checks both.
+    ``kind`` is :func:`~repro.localview.networkgraph.kernel_kind` of ``metric`` on
+    ``ng``, which :func:`batched_filtering_tables` checks.
     """
+    values = ng.edge_values(metric)
     slot_values = ng.slot_values(metric)
     indptr, indices, slot_edge = ng.indptr, ng.indices, ng.slot_edge
     n = len(ng.nodes)
@@ -162,19 +132,17 @@ def dominance_witnesses(
 # ---------------------------------------------------------------------- per-owner tables
 
 
-def prime_filtering_tables(
-    views: Iterable, metric: Metric, apply_reduction: bool = True
-) -> int:
+def prime_filtering_tables(views: Iterable, metric: Metric) -> int:
     """Compute and store the filtering table of every batchable view; returns the count.
 
     Views attached to a shared :class:`NetworkGraph` get their table (one
     :class:`TargetRows`, every target by identifier) stored in
     ``view._first_hops`` under :func:`table_key`, where
-    :meth:`TopologyFilteringSelector.select` picks it up.  Views that hold their own map,
-    metrics the kernel cannot replay and owners with a near-tie are left for the scalar
-    path.
+    :meth:`TopologyFilteringSelector.select` picks it up.  Views that hold their own map
+    and whatever :func:`~repro.localview.networkgraph.kernel_kind` declines are left for
+    the scalar path.
     """
-    key = table_key(metric, apply_reduction)
+    key = table_key(metric)
     groups: Dict[int, Tuple[NetworkGraph, list]] = {}
     for view in views:
         ng = view.network_graph()
@@ -183,7 +151,7 @@ def prime_filtering_tables(
         groups.setdefault(id(ng), (ng, []))[1].append(view)
     primed = 0
     for ng, group in groups.values():
-        tables = batched_filtering_tables(ng, [view.owner for view in group], metric, apply_reduction)
+        tables = batched_filtering_tables(ng, [view.owner for view in group], metric)
         if tables is None:
             continue
         for view in group:
@@ -195,18 +163,17 @@ def prime_filtering_tables(
 
 
 def batched_filtering_tables(
-    ng: NetworkGraph, owners: List[NodeId], metric: Metric, apply_reduction: bool = True
+    ng: NetworkGraph, owners: List[NodeId], metric: Metric
 ) -> Optional[Dict[NodeId, TargetRows]]:
-    """``{owner: table}`` for the owners the kernel can answer; None if not batchable.
+    """``{owner: table}`` for the owners the kernel answers; None if not batchable.
 
     An owner missing from the result had a near-tie and must take the scalar path.
     """
-    kind = filterable_kind(metric)
-    values = ng.edge_values(metric) if kind is not None else None
-    if values is None or np.isnan(values).any():
+    kind = kernel_kind(ng, metric)
+    if kind is None:
         return None
     w_slots = ng.slot_values(metric)
-    witnesses = dominance_witnesses(ng, metric, kind, values) if apply_reduction else None
+    witnesses = dominance_witnesses(ng, metric, kind)
     index = ng.index
     rows = np.asarray([index[owner] for owner in owners], dtype=np.int64)
     tables: Dict[NodeId, TargetRows] = {}
@@ -243,24 +210,21 @@ def _filter_chunk(ng, g, metric, kind, w_slots, witnesses, tables) -> None:
     else:
         r_value = (metric.identity + w_first[r_pair]) + w_slots[r_slot]
 
-    if witnesses is not None:
-        ptr, witness_nodes = witnesses
-        has_witness = ptr[1:] > ptr[:-1]
-        first_alive = ~has_witness[slot_edge[o_slot]]
-        r_edge = slot_edge[r_slot]
-        r_dead = has_witness[r_edge]
-        # A link between two members of N(u) drops on any witness; a link to a two-hop
-        # target drops only on a witness inside N(u), so look those witnesses up.
-        check = np.flatnonzero(r_dead & ~is_one[r_owner * n + r_target])
-        counts = ptr[r_edge[check] + 1] - ptr[r_edge[check]]
-        c = witness_nodes[np.repeat(ptr[r_edge[check]], counts) + seg_arange(counts)]
-        hit = is_one[np.repeat(r_owner[check], counts) * n + c]
-        inside = np.zeros(check.size, dtype=bool)
-        inside[np.repeat(np.arange(check.size, dtype=np.int64), counts)[hit]] = True
-        r_dead[check[~inside]] = False
-        alive = np.concatenate((first_alive, first_alive[r_pair] & ~r_dead))
-    else:
-        alive = None
+    ptr, witness_nodes = witnesses
+    has_witness = ptr[1:] > ptr[:-1]
+    first_alive = ~has_witness[slot_edge[o_slot]]
+    r_edge = slot_edge[r_slot]
+    r_dead = has_witness[r_edge]
+    # A link between two members of N(u) drops on any witness; a link to a two-hop
+    # target drops only on a witness inside N(u), so look those witnesses up.
+    check = np.flatnonzero(r_dead & ~is_one[r_owner * n + r_target])
+    counts = ptr[r_edge[check] + 1] - ptr[r_edge[check]]
+    c = witness_nodes[np.repeat(ptr[r_edge[check]], counts) + seg_arange(counts)]
+    hit = is_one[np.repeat(r_owner[check], counts) * n + c]
+    inside = np.zeros(check.size, dtype=bool)
+    inside[np.repeat(np.arange(check.size, dtype=np.int64), counts)[hit]] = True
+    r_dead[check[~inside]] = False
+    alive = np.concatenate((first_alive, first_alive[r_pair] & ~r_dead))
 
     # Candidates: the direct link to each one-hop target, then every relay path.
     c_owner = np.concatenate((o_owner, r_owner))
@@ -279,22 +243,19 @@ def _filter_chunk(ng, g, metric, kind, w_slots, witnesses, tables) -> None:
     new_group = np.r_[True, group_key[1:] != group_key[:-1]]
     starts = np.flatnonzero(new_group)
     group_of = np.cumsum(new_group) - 1
-    if alive is not None:
-        alive = alive[order]
-        # A target the reduction left without any candidate falls back to all of them.
-        has_alive = np.logical_or.reduceat(alive, starts)
-        active = alive | ~has_alive[group_of]
-        group_of = group_of[active]
-        c_bit = c_bit[active]
-        c_value = c_value[active]
-        a_starts = np.flatnonzero(np.r_[True, group_of[1:] != group_of[:-1]])
-    else:
-        a_starts = starts
+    alive = alive[order]
+    # A target the reduction left without any candidate falls back to all of them.
+    has_alive = np.logical_or.reduceat(alive, starts)
+    active = alive | ~has_alive[group_of]
+    group_of = group_of[active]
+    c_bit = c_bit[active]
+    c_value = c_value[active]
+    a_starts = np.flatnonzero(np.r_[True, group_of[1:] != group_of[:-1]])
     reduce = np.maximum if kind == "concave" else np.minimum
     best = reduce.reduceat(c_value, a_starts)
     best_of = best[group_of]
     tied = c_value == best_of
-    near = ~tied & _values_equal(c_value, best_of, metric.rel_tol)
+    near = ~tied & values_equal(c_value, best_of, metric.rel_tol)
     group_owner = group_key[starts] // n
     skip = np.zeros(N, dtype=bool)
     skip[group_owner[group_of[near]]] = True

@@ -27,9 +27,11 @@ Layout
 * per-token weight arrays -- ``edge_values(metric)`` (one float64 per edge) and
   ``slot_values(metric)`` (the same values scattered to slots), built lazily and only
   for metrics the specialized scalar solvers accept (``specialized_kind(metric)`` not
-  None), so batched callers fall back to the scalar path for composites.
-  ``value_rows(metric)`` regroups the slot values into one ``{neighbour: value}`` dict
-  per node, lazily: the views' direct-link values.
+  None).  ``value_rows(metric)`` regroups the slot values into one
+  ``{neighbour: value}`` dict per node, lazily: the views' direct-link values.
+
+The batched kernels answer from these arrays under one admission rule,
+:func:`kernel_kind`, and leave everything else to the scalar path.
 
 Immutability
 ------------
@@ -50,7 +52,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.localview.compactgraph import specialized_kind
-from repro.metrics.base import Metric
+from repro.metrics.base import AdditiveMetric, ConcaveMetric, Metric
 from repro.utils.ids import NodeId
 
 
@@ -201,6 +203,55 @@ class NetworkGraph:
             f"NetworkGraph(nodes={len(self.nodes)}, edges={self.edge_count()}, "
             f"tokens={len(self._edge_values)})"
         )
+
+
+def kernel_kind(ng: NetworkGraph, metric: Metric) -> Optional[str]:
+    """The one admission rule of the batched kernels: ``"additive"`` / ``"concave"`` when
+    they may solve ``metric`` on ``ng``, else None (the scalar path answers).
+
+    The metric keeps its family's stock ``combine``, ``identity``, ``sort_key``,
+    ``values_equal``, ``is_better`` and ``optimum``, which the kernels inline, and the
+    family's ``kind`` (prefix-optimal when additive), so the scalar dispatch runs the
+    solver they reproduce.  Every link value under it is present and finite, and for an
+    additive metric non-negative, with a total too small for any path sum to overflow:
+    an undirected negative link is a negative cycle, an overflowed ``inf`` label reads
+    as unreached, ``-inf`` is the bottleneck kernel's unreachable sentinel, and NaN
+    compares unlike anything the scalar scans expect.
+
+    Within an admitted group a kernel still returns rows only for the owners it
+    replays exactly.  A first-wins ``Metric.optimum`` scan (the concave kernel and
+    topology filtering) settles a *near-tie* row -- a candidate that is a different
+    float from the row's best yet :func:`values_equal` to it -- by scan order, so its
+    owner goes whole to the scalar path.  The additive kernel's best value is an exact
+    ``min`` of labels and answers every owner.
+    """
+    kind = specialized_kind(metric)
+    if kind is None:
+        return None
+    family = AdditiveMetric if kind == "additive" else ConcaveMetric
+    cls = type(metric)
+    if cls.is_better is not family.is_better or cls.optimum is not Metric.optimum:
+        return None
+    if metric.kind is not family.kind or (kind == "additive" and not metric.prefix_optimal):
+        return None
+    values = ng.edge_values(metric)
+    if values is None:
+        return None
+    admitted = np.isfinite(values)
+    if kind == "additive":
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = 2.0 * values.sum()
+        admitted &= (values >= 0) & np.isfinite(total)
+    return kind if admitted.all() else None
+
+
+def values_equal(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Elementwise :meth:`Metric.values_equal`: ``==``, else finite ``math.isclose`` with
+    ``rel_tol`` as both tolerances (``rel_tol * max(|a|, |b|)`` rounds to the larger of
+    ``|rel_tol * a|`` and ``|rel_tol * b|``, so the bound is ``isclose``'s exactly)."""
+    with np.errstate(invalid="ignore"):
+        close = np.abs(a - b) <= np.maximum(rel_tol * np.maximum(np.abs(a), np.abs(b)), rel_tol)
+    return (a == b) | (close & np.isfinite(a) & np.isfinite(b))
 
 
 def row_slots(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -270,13 +270,15 @@ def all_first_hops(view: LocalView, metric: Metric) -> Dict[NodeId, FirstHopResu
       composites with a concave component (a suffix's ``min`` can erase a prefix's
       disadvantage, so optimal paths with suboptimal prefixes exist and the propagation
       would miss their first hops).
-    * **concave** metrics: :func:`_all_first_hops_bottleneck_forest`, every pairwise
-      bottleneck value through a maximum-bottleneck spanning forest of the view without
-      the owner (the classical equivalence between widest paths and maximum spanning
-      trees), combined with the owner's direct links.
+    * the stock **concave** family (``specialized_kind(metric) == "concave"``):
+      :func:`_all_first_hops_bottleneck_forest`, every pairwise bottleneck value through
+      a maximum-bottleneck spanning forest of the view without the owner (the classical
+      equivalence between widest paths and maximum spanning trees), combined with the
+      owner's direct links.
     * anything else (e.g. lexicographic composites mixing the families, for which neither
-      single-pass shortcut is sound): :func:`first_hops_to` once per target, the direct
-      transcription of the paper's definition.
+      single-pass shortcut is sound, or a concave metric with its own ``combine``):
+      :func:`first_hops_to` once per target, the direct transcription of the paper's
+      definition.
 
     The fast solvers are what make the paper's densest settings (about 1100 nodes of
     degree 35, each with a local view of well over a hundred nodes) tractable in pure
@@ -288,7 +290,7 @@ def all_first_hops(view: LocalView, metric: Metric) -> Dict[NodeId, FirstHopResu
     obs.add("kernel.scalar_dispatches")
     if metric.kind is MetricKind.ADDITIVE and metric.prefix_optimal:
         return _all_first_hops_owner_dijkstra(view, metric)
-    if metric.kind is MetricKind.CONCAVE:
+    if specialized_kind(metric) == "concave":
         return _all_first_hops_bottleneck_forest(view, metric)
     return {target: first_hops_to(view, target, metric) for target in view.known_targets()}
 
@@ -411,7 +413,8 @@ def _all_first_hops_owner_dijkstra(view: LocalView, metric: Metric) -> Dict[Node
 
 
 def _all_first_hops_bottleneck_forest(view: LocalView, metric: Metric) -> Dict[NodeId, FirstHopResult]:
-    """Every first-hop set for a concave (bottleneck) metric, via a maximum spanning forest.
+    """Every first-hop set for the stock concave (bottleneck) family, via a maximum
+    spanning forest.
 
     For bottleneck metrics the best value between two nodes of a graph equals the bottleneck
     along their path in any maximum(-bottleneck) spanning forest.  So: build the owner-free
@@ -419,9 +422,9 @@ def _all_first_hops_bottleneck_forest(view: LocalView, metric: Metric) -> Dict[N
     the forest once *per one-hop neighbor* (bottleneck values are symmetric, and a node has
     fewer one-hop neighbors than known targets) to obtain ``best(n → target in G \\ {u})``
     for every target, and combine with the owner's direct links exactly as in
-    :func:`first_hops_to`.
-    For the stock concave metrics the inner loops inline ``min`` and the tolerant equality
-    (see :func:`~repro.localview.compactgraph.float_values_equal`).
+    :func:`first_hops_to`.  The inner loops inline ``min`` and the tolerant equality (see
+    :func:`~repro.localview.compactgraph.float_values_equal`); the best value is
+    ``metric.optimum``'s first-wins scan over the one-hop order.
     """
     cg = view.compact_graph(metric)
     node_count = len(cg.adj)
@@ -434,35 +437,21 @@ def _all_first_hops_bottleneck_forest(view: LocalView, metric: Metric) -> Dict[N
 
     forest = max_bottleneck_forest(cg, cg.index[view.owner], metric)
     one_hop_rows = _one_hop_rows(view, cg)
-    plain = specialized_kind(metric) == "concave"
-    identity = metric.identity
-    combine, values_equal = combine_and_equality(metric)
 
     # Bottleneck from each one-hop neighbor to every node of its forest component (the
     # DFS is rooted at the neighbors, not the targets: same forest paths either way).
-    reach: List[Tuple[NodeId, int, float, List[object]]] = []
+    reach: List[Tuple[NodeId, int, float, List[Optional[float]]]] = []
     for neighbor, neighbor_idx, direct in one_hop_rows:
-        bottleneck: List[object] = [None] * node_count
-        bottleneck[neighbor_idx] = identity
+        bottleneck: List[Optional[float]] = [None] * node_count
+        bottleneck[neighbor_idx] = metric.identity
         stack = [neighbor_idx]
-        if plain:
-            while stack:
-                node = stack.pop()
-                node_value = bottleneck[node]
-                for successor, link_value in forest[node]:
-                    if bottleneck[successor] is None:
-                        bottleneck[successor] = (
-                            link_value if link_value < node_value else node_value
-                        )
-                        stack.append(successor)
-        else:
-            while stack:
-                node = stack.pop()
-                node_value = bottleneck[node]
-                for successor, link_value in forest[node]:
-                    if bottleneck[successor] is None:
-                        bottleneck[successor] = combine(node_value, link_value)
-                        stack.append(successor)
+        while stack:
+            node = stack.pop()
+            node_value = bottleneck[node]
+            for successor, link_value in forest[node]:
+                if bottleneck[successor] is None:
+                    bottleneck[successor] = link_value if link_value < node_value else node_value
+                    stack.append(successor)
         reach.append((neighbor, neighbor_idx, direct, bottleneck))
 
     results: Dict[NodeId, FirstHopResult] = {}
@@ -478,47 +467,26 @@ def _all_first_hops_bottleneck_forest(view: LocalView, metric: Metric) -> Dict[N
 
         hops: List[NodeId] = []
         values: List[float] = []
-        if plain:
-            for neighbor, neighbor_idx, direct, bottleneck in reach:
-                if neighbor_idx == target_idx:
-                    hops.append(neighbor)
-                    values.append(direct)
-                    continue
-                remainder = bottleneck[target_idx]
-                if remainder is None:
-                    continue
+        for neighbor, neighbor_idx, direct, bottleneck in reach:
+            if neighbor_idx == target_idx:
                 hops.append(neighbor)
-                values.append(direct if direct < remainder else remainder)
-        else:
-            for neighbor, neighbor_idx, direct, bottleneck in reach:
-                start = combine(identity, direct)
-                if neighbor_idx == target_idx:
-                    hops.append(neighbor)
-                    values.append(start)
-                    continue
-                remainder = bottleneck[target_idx]
-                if remainder is None:
-                    continue
-                hops.append(neighbor)
-                values.append(combine(start, remainder))
+                values.append(direct)
+                continue
+            remainder = bottleneck[target_idx]
+            if remainder is None:
+                continue
+            hops.append(neighbor)
+            values.append(direct if direct < remainder else remainder)
 
         if not hops:
             results[target] = unreachable(target=target, best_value=worst, first_hops=frozenset())
             continue
         best_value = metric.optimum(values)
-        if plain:
-            first_hops = frozenset(
-                neighbor
-                for neighbor, value in zip(hops, values)
-                if value == best_value
-                or isclose(value, best_value, rel_tol=rel_tol, abs_tol=rel_tol)
-            )
-        else:
-            first_hops = frozenset(
-                neighbor
-                for neighbor, value in zip(hops, values)
-                if values_equal(value, best_value)
-            )
+        first_hops = frozenset(
+            neighbor
+            for neighbor, value in zip(hops, values)
+            if value == best_value or isclose(value, best_value, rel_tol=rel_tol, abs_tol=rel_tol)
+        )
         results[target] = FirstHopResult(target=target, best_value=best_value, first_hops=first_hops)
     return results
 
@@ -531,11 +499,11 @@ def prime_first_hops(views: Iterable[LocalView], metric: Metric) -> int:
     their ``all_first_hops(view, metric)`` result computed for all owners at once and
     cached on the view as :class:`TargetRows` (one-hop block, then two-hop block, each
     sorted).  FNBP's ``select`` reads the rows as they are (:func:`primed_first_hops`);
-    the next :func:`all_first_hops` call decodes them.  Views without
-    a shared graph (or with one the metric cannot be batched on -- composite metrics,
-    missing attributes) are silently left for the scalar path, which the differential
-    suite pins bit-identical to the batched one, so callers never need to care which
-    path answered.
+    the next :func:`all_first_hops` call decodes them.  Exactly the owners a kernel
+    answers are primed.  Views without a shared graph, and whatever the admission rule
+    (:func:`~repro.localview.networkgraph.kernel_kind`) declines, are silently left for
+    the scalar path, which the differential suite pins bit-identical to the batched
+    one, so callers never need to care which path answered.
 
     Returns the number of views primed (0 when nothing was batchable), which the tests
     use to assert the batched path actually engaged.
@@ -561,8 +529,10 @@ def prime_first_hops(views: Iterable[LocalView], metric: Metric) -> int:
         if batch is None:
             continue
         for view in group:
-            view._first_hops[token] = batch[view.owner]
-            primed += 1
+            rows = batch.get(view.owner)
+            if rows is not None:
+                view._first_hops[token] = rows
+                primed += 1
     return primed
 
 

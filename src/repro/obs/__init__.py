@@ -2,9 +2,9 @@
 
 Two layers:
 
-* :mod:`repro.obs.registry` -- :class:`MetricsRegistry` (counters, gauges, histograms,
-  spans) with the hard deterministic-vs-wall-clock split, plus the
-  :class:`TrialTelemetry` envelope workers ship their snapshots back in.
+* :mod:`repro.obs.registry` -- :class:`MetricsRegistry` (counters, histograms, spans)
+  with the hard deterministic-vs-wall-clock split, plus the :class:`TrialTelemetry`
+  envelope workers ship their snapshots back in.
 * :mod:`repro.obs.runtime` -- the ambient per-process current registry the
   instrumentation sites record through; every helper is a near-free no-op while
   telemetry is off (the default).
@@ -21,7 +21,7 @@ from repro.obs.registry import (
     merge_trial,
     unwrap_payload,
 )
-from repro.obs.runtime import add, current, enabled, gauge, install, observe, resolve_metrics, span
+from repro.obs.runtime import add, enabled, install, observe, resolve_metrics, span
 
 __all__ = [
     "MetricsRegistry",
@@ -30,9 +30,7 @@ __all__ = [
     "merge_trial",
     "unwrap_payload",
     "add",
-    "current",
     "enabled",
-    "gauge",
     "install",
     "observe",
     "resolve_metrics",

@@ -1,15 +1,15 @@
-"""The telemetry registry: counters, gauges, histograms and timing spans.
+"""The telemetry registry: counters, histograms and timing spans.
 
 One :class:`MetricsRegistry` holds everything a run (or a single trial) records, split
 into two hard groups with different guarantees:
 
 * **Deterministic metrics** -- ``counters`` (integer event counts: cache hits, kernel
-  dispatches, retries, protocol transmissions, ...), ``gauges`` (last-written values) and
-  ``histograms`` (value distributions folded as count/total/min/max, e.g. dirty-set
-  sizes).  These are pure functions of the sweep's inputs: a parallel sweep merges each
-  worker's per-trial registry back **in run order** (the same order a serial sweep folds
-  them in), so the deterministic sections of every emitted snapshot are bit-identical
-  serial vs ``REPRO_WORKERS=N``.  The serial-vs-parallel identity is pinned by
+  dispatches, retries, protocol transmissions, ...) and ``histograms`` (value
+  distributions folded as count/total/min/max, e.g. dirty-set sizes).  These are pure
+  functions of the sweep's inputs: a parallel sweep merges each worker's per-trial
+  registry back **in run order** (the same order a serial sweep folds them in), so the
+  deterministic sections of every emitted snapshot are bit-identical serial vs
+  ``REPRO_WORKERS=N``.  The serial-vs-parallel identity is pinned by
   ``tests/test_observability.py``.
 * **Wall-clock measurements** -- ``spans`` (per-phase duration histograms recorded by the
   :meth:`MetricsRegistry.span` context manager).  Useful for profiling, meaningless to
@@ -80,9 +80,9 @@ class _Span:
 
 
 class MetricsRegistry:
-    """Counters, gauges, histograms and spans of one run (or one trial).
+    """Counters, histograms and spans of one run (or one trial).
 
-    The deterministic sections (``counters``, ``gauges``, ``histograms``) aggregate
+    The deterministic sections (``counters``, ``histograms``) aggregate
     bit-identically serial vs parallel because merging is commutative-per-key and the
     engine merges trial snapshots in run order; ``spans`` are wall-clock and excluded
     from that contract.
@@ -90,7 +90,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Dict[str, float]] = {}
         self.spans: Dict[str, Dict[str, float]] = {}
         self._active: List[str] = []
@@ -100,10 +99,6 @@ class MetricsRegistry:
     def count(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the counter ``name`` (deterministic)."""
         self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the gauge ``name`` (last write wins; deterministic when the writes are)."""
-        self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Fold ``value`` into the histogram ``name`` (deterministic)."""
@@ -122,12 +117,11 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """The registry as a JSON-able dict, deterministic sections key-sorted.
 
-        ``counters``/``gauges``/``histograms`` are the deterministic sections;
+        ``counters``/``histograms`` are the deterministic sections;
         ``spans`` is wall-clock (every stats dict gains a derived ``mean``).
         """
         return {
             "counters": {name: self.counters[name] for name in sorted(self.counters)},
-            "gauges": {name: self.gauges[name] for name in sorted(self.gauges)},
             "histograms": {
                 name: dict(self.histograms[name]) for name in sorted(self.histograms)
             },
@@ -140,13 +134,10 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` (e.g. shipped back from a worker) into this registry.
 
-        Counter/histogram merging is commutative per key; gauges are last-write-wins, so
-        call sites must merge in run order (the engine does) for gauge determinism.
+        Counter/histogram merging is commutative per key.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0) + value
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauges[name] = value
         for name, stats in snapshot.get("histograms", {}).items():
             _merge_stats(self.histograms, name, stats)
         for name, stats in snapshot.get("spans", {}).items():
@@ -157,7 +148,6 @@ def deterministic_sections(snapshot: dict) -> dict:
     """The parts of a snapshot covered by the serial-vs-parallel identity contract."""
     return {
         "counters": snapshot.get("counters", {}),
-        "gauges": snapshot.get("gauges", {}),
         "histograms": snapshot.get("histograms", {}),
     }
 

@@ -23,16 +23,13 @@ def render_metrics_summary(snapshot: dict) -> str:
     """The end-of-run telemetry summary as a fixed-width text table."""
     lines: List[str] = ["telemetry summary", "-----------------"]
     counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
     histograms = snapshot.get("histograms", {})
     spans = snapshot.get("spans", {})
-    scalar_rows = [(name, _format_value(value)) for name, value in sorted(counters.items())]
-    scalar_rows += [(name, _format_value(value)) for name, value in sorted(gauges.items())]
-    if scalar_rows:
-        width = max(len(name) for name, _ in scalar_rows)
-        lines.append("counters/gauges (deterministic):")
-        for name, rendered in scalar_rows:
-            lines.append(f"  {name.ljust(width)}  {rendered}")
+    if counters:
+        width = max(len(name) for name in counters)
+        lines.append("counters (deterministic):")
+        for name, value in sorted(counters.items()):
+            lines.append(f"  {name.ljust(width)}  {_format_value(value)}")
     if histograms:
         width = max(len(name) for name in histograms)
         lines.append("histograms (deterministic; count/mean/min/max):")

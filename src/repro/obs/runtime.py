@@ -2,7 +2,7 @@
 
 Instrumentation sites throughout the harness (selection cache, batched kernels, mobility
 driver, protocol simulator, runner supervisor) record through the module-level helpers
-here -- :func:`add`, :func:`gauge`, :func:`observe`, :func:`span` -- instead of threading
+here -- :func:`add`, :func:`observe`, :func:`span` -- instead of threading
 a registry object through every call signature.  When no registry is installed (the
 default) every helper is a near-free no-op: one module-global load and an ``is None``
 test, which is what keeps the telemetry-off engine path within its <=2% overhead budget
@@ -45,11 +45,6 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def current() -> Optional[MetricsRegistry]:
-    """The currently installed registry (``None`` while telemetry is off)."""
-    return _REGISTRY
-
-
 def enabled() -> bool:
     """Whether a registry is installed in this process."""
     return _REGISTRY is not None
@@ -72,13 +67,6 @@ def add(name: str, value: int = 1) -> None:
     registry = _REGISTRY
     if registry is not None:
         registry.count(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    """Set a gauge on the current registry (no-op while telemetry is off)."""
-    registry = _REGISTRY
-    if registry is not None:
-        registry.gauge(name, value)
 
 
 def observe(name: str, value: float) -> None:

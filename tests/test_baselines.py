@@ -175,17 +175,6 @@ class TestTopologyFiltering:
         result = TopologyFilteringSelector().select(view, bandwidth)
         assert 1 in result.selected
 
-    def test_reduction_ablation_flag(self, random_network_factory, bandwidth):
-        network = random_network_factory(25, seed=9)
-        sizes_with, sizes_without = [], []
-        for owner in list(network.nodes())[:8]:
-            view = LocalView.from_network(network, owner)
-            sizes_with.append(len(TopologyFilteringSelector().select(view, bandwidth).selected))
-            sizes_without.append(
-                len(TopologyFilteringSelector(apply_reduction=False).select(view, bandwidth).selected)
-            )
-        assert sum(sizes_with) <= sum(sizes_without)
-
     def test_covers_every_two_hop_neighbor_with_a_two_hop_path(self, random_network_factory, delay):
         network = random_network_factory(25, seed=10)
         for owner in list(network.nodes())[:8]:

@@ -53,8 +53,17 @@ class CongestionMetric(AdditiveMetric):
     name = "bandwidth"
 
 
+class TolerantBandwidthMetric(BandwidthMetric):
+    """Bandwidth whose ``is_better`` ignores differences under 0.1%; everything else is
+    the stock concave family."""
+
+    def is_better(self, a: float, b: float) -> bool:
+        return a > b * 1.001
+
+
 BANDWIDTH = BandwidthMetric()
 DELAY = DelayMetric()
+TOLERANT_BANDWIDTH = TolerantBandwidthMetric()
 #: A composite mixing the families; overrides the whole metric protocol, forcing the
 #: generic solver paths, and is not prefix-optimal.
 COMPOSITE = LexicographicMetric([DelayMetric(), BandwidthMetric()])
@@ -331,7 +340,8 @@ def _degenerate_networks():
 
     # Two relays to one target whose path values differ by less than rel_tol: distinct
     # floats that Metric.values_equal calls equal, so the scalar best value depends on
-    # the candidate scan order and the batched paths must replay the scalar scan.
+    # the candidate scan order and the first-wins kernels leave the owner to the scalar
+    # path.
     shapes["near-tie-weights"] = weighted(
         {
             (0, 1): {"bandwidth": 5.0, "delay": 2.0},
@@ -370,6 +380,31 @@ def _degenerate_networks():
 
 #: (shape, metric name) pairs the batched kernels decline, leaving them to the scalar path.
 _SCALAR_ONLY = {("negative-delay", "delay")}
+#: Shapes with a near-tie row under bandwidth, whose owners the concave kernel leaves out.
+_NEAR_TIE_SHAPES = {"near-tie-weights", "tolerance-witness", "hub-of-70"}
+
+
+def _near_tie_owners(network, metric):
+    """The owners with a near-tie row under ``metric``, from the definition of ``fP``.
+
+    A row's candidates are ``combine(direct(owner, w), best(w -> target in G_u minus the
+    owner))`` over the owner's one-hop neighbours ``w``; it is a near-tie when one of
+    them is a different float from the row's best yet ``values_equal`` to it.
+    """
+    owners = set()
+    for owner, view in LocalView.all_from_network(network).items():
+        direct = view.direct_link_values(metric)
+        for target in view.known_targets():
+            remainder = best_values_from(view.links, target, metric, excluded=(owner,))
+            candidates = [
+                metric.combine(direct[hop], remainder[hop])
+                for hop in view.one_hop
+                if hop in remainder
+            ]
+            best = metric.optimum(candidates)
+            if any(value != best and metric.values_equal(value, best) for value in candidates):
+                owners.add(owner)
+    return owners
 
 
 def _wide_networks():
@@ -503,9 +538,12 @@ class TestDegenerateTopologiesScalarVsBatched:
     def test_first_hop_kernels_agree_on_degenerate_windows(self, shape):
         """The batched kernels themselves (not just selection built on them) reproduce
         the scalar first-hop sets on every degenerate window, including empty ones, and
-        on windows wide enough for several chunks and mask lanes."""
+        on windows wide enough for several chunks and mask lanes.  The concave kernel
+        answers every owner but exactly the near-tie ones; the additive kernel, whose
+        best value is an exact ``min``, answers every owner."""
         from repro.localview.batched import batched_all_first_hops
         from repro.localview.networkgraph import NetworkGraph
+        from repro.metrics.base import MetricKind
 
         network = {**_degenerate_networks(), **_wide_networks()}[shape]
         ng = NetworkGraph.from_network(network)
@@ -516,11 +554,38 @@ class TestDegenerateTopologiesScalarVsBatched:
                 assert batch is None, (shape, metric.name)
                 continue
             assert batch is not None
-            for owner, view in views.items():
+            concave = metric.kind is MetricKind.CONCAVE
+            near_ties = _near_tie_owners(network, metric) if concave else set()
+            assert bool(near_ties) == (metric is BANDWIDTH and shape in _NEAR_TIE_SHAPES)
+            assert views.keys() - batch.keys() == near_ties, (shape, metric.name)
+            for owner, rows in batch.items():
                 fresh = LocalView.from_network(network, owner)
-                decoded = batch[owner].first_hop_results()
+                decoded = rows.first_hop_results()
                 assert decoded == all_first_hops(fresh, metric), (shape, metric.name, owner)
                 assert list(decoded) == fresh.known_targets(), (shape, metric.name, owner)
+
+    @pytest.mark.parametrize("shape", sorted(_NEAR_TIE_SHAPES))
+    def test_near_tie_owners_select_on_the_scalar_path(self, shape):
+        """FNBP primes every owner but the near-tie ones and selects for those through
+        the scalar solver (the both-paths tests pin the selections themselves)."""
+        from repro.localview.networkgraph import NetworkGraph
+        from repro.obs import runtime as obs
+        from repro.obs.registry import MetricsRegistry
+
+        network = {**_degenerate_networks(), **_wide_networks()}[shape]
+        near_ties = _near_tie_owners(network, BANDWIDTH)
+        ng = NetworkGraph.from_network(network)
+        views = LocalView.all_from_network(network, network_graph=ng)
+        selector = make_selector("fnbp")
+        registry = MetricsRegistry()
+        previous = obs.install(registry)
+        try:
+            batched = selector.select_all(network, BANDWIDTH, views=views)
+        finally:
+            obs.install(previous)
+        assert batched.keys() == views.keys()
+        assert registry.counters["kernel.batched_views"] == len(views) - len(near_ties)
+        assert registry.counters["kernel.scalar_dispatches"] == len(near_ties)
 
     def test_wide_network_crosses_chunks_and_lanes(self, monkeypatch):
         """``hub-of-70`` really exercises what it is meant to: at least three concave
@@ -547,12 +612,13 @@ class TestDegenerateTopologiesScalarVsBatched:
         assert 300 not in chunks[0][0]
         assert max(len(view.one_hop) for view in views) > 64
 
-    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), float("inf")])
     def test_nan_and_minus_inf_links_leave_every_view_to_the_scalar_path(self, value):
-        """NaN compares unlike anything the scalar scans expect, and ``-inf`` is the
-        bottleneck kernel's unreachable sentinel (and negative for delay), so neither
-        kernel batches them; first-hop sets and selections then match the scalar path.
-        NaN best values never compare equal, so sets are compared, not whole results."""
+        """NaN compares unlike anything the scalar scans expect, ``-inf`` is the
+        bottleneck kernel's unreachable sentinel (and negative for delay), and the
+        kernels admit only finite link values, so none of the three batches; first-hop
+        sets and selections then match the scalar path.  NaN best values never compare
+        equal, so sets are compared, not whole results."""
         from repro.core.selection import available_selectors
         from repro.localview.batched import batched_all_first_hops
         from repro.localview.networkgraph import NetworkGraph
@@ -587,6 +653,56 @@ class TestDegenerateTopologiesScalarVsBatched:
                         name,
                         owner,
                     )
+
+    def test_delay_sums_that_overflow_are_left_to_the_scalar_path(self):
+        """Finite delays whose path sum overflows: the scalar solver reaches target 2
+        with an ``inf`` label and first hop 1, which an ``inf`` kernel label cannot tell
+        from unreached, so the additive kernel declines the graph."""
+        from repro.localview.batched import batched_all_first_hops
+        from repro.localview.networkgraph import NetworkGraph
+        from repro.topology.network import Network
+
+        network = Network.from_links({(0, 1): {"delay": 1e308}, (1, 2): {"delay": 1e308}})
+        ng = NetworkGraph.from_network(network)
+        views = LocalView.all_from_network(network, network_graph=ng)
+        assert batched_all_first_hops(ng, list(views.values()), DELAY) is None
+        for owner, view in views.items():
+            scalar = all_first_hops(LocalView.from_network(network, owner), DELAY)
+            assert all_first_hops(view, DELAY) == scalar, owner
+        assert scalar[0] == (0, float("inf"), frozenset({1}))  # owner 2's row for target 0
+
+    def test_a_concave_metric_with_its_own_is_better_is_left_to_the_scalar_path(self):
+        """A bottleneck metric that only overrides ``is_better`` (here with a 0.1%
+        tolerance) keeps the stock ``values_equal``, so no near-tie flag catches the
+        scan-order dependence: owner 0 scans 5.0 via 1 first and keeps it, while a float
+        maximum would pick 5.001 via 2.  The kernels decline the metric, and
+        ``all_first_hops`` and every selector's batched selection equal the scalar
+        path."""
+        from repro.localview import prime_first_hops
+        from repro.localview.batched import batched_all_first_hops
+        from repro.localview.networkgraph import NetworkGraph
+        from repro.topology.network import Network
+
+        network = Network.from_links(
+            {
+                (0, 1): {"bandwidth": 9.0},
+                (0, 2): {"bandwidth": 9.0},
+                (1, 3): {"bandwidth": 5.0},
+                (2, 3): {"bandwidth": 5.001},
+            }
+        )
+        ng = NetworkGraph.from_network(network)
+        views = LocalView.all_from_network(network, network_graph=ng)
+        assert batched_all_first_hops(ng, list(views.values()), TOLERANT_BANDWIDTH) is None
+        assert prime_first_hops(views.values(), TOLERANT_BANDWIDTH) == 0
+        scalar = {
+            owner: all_first_hops(LocalView.from_network(network, owner), TOLERANT_BANDWIDTH)
+            for owner in views
+        }
+        assert scalar[0][3] == (3, 5.0, frozenset({1}))
+        for owner, view in views.items():
+            assert all_first_hops(view, TOLERANT_BANDWIDTH) == scalar[owner], owner
+        _assert_both_paths_agree(network, "tolerant-is-better", (TOLERANT_BANDWIDTH,))
 
 
 # --------------------------------------------------------------------------- link-state

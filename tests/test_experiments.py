@@ -71,20 +71,15 @@ class TestStats:
         assert summary.count == 4
         assert summary.mean == pytest.approx(2.5)
         assert summary.std == pytest.approx(1.2909944, rel=1e-6)
-        assert summary.minimum == 1.0 and summary.maximum == 4.0
-        low, high = summary.confidence_interval()
-        assert low < summary.mean < high
 
     def test_summarize_single_value(self):
         summary = summarize([5.0])
         assert summary.std == 0.0
-        assert summary.stderr == 0.0
 
     def test_summarize_empty(self):
         summary = summarize([])
         assert summary.count == 0
-        assert math.isnan(summary.mean)
-        assert all(math.isnan(v) for v in summary.confidence_interval())
+        assert math.isnan(summary.mean) and math.isnan(summary.std)
 
 
 class TestOverheadDefinition:

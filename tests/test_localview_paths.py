@@ -34,6 +34,14 @@ def _figure2_view():
     return LocalView.from_network(figure2_network(), FIGURE2_OWNER)
 
 
+class OwnCombineBandwidth(BandwidthMetric):
+    """Bandwidth with its own ``combine`` (the same bottleneck rule, written out), so it
+    is a concave metric outside the stock family."""
+
+    def combine(self, path_value: float, link_value: float) -> float:
+        return link_value if link_value < path_value else path_value
+
+
 class TestBestValues:
     def test_delay_matches_networkx_dijkstra(self, grid_network, delay):
         links = grid_network.adjacency
@@ -142,16 +150,17 @@ class TestFirstHops:
             (DelayMetric(), "owner-dijkstra"),
             (LexicographicMetric([DelayMetric(), HopCountMetric()]), "owner-dijkstra"),
             (BandwidthMetric(), "bottleneck-forest"),
+            (OwnCombineBandwidth(), "per-target"),
             (LexicographicMetric([DelayMetric(), BandwidthMetric()]), "per-target"),
         ],
-        ids=["delay", "additive-composite", "bandwidth", "mixed-composite"],
+        ids=["delay", "additive-composite", "bandwidth", "concave-own-combine", "mixed-composite"],
     )
     def test_all_first_hops_runs_the_one_solver_its_metric_allows(
         self, grid_network, monkeypatch, metric, solver
     ):
         """Every solver gives the same answers, so only the calls show the dispatch: one
-        single pass for prefix-optimal additive and for concave metrics, the per-target
-        definition for anything else."""
+        single pass for prefix-optimal additive metrics and for the stock concave family,
+        the per-target definition for anything else."""
         calls = []
         for name, label in (
             ("_all_first_hops_owner_dijkstra", "owner-dijkstra"),

@@ -5,11 +5,13 @@ holds its sets and references to the shared rows (no per-view map until a scalar
 consumer reads ``view.links``), answers every query exactly as a view built from the
 network itself, and, held across a dynamic step that changed it, keeps describing (and
 batching on) the state it was built from.  Second, the canonical-summation-order
-guarantee of the batched additive kernel: its distance labels are compared against the
-scalar Dijkstra's with exact ``==`` -- not ``approx`` -- on genuinely non-representable
-float weights, because both accumulate every path cost as the same left-to-right fold of
-single additions (the batched side never substitutes a reduction with a different
-association order).
+guarantee of the batched additive kernel: its decoded best values (the owner-rooted
+labels) are compared against the scalar solver's with exact ``==`` -- not ``approx`` --
+on genuinely non-representable float weights, because both accumulate every path cost
+as the same left-to-right fold of single additions (the batched side never substitutes
+a reduction with a different association order).  Third, the one admission rule,
+:func:`~repro.localview.networkgraph.kernel_kind`: one case per clause, each checked
+against what both batched kernels then do.
 """
 
 from __future__ import annotations
@@ -19,15 +21,17 @@ import random
 import numpy as np
 import pytest
 
+from repro.baselines.topology_filtering import TopologyFilteringSelector
 from repro.localview import LocalView, NetworkGraph, all_first_hops, prime_first_hops
-from repro.localview.batched import batched_additive_labels, batched_all_first_hops
-from repro.localview.compactgraph import best_values
+from repro.localview.batched import batched_all_first_hops
+from repro.localview.filtering import batched_filtering_tables
+from repro.localview.networkgraph import kernel_kind
 from repro.localview.paths import _all_first_hops_owner_dijkstra
 from repro.metrics import BandwidthMetric, DelayMetric, LexicographicMetric, UniformWeightAssigner
 from repro.mobility import RandomWaypointGenerator
 from repro.obs import runtime as obs
 from repro.obs.registry import MetricsRegistry
-from repro.topology import FieldSpec, FixedCountNetworkGenerator
+from repro.topology import FieldSpec, FixedCountNetworkGenerator, Network
 from tests.nx_oracles import nx_graph
 
 BANDWIDTH = BandwidthMetric()
@@ -330,26 +334,11 @@ class TestPriming:
 
 class TestCanonicalSummationOrder:
     @pytest.mark.parametrize("seed", range(8))
-    def test_batched_additive_labels_equal_scalar_dijkstra_exactly(self, seed):
-        """Exact ``==`` on every label, no tolerance: the batched kernel must reproduce
-        the scalar solver's float path costs bit-for-bit (same per-edge fold of single
-        additions, candidates combined only through exact min)."""
-        network = float_weighted_network(seed)
-        ng = NetworkGraph.from_network(network)
-        owners = network.nodes()
-        labels = batched_additive_labels(ng, owners, DELAY)
-        assert labels is not None
-        for owner in owners:
-            view = LocalView.from_network(network, owner)
-            cg = view.compact_graph(DELAY)
-            scalar = {
-                cg.nodes[i]: value
-                for i, value in best_values(cg, cg.index[owner], DELAY).items()
-            }
-            assert labels[owner] == scalar, owner  # exact, not approx
-
-    @pytest.mark.parametrize("seed", range(8))
     def test_batched_first_hops_equal_scalar_on_float_weights(self, seed):
+        """Exact ``==`` on every decoded best value, no tolerance: the batched kernels
+        must reproduce the scalar solvers' float path values bit-for-bit (the additive
+        kernel by the same per-edge fold of single additions, combined only through
+        exact min)."""
         network = float_weighted_network(seed)
         ng = NetworkGraph.from_network(network)
         views = LocalView.all_from_network(network, network_graph=ng)
@@ -359,3 +348,121 @@ class TestCanonicalSummationOrder:
                 fresh = LocalView.from_network(network, owner)
                 decoded = batch[owner].first_hop_results()
                 assert decoded == all_first_hops(fresh, metric), (owner, metric.name)
+
+
+class _OwnIsBetterBandwidth(BandwidthMetric):
+    """Bandwidth whose ``is_better`` ignores differences under 0.1%."""
+
+    def is_better(self, a: float, b: float) -> bool:
+        return a > b * 1.001
+
+
+class _OwnCombineBandwidth(BandwidthMetric):
+    """Bandwidth with the stock bottleneck rule written out as its own ``combine``."""
+
+    def combine(self, path_value: float, link_value: float) -> float:
+        return link_value if link_value < path_value else path_value
+
+
+class _OwnOptimumDelay(DelayMetric):
+    """Delay with its own ``optimum`` (the stock first-wins scan, delegated)."""
+
+    def optimum(self, values, default=None):
+        return super().optimum(values, default)
+
+
+class _OwnValuesEqualDelay(DelayMetric):
+    """Delay with its own ``values_equal`` (the stock tolerance, delegated)."""
+
+    def values_equal(self, a: float, b: float) -> bool:
+        return super().values_equal(a, b)
+
+
+class _NotPrefixOptimalDelay(DelayMetric):
+    """Delay that declares its optimal paths may have non-optimal prefixes."""
+
+    @property
+    def prefix_optimal(self) -> bool:
+        return False
+
+
+#: A six-node window shape with distinct weights (no near-tie rows), two-hop targets and
+#: a three-hop tail.
+_ADMISSION_LINKS = {
+    (0, 1): {"bandwidth": 4.5, "delay": 0.7},
+    (0, 2): {"bandwidth": 2.25, "delay": 1.3},
+    (1, 2): {"bandwidth": 6.0, "delay": 0.4},
+    (1, 3): {"bandwidth": 3.5, "delay": 2.1},
+    (2, 4): {"bandwidth": 5.0, "delay": 0.9},
+    (3, 4): {"bandwidth": 1.75, "delay": 1.6},
+    (3, 5): {"bandwidth": 8.0, "delay": 0.2},
+}
+
+#: case -> (metric, {link: weights replacing its own}, what kernel_kind answers).
+_ADMISSION_CASES = {
+    "stock-bandwidth": (BANDWIDTH, {}, "concave"),
+    "stock-delay": (DELAY, {}, "additive"),
+    "zero-delay-link": (DELAY, {(1, 2): {"bandwidth": 6.0, "delay": 0.0}}, "additive"),
+    "large-finite-delay-sums": (
+        DELAY,
+        {(0, 1): {"bandwidth": 4.5, "delay": 1e307}, (1, 3): {"bandwidth": 3.5, "delay": 2e307}},
+        "additive",
+    ),
+    "overflowing-delay-sums": (
+        DELAY,
+        {(0, 1): {"bandwidth": 4.5, "delay": 1e308}, (1, 3): {"bandwidth": 3.5, "delay": 1e308}},
+        None,
+    ),
+    "negative-delay-link": (DELAY, {(2, 4): {"bandwidth": 5.0, "delay": -0.5}}, None),
+    "inf-delay-link": (DELAY, {(2, 4): {"bandwidth": 5.0, "delay": float("inf")}}, None),
+    "inf-bandwidth-link": (BANDWIDTH, {(1, 2): {"bandwidth": float("inf"), "delay": 0.4}}, None),
+    "nan-bandwidth-link": (BANDWIDTH, {(1, 2): {"bandwidth": float("nan"), "delay": 0.4}}, None),
+    "minus-inf-bandwidth-link": (
+        BANDWIDTH,
+        {(1, 2): {"bandwidth": float("-inf"), "delay": 0.4}},
+        None,
+    ),
+    "link-without-the-weight": (DELAY, {(3, 5): {"bandwidth": 8.0}}, None),
+    "own-is-better": (_OwnIsBetterBandwidth(), {}, None),
+    "own-combine": (_OwnCombineBandwidth(), {}, None),
+    "own-optimum": (_OwnOptimumDelay(), {}, None),
+    "own-values-equal": (_OwnValuesEqualDelay(), {}, None),
+    "not-prefix-optimal": (_NotPrefixOptimalDelay(), {}, None),
+    "composite": (COMPOSITE, {}, None),
+}
+
+
+def _table_state(rows):
+    """A table's comparable content (:class:`TargetRows` defines no equality)."""
+    return rows.hops, rows.targets, rows.best, rows.masks
+
+
+class TestKernelAdmission:
+    @pytest.mark.parametrize("case", list(_ADMISSION_CASES))
+    def test_kernel_kind_decides_what_both_kernels_batch(self, case):
+        """A metric the rule declines -- by an override its kernels do not inline, a
+        missing, non-finite or negative additive link value, or additive sums that could
+        overflow -- is batched by neither kernel and primes no view; one it admits is
+        answered for every owner of a shape without near-ties, bit for bit as the
+        scalar path answers it.  An override is declined even when it computes the
+        stock values: the rule reads the class, not its results."""
+        metric, replaced, expected = _ADMISSION_CASES[case]
+        network = Network.from_links({**_ADMISSION_LINKS, **replaced})
+        ng = NetworkGraph.from_network(network)
+        views = LocalView.all_from_network(network, network_graph=ng)
+        assert kernel_kind(ng, metric) == expected
+        first_hops = batched_all_first_hops(ng, list(views.values()), metric)
+        tables = batched_filtering_tables(ng, list(views), metric)
+        if expected is None:
+            assert first_hops is None and tables is None
+            assert prime_first_hops(views.values(), metric) == 0
+            return
+        assert first_hops.keys() == tables.keys() == views.keys()
+        selector = TopologyFilteringSelector()
+        for owner in views:
+            fresh = LocalView.from_network(network, owner)
+            assert first_hops[owner].first_hop_results() == all_first_hops(fresh, metric), owner
+            assert _table_state(tables[owner]) == _table_state(
+                selector._scalar_table(fresh, metric)
+            ), owner
+        assert prime_first_hops(views.values(), metric) == len(views)

@@ -2,10 +2,10 @@
 
 Four guarantees, mirroring ``docs/observability.md``:
 
-* **Registry semantics.**  Counters/gauges/histograms fold and merge exactly (merge of
+* **Registry semantics.**  Counters/histograms fold and merge exactly (merge of
   snapshots == one registry fed everything), spans nest and survive exceptions, and the
   worker envelope (:class:`TrialTelemetry`) round-trips through pickle.
-* **Determinism.**  The deterministic sections (counters, gauges, histograms) of every
+* **Determinism.**  The deterministic sections (counters, histograms) of every
   ``on_metrics`` snapshot are bit-identical serial vs ``REPRO_WORKERS=2``, and with
   telemetry enabled the primary jsonl/result streams stay byte-identical to a
   telemetry-off run (telemetry observes; it never perturbs).
@@ -59,7 +59,7 @@ def _clean_telemetry_env(monkeypatch):
     """No telemetry/fault/worker configuration leaks between tests (or in from outside)."""
     for variable in ("REPRO_METRICS", "REPRO_FAULTS", "REPRO_WORKERS", "REPRO_MAX_RETRIES"):
         monkeypatch.delenv(variable, raising=False)
-    assert obs.current() is None
+    assert not obs.enabled()
 
 
 def _dynamic_spec(**overrides) -> ExperimentSpec:
@@ -109,17 +109,15 @@ def _protocol_spec(**overrides) -> ExperimentSpec:
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms_fold(self):
+    def test_counters_histograms_fold(self):
         registry = MetricsRegistry()
         registry.count("hits")
         registry.count("hits", 4)
-        registry.gauge("depth", 3.0)
-        registry.gauge("depth", 7.0)
         for value in (2.0, 5.0, 3.0):
             registry.observe("dirty", value)
         snapshot = registry.snapshot()
+        assert set(snapshot) == {"counters", "histograms", "spans"}
         assert snapshot["counters"] == {"hits": 5}
-        assert snapshot["gauges"] == {"depth": 7.0}
         assert snapshot["histograms"]["dirty"] == {"count": 3, "total": 10.0, "min": 2.0, "max": 5.0}
 
     def test_snapshot_sections_are_key_sorted(self):
@@ -162,10 +160,8 @@ class TestMetricsRegistry:
             for value in values:
                 registry.count("events")
                 registry.observe("sizes", value)
-                registry.gauge("last", value)
                 whole.count("events")
                 whole.observe("sizes", value)
-                whole.gauge("last", value)
         merged = MetricsRegistry()
         merged.merge_snapshot(one.snapshot())
         merged.merge_snapshot(two.snapshot())
@@ -200,9 +196,8 @@ class TestMetricsRegistry:
 
 class TestAmbientRuntime:
     def test_helpers_are_no_ops_without_a_registry(self):
-        assert obs.current() is None and not obs.enabled()
+        assert not obs.enabled()
         obs.add("anything")
-        obs.gauge("anything", 1.0)
         obs.observe("anything", 1.0)
         with obs.span("anything"):
             pass  # the shared null span
@@ -291,7 +286,7 @@ class TestEngineTelemetry:
         capture = MetricsCapture()
         run_experiment(_dynamic_spec(), sinks=[capture])
         assert capture.snapshots == [] and capture.last is None
-        assert obs.current() is None
+        assert not obs.enabled()
 
     def test_repro_metrics_env_enables_telemetry(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "1")
@@ -336,7 +331,7 @@ class TestFaultedTelemetry:
         spec = _dynamic_spec()
         capture = MetricsCapture()
         run_experiment(spec, sinks=[capture], metrics=True, on_error="skip")
-        assert obs.current() is None
+        assert not obs.enabled()
         counters = capture.last["counters"]
         assert counters["runner.trial_failures"] == 1
         assert counters["runner.retries"] == 2  # REPRO_MAX_RETRIES default: 2 extra attempts
@@ -409,7 +404,7 @@ class TestTelemetrySinks:
         assert [record["density"] for record in records] == [16.0, 20.0, None]
         for record in records:
             assert record["experiment_id"] == spec.experiment_id
-            assert set(record) >= {"counters", "gauges", "histograms", "spans"}
+            assert set(record) >= {"counters", "histograms", "spans"}
 
     def test_text_report_appends_summary_only_with_telemetry(self, tmp_path):
         spec = _dynamic_spec()
@@ -429,7 +424,7 @@ class TestTelemetrySinks:
         assert instrumented.startswith(plain.rstrip("\n"))
 
     def test_render_metrics_summary_handles_empty_snapshots(self):
-        text = render_metrics_summary({"counters": {}, "gauges": {}, "histograms": {}, "spans": {}})
+        text = render_metrics_summary({"counters": {}, "histograms": {}, "spans": {}})
         assert "no telemetry recorded" in text
 
     def test_build_profile_shape(self):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments.presets import PROFILES, figure_spec
 from repro.experiments.spec import ExperimentSpec
+from repro.metrics import UniformWeightAssigner
 from repro.registry import (
     ALL_REGISTRIES,
     MEASURES,
@@ -127,6 +128,33 @@ class TestRegistry:
         assert f"{kind} registry" in message
         for known in registry.names():
             assert known in message
+
+    @pytest.mark.parametrize("name", TOPOLOGY_MODELS.names())
+    def test_every_topology_model_generates_weighted_links_through_the_registry(self, name):
+        """Each registered model, created by name as a sweep creates it, generates run 0
+        with the metric's weight on every link; a model with ``dynamic`` advances one
+        step and keeps every link weighted."""
+        metric = METRICS.create("bandwidth")
+        assigner = UniformWeightAssigner(metric=metric, low=1.0, high=10.0, seed=3)
+        generator = TOPOLOGY_MODELS.create(
+            name,
+            field=FieldSpec(width=300.0, height=300.0, radius=100.0),
+            density=8.0,
+            seed=3,
+            weight_assigners=(assigner,),
+        )
+
+        def assert_weighted(network):
+            assert network.links(), name
+            for u, v in network.links():
+                assert 1.0 <= network.link_attributes(u, v)[metric.name] <= 10.0, (name, u, v)
+
+        network = generator.generate(0)
+        assert_weighted(network)
+        if hasattr(generator, "dynamic"):
+            dynamic = generator.dynamic(0, network=network)
+            assert dynamic.advance().step == 1
+            assert_weighted(dynamic.network)
 
 
 def _spec(**overrides) -> ExperimentSpec:
